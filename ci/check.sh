@@ -11,6 +11,9 @@
 #              SKIPs with a notice when clang-tidy is not installed
 #   bench      micro-substrate smoke run + BENCH_*.json field validation
 #   benchdiff  fresh BENCH_*.json vs committed bench/results/ baselines
+#   benchsmoke end-to-end benchmark (benchmark/run.py --smoke): builds it
+#              against the current src/ API and checks schema, trace and
+#              oracles at 1/20 sizes
 #   docs       relative-link check over README/docs/ + compile every example
 #   all        every stage above, in that order
 #
@@ -256,6 +259,11 @@ print(msg)
 PY
 }
 
+benchmark_smoke() {
+  echo "== benchmark smoke: benchmark/run.py --smoke"
+  python3 benchmark/run.py --smoke
+}
+
 docs_check() {
   echo "== docs: relative-link check over README.md + docs/"
   python3 - <<'PY'
@@ -301,6 +309,7 @@ case "$stage" in
   tidy) run_stage tidy tidy ;;
   bench) run_stage bench_smoke bench ;;
   benchdiff) run_stage bench_diff benchdiff ;;
+  benchsmoke) run_stage benchmark_smoke benchsmoke ;;
   docs) run_stage docs_check docs ;;
   all)
     run_stage tier1 tier1
@@ -310,10 +319,11 @@ case "$stage" in
     run_stage tidy tidy
     run_stage bench_smoke bench
     run_stage bench_diff benchdiff
+    run_stage benchmark_smoke benchsmoke
     run_stage docs_check docs
     ;;
   *)
-    echo "usage: ci/check.sh [tier1|sanitize|tsan|lint|tidy|bench|benchdiff|docs|all]" >&2
+    echo "usage: ci/check.sh [tier1|sanitize|tsan|lint|tidy|bench|benchdiff|benchsmoke|docs|all]" >&2
     exit 2
     ;;
 esac

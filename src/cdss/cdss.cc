@@ -43,9 +43,7 @@ std::string Participant::LocalKey(const std::string& relation, const Tuple& t) c
   k.push_back('\x1f');
   // Key prefix only: local DB stores one live version per key.
   Tuple key_only(t.begin(), t.begin() + it->second.schema.key_arity());
-  Writer w;
   for (const Value& v : key_only) v.EncodeOrdered(&k);
-  (void)w;
   return k;
 }
 
@@ -115,33 +113,18 @@ Result<storage::Epoch> Participant::Publish() {
   }
   if (batch.empty()) return Status::FailedPrecondition("nothing to publish");
 
-  // Catch up on the gossiped epoch before assigning the next one (§IV); the
-  // deployment helper reads the converged value deterministically.
-  dep_->gossip(node_).AdvanceTo(dep_->MaxKnownEpoch());
-
-  bool done = false;
-  Status status;
-  storage::Epoch epoch = 0;
-  dep_->publisher(node_).PublishBatch(std::move(batch),
-                                      [&](Status st, storage::Epoch e) {
-                                        status = st;
-                                        epoch = e;
-                                        done = true;
-                                      });
-  if (!dep_->RunUntil([&] { return done; })) {
-    return Status::TimedOut("publish did not complete");
-  }
-  ORC_RETURN_IF_ERROR(status);
-  log_.clear();
+  // The publisher discovers the current epoch from confirmed claims (§IV's
+  // gossip role) and assigns the next one.
+  Result<storage::Epoch> epoch = dep_->Publish(node_, std::move(batch));
+  if (epoch.ok()) log_.clear();
   return epoch;
 }
 
 Result<ImportReport> Participant::Import() {
   ImportReport report;
-  // The import epoch comes from gossip (§IV); the deployment helper reads the
-  // converged value deterministically instead of waiting out timer rounds.
+  // Import the newest epoch any live publisher knows of; the query is pinned
+  // to it explicitly.
   report.epoch = dep_->MaxKnownEpoch();
-  dep_->gossip(node_).AdvanceTo(report.epoch);
 
   auto catalog = [this](const std::string& name) {
     return dep_->storage(node_).Relation(name);
@@ -201,8 +184,6 @@ Result<ImportReport> Participant::Import() {
             continue;  // keep local version
           }
           report.conflicts.push_back(std::move(c));
-        } else if (existing.ok() && (r.AtEnd())) {
-          // identical or undecodable -> fall through to overwrite
         }
       }
       Writer w;

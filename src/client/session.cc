@@ -43,8 +43,7 @@ Session::Session(storage::StorageService* storage, storage::Publisher* publisher
   impl_->opts = options;
   impl_->opts.max_window = std::max<size_t>(1, impl_->opts.max_window);
   if (options.participant != 0) publisher->set_participant(options.participant);
-  impl_->effective_window =
-      impl_->opts.pipeline ? impl_->opts.max_window : 1;
+  impl_->effective_window = impl_->opts.max_window;
   impl_->stats.min_window_seen = impl_->effective_window;
 }
 
@@ -61,7 +60,7 @@ namespace {
 /// window — halve on a high-watermark breach (multiplicative decrease), grow
 /// one step once load clears the low watermark (additive increase).
 void UpdateWindow(const std::shared_ptr<Session::Impl>& im) {
-  size_t max_window = im->opts.pipeline ? im->opts.max_window : 1;
+  size_t max_window = im->opts.max_window;
   uint32_t load = im->storage->MaxRecentPeerLoad();
   if (load >= im->opts.load_high_watermark) {
     if (im->effective_window > 1) {
@@ -116,10 +115,8 @@ void Launch(const std::shared_ptr<Session::Impl>& im,
             std::shared_ptr<Session::Impl::Entry> e) {
   im->inflight.push_back(e);
   im->stats.max_in_flight = std::max(im->stats.max_in_flight, im->inflight.size());
-  storage::Publisher::Handle prev =
-      im->opts.pipeline ? im->chain_tail : storage::Publisher::Handle();
   e->handle = im->publisher->PublishChained(
-      std::move(e->batch), std::move(prev),
+      std::move(e->batch), im->chain_tail,
       [im, e](Status st, storage::Epoch epoch) {
         RemoveInflight(im, e);
         if (e->ticket.done()) {

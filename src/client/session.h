@@ -74,9 +74,6 @@ struct SessionOptions {
   /// Max publishes in flight. >1 enables pipelined chaining; 1 reproduces
   /// the legacy one-at-a-time behavior exactly.
   size_t max_window = 4;
-  /// Disables chaining (forces an effective window of 1) without changing
-  /// the API — the deprecation-shim equivalence knob.
-  bool pipeline = true;
   /// Shrink the window when any peer's recent load hint reaches this.
   uint32_t load_high_watermark = 192;
   /// Grow the window back once the worst recent hint is at or below this.
@@ -125,9 +122,9 @@ class Session {
                                                 storage::Epoch epoch,
                                                 storage::KeyFilter filter = {});
 
-  /// Distributed query from this session's node. `epoch` 0 = current.
+  /// Distributed query from this session's node, pinned to `epoch`.
   Pending<query::QueryResult> Query(const query::PhysicalPlan& plan,
-                                    storage::Epoch epoch = 0,
+                                    storage::Epoch epoch,
                                     query::QueryOptions options = {});
 
   /// Fails every unresolved ticket (queued or in flight) with `why` and

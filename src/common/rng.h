@@ -1,5 +1,5 @@
 // Deterministic random number generation. Every source of randomness in the
-// system (data generation, failure times, gossip fan-out) flows through an
+// system (data generation, failure times, fault injection) flows through an
 // explicitly seeded Rng so experiments are reproducible bit-for-bit.
 #ifndef ORCHESTRA_COMMON_RNG_H_
 #define ORCHESTRA_COMMON_RNG_H_

@@ -19,26 +19,19 @@ Deployment::Deployment(DeploymentOptions options)
   }
   board_->current = ring_.TakeSnapshot();
 
-  std::vector<net::NodeId> everyone;
-  for (const auto& m : board_->current.members()) everyone.push_back(m.node);
-
   for (size_t i = 0; i < options_.num_nodes; ++i) {
     hosts_.push_back(std::make_unique<net::NodeHost>(&network_, static_cast<net::NodeId>(i)));
-    gossip_.push_back(std::make_unique<overlay::GossipService>(
-        hosts_.back().get(), everyone, options_.seed + i, options_.gossip_interval_us));
     storage_.push_back(std::make_unique<storage::StorageService>(
         hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode(),
         options_.gc));
-    publishers_.push_back(std::make_unique<storage::Publisher>(
-        storage_.back().get(), gossip_.back().get()));
+    publishers_.push_back(std::make_unique<storage::Publisher>(storage_.back().get()));
     publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);
     publishers_.back()->set_fence_after_us(options_.fence_after_us);
     query_.push_back(std::make_unique<query::QueryService>(
-        hosts_.back().get(), storage_.back().get(), gossip_.back().get(), board_));
+        hosts_.back().get(), storage_.back().get(), board_));
     sessions_.push_back(std::make_unique<client::Session>(
         storage_.back().get(), publishers_.back().get(), query_.back().get(),
         options_.session));
-    if (options_.start_gossip) gossip_.back()->Start();
   }
 }
 
@@ -96,16 +89,6 @@ void Deployment::RestartNode(net::NodeId node) {
   ORC_CHECK(rec.ok(), "restart recovery failed");
   storage_[node]->OnRestart();
 
-  // Re-seed every node's gossip peer list (drop notices pruned the returnee
-  // from the survivors' lists and vice versa).
-  std::vector<net::NodeId> everyone;
-  for (const auto& m : board_->current.members()) everyone.push_back(m.node);
-  for (size_t i = 0; i < gossip_.size(); ++i) {
-    if (network_.IsAlive(static_cast<net::NodeId>(i))) {
-      gossip_[i]->ResetPeers(everyone);
-    }
-  }
-
   // Both directions of catch-up: survivors push what the returnee missed,
   // the returnee re-serves what the new table assigns elsewhere.
   for (auto& svc : storage_) {
@@ -132,21 +115,15 @@ net::NodeId Deployment::AddNode() {
   net::NodeId id = network_.AddNode(name);
   ring_.Join(id, name);
 
-  std::vector<net::NodeId> everyone;
-  for (const auto& m : board_->current.members()) everyone.push_back(m.node);
-  everyone.push_back(id);
   hosts_.push_back(std::make_unique<net::NodeHost>(&network_, id));
-  gossip_.push_back(std::make_unique<overlay::GossipService>(
-      hosts_.back().get(), everyone, options_.seed + id, options_.gossip_interval_us));
   storage_.push_back(std::make_unique<storage::StorageService>(
       hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode(),
       options_.gc));
-  publishers_.push_back(std::make_unique<storage::Publisher>(
-      storage_.back().get(), gossip_.back().get()));
+  publishers_.push_back(std::make_unique<storage::Publisher>(storage_.back().get()));
   publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);
   publishers_.back()->set_fence_after_us(options_.fence_after_us);
   query_.push_back(std::make_unique<query::QueryService>(
-      hosts_.back().get(), storage_.back().get(), gossip_.back().get(), board_));
+      hosts_.back().get(), storage_.back().get(), board_));
   sessions_.push_back(std::make_unique<client::Session>(
       storage_.back().get(), publishers_.back().get(), query_.back().get(),
       options_.session));
@@ -163,9 +140,9 @@ net::NodeId Deployment::AddNode() {
 
 storage::Epoch Deployment::MaxKnownEpoch() const {
   storage::Epoch max_epoch = 0;
-  for (size_t i = 0; i < gossip_.size(); ++i) {
+  for (size_t i = 0; i < publishers_.size(); ++i) {
     if (network_.IsAlive(static_cast<net::NodeId>(i))) {
-      max_epoch = std::max(max_epoch, gossip_[i]->epoch());
+      max_epoch = std::max(max_epoch, publishers_[i]->current_epoch());
     }
   }
   return max_epoch;

@@ -1,5 +1,5 @@
 // Deployment: assembles a full simulated ORCHESTRA cluster — simulator,
-// network, node hosts, gossip, storage services, publishers — the way the
+// network, node hosts, storage services, publishers — the way the
 // paper deploys its prototype on the local cluster or EC2 (§VI). Used by
 // tests, benchmarks, and examples.
 #ifndef ORCHESTRA_DEPLOY_DEPLOYMENT_H_
@@ -12,7 +12,6 @@
 
 #include "client/session.h"
 #include "net/node_host.h"
-#include "overlay/gossip.h"
 #include "overlay/ring.h"
 #include "query/service.h"
 #include "sim/simulator.h"
@@ -27,11 +26,9 @@ struct DeploymentOptions {
   int replication = 3;
   overlay::AllocationScheme scheme = overlay::AllocationScheme::kBalanced;
   net::LinkParams link;  // defaults: Gigabit LAN
+  /// Not read by the deployment, which draws no randomness of its own;
+  /// harnesses (benchmark/, the churn harness) still set it to their run seed.
   uint64_t seed = 42;
-  /// Start periodic gossip timers (leave off for fully quiescent tests; the
-  /// epoch counter still works, it just doesn't spread in the background).
-  bool start_gossip = false;
-  sim::SimTime gossip_interval_us = 500 * sim::kMicrosPerMilli;
   /// Multi-epoch GC: after each successful publish the publisher advertises
   /// (participant, new epoch - gc_keep_epochs); storage nodes retire
   /// superseded versions below the EFFECTIVE watermark — the min across
@@ -79,7 +76,6 @@ class Deployment {
   net::Network& network() { return network_; }
   net::NodeHost& host(size_t i) { return *hosts_[i]; }
   storage::StorageService& storage(size_t i) { return *storage_[i]; }
-  overlay::GossipService& gossip(size_t i) { return *gossip_[i]; }
   storage::Publisher& publisher(size_t i) { return *publishers_[i]; }
   query::QueryService& query(size_t i) { return *query_[i]; }
   /// The participant-facing API of node i; the synchronous conveniences
@@ -108,17 +104,17 @@ class Deployment {
 
   /// Restarts a previously killed node: it rejoins the ring with its durable
   /// store (indexes rebuilt via LocalStore::Recover, epoch bookkeeping via
-  /// StorageService::OnRestart), every node's gossip peer list is re-seeded,
-  /// and all live nodes re-replicate toward the new routing table so the
-  /// returnee both catches up on missed writes and re-serves its own.
+  /// StorageService::OnRestart), and all live nodes re-replicate toward the
+  /// new routing table so the returnee both catches up on missed writes and
+  /// re-serves its own.
   void RestartNode(net::NodeId node);
 
   /// Live-node count / liveness passthroughs for harnesses.
   bool IsAlive(net::NodeId node) const { return network_.IsAlive(node); }
   size_t AliveCount() const;
 
-  /// Highest epoch any live node has gossiped (deterministic alternative to
-  /// waiting for gossip convergence in tests/harnesses).
+  /// Highest epoch any live node's publisher has discovered or committed.
+  /// Harnesses use it as the newest epoch to read or import at.
   storage::Epoch MaxKnownEpoch() const;
 
   /// Sum of all storage services' pending-call tables (leak regression hook:
@@ -144,10 +140,11 @@ class Deployment {
                                                storage::Epoch epoch,
                                                storage::KeyFilter filter = {});
   /// Runs a distributed query from `via_node` and drives the sim to
-  /// completion. `epoch` 0 means the node's current gossiped epoch.
+  /// completion. The query reads exactly `epoch`; there is no implicit
+  /// "latest" (MaxKnownEpoch names the newest epoch a harness knows of).
   Result<query::QueryResult> ExecuteQuery(size_t via_node,
                                           const query::PhysicalPlan& plan,
-                                          storage::Epoch epoch = 0,
+                                          storage::Epoch epoch,
                                           query::QueryOptions options = {});
 
  private:
@@ -162,7 +159,6 @@ class Deployment {
   std::shared_ptr<storage::SnapshotBoard> board_;
   std::vector<std::unique_ptr<net::NodeHost>> hosts_;
   std::vector<std::shared_ptr<wal::MemoryBackend>> wal_backends_;
-  std::vector<std::unique_ptr<overlay::GossipService>> gossip_;
   std::vector<std::unique_ptr<storage::StorageService>> storage_;
   std::vector<std::unique_ptr<storage::Publisher>> publishers_;
   std::vector<std::unique_ptr<query::QueryService>> query_;

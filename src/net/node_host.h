@@ -1,5 +1,5 @@
 // NodeHost: demultiplexes one node's inbound messages to the services running
-// on it (storage, query executor, gossip, CDSS participant...). Message types
+// on it (storage, query executor, CDSS participant...). Message types
 // are (service_id << 16) | code.
 #ifndef ORCHESTRA_NET_NODE_HOST_H_
 #define ORCHESTRA_NET_NODE_HOST_H_
@@ -13,7 +13,7 @@ namespace orchestra::net {
 
 /// Well-known service identifiers.
 enum class ServiceId : uint16_t {
-  kGossip = 1,
+  kGossip = 1,  // reserved: the retired epoch gossip; no service registers it
   kStorage = 2,
   kQuery = 3,
   kPing = 4,

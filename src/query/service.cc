@@ -22,9 +22,8 @@ DynamicBitset SingletonTaint(size_t bits, net::NodeId node) {
 }  // namespace
 
 QueryService::QueryService(net::NodeHost* host, storage::StorageService* storage,
-                           overlay::GossipService* gossip,
                            std::shared_ptr<storage::SnapshotBoard> board)
-    : host_(host), storage_(storage), gossip_(gossip), board_(std::move(board)) {
+    : host_(host), storage_(storage), board_(std::move(board)) {
   host_->Register(net::ServiceId::kQuery, this);
 }
 
@@ -38,7 +37,6 @@ void QueryService::Execute(const PhysicalPlan& plan, storage::Epoch epoch,
     cb(valid, {});
     return;
   }
-  if (epoch == 0) epoch = gossip_->epoch();
 
   auto root = std::make_unique<Root>();
   root->query_id =

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "overlay/gossip.h"
 #include "query/operators.h"
 #include "query/plan.h"
 #include "storage/service.h"
@@ -64,11 +63,10 @@ class QueryService : public net::Service {
   using Callback = std::function<void(Status, QueryResult)>;
 
   QueryService(net::NodeHost* host, storage::StorageService* storage,
-               overlay::GossipService* gossip,
                std::shared_ptr<storage::SnapshotBoard> board);
 
-  /// Initiator entry point: runs `plan` against `epoch` and delivers the
-  /// final rows. The epoch defaults (0) to the gossiped current epoch.
+  /// Initiator entry point: runs `plan` against exactly `epoch` (every scan
+  /// binds its coordinator record there) and delivers the final rows.
   void Execute(const PhysicalPlan& plan, storage::Epoch epoch, QueryOptions options,
                Callback cb);
 
@@ -256,7 +254,6 @@ class QueryService : public net::Service {
 
   net::NodeHost* host_;
   storage::StorageService* storage_;
-  overlay::GossipService* gossip_;
   std::shared_ptr<storage::SnapshotBoard> board_;
   std::map<uint64_t, std::unique_ptr<Exec>> execs_;
   std::map<uint64_t, std::unique_ptr<Root>> roots_;

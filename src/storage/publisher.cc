@@ -141,7 +141,7 @@ void Publisher::CreateRelation(const RelationDef& def,
     }
     CoordinatorRecord rec;
     rec.relation = def.name;
-    rec.epoch = gossip_->epoch();
+    rec.epoch = epoch_;
     rec.participant = participant_;
     Writer rw;
     rec.EncodeTo(&rw);
@@ -150,11 +150,6 @@ void Publisher::CreateRelation(const RelationDef& def,
     service_->CallAll(replicas, kPutCoordinator, rw.data(), cb);
   };
   service_->CallAll(everyone, kCatalogAdd, w.data(), std::move(after_catalog));
-}
-
-void Publisher::PublishBatch(UpdateBatch batch,
-                             std::function<void(Status, Epoch)> cb) {
-  PublishChained(std::move(batch), nullptr, std::move(cb));
 }
 
 Publisher::Handle Publisher::PublishChained(UpdateBatch batch, Handle prev,
@@ -192,12 +187,6 @@ Publisher::Handle Publisher::PublishChained(UpdateBatch batch, Handle prev,
   }
   if (prev) pipeline_stats_.chain_fallbacks += 1;
 
-  if (!epoch_discovery_) {
-    st->base_epoch = gossip_->epoch();
-    st->new_epoch = st->base_epoch + 1;
-    BeginPublish(st);
-    return st;
-  }
   DiscoverEpoch(st, /*rounds_left=*/2);
   return st;
 }
@@ -227,7 +216,7 @@ void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
   // Stage 0: epoch discovery. Every member reports the highest coordinator
   // epoch it stores; with replication r the newest coordinator record
   // survives on r nodes, so any surviving replica answers with the true
-  // current epoch even when this node's gossip counter is stale. If more
+  // current epoch even when this publisher's epoch floor is stale. If more
   // than one member fails to answer (dead node plus dropped exchanges), the
   // newest record's holders might all be among the silent — under-discovery
   // would collide the new epoch with a committed one — so the round is
@@ -252,8 +241,8 @@ void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
       DiscoverEpoch(st, rounds_left - 1);
       return;
     }
-    gossip_->AdvanceTo(disc->max_epoch);
-    st->base_epoch = std::max(gossip_->epoch(), disc->max_epoch);
+    epoch_ = std::max(epoch_, disc->max_epoch);
+    st->base_epoch = epoch_;
     st->new_epoch = st->base_epoch + 1;
     BeginPublish(st);
   };
@@ -1331,7 +1320,7 @@ void Publisher::Finish(Handle st, Status status) {
     // and those epochs can never be claimed again.
     written_epochs_.erase(written_epochs_.begin(),
                           written_epochs_.upper_bound(st->new_epoch));
-    gossip_->AdvanceTo(st->new_epoch);
+    epoch_ = std::max(epoch_, st->new_epoch);
     // Coordinator role: advertise this PARTICIPANT's GC low-watermark. The
     // storage nodes retire below the min across active participants, so a
     // mark of 0 (committed epoch still inside the keep window) registers the

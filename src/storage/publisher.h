@@ -7,7 +7,8 @@
 //      insert, §III-C), new pages to their index nodes, and a coordinator
 //      record per relation at the new epoch (unchanged relations carry their
 //      page list forward, so every relation is resolvable at every epoch),
-//   4. advance the gossiped epoch.
+//   4. confirm the epoch at its claim replicas, which makes it discoverable,
+//      and raise this publisher's epoch floor to it.
 //
 // There is no distributed locking: participants publish disjoint update
 // logs, and conflicts are resolved at import time by reconciliation (§II).
@@ -67,7 +68,6 @@
 #include <string>
 #include <vector>
 
-#include "overlay/gossip.h"
 #include "storage/service.h"
 
 namespace orchestra::storage {
@@ -95,10 +95,8 @@ class Publisher {
   struct PubState;
   using Handle = std::shared_ptr<PubState>;
 
-  Publisher(StorageService* service, overlay::GossipService* gossip)
-      : service_(service),
-        gossip_(gossip),
-        participant_(service->node() + 1) {}
+  explicit Publisher(StorageService* service)
+      : service_(service), participant_(service->node() + 1) {}
 
   /// This publisher's participant identity (defaults to node id + 1, which
   /// is unique per node and never 0). One publisher publishes for exactly
@@ -110,30 +108,23 @@ class Publisher {
   /// record at the current epoch.
   void CreateRelation(const RelationDef& def, std::function<void(Status)> cb);
 
-  /// DEPRECATED shim: publishes `batch` as one new epoch with full epoch
-  /// discovery; cb receives the new epoch. Prefer client::Session, which
-  /// adds pipelining, backpressure, and Pending-based completion on top of
-  /// PublishChained. Semantics are unchanged from the pre-Session API:
-  /// a failed publish never advances the epoch, and republishing the same
-  /// batch is idempotent (the retry recomputes the same new epoch and
-  /// rewrites byte-identical records over whatever the first attempt landed).
-  void PublishBatch(UpdateBatch batch, std::function<void(Status, Epoch)> cb);
-
-  /// Pipelined entry point. If `prev` names a publish from this Publisher
-  /// that is still in flight, the new publish chains onto it (see the file
-  /// comment); if `prev` is null or already resolved, this is a fresh
-  /// publish with full epoch discovery — a resolved predecessor gives no
-  /// freshness guarantee (another participant may have published since), so
-  /// chaining onto one is never attempted. Returns the publish's handle
-  /// (already resolved if the batch was rejected synchronously). The handle
-  /// must outlive the publish; cb resolves exactly once.
+  /// The one publish entry point (client::Session drives it). If `prev`
+  /// names a publish from this Publisher that is still in flight, the new
+  /// publish chains onto it (see the file comment); if `prev` is null or
+  /// already resolved, this is a fresh publish with full epoch discovery — a
+  /// resolved predecessor gives no freshness guarantee (another participant
+  /// may have published since), so chaining onto one is never attempted.
+  /// Returns the publish's handle (already resolved if the batch was rejected
+  /// synchronously). The handle must outlive the publish; cb resolves exactly
+  /// once. A failed publish never advances the epoch, and republishing the
+  /// same batch is idempotent: the retry recomputes the same new epoch and
+  /// rewrites byte-identical records over whatever the first attempt landed.
   Handle PublishChained(UpdateBatch batch, Handle prev,
                         std::function<void(Status, Epoch)> cb);
 
-  Epoch current_epoch() const { return gossip_->epoch(); }
-
-  /// Epoch-discovery toggle (on by default; off restores gossip-only bases).
-  void set_epoch_discovery(bool on) { epoch_discovery_ = on; }
+  /// The highest epoch this publisher has discovered or committed: the floor
+  /// under every discovered base, and the epoch CreateRelation writes at.
+  Epoch current_epoch() const { return epoch_; }
 
   /// GC policy: after each successful publish, advertise a low-watermark of
   /// (new epoch - keep) to every member, retiring superseded versions below
@@ -293,9 +284,8 @@ class Publisher {
   void Finish(Handle st, Status status);
 
   StorageService* service_;
-  overlay::GossipService* gossip_;
   ParticipantId participant_;
-  bool epoch_discovery_ = true;
+  Epoch epoch_ = 0;
   uint64_t gc_keep_epochs_ = 0;
   sim::SimTime fence_after_us_ = 0;  // 0 = abandonment fencing disabled
   /// Claim-attempt nonce source: every claim round stores a fresh

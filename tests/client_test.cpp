@@ -1,6 +1,5 @@
 // client::Session — the unified async participant API. Covers:
 //  * Pending<T> resolution/continuation semantics,
-//  * deprecation-shim equivalence (Publisher::PublishBatch vs Session),
 //  * pipelined publishing: ordered commits, chain accounting, sim-time
 //    overlap win, in-memory page handoff across chained epochs,
 //  * failure semantics: suffix abort + in-order same-batch retry,
@@ -98,7 +97,7 @@ TEST(Pending, FailureCarriesStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// Session basics + shim equivalence
+// Session basics
 
 class SessionTest : public ::testing::Test {
  protected:
@@ -114,56 +113,6 @@ class SessionTest : public ::testing::Test {
   }
   std::unique_ptr<deploy::Deployment> dep;
 };
-
-// The deprecated free-callback entry point and the Session must produce
-// byte-equivalent visible state: same epochs, same retrieved rows.
-TEST_F(SessionTest, DeprecatedShimMatchesSession) {
-  deploy::DeploymentOptions opts;
-  opts.num_nodes = 4;
-  opts.replication = 3;
-  deploy::Deployment legacy(opts);
-
-  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
-  ASSERT_TRUE(legacy.CreateRelation(0, SimpleRelation("R")).ok());
-
-  std::vector<UpdateBatch> batches;
-  for (int i = 0; i < 5; ++i) {
-    batches.push_back(OneRow("R", "k" + std::to_string(i % 3),
-                             "v" + std::to_string(i)));
-  }
-
-  // New path: Session tickets.
-  std::vector<Epoch> session_epochs;
-  for (const UpdateBatch& b : batches) {
-    Ticket t = dep->session(0).Submit(b);
-    ASSERT_TRUE(Drive([&t] { return t.epoch.done(); }));
-    ASSERT_TRUE(t.epoch.ok()) << t.epoch.status().ToString();
-    session_epochs.push_back(t.epoch.value());
-  }
-
-  // Old path: Publisher::PublishBatch with a bare callback.
-  std::vector<Epoch> legacy_epochs;
-  for (const UpdateBatch& b : batches) {
-    bool done = false;
-    Status st;
-    Epoch e = 0;
-    legacy.publisher(0).PublishBatch(b, [&](Status s, Epoch ep) {
-      st = s;
-      e = ep;
-      done = true;
-    });
-    ASSERT_TRUE(legacy.RunUntil([&done] { return done; }));
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    legacy_epochs.push_back(e);
-  }
-
-  EXPECT_EQ(session_epochs, legacy_epochs);
-  auto new_rows = dep->Retrieve(1, "R", session_epochs.back());
-  auto old_rows = legacy.Retrieve(1, "R", legacy_epochs.back());
-  ASSERT_TRUE(new_rows.ok());
-  ASSERT_TRUE(old_rows.ok());
-  EXPECT_EQ(AsMap(*new_rows), AsMap(*old_rows));
-}
 
 TEST_F(SessionTest, FlushIsABarrier) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());

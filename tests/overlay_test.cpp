@@ -5,8 +5,6 @@
 
 #include "common/rng.h"
 #include "common/serial.h"
-#include "deploy/deployment.h"
-#include "overlay/gossip.h"
 #include "overlay/ring.h"
 
 namespace orchestra::overlay {
@@ -212,38 +210,6 @@ TEST(Ring, JoinLeaveRebuilds) {
   auto s3 = ring.TakeSnapshot();
   EXPECT_EQ(s3.node_count(), 2u);
   EXPECT_FALSE(s3.Contains(1));
-}
-
-TEST(Gossip, EpochSpreadsToAllNodes) {
-  deploy::DeploymentOptions opts;
-  opts.num_nodes = 10;
-  opts.start_gossip = true;
-  deploy::Deployment dep(opts);
-
-  dep.gossip(3).AdvanceTo(17);
-  bool spread = dep.RunUntil([&] {
-    for (size_t i = 0; i < dep.size(); ++i) {
-      if (dep.gossip(i).epoch() != 17) return false;
-    }
-    return true;
-  }, 60 * sim::kMicrosPerSec);
-  EXPECT_TRUE(spread);
-}
-
-TEST(Gossip, TakesMaxOfConcurrentAdvances) {
-  deploy::DeploymentOptions opts;
-  opts.num_nodes = 6;
-  opts.start_gossip = true;
-  deploy::Deployment dep(opts);
-  dep.gossip(0).AdvanceTo(5);
-  dep.gossip(1).AdvanceTo(9);
-  dep.RunUntil([&] {
-    for (size_t i = 0; i < dep.size(); ++i) {
-      if (dep.gossip(i).epoch() != 9) return false;
-    }
-    return true;
-  }, 60 * sim::kMicrosPerSec);
-  for (size_t i = 0; i < dep.size(); ++i) EXPECT_EQ(dep.gossip(i).epoch(), 9u);
 }
 
 }  // namespace

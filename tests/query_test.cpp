@@ -244,6 +244,25 @@ TEST_F(QueryClusterTest, CopyQueryReturnsAllRows) {
   EXPECT_EQ(result->rows.size(), 200u);
 }
 
+// The query epoch is explicit: epoch 0 is the relations' creation epoch (an
+// empty snapshot), never an implicit "latest", even on the node that just
+// published.
+TEST_F(QueryClusterTest, EpochZeroReadsCreationSnapshotNotLatest) {
+  Deploy(4);
+  LoadRows("R", {{S("a"), S("1")}, {S("b"), S("2")}});
+  ASSERT_GT(db_epoch, 0u);
+
+  PlanBuilder b;
+  PhysicalPlan plan = b.Ship(b.Scan("R"));
+  auto at_creation = dep->ExecuteQuery(0, plan, 0);
+  ASSERT_TRUE(at_creation.ok()) << at_creation.status().ToString();
+  EXPECT_TRUE(at_creation->rows.empty());
+
+  auto at_publish = dep->ExecuteQuery(0, plan, db_epoch);
+  ASSERT_TRUE(at_publish.ok()) << at_publish.status().ToString();
+  EXPECT_EQ(at_publish->rows.size(), 2u);
+}
+
 TEST_F(QueryClusterTest, SelectPushesPredicate) {
   Deploy(4);
   std::vector<Tuple> rows;

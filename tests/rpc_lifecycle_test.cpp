@@ -58,7 +58,7 @@ class RpcLifecycleTest : public ::testing::Test {
 
 // The headline regression: N publish/retrieve rounds leave every pending-call
 // table empty and no completion callback alive.
-TEST_F(RpcLifecycleTest, PublishBatchesDrainPendingTables) {
+TEST_F(RpcLifecycleTest, PublishesDrainPendingTables) {
   constexpr int kBatches = 8;
   auto dep = MakeCluster();
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
@@ -70,8 +70,7 @@ TEST_F(RpcLifecycleTest, PublishBatchesDrainPendingTables) {
       batch["R"].push_back(
           Update::Insert(Row("k" + std::to_string(b * 16 + i), "v")));
     }
-    // Same via-node each time: gossip is off, so the epoch counter only
-    // advances locally at the publishing node.
+    // Each publish discovers the previous one's confirmed epoch.
     auto e = dep->Publish(0, std::move(batch));
     ASSERT_TRUE(e.ok()) << e.status().ToString();
     epoch = *e;
@@ -138,8 +137,10 @@ TEST_F(RpcLifecycleTest, KillNodeReleasesDeadNodesOwnState) {
   UpdateBatch batch;
   batch["R"] = {Update::Insert(Row("a", "1")), Update::Insert(Row("b", "2"))};
   bool fired = false;
-  dep->publisher(2).PublishBatch(std::move(batch),
-                                 [&](Status, Epoch) { fired = true; });
+  // The raw publisher, not a Session: a session ticket would resolve on the
+  // kill, and this test checks that the callback is dropped, not invoked.
+  Publisher::Handle handle = dep->publisher(2).PublishChained(
+      std::move(batch), nullptr, [&](Status, Epoch) { fired = true; });
   EXPECT_GT(dep->storage(2).pending_rpc_count(), 0u);  // in flight
 
   dep->KillNode(2);
@@ -199,8 +200,10 @@ TEST_F(RpcLifecycleTest, TeardownReleasesOutstandingCallbacks) {
   UpdateBatch batch;
   batch["R"] = {Update::Insert(Row("a", "1"))};
   bool fired = false;
-  dep->publisher(0).PublishBatch(std::move(batch),
-                                 [&](Status, Epoch) { fired = true; });
+  // The raw publisher, not a Session: a session ticket would resolve on
+  // teardown, and this test checks that the callback is dropped.
+  Publisher::Handle handle = dep->publisher(0).PublishChained(
+      std::move(batch), nullptr, [&](Status, Epoch) { fired = true; });
   EXPECT_GT(dep->PendingRpcCount(), 0u);  // in flight, sim not stepped
   dep.reset();
   EXPECT_FALSE(fired);

@@ -737,9 +737,9 @@ TEST(StorageGc, ReplicaPushPiggybacksWatermark) {
   EXPECT_EQ(at->size(), 2u);
 }
 
-// Epoch discovery: publishing via a node whose gossip counter is stale must
-// not fork the epoch line — the publisher asks the cluster first (ROADMAP:
-// multi-node publishing without gossip convergence).
+// Epoch discovery: publishing via a node whose publisher's epoch floor is
+// stale must not fork the epoch line — the publisher asks the cluster for the
+// newest confirmed epoch first, and the floor only ever rises.
 TEST_F(StorageClusterTest, StalePublisherDiscoversCurrentEpoch) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   UpdateBatch a;
@@ -749,13 +749,14 @@ TEST_F(StorageClusterTest, StalePublisherDiscoversCurrentEpoch) {
   b["R"] = {Update::Insert(Row("b", "2"))};
   ASSERT_TRUE(dep->Publish(0, std::move(b)).ok());
 
-  // Node 3 heard nothing (gossip is off) — its own counter is 0.
+  // Node 3 has neither discovered nor committed anything — its floor is 0.
   EXPECT_EQ(dep->publisher(3).current_epoch(), 0u);
   UpdateBatch c;
   c["R"] = {Update::Insert(Row("c", "3"))};
   auto e = dep->Publish(3, std::move(c));
   ASSERT_TRUE(e.ok());
-  EXPECT_EQ(*e, 3u);  // based on the discovered epoch 2, not local 0
+  EXPECT_EQ(*e, 3u);  // based on the discovered epoch 2, not the floor 0
+  EXPECT_EQ(dep->publisher(3).current_epoch(), 3u);
 
   auto rows = dep->Retrieve(1, "R", *e);
   ASSERT_TRUE(rows.ok());
