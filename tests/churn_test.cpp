@@ -14,6 +14,7 @@
 // and therefore skipped when sharded.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "tests/churn_harness.h"
@@ -73,6 +74,17 @@ uint64_t OnlySeed() {
   return 0;
 }
 
+// Single-seed replays of a sweep print the run's final trace line
+// ("end ok=... dig=...") on success too, so a change meant to leave the
+// simulation untouched can be checked against its parent by diffing one
+// line per seed.
+void PrintEndLine(const ChurnReport& rep, const char* test) {
+  if (OnlySeed() == 0 || !rep.ok) return;
+  std::printf("%s seed=%llu %s", test,
+              static_cast<unsigned long long>(rep.seed),
+              TraceTail(rep, 1).c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Seed sweep: >= 20 distinct seeds, each with crashes, restarts, hangs,
 // drops, and delays injected — and session pipelining enabled (window 2), so
@@ -98,6 +110,7 @@ TEST(Churn, SeedSweep) {
     EXPECT_TRUE(rep.ok) << rep.failure << "\nreplay: "
                         << ReplayCommand(rep, "Churn.SeedSweep")
                         << "\ntrace tail:\n" << TraceTail(rep, kFailTraceLines);
+    PrintEndLine(rep, "Churn.SeedSweep");
     EXPECT_GE(rep.checks, 3u) << "seed " << seed;
     EXPECT_GT(rep.publishes_ok, 0u) << "seed " << seed;
     total_kills += rep.kills;
@@ -175,6 +188,7 @@ TEST(Churn, MultiWriterSweep) {
                         << "\nconflicts=" << rep.epoch_conflicts
                         << " rebases=" << rep.rebases
                         << " coord_conflicts=" << rep.coordinator_conflicts;
+    PrintEndLine(rep, "Churn.MultiWriterSweep");
     EXPECT_GE(rep.checks, 3u) << "seed " << seed;
     EXPECT_GT(rep.publishes_ok, 0u) << "seed " << seed;
     total_conflicts += rep.epoch_conflicts;
@@ -268,6 +282,7 @@ TEST(Churn, FencingAbandonmentSweep) {
                         << " fenced_skips=" << rep.fenced_skips
                         << " fences_granted=" << rep.fences_granted
                         << " purged=" << rep.purged_orphans;
+    PrintEndLine(rep, "Churn.FencingAbandonmentSweep");
     EXPECT_GE(rep.checks, 2u) << "seed " << seed;
     EXPECT_GT(rep.publishes_ok, 0u) << "seed " << seed;
     total_abandons += rep.abandons;
