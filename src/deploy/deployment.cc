@@ -22,8 +22,7 @@ Deployment::Deployment(DeploymentOptions options)
   for (size_t i = 0; i < options_.num_nodes; ++i) {
     hosts_.push_back(std::make_unique<net::NodeHost>(&network_, static_cast<net::NodeId>(i)));
     storage_.push_back(std::make_unique<storage::StorageService>(
-        hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode(),
-        options_.gc));
+        hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode()));
     publishers_.push_back(std::make_unique<storage::Publisher>(storage_.back().get()));
     publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);
     publishers_.back()->set_fence_after_us(options_.fence_after_us);
@@ -39,14 +38,8 @@ Deployment::~Deployment() = default;
 
 localstore::StoreOptions Deployment::StoreOptionsForNewNode() {
   localstore::StoreOptions opts = options_.store;
-  if (options_.durable_wal && opts.wal_backend == nullptr) {
-    wal_backends_.push_back(std::make_shared<wal::MemoryBackend>());
-    opts.wal_backend = wal_backends_.back();
-  } else {
-    // Keep wal_backends_ index-aligned with hosts_ even when durability is
-    // off (or the harness injected its own backend through options_.store).
-    wal_backends_.push_back(nullptr);
-  }
+  wal_backends_.push_back(std::make_shared<wal::MemoryBackend>());
+  opts.wal_backend = wal_backends_.back();
   return opts;
 }
 
@@ -55,7 +48,7 @@ void Deployment::KillNode(net::NodeId node, bool update_routing, bool rebalance)
   // Model the crash at the durability layer too: un-synced WAL bytes are
   // torn away deterministically, so the eventual RestartNode recovers only
   // what the node had made durable.
-  if (wal_backends_[node] != nullptr) wal_backends_[node]->Crash();
+  wal_backends_[node]->Crash();
   if (update_routing) {
     ring_.Leave(node);
     board_->current = ring_.TakeSnapshot();
@@ -82,9 +75,8 @@ void Deployment::RestartNode(net::NodeId node) {
   if (!ring_.IsMember(node)) ring_.Join(node, network_.NodeName(node));
   board_->current = ring_.TakeSnapshot();
 
-  // Crash-restart: only durable state survived — with durable_wal, the
-  // checkpoint plus synced WAL tail; otherwise the in-process record log.
-  // Either way the in-memory indexes are rebuilt from scratch.
+  // Crash-restart: only durable state survived — the checkpoint plus the
+  // synced WAL tail. The in-memory indexes are rebuilt from scratch.
   Status rec = storage_[node]->store().Recover();
   ORC_CHECK(rec.ok(), "restart recovery failed");
   storage_[node]->OnRestart();
@@ -117,8 +109,7 @@ net::NodeId Deployment::AddNode() {
 
   hosts_.push_back(std::make_unique<net::NodeHost>(&network_, id));
   storage_.push_back(std::make_unique<storage::StorageService>(
-      hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode(),
-      options_.gc));
+      hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode()));
   publishers_.push_back(std::make_unique<storage::Publisher>(storage_.back().get()));
   publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);
   publishers_.back()->set_fence_after_us(options_.fence_after_us);

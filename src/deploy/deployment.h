@@ -44,17 +44,13 @@ struct DeploymentOptions {
   /// fencing: an abandoned claim then wedges the chain forever, the seed
   /// liveness contract.
   sim::SimTime fence_after_us = 0;
-  /// Per-node LocalStore tuning (compaction thresholds); harnesses lower the
-  /// compaction floor so small stores still exercise the GC->compact path.
+  /// Per-node LocalStore tuning (compaction thresholds, WAL cadence);
+  /// harnesses lower the compaction floor so small stores still exercise the
+  /// GC->compact path. The deployment supplies each node's WAL backend: a
+  /// deterministic wal::MemoryBackend, so KillNode models a real crash —
+  /// unsynced WAL bytes are torn away — and RestartNode rebuilds the store
+  /// from the newest checkpoint plus the surviving tail (docs/DURABILITY.md).
   localstore::StoreOptions store;
-  /// Durability: give every node a deterministic in-memory WAL backend
-  /// (wal::MemoryBackend). KillNode then models a real crash — unsynced WAL
-  /// bytes are torn away — and RestartNode rebuilds the store from the
-  /// newest checkpoint plus the surviving tail (docs/DURABILITY.md). Off
-  /// reverts to the seed behavior where the record log itself survives.
-  bool durable_wal = true;
-  /// Per-node incremental background GC tuning (slice budget and pacing).
-  storage::GcOptions gc;
   /// Per-node client::Session tuning: publish window (pipelining), admission
   /// control watermarks. Defaults pipeline up to 4 publishes per session.
   /// Leave `session.participant` at 0: every node's session then publishes
@@ -82,8 +78,8 @@ class Deployment {
   /// below all route through it.
   client::Session& session(size_t i) { return *sessions_[i]; }
   std::shared_ptr<storage::SnapshotBoard> board() { return board_; }
-  /// Node i's WAL backend (null when `durable_wal` is off). Harnesses use it
-  /// to inspect crash/torn-tail counters and to stage fault injection.
+  /// Node i's WAL backend. Harnesses use it to inspect crash/torn-tail
+  /// counters and to stage fault injection.
   const std::shared_ptr<wal::MemoryBackend>& wal_backend(size_t i) const {
     return wal_backends_[i];
   }
@@ -148,8 +144,8 @@ class Deployment {
                                           query::QueryOptions options = {});
 
  private:
-  /// Copies options_.store and, with `durable_wal`, injects a fresh
-  /// MemoryBackend (recorded in wal_backends_) for the node being built.
+  /// Copies options_.store and injects a fresh MemoryBackend (recorded in
+  /// wal_backends_) for the node being built.
   localstore::StoreOptions StoreOptionsForNewNode();
 
   DeploymentOptions options_;

@@ -148,6 +148,40 @@ Status Page::DecodeFrom(Reader* r, Page* out) {
   return Status::OK();
 }
 
+void ClaimInstance::EncodeTo(Writer* w) const {
+  w->PutVarint32(participant);
+  w->PutVarint32(node);
+  w->PutVarint64(nonce);
+}
+
+Status ClaimInstance::DecodeFrom(Reader* r, ClaimInstance* out) {
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&out->participant));
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&out->node));
+  return r->GetVarint64(&out->nonce);
+}
+
+void ClaimRequest::EncodeTo(Writer* w) const {
+  w->PutVarint64(epoch);
+  claimant.EncodeTo(w);
+}
+
+Status ClaimRequest::DecodeFrom(Reader* r, ClaimRequest* out) {
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&out->epoch));
+  return ClaimInstance::DecodeFrom(r, &out->claimant);
+}
+
+void EpochInstance::EncodeTo(Writer* w) const {
+  w->PutVarint64(epoch);
+  w->PutVarint32(participant);
+  w->PutVarint64(nonce);
+}
+
+Status EpochInstance::DecodeFrom(Reader* r, EpochInstance* out) {
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&out->epoch));
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&out->participant));
+  return r->GetVarint64(&out->nonce);
+}
+
 void EpochClaimRecord::EncodeTo(Writer* w) const {
   w->PutVarint32(participant);
   w->PutVarint32(node);

@@ -121,6 +121,43 @@ struct Page {
   static Status DecodeFrom(Reader* r, Page* out);
 };
 
+/// One claim attempt: (participant, node, nonce). Encoded alone it is the
+/// reply body of claim refusals (kEpochTaken/kFenced from kClaimEpoch) and
+/// of fence grants (kFenceEpoch), naming the stored or fenced instance.
+struct ClaimInstance {
+  ParticipantId participant = 0;
+  uint32_t node = 0;
+  uint64_t nonce = 0;
+
+  bool operator==(const ClaimInstance&) const = default;
+  void EncodeTo(Writer* w) const;
+  static Status DecodeFrom(Reader* r, ClaimInstance* out);
+};
+
+/// Request body of kClaimEpoch (including the owner's heartbeat re-claim)
+/// and kConfirmEpoch: the epoch, then the claimant instance.
+struct ClaimRequest {
+  Epoch epoch = 0;
+  ClaimInstance claimant;
+
+  bool operator==(const ClaimRequest&) const = default;
+  void EncodeTo(Writer* w) const;
+  static Status DecodeFrom(Reader* r, ClaimRequest* out);
+};
+
+/// Body of kReleaseEpoch and kPurgeEpoch, and one entry of the kReplicaPush
+/// burned-epoch table: an epoch and the instance-exact (participant, nonce)
+/// the release or burn applies to. Carries no node.
+struct EpochInstance {
+  Epoch epoch = 0;
+  ParticipantId participant = 0;
+  uint64_t nonce = 0;
+
+  bool operator==(const EpochInstance&) const = default;
+  void EncodeTo(Writer* w) const;
+  static Status DecodeFrom(Reader* r, EpochInstance* out);
+};
+
 /// Value of an epoch-claim record ('E' keys, see keys::EpochClaim): which
 /// participant owns the epoch, from which node and claim attempt (`nonce` —
 /// releases and idempotent re-grants are instance-exact), and whether the
@@ -150,6 +187,8 @@ struct EpochClaimRecord {
   // burn PROMISE from a possibly-partial fence round and must never delete
   // data. Meaningless unless fenced.
   bool purged = false;
+
+  ClaimInstance instance() const { return {participant, node, nonce}; }
 
   void EncodeTo(Writer* w) const;
   static Status DecodeFrom(Reader* r, EpochClaimRecord* out);

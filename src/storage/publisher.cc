@@ -195,21 +195,32 @@ void Publisher::StartChained(Handle st) {
   Handle prev = st->prev;
   if (prev == nullptr || st->done) return;
   if (prev->done && !prev->final_status.ok()) {
-    pipeline_stats_.aborted_on_prev += 1;
     st->prev.reset();
-    Finish(st, Status::Aborted("pipeline predecessor failed: " +
-                               prev->final_status.ToString()));
+    AbortOnPrev(st, prev->final_status);
     return;
   }
   // The predecessor's prepared output IS this publish's base: its new-epoch
   // coordinator records cover every relation, so discovery and the base
   // coordinator fetches are skipped entirely. The epoch claim launches now,
   // overlapping this publish's prepare stages AND the predecessor's writes.
-  st->base_epoch = prev->new_epoch;
-  st->new_epoch = st->base_epoch + 1;
-  st->records = prev->out_records;
+  RestartAttempt(st, prev->new_epoch, prev->new_epoch + 1, prev->out_records);
+}
+
+void Publisher::RestartAttempt(
+    Handle st, Epoch base, Epoch target,
+    std::map<std::string, CoordinatorRecord> records) {
+  ResetAttempt(st);
+  st->records = std::move(records);
+  st->base_epoch = base;
+  st->new_epoch = target;
   StartClaim(st);
   FetchPages(st);
+}
+
+void Publisher::AbortOnPrev(Handle st, const Status& prev_status) {
+  pipeline_stats_.aborted_on_prev += 1;
+  Finish(st, Status::Aborted("pipeline predecessor failed: " +
+                             prev_status.ToString()));
 }
 
 void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
@@ -244,7 +255,7 @@ void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
     epoch_ = std::max(epoch_, disc->max_epoch);
     st->base_epoch = epoch_;
     st->new_epoch = st->base_epoch + 1;
-    BeginPublish(st);
+    ClaimAndFetchBase(st, /*stall_left=*/4);
   };
   if (members.empty()) {
     finish_discovery();
@@ -268,22 +279,22 @@ void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
   }
 }
 
-void Publisher::BeginPublish(Handle st) {
+void Publisher::ClaimAndFetchBase(Handle st, int stall_left) {
   // Stage 1: coordinator records of every relation at the base epoch
   // (needed both for the copy-on-write page lookups and for carrying
   // unchanged relations forward to the new epoch). The epoch claim launches
   // concurrently — by the time the prepare stages finish, the claim outcome
   // is usually already in.
   auto rels = service_->RelationNames();
-  st->outstanding = rels.size();
   if (rels.empty()) {
     Finish(st, Status::FailedPrecondition("no relations in catalog"));
     return;
   }
   StartClaim(st);
+  st->outstanding = rels.size();
   for (const auto& rel : rels) {
     FetchBaseCoordinator(st, rel, st->base_epoch, /*walk_left=*/16,
-                         /*stall_left=*/4);
+                         stall_left);
   }
 }
 
@@ -532,9 +543,7 @@ void Publisher::Apply(Handle st) {
 void Publisher::ReleaseGate(Handle st, Handle prev) {
   if (st->done) return;
   if (prev->done && !prev->final_status.ok()) {
-    pipeline_stats_.aborted_on_prev += 1;
-    Finish(st, Status::Aborted("pipeline predecessor failed: " +
-                               prev->final_status.ToString()));
+    AbortOnPrev(st, prev->final_status);
     return;
   }
   if (prev->new_epoch != st->base_epoch) {
@@ -559,13 +568,8 @@ void Publisher::ReleaseGate(Handle st, Handle prev) {
       Rebase(st, prev->new_epoch);
       return;
     }
-    auto records = prev->out_records;
-    ResetAttempt(st);
-    st->records = std::move(records);
-    st->base_epoch = prev->new_epoch;
-    st->new_epoch = st->base_epoch + 1;
-    StartClaim(st);
-    FetchPages(st);
+    RestartAttempt(st, prev->new_epoch, prev->new_epoch + 1,
+                   prev->out_records);
     return;
   }
   st->write_gate_open = true;
@@ -602,9 +606,7 @@ void Publisher::ResetAttempt(Handle st) {
 
 void Publisher::ReleaseClaim(Epoch epoch, uint64_t nonce) {
   Writer w;
-  w.PutVarint64(epoch);
-  w.PutVarint32(participant_);
-  w.PutVarint64(nonce);
+  EpochInstance{epoch, participant_, nonce}.EncodeTo(&w);
   auto replicas =
       service_->snapshot().ReplicasOf(ClaimHash(epoch), service_->replication());
   for (net::NodeId r : replicas) {
@@ -641,12 +643,7 @@ void Publisher::StartClaim(Handle st) {
   auto round = std::make_shared<Round>();
   round->outstanding = replicas.size();
   st->claim_nonce = ++claim_seq_;
-  Writer w;
-  w.PutVarint64(epoch);
-  w.PutVarint32(participant_);
-  w.PutVarint32(service_->node());
-  w.PutVarint64(st->claim_nonce);
-  std::string body = w.Release();
+  std::string body = ClaimBody(epoch, st->claim_nonce);
   for (net::NodeId target : replicas) {
     service_->Call(
         target, kClaimEpoch, body,
@@ -658,10 +655,10 @@ void Publisher::StartClaim(Handle st) {
           } else if (s.IsEpochTaken()) {
             round->any_taken = true;
             Reader r(reply);
-            uint32_t p = 0;
-            if (r.GetVarint32(&p).ok() &&
-                (round->winner == 0 || p < round->winner)) {
-              round->winner = p;
+            ClaimInstance holder;
+            if (ClaimInstance::DecodeFrom(&r, &holder).ok() &&
+                (round->winner == 0 || holder.participant < round->winner)) {
+              round->winner = holder.participant;
             }
           } else if (round->error.ok()) {
             round->error = s;
@@ -833,15 +830,8 @@ void Publisher::AwaitWinner(Handle st, Epoch contested) {
         // failed and released the claim, the re-claim is granted and this
         // publish proceeds at its ORIGINAL epoch with its prepared outputs
         // intact; otherwise the refusal routes back here with one less
-        // stall. The pause carries a deterministic per-participant phase
-        // offset so split-claim contenders re-claim at distinct times and
-        // the earliest one wins the whole slot (no takeover needed).
-        sim::SimTime pause = 2 * sim::kMicrosPerSec +
-                             static_cast<sim::SimTime>(participant_) *
-                                 (sim::kMicrosPerSec / 4);
-        service_->RunAfter(pause, [this, st] {
-          StartClaim(st);
-        });
+        // stall.
+        ReclaimAfterPause(st);
       },
       kEpochDiscoveryTimeoutUs);
 }
@@ -886,13 +876,11 @@ void Publisher::FenceEpoch(Handle st, Epoch contested) {
               // Grant replies name the exact fenced instance; the purge
               // broadcast carries it so stragglers refuse its writes too.
               Reader r(reply);
-              uint32_t p = 0, node = 0;
-              uint64_t nonce = 0;
-              if (r.GetVarint32(&p).ok() && r.GetVarint32(&node).ok() &&
-                  r.GetVarint64(&nonce).ok()) {
+              ClaimInstance fenced;
+              if (ClaimInstance::DecodeFrom(&r, &fenced).ok()) {
                 round->have_instance = true;
-                round->fenced_participant = p;
-                round->fenced_nonce = nonce;
+                round->fenced_participant = fenced.participant;
+                round->fenced_nonce = fenced.nonce;
               }
             }
           }
@@ -906,9 +894,9 @@ void Publisher::FenceEpoch(Handle st, Epoch contested) {
             // writes are refused wherever they arrive. One-way best-effort:
             // replica pushes piggyback the burned set for any node missed.
             Writer pw;
-            pw.PutVarint64(contested);
-            pw.PutVarint32(round->fenced_participant);
-            pw.PutVarint64(round->fenced_nonce);
+            EpochInstance{contested, round->fenced_participant,
+                          round->fenced_nonce}
+                .EncodeTo(&pw);
             for (const auto& m : service_->snapshot().members()) {
               service_->SendOneWay(m.node, kPurgeEpoch, pw.data());
             }
@@ -926,10 +914,7 @@ void Publisher::FenceEpoch(Handle st, Epoch contested) {
           // with a short stall budget — the next exhaustion may retry the
           // fence if budget remains.
           st->claim_stall_left = 2;
-          sim::SimTime pause = 2 * sim::kMicrosPerSec +
-                               static_cast<sim::SimTime>(participant_) *
-                                   (sim::kMicrosPerSec / 4);
-          service_->RunAfter(pause, [this, st] { StartClaim(st); });
+          ReclaimAfterPause(st);
         },
         kEpochDiscoveryTimeoutUs);
   }
@@ -950,12 +935,23 @@ void Publisher::SkipFenced(Handle st, Epoch burned) {
   // nothing, so this publish's base records carry forward unchanged and only
   // the target epoch moves past the burn. (In-memory re-base, like
   // ReleaseGate's chain path.)
-  auto records = std::move(st->records);
-  ResetAttempt(st);
-  st->records = std::move(records);
-  st->new_epoch = burned + 1;
-  StartClaim(st);
-  FetchPages(st);
+  RestartAttempt(st, st->base_epoch, burned + 1, std::move(st->records));
+}
+
+void Publisher::ReclaimAfterPause(Handle st) {
+  // The per-participant phase offset makes split-claim contenders re-claim
+  // at distinct times, so the earliest one wins the whole slot.
+  sim::SimTime pause = 2 * sim::kMicrosPerSec +
+                       static_cast<sim::SimTime>(participant_) *
+                           (sim::kMicrosPerSec / 4);
+  service_->RunAfter(pause, [this, st] { StartClaim(st); });
+}
+
+std::string Publisher::ClaimBody(Epoch epoch, uint64_t nonce) const {
+  Writer w;
+  ClaimRequest{epoch, ClaimInstance{participant_, service_->node(), nonce}}
+      .EncodeTo(&w);
+  return w.Release();
 }
 
 void Publisher::ScheduleClaimRefresh(Handle st, uint64_t round_id) {
@@ -968,12 +964,8 @@ void Publisher::ScheduleClaimRefresh(Handle st, uint64_t round_id) {
         st->claim_state != PubState::ClaimState::kGranted) {
       return;
     }
-    Writer w;
-    w.PutVarint64(st->claimed_epoch);
-    w.PutVarint32(participant_);
-    w.PutVarint32(service_->node());
-    w.PutVarint64(st->claim_nonce);  // same instance: an idempotent re-grant
-    std::string body = w.Release();
+    // Same instance as the granted round: an idempotent re-grant.
+    std::string body = ClaimBody(st->claimed_epoch, st->claim_nonce);
     auto replicas = service_->snapshot().ReplicasOf(ClaimHash(st->claimed_epoch),
                                                     service_->replication());
     struct Beat {
@@ -1027,55 +1019,7 @@ void Publisher::Rebase(Handle st, Epoch base) {
   ResetAttempt(st);
   st->base_epoch = base;
   st->new_epoch = base + 1;
-  auto rels = service_->RelationNames();
-  if (rels.empty()) {
-    Finish(st, Status::FailedPrecondition("no relations in catalog"));
-    return;
-  }
-  StartClaim(st);  // overlaps the re-based record fetches
-  st->outstanding = rels.size();
-  for (const auto& rel : rels) {
-    FetchRebaseCoordinator(st, rel, base, /*walk_left=*/16, /*stall_left=*/3);
-  }
-}
-
-void Publisher::FetchRebaseCoordinator(Handle st, const std::string& rel,
-                                       Epoch base, int walk_left,
-                                       int stall_left) {
-  // The winner's confirmed commit covers every relation IT knew — a
-  // relation created after its BuildOutputs has no record at `base`, and
-  // the newest record below carries it forward (safe for the same reason as
-  // FetchBaseCoordinator's walk: everything at or below a confirmed epoch
-  // is committed). Stalls come first so a replication-lagged record is not
-  // walked past.
-  service_->GetCoordinator(
-      rel, base,
-      [this, st, rel, base, walk_left, stall_left](Status s,
-                                                   CoordinatorRecord rec) {
-        if (st->done) return;
-        if (s.IsNotFound() && stall_left > 0) {
-          service_->RunAfter(2 * sim::kMicrosPerSec,
-                             [this, st, rel, base, walk_left, stall_left] {
-                               FetchRebaseCoordinator(st, rel, base, walk_left,
-                                                      stall_left - 1);
-                             });
-          return;
-        }
-        if (s.IsNotFound() && base > 0 && walk_left > 0) {
-          FetchRebaseCoordinator(st, rel, base - 1, walk_left - 1,
-                                 /*stall_left=*/1);
-          return;
-        }
-        if (!s.ok() && st->first_error.ok()) st->first_error = s;
-        if (s.ok()) st->records[rel] = std::move(rec);
-        if (--st->outstanding == 0) {
-          if (!st->first_error.ok()) {
-            Finish(st, st->first_error);
-            return;
-          }
-          FetchPages(st);
-        }
-      });
+  ClaimAndFetchBase(st, /*stall_left=*/3);
 }
 
 void Publisher::BuildOutputs(Handle st) {
@@ -1229,9 +1173,7 @@ void Publisher::CommitAfterPrev(Handle st) {
   Handle cp = st->commit_prev;
   st->commit_prev.reset();
   if (cp != nullptr && !cp->final_status.ok()) {
-    pipeline_stats_.aborted_on_prev += 1;
-    Finish(st, Status::Aborted("pipeline predecessor failed: " +
-                               cp->final_status.ToString()));
+    AbortOnPrev(st, cp->final_status);
     return;
   }
   const auto& snap = service_->snapshot();
@@ -1293,20 +1235,15 @@ void Publisher::ConfirmEpoch(Handle st) {
   // to the claim replicas so discovery reports this epoch as the frontier.
   // Runs BEFORE the user callback resolves: a participant that observes its
   // ticket committed is guaranteed the next discovery sees the epoch.
-  Writer w;
-  w.PutVarint64(st->new_epoch);
-  w.PutVarint32(participant_);
-  w.PutVarint32(service_->node());
-  w.PutVarint64(st->claim_nonce);
   auto replicas = service_->snapshot().ReplicasOf(ClaimHash(st->new_epoch),
                                                   service_->replication());
   if (replicas.empty()) {
     Finish(st, Status::OK());
     return;
   }
-  service_->CallAll(replicas, kConfirmEpoch, w.data(), [this, st](Status s) {
-    Finish(st, s);
-  });
+  service_->CallAll(replicas, kConfirmEpoch,
+                    ClaimBody(st->new_epoch, st->claim_nonce),
+                    [this, st](Status s) { Finish(st, s); });
 }
 
 void Publisher::Finish(Handle st, Status status) {

@@ -170,19 +170,31 @@ class Publisher {
   /// record has at least two live replicas — at most one silent member means
   /// at least one holder of the newest record was heard.
   void DiscoverEpoch(Handle st, int rounds_left);
-  void BeginPublish(Handle st);
+  /// Stage 1 of a fresh publish and of a network re-base: launches the claim
+  /// for st->new_epoch, then fetches every relation's coordinator record at
+  /// st->base_epoch (FetchBaseCoordinator with `stall_left` stalls).
+  void ClaimAndFetchBase(Handle st, int stall_left);
   /// Chained stage 1: derive the base (records + epoch) from the
   /// predecessor's prepared in-memory output; no network round trips.
   void StartChained(Handle st);
-  /// Base coordinator fetch. The discovered base is always a CONFIRMED
-  /// epoch, so a missing record means either replication lag (the fetch
-  /// re-tries the SAME epoch `stall_left` times spaced apart in time first)
-  /// or a relation CREATED after that epoch committed — whose newest record
-  /// below the base then carries its state forward (bounded walk-back).
-  /// The walk is safe under multi-writer because everything at or below a
-  /// confirmed epoch is committed (partial records exist only at the
-  /// frontier's wedged successor), so it can never absorb a torn publish's
-  /// output. Transient errors still fail the (retryable) publish.
+  /// Restarts the attempt at (base, target) from base records already in
+  /// memory: resets the attempt state, claims `target`, and re-runs the
+  /// prepare stages. Shared by a chained start, a chain re-base onto a
+  /// still-running predecessor, and a skip past a burned epoch.
+  void RestartAttempt(Handle st, Epoch base, Epoch target,
+                      std::map<std::string, CoordinatorRecord> records);
+  /// Fails a chained publish because its predecessor failed.
+  void AbortOnPrev(Handle st, const Status& prev_status);
+  /// Base coordinator fetch. The base is always a CONFIRMED epoch (the
+  /// discovered frontier, or the winner a re-base follows), so a missing
+  /// record means either replication lag (the fetch re-tries the SAME epoch
+  /// `stall_left` times spaced apart in time first) or a relation CREATED
+  /// after that epoch committed — whose newest record below the base then
+  /// carries its state forward (bounded walk-back). The walk is safe under
+  /// multi-writer because everything at or below a confirmed epoch is
+  /// committed (partial records exist only at the frontier's wedged
+  /// successor), so it can never absorb a torn publish's output. Transient
+  /// errors still fail the (retryable) publish.
   void FetchBaseCoordinator(Handle st, const std::string& rel, Epoch epoch,
                             int walk_left, int stall_left);
   void FetchPages(Handle st);
@@ -202,8 +214,9 @@ class Publisher {
   /// Write-gate release for a chained publish: runs when the predecessor's
   /// coordinator records are all acked (its confirm round then overlaps this
   /// publish's writes) or when it resolved early with a failure. Aborts on
-  /// predecessor failure, re-bases (ResetAttempt + network re-fetch) when
-  /// the predecessor committed at a different epoch than the one this
+  /// predecessor failure, re-bases (RestartAttempt from its in-memory
+  /// output, or Rebase's network re-fetch once it resolved) when the
+  /// predecessor committed at a different epoch than the one this
   /// publish prepared against (i.e. it re-based under contention), and
   /// otherwise opens the write gate.
   void ReleaseGate(Handle st, Handle prev);
@@ -229,6 +242,11 @@ class Publisher {
   /// -> re-claim (the winner may have failed and released) until the stall
   /// budget runs out, then fail the publish (the session retries the batch).
   void AwaitWinner(Handle st, Epoch contested);
+  /// Contention pause of a claim loser or refused fencer: re-claims after
+  /// 2 s plus a deterministic per-participant phase of 250 ms per id.
+  void ReclaimAfterPause(Handle st);
+  /// kClaimEpoch / kConfirmEpoch body for this participant's attempt.
+  std::string ClaimBody(Epoch epoch, uint64_t nonce) const;
   /// Stalled-contender fence round: asks every claim replica to retire the
   /// abandoned claim at `contested` (kFenceEpoch, TTL-checked server-side).
   /// All replicas granting burns the epoch — the round then broadcasts
@@ -251,8 +269,6 @@ class Publisher {
   /// the attempt state, fetches the committed coordinator records at `base`,
   /// and re-runs FetchPages/Apply/claim at base + 1. Bounded per publish.
   void Rebase(Handle st, Epoch base);
-  void FetchRebaseCoordinator(Handle st, const std::string& rel, Epoch base,
-                              int walk_left, int stall_left);
   /// One-way claim cleanup: deletes this participant's claim (fragments) at
   /// `epoch` on the claim replicas — only the exact instance named by
   /// `nonce`, so a delayed release can never unpin a newer attempt's claim.

@@ -8,6 +8,15 @@
 
 namespace orchestra::storage {
 
+namespace {
+// Background GC pacing. A slice examines (scans plus deletes) at most
+// kGcSliceRecords records before yielding the node's simulated CPU back to
+// the request path; kGcSliceIntervalUs separates slices, and the leading
+// delay is what coalesces a burst of advertisements into a single sweep.
+constexpr uint64_t kGcSliceRecords = 2048;
+constexpr sim::SimTime kGcSliceIntervalUs = 20 * sim::kMicrosPerMilli;
+}  // namespace
+
 void KeyFilter::EncodeTo(Writer* w) const {
   w->PutBool(all);
   if (!all) {
@@ -27,14 +36,12 @@ Status KeyFilter::DecodeFrom(Reader* r, KeyFilter* out) {
 
 StorageService::StorageService(net::NodeHost* host,
                                std::shared_ptr<SnapshotBoard> board, int replication,
-                               localstore::StoreOptions store_options,
-                               GcOptions gc_options)
+                               localstore::StoreOptions store_options)
     : host_(host),
       board_(std::move(board)),
       replication_(replication),
       rpc_(host, net::ServiceId::kStorage, kReply),
-      store_(store_options),
-      gc_options_(gc_options) {
+      store_(store_options) {
   host_->Register(net::ServiceId::kStorage, this);
   // Every reply this node receives carries the responder's load hint; keep a
   // timestamped per-peer view for the session's admission control.
@@ -226,6 +233,31 @@ void StorageService::Respond(net::NodeId to, uint64_t req_id, Status st,
                             st, std::move(body), LocalLoadHint());
 }
 
+void StorageService::RespondStored(net::NodeId to, uint64_t req_id,
+                                   const std::string& key) {
+  auto bytes = store_.Get(key);
+  if (!bytes.ok()) {
+    Respond(to, req_id, bytes.status(), {});
+  } else {
+    Respond(to, req_id, Status::OK(), std::move(bytes).value());
+  }
+}
+
+Result<EpochClaimRecord> StorageService::LoadClaim(Epoch epoch) const {
+  ORC_ASSIGN_OR_RETURN(std::string_view bytes,
+                       store_.GetView(keys::EpochClaim(epoch)));
+  Reader r(bytes);
+  EpochClaimRecord rec;
+  ORC_RETURN_IF_ERROR(EpochClaimRecord::DecodeFrom(&r, &rec));
+  return rec;
+}
+
+void StorageService::PutClaim(Epoch epoch, const EpochClaimRecord& rec) {
+  Writer w;
+  rec.EncodeTo(&w);
+  store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+}
+
 void StorageService::OnConnectionDrop(net::NodeId peer) {
   // Orphan reaping: every call addressed to the failed peer resolves now
   // with Unavailable instead of waiting out its deadline.
@@ -262,13 +294,9 @@ void StorageService::OnMessage(net::NodeId from, uint16_t code,
     // One-way fence propagation from a successful fence round: record the
     // burn and purge local orphans. Safe against races by construction —
     // MergeFencedEpoch refuses to touch a committed epoch.
-    uint64_t epoch, nonce;
-    uint32_t participant;
-    if (!r.GetVarint64(&epoch).ok() || !r.GetVarint32(&participant).ok() ||
-        !r.GetVarint64(&nonce).ok()) {
-      return;
-    }
-    MergeFencedEpoch(epoch, participant, nonce);
+    EpochInstance burn;
+    if (!EpochInstance::DecodeFrom(&r, &burn).ok()) return;
+    MergeFencedEpoch(burn.epoch, burn.participant, burn.nonce);
     return;
   }
   if (code == kReleaseEpoch) {
@@ -278,23 +306,15 @@ void StorageService::OnMessage(net::NodeId from, uint16_t code,
     // clear, and neither is a NEWER attempt of the same participant (a
     // delayed release from a dead attempt must not unpin the epoch its
     // retry re-claimed and is writing at).
-    uint64_t epoch, nonce;
-    uint32_t participant;
-    if (!r.GetVarint64(&epoch).ok() || !r.GetVarint32(&participant).ok() ||
-        !r.GetVarint64(&nonce).ok()) {
-      return;
-    }
-    auto cur = store_.Get(keys::EpochClaim(epoch));
-    if (!cur.ok()) return;
-    Reader cr(cur.value());
-    EpochClaimRecord stored;
-    if (EpochClaimRecord::DecodeFrom(&cr, &stored).ok() &&
-        stored.participant == participant && stored.nonce == nonce &&
-        !stored.committed && !stored.fenced) {
+    EpochInstance rel;
+    if (!EpochInstance::DecodeFrom(&r, &rel).ok()) return;
+    auto stored = LoadClaim(rel.epoch);
+    if (stored.ok() && stored->participant == rel.participant &&
+        stored->nonce == rel.nonce && !stored->committed && !stored->fenced) {
       // A fenced marker is NOT the releaser's to clear either: the burn must
       // survive so the epoch stays dead for everyone.
-      store_.Delete(keys::EpochClaim(epoch)).ok();
-      claim_touch_.erase(epoch);
+      store_.Delete(keys::EpochClaim(rel.epoch)).ok();
+      claim_touch_.erase(rel.epoch);
     }
     return;
   }
@@ -347,8 +367,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
             return;
           }
           // Zombie write refusal: a fenced epoch can never be resurrected.
-          // The empty() fast path keeps the hot loop map-free normally.
-          if (!fenced_epochs_.empty() && fenced_epochs_.count(epoch) > 0) {
+          if (IsEpochFenced(epoch)) {
             ++fenced_refused;
             continue;
           }
@@ -378,7 +397,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
         return;
       }
       const PageId& id = page.desc.id;
-      if (!fenced_epochs_.empty() && fenced_epochs_.count(id.epoch) > 0) {
+      if (IsEpochFenced(id.epoch)) {
         counters_.fenced_writes_refused += 1;
         Respond(from, req_id,
                 Status::Fenced("page write at fenced epoch " +
@@ -410,7 +429,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       }
       // Zombie commit refusal: a fenced epoch's coordinator chain is burned
       // and purged; no participant may rebuild it.
-      if (!fenced_epochs_.empty() && fenced_epochs_.count(rec.epoch) > 0) {
+      if (IsEpochFenced(rec.epoch)) {
         counters_.fenced_writes_refused += 1;
         Respond(from, req_id,
                 Status::Fenced("coordinator write at fenced epoch " +
@@ -461,18 +480,17 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // committed so discovery (kGetMaxEpoch) can report the epoch. Stored
       // even if the claim is missing here — after membership churn the new
       // claim replicas must still learn the confirmed frontier.
-      uint64_t epoch, nonce;
-      uint32_t participant, claimant_node;
-      if (!r->GetVarint64(&epoch).ok() || !r->GetVarint32(&participant).ok() ||
-          !r->GetVarint32(&claimant_node).ok() || !r->GetVarint64(&nonce).ok()) {
+      ClaimRequest req;
+      if (!ClaimRequest::DecodeFrom(r, &req).ok()) {
         Respond(from, req_id, Status::Corruption("bad epoch confirm"), {});
         return;
       }
+      const Epoch epoch = req.epoch;
       // A fence that completed first wins: the epoch is burned and its
       // orphans purged, so flipping it committed now would report an epoch
       // whose data is gone. The publisher's ticket fails with kFenced and
       // the batch republishes at a fresh epoch.
-      if (fenced_epochs_.count(epoch) > 0) {
+      if (IsEpochFenced(epoch)) {
         counters_.fenced_writes_refused += 1;
         Respond(from, req_id,
                 Status::Fenced("confirm at fenced epoch " +
@@ -485,27 +503,18 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // as a RETRYABLE error, not kFenced: the publisher keeps its epoch
       // pinned and resolves the partial burn on retry (self-fence to
       // unanimity, or recommit once a committed record heals this replica).
-      {
-        auto curc = store_.Get(keys::EpochClaim(epoch));
-        if (curc.ok()) {
-          Reader cr(curc.value());
-          EpochClaimRecord stored;
-          if (EpochClaimRecord::DecodeFrom(&cr, &stored).ok() &&
-              stored.fenced) {
-            counters_.fenced_writes_refused += 1;
-            Respond(from, req_id,
-                    Status::Unavailable("confirm at burn-promised epoch " +
-                                        std::to_string(epoch)),
-                    {});
-            return;
-          }
-        }
+      auto stored = LoadClaim(epoch);
+      if (stored.ok() && stored->fenced) {
+        counters_.fenced_writes_refused += 1;
+        Respond(from, req_id,
+                Status::Unavailable("confirm at burn-promised epoch " +
+                                    std::to_string(epoch)),
+                {});
+        return;
       }
-      EpochClaimRecord rec{participant, claimant_node, /*committed=*/true,
-                           nonce};
-      Writer w;
-      rec.EncodeTo(&w);
-      store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+      PutClaim(epoch, EpochClaimRecord{req.claimant.participant,
+                                       req.claimant.node, /*committed=*/true,
+                                       req.claimant.nonce});
       max_epoch_seen_ = std::max(max_epoch_seen_, epoch);
       claim_touch_[epoch] = host_->network()->simulator()->now();
       Respond(from, req_id, Status::OK(), {});
@@ -514,12 +523,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     case kGetEpochClaim: {
       uint64_t epoch;
       if (!r->GetVarint64(&epoch).ok()) return;
-      auto bytes = store_.Get(keys::EpochClaim(epoch));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
-      }
+      RespondStored(from, req_id, keys::EpochClaim(epoch));
       return;
     }
     case kGetMaxEpoch: {
@@ -532,35 +536,21 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       std::string rel;
       uint64_t epoch;
       if (!r->GetString(&rel).ok() || !r->GetVarint64(&epoch).ok()) return;
-      auto bytes = store_.Get(keys::Coord(rel, epoch));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
-      }
+      RespondStored(from, req_id, keys::Coord(rel, epoch));
       return;
     }
     case kGetPage: {
       PageId id;
       if (!PageId::DecodeFrom(r, &id).ok()) return;
-      auto bytes = store_.Get(keys::PageRec(id.relation, id.epoch, id.partition));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
-      }
+      RespondStored(from, req_id,
+                    keys::PageRec(id.relation, id.epoch, id.partition));
       return;
     }
     case kGetInverse: {
       std::string rel;
       uint32_t partition;
       if (!r->GetString(&rel).ok() || !r->GetVarint32(&partition).ok()) return;
-      auto bytes = store_.Get(keys::Inverse(rel, partition));
-      if (!bytes.ok()) {
-        Respond(from, req_id, bytes.status(), {});
-      } else {
-        Respond(from, req_id, Status::OK(), std::move(bytes).value());
-      }
+      RespondStored(from, req_id, keys::Inverse(rel, partition));
       return;
     }
     case kGetTuple: {
@@ -602,13 +592,9 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       uint64_t fence_count;
       if (!r->GetVarint64(&fence_count).ok()) return;
       for (uint64_t i = 0; i < fence_count; ++i) {
-        uint64_t fe, fnonce;
-        uint32_t fp;
-        if (!r->GetVarint64(&fe).ok() || !r->GetVarint32(&fp).ok() ||
-            !r->GetVarint64(&fnonce).ok()) {
-          return;
-        }
-        MergeFencedEpoch(fe, fp, fnonce);
+        EpochInstance burn;
+        if (!EpochInstance::DecodeFrom(r, &burn).ok()) return;
+        MergeFencedEpoch(burn.epoch, burn.participant, burn.nonce);
       }
       if (!r->GetVarint64(&n).ok()) return;
       for (uint64_t i = 0; i < n; ++i) {
@@ -624,43 +610,32 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           // marker — it must never purge, its fence round may have failed. A
           // plain claim fills an empty slot with a conservatively-fresh
           // clock (a pushed claim's owner gets a TTL of grace before a fence
-          // can use this replica's vote).
+          // can use this replica's vote). A slot whose bytes do not decode is
+          // left alone by a plain claim: only an empty slot is filled.
           Reader vr(value);
           EpochClaimRecord pushed;
-          if (EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
-            EpochClaimRecord mine;
-            bool have_mine = false;
-            auto curv = store_.Get(key);
-            if (curv.ok()) {
-              Reader cr(curv.value());
-              have_mine = EpochClaimRecord::DecodeFrom(&cr, &mine).ok();
+          Epoch ce = 0;
+          if (!keys::ParseClaim(key, &ce) ||
+              !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
+            continue;
+          }
+          auto mine = LoadClaim(ce);
+          if (pushed.committed) {
+            if (!mine.ok() || !mine->committed) store_.Put(key, value).ok();
+            max_epoch_seen_ = std::max(max_epoch_seen_, ce);
+            claim_touch_.erase(ce);
+          } else if (pushed.fenced && pushed.purged) {
+            if (!mine.ok() || !mine->committed) {
+              MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
             }
-            Epoch ce = 0;
-            bool parsed = keys::ParseClaim(key, &ce);
-            if (pushed.committed) {
-              if (!have_mine || !mine.committed) store_.Put(key, value).ok();
-              if (parsed) {
-                max_epoch_seen_ = std::max(max_epoch_seen_, ce);
-                claim_touch_.erase(ce);
-              }
-            } else if (pushed.fenced && pushed.purged) {
-              if (parsed && (!have_mine || !mine.committed)) {
-                MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
-              }
-            } else if (pushed.fenced) {
-              if (!have_mine || (!mine.committed && !mine.fenced)) {
-                store_.Put(key, value).ok();
-                if (parsed) claim_touch_.erase(ce);
-              }
-            } else if (!have_mine && !curv.ok()) {
-              if (!(parsed && fenced_epochs_.count(ce) > 0)) {
-                store_.Put(key, value).ok();
-                if (parsed) {
-                  claim_touch_[ce] =
-                      host_->network()->simulator()->now();
-                }
-              }
+          } else if (pushed.fenced) {
+            if (!mine.ok() || (!mine->committed && !mine->fenced)) {
+              store_.Put(key, value).ok();
+              claim_touch_.erase(ce);
             }
+          } else if (mine.status().IsNotFound() && !IsEpochFenced(ce)) {
+            store_.Put(key, value).ok();
+            claim_touch_[ce] = host_->network()->simulator()->now();
           }
           continue;
         }
@@ -675,8 +650,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           // deterministic writer per epoch instead.
           if (!fenced_epochs_.empty()) {
             keys::ParsedCoordKey ck;
-            if (keys::ParseCoord(key, &ck) &&
-                fenced_epochs_.count(ck.epoch) > 0) {
+            if (keys::ParseCoord(key, &ck) && IsEpochFenced(ck.epoch)) {
               continue;  // burned epoch: never rebuild its coordinator chain
             }
           }
@@ -710,7 +684,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
             versioned = keys::ParsePageRec(key, &pk);
             if (versioned) ve = pk.epoch;
           }
-          if (versioned && fenced_epochs_.count(ve) > 0) continue;
+          if (versioned && IsEpochFenced(ve)) continue;
         }
         if (!store_.Contains(key)) store_.Put(key, value).ok();
         if (keys::Tag(key) == keys::kCatalogTag) {
@@ -760,106 +734,85 @@ void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
   // same-batch retry (idempotent re-grant) or its instance-exact release;
   // split races resolve through the publishers' per-participant stall
   // phases (see Publisher::LoseEpoch).
-  uint64_t epoch, nonce;
-  uint32_t participant, claimant_node;
-  if (!r->GetVarint64(&epoch).ok() || !r->GetVarint32(&participant).ok() ||
-      !r->GetVarint32(&claimant_node).ok() || !r->GetVarint64(&nonce).ok()) {
+  ClaimRequest req;
+  if (!ClaimRequest::DecodeFrom(r, &req).ok()) {
     Respond(from, req_id, Status::Corruption("bad epoch claim"), {});
     return;
   }
+  const Epoch epoch = req.epoch;
+  const ClaimInstance& claimant = req.claimant;
   ChargeCpu(host_->network()->costs().tuple_scan_us);
   // `committed` is flipped by kConfirmEpoch once the epoch's coordinator
   // records are all written; an idempotent re-grant preserves it (a
   // publisher retrying a publish that failed after its commit round must
   // not un-commit the epoch).
   auto grant = [&](bool committed, uint64_t stored_nonce) {
-    EpochClaimRecord rec{participant, claimant_node, committed, stored_nonce};
-    Writer w;
-    rec.EncodeTo(&w);
-    store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+    PutClaim(epoch, EpochClaimRecord{claimant.participant, claimant.node,
+                                     committed, stored_nonce});
     counters_.claims_granted += 1;
     // The freshness clock a fence races against: every grant (including the
     // owner's periodic refresh re-grants) resets the staleness TTL.
     claim_touch_[epoch] = host_->network()->simulator()->now();
     Respond(from, req_id, Status::OK(), {});
   };
+  auto refuse = [&](Status st, const ClaimInstance& holder) {
+    counters_.claims_refused += 1;
+    Writer wb;
+    holder.EncodeTo(&wb);
+    Respond(from, req_id, std::move(st), wb.Release());
+  };
   // Unanimity-table backstop: a burned epoch stays refused even after its
   // claim record was GC'd below the watermark (the in-memory burned set
   // outlives the record; pushes and kPurgeEpoch keep re-seeding it).
-  if (fenced_epochs_.count(epoch) > 0) {
-    const FencedInstance& inst = fenced_epochs_[epoch];
-    counters_.claims_refused += 1;
-    Writer wb;
-    wb.PutVarint32(inst.participant);
-    wb.PutVarint32(0);
-    wb.PutVarint64(inst.nonce);
-    Respond(from, req_id,
-            Status::Fenced("epoch " + std::to_string(epoch) +
-                           " burned by abandonment fencing"),
-            wb.Release());
+  if (auto burned = fenced_epochs_.find(epoch); burned != fenced_epochs_.end()) {
+    refuse(Status::Fenced("epoch " + std::to_string(epoch) +
+                          " burned by abandonment fencing"),
+           ClaimInstance{burned->second.participant, 0, burned->second.nonce});
     return;
   }
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (!cur.ok()) {
-    grant(false, nonce);
+  auto loaded = LoadClaim(epoch);
+  if (!loaded.ok()) {
+    grant(false, claimant.nonce);  // empty or malformed slot
     return;
   }
-  Reader cr(cur.value());
-  EpochClaimRecord stored;
-  if (!EpochClaimRecord::DecodeFrom(&cr, &stored).ok()) {
-    grant(false, nonce);  // malformed slot: treat as empty
+  const EpochClaimRecord& stored = *loaded;
+  if (stored.fenced && stored.purged) {
+    // Authoritative burn (the fence reached unanimity): refused for
+    // EVERYONE, owner included (a zombie resurrecting its fenced epoch is
+    // exactly what the burn prevents). Contenders skip past it.
+    refuse(Status::Fenced("epoch " + std::to_string(epoch) +
+                          " burned by abandonment fencing"),
+           stored.instance());
     return;
   }
   if (stored.fenced) {
-    counters_.claims_refused += 1;
-    Writer wb;
-    wb.PutVarint32(stored.participant);
-    wb.PutVarint32(stored.node);
-    wb.PutVarint64(stored.nonce);
-    if (stored.purged) {
-      // Authoritative burn (the fence reached unanimity): refused for
-      // EVERYONE, owner included (a zombie resurrecting its fenced epoch is
-      // exactly what the burn prevents). Contenders skip past it.
-      Respond(from, req_id,
-              Status::Fenced("epoch " + std::to_string(epoch) +
-                             " burned by abandonment fencing"),
-              wb.Release());
-    } else {
-      // Bare burn promise (a fence round touched this replica; unanimity
-      // unknown — the epoch may yet commit through a heal, or harden to a
-      // purged burn). Refuse like an ordinary taken slot so the requester
-      // waits and resolves it through the probe/fence machinery instead of
-      // skipping an epoch that might still commit. Deliberately NO owner
-      // re-grant here: silently clearing the promise would reopen the
-      // confirm-vs-fence race the promise exists to close — the owner
-      // retires its own instance with a self-fence instead.
-      Respond(from, req_id,
-              Status::EpochTaken("epoch " + std::to_string(epoch) +
-                                 " burn-promised under participant " +
-                                 std::to_string(stored.participant)),
-              wb.Release());
-    }
+    // Bare burn promise (a fence round touched this replica; unanimity
+    // unknown — the epoch may yet commit through a heal, or harden to a
+    // purged burn). Refuse like an ordinary taken slot so the requester
+    // waits and resolves it through the probe/fence machinery instead of
+    // skipping an epoch that might still commit. Deliberately NO owner
+    // re-grant here: silently clearing the promise would reopen the
+    // confirm-vs-fence race the promise exists to close — the owner
+    // retires its own instance with a self-fence instead.
+    refuse(Status::EpochTaken("epoch " + std::to_string(epoch) +
+                              " burn-promised under participant " +
+                              std::to_string(stored.participant)),
+           stored.instance());
     return;
   }
-  if (stored.participant == participant) {
+  if (stored.participant == claimant.participant) {
     // Idempotent re-grant. The stored nonce only moves FORWARD (attempt
     // nonces are monotonic per publisher): a DELAYED claim from an old
     // attempt must not roll the instance back, or the old attempt's equally
     // delayed release could match again and unpin the epoch the newest
     // attempt is writing at.
-    grant(stored.committed, std::max(stored.nonce, nonce));
+    grant(stored.committed, std::max(stored.nonce, claimant.nonce));
     return;
   }
-  counters_.claims_refused += 1;
-  Writer wb;
-  wb.PutVarint32(stored.participant);
-  wb.PutVarint32(stored.node);
-  wb.PutVarint64(stored.nonce);
-  Respond(from, req_id,
-          Status::EpochTaken("epoch " + std::to_string(epoch) +
-                             " claimed by participant " +
-                             std::to_string(stored.participant)),
-          wb.Release());
+  refuse(Status::EpochTaken("epoch " + std::to_string(epoch) +
+                            " claimed by participant " +
+                            std::to_string(stored.participant)),
+         stored.instance());
 }
 
 void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
@@ -899,19 +852,13 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
     return;
   }
   ChargeCpu(host_->network()->costs().tuple_scan_us);
-  EpochClaimRecord stored;
-  bool have = false;
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (cur.ok()) {
-    Reader cr(cur.value());
-    have = EpochClaimRecord::DecodeFrom(&cr, &stored).ok();
-  }
+  auto loaded = LoadClaim(epoch);
+  const bool have = loaded.ok();
+  const EpochClaimRecord stored = loaded.ValueOr({});
   auto grant = [&](const EpochClaimRecord& inst) {
     counters_.fences_granted += 1;
     Writer wb;
-    wb.PutVarint32(inst.participant);
-    wb.PutVarint32(inst.node);
-    wb.PutVarint64(inst.nonce);
+    inst.instance().EncodeTo(&wb);
     Respond(from, req_id, Status::OK(), wb.Release());
   };
   if (have && stored.fenced) {
@@ -972,27 +919,21 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
   }
   burned.committed = false;
   burned.fenced = true;
-  Writer w;
-  burned.EncodeTo(&w);
-  store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+  PutClaim(epoch, burned);
   claim_touch_.erase(epoch);
   grant(burned);
 }
 
 void StorageService::MergeFencedEpoch(Epoch epoch, ParticipantId participant,
                                       uint64_t nonce) {
-  EpochClaimRecord stored;
-  bool have = false;
-  auto cur = store_.Get(keys::EpochClaim(epoch));
-  if (cur.ok()) {
-    Reader cr(cur.value());
-    have = EpochClaimRecord::DecodeFrom(&cr, &stored).ok();
-  }
+  auto loaded = LoadClaim(epoch);
+  const bool have = loaded.ok();
+  const EpochClaimRecord stored = loaded.ValueOr({});
   // A commit is a fact a fence never overrides: if this replica learned the
   // epoch committed (the fence round and a confirm round can interleave at
   // DIFFERENT replicas; both then fail their callers), keep the commit.
   if (have && stored.committed) return;
-  if (fenced_epochs_.count(epoch) > 0) return;
+  if (IsEpochFenced(epoch)) return;
   fenced_epochs_[epoch] = FencedInstance{participant, nonce};
   claim_touch_.erase(epoch);
   // Persist the burn WITH purge authority (`purged`) so a restart re-learns
@@ -1010,9 +951,7 @@ void StorageService::MergeFencedEpoch(Epoch epoch, ParticipantId participant,
   burned.committed = false;
   burned.fenced = true;
   burned.purged = true;
-  Writer w;
-  burned.EncodeTo(&w);
-  store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+  PutClaim(epoch, burned);
   PurgeEpochLocal(epoch);
 }
 
@@ -1536,9 +1475,7 @@ void StorageService::RebalanceTo(const overlay::RoutingSnapshot& snap) {
     // claim records themselves were retired below the GC watermark.
     out.PutVarint64(fenced_epochs_.size());
     for (const auto& [fe, inst] : fenced_epochs_) {
-      out.PutVarint64(fe);
-      out.PutVarint32(inst.participant);
-      out.PutVarint64(inst.nonce);
+      EpochInstance{fe, inst.participant, inst.nonce}.EncodeTo(&out);
     }
     out.PutVarint64(batch_counts[target]);
     out.PutRaw(w.data().data(), w.size());
@@ -1554,14 +1491,11 @@ void StorageService::SetGcWatermark(Epoch w) {
   gc_watermark_ = w;
   // The direct entry point is synchronous: callers (tests, harness nudges)
   // expect retirement to have happened on return. Any background sweep in
-  // flight is now redundant — cancel it rather than let its stale slices
-  // rescan what this full sweep just covered.
-  if (gc_sweep_.active) {
-    gc_sweep_.active = false;
-    gc_sweep_.rearm = false;
-    gc_sweep_.generation += 1;
-  }
-  RetireBelowWatermark();
+  // flight is superseded — restart the cursor at the new watermark and run
+  // the whole sweep inline as one unbounded slice.
+  ResetGcSweep(/*active=*/false);
+  RunGcSlice(std::numeric_limits<uint64_t>::max());
+  gc_.runs += 1;
 }
 
 Epoch StorageService::EffectiveParticipantWatermark() const {
@@ -1604,129 +1538,6 @@ void StorageService::SetParticipantWatermark(ParticipantId p, Epoch mark) {
   ScheduleGcSweep();
 }
 
-void StorageService::RetireBelowWatermark() {
-  const Epoch w = gc_watermark_;
-  std::vector<std::string> doomed;
-  uint64_t scanned = 0;
-  uint64_t n_coords = 0, n_pages = 0, n_data = 0, n_tombs = 0, n_claims = 0;
-
-  // Coordinator records: retrieval is supported at epochs [w, current], so
-  // any coordinator record below the watermark is unreachable.
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kCoordTag));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    keys::ParsedCoordKey ck;
-    if (!keys::ParseCoord(it.key(), &ck)) continue;
-    if (ck.epoch < w) {
-      doomed.emplace_back(it.key());
-      ++n_coords;
-    }
-  }
-
-  // Epoch claims below the watermark: their epoch committed (or was
-  // abandoned and superseded) long ago; no publisher can contend for it.
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kClaimTag));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    Epoch e;
-    if (!keys::ParseClaim(it.key(), &e)) continue;
-    if (e < w) {
-      doomed.emplace_back(it.key());
-      ++n_claims;
-      claim_touch_.erase(e);  // the freshness clock follows the claim
-    }
-  }
-
-  // Page and data records share the layout <group-prefix><epoch:8B BE> and
-  // sort by group then epoch, so one ordered pass sees each group's versions
-  // oldest-first. Within a group, every version at-or-below the watermark is
-  // superseded by the next one at-or-below it; the newest such version is
-  // what the kept coordinators still reference and survives. A data group's
-  // survivor that is a delete tombstone (empty value) is retired too — it
-  // exists only to kill older versions, which are gone once this pass runs.
-  //
-  // Correctness precondition: every version at-or-below the watermark was
-  // referenced by some committed coordinator when written. Torn publishes
-  // keep this locally checkable: coordinator records (the commit point) go
-  // out only after every tuple/page write succeeded, and a failed publish
-  // must be retried with the SAME batch (idempotent overwrite) before
-  // publishing different data — an abandoned batch's orphan versions would
-  // otherwise shadow the committed version the coordinators reference once
-  // the watermark passes them (see ROADMAP: orphan reconciliation).
-  auto sweep_versions = [&](char tag, uint64_t* retired,
-                            bool reap_trailing_tombstone, auto&& epoch_of) {
-    std::string group;          // current group prefix (key minus epoch)
-    std::string best_key;       // newest version <= w seen in this group
-    bool best_is_tombstone = false;
-    auto flush_group = [&] {
-      if (reap_trailing_tombstone && best_is_tombstone && !best_key.empty()) {
-        doomed.push_back(best_key);
-        ++n_tombs;
-      }
-      best_key.clear();
-      best_is_tombstone = false;
-    };
-    for (auto it = store_.SeekPrefix(std::string_view(&tag, 1)); it.Valid();
-         it.Next()) {
-      ++scanned;
-      std::string_view key = it.key();
-      Epoch epoch = 0;
-      if (!epoch_of(key, &epoch)) continue;  // malformed: leave it alone
-      std::string_view prefix = keys::VersionGroupPrefix(key);
-      if (prefix != group) {
-        flush_group();
-        group.assign(prefix);
-      }
-      if (epoch > w) continue;
-      // A version at a fenced epoch is NEVER a survivor: it is purged
-      // garbage a stale push resurrected, and letting it win the
-      // newest-at-or-below race would shadow the committed version the
-      // coordinators reference. Doom it without updating the carry.
-      if (!fenced_epochs_.empty() && fenced_epochs_.count(epoch) > 0) {
-        doomed.emplace_back(key);
-        ++*retired;
-        continue;
-      }
-      if (!best_key.empty()) {
-        doomed.push_back(best_key);
-        if (best_is_tombstone) {
-          ++n_tombs;
-        } else {
-          ++*retired;
-        }
-      }
-      best_key.assign(key);
-      best_is_tombstone = reap_trailing_tombstone && it.value().empty();
-    }
-    flush_group();
-  };
-  sweep_versions(keys::kPageTag, &n_pages, /*reap_trailing_tombstone=*/false,
-                 [](std::string_view key, Epoch* e) {
-                   keys::ParsedPageKey pk;
-                   if (!keys::ParsePageRec(key, &pk)) return false;
-                   *e = pk.epoch;
-                   return true;
-                 });
-  sweep_versions(keys::kDataTag, &n_data, /*reap_trailing_tombstone=*/true,
-                 [](std::string_view key, Epoch* e) {
-                   keys::ParsedDataKey dk;
-                   if (!keys::ParseData(key, &dk)) return false;
-                   *e = dk.epoch;
-                   return true;
-                 });
-
-  for (const std::string& key : doomed) store_.Delete(key).ok();
-
-  ChargeCpu(host_->network()->costs().tuple_scan_us *
-            static_cast<double>(scanned + doomed.size()));
-  gc_.runs += 1;
-  gc_.retired_coords += n_coords;
-  gc_.retired_pages += n_pages;
-  gc_.retired_data += n_data;
-  gc_.retired_tombstones += n_tombs;
-  gc_.retired_claims += n_claims;
-}
-
 // --------------------------------------------------------------------------
 // Incremental background GC
 
@@ -1741,7 +1552,13 @@ void StorageService::ScheduleGcSweep() {
     gc_.coalesced += 1;
     return;
   }
-  gc_sweep_.active = true;
+  ResetGcSweep(/*active=*/true);
+  const uint64_t gen = gc_sweep_.generation;
+  RunAfter(kGcSliceIntervalUs, [this, gen] { GcSliceTask(gen); });
+}
+
+void StorageService::ResetGcSweep(bool active) {
+  gc_sweep_.active = active;
   gc_sweep_.rearm = false;
   gc_sweep_.generation += 1;
   gc_sweep_.watermark = gc_watermark_;
@@ -1750,14 +1567,13 @@ void StorageService::ScheduleGcSweep() {
   gc_sweep_.group.clear();
   gc_sweep_.best_key.clear();
   gc_sweep_.best_is_tombstone = false;
-  const uint64_t gen = gc_sweep_.generation;
-  RunAfter(gc_options_.slice_interval_us, [this, gen] { GcSliceTask(gen); });
 }
 
 void StorageService::GcSliceTask(uint64_t generation) {
   if (!gc_sweep_.active || generation != gc_sweep_.generation) return;
-  if (!RunGcSlice(gc_options_.slice_records)) {
-    RunAfter(gc_options_.slice_interval_us,
+  gc_.slices += 1;
+  if (!RunGcSlice(kGcSliceRecords)) {
+    RunAfter(kGcSliceIntervalUs,
              [this, generation] { GcSliceTask(generation); });
     return;
   }
@@ -1769,14 +1585,33 @@ void StorageService::GcSliceTask(uint64_t generation) {
 bool StorageService::RunGcSlice(uint64_t budget) {
   static constexpr char kPhaseTags[4] = {keys::kCoordTag, keys::kClaimTag,
                                          keys::kPageTag, keys::kDataTag};
+  // One ordered pass per record family. Coordinator records and epoch
+  // claims below the watermark are unreachable (retrieval is supported at
+  // [w, current]; no publisher can contend for a claim that far back).
+  //
+  // Page and data records share the layout <group-prefix><epoch:8B BE> and
+  // sort by group then epoch, so the pass sees each group's versions
+  // oldest-first. Within a group, every version at-or-below the watermark is
+  // superseded by the next one at-or-below it; the newest such version is
+  // what the kept coordinators still reference and survives. A data group's
+  // survivor that is a delete tombstone (empty value) is retired too — it
+  // exists only to kill older versions, which are gone once the pass runs.
+  //
+  // Correctness precondition: every version at-or-below the watermark was
+  // referenced by some committed coordinator when written. Torn publishes
+  // keep this locally checkable: coordinator records (the commit point) go
+  // out only after every tuple/page write succeeded, and a failed publish
+  // must be retried with the SAME batch (idempotent overwrite) before
+  // publishing different data — an abandoned batch's orphan versions would
+  // otherwise shadow the committed version the coordinators reference once
+  // the watermark passes them.
   const Epoch w = gc_sweep_.watermark;
   std::vector<std::string> doomed;
   uint64_t scanned = 0;
   uint64_t n_coords = 0, n_pages = 0, n_data = 0, n_tombs = 0, n_claims = 0;
 
   // Reaps the tracked survivor if it is a trailing tombstone, then clears
-  // the version-group carry — the sliced twin of the synchronous sweep's
-  // flush_group (see RetireBelowWatermark for the retention argument).
+  // the version-group carry.
   auto flush_group = [&] {
     if (gc_sweep_.best_is_tombstone && !gc_sweep_.best_key.empty()) {
       doomed.push_back(gc_sweep_.best_key);
@@ -1795,7 +1630,7 @@ bool StorageService::RunGcSlice(uint64_t budget) {
       if (scanned >= budget) {
         // Stop BEFORE consuming this record; the next slice re-seeks to it.
         // Records a push inserts behind the cursor are caught by the re-arm
-        // sweep, exactly like ones behind a completed synchronous sweep.
+        // sweep, exactly like ones behind a completed sweep.
         gc_sweep_.resume.assign(it.key());
         exhausted = false;
         break;
@@ -1839,9 +1674,11 @@ bool StorageService::RunGcSlice(uint64_t budget) {
             gc_sweep_.group.assign(group);
           }
           if (epoch > w) break;
-          // Fenced-epoch versions are never survivors (see the synchronous
-          // sweep's twin of this check for the shadowing argument).
-          if (!fenced_epochs_.empty() && fenced_epochs_.count(epoch) > 0) {
+          // A version at a fenced epoch is NEVER a survivor: it is purged
+          // garbage a stale push resurrected, and letting it win the
+          // newest-at-or-below race would shadow the committed version the
+          // coordinators reference. Doom it without updating the carry.
+          if (IsEpochFenced(epoch)) {
             doomed.emplace_back(key);
             ++(phase == 2 ? n_pages : n_data);
             break;
@@ -1874,7 +1711,6 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   for (const std::string& key : doomed) store_.Delete(key).ok();
   ChargeCpu(host_->network()->costs().tuple_scan_us *
             static_cast<double>(scanned + doomed.size()));
-  gc_.slices += 1;
   gc_.retired_coords += n_coords;
   gc_.retired_pages += n_pages;
   gc_.retired_data += n_data;
@@ -1921,9 +1757,7 @@ void StorageService::OnRestart() {
   participant_marks_.clear();
   // Any background sweep died with the node (its slice tasks were dropped as
   // node tasks); reset the cursor so the next advertisement starts fresh.
-  gc_sweep_.active = false;
-  gc_sweep_.rearm = false;
-  gc_sweep_.generation += 1;
+  ResetGcSweep(/*active=*/false);
 }
 
 }  // namespace orchestra::storage

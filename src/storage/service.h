@@ -122,22 +122,6 @@ struct KeyFilter {
   static Status DecodeFrom(Reader* r, KeyFilter* out);
 };
 
-/// Incremental background GC tuning. Watermark advertisements (the
-/// publisher's kSetWatermark one-ways, replica-push piggybacks) do not run a
-/// synchronous full-store sweep any more; they schedule a background sweep
-/// that retires records in bounded slices on the node's own timeline, so a
-/// burst of per-publish advertisements coalesces into one sweep instead of
-/// one full scan each. SetGcWatermark — the direct floor-raise entry point —
-/// stays synchronous for tests and harnesses.
-struct GcOptions {
-  /// Records examined (scanned plus deleted) per slice before yielding the
-  /// simulated CPU back to the request path.
-  uint64_t slice_records = 2048;
-  /// Delay before the first slice and between slices; the leading delay is
-  /// what coalesces an advertisement burst into a single sweep.
-  sim::SimTime slice_interval_us = 20 * sim::kMicrosPerMilli;
-};
-
 class StorageService : public net::Service {
  public:
   using RpcCallback = std::function<void(Status, const std::string& body)>;
@@ -145,8 +129,7 @@ class StorageService : public net::Service {
       std::function<void(Status, std::vector<Tuple>)>;
 
   StorageService(net::NodeHost* host, std::shared_ptr<SnapshotBoard> board,
-                 int replication, localstore::StoreOptions store_options = {},
-                 GcOptions gc_options = {});
+                 int replication, localstore::StoreOptions store_options = {});
 
   net::NodeId node() const { return host_->node(); }
   int replication() const { return replication_; }
@@ -246,9 +229,11 @@ class StorageService : public net::Service {
   /// delete tombstones once nothing older survives). Supported retrieval
   /// epochs become [w, current]. Re-advertising the current watermark re-runs
   /// retirement, which clears records a stale replica push may have
-  /// resurrected. This is the direct floor-raise entry point (tests use it);
-  /// publisher advertisements instead go through SetParticipantWatermark so
-  /// one slow writer holds retirement back for everyone.
+  /// resurrected. This is the direct floor-raise entry point (tests and the
+  /// churn harness use it): it cancels any background sweep and runs the
+  /// same sliced sweep to completion before returning. Publisher
+  /// advertisements instead go through SetParticipantWatermark so one slow
+  /// writer holds retirement back for everyone.
   void SetGcWatermark(Epoch w);
   Epoch gc_watermark() const { return gc_watermark_; }
 
@@ -284,7 +269,7 @@ class StorageService : public net::Service {
   size_t fenced_epoch_count() const { return fenced_epochs_.size(); }
 
   struct GcStats {
-    uint64_t runs = 0;                // completed sweeps (sync or background)
+    uint64_t runs = 0;                // completed sweeps (inline or background)
     uint64_t slices = 0;              // background slices executed
     uint64_t coalesced = 0;           // advertisements folded into a sweep
                                       // already in flight (re-armed it)
@@ -361,14 +346,23 @@ class StorageService : public net::Service {
   };
 
   void Respond(net::NodeId to, uint64_t req_id, Status st, std::string body);
-  void RetireBelowWatermark();
+  /// Replies with the stored bytes under `key`, or with NotFound.
+  void RespondStored(net::NodeId to, uint64_t req_id, const std::string& key);
+  /// The epoch's stored claim record: NotFound when the slot is empty,
+  /// Corruption when its bytes do not decode.
+  Result<EpochClaimRecord> LoadClaim(Epoch epoch) const;
+  void PutClaim(Epoch epoch, const EpochClaimRecord& rec);
   /// Background GC: starts a sliced sweep at the current watermark, or
   /// re-arms the one in flight (it finishes, then restarts at the latest
-  /// watermark — which also preserves the "re-advertising clears records a
-  /// stale replica push resurrected" property of the synchronous sweep).
+  /// watermark, which also clears records a stale replica push resurrected
+  /// behind its cursor).
   void ScheduleGcSweep();
+  /// Points the sweep cursor at the start of a pass at the current
+  /// watermark; bumping the generation drops slices queued by an earlier
+  /// sweep.
+  void ResetGcSweep(bool active);
   /// One scheduled slice; `generation` guards against slices queued by a
-  /// sweep that was since cancelled (restart, synchronous override).
+  /// sweep that was since cancelled (restart, SetGcWatermark).
   void GcSliceTask(uint64_t generation);
   /// Retires up to `budget` records' worth of sweep work; true when the
   /// sweep has covered all four key families.
@@ -413,7 +407,6 @@ class StorageService : public net::Service {
   Epoch max_epoch_seen_ = 0;
   Epoch gc_watermark_ = 0;
   GcStats gc_;
-  GcOptions gc_options_;
   // Background sweep cursor. The watermark is pinned per sweep (retiring
   // below an older mark is always safe); phases cover the four swept key
   // families in tag order: 0 coordinators, 1 claims, 2 pages, 3 data.

@@ -737,6 +737,179 @@ TEST(StorageGc, ReplicaPushPiggybacksWatermark) {
   EXPECT_EQ(at->size(), 2u);
 }
 
+// The two GC entry points run one sweep: SetGcWatermark (the inline,
+// synchronous floor raise) and a participant advertisement (a background
+// sweep in bounded slices) must retire exactly the same records from the
+// same publish history.
+TEST(StorageGc, InlineAndBackgroundSweepsRetireTheSameRecords) {
+  struct Cluster {
+    std::unique_ptr<deploy::Deployment> dep;
+    Epoch last = 0;
+  };
+  // Overwrites in both partitions, and a delete whose tombstone sits below
+  // the watermark. Large enough that one background slice cannot cover a
+  // node's store.
+  auto build = [] {
+    deploy::DeploymentOptions opts;
+    opts.num_nodes = 4;
+    opts.replication = 3;
+    Cluster c{std::make_unique<deploy::Deployment>(opts)};
+    EXPECT_TRUE(c.dep->CreateRelation(0, SimpleRelation("R", 2)).ok());
+    UpdateBatch first;
+    for (int k = 0; k < 1200; ++k) {
+      first["R"].push_back(Update::Insert(Row("k" + std::to_string(k), "v0")));
+    }
+    first["R"].push_back(Update::Insert(Row("dead", "x")));
+    EXPECT_TRUE(c.dep->Publish(0, std::move(first)).ok());
+    for (int round = 1; round <= 4; ++round) {
+      UpdateBatch u;
+      for (int k = round % 2; k < 1200; k += 2) {
+        u["R"].push_back(Update::Insert(
+            Row("k" + std::to_string(k), "v" + std::to_string(round))));
+      }
+      if (round == 2) u["R"].push_back(Update::Delete(Row("dead", "")));
+      auto e = c.dep->Publish(0, std::move(u));
+      EXPECT_TRUE(e.ok());
+      c.last = e.ValueOr(0);
+    }
+    return c;
+  };
+  auto stored_keys = [](StorageService& svc) {
+    std::vector<std::string> out;
+    for (auto it = svc.store().Seek(""); it.Valid(); it.Next()) {
+      out.emplace_back(it.key());
+    }
+    return out;
+  };
+
+  Cluster inline_gc = build();
+  Cluster background_gc = build();
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(inline_gc.last, background_gc.last);
+  const Epoch w = inline_gc.last - 1;
+  deploy::Deployment& a = *inline_gc.dep;
+  deploy::Deployment& b = *background_gc.dep;
+  for (size_t i = 0; i < a.size(); ++i) a.storage(i).SetGcWatermark(w);
+  for (size_t i = 0; i < b.size(); ++i) {
+    b.storage(i).SetParticipantWatermark(b.publisher(0).participant(), w);
+  }
+  ASSERT_TRUE(b.RunUntil([&b] {
+    for (size_t i = 0; i < b.size(); ++i) {
+      if (b.storage(i).gc_sweep_active()) return false;
+    }
+    return true;
+  }));
+
+  uint64_t max_slices = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const auto& ga = a.storage(i).gc_stats();
+    const auto& gb = b.storage(i).gc_stats();
+    EXPECT_EQ(stored_keys(a.storage(i)), stored_keys(b.storage(i)))
+        << "node " << i;
+    EXPECT_EQ(ga.retired_data, gb.retired_data) << "node " << i;
+    EXPECT_EQ(ga.retired_pages, gb.retired_pages) << "node " << i;
+    EXPECT_EQ(ga.retired_coords, gb.retired_coords) << "node " << i;
+    EXPECT_EQ(ga.retired_tombstones, gb.retired_tombstones) << "node " << i;
+    EXPECT_EQ(ga.retired_claims, gb.retired_claims) << "node " << i;
+    EXPECT_EQ(ga.runs, 1u) << "node " << i;
+    EXPECT_EQ(gb.runs, 1u) << "node " << i;
+    max_slices = std::max(max_slices, gb.slices);
+  }
+  // Every record family was actually retired, and the background sweep
+  // really was sliced.
+  uint64_t data = 0, pages = 0, coords = 0, tombs = 0, claims = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const auto& g = a.storage(i).gc_stats();
+    data += g.retired_data;
+    pages += g.retired_pages;
+    coords += g.retired_coords;
+    tombs += g.retired_tombstones;
+    claims += g.retired_claims;
+  }
+  EXPECT_GT(data, 0u);
+  EXPECT_GT(pages, 0u);
+  EXPECT_GT(coords, 0u);
+  EXPECT_GT(tombs, 0u);
+  EXPECT_GT(claims, 0u);
+  EXPECT_GT(max_slices, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Claim frame codecs: golden bytes assembled by hand from the layouts in
+// docs/WIRE_FORMATS.md (kClaimEpoch .. kPurgeEpoch).
+
+template <typename T>
+std::string EncodeToBytes(const T& msg) {
+  Writer w;
+  msg.EncodeTo(&w);
+  return w.Release();
+}
+
+// Decodes `bytes` fully, and checks that every strict prefix is rejected.
+template <typename T>
+void ExpectRoundTripAndTruncationRejected(const std::string& bytes,
+                                          const T& want) {
+  Reader r(bytes);
+  T got;
+  ASSERT_TRUE(T::DecodeFrom(&r, &got).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(got, want);
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    Reader cut(std::string_view(bytes).substr(0, n));
+    T partial;
+    EXPECT_FALSE(T::DecodeFrom(&cut, &partial).ok()) << "prefix " << n;
+  }
+}
+
+TEST(ClaimCodec, GoldenBytesMatchTheWireLayouts) {
+  // Multi-byte varints on every field so a field-width change shows.
+  const Epoch epoch = 1000;
+  const ClaimInstance inst{/*participant=*/300, /*node=*/129,
+                           /*nonce=*/70000};
+
+  // kClaimEpoch and its heartbeat re-claim, and kConfirmEpoch:
+  // varint64 epoch | varint32 participant | varint32 node | varint64 nonce.
+  Writer claim;
+  claim.PutVarint64(epoch);
+  claim.PutVarint32(300);
+  claim.PutVarint32(129);
+  claim.PutVarint64(70000);
+  const ClaimRequest claim_req{epoch, inst};
+  EXPECT_EQ(EncodeToBytes(claim_req), claim.data());
+  EXPECT_EQ(EncodeToBytes(ClaimRequest{5, {7, 3, 1}}),
+            std::string("\x05\x07\x03\x01", 4));
+
+  // kReleaseEpoch and kPurgeEpoch:
+  // varint64 epoch | varint32 participant | varint64 nonce.
+  Writer release;
+  release.PutVarint64(epoch);
+  release.PutVarint32(300);
+  release.PutVarint64(70000);
+  const EpochInstance release_body{epoch, 300, 70000};
+  EXPECT_EQ(EncodeToBytes(release_body), release.data());
+
+  // Claim refusal and fence grant replies:
+  // varint32 participant | varint32 node | varint64 nonce.
+  Writer reply;
+  reply.PutVarint32(300);
+  reply.PutVarint32(129);
+  reply.PutVarint64(70000);
+  EXPECT_EQ(EncodeToBytes(inst), reply.data());
+  // The burned-epoch refusal names the fenced instance with node 0.
+  Writer burned;
+  burned.PutVarint32(300);
+  burned.PutVarint32(0);
+  burned.PutVarint64(70000);
+  EXPECT_EQ(EncodeToBytes(ClaimInstance{300, 0, 70000}), burned.data());
+  // A stored record's instance is exactly its (participant, node, nonce).
+  EpochClaimRecord rec{300, 129, /*committed=*/true, 70000};
+  EXPECT_EQ(EncodeToBytes(rec.instance()), reply.data());
+
+  ExpectRoundTripAndTruncationRejected(claim.data(), claim_req);
+  ExpectRoundTripAndTruncationRejected(release.data(), release_body);
+  ExpectRoundTripAndTruncationRejected(reply.data(), inst);
+}
+
 // Epoch discovery: publishing via a node whose publisher's epoch floor is
 // stale must not fork the epoch line — the publisher asks the cluster for the
 // newest confirmed epoch first, and the floor only ever rises.
