@@ -85,7 +85,7 @@ RunResult RunSustained(uint64_t gc_keep, size_t rounds, size_t keys,
     r.live_records += store.entry_count();
     r.log_records += store.log_size();
     r.arena_mb += static_cast<double>(store.arena_bytes()) / 1e6;
-    r.dead_fraction_max = std::max(r.dead_fraction_max, store.dead_fraction());
+    r.dead_fraction_max = std::max(r.dead_fraction_max, store.garbage_ratio());
     const auto& gs = dep.storage(i).gc_stats();
     r.gc_retired += gs.retired_data + gs.retired_pages + gs.retired_coords +
                     gs.retired_tombstones;

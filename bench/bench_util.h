@@ -1,6 +1,7 @@
-// Shared harness plumbing for the per-figure benchmarks. Every experiment in
-// §VI is regenerated by one binary in this directory; each prints the same
-// rows/series as the paper's plot in CSV form.
+// Shared harness plumbing for the benchmarks. bench_figures regenerates the
+// publish-and-query experiments of §VI (Figs. 7-20); the other binaries in
+// this directory cover failure detection, recovery and the substrate. Each
+// prints the rows/series of its plot in CSV form.
 //
 // ORCHESTRA_BENCH_SCALE=small|paper selects data sizes. `small` (default)
 // keeps the whole suite to minutes while preserving every trend; `paper`
@@ -63,7 +64,7 @@ class JsonReport {
   JsonReport(const JsonReport&) = delete;
   JsonReport& operator=(const JsonReport&) = delete;
 
-  void Add(Entry e) { entries_.push_back(std::move(e)); }
+  const std::string& bench() const { return bench_; }
 
   /// Convenience: derive ops_per_sec from ops + wall clock.
   void AddTimed(const std::string& name, double ops, double wall_s,
@@ -197,8 +198,6 @@ struct RunMetrics {
   double total_mb = 0;
   double per_node_mb = 0;
   size_t rows = 0;
-  uint32_t recoveries = 0;
-  uint32_t restarts = 0;
 };
 
 /// Runs a query from node 0 with fresh traffic counters.
@@ -217,8 +216,6 @@ inline RunMetrics RunQuery(Cluster& c, const query::PhysicalPlan& plan,
   m.total_mb = static_cast<double>(c.dep->network().total_bytes()) / 1e6;
   m.per_node_mb = m.total_mb / static_cast<double>(c.dep->size());
   m.rows = result->rows.size();
-  m.recoveries = result->recoveries;
-  m.restarts = result->restarts;
   return m;
 }
 

@@ -56,19 +56,23 @@ Session::~Session() {
 
 namespace {
 
+/// Shrink the window when any peer's recent load hint reaches this.
+constexpr uint32_t kLoadHighWatermark = 192;
+/// Grow the window back once the worst recent hint is at or below this.
+constexpr uint32_t kLoadLowWatermark = 48;
+
 /// Admission control: sample the worst recent peer load hint and adapt the
 /// window — halve on a high-watermark breach (multiplicative decrease), grow
 /// one step once load clears the low watermark (additive increase).
 void UpdateWindow(const std::shared_ptr<Session::Impl>& im) {
   size_t max_window = im->opts.max_window;
   uint32_t load = im->storage->MaxRecentPeerLoad();
-  if (load >= im->opts.load_high_watermark) {
+  if (load >= kLoadHighWatermark) {
     if (im->effective_window > 1) {
       im->effective_window = std::max<size_t>(1, im->effective_window / 2);
       im->stats.throttle_shrinks += 1;
     }
-  } else if (load <= im->opts.load_low_watermark &&
-             im->effective_window < max_window) {
+  } else if (load <= kLoadLowWatermark && im->effective_window < max_window) {
     im->effective_window += 1;
     im->stats.window_grows += 1;
   }

@@ -23,10 +23,10 @@
 // same-batch precondition requires.
 //
 // Admission control: every storage RPC reply carries the responder's load
-// hint (its inbox depth). When the worst recent hint crosses
-// `load_high_watermark` the session halves its window (down to 1) before
-// launching more work; when load falls below `load_low_watermark` the window
-// recovers one step per launch opportunity. No submitted batch is ever
+// hint (its inbox depth). When the worst recent hint reaches a high
+// watermark (192) the session halves its window (down to 1) before launching
+// more work; when load falls to a low watermark (48) the window recovers one
+// step per launch opportunity. No submitted batch is ever
 // dropped by throttling — it just waits in the queue.
 //
 // Multi-writer: a session publishes for exactly one PARTICIPANT
@@ -74,10 +74,6 @@ struct SessionOptions {
   /// Max publishes in flight. >1 enables pipelined chaining; 1 reproduces
   /// the legacy one-at-a-time behavior exactly.
   size_t max_window = 4;
-  /// Shrink the window when any peer's recent load hint reaches this.
-  uint32_t load_high_watermark = 192;
-  /// Grow the window back once the worst recent hint is at or below this.
-  uint32_t load_low_watermark = 48;
 };
 
 /// A submitted publish. `epoch` resolves with the committed epoch, or with

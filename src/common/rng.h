@@ -22,8 +22,6 @@ class Rng {
     return z ^ (z >> 31);
   }
 
-  uint32_t NextU32() { return static_cast<uint32_t>(NextU64() >> 32); }
-
   /// Uniform in [0, n). Precondition: n > 0.
   uint64_t Uniform(uint64_t n) { return NextU64() % n; }
 

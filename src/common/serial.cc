@@ -136,13 +136,6 @@ Status Reader::GetRawView(std::string_view* out, size_t n) {
   return Status::OK();
 }
 
-Status Reader::GetRaw(void* out, size_t n) {
-  ORC_RETURN_IF_ERROR(Need(n));
-  std::memcpy(out, data_.data() + pos_, n);
-  pos_ += n;
-  return Status::OK();
-}
-
 Status Reader::GetBool(bool* b) {
   uint8_t v;
   ORC_RETURN_IF_ERROR(GetU8(&v));

@@ -59,7 +59,6 @@ class Reader {
   Status GetVarint64(uint64_t* v);
   Status GetString(std::string* s);
   Status GetStringView(std::string_view* s);
-  Status GetRaw(void* out, size_t n);
   /// Zero-copy view of the next `n` raw (unprefixed) bytes.
   Status GetRawView(std::string_view* out, size_t n);
   Status GetBool(bool* b);

@@ -10,7 +10,7 @@ namespace orchestra::deploy {
 Deployment::Deployment(DeploymentOptions options)
     : options_(options),
       network_(&sim_, options.link),
-      ring_(options.scheme),
+      ring_(overlay::AllocationScheme::kBalanced),
       board_(std::make_shared<storage::SnapshotBoard>()) {
   for (size_t i = 0; i < options_.num_nodes; ++i) {
     std::string name = "node-" + std::to_string(i);
@@ -86,14 +86,6 @@ void Deployment::RestartNode(net::NodeId node) {
   for (auto& svc : storage_) {
     if (network_.IsAlive(svc->node())) svc->RebalanceTo(board_->current);
   }
-}
-
-size_t Deployment::AliveCount() const {
-  size_t n = 0;
-  for (size_t i = 0; i < hosts_.size(); ++i) {
-    if (network_.IsAlive(static_cast<net::NodeId>(i))) ++n;
-  }
-  return n;
 }
 
 size_t Deployment::PendingRpcCount() const {

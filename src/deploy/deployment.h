@@ -24,7 +24,6 @@ namespace orchestra::deploy {
 struct DeploymentOptions {
   size_t num_nodes = 4;
   int replication = 3;
-  overlay::AllocationScheme scheme = overlay::AllocationScheme::kBalanced;
   net::LinkParams link;  // defaults: Gigabit LAN
   /// Not read by the deployment, which draws no randomness of its own;
   /// harnesses (benchmark/, the churn harness) still set it to their run seed.
@@ -51,8 +50,8 @@ struct DeploymentOptions {
   /// unsynced WAL bytes are torn away — and RestartNode rebuilds the store
   /// from the newest checkpoint plus the surviving tail (docs/DURABILITY.md).
   localstore::StoreOptions store;
-  /// Per-node client::Session tuning: publish window (pipelining), admission
-  /// control watermarks. Defaults pipeline up to 4 publishes per session.
+  /// Per-node client::Session tuning: the publish window (pipelining).
+  /// Defaults pipeline up to 4 publishes per session.
   /// Leave `session.participant` at 0: every node's session then publishes
   /// as its own distinct participant (node id + 1), which is what makes
   /// concurrent multi-writer publishing across sessions safe.
@@ -105,9 +104,8 @@ class Deployment {
   /// re-serves its own.
   void RestartNode(net::NodeId node);
 
-  /// Live-node count / liveness passthroughs for harnesses.
+  /// Liveness passthrough for harnesses.
   bool IsAlive(net::NodeId node) const { return network_.IsAlive(node); }
-  size_t AliveCount() const;
 
   /// Highest epoch any live node's publisher has discovered or committed.
   /// Harnesses use it as the newest epoch to read or import at.

@@ -184,9 +184,6 @@ class LocalStore {
                ? 0.0
                : 1.0 - static_cast<double>(hcount_) / static_cast<double>(log_.size());
   }
-  /// Alias of garbage_ratio(); the churn harness asserts this stays below
-  /// the compaction threshold plus slack.
-  double dead_fraction() const { return garbage_ratio(); }
 
   /// Crash-recovery entry point. With a WAL backend attached: discards ALL
   /// in-memory state and rebuilds from the newest checkpoint manifest plus a

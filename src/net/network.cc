@@ -258,9 +258,4 @@ uint64_t Network::MaxInboxMessages() const {
   return m;
 }
 
-double Network::AvgPerNodeTraffic() const {
-  if (nodes_.empty()) return 0;
-  return static_cast<double>(total_bytes_) / static_cast<double>(nodes_.size());
-}
-
 }  // namespace orchestra::net

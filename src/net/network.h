@@ -101,7 +101,6 @@ class Network {
 
   void SetHandler(NodeId node, MessageHandler* handler);
   const std::string& NodeName(NodeId node) const { return nodes_[node].name; }
-  double NodeCpuSpeed(NodeId node) const { return nodes_[node].cpu_speed; }
 
   /// Overrides link params for the ordered pair (from → to).
   void SetLinkParams(NodeId from, NodeId to, LinkParams params);
@@ -137,7 +136,6 @@ class Network {
   /// Swaps the active fault mix (e.g. zeroed at a convergence point). The
   /// decision stream keeps its position, so toggling is itself deterministic.
   void SetFaultOptions(FaultOptions opts) { fault_opts_ = opts; }
-  const FaultOptions& fault_options() const { return fault_opts_; }
   const FaultCounters& fault_counters() const { return fault_counters_; }
   /// Asymmetric partition support: the ordered link (from -> to) drops at
   /// `prob` instead of the global drop_prob; the reverse direction is
@@ -152,7 +150,6 @@ class Network {
     drop_overrides_.erase({from, to});
   }
   void ClearDropOverrides() { drop_overrides_.clear(); }
-  size_t drop_override_count() const { return drop_overrides_.size(); }
 
   /// Charges `micros` of reference-speed CPU to `node` (scaled by its speed).
   /// Must be called from inside a message handler or scheduled node task.
@@ -170,9 +167,6 @@ class Network {
   /// Max over nodes of the inbox message high-water mark.
   uint64_t MaxInboxMessages() const;
   void ResetTraffic();
-  /// Max over nodes of (sent + received); the paper's "per-node traffic" plots
-  /// report the average, provided here too.
-  double AvgPerNodeTraffic() const;
 
   sim::Simulator* simulator() { return sim_; }
   const sim::CostModel& costs() const { return *costs_; }

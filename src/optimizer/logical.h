@@ -56,12 +56,6 @@ struct AnalyzedQuery {
   std::vector<int32_t> group_cols;  // global column indexes
   std::vector<OrderItem> order_by;
   int64_t limit = -1;
-
-  size_t global_arity() const {
-    size_t n = 0;
-    for (const auto& t : tables) n += t.def.schema.arity();
-    return n;
-  }
   std::string ToString() const;
 };
 

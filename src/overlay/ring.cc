@@ -89,28 +89,10 @@ std::vector<net::NodeId> RoutingSnapshot::ReplicasOf(const HashId& key,
   return replicas;
 }
 
-std::vector<std::pair<HashId, HashId>> RoutingSnapshot::RangesOwnedBy(
-    net::NodeId node) const {
-  std::vector<std::pair<HashId, HashId>> out;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].owner == node) {
-      out.emplace_back(entries_[i].begin, entries_[(i + 1) % entries_.size()].begin);
-    }
-  }
-  return out;
-}
-
 bool RoutingSnapshot::Contains(net::NodeId node) const {
   for (const auto& m : members_)
     if (m.node == node) return true;
   return false;
-}
-
-std::optional<size_t> RoutingSnapshot::RingIndexOf(net::NodeId node) const {
-  for (size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i].node == node) return i;
-  }
-  return std::nullopt;
 }
 
 void RoutingSnapshot::EncodeTo(Writer* w) const {

@@ -16,7 +16,6 @@
 #define ORCHESTRA_OVERLAY_RING_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,15 +63,10 @@ class RoutingSnapshot {
   /// deduplicated and starts with the owner.
   std::vector<net::NodeId> ReplicasOf(const HashId& key, int replication) const;
 
-  /// All ranges assigned to `node` (balanced: exactly one; pastry: one).
-  std::vector<std::pair<HashId, HashId>> RangesOwnedBy(net::NodeId node) const;
-
   const std::vector<RangeEntry>& entries() const { return entries_; }
   const std::vector<Member>& members() const { return members_; }  // ring order
   size_t node_count() const { return members_.size(); }
   bool Contains(net::NodeId node) const;
-  /// Index of `node` in ring order, or nullopt.
-  std::optional<size_t> RingIndexOf(net::NodeId node) const;
 
   void EncodeTo(Writer* w) const;
   static Result<RoutingSnapshot> Decode(Reader* r);
@@ -107,7 +101,6 @@ class Ring {
 
   /// Builds a snapshot of the current membership; bumps the version.
   RoutingSnapshot TakeSnapshot();
-  uint64_t current_version() const { return version_; }
 
  private:
   AllocationScheme scheme_;

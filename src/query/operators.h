@@ -122,7 +122,6 @@ class HashJoinOp : public Operator {
   using Operator::Operator;
   void Consume(size_t child_idx, BlockRow row) override;
   void PurgeTainted() override;
-  size_t state_size() const { return sides_[0].size() + sides_[1].size(); }
 
  private:
   std::string KeyOf(const Tuple& t, const std::vector<int32_t>& cols) const;
@@ -137,7 +136,6 @@ class AggregateOp : public Operator {
   using Operator::Operator;
   void Consume(size_t child_idx, BlockRow row) override;
   void PurgeTainted() override;
-  size_t group_count() const { return groups_.size(); }
 
  protected:
   void OnAllChildrenEos() override;

@@ -1181,55 +1181,6 @@ void QueryService::MarkAborted(uint64_t query_id) {
   }
 }
 
-std::string QueryService::DebugString() const {
-  std::string out = "QueryService@n" + std::to_string(host_->node()) + "\n";
-  for (const auto& [qid, ex] : execs_) {
-    out += " exec q" + std::to_string(qid) + " phase=" + std::to_string(ex->cx.phase) +
-           " ship_eos_sent=" + std::to_string(ex->ship_eos_sent) + "\n";
-    for (const auto& [op, ss] : ex->scans) {
-      out += "  scan#" + std::to_string(op) +
-             " it_done=" + std::to_string(ss.iteration_done) +
-             " async=" + std::to_string(ss.async_outstanding) +
-             " pend=" + std::to_string(ss.pending_pages.size()) +
-             " part=" + std::to_string(ss.pending_partial.size()) +
-             " eos=" + std::to_string(ex->ops[op]->eos_propagated()) + " done_from=";
-      for (const auto& [n, ph] : ss.part_done_phase) {
-        out += "n" + std::to_string(n) + ":" + std::to_string(ph) + " ";
-      }
-      out += "\n";
-    }
-    for (const auto& [op, rs] : ex->rehash) {
-      out += "  rehash#" + std::to_string(op) +
-             " child_eos=" + std::to_string(rs.child_eos) +
-             " bcast=" + std::to_string(rs.eos_broadcast) + " unacked=";
-      for (const auto& [d, u] : rs.unacked) {
-        if (!u.empty()) {
-          out += "n" + std::to_string(d) + ":{";
-          for (uint32_t q : u) out += std::to_string(q) + ",";
-          out += "} ";
-        }
-      }
-      out += " marks=";
-      auto it = ex->eos_from.find(op);
-      if (it != ex->eos_from.end()) {
-        for (const auto& [n, ph] : it->second) {
-          out += "n" + std::to_string(n) + ":" + std::to_string(ph) + " ";
-        }
-      }
-      out += "\n";
-    }
-  }
-  for (const auto& [qid, root] : roots_) {
-    out += " root q" + std::to_string(qid) + " phase=" + std::to_string(root->phase) +
-           " ship_eos=";
-    for (const auto& [n, ph] : root->ship_eos_phase) {
-      out += "n" + std::to_string(n) + ":" + std::to_string(ph) + " ";
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 void QueryService::ChargeBlockCosts(const TupleBlock& block) {
   const auto& costs = host_->network()->costs();
   double kb = static_cast<double>(block.ApproxRawBytes()) / 1024.0;

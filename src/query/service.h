@@ -94,9 +94,6 @@ class QueryService : public net::Service {
   };
   const Counters& counters() const { return counters_; }
 
-  /// Human-readable dump of per-query execution state (stall diagnosis).
-  std::string DebugString() const;
-
   // --- Leak regression hooks -------------------------------------------------
   /// Initiator-side queries still holding a completion callback.
   size_t active_root_count() const { return roots_.size(); }

@@ -125,15 +125,6 @@ Result<PageId> StorageService::ReadInverseLocal(const std::string& rel,
   return id;
 }
 
-Result<Tuple> StorageService::ReadTupleLocal(const std::string& rel,
-                                             const TupleId& id) const {
-  ORC_ASSIGN_OR_RETURN(std::string_view bytes, ReadTupleBytesLocal(rel, id));
-  Reader r(bytes);
-  Tuple t;
-  ORC_RETURN_IF_ERROR(DecodeTuple(&r, &t));
-  return t;
-}
-
 Result<std::string_view> StorageService::ReadTupleBytesLocal(
     std::string_view rel, const TupleId& id) const {
   const RelationDef* def = FindRelation(rel);

@@ -146,7 +146,6 @@ class StorageService : public net::Service {
   Result<CoordinatorRecord> ReadCoordinatorLocal(const std::string& rel, Epoch e) const;
   Result<Page> ReadPageLocal(const PageId& id) const;
   Result<PageId> ReadInverseLocal(const std::string& rel, uint32_t partition) const;
-  Result<Tuple> ReadTupleLocal(const std::string& rel, const TupleId& id) const;
   /// Zero-copy read of one tuple version's stored (encoded) bytes; computes
   /// the placement hash. The view is valid until the next store mutation.
   Result<std::string_view> ReadTupleBytesLocal(std::string_view rel,
@@ -266,7 +265,6 @@ class StorageService : public net::Service {
   /// True if `e` is known burned on this node (fence granted here, learned
   /// via kPurgeEpoch, or rebuilt from the durable fenced claim record).
   bool IsEpochFenced(Epoch e) const { return fenced_epochs_.count(e) > 0; }
-  size_t fenced_epoch_count() const { return fenced_epochs_.size(); }
 
   struct GcStats {
     uint64_t runs = 0;                // completed sweeps (inline or background)

@@ -128,7 +128,6 @@ class Wal {
   const WalOptions& options() const { return options_; }
   uint64_t active_segment() const { return active_id_; }
   uint64_t first_live_segment() const { return first_live_; }
-  uint64_t active_segment_bytes() const { return active_bytes_; }
   Backend* backend() { return backend_.get(); }
 
   /// Segment file name for id (wal-<10-digit id>.seg).

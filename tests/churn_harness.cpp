@@ -881,11 +881,11 @@ struct Driver {
                     " live=" + std::to_string(store.entry_count()));
       }
       if (log >= floor) {
-        worst_dead = std::max(worst_dead, store.dead_fraction());
-        if (store.dead_fraction() > 0.55) {
+        worst_dead = std::max(worst_dead, store.garbage_ratio());
+        if (store.garbage_ratio() > 0.55) {
           return Fail("dead fraction above compaction threshold on node " +
                       std::to_string(i) + ": " +
-                      std::to_string(store.dead_fraction()));
+                      std::to_string(store.garbage_ratio()));
         }
       }
     }

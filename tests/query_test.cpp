@@ -221,6 +221,16 @@ class QueryClusterTest : public ::testing::Test {
     ref_db[rel] = rows;
   }
 
+  /// Leak regression: once 1 s of sim time lets the kAbort round land, no
+  /// live node still holds a worker-side execution.
+  void ExpectNoExecsLeft() {
+    dep->RunFor(1 * sim::kMicrosPerSec);
+    for (size_t i = 0; i < dep->size(); ++i) {
+      if (!dep->IsAlive(static_cast<net::NodeId>(i))) continue;
+      EXPECT_EQ(dep->query(i).active_exec_count(), 0u) << "node " << i;
+    }
+  }
+
   std::unique_ptr<deploy::Deployment> dep;
   ReferenceDatabase ref_db;
   storage::Epoch db_epoch = 0;
@@ -242,6 +252,7 @@ TEST_F(QueryClusterTest, CopyQueryReturnsAllRows) {
   ASSERT_TRUE(expect.ok());
   EXPECT_TRUE(SameBag(result->rows, *expect));
   EXPECT_EQ(result->rows.size(), 200u);
+  ExpectNoExecsLeft();
 }
 
 // The query epoch is explicit: epoch 0 is the relations' creation epoch (an
@@ -591,6 +602,7 @@ TEST_F(RecoveryTest, IncrementalRecoveryProducesExactAnswer) {
   EXPECT_EQ(run.result.restarts, 0u);
   EXPECT_TRUE(SameBag(run.result.rows, *expect))
       << "got " << run.result.rows.size() << " rows, want " << expect->size();
+  ExpectNoExecsLeft();
 }
 
 TEST_F(RecoveryTest, RestartRecoveryProducesExactAnswer) {
