@@ -16,6 +16,11 @@
 #              oracles at 1/20 sizes
 #   docs       relative-link check over README/docs/ + compile every example
 #   all        every stage above, in that order
+#   parentdiff [REF]  benchmark/run.py --runs 1 on `git archive REF` (default
+#              HEAD) and on the working tree; one line per workload saying
+#              whether the trace digest and each sim metric are the same or
+#              changed, then exits with the status of `run.py compare`.
+#              Several minutes (two benchmark builds and runs), so not in all.
 #
 #   ci/check.sh [stage]    # default: all
 #
@@ -305,6 +310,47 @@ PY
   echo "docs stage OK: $(echo "$examples" | wc -w) examples compiled"
 }
 
+parentdiff() {
+  local ref="${1:-HEAD}"
+  local tmp
+  tmp="$(mktemp -d)"
+  echo "== parentdiff: benchmark/run.py --runs 1 at $ref and in the working tree ($tmp)"
+  mkdir "$tmp/tree"
+  git archive "$ref" | tar -x -C "$tmp/tree"
+  (cd "$tmp/tree" && python3 benchmark/run.py --runs 1 --out-dir "$tmp/parent")
+  python3 benchmark/run.py --runs 1 --out-dir "$tmp/change"
+  python3 - "$tmp/parent" "$tmp/change" <<'PY'
+import json, os, sys
+
+# End-to-end metrics that the simulation fixes; setup_s, host_s and
+# peak_rss_mb are host measurements and differ between any two runs.
+HOST = {"setup_s", "host_s", "peak_rss_mb"}
+spec = json.load(open("BENCHMARK.json"))
+sim = [m["name"] for m in spec["end_to_end"] if m["name"] not in HOST]
+def load(d):
+    return {r["workload"]: r for r in (json.load(open(os.path.join(d, f)))
+                                       for f in sorted(os.listdir(d))
+                                       if f.endswith(".json") and f != "machine.json")}
+parent, change = load(sys.argv[1]), load(sys.argv[2])
+for w in (w["name"] for w in spec["workloads"]):
+    if w not in parent or w not in change:
+        print(f"{w:<20} missing on the {'parent' if w not in parent else 'change'} side")
+        continue
+    a, b = parent[w], change[w]
+    cells = ["digest " + ("same" if a["trace_digest"] == b["trace_digest"] else
+                          f"changed {a['trace_digest']} -> {b['trace_digest']}")]
+    for name in sim:
+        x, y = a["metrics"][name]["value"], b["metrics"][name]["value"]
+        pct = f" ({100 * (y - x) / x:+.2f}%)" if x else ""
+        cells.append(f"{name} " + ("same" if x == y else f"changed {x:.6g} -> {y:.6g}{pct}"))
+    print(f"{w:<20} " + ", ".join(cells))
+PY
+  local status=0
+  python3 benchmark/run.py compare "$tmp/parent" "$tmp/change" || status=$?
+  rm -rf "$tmp"
+  return "$status"
+}
+
 case "$stage" in
   tier1) run_stage tier1 tier1 ;;
   sanitize) run_stage sanitize sanitize ;;
@@ -315,6 +361,11 @@ case "$stage" in
   benchdiff) run_stage bench_diff benchdiff ;;
   benchsmoke) run_stage benchmark_smoke benchsmoke ;;
   docs) run_stage docs_check docs ;;
+  parentdiff)
+    current_stage="parentdiff"
+    parentdiff "${2:-HEAD}"
+    current_stage=""
+    ;;
   all)
     run_stage tier1 tier1
     run_stage sanitize sanitize
@@ -328,6 +379,7 @@ case "$stage" in
     ;;
   *)
     echo "usage: ci/check.sh [tier1|sanitize|tsan|lint|tidy|bench|benchdiff|benchsmoke|docs|all]" >&2
+    echo "       ci/check.sh parentdiff [REF]    # REF defaults to HEAD; not part of all" >&2
     exit 2
     ;;
 esac

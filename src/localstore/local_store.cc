@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include "common/log.h"
@@ -85,7 +84,7 @@ size_t LocalStore::HashFind(uint64_t hash, std::string_view key,
       if (miss != nullptr) *miss = HashMiss{i, dist};
       return kNoSlot;
     }
-    if (slot.tag == tag && log_[live_[slot.idx1 - 1]].key() == key) return i;
+    if (slot.tag == tag && live_[slot.idx1 - 1].key() == key) return i;
     i = (i + 1) & mask;
     ++dist;
   }
@@ -358,7 +357,7 @@ void LocalStore::Iterator::Normalize() {
       continue;
     }
     const LeafEntry& e = leaf_->e[idx_];
-    if (store_->live_[e.live_idx] == kDeadPos) {
+    if (store_->live_[e.live_idx].dead()) {
       ++idx_;
       continue;
     }
@@ -371,7 +370,7 @@ void LocalStore::Iterator::Normalize() {
 }
 
 std::string_view LocalStore::Iterator::value() const {
-  return store_->log_[store_->live_[leaf_->e[idx_].live_idx]].value();
+  return store_->live_[leaf_->e[idx_].live_idx].value();
 }
 
 // ---------------------------------------------------------------------------
@@ -383,19 +382,44 @@ LocalStore::LocalStore(StoreOptions options) : options_(std::move(options)) {
   }
 }
 
-uint64_t LocalStore::AppendRecord(bool is_delete, std::string_view key,
-                                  std::string_view value, bool count_stats) {
+LocalStore::Slot LocalStore::AppendRecord(std::string_view key,
+                                          std::string_view value,
+                                          bool count_stats) {
   Slot slot;
   slot.data = arena_.Append(key, value);
   slot.key_len = static_cast<uint32_t>(key.size());
   slot.value_len = static_cast<uint32_t>(value.size());
-  slot.is_delete = is_delete;
-  log_.push_back(slot);
+  ++log_records_;
   if (count_stats) {
     stats_.log_records += 1;
     stats_.log_bytes += key.size() + value.size() + 1;
   }
-  return log_.size() - 1;
+  return slot;
+}
+
+void LocalStore::ApplyPut(std::string_view key, std::string_view value,
+                          bool count_stats) {
+  uint64_t h = HashKey(key);
+  HashMiss miss;
+  size_t hidx = HashFind(h, key, &miss);
+  Slot rec = AppendRecord(key, value, count_stats);
+  if (hidx != kNoSlot) {
+    live_[htable_[hidx].idx1 - 1] = rec;  // overwrite: repoint the live slot
+  } else {
+    live_.push_back(rec);
+    auto live_idx = static_cast<uint32_t>(live_.size() - 1);
+    TreeInsert(rec.key(), live_idx);
+    if (HashGrowIfNeeded()) {
+      HashInsert(h, live_idx);  // table replaced; the miss point is stale
+    } else {
+      HashInsertAt(miss, h, live_idx);  // continue from the probe's stop point
+    }
+  }
+}
+
+void LocalStore::EraseAt(size_t hidx) {
+  live_[htable_[hidx].idx1 - 1] = Slot{};  // the tree skips dead slots
+  HashEraseAt(hidx);
 }
 
 Status LocalStore::Put(std::string_view key, std::string_view value) {
@@ -406,22 +430,7 @@ Status LocalStore::Put(std::string_view key, std::string_view value) {
     ORC_RETURN_IF_ERROR(wal_->AppendPut(key, value));
     ++appends_since_checkpoint_;
   }
-  uint64_t h = HashKey(key);
-  HashMiss miss;
-  size_t hidx = HashFind(h, key, &miss);
-  uint64_t pos = AppendRecord(false, key, value);
-  if (hidx != kNoSlot) {
-    live_[htable_[hidx].idx1 - 1] = pos;  // overwrite: repoint the live slot
-  } else {
-    live_.push_back(pos);
-    auto live_idx = static_cast<uint32_t>(live_.size() - 1);
-    TreeInsert(log_[pos].key(), live_idx);
-    if (HashGrowIfNeeded()) {
-      HashInsert(h, live_idx);  // table replaced; the miss point is stale
-    } else {
-      HashInsertAt(miss, h, live_idx);  // continue from the probe's stop point
-    }
-  }
+  ApplyPut(key, value, /*count_stats=*/true);
   stats_.puts += 1;
   stats_.live_records = hcount_;
   MaybeCompact();
@@ -433,14 +442,14 @@ Result<std::string> LocalStore::Get(std::string_view key) const {
   stats_.gets.fetch_add(1, std::memory_order_relaxed);
   size_t hidx = HashFind(HashKey(key), key);
   if (hidx == kNoSlot) return Status::NotFound("localstore: no such key");
-  return std::string(log_[live_[htable_[hidx].idx1 - 1]].value());
+  return std::string(live_[htable_[hidx].idx1 - 1].value());
 }
 
 Result<std::string_view> LocalStore::GetView(std::string_view key) const {
   stats_.gets.fetch_add(1, std::memory_order_relaxed);
   size_t hidx = HashFind(HashKey(key), key);
   if (hidx == kNoSlot) return Status::NotFound("localstore: no such key");
-  return log_[live_[htable_[hidx].idx1 - 1]].value();
+  return live_[htable_[hidx].idx1 - 1].value();
 }
 
 bool LocalStore::Contains(std::string_view key) const {
@@ -455,9 +464,12 @@ Status LocalStore::Delete(std::string_view key) {
       ORC_RETURN_IF_ERROR(wal_->AppendDelete(key));
       ++appends_since_checkpoint_;
     }
-    AppendRecord(true, key, {});
-    live_[htable_[hidx].idx1 - 1] = kDeadPos;  // the tree skips dead slots
-    HashEraseAt(hidx);
+    // A delete stores nothing in the arena, but still counts as one record
+    // in log_size(), which paces compaction, and in the write stats.
+    ++log_records_;
+    stats_.log_records += 1;
+    stats_.log_bytes += key.size() + 1;
+    EraseAt(hidx);
     stats_.deletes += 1;
     stats_.live_records = hcount_;
     MaybeCompact();
@@ -490,49 +502,24 @@ bool LocalStore::WithinPrefix(const Iterator& it, std::string_view prefix) {
   return it.Valid() && it.key().substr(0, prefix.size()) == prefix;
 }
 
-void LocalStore::IndexLiveRecord(uint64_t pos) {
-  live_.push_back(pos);
+void LocalStore::IndexLiveRecord(Slot rec) {
+  live_.push_back(rec);
   auto live_idx = static_cast<uint32_t>(live_.size() - 1);
-  std::string_view key = log_[pos].key();
-  TreeInsert(key, live_idx);
-  HashInsert(HashKey(key), live_idx);
-}
-
-void LocalStore::ReplayPut(std::string_view key, std::string_view value) {
-  uint64_t h = HashKey(key);
-  HashMiss miss;
-  size_t hidx = HashFind(h, key, &miss);
-  uint64_t pos = AppendRecord(false, key, value, /*count_stats=*/false);
-  if (hidx != kNoSlot) {
-    live_[htable_[hidx].idx1 - 1] = pos;
-  } else {
-    live_.push_back(pos);
-    auto live_idx = static_cast<uint32_t>(live_.size() - 1);
-    TreeInsert(log_[pos].key(), live_idx);
-    if (HashGrowIfNeeded()) {
-      HashInsert(h, live_idx);
-    } else {
-      HashInsertAt(miss, h, live_idx);
-    }
-  }
-}
-
-void LocalStore::ReplayDelete(std::string_view key) {
-  size_t hidx = HashFind(HashKey(key), key);
-  if (hidx == kNoSlot) return;  // deleting a key the checkpoint already folded
-  live_[htable_[hidx].idx1 - 1] = kDeadPos;
-  HashEraseAt(hidx);
+  TreeInsert(rec.key(), live_idx);
+  HashInsert(HashKey(rec.key()), live_idx);
 }
 
 Status LocalStore::Recover() {
-  if (wal_ == nullptr) return RecoverFromMemoryLog();
+  if (wal_ == nullptr) {
+    return Status::FailedPrecondition("localstore: Recover() needs a WAL backend");
+  }
 
   // Crash-restart: every in-memory structure is gone; the WAL's checkpoint
   // manifest plus the segments past it are the sole source of truth.
   // Checkpoint entries arrive sorted and unique (fast sorted-index path);
   // tail records replay through the general overwrite/delete path.
   arena_ = Arena();
-  log_.clear();
+  log_records_ = 0;
   TreeClear();
   htable_.clear();
   hcount_ = 0;
@@ -542,65 +529,25 @@ Status LocalStore::Recover() {
   Status st = wal_->Recover([&](wal::RecordType type, std::string_view key,
                                 std::string_view value, bool from_checkpoint) {
     if (from_checkpoint) {
-      IndexLiveRecord(AppendRecord(false, key, value, /*count_stats=*/false));
+      IndexLiveRecord(AppendRecord(key, value, /*count_stats=*/false));
       return;
     }
     ++tail_records;
-    if (type == wal::RecordType::kDelete) {
-      ReplayDelete(key);
-    } else {
-      ReplayPut(key, value);
+    if (type != wal::RecordType::kDelete) {
+      ApplyPut(key, value, /*count_stats=*/false);
+      return;
     }
+    // An absent key is one the checkpoint already folded away.
+    size_t hidx = HashFind(HashKey(key), key);
+    if (hidx != kNoSlot) EraseAt(hidx);
   });
-  stats_.replayed_records += tail_records;
   stats_.live_records = hcount_;
-  stats_.segments_retired = wal_->stats().segments_retired;
   appends_since_checkpoint_ = tail_records;
   return st;
 }
 
-Status LocalStore::RecoverFromMemoryLog() {
-  // Replay the log into a key -> position map (views into the live arena).
-  std::map<std::string_view, uint64_t> rebuilt;
-  for (uint64_t pos = 0; pos < log_.size(); ++pos) {
-    const Slot& rec = log_[pos];
-    if (rec.key_len == 0) return Status::Corruption("localstore: empty key in log");
-    if (rec.is_delete) {
-      rebuilt.erase(rec.key());
-    } else {
-      rebuilt[rec.key()] = pos;
-    }
-  }
-  // The replayed state must match the live indexes exactly; divergence
-  // means the log is not the source of truth any more.
-  bool diverged = rebuilt.size() != hcount_;
-  if (!diverged) {
-    auto it = Seek("");
-    for (const auto& [key, pos] : rebuilt) {
-      if (!it.Valid() || it.key() != key || live_[it.leaf_->e[it.idx_].live_idx] != pos) {
-        diverged = true;
-        break;
-      }
-      it.Next();
-    }
-    if (!diverged && it.Valid()) diverged = true;
-  }
-
-  // Rebuild both indexes from the replayed state.
-  TreeClear();
-  htable_.clear();
-  hcount_ = 0;
-  live_.clear();
-  for (const auto& [key, pos] : rebuilt) IndexLiveRecord(pos);
-  stats_.live_records = hcount_;
-  if (diverged) {
-    return Status::Corruption("localstore: index diverged from log replay");
-  }
-  return Status::OK();
-}
-
 void LocalStore::MaybeCompact() {
-  if (log_.size() < options_.compaction_min_records) return;
+  if (log_records_ < options_.compaction_min_records) return;
   if (garbage_ratio() > options_.compaction_garbage_ratio) Compact();
 }
 
@@ -618,9 +565,6 @@ Status LocalStore::Checkpoint() {
   // Reset the cadence either way: a failed publish (injected crash window)
   // must not retry on the very next Put — recovery handles it.
   appends_since_checkpoint_ = 0;
-  if (!st.ok()) return st;
-  stats_.checkpoints += 1;
-  stats_.segments_retired = wal_->stats().segments_retired;
   return st;
 }
 
@@ -634,26 +578,19 @@ void LocalStore::Compact() {
   // Rewrite live records into a fresh arena in key order (sequential reads
   // after compaction walk the arena forward), then rebuild both indexes.
   // Invalidates all outstanding views and iterators.
-  Arena new_arena;
-  std::vector<Slot> new_log;
-  new_log.reserve(hcount_);
+  // The old arena keeps the records being copied alive until the rebuild.
+  Arena old_arena = std::exchange(arena_, Arena());
+  log_records_ = 0;
+  std::vector<Slot> live;
+  live.reserve(hcount_);
   for (auto it = Seek(""); it.Valid(); it.Next()) {
-    Slot slot;
-    std::string_view key = it.key();
-    std::string_view value = it.value();
-    slot.data = new_arena.Append(key, value);
-    slot.key_len = static_cast<uint32_t>(key.size());
-    slot.value_len = static_cast<uint32_t>(value.size());
-    slot.is_delete = false;
-    new_log.push_back(slot);
+    live.push_back(AppendRecord(it.key(), it.value(), /*count_stats=*/false));
   }
-  arena_ = std::move(new_arena);
-  log_ = std::move(new_log);
   TreeClear();
   htable_.clear();
   hcount_ = 0;
   live_.clear();
-  for (uint64_t pos = 0; pos < log_.size(); ++pos) IndexLiveRecord(pos);
+  for (const Slot& rec : live) IndexLiveRecord(rec);
   stats_.compactions += 1;
 }
 

@@ -3,11 +3,11 @@
 // (§VI); this is our from-scratch substitute with the same contract: an
 // ordered map of byte-string keys to byte-string values with range scans.
 //
-// Structure is log-structured (append-only record log + in-memory indexes),
-// in the spirit of the log-structured filesystems that inspired the paper's
-// versioned page scheme (§IV): writes append; the indexes point at live
-// records; compaction reclaims superseded records; Recover() rebuilds the
-// indexes by replaying the log.
+// Structure is log-structured (append-only record arena + in-memory
+// indexes), in the spirit of the log-structured filesystems that inspired the
+// paper's versioned page scheme (§IV): writes append; the indexes point at
+// live records; compaction reclaims superseded records. Durability is the
+// WAL's job: Recover() rebuilds the store from it.
 //
 // Layout, tuned for the publish/scan hot paths:
 //   * record bytes live in a chunked append-only arena — one memcpy per
@@ -50,29 +50,26 @@ struct StoreStats {
   std::atomic<uint64_t> gets{0};
   uint64_t deletes = 0;
   /// Records/bytes appended by MUTATIONS (Put/Delete) only. Recovery replay
-  /// re-materializes records into a fresh log without re-counting them here,
+  /// re-materializes records into a fresh arena without re-counting them here,
   /// so the cumulative write volume stays truthful across restarts and
   /// checkpoint-retired WAL segments are never double-counted.
   uint64_t log_records = 0;
   uint64_t log_bytes = 0;
   uint64_t live_records = 0;      // records reachable from the index
   uint64_t compactions = 0;
-  // --- Durability (all zero when no WAL backend is attached) --------------
-  uint64_t checkpoints = 0;        // manifests successfully published
-  uint64_t segments_retired = 0;   // sealed WAL segments deleted
-  uint64_t replayed_records = 0;   // post-checkpoint tail records replayed
-                                   // by Recover(), summed across restarts
+  // Durability counters (checkpoints, retired segments, replayed records)
+  // live in the WAL's own stats: wal()->stats().
 };
 
 struct StoreOptions {
-  /// Compact when dead records exceed this fraction of the log.
+  /// Compact when dead records exceed this fraction of log_size().
   double compaction_garbage_ratio = 0.5;
   /// Do not compact below this many records.
   uint64_t compaction_min_records = 4096;
   /// Durability: when set, every mutation is framed into a segmented WAL on
   /// this backend and Recover() rebuilds from the newest checkpoint plus the
-  /// tail segments past it. Null keeps the in-memory-only behavior (unit
-  /// tests; Recover() then replays the in-memory log as a drill).
+  /// tail segments past it. Null keeps the store memory-only (cdss local
+  /// databases, unit tests); such a store cannot Recover().
   std::shared_ptr<wal::Backend> wal_backend;
   /// WAL tuning (segment size, sync cadence); used only with wal_backend.
   wal::WalOptions wal;
@@ -89,8 +86,8 @@ class LocalStore {
   Status Put(std::string_view key, std::string_view value);
   /// Fails with NotFound if absent. Copies; prefer GetView on hot paths.
   Result<std::string> Get(std::string_view key) const;
-  /// Zero-copy read: the view aliases the record log and is valid until the
-  /// next mutating call on this store.
+  /// Zero-copy read: the view aliases the record arena and is valid until
+  /// the next mutating call on this store.
   Result<std::string_view> GetView(std::string_view key) const;
   bool Contains(std::string_view key) const;
   /// Idempotent; OK even if absent.
@@ -101,7 +98,6 @@ class LocalStore {
   static constexpr int kLeafCap = 64;
   static constexpr int kInnerCap = 64;
   static constexpr int kMaxDepth = 16;
-  static constexpr uint64_t kDeadPos = static_cast<uint64_t>(-1);
 
   /// Node-local key reference: the first 16 bytes inline (zero-padded) plus
   /// the full arena view. Comparisons touch the node's own cache lines and
@@ -168,29 +164,29 @@ class LocalStore {
   static std::string PrefixUpperBound(std::string_view prefix);
 
   size_t entry_count() const { return hcount_; }
-  /// Records currently in the log, live + dead. Shrinks on compaction and on
-  /// a checkpointed recovery (retired WAL segments drop out entirely), so it
-  /// is the CURRENT footprint, never the cumulative write volume.
-  size_t log_size() const { return log_.size(); }
+  /// Records appended since the last rebuild (compaction or recovery), live
+  /// + dead; a Delete counts as one. Shrinks on compaction and on a
+  /// checkpointed recovery (retired WAL segments drop out entirely), so it is
+  /// the CURRENT footprint, never the cumulative write volume.
+  size_t log_size() const { return log_records_; }
   const StoreStats& stats() const { return stats_; }
   /// Bytes currently held by the record arena (live + garbage).
   size_t arena_bytes() const { return arena_.bytes(); }
-  /// Fraction of the CURRENT log that is dead (superseded or deleted) — the
+  /// Fraction of log_size() that is dead (superseded or deleted) — the
   /// compaction trigger's input. Computed over log_size(), which excludes
   /// records reclaimed by compaction and WAL segments retired by
   /// checkpoints, so already-reclaimed space never re-counts as garbage.
   double garbage_ratio() const {
-    return log_.empty()
+    return log_records_ == 0
                ? 0.0
-               : 1.0 - static_cast<double>(hcount_) / static_cast<double>(log_.size());
+               : 1.0 - static_cast<double>(hcount_) / static_cast<double>(log_records_);
   }
 
-  /// Crash-recovery entry point. With a WAL backend attached: discards ALL
-  /// in-memory state and rebuilds from the newest checkpoint manifest plus a
-  /// replay of only the segments past it (tail-only replay; cost is bounded
-  /// by checkpoint_every_records, not store size). Without a WAL: discards
-  /// the indexes and rebuilds them by replaying the in-memory log, verifying
-  /// the log-structured invariant (a failure drill for tests).
+  /// Crash-recovery entry point: discards ALL in-memory state and rebuilds
+  /// from the WAL's newest checkpoint manifest plus a replay of only the
+  /// segments past it (tail-only replay; cost is bounded by
+  /// checkpoint_every_records, not store size). FailedPrecondition, with the
+  /// store untouched, when no WAL backend is attached.
   Status Recover();
 
   /// Publishes a WAL checkpoint now (no-op without a WAL backend): dense
@@ -224,13 +220,14 @@ class LocalStore {
     size_t bytes_ = 0;
   };
 
-  /// One record in the log: key then value, contiguous in the arena.
+  /// A key's current record: key then value, contiguous in the arena. A
+  /// null `data` marks a deleted key whose tree entry is still in place.
   struct Slot {
     const char* data = nullptr;
     uint32_t key_len = 0;
     uint32_t value_len = 0;
-    bool is_delete = false;
 
+    bool dead() const { return data == nullptr; }
     std::string_view key() const { return {data, key_len}; }
     std::string_view value() const { return {data + key_len, value_len}; }
   };
@@ -247,10 +244,11 @@ class LocalStore {
 
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
+  /// Copies one record into the arena and counts it in log_size().
   /// `count_stats` is false on the recovery paths: replayed records land in
-  /// the fresh log but must not inflate the cumulative write counters.
-  uint64_t AppendRecord(bool is_delete, std::string_view key,
-                        std::string_view value, bool count_stats = true);
+  /// the fresh arena but must not inflate the cumulative write counters.
+  Slot AppendRecord(std::string_view key, std::string_view value,
+                    bool count_stats);
 
   /// Slot of `key`, or kNoSlot. When absent and `miss` is non-null, the
   /// probe's stopping point is recorded so HashInsertAt can continue the
@@ -282,27 +280,26 @@ class LocalStore {
   void TreeInsert(std::string_view key, uint32_t live_idx);
   /// Leaf cursor at the first entry (dead or alive) with key >= `key`.
   std::pair<const Leaf*, int> TreeLowerBound(std::string_view key) const;
-  /// Appends one live (key, pos) record to the indexes; used by the
-  /// rebuild paths (Compact/Recover), which feed keys in sorted order.
-  void IndexLiveRecord(uint64_t pos);
+  /// Appends one live record to the indexes; used by the rebuild paths
+  /// (Compact/Recover), which feed keys in sorted order.
+  void IndexLiveRecord(Slot rec);
 
   void MaybeCompact();
   void MaybeCheckpoint();
-  /// Recovery-replay mutations: like Put/Delete but without WAL echo,
-  /// compaction/checkpoint triggers, or cumulative stats counting.
-  void ReplayPut(std::string_view key, std::string_view value);
-  void ReplayDelete(std::string_view key);
-  /// In-memory-only rebuild (the seed behavior; used when wal_ is null).
-  Status RecoverFromMemoryLog();
+  /// The index halves of Put and Delete (EraseAt takes a HashFind hit),
+  /// shared with recovery replay: no WAL echo, no compaction/checkpoint
+  /// triggers. `count_stats` as for AppendRecord.
+  void ApplyPut(std::string_view key, std::string_view value, bool count_stats);
+  void EraseAt(size_t hidx);
 
   StoreOptions options_;
   Arena arena_;
-  std::vector<Slot> log_;
+  uint64_t log_records_ = 0;  // see log_size()
 
   // Live-slot table: both indexes address records through it, so an
-  // overwrite updates one cell and a delete marks it kDeadPos — neither
-  // touches the tree.
-  std::vector<uint64_t> live_;
+  // overwrite updates one cell and a delete nulls it — neither touches the
+  // tree.
+  std::vector<Slot> live_;
 
   // Insert-only B+tree over arena key views. Node storage is deque-backed
   // (stable addresses, bulk-freed on clear).

@@ -301,13 +301,13 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
       HandleBlockAck(from, &r);
       return;
     case kEosMarker:
-      HandleEosMarker(from, &r);
+      HandleEosMarker(from, payload);
       return;
     case kScanPartDone:
-      HandleScanPartDone(from, &r);
+      HandleScanPartDone(from, payload);
       return;
     case kQueryFetch:
-      HandleQueryFetch(from, &r);
+      HandleQueryFetch(from, payload);
       return;
     case kShipBlock:
       HandleShipBlock(from, payload);
@@ -719,36 +719,20 @@ void QueryService::InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple,
   static_cast<ScanOp*>(ex.ops[scan_op].get())->Inject(std::move(row));
 }
 
-void QueryService::HandleQueryFetch(net::NodeId from, Reader* r) {
+void QueryService::HandleQueryFetch(net::NodeId from, const std::string& payload) {
+  Reader r(payload);
   uint64_t qid;
   uint32_t scan_op, phase;
   std::string rel;
   uint64_t n;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&scan_op).ok() ||
-      !r->GetVarint32(&phase).ok() || !r->GetString(&rel).ok() ||
-      !r->GetVarint64(&n).ok()) {
+  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&scan_op).ok() ||
+      !r.GetVarint32(&phase).ok() || !r.GetString(&rel).ok() ||
+      !r.GetVarint64(&n).ok()) {
     return;
   }
   Exec* ex = FindExec(qid);
   if (ex == nullptr) {
-    // Cannot replay a partially-consumed reader; rebuild payload.
-    Writer w;
-    w.PutU64(qid);
-    w.PutVarint32(scan_op);
-    w.PutVarint32(phase);
-    w.PutString(rel);
-    w.PutVarint64(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      std::string_view hash_be20;
-      storage::TupleId id;
-      if (!r->GetRawView(&hash_be20, 20).ok() ||
-          !storage::TupleId::DecodeFrom(r, &id).ok()) {
-        return;
-      }
-      w.PutRaw(hash_be20.data(), hash_be20.size());
-      id.EncodeTo(&w);
-    }
-    BufferPending(qid, from, kQueryFetch, w.Release());
+    BufferPending(qid, from, kQueryFetch, payload);
     return;
   }
   const auto& costs = host_->network()->costs();
@@ -760,8 +744,8 @@ void QueryService::HandleQueryFetch(net::NodeId from, Reader* r) {
   for (uint64_t i = 0; i < n; ++i) {
     std::string_view hash_be20;
     storage::TupleId id;
-    if (!r->GetRawView(&hash_be20, 20).ok() ||
-        !storage::TupleId::DecodeFrom(r, &id).ok()) {
+    if (!r.GetRawView(&hash_be20, 20).ok() ||
+        !storage::TupleId::DecodeFrom(&r, &id).ok()) {
       return;
     }
     // The wire-carried hash keys the local read directly (no SHA-1).
@@ -806,20 +790,17 @@ void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {
   CheckScanEos(ex, scan_op);
 }
 
-void QueryService::HandleScanPartDone(net::NodeId from, Reader* r) {
+void QueryService::HandleScanPartDone(net::NodeId from, const std::string& payload) {
+  Reader r(payload);
   uint64_t qid;
   uint32_t scan_op, phase;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&scan_op).ok() ||
-      !r->GetVarint32(&phase).ok()) {
+  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&scan_op).ok() ||
+      !r.GetVarint32(&phase).ok()) {
     return;
   }
   Exec* ex = FindExec(qid);
   if (ex == nullptr) {
-    Writer w;
-    w.PutU64(qid);
-    w.PutVarint32(scan_op);
-    w.PutVarint32(phase);
-    BufferPending(qid, from, kScanPartDone, w.Release());
+    BufferPending(qid, from, kScanPartDone, payload);
     return;
   }
   ScanState& ss = ex->scans[static_cast<int32_t>(scan_op)];
@@ -961,20 +942,17 @@ void QueryService::HandleBlockAck(net::NodeId from, Reader* r) {
   TryBroadcastRehashEos(*ex, static_cast<int32_t>(op));
 }
 
-void QueryService::HandleEosMarker(net::NodeId from, Reader* r) {
+void QueryService::HandleEosMarker(net::NodeId from, const std::string& payload) {
+  Reader r(payload);
   uint64_t qid;
   uint32_t op, phase;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&op).ok() ||
-      !r->GetVarint32(&phase).ok()) {
+  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&op).ok() ||
+      !r.GetVarint32(&phase).ok()) {
     return;
   }
   Exec* ex = FindExec(qid);
   if (ex == nullptr) {
-    Writer w;
-    w.PutU64(qid);
-    w.PutVarint32(op);
-    w.PutVarint32(phase);
-    BufferPending(qid, from, kEosMarker, w.Release());
+    BufferPending(qid, from, kEosMarker, payload);
     return;
   }
   auto& marks = ex->eos_from[static_cast<int32_t>(op)];

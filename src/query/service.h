@@ -200,9 +200,9 @@ class QueryService : public net::Service {
   void HandlePlan(net::NodeId from, const std::string& payload);
   void HandleDataBlock(net::NodeId from, const std::string& payload);
   void HandleBlockAck(net::NodeId from, Reader* r);
-  void HandleEosMarker(net::NodeId from, Reader* r);
-  void HandleScanPartDone(net::NodeId from, Reader* r);
-  void HandleQueryFetch(net::NodeId from, Reader* r);
+  void HandleEosMarker(net::NodeId from, const std::string& payload);
+  void HandleScanPartDone(net::NodeId from, const std::string& payload);
+  void HandleQueryFetch(net::NodeId from, const std::string& payload);
   void HandleRecover(net::NodeId from, const std::string& payload);
   void HandleAbort(Reader* r);
 

@@ -54,13 +54,6 @@ std::string PageRec(std::string_view relation, Epoch epoch, uint32_t partition) 
   return k;
 }
 
-std::string Inverse(std::string_view relation, uint32_t partition) {
-  std::string k = "I";
-  AppendLenPrefixed(&k, relation);
-  for (int i = 3; i >= 0; --i) k.push_back(static_cast<char>(partition >> (8 * i)));
-  return k;
-}
-
 std::string Coord(std::string_view relation, Epoch epoch) {
   std::string k = "C";
   AppendLenPrefixed(&k, relation);
@@ -80,7 +73,7 @@ std::string EpochClaim(Epoch epoch) {
   return k;
 }
 
-// --- Inverse parsers --------------------------------------------------------
+// --- Key parsers ------------------------------------------------------------
 // Built on Reader (the same decoder as the wire formats) for the varint
 // length prefixes; the big-endian integers are key-layout-specific (Reader's
 // fixed-width integers are little-endian) and decoded here.
@@ -134,13 +127,6 @@ bool ParseClaim(std::string_view key, Epoch* out) {
   if (key.empty() || key[0] != 'E') return false;
   Reader r(key.substr(1));
   return ReadEpochBE(&r, out) && r.AtEnd();
-}
-
-bool ParseInverse(std::string_view key, ParsedInverseKey* out) {
-  if (key.empty() || key[0] != 'I') return false;
-  Reader r(key.substr(1));
-  return r.GetStringView(&out->relation).ok() && ReadU32BE(&r, &out->partition) &&
-         r.AtEnd();
 }
 
 std::string_view VersionGroupPrefix(std::string_view key) {

@@ -1,6 +1,8 @@
 // LocalStore key layouts for the versioned storage roles one node plays
-// simultaneously (Fig. 3): data storage node, index node, inverse node, and
-// relation coordinator. Layouts are prefix-free across namespaces and
+// simultaneously (Fig. 3): data storage node, index node, and relation
+// coordinator. The paper's inverse node (partition -> latest page) has no
+// records: a publisher finds a partition's current page in the base epoch's
+// coordinator record. Layouts are prefix-free across namespaces and
 // relations, and ordered so that:
 //   * data records of a relation sort by (tuple-key hash, key, epoch) —
 //     a page's tuples are "retrieved in a single pass through the hash ID
@@ -24,7 +26,6 @@ namespace orchestra::storage::keys {
 // (docs/STATIC_ANALYSIS.md#codec-rawkey).
 inline constexpr char kDataTag = 'D';
 inline constexpr char kPageTag = 'P';
-inline constexpr char kInverseTag = 'I';
 inline constexpr char kCoordTag = 'C';
 inline constexpr char kCatalogTag = 'M';
 inline constexpr char kClaimTag = 'E';
@@ -55,11 +56,6 @@ std::string DataHashFloor(std::string_view relation, const HashId& h);
 /// Index-node page record: 'P' <rel> <partition:4B BE> <epoch:8B BE>
 std::string PageRec(std::string_view relation, Epoch epoch, uint32_t partition);
 
-/// Inverse-node record: 'I' <rel> <partition:4B BE>  ->  latest PageId.
-/// "look up the page holding the old version of the tuple using an inverse
-/// node" (§IV).
-std::string Inverse(std::string_view relation, uint32_t partition);
-
 /// Relation-coordinator record: 'C' <rel> <epoch:8B BE>
 std::string Coord(std::string_view relation, Epoch epoch);
 
@@ -72,7 +68,7 @@ std::string Catalog(std::string_view relation);
 /// and is retired by GC like coordinator records once below the watermark.
 std::string EpochClaim(Epoch epoch);
 
-// --- Inverse parsers, used by the GC retirement pass --------------------
+// --- Key parsers, used by the GC, purge and rebalance passes -------------
 // Each returns false on malformed input (wrong tag, truncation, trailing
 // bytes). The parsed views alias `key`.
 
@@ -102,14 +98,6 @@ bool ParseCoord(std::string_view key, ParsedCoordKey* out);
 
 /// Epoch of an epoch-claim key.
 bool ParseClaim(std::string_view key, Epoch* out);
-
-/// Fields of an inverse-node key: relation, partition (no epoch — the value
-/// holds the latest PageId).
-struct ParsedInverseKey {
-  std::string_view relation;
-  uint32_t partition = 0;
-};
-bool ParseInverse(std::string_view key, ParsedInverseKey* out);
 
 /// Version-group prefix of a data or page key: the key minus its trailing
 /// 8-byte big-endian epoch. Keys of one group differ only in epoch and sort

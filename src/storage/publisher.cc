@@ -378,9 +378,9 @@ void Publisher::FetchPages(Handle st) {
   }
 
   // Stage 2: fetch the current page of each affected partition. The paper
-  // locates it via the inverse node (§IV); with the coordinator record in
-  // hand the descriptor already names it, so we go straight to the index
-  // node. (ReadInverseLocal/kGetInverse expose the inverse-node path too.)
+  // locates it via the inverse node (§IV); here the base coordinator record
+  // plays that role — its descriptor names the page, so we go straight to
+  // the index node.
   //
   // Chained publishes: a descriptor at an uncommitted ancestor's epoch names
   // a page that may still be in flight to its index nodes — it MUST be taken
@@ -496,8 +496,9 @@ void Publisher::Apply(Handle st) {
       page.hashes.push_back(*row.hash);
     }
     st->partition_nonempty[pw.relation][pw.partition] = !page.ids.empty();
-    // Empty pages are still written (they keep the inverse node current);
-    // they simply carry no descriptor in the new coordinator record.
+    // Empty pages are still written: an empty version is what lets GC retire
+    // a partition's last non-empty page. It carries no descriptor in the new
+    // coordinator record.
     st->new_pages.push_back(std::move(page));
   }
 

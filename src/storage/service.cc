@@ -116,15 +116,6 @@ Result<Page> StorageService::ReadPageLocal(const PageId& id) const {
   return page;
 }
 
-Result<PageId> StorageService::ReadInverseLocal(const std::string& rel,
-                                                uint32_t partition) const {
-  ORC_ASSIGN_OR_RETURN(std::string bytes, store_.Get(keys::Inverse(rel, partition)));
-  Reader r(bytes);
-  PageId id;
-  ORC_RETURN_IF_ERROR(PageId::DecodeFrom(&r, &id));
-  return id;
-}
-
 Result<std::string_view> StorageService::ReadTupleBytesLocal(
     std::string_view rel, const TupleId& id) const {
   const RelationDef* def = FindRelation(rel);
@@ -400,13 +391,6 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
           .ok();
       counters_.pages_stored += 1;
       ChargeCpu(costs.index_entry_us * static_cast<double>(page.ids.size()));
-      // Inverse node bookkeeping: latest page for this partition (§IV).
-      auto cur = ReadInverseLocal(id.relation, id.partition);
-      if (!cur.ok() || cur.value().epoch <= id.epoch) {
-        Writer iw;
-        id.EncodeTo(&iw);
-        store_.Put(keys::Inverse(id.relation, id.partition), iw.data()).ok();
-      }
       Respond(from, req_id, Status::OK(), {});
       return;
     }
@@ -535,13 +519,6 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       if (!PageId::DecodeFrom(r, &id).ok()) return;
       RespondStored(from, req_id,
                     keys::PageRec(id.relation, id.epoch, id.partition));
-      return;
-    }
-    case kGetInverse: {
-      std::string rel;
-      uint32_t partition;
-      if (!r->GetString(&rel).ok() || !r->GetVarint32(&partition).ok()) return;
-      RespondStored(from, req_id, keys::Inverse(rel, partition));
       return;
     }
     case kGetTuple: {
@@ -962,46 +939,13 @@ void StorageService::PurgeEpochLocal(Epoch epoch) {
       doomed.emplace_back(it.key());
     }
   }
-  // Page purge also tracks, per purged partition, the newest SURVIVING page
-  // version so inverse entries can be re-aimed below — discovery must never
-  // see an inverse pointing at a purged page (torn state).
-  struct PurgedPartition {
-    std::string relation;
-    uint32_t partition = 0;
-    Epoch newest_surviving = 0;
-    bool any_surviving = false;
-  };
-  std::vector<PurgedPartition> purged_parts;
-  {
-    std::string group;
-    bool group_purged = false;
-    PurgedPartition part;
-    auto flush = [&] {
-      if (group_purged) purged_parts.push_back(part);
-      group_purged = false;
-      part = PurgedPartition{};
-    };
-    for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kPageTag));
-         it.Valid(); it.Next()) {
-      ++scanned;
-      keys::ParsedPageKey pk;
-      if (!keys::ParsePageRec(it.key(), &pk)) continue;
-      std::string_view g = keys::VersionGroupPrefix(it.key());
-      if (g != group) {
-        flush();
-        group.assign(g);
-      }
-      if (pk.epoch == epoch) {
-        doomed.emplace_back(it.key());
-        group_purged = true;
-        part.relation.assign(pk.relation);
-        part.partition = pk.partition;
-      } else {
-        part.any_surviving = true;
-        part.newest_surviving = std::max(part.newest_surviving, pk.epoch);
-      }
+  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kPageTag)); it.Valid();
+       it.Next()) {
+    ++scanned;
+    keys::ParsedPageKey pk;
+    if (keys::ParsePageRec(it.key(), &pk) && pk.epoch == epoch) {
+      doomed.emplace_back(it.key());
     }
-    flush();
   }
   for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kCoordTag));
        it.Valid(); it.Next()) {
@@ -1012,17 +956,6 @@ void StorageService::PurgeEpochLocal(Epoch epoch) {
     }
   }
   for (const std::string& key : doomed) store_.Delete(key).ok();
-  for (const PurgedPartition& pp : purged_parts) {
-    auto inv = ReadInverseLocal(pp.relation, pp.partition);
-    if (!inv.ok() || inv.value().epoch != epoch) continue;
-    if (pp.any_surviving) {
-      Writer iw;
-      PageId{pp.relation, pp.newest_surviving, pp.partition}.EncodeTo(&iw);
-      store_.Put(keys::Inverse(pp.relation, pp.partition), iw.data()).ok();
-    } else {
-      store_.Delete(keys::Inverse(pp.relation, pp.partition)).ok();
-    }
-  }
   counters_.purged_orphans += doomed.size();
   ChargeCpu(host_->network()->costs().tuple_scan_us *
             static_cast<double>(scanned + doomed.size()));
@@ -1157,9 +1090,23 @@ void StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r) {
     if (!TupleId::DecodeFrom(r, &id).ok()) return;
   }
   state.data_parts_received += 1;
+  state.lookups_outstanding += missing.size();
+  // A stale local replica: fetch each missing id from its data node's
+  // replicas (§IV). FetchTuple may fail synchronously and erase the scan, so
+  // the loop re-checks it instead of holding `state`.
   for (const auto& id : missing) {
-    state.lookups_outstanding += 1;
-    RecoverMissingTuple(scan_id, id, 0);
+    if (scans_.count(scan_id) == 0) return;
+    FetchTuple(rel, id, [this, scan_id](Status st, Tuple t) {
+      auto sit = scans_.find(scan_id);
+      if (sit == scans_.end()) return;
+      if (!st.ok()) {
+        ScanFail(scan_id, st);
+        return;
+      }
+      sit->second.rows.push_back(std::move(t));
+      sit->second.lookups_outstanding -= 1;
+      ScanCheckDone(scan_id);
+    });
   }
   ScanCheckDone(scan_id);
 }
@@ -1246,24 +1193,14 @@ void StorageService::Retrieve(const std::string& rel, Epoch epoch,
       ScanCheckDone(scan_id);
       return;
     }
-    for (const PageDescriptor& desc : rec.pages) {
-      StartPageScan(scan_id, desc, 0);
-    }
+    for (const PageDescriptor& desc : rec.pages) StartPageScan(scan_id, desc);
   });
 }
 
-void StorageService::StartPageScan(uint64_t scan_id, const PageDescriptor& desc,
-                                   size_t replica_idx) {
+void StorageService::StartPageScan(uint64_t scan_id, const PageDescriptor& desc) {
   auto it = scans_.find(scan_id);
-  if (it == scans_.end()) return;
-  ScanState& state = it->second;
-
-  auto replicas = board_->current.ReplicasOf(desc.home(), replication_);
-  if (replica_idx >= replicas.size()) {
-    ScanFail(scan_id, Status::Unavailable("no replica can scan page " +
-                                          desc.id.ToString()));
-    return;
-  }
+  if (it == scans_.end()) return;  // an earlier page's scan already failed
+  const ScanState& state = it->second;
   Writer w;
   w.PutU64(scan_id);
   w.PutU32(node());
@@ -1271,24 +1208,27 @@ void StorageService::StartPageScan(uint64_t scan_id, const PageDescriptor& desc,
   desc.EncodeTo(&w);
   state.filter.EncodeTo(&w);
 
-  Call(replicas[replica_idx], kScanPage, w.Release(),
-       [this, scan_id, desc, replica_idx](Status st, const std::string& reply) {
-         auto sit = scans_.find(scan_id);
-         if (sit == scans_.end()) return;
-         if (!st.ok()) {
-           StartPageScan(scan_id, desc, replica_idx + 1);
-           return;
-         }
-         Reader r(reply);
-         uint64_t parts, ids;
-         if (!r.GetVarint64(&parts).ok() || !r.GetVarint64(&ids).ok()) {
-           ScanFail(scan_id, Status::Corruption("bad page summary"));
-           return;
-         }
-         sit->second.summaries_received += 1;
-         sit->second.data_parts_expected += parts;
-         ScanCheckDone(scan_id);
-       });
+  rpc_.CallFirst(board_->current.ReplicasOf(desc.home(), replication_), kScanPage,
+                 w.Release(),
+                 [this, scan_id, desc](Status st, const std::string& reply) {
+                   auto sit = scans_.find(scan_id);
+                   if (sit == scans_.end()) return;
+                   if (!st.ok()) {
+                     ScanFail(scan_id, Status::Unavailable(
+                                           "no replica can scan page " +
+                                           desc.id.ToString()));
+                     return;
+                   }
+                   Reader r(reply);
+                   uint64_t parts, ids;
+                   if (!r.GetVarint64(&parts).ok() || !r.GetVarint64(&ids).ok()) {
+                     ScanFail(scan_id, Status::Corruption("bad page summary"));
+                     return;
+                   }
+                   sit->second.summaries_received += 1;
+                   sit->second.data_parts_expected += parts;
+                   ScanCheckDone(scan_id);
+                 });
 }
 
 void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
@@ -1319,46 +1259,6 @@ void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
                    }
                    cb(Status::OK(), std::move(t));
                  });
-}
-
-void StorageService::RecoverMissingTuple(uint64_t scan_id, const TupleId& id,
-                                         size_t replica_idx) {
-  auto it = scans_.find(scan_id);
-  if (it == scans_.end()) return;
-  ScanState& state = it->second;
-
-  auto def = Relation(state.relation);
-  if (!def.ok()) {
-    ScanFail(scan_id, def.status());
-    return;
-  }
-  auto replicas = board_->current.ReplicasOf(PlacementHash(*def, id.key_bytes),
-                                             replication_);
-  if (replica_idx >= replicas.size()) {
-    ScanFail(scan_id, Status::Unavailable("tuple lost from all replicas"));
-    return;
-  }
-  Writer w;
-  w.PutString(state.relation);
-  id.EncodeTo(&w);
-  Call(replicas[replica_idx], kGetTuple, w.Release(),
-       [this, scan_id, id, replica_idx](Status st, const std::string& reply) {
-         auto sit = scans_.find(scan_id);
-         if (sit == scans_.end()) return;
-         if (!st.ok()) {
-           RecoverMissingTuple(scan_id, id, replica_idx + 1);
-           return;
-         }
-         Reader r(reply);
-         Tuple t;
-         if (!DecodeTuple(&r, &t).ok()) {
-           ScanFail(scan_id, Status::Corruption("bad tuple reply"));
-           return;
-         }
-         sit->second.rows.push_back(std::move(t));
-         sit->second.lookups_outstanding -= 1;
-         ScanCheckDone(scan_id);
-       });
 }
 
 void StorageService::ScanCheckDone(uint64_t scan_id) {
@@ -1419,15 +1319,6 @@ void StorageService::RebalanceTo(const overlay::RoutingSnapshot& snap) {
         if (def == catalog_.end()) continue;
         targets = snap.ReplicasOf(
             PartitionHome(pk.partition, def->second.num_partitions), replication_);
-        break;
-      }
-      case keys::kInverseTag: {
-        keys::ParsedInverseKey ik;
-        if (!keys::ParseInverse(key, &ik)) continue;
-        auto def = catalog_.find(std::string(ik.relation));
-        if (def == catalog_.end()) continue;
-        targets = snap.ReplicasOf(
-            PartitionHome(ik.partition, def->second.num_partitions), replication_);
         break;
       }
       case keys::kCoordTag: {

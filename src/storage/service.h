@@ -1,7 +1,9 @@
 // StorageService: the per-node endpoint of the versioned storage protocol.
-// Every node simultaneously plays all Fig. 3 roles for the key ranges it
-// owns/replicates: relation coordinator, index node, inverse node, and data
-// storage node. The service also implements the client side of
+// Every node simultaneously plays three Fig. 3 roles for the key ranges it
+// owns/replicates: relation coordinator, index node, and data storage node.
+// The paper's fourth role, the inverse node, stores nothing here: the
+// coordinator record names each partition's current page, and a publisher
+// reads it there (§IV). The service also implements the client side of
 // Retrieve(R, e, f) — Algorithm 1 — with replica-retry on missing state, so
 // a retrieval can never observe stale data: a tuple version is reachable
 // only through the epoch's page list (§IV).
@@ -50,7 +52,7 @@ enum StorageCode : uint16_t {
   kPutCoordinator = 4,
   kGetCoordinator = 5,
   kGetPage = 6,
-  kGetInverse = 7,
+  kGetInverse = 7,    // retired (inverse-node lookup); reserved, never reused
   kGetTuple = 8,
   kScanPage = 9,      // Algorithm 1, step 4: ask index node to scan a page
   kFetchTuples = 10,  // Algorithm 1, step 8: index node -> data node
@@ -83,13 +85,13 @@ enum StorageCode : uint16_t {
   // fencer observed), ttl_us. A grant marks the claim record fenced — nobody
   // (including the abandoned owner) can ever claim, write, or confirm at
   // that epoch again — and atomically purges the owner's orphan versions
-  // (data/page/coordinator records at that epoch, plus inverse entries that
-  // pointed at them). Refused while the owner is fresh (its claim refreshes
-  // beat the TTL), once the epoch committed, when the slot changed hands, or
-  // behind the confirmed frontier. The reply body names the fenced instance
-  // (participant, node, nonce). Safety rides the same single-failure overlap
-  // argument as claims: a fence needs EVERY live claim replica, so it cannot
-  // coexist with a full un-fenced claim or a confirmed commit.
+  // (data/page/coordinator records at that epoch). Refused while the owner
+  // is fresh (its claim refreshes beat the TTL), once the epoch committed,
+  // when the slot changed hands, or behind the confirmed frontier. The reply
+  // body names the fenced instance (participant, node, nonce). Safety rides
+  // the same single-failure overlap argument as claims: a fence needs EVERY
+  // live claim replica, so it cannot coexist with a full un-fenced claim or
+  // a confirmed commit.
   kFenceEpoch = 19,
   // One-way fence propagation: (epoch, fenced participant, fenced nonce).
   // Receivers record the burn and purge local orphan versions at the epoch;
@@ -145,7 +147,6 @@ class StorageService : public net::Service {
   std::vector<std::string> RelationNames() const;
   Result<CoordinatorRecord> ReadCoordinatorLocal(const std::string& rel, Epoch e) const;
   Result<Page> ReadPageLocal(const PageId& id) const;
-  Result<PageId> ReadInverseLocal(const std::string& rel, uint32_t partition) const;
   /// Zero-copy read of one tuple version's stored (encoded) bytes; computes
   /// the placement hash. The view is valid until the next store mutation.
   Result<std::string_view> ReadTupleBytesLocal(std::string_view rel,
@@ -376,10 +377,8 @@ class StorageService : public net::Service {
   /// no-op if the local claim committed (a commit is a fact a fence never
   /// overrides) or the burn is already known.
   void MergeFencedEpoch(Epoch epoch, ParticipantId participant, uint64_t nonce);
-  /// Deletes every data/page/coordinator version stored at `epoch` and
-  /// repairs inverse entries that pointed at a purged page (re-aimed at the
-  /// newest surviving version, or dropped when none survives), so discovery
-  /// never sees torn state after a fence.
+  /// Deletes every data/page/coordinator version stored at `epoch`, so
+  /// discovery never sees torn state after a fence.
   void PurgeEpochLocal(Epoch epoch);
   void HandleRequest(net::NodeId from, uint16_t code, Reader* r, uint64_t req_id);
   void HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id);
@@ -387,8 +386,7 @@ class StorageService : public net::Service {
   void HandleTupleData(net::NodeId from, Reader* r);
   void ScanCheckDone(uint64_t scan_id);
   void ScanFail(uint64_t scan_id, Status st);
-  void StartPageScan(uint64_t scan_id, const PageDescriptor& desc, size_t replica_idx);
-  void RecoverMissingTuple(uint64_t scan_id, const TupleId& id, size_t replica_idx);
+  void StartPageScan(uint64_t scan_id, const PageDescriptor& desc);
 
   void ChargeCpu(double micros) { host_->network()->ChargeCpu(node(), micros); }
 

@@ -6,9 +6,16 @@
 
 #include "common/rng.h"
 #include "localstore/local_store.h"
+#include "wal/backend.h"
 
 namespace orchestra::localstore {
 namespace {
+
+// Recover() rebuilds from the WAL, so every case that recovers attaches one.
+StoreOptions WithWal(StoreOptions opts = {}) {
+  opts.wal_backend = std::make_shared<wal::MemoryBackend>();
+  return opts;
+}
 
 TEST(LocalStore, PutGetOverwrite) {
   LocalStore store;
@@ -82,8 +89,22 @@ TEST(LocalStore, BinaryKeysAndValues) {
   EXPECT_EQ(*v, value);
 }
 
-TEST(LocalStore, RecoverRebuildsIdenticalIndex) {
+TEST(LocalStore, RecoverWithoutWalIsFailedPreconditionAndKeepsContents) {
   LocalStore store;
+  store.Put("a", "1").ok();
+  store.Put("b", "2").ok();
+  store.Delete("a").ok();
+  Status st = store.Recover();
+  EXPECT_EQ(st.code(), Status::Code::kFailedPrecondition) << st.ToString();
+  EXPECT_FALSE(store.Contains("a"));
+  ASSERT_TRUE(store.Get("b").ok());
+  EXPECT_EQ(*store.Get("b"), "2");
+  EXPECT_EQ(store.entry_count(), 1u);
+  EXPECT_EQ(store.log_size(), 3u);
+}
+
+TEST(LocalStore, RecoverRebuildsIdenticalIndex) {
+  LocalStore store(WithWal());
   Rng rng(5);
   std::map<std::string, std::string> model;
   for (int i = 0; i < 2000; ++i) {
@@ -110,7 +131,7 @@ TEST(LocalStore, CompactionPreservesContentAndReclaimsLog) {
   StoreOptions opts;
   opts.compaction_min_records = 100;
   opts.compaction_garbage_ratio = 0.5;
-  LocalStore store(opts);
+  LocalStore store(WithWal(opts));
   // Overwrite the same small key set many times -> lots of garbage.
   for (int round = 0; round < 50; ++round) {
     for (int k = 0; k < 20; ++k) {
@@ -206,7 +227,7 @@ TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
   StoreOptions opts;
   opts.compaction_garbage_ratio = 0.25;
   opts.compaction_min_records = 128;
-  LocalStore store(opts);
+  LocalStore store(WithWal(opts));
   std::map<std::string, std::string> model;
   Rng rng(GetParam() * 7919 + 13);
   const std::vector<std::string> prefixes = {"D/r1/", "D/r2/", "P/", "C/", ""};
@@ -267,7 +288,7 @@ TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
     }
     ASSERT_EQ(got, expect) << "prefix '" << prefix << "'";
   }
-  // A final Recover after heavy churn reports a consistent log.
+  // A final Recover after heavy churn rebuilds the same contents.
   ASSERT_TRUE(store.Recover().ok());
   ASSERT_EQ(store.entry_count(), model.size());
 }
@@ -321,7 +342,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LocalStoreFuzz, ::testing::Values(1, 2, 3, 4, 5)
 // One prefixed key family interleaved with neighbors; mutate, then verify
 // prefix scans across a Compact and a Recover cycle.
 TEST(LocalStore, SeekPrefixSurvivesCompactRecoverCycle) {
-  LocalStore store;
+  LocalStore store(WithWal());
   auto key = [](const std::string& pfx, int i) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%03d", i);
@@ -384,7 +405,7 @@ TEST(LocalStore, SeekPrefixSurvivesCompactRecoverCycle) {
 TEST(LocalStoreFuzz, PrefixScansMatchModelAcrossRebuilds) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
-    LocalStore store;
+    LocalStore store(WithWal());
     std::map<std::string, std::string> model;
     const std::string prefixes[] = {"p/", "q/", "p0", ""};
     for (int step = 0; step < 2000; ++step) {

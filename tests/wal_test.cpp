@@ -418,8 +418,8 @@ TEST(LocalStoreWal, CrashRecoverMatchesModel) {
       model[k] = v;
     }
   }
-  EXPECT_GT(store.stats().checkpoints, 0u);
-  EXPECT_GT(store.stats().segments_retired, 0u);
+  EXPECT_GT(store.wal()->stats().checkpoints, 0u);
+  EXPECT_GT(store.wal()->stats().segments_retired, 0u);
 
   backend->Crash();  // sync_every=1: nothing unsynced, nothing lost
   ASSERT_TRUE(store.Recover().ok());
@@ -430,7 +430,7 @@ TEST(LocalStoreWal, CrashRecoverMatchesModel) {
     EXPECT_EQ(*got, v);
   }
   // Tail-only replay: far fewer records than the 1200 mutations.
-  EXPECT_LT(store.stats().replayed_records, 200u);
+  EXPECT_LT(store.wal()->stats().replayed_records, 200u);
   // Ordered iteration equivalence too (the tree rebuilt correctly).
   auto it = store.Seek("");
   for (const auto& [k, v] : model) {
@@ -527,10 +527,10 @@ TEST(LocalStoreWal, ExplicitCheckpointResetsTail) {
     ASSERT_TRUE(store.Put("k" + std::to_string(i), "v").ok());
   }
   ASSERT_TRUE(store.Checkpoint().ok());
-  EXPECT_EQ(store.stats().checkpoints, 1u);
+  EXPECT_EQ(store.wal()->stats().checkpoints, 1u);
   ASSERT_TRUE(store.Put("after", "v").ok());
   ASSERT_TRUE(store.Recover().ok());
-  EXPECT_EQ(store.stats().replayed_records, 1u);  // just "after"
+  EXPECT_EQ(store.wal()->stats().replayed_records, 1u);  // just "after"
   EXPECT_EQ(store.entry_count(), 51u);
 }
 
