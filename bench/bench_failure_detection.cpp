@@ -15,14 +15,12 @@ struct Detection {
 };
 
 Detection Measure(bench::Cluster& cluster, const query::PhysicalPlan& plan,
-                  bool hang, sim::SimTime ping_interval_us, int misses,
+                  bool hang, sim::SimTime ping_interval_us,
                   sim::SimTime base_us) {
   bool done = false;
   query::QueryResult result;
   query::QueryOptions opts;
-  opts.enable_ping = ping_interval_us > 0;
-  opts.ping_interval_us = ping_interval_us > 0 ? ping_interval_us : 1;
-  opts.ping_miss_threshold = misses;
+  opts.ping_interval_us = ping_interval_us;
   cluster.dep->query(0).Execute(plan, cluster.epoch, opts,
                                 [&](Status st, query::QueryResult r) {
                                   if (!st.ok()) {
@@ -78,7 +76,7 @@ int main() {
   {
     auto cluster = MakeCluster(data, 8);
     auto plan = PlanSql(cluster, workload::TpchQuerySql("Q10"));
-    Detection d = Measure(cluster, plan, /*hang=*/false, 0, 3, base_us);
+    Detection d = Measure(cluster, plan, /*hang=*/false, 0, base_us);
     report.AddTimed("tcp_drop_crash", 1, 0, d.detect_s);
     std::printf("tcp_drop,crash,0,%.3f\n", d.detect_s);
   }
@@ -86,7 +84,7 @@ int main() {
     auto cluster = MakeCluster(data, 8);
     auto plan = PlanSql(cluster, workload::TpchQuerySql("Q10"));
     Detection d = Measure(cluster, plan, /*hang=*/true,
-                          static_cast<sim::SimTime>(interval_ms * 1000), 3, base_us);
+                          static_cast<sim::SimTime>(interval_ms * 1000), base_us);
     report.AddTimed("ping_hang_" + std::to_string(static_cast<int>(interval_ms)) + "ms",
                     1, 0, d.detect_s);
     std::printf("ping,hang,%.0f,%.3f\n", interval_ms, d.detect_s);

@@ -8,19 +8,12 @@
 #include <cstring>
 
 #include "bench/bench_util.h"
+#include "common/strings.h"
 
 using namespace orchestra;
 using namespace orchestra::bench;
 
 namespace {
-
-/// A sweep point's tag, such as "n8", built by appending: GCC 12's -Wrestrict
-/// misfires on `"n" + std::to_string(8)` in Release builds.
-std::string Tag(const char* prefix, uint64_t value) {
-  std::string tag = prefix;
-  tag += std::to_string(value);
-  return tag;
-}
 
 /// Runs `sql` on `c`, records the run as query_<series>_<point> and prints
 /// its CSV row.

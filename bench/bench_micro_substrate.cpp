@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "common/compress.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "hash/hash_id.h"
 #include "localstore/local_store.h"
 #include "overlay/ring.h"
@@ -55,9 +56,9 @@ std::vector<std::string> MakeDataKeys(size_t n, Rng& rng) {
   std::vector<std::string> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    HashId h = HashId::OfBytes("bench-key-" + std::to_string(i));
+    HashId h = HashId::OfBytes(Tag("bench-key-", i));
     out.push_back(storage::keys::Data("stb_r", h,
-                                      "k" + std::to_string(rng.NextU64() % n),
+                                      Tag("k", rng.NextU64() % n),
                                       1 + (i & 7)));
   }
   return out;
@@ -199,14 +200,14 @@ void BenchRouting() {
   std::vector<overlay::Member> members;
   for (int i = 0; i < 100; ++i) {
     members.push_back({static_cast<net::NodeId>(i),
-                       HashId::OfBytes("node" + std::to_string(i))});
+                       HashId::OfBytes(Tag("node", i))});
   }
   auto snap = overlay::RoutingSnapshot::Build(
       1, overlay::AllocationScheme::kBalanced, members);
   Rng rng(1);
   std::vector<HashId> hkeys;
   for (int i = 0; i < 256; ++i) {
-    hkeys.push_back(HashId::OfBytes("k" + std::to_string(rng.NextU64())));
+    hkeys.push_back(HashId::OfBytes(Tag("k", rng.NextU64())));
   }
   const size_t reps = Smoke() ? 40000 : 2000000;
   double t0 = Now();

@@ -2,6 +2,9 @@
 # CI gate. Stages:
 #
 #   tier1      configure + build (warnings-as-errors) + full ctest suite
+#   release    Release build of every target with warnings as errors (the
+#              optimizer raises warnings, such as -Wrestrict, that tier-1's
+#              RelWithDebInfo build does not)
 #   sanitize   ASan/UBSan with leak detection on the suites that own async
 #              RPC state, storage churn, and the raw LocalStore paths
 #   tsan       ThreadSanitizer build + the real-thread smoke suite
@@ -68,6 +71,12 @@ tier1() {
   cmake -B build -S .
   cmake --build build -j "$jobs"
   (cd build && ctest --output-on-failure -j "$jobs")
+}
+
+release() {
+  echo "== release: Release build of every target, warnings as errors"
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DORC_WERROR=ON
+  cmake --build build-release -j "$jobs"
 }
 
 sanitize() {
@@ -353,6 +362,7 @@ PY
 
 case "$stage" in
   tier1) run_stage tier1 tier1 ;;
+  release) run_stage release release ;;
   sanitize) run_stage sanitize sanitize ;;
   tsan) run_stage tsan tsan ;;
   lint) run_stage lint lint ;;
@@ -368,6 +378,7 @@ case "$stage" in
     ;;
   all)
     run_stage tier1 tier1
+    run_stage release release
     run_stage sanitize sanitize
     run_stage tsan tsan
     run_stage lint lint
@@ -378,7 +389,7 @@ case "$stage" in
     run_stage docs_check docs
     ;;
   *)
-    echo "usage: ci/check.sh [tier1|sanitize|tsan|lint|tidy|bench|benchdiff|benchsmoke|docs|all]" >&2
+    echo "usage: ci/check.sh [tier1|release|sanitize|tsan|lint|tidy|bench|benchdiff|benchsmoke|docs|all]" >&2
     echo "       ci/check.sh parentdiff [REF]    # REF defaults to HEAD; not part of all" >&2
     exit 2
     ;;

@@ -81,29 +81,34 @@ uint64_t RpcClient::Call(NodeId to, uint16_t code, std::string body, Callback cb
   return req_id;
 }
 
-void RpcClient::CallAll(const std::vector<NodeId>& targets, uint16_t code,
-                        const std::string& body, std::function<void(Status)> cb,
-                        sim::SimTime timeout_us) {
-  if (targets.empty()) {
-    cb(Status::OK());
-    return;
-  }
-  struct FanOut {
-    size_t remaining;
-    Status first_error;
-    std::function<void(Status)> cb;
-  };
-  auto state = std::make_shared<FanOut>();
-  state->remaining = targets.size();
-  state->cb = std::move(cb);
+void RpcClient::CallEach(const std::vector<NodeId>& targets, uint16_t code,
+                         const std::string& body,
+                         std::function<void(std::vector<Reply>)> done,
+                         sim::SimTime timeout_us) {
+  auto arrive = FanIn<Reply>(targets.size(), std::move(done));
   for (NodeId t : targets) {
     Call(t, code, body,
-         [state](Status st, const std::string&) {
-           if (!st.ok() && state->first_error.ok()) state->first_error = st;
-           if (--state->remaining == 0) state->cb(state->first_error);
+         [arrive](Status st, const std::string& reply) {
+           arrive(Reply{std::move(st), reply});
          },
          timeout_us);
   }
+}
+
+void RpcClient::CallAll(const std::vector<NodeId>& targets, uint16_t code,
+                        const std::string& body, std::function<void(Status)> cb,
+                        sim::SimTime timeout_us) {
+  CallEach(targets, code, body,
+           [cb = std::move(cb)](std::vector<Reply> replies) {
+             for (const Reply& r : replies) {
+               if (!r.status.ok()) {
+                 cb(r.status);
+                 return;
+               }
+             }
+             cb(Status::OK());
+           },
+           timeout_us);
 }
 
 void RpcClient::CallFirst(std::vector<NodeId> targets, uint16_t code,

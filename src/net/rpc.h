@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +43,33 @@ struct RpcStats {
   /// timeouts, reaped orphans, and cancellations).
   static uint64_t calls_started();
   static uint64_t calls_resolved();
+};
+
+/// Fan-in for one round of `n` asynchronous operations. Returns the callable
+/// each operation reports its outcome to, exactly once; when the last one has
+/// arrived, `done` receives all `n` outcomes in arrival order. With n == 0,
+/// `done` runs before FanIn returns. Only the returned callable's copies own
+/// the round, so it is released with the round's last callback.
+template <typename T>
+std::function<void(T)> FanIn(size_t n, std::function<void(std::vector<T>)> done) {
+  struct Join {
+    size_t left;
+    std::vector<T> outcomes;
+    std::function<void(std::vector<T>)> done;
+  };
+  auto join = std::make_shared<Join>(Join{n, {}, std::move(done)});
+  if (n == 0) join->done({});
+  join->outcomes.reserve(n);
+  return [join](T outcome) {
+    join->outcomes.push_back(std::move(outcome));
+    if (--join->left == 0) join->done(std::move(join->outcomes));
+  };
+}
+
+/// One call's outcome: its status and reply body.
+struct Reply {
+  Status status;
+  std::string body;
 };
 
 class RpcClient {
@@ -71,8 +99,16 @@ class RpcClient {
   uint64_t Call(NodeId to, uint16_t code, std::string body, Callback cb,
                 sim::SimTime timeout_us = kDefaultRpcTimeoutUs);
 
-  /// Fan-out: sends to every target; cb(OK) when all succeed, else the first
-  /// error once all have resolved.
+  /// Fan-out: sends the same request to every target, in order; once the
+  /// last reply has arrived, `done` receives them all in arrival order (at
+  /// once, with none, when `targets` is empty).
+  void CallEach(const std::vector<NodeId>& targets, uint16_t code,
+                const std::string& body,
+                std::function<void(std::vector<Reply>)> done,
+                sim::SimTime timeout_us = kDefaultRpcTimeoutUs);
+
+  /// CallEach reduced to a status: cb(OK) when all succeed, else the first
+  /// error to arrive.
   void CallAll(const std::vector<NodeId>& targets, uint16_t code,
                const std::string& body, std::function<void(Status)> cb,
                sim::SimTime timeout_us = kDefaultRpcTimeoutUs);

@@ -34,7 +34,8 @@ std::string AnalyzedQuery::ToString() const {
     s += " GROUP BY ";
     for (size_t i = 0; i < group_cols.size(); ++i) {
       if (i) s += ", ";
-      s += "$" + std::to_string(group_cols[i]);
+      s += '$';
+      s += std::to_string(group_cols[i]);
     }
   }
   if (limit >= 0) s += " LIMIT " + std::to_string(limit);

@@ -280,9 +280,13 @@ void PrintOp(const PhysicalPlan& plan, int32_t id, int indent, std::string* out)
   const PhysOp& op = plan.ops[id];
   out->append(indent, ' ');
   *out += OpKindName(op.kind);
-  *out += "#" + std::to_string(op.id);
+  *out += '#';
+  *out += std::to_string(op.id);
   if (!op.relation.empty()) *out += " " + op.relation;
-  if (op.kind == OpKind::kSelect) *out += " " + op.predicate.ToString();
+  if (op.kind == OpKind::kSelect) {
+    *out += ' ';
+    *out += op.predicate.ToString();
+  }
   if (op.kind == OpKind::kAggregate && op.merge_partials) *out += " (merge)";
   *out += "\n";
   for (int32_t c : op.children) PrintOp(plan, c, indent + 2, out);

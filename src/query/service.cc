@@ -44,12 +44,11 @@ void QueryService::Execute(const PhysicalPlan& plan, storage::Epoch epoch,
   root->plan = plan;
   root->epoch = epoch;
   root->options = options;
-  root->snapshot = board_->current;
-  root->table = root->snapshot;
+  root->table = board_->current;
   root->cb = std::move(cb);
   root->started_at = host_->network()->simulator()->now();
   size_t bits = 0;
-  for (const auto& m : root->snapshot.members()) {
+  for (const auto& m : root->table.members()) {
     bits = std::max<size_t>(bits, m.node + 1);
   }
   root->failed_bits = DynamicBitset(bits);
@@ -101,10 +100,10 @@ void QueryService::DisseminatePlan(Root& root) {
     rec.EncodeTo(&w);
   }
   std::string payload = w.Release();
-  for (net::NodeId m : LiveMembers(root)) {
+  for (net::NodeId m : LiveMembers(root.table)) {
     SendTo(m, kPlan, payload);
   }
-  if (root.options.enable_ping && !root.ping_timer_armed) {
+  if (root.options.ping_interval_us > 0 && !root.ping_timer_armed) {
     root.ping_timer_armed = true;
     uint64_t qid = root.query_id;
     host_->network()->RunOnNode(
@@ -113,15 +112,10 @@ void QueryService::DisseminatePlan(Root& root) {
   }
 }
 
-std::vector<net::NodeId> QueryService::LiveMembers(const Root& root) const {
+std::vector<net::NodeId> QueryService::LiveMembers(
+    const overlay::RoutingSnapshot& table) {
   std::vector<net::NodeId> live;
-  for (const auto& m : root.table.members()) live.push_back(m.node);
-  return live;
-}
-
-std::vector<net::NodeId> QueryService::LiveMembers(const Exec& ex) const {
-  std::vector<net::NodeId> live;
-  for (const auto& m : ex.table.members()) live.push_back(m.node);
+  for (const auto& m : table.members()) live.push_back(m.node);
   return live;
 }
 
@@ -132,10 +126,7 @@ void QueryService::HandleShipBlock(net::NodeId /*from*/, const std::string& payl
   if (root == nullptr) return;
   ChargeBlockCosts(block);
   for (BlockRow& row : block.rows) {
-    if (row.taint.Intersects(root->failed_bits)) {
-      counters_.rows_dropped_tainted += 1;
-      continue;
-    }
+    if (row.taint.Intersects(root->failed_bits)) continue;
     root->results.push_back(std::move(row));
   }
 }
@@ -152,7 +143,7 @@ void QueryService::HandleShipEos(net::NodeId from, Reader* r) {
 }
 
 void QueryService::CheckRootDone(Root& root) {
-  for (net::NodeId m : LiveMembers(root)) {
+  for (net::NodeId m : LiveMembers(root.table)) {
     auto it = root.ship_eos_phase.find(m);
     if (it == root.ship_eos_phase.end() || it->second < root.phase) return;
   }
@@ -176,7 +167,7 @@ void QueryService::FinishRoot(Root& root, Status st) {
   // Tell workers to GC their per-query state.
   Writer w;
   w.PutU64(qid);
-  for (net::NodeId m : LiveMembers(root)) SendTo(m, kAbort, w.data());
+  for (net::NodeId m : LiveMembers(root.table)) SendTo(m, kAbort, w.data());
 
   Callback cb = std::move(root.cb);
   roots_.erase(qid);
@@ -205,7 +196,7 @@ void QueryService::HandleSuspect(Root& root, net::NodeId suspect) {
       w.PutU64(root.query_id);
       root.table = root.table.ReassignFailed({suspect}, storage_->replication(),
                                              root.table.version() + 1);
-      for (net::NodeId m : LiveMembers(root)) SendTo(m, kAbort, w.data());
+      for (net::NodeId m : LiveMembers(root.table)) SendTo(m, kAbort, w.data());
       MarkAborted(root.query_id);
 
       uint64_t old_id = root.query_id;
@@ -245,7 +236,7 @@ void QueryService::HandleSuspect(Root& root, net::NodeId suspect) {
       w.PutVarint32(static_cast<uint32_t>(root.failed.size()));
       for (net::NodeId f : root.failed) w.PutU32(f);
       root.table.EncodeTo(&w);
-      for (net::NodeId m : LiveMembers(root)) SendTo(m, kRecover, w.data());
+      for (net::NodeId m : LiveMembers(root.table)) SendTo(m, kRecover, w.data());
       return;
     }
   }
@@ -259,13 +250,12 @@ void QueryService::PingTick(uint64_t query_id) {
   w.PutU64(query_id);
   w.PutU64(root->ping_round);
   std::vector<net::NodeId> suspects;
-  for (net::NodeId m : LiveMembers(*root)) {
+  for (net::NodeId m : LiveMembers(root->table)) {
     if (m == node()) continue;
     SendTo(m, kPing, w.data());
     uint64_t last = root->last_pong_round.count(m) ? root->last_pong_round[m] : 0;
     if (root->ping_round > last &&
-        root->ping_round - last >
-            static_cast<uint64_t>(root->options.ping_miss_threshold)) {
+        root->ping_round - last > kPingMissThreshold) {
       suspects.push_back(m);
     }
   }
@@ -442,9 +432,8 @@ void QueryService::HandlePlan(net::NodeId /*from*/, const std::string& payload) 
   if (!r.GetVarint32(&ex->block_rows).ok()) return;
   auto snap = overlay::RoutingSnapshot::Decode(&r);
   if (!snap.ok()) return;
-  ex->snapshot = std::move(snap).value();
-  ex->table = ex->snapshot;
-  ex->prev_table = ex->snapshot;
+  ex->table = std::move(snap).value();
+  ex->prev_table = ex->table;
   if (!PhysicalPlan::DecodeFrom(&r, &ex->plan).ok()) return;
   uint32_t n_bindings;
   if (!r.GetVarint32(&n_bindings).ok()) return;
@@ -458,7 +447,7 @@ void QueryService::HandlePlan(net::NodeId /*from*/, const std::string& payload) 
 
   // Execution context shared by this node's operator instances.
   size_t bits = 0;
-  for (const auto& m : ex->snapshot.members()) bits = std::max<size_t>(bits, m.node + 1);
+  for (const auto& m : ex->table.members()) bits = std::max<size_t>(bits, m.node + 1);
   ex->cx.self = node();
   ex->cx.taint_bits = ex->provenance ? bits : 0;
   ex->cx.phase = 0;
@@ -709,10 +698,7 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
 
 void QueryService::InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple,
                                  DynamicBitset taint) {
-  if (ex.cx.taint_bits > 0 && taint.Intersects(ex.cx.failed)) {
-    counters_.rows_dropped_tainted += 1;
-    return;
-  }
+  if (ex.cx.taint_bits > 0 && taint.Intersects(ex.cx.failed)) return;
   BlockRow row;
   row.tuple = std::move(tuple);
   row.taint = std::move(taint);
@@ -785,7 +771,7 @@ void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {
     w.PutU64(ex.query_id);
     w.PutVarint32(static_cast<uint32_t>(scan_op));
     w.PutVarint32(ex.cx.phase);
-    for (net::NodeId m : LiveMembers(ex)) SendTo(m, kScanPartDone, w.data());
+    for (net::NodeId m : LiveMembers(ex.table)) SendTo(m, kScanPartDone, w.data());
   }
   CheckScanEos(ex, scan_op);
 }
@@ -816,7 +802,7 @@ void QueryService::CheckScanEos(Exec& ex, int32_t scan_op) {
   if (scan->eos_propagated()) return;
   // Scan barrier: every live node has finished its part for this phase, so
   // no more spillover fetches can arrive (FIFO delivery makes this safe).
-  for (net::NodeId m : LiveMembers(ex)) {
+  for (net::NodeId m : LiveMembers(ex.table)) {
     auto it = ss.part_done_phase.find(m);
     if (it == ss.part_done_phase.end() || it->second < ex.cx.phase) return;
   }
@@ -881,7 +867,7 @@ void QueryService::TryBroadcastRehashEos(Exec& ex, int32_t rehash_op) {
   w.PutU64(ex.query_id);
   w.PutVarint32(static_cast<uint32_t>(rehash_op));
   w.PutVarint32(ex.cx.phase);
-  for (net::NodeId m : LiveMembers(ex)) SendTo(m, kEosMarker, w.data());
+  for (net::NodeId m : LiveMembers(ex.table)) SendTo(m, kEosMarker, w.data());
 }
 
 void QueryService::HandleDataBlock(net::NodeId from, const std::string& payload) {
@@ -893,7 +879,6 @@ void QueryService::HandleDataBlock(net::NodeId from, const std::string& payload)
     return;
   }
   ChargeBlockCosts(block);
-  counters_.blocks_received += 1;
 
   int32_t parent_id = ex->parents[block.dest_op];
   ORC_CHECK(parent_id >= 0, "rehash without parent");
@@ -914,10 +899,7 @@ void QueryService::HandleDataBlock(net::NodeId from, const std::string& payload)
       }
       row.taint.Set(node());
       ex->cx.charge(ex->cx.costs->provenance_tag_us);
-      if (row.taint.Intersects(ex->cx.failed)) {
-        counters_.rows_dropped_tainted += 1;
-        continue;
-      }
+      if (row.taint.Intersects(ex->cx.failed)) continue;
     }
     parent->Consume(child_idx, std::move(row));
   }
@@ -964,7 +946,7 @@ void QueryService::HandleEosMarker(net::NodeId from, const std::string& payload)
 void QueryService::CheckNetEos(Exec& ex, int32_t op) {
   if (ex.net_eos_delivered[op]) return;
   const auto& marks = ex.eos_from[op];
-  for (net::NodeId m : LiveMembers(ex)) {
+  for (net::NodeId m : LiveMembers(ex.table)) {
     auto it = marks.find(m);
     if (it == marks.end() || it->second < ex.cx.phase) return;
   }

@@ -36,15 +36,18 @@
 
 namespace orchestra::query {
 
+/// A member that misses more than this many ping rounds in a row is
+/// suspected hung.
+constexpr uint64_t kPingMissThreshold = 3;
+
 struct QueryOptions {
   enum class RecoveryMode : uint8_t { kNone = 0, kRestart = 1, kIncremental = 2 };
   RecoveryMode recovery = RecoveryMode::kIncremental;
   /// Rows per network block (batching, §V-A).
   uint32_t block_rows = 1024;
-  /// Background pings to detect "hung" machines (§V-C).
-  bool enable_ping = false;
-  sim::SimTime ping_interval_us = 1 * sim::kMicrosPerSec;
-  int ping_miss_threshold = 3;
+  /// Background pings to detect "hung" machines (§V-C): one round per
+  /// interval; 0 sends none.
+  sim::SimTime ping_interval_us = 0;
   /// Disable provenance tagging (for the recovery-overhead ablation; queries
   /// cannot be recovered incrementally without it).
   bool provenance = true;
@@ -85,10 +88,8 @@ class QueryService : public net::Service {
 
   struct Counters {
     uint64_t blocks_sent = 0;
-    uint64_t blocks_received = 0;
     uint64_t rows_routed = 0;
     uint64_t rows_shipped = 0;
-    uint64_t rows_dropped_tainted = 0;
     uint64_t scans_restarted = 0;
     uint64_t cache_rows_resent = 0;
   };
@@ -156,7 +157,6 @@ class QueryService : public net::Service {
     bool provenance = true;
     uint32_t block_rows = 1024;
     PhysicalPlan plan;
-    overlay::RoutingSnapshot snapshot;    // as disseminated
     overlay::RoutingSnapshot table;       // current (updated by recovery)
     overlay::RoutingSnapshot prev_table;  // table of the previous phase
     ExecContext cx;
@@ -178,8 +178,7 @@ class QueryService : public net::Service {
     PhysicalPlan plan;
     storage::Epoch epoch = 0;
     QueryOptions options;
-    overlay::RoutingSnapshot snapshot;
-    overlay::RoutingSnapshot table;
+    overlay::RoutingSnapshot table;  // pinned at start, updated by recovery
     uint32_t phase = 0;
     std::vector<net::NodeId> failed;
     DynamicBitset failed_bits;
@@ -225,7 +224,6 @@ class QueryService : public net::Service {
   void ShipRow(Exec& ex, BlockRow row);
   void FlushShip(Exec& ex);
   void OnShipChildEos(Exec& ex);
-  std::vector<net::NodeId> LiveMembers(const Exec& ex) const;
 
   // Initiator paths.
   void DisseminatePlan(Root& root);
@@ -235,7 +233,9 @@ class QueryService : public net::Service {
   void CheckRootDone(Root& root);
   void FinishRoot(Root& root, Status st);
   void PingTick(uint64_t query_id);
-  std::vector<net::NodeId> LiveMembers(const Root& root) const;
+  /// The nodes of a query's current routing table.
+  static std::vector<net::NodeId> LiveMembers(
+      const overlay::RoutingSnapshot& table);
 
   void ChargeBlockCosts(const TupleBlock& block);
   void SendTo(net::NodeId to, uint16_t code, std::string payload) {

@@ -1,5 +1,7 @@
 #include "storage/page.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "common/serial.h"
 #include "hash/sha1.h"
@@ -148,6 +150,50 @@ Status Page::DecodeFrom(Reader* r, Page* out) {
   return Status::OK();
 }
 
+Page MergePage(Page old, const std::vector<PageEdit>& edits, Epoch epoch) {
+  auto before = [](const HashId& ha, std::string_view ka, const HashId& hb,
+                   std::string_view kb) { return ha != hb ? ha < hb : ka < kb; };
+  // The edits in (hash, key) order; the stable sort keeps batch order within
+  // a key, so the last edit of a key ends its run.
+  std::vector<const PageEdit*> order;
+  for (const PageEdit& e : edits) order.push_back(&e);
+  std::stable_sort(order.begin(), order.end(),
+                   [&before](const PageEdit* a, const PageEdit* b) {
+                     return before(a->hash, a->key, b->hash, b->key);
+                   });
+  Page out;
+  out.ids.reserve(old.ids.size() + order.size());
+  out.hashes.reserve(old.ids.size() + order.size());
+  size_t i = 0;  // next old entry
+  auto carry_until = [&](const PageEdit* e) {
+    for (; i < old.ids.size() &&
+           (e == nullptr ||
+            before(old.hashes[i], old.ids[i].key_bytes, e->hash, e->key));
+         ++i) {
+      out.ids.push_back(std::move(old.ids[i]));
+      out.hashes.push_back(old.hashes[i]);
+    }
+  };
+  for (size_t j = 0; j < order.size(); ++j) {
+    const PageEdit& e = *order[j];
+    if (j + 1 < order.size() && order[j + 1]->hash == e.hash &&
+        order[j + 1]->key == e.key) {
+      continue;  // a later edit of this key wins
+    }
+    carry_until(&e);
+    if (i < old.ids.size() && old.hashes[i] == e.hash &&
+        old.ids[i].key_bytes == e.key) {
+      ++i;  // the edit replaces or erases the old entry
+    }
+    if (!e.erase) {
+      out.ids.push_back(TupleId{std::string(e.key), epoch});
+      out.hashes.push_back(e.hash);
+    }
+  }
+  carry_until(nullptr);
+  return out;
+}
+
 void ClaimInstance::EncodeTo(Writer* w) const {
   w->PutVarint32(participant);
   w->PutVarint32(node);
@@ -180,6 +226,20 @@ Status EpochInstance::DecodeFrom(Reader* r, EpochInstance* out) {
   ORC_RETURN_IF_ERROR(r->GetVarint64(&out->epoch));
   ORC_RETURN_IF_ERROR(r->GetVarint32(&out->participant));
   return r->GetVarint64(&out->nonce);
+}
+
+void FenceRequest::EncodeTo(Writer* w) const {
+  w->PutVarint64(epoch);
+  w->PutVarint32(fencer);
+  w->PutVarint32(fenced);
+  w->PutVarint64(ttl_us);
+}
+
+Status FenceRequest::DecodeFrom(Reader* r, FenceRequest* out) {
+  ORC_RETURN_IF_ERROR(r->GetVarint64(&out->epoch));
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&out->fencer));
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&out->fenced));
+  return r->GetVarint64(&out->ttl_us);
 }
 
 void EpochClaimRecord::EncodeTo(Writer* w) const {

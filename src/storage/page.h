@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -121,6 +122,23 @@ struct Page {
   static Status DecodeFrom(Reader* r, Page* out);
 };
 
+/// One change a publish makes to a page: a tuple's key bytes and placement
+/// hash, and whether the key is deleted (otherwise it becomes live at the
+/// merge's epoch).
+struct PageEdit {
+  std::string_view key;
+  HashId hash;
+  bool erase = false;
+};
+
+/// Builds a page's next version in one linear merge (§IV copy-on-write).
+/// `old` is the previous version, sorted by (hash, key_bytes) as every
+/// stored page is; its key strings move into the result. `edits` come in
+/// batch order: the last edit of a key wins, a live key takes `epoch`, and an
+/// erased key drops out. The result is sorted the same way; its descriptor is
+/// left to the caller.
+Page MergePage(Page old, const std::vector<PageEdit>& edits, Epoch epoch);
+
 /// One claim attempt: (participant, node, nonce). Encoded alone it is the
 /// reply body of claim refusals (kEpochTaken/kFenced from kClaimEpoch) and
 /// of fence grants (kFenceEpoch), naming the stored or fenced instance.
@@ -156,6 +174,20 @@ struct EpochInstance {
   bool operator==(const EpochInstance&) const = default;
   void EncodeTo(Writer* w) const;
   static Status DecodeFrom(Reader* r, EpochInstance* out);
+};
+
+/// Request body of kFenceEpoch: the contested epoch, the fencing
+/// participant (audit trail), the stalled owner being retired, and the
+/// staleness TTL the claim replicas check.
+struct FenceRequest {
+  Epoch epoch = 0;
+  ParticipantId fencer = 0;
+  ParticipantId fenced = 0;
+  uint64_t ttl_us = 0;
+
+  bool operator==(const FenceRequest&) const = default;
+  void EncodeTo(Writer* w) const;
+  static Status DecodeFrom(Reader* r, FenceRequest* out);
 };
 
 /// Value of an epoch-claim record ('E' keys, see keys::EpochClaim): which

@@ -45,8 +45,11 @@
 // coordinator records and new pages) as soon as the predecessor has
 // *prepared* them, overlapping its own fetch/partition/apply stages with the
 // predecessor's tuple/page writes (and claims its own epoch concurrently
-// with those stages). Two gates keep this exactly as safe as sequential
-// publishing:
+// with those stages). A publish has at most one chained successor, which it
+// links weakly; the successor records where it waits on its predecessor —
+// for it to prepare, at the write gate, or at the commit gate — and the
+// predecessor resumes it from exactly that place. The two gates keep
+// pipelining exactly as safe as sequential publishing:
 //   * WRITE gate — a chained publish issues no writes until every
 //     coordinator record of its predecessor is acked (the predecessor's
 //     confirm round then overlaps the successor's writes), so a failed
@@ -110,8 +113,9 @@ class Publisher {
 
   /// The one publish entry point (client::Session drives it). If `prev`
   /// names a publish from this Publisher that is still in flight, the new
-  /// publish chains onto it (see the file comment); if `prev` is null or
-  /// already resolved, this is a fresh publish with full epoch discovery — a
+  /// publish chains onto it as its one successor (see the file comment;
+  /// `prev` must not already have one); if `prev` is null or already
+  /// resolved, this is a fresh publish with full epoch discovery — a
   /// resolved predecessor gives no freshness guarantee (another participant
   /// may have published since), so chaining onto one is never attempted.
   /// Returns the publish's handle (already resolved if the batch was rejected
@@ -149,10 +153,7 @@ class Publisher {
   struct PipelineStats {
     uint64_t publishes = 0;        // publishes started
     uint64_t chained = 0;          // based on an in-flight predecessor
-    uint64_t chain_fallbacks = 0;  // prev handle given but already resolved
-    uint64_t aborted_on_prev = 0;  // aborted because the predecessor failed
     uint64_t put_frames = 0;       // coalesced kPutTuples frames sent
-    uint64_t tuple_records = 0;    // tuple records carried by those frames
     // Multi-writer contention accounting.
     uint64_t epoch_conflicts = 0;  // claims or commits lost to another writer
     uint64_t rebases = 0;          // publishes re-based onto a winner's epoch
@@ -164,120 +165,115 @@ class Publisher {
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
  private:
-  /// Stage 0: ask every member for its highest stored coordinator epoch;
-  /// re-runs the round (up to `rounds_left`) while more than one member
-  /// failed to answer, since under single-failure assumptions a committed
-  /// record has at least two live replicas — at most one silent member means
-  /// at least one holder of the newest record was heard.
+  /// One try at publishing a batch at one epoch (defined in publisher.cc).
+  struct Attempt;
+  using AttemptPtr = std::shared_ptr<Attempt>;
+  /// Where a chained publish waits on its predecessor.
+  enum class Gate : uint8_t { kNone, kPrepared, kWriteGate, kCommitGate };
+
+  /// Stage 0: ask every member for its highest confirmed epoch; re-runs the
+  /// round (up to `rounds_left`) while more than one member failed to answer,
+  /// since under single-failure assumptions a committed record has at least
+  /// two live replicas — at most one silent member means at least one holder
+  /// of the newest record was heard. Starts the first attempt.
   void DiscoverEpoch(Handle st, int rounds_left);
   /// Stage 1 of a fresh publish and of a network re-base: launches the claim
-  /// for st->new_epoch, then fetches every relation's coordinator record at
-  /// st->base_epoch (FetchBaseCoordinator with `stall_left` stalls).
+  /// for the attempt's epoch, then fetches every relation's coordinator
+  /// record at its base epoch.
   void ClaimAndFetchBase(Handle st, int stall_left);
   /// Chained stage 1: derive the base (records + epoch) from the
   /// predecessor's prepared in-memory output; no network round trips.
   void StartChained(Handle st);
-  /// Restarts the attempt at (base, target) from base records already in
-  /// memory: resets the attempt state, claims `target`, and re-runs the
-  /// prepare stages. Shared by a chained start, a chain re-base onto a
-  /// still-running predecessor, and a skip past a burned epoch.
+  /// Replaces the attempt with one at (base, target) whose base records are
+  /// already in memory, claims `target`, and re-runs the prepare stages: a
+  /// chained start, a chain re-base, or a skip past a burned epoch.
   void RestartAttempt(Handle st, Epoch base, Epoch target,
                       std::map<std::string, CoordinatorRecord> records);
-  /// Fails a chained publish because its predecessor failed.
-  void AbortOnPrev(Handle st, const Status& prev_status);
-  /// Base coordinator fetch. The base is always a CONFIRMED epoch (the
-  /// discovered frontier, or the winner a re-base follows), so a missing
-  /// record means either replication lag (the fetch re-tries the SAME epoch
-  /// `stall_left` times spaced apart in time first) or a relation CREATED
-  /// after that epoch committed — whose newest record below the base then
-  /// carries its state forward (bounded walk-back). The walk is safe under
-  /// multi-writer because everything at or below a confirmed epoch is
-  /// committed (partial records exist only at the frontier's wedged
-  /// successor), so it can never absorb a torn publish's output. Transient
-  /// errors still fail the (retryable) publish.
-  void FetchBaseCoordinator(Handle st, const std::string& rel, Epoch epoch,
-                            int walk_left, int stall_left);
+  /// Base coordinator fetch of one relation at a CONFIRMED epoch; reports to
+  /// `arrive`. A missing record means replication lag (the fetch re-tries the
+  /// SAME epoch `stall_left` times, spaced apart in time) or a relation
+  /// CREATED after that epoch committed, whose newest record below the base
+  /// then carries its state forward (bounded walk-back). Transient errors
+  /// fail the (retryable) publish.
+  void FetchBaseCoordinator(Handle st, AttemptPtr at,
+                            std::function<void(Status)> arrive,
+                            const std::string& rel, Epoch epoch, int walk_left,
+                            int stall_left);
+  /// The fan-in of one stage's `n` operations on the current attempt: once
+  /// all have arrived, the first error fails the publish and otherwise
+  /// `next` runs — unless the attempt was replaced meanwhile.
+  std::function<void(Status)> StageFanIn(Handle st, size_t n,
+                                         void (Publisher::*next)(Handle));
   void FetchPages(Handle st);
-  /// Applies the batch copy-on-write: computes the new pages, tuple writes,
-  /// and — via BuildOutputs — the new coordinator records, then *prepares*
-  /// the publish (unblocking a chained successor) before gating its own
-  /// writes on the predecessor's commit.
+  /// Applies the batch copy-on-write: computes the new pages (MergePage),
+  /// tuple writes, and — via BuildOutputs — the new coordinator records, then
+  /// *prepares* the publish (resuming a successor that waits for it) before
+  /// gating its own writes on the predecessor's commit.
   void Apply(Handle st);
   /// Publishes the prepared writes: tuple versions coalesced into one
   /// multi-relation kPutTuples frame per destination node, page versions to
   /// their index nodes. Runs only once the predecessor (if any) committed.
   void IssueWrites(Handle st);
   /// Computes the new-epoch coordinator record of every relation from the
-  /// base records plus the touched partitions; stored on the handle for both
+  /// base records plus the touched partitions; kept on the attempt for both
   /// the commit stage and any chained successor.
-  void BuildOutputs(Handle st);
-  /// Write-gate release for a chained publish: runs when the predecessor's
-  /// coordinator records are all acked (its confirm round then overlaps this
-  /// publish's writes) or when it resolved early with a failure. Aborts on
-  /// predecessor failure, re-bases (RestartAttempt from its in-memory
-  /// output, or Rebase's network re-fetch once it resolved) when the
-  /// predecessor committed at a different epoch than the one this
-  /// publish prepared against (i.e. it re-based under contention), and
-  /// otherwise opens the write gate.
+  void BuildOutputs(Attempt& at);
+  /// Resumes the chained publish `next` if it waits at `gate` on its
+  /// predecessor; a no-op when it is done or waits elsewhere.
+  void Resume(const Handle& next, Gate gate);
+  /// Write-gate release for a chained publish, once the predecessor's
+  /// coordinator records are all acked or it resolved: aborts on its failure,
+  /// re-bases when it committed at another epoch than this publish prepared
+  /// against (it re-based under contention), else opens the write gate.
   void ReleaseGate(Handle st, Handle prev);
   /// Starts a claim round for the attempt's epoch: one kClaimEpoch per claim
   /// replica. Launched as soon as the epoch is known (overlapping the
   /// prepare stages and, for chained publishes, the predecessor's writes);
-  /// the outcome is recorded on the handle and acted upon by MaybeIssue.
+  /// the outcome is recorded on the attempt and acted upon by MaybeIssue.
   void StartClaim(Handle st);
   /// Joins the three conditions writes wait for — outputs prepared, write
   /// gate open, claim round resolved — and acts on the claim outcome:
-  /// granted -> IssueWrites, lost -> LoseEpoch/AwaitWinner, error -> Finish.
+  /// granted -> IssueWrites; taken -> release fragments, AwaitWinner;
+  /// burned -> SkipFenced (or a self-fence); error -> Finish.
   void MaybeIssue(Handle st);
-  /// A claim was refused. Releases any fragments this publish holds
-  /// (instance-exact via the claim nonce), then waits for the winner's
-  /// commit via AwaitWinner. A claim is NEVER taken over — not even a split
-  /// or seemingly-dead one: takeover rules break under membership churn
-  /// (the claim replica set reshuffles on every kill), and the holder's
-  /// partial writes could be shadowed. Split-claim races resolve through
-  /// AwaitWinner's deterministic per-participant stall phase instead.
-  void LoseEpoch(Handle st, Epoch contested, bool split);
-  /// Stall loop of a claim loser: probes for the winner's committed
-  /// coordinator record at the contested epoch. Found -> Rebase; not found
-  /// -> re-claim (the winner may have failed and released) until the stall
-  /// budget runs out, then fail the publish (the session retries the batch).
-  void AwaitWinner(Handle st, Epoch contested);
+  /// Stall loop of a claim loser: probes for the winner's commit at the
+  /// attempt's epoch. Committed -> Rebase; burned -> SkipFenced; otherwise
+  /// re-claim (the winner may have failed and released) until the stall
+  /// budget runs out, then fence (if enabled) or fail the publish (the
+  /// session retries the batch). A claim is NEVER taken over: takeover rules
+  /// break under membership churn (the claim replica set reshuffles on every
+  /// kill). Split-claim races resolve through ReclaimAfterPause's phase.
+  void AwaitWinner(Handle st);
   /// Contention pause of a claim loser or refused fencer: re-claims after
   /// 2 s plus a deterministic per-participant phase of 250 ms per id.
   void ReclaimAfterPause(Handle st);
   /// kClaimEpoch / kConfirmEpoch body for this participant's attempt.
   std::string ClaimBody(Epoch epoch, uint64_t nonce) const;
   /// Stalled-contender fence round: asks every claim replica to retire the
-  /// abandoned claim at `contested` (kFenceEpoch, TTL-checked server-side).
-  /// All replicas granting burns the epoch — the round then broadcasts
-  /// kPurgeEpoch to every member (orphan cleanup) and skips past the burned
-  /// epoch. ANY refusal (owner refreshed, epoch committed, replica silent)
-  /// aborts the fence and resumes waiting: the quorum rule means a live
-  /// owner only has to reach one claim replica to keep its epoch.
-  void FenceEpoch(Handle st, Epoch contested);
-  /// Skips a publish past a BURNED epoch: like a chain re-base, but the base
-  /// (and its fetched records) stay valid — only the target epoch moves to
-  /// burned + 1. Used by a fencer after its fence round, and by any publish
-  /// that discovers a burned epoch via a kFenced claim refusal or probe.
-  void SkipFenced(Handle st, Epoch burned);
+  /// abandoned claim at the attempt's epoch (kFenceEpoch, TTL-checked
+  /// server-side). All replicas granting burns the epoch — the round then
+  /// broadcasts kPurgeEpoch to every member (orphan cleanup) and skips past
+  /// the burned epoch. ANY refusal (owner refreshed, epoch committed, replica
+  /// silent) aborts the fence and resumes waiting: the quorum rule means a
+  /// live owner only has to reach one claim replica to keep its epoch.
+  void FenceEpoch(Handle st);
+  /// Skips a publish past its attempt's BURNED epoch: the base (and its
+  /// fetched records) stay valid; only the target epoch moves to burned + 1.
+  void SkipFenced(Handle st);
   /// Claim-liveness heartbeat (fencing enabled only): re-sends the granted
-  /// claim (same nonce — an idempotent re-grant) every fence_after_us_/3 so
-  /// the claim replicas' freshness clock keeps a live owner unfenceable. A
-  /// kFenced reply means this publish lost a fence race; it skips or fails.
-  void ScheduleClaimRefresh(Handle st, uint64_t round_id);
-  /// Re-bases a contention loser onto the winner's committed output: resets
-  /// the attempt state, fetches the committed coordinator records at `base`,
-  /// and re-runs FetchPages/Apply/claim at base + 1. Bounded per publish.
+  /// claim of `at` (same nonce — an idempotent re-grant) every
+  /// fence_after_us_/3 so the claim replicas' freshness clock keeps a live
+  /// owner unfenceable. A kFenced reply means this publish lost a fence
+  /// race; it skips or fails.
+  void ScheduleClaimRefresh(Handle st, AttemptPtr at);
+  /// Re-bases a contention loser onto the winner's committed output: a new
+  /// attempt fetches the committed coordinator records at `base` and re-runs
+  /// FetchPages/Apply/claim at base + 1. Bounded per publish.
   void Rebase(Handle st, Epoch base);
-  /// One-way claim cleanup: deletes this participant's claim (fragments) at
-  /// `epoch` on the claim replicas — only the exact instance named by
-  /// `nonce`, so a delayed release can never unpin a newer attempt's claim.
-  /// Sent when a publish that claimed (or may hold claim fragments at)
-  /// `epoch` fails or loses the epoch.
+  /// One-way claim cleanup of a failed or lost epoch: deletes this
+  /// participant's claim (fragments) at `epoch` — only the exact instance
+  /// named by `nonce`, so a delayed release never unpins a newer attempt.
   void ReleaseClaim(Epoch epoch, uint64_t nonce);
-  /// Clears all per-attempt state so a re-base can re-run the pipeline
-  /// stages against a new base; keeps the batch, callback, and chain hooks.
-  static void ResetAttempt(Handle st);
   /// The commit point: coordinator records are written only after every
   /// tuple/page write succeeded, so a coordinator record never references
   /// state that was lost with a failed publish. Participant-tagged; a
@@ -294,9 +290,9 @@ class Publisher {
   /// (the records are durable — the same-batch retry re-claims, rewrites
   /// byte-identically, and re-confirms).
   void ConfirmEpoch(Handle st);
-  /// Resolves the publish exactly once: on success advances the epoch,
-  /// advertises the GC watermark, and marks the handle committed; always
-  /// fires the handle's continuation hooks before the user callback.
+  /// Resolves the publish exactly once: on success advances the epoch and
+  /// advertises the GC watermark; drops the attempt; resumes the successor
+  /// wherever it waits, then runs the user callback.
   void Finish(Handle st, Status status);
 
   StorageService* service_;

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/log.h"
+#include "common/strings.h"
 
 namespace orchestra::storage {
 
@@ -194,6 +195,13 @@ void StorageService::Call(net::NodeId to, uint16_t code, std::string body,
   rpc_.Call(to, code, std::move(body), std::move(cb), timeout_us);
 }
 
+void StorageService::CallEach(const std::vector<net::NodeId>& targets,
+                              uint16_t code, const std::string& body,
+                              std::function<void(std::vector<net::Reply>)> done,
+                              sim::SimTime timeout_us) {
+  rpc_.CallEach(targets, code, body, std::move(done), timeout_us);
+}
+
 void StorageService::CallAll(const std::vector<net::NodeId>& targets, uint16_t code,
                              const std::string& body,
                              std::function<void(Status)> cb) {
@@ -213,6 +221,13 @@ void StorageService::Respond(net::NodeId to, uint64_t req_id, Status st,
                              std::string body) {
   net::RpcClient::SendReply(host_, to, net::ServiceId::kStorage, kReply, req_id,
                             st, std::move(body), LocalLoadHint());
+}
+
+void StorageService::RespondCorrupt(net::NodeId to, uint64_t req_id,
+                                    uint16_t code) {
+  std::string why = Tag("storage request ", code);
+  why += " does not decode";
+  Respond(to, req_id, Status::Corruption(why), {});
 }
 
 void StorageService::RespondStored(net::NodeId to, uint64_t req_id,
@@ -311,10 +326,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
   switch (code) {
     case kCatalogAdd: {
       RelationDef def;
-      if (!RelationDef::DecodeFrom(r, &def).ok()) {
-        Respond(from, req_id, Status::Corruption("bad catalog entry"), {});
-        return;
-      }
+      if (!RelationDef::DecodeFrom(r, &def).ok()) break;
       AddRelationLocal(def);
       Respond(from, req_id, Status::OK(), {});
       return;
@@ -326,14 +338,17 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // publisher-computed placement hash is spliced straight into the data
       // key — no SHA-1, no TupleId/tuple-bytes copies.
       uint64_t nrels;
-      if (!r->GetVarint64(&nrels).ok()) return;
+      if (!r->GetVarint64(&nrels).ok()) break;
       counters_.puttuples_frames += 1;
       uint64_t total = 0;
       uint64_t fenced_refused = 0;
       for (uint64_t ri = 0; ri < nrels; ++ri) {
         std::string_view rel;
         uint64_t n;
-        if (!r->GetStringView(&rel).ok() || !r->GetVarint64(&n).ok()) return;
+        if (!r->GetStringView(&rel).ok() || !r->GetVarint64(&n).ok()) {
+          RespondCorrupt(from, req_id, code);
+          return;
+        }
         if (FindRelation(rel) == nullptr) {
           Respond(from, req_id,
                   Status::NotFound("no relation " + std::string(rel)), {});
@@ -346,6 +361,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
               !r->GetStringView(&key_bytes).ok() ||
               !r->GetVarint64(&epoch).ok() ||
               !r->GetStringView(&tuple_bytes).ok()) {
+            RespondCorrupt(from, req_id, code);
             return;
           }
           // Zombie write refusal: a fenced epoch can never be resurrected.
@@ -374,10 +390,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // full decode, then store the raw wire bytes — no re-encode.
       std::string_view page_bytes = r->RemainingView();
       Page page;
-      if (!Page::DecodeFrom(r, &page).ok() || !r->AtEnd()) {
-        Respond(from, req_id, Status::Corruption("bad page"), {});
-        return;
-      }
+      if (!Page::DecodeFrom(r, &page).ok() || !r->AtEnd()) break;
       const PageId& id = page.desc.id;
       if (IsEpochFenced(id.epoch)) {
         counters_.fenced_writes_refused += 1;
@@ -398,10 +411,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // As with kPutPage: validate with a full decode, store the wire bytes.
       std::string_view rec_bytes = r->RemainingView();
       CoordinatorRecord rec;
-      if (!CoordinatorRecord::DecodeFrom(r, &rec).ok() || !r->AtEnd()) {
-        Respond(from, req_id, Status::Corruption("bad coordinator record"), {});
-        return;
-      }
+      if (!CoordinatorRecord::DecodeFrom(r, &rec).ok() || !r->AtEnd()) break;
       // Zombie commit refusal: a fenced epoch's coordinator chain is burned
       // and purged; no participant may rebuild it.
       if (IsEpochFenced(rec.epoch)) {
@@ -437,7 +447,6 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
         }
       }
       store_.Put(keys::Coord(rec.relation, rec.epoch), rec_bytes).ok();
-      counters_.coordinators_stored += 1;
       // Deliberately does NOT advance max_epoch_seen_: a torn publish leaves
       // partial records, and discovery basing on them would absorb
       // uncommitted updates. Only kConfirmEpoch advances the frontier.
@@ -456,10 +465,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // even if the claim is missing here — after membership churn the new
       // claim replicas must still learn the confirmed frontier.
       ClaimRequest req;
-      if (!ClaimRequest::DecodeFrom(r, &req).ok()) {
-        Respond(from, req_id, Status::Corruption("bad epoch confirm"), {});
-        return;
-      }
+      if (!ClaimRequest::DecodeFrom(r, &req).ok()) break;
       const Epoch epoch = req.epoch;
       // A fence that completed first wins: the epoch is burned and its
       // orphans purged, so flipping it committed now would report an epoch
@@ -497,7 +503,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     }
     case kGetEpochClaim: {
       uint64_t epoch;
-      if (!r->GetVarint64(&epoch).ok()) return;
+      if (!r->GetVarint64(&epoch).ok()) break;
       RespondStored(from, req_id, keys::EpochClaim(epoch));
       return;
     }
@@ -510,13 +516,13 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
     case kGetCoordinator: {
       std::string rel;
       uint64_t epoch;
-      if (!r->GetString(&rel).ok() || !r->GetVarint64(&epoch).ok()) return;
+      if (!r->GetString(&rel).ok() || !r->GetVarint64(&epoch).ok()) break;
       RespondStored(from, req_id, keys::Coord(rel, epoch));
       return;
     }
     case kGetPage: {
       PageId id;
-      if (!PageId::DecodeFrom(r, &id).ok()) return;
+      if (!PageId::DecodeFrom(r, &id).ok()) break;
       RespondStored(from, req_id,
                     keys::PageRec(id.relation, id.epoch, id.partition));
       return;
@@ -526,7 +532,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // directly instead of decode + re-encode.
       std::string_view rel;
       TupleId id;
-      if (!r->GetStringView(&rel).ok() || !TupleId::DecodeFrom(r, &id).ok()) return;
+      if (!r->GetStringView(&rel).ok() || !TupleId::DecodeFrom(r, &id).ok()) break;
       auto bytes = ReadTupleBytesLocal(rel, id);
       ChargeCpu(costs.tuple_scan_us);
       // Empty stored bytes are a delete tombstone, never a servable tuple.
@@ -544,13 +550,16 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // node re-learns every participant's mark (not just a scalar) from
       // re-replication; the effective watermark is recomputed as the min.
       uint64_t mark_count, n;
-      if (!r->GetVarint64(&mark_count).ok()) return;
+      if (!r->GetVarint64(&mark_count).ok()) break;
       std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
       pushed_marks.reserve(mark_count);
       for (uint64_t i = 0; i < mark_count; ++i) {
         uint32_t p;
         uint64_t m;
-        if (!r->GetVarint32(&p).ok() || !r->GetVarint64(&m).ok()) return;
+        if (!r->GetVarint32(&p).ok() || !r->GetVarint64(&m).ok()) {
+          RespondCorrupt(from, req_id, code);
+          return;
+        }
         pushed_marks.emplace_back(p, m);
       }
       // Piggybacked fenced-epoch table: merged BEFORE the records below so a
@@ -558,16 +567,22 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // burned (and so a restarted receiver whose fenced claim records were
       // GC'd below the watermark still re-learns the burns).
       uint64_t fence_count;
-      if (!r->GetVarint64(&fence_count).ok()) return;
+      if (!r->GetVarint64(&fence_count).ok()) break;
       for (uint64_t i = 0; i < fence_count; ++i) {
         EpochInstance burn;
-        if (!EpochInstance::DecodeFrom(r, &burn).ok()) return;
+        if (!EpochInstance::DecodeFrom(r, &burn).ok()) {
+          RespondCorrupt(from, req_id, code);
+          return;
+        }
         MergeFencedEpoch(burn.epoch, burn.participant, burn.nonce);
       }
-      if (!r->GetVarint64(&n).ok()) return;
+      if (!r->GetVarint64(&n).ok()) break;
       for (uint64_t i = 0; i < n; ++i) {
         std::string_view key, value;
-        if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) return;
+        if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) {
+          RespondCorrupt(from, req_id, code);
+          return;
+        }
         if (keys::Tag(key) == keys::kClaimTag) {
           // Epoch claims merge by strength: committed > purged burn > burn
           // promise > uncommitted claim > absent. A CONFIRMED claim replaces
@@ -681,7 +696,10 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       return;
     default:
       Respond(from, req_id, Status::NotSupported("unknown storage code"), {});
+      return;
   }
+  // A case leaves the switch only when its request body does not decode.
+  RespondCorrupt(from, req_id, code);
 }
 
 void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
@@ -701,10 +719,10 @@ void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
   // wrote at it). A wedged epoch is unwedged only by its own participant's
   // same-batch retry (idempotent re-grant) or its instance-exact release;
   // split races resolve through the publishers' per-participant stall
-  // phases (see Publisher::LoseEpoch).
+  // phases (see Publisher::AwaitWinner).
   ClaimRequest req;
   if (!ClaimRequest::DecodeFrom(r, &req).ok()) {
-    Respond(from, req_id, Status::Corruption("bad epoch claim"), {});
+    RespondCorrupt(from, req_id, kClaimEpoch);
     return;
   }
   const Epoch epoch = req.epoch;
@@ -717,7 +735,6 @@ void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
   auto grant = [&](bool committed, uint64_t stored_nonce) {
     PutClaim(epoch, EpochClaimRecord{claimant.participant, claimant.node,
                                      committed, stored_nonce});
-    counters_.claims_granted += 1;
     // The freshness clock a fence races against: every grant (including the
     // owner's periodic refresh re-grants) resets the staleness TTL.
     claim_touch_[epoch] = host_->network()->simulator()->now();
@@ -811,14 +828,13 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
   // would delete visible data. Purging happens only in phase two — the
   // fencer's kPurgeEpoch broadcast after EVERY replica granted, which proves
   // no confirm round can ever complete at this epoch.
-  uint64_t epoch, ttl_us;
-  uint32_t fencer, fenced_participant;
-  if (!r->GetVarint64(&epoch).ok() || !r->GetVarint32(&fencer).ok() ||
-      !r->GetVarint32(&fenced_participant).ok() ||
-      !r->GetVarint64(&ttl_us).ok()) {
-    Respond(from, req_id, Status::Corruption("bad fence request"), {});
+  FenceRequest req;
+  if (!FenceRequest::DecodeFrom(r, &req).ok()) {
+    RespondCorrupt(from, req_id, kFenceEpoch);
     return;
   }
+  const Epoch epoch = req.epoch;
+  const ParticipantId fenced_participant = req.fenced;
   ChargeCpu(host_->network()->costs().tuple_scan_us);
   auto loaded = LoadClaim(epoch);
   const bool have = loaded.ok();
@@ -859,7 +875,7 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
   // partial burn it can neither commit through nor safely abandon) waives
   // the freshness check: the clock protects the owner, and the owner is the
   // requester.
-  if (have && fencer != fenced_participant) {
+  if (have && req.fencer != fenced_participant) {
     auto touch = claim_touch_.find(epoch);
     sim::SimTime now = host_->network()->simulator()->now();
     if (touch == claim_touch_.end()) {
@@ -873,7 +889,7 @@ void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
                                  " has unknown freshness; seeded"));
       return;
     }
-    if (now - touch->second < static_cast<sim::SimTime>(ttl_us)) {
+    if (now - touch->second < static_cast<sim::SimTime>(req.ttl_us)) {
       refuse(Status::Unavailable("fence refused: claim owner of epoch " +
                                  std::to_string(epoch) + " is still fresh"));
       return;
@@ -970,7 +986,7 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
   if (!r->GetU64(&scan_id).ok() || !r->GetU32(&requester).ok() ||
       !r->GetString(&rel).ok() || !PageDescriptor::DecodeFrom(r, &desc).ok() ||
       !KeyFilter::DecodeFrom(r, &filter).ok()) {
-    Respond(from, req_id, Status::Corruption("bad scan request"), {});
+    RespondCorrupt(from, req_id, kScanPage);
     return;
   }
 
@@ -980,7 +996,6 @@ void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id
     Respond(from, req_id, page.status(), {});
     return;
   }
-  counters_.scans_served += 1;
   ChargeCpu(host_->network()->costs().index_entry_us *
             static_cast<double>(page->ids.size()));
 

@@ -171,6 +171,12 @@ class StorageService : public net::Service {
   /// destination is reaped after a connection drop.
   void Call(net::NodeId to, uint16_t code, std::string body, RpcCallback cb,
             sim::SimTime timeout_us = net::kDefaultRpcTimeoutUs);
+  /// Sends the same request to several nodes; once the last reply arrived,
+  /// `done` receives them all in arrival order (net::RpcClient::CallEach).
+  void CallEach(const std::vector<net::NodeId>& targets, uint16_t code,
+                const std::string& body,
+                std::function<void(std::vector<net::Reply>)> done,
+                sim::SimTime timeout_us = net::kDefaultRpcTimeoutUs);
   /// Sends the same request to several nodes; cb(OK) when all succeed, else
   /// the first error.
   void CallAll(const std::vector<net::NodeId>& targets, uint16_t code,
@@ -301,8 +307,6 @@ class StorageService : public net::Service {
   struct Counters {
     uint64_t tuples_stored = 0;
     uint64_t pages_stored = 0;
-    uint64_t coordinators_stored = 0;
-    uint64_t scans_served = 0;
     uint64_t tuples_served = 0;
     // Coalesced publish frames received: one per (publish, destination node)
     // pair — the RPC-count story of the pipelined publish path.
@@ -311,7 +315,6 @@ class StorageService : public net::Service {
     // with kEpochTaken, and same-epoch coordinator writes refused at the
     // commit gate (the backstop; nonzero only under claim-replica-set
     // wipeout by simultaneous membership churn).
-    uint64_t claims_granted = 0;
     uint64_t claims_refused = 0;
     uint64_t coordinator_conflicts = 0;
     // Abandonment fencing at this claim replica: kFenceEpoch grants (the
@@ -345,6 +348,9 @@ class StorageService : public net::Service {
   };
 
   void Respond(net::NodeId to, uint64_t req_id, Status st, std::string body);
+  /// Answers a request whose body does not decode: every request gets a
+  /// reply, so a malformed one fails fast instead of timing out.
+  void RespondCorrupt(net::NodeId to, uint64_t req_id, uint16_t code);
   /// Replies with the stored bytes under `key`, or with NotFound.
   void RespondStored(net::NodeId to, uint64_t req_id, const std::string& key);
   /// The epoch's stored claim record: NotFound when the slot is empty,

@@ -1,6 +1,7 @@
 #include "workload/stbench.h"
 
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace orchestra::workload {
 
@@ -27,7 +28,7 @@ namespace {
 RelationDef WideRelation(const std::string& name, int attrs, uint32_t partitions) {
   std::vector<ColumnDef> cols;
   for (int i = 0; i < attrs; ++i) {
-    cols.push_back({"a" + std::to_string(i), ValueType::kString});
+    cols.push_back({Tag("a", i), ValueType::kString});
   }
   RelationDef def;
   def.name = name;

@@ -16,6 +16,7 @@
 
 #include "client/session.h"
 #include "common/pending.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "storage/publisher.h"
 
@@ -118,7 +119,7 @@ TEST_F(SessionTest, FlushIsABarrier) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   Session& s = dep->session(0);
   for (int i = 0; i < 3; ++i) {
-    s.Submit(OneRow("R", "k", "v" + std::to_string(i)));
+    s.Submit(OneRow("R", "k", Tag("v", i)));
   }
   Pending<Epoch> flush = s.Flush();
   EXPECT_FALSE(flush.done());
@@ -155,8 +156,8 @@ TEST_F(SessionTest, PipelinedWindowCommitsInOrderAndChains) {
   std::map<std::string, std::string> model;
   std::vector<Ticket> tickets;
   for (int i = 0; i < 6; ++i) {
-    std::string k = "k" + std::to_string(i % 4);
-    std::string v = "v" + std::to_string(i);
+    std::string k = Tag("k", i % 4);
+    std::string v = Tag("v", i);
     model[k] = v;
     tickets.push_back(s.Submit(OneRow("R", k, v)));
   }
@@ -198,8 +199,8 @@ TEST(SessionPipeline, OverlapBeatsSequentialSimTime) {
     sim::SimTime start = dep.sim().now();
     std::vector<Ticket> tickets;
     for (int i = 0; i < 12; ++i) {
-      tickets.push_back(s.Submit(OneRow("R", "k" + std::to_string(i % 5),
-                                        "v" + std::to_string(i))));
+      tickets.push_back(s.Submit(OneRow("R", Tag("k", i % 5),
+                                        Tag("v", i))));
     }
     EXPECT_TRUE(dep.RunUntil([&tickets] {
       for (const Ticket& t : tickets) {
@@ -233,7 +234,7 @@ TEST_F(SessionTest, TupleWritesCoalescePerNode) {
   uint64_t before = frames_now();
   UpdateBatch b;
   for (int i = 0; i < 16; ++i) {
-    std::string k = "k" + std::to_string(i);
+    std::string k = Tag("k", i);
     b["R"].push_back(Update::Insert(Row(k, "r")));
     b["S"].push_back(Update::Insert(Row(k, "s")));
   }
@@ -253,7 +254,7 @@ TEST_F(SessionTest, FailureAbortsSuffixAndSameBatchRetryRecovers) {
 
   std::vector<UpdateBatch> batches;
   for (int i = 0; i < 4; ++i) {
-    batches.push_back(OneRow("R", "k" + std::to_string(i), "v" + std::to_string(i)));
+    batches.push_back(OneRow("R", Tag("k", i), Tag("v", i)));
   }
   Session& s = dep->session(0);
   std::vector<Ticket> tickets;
@@ -312,7 +313,7 @@ TEST_F(SessionTest, TicketsResolveWhenSessionNodeDies) {
   Session& s = dep->session(1);
   std::vector<Ticket> tickets;
   for (int i = 0; i < 3; ++i) {
-    tickets.push_back(s.Submit(OneRow("R", "k" + std::to_string(i), "v")));
+    tickets.push_back(s.Submit(OneRow("R", Tag("k", i), "v")));
   }
   dep->KillNode(1);  // the session's own node
   // No driving needed: the kill path fails the tickets synchronously — a
@@ -340,8 +341,8 @@ TEST_F(SessionTest, BackpressureShrinksWindowWithoutLosingPublishes) {
   std::map<std::string, std::string> model;
   std::vector<Ticket> tickets;
   for (int i = 0; i < 8; ++i) {
-    std::string k = "k" + std::to_string(i);
-    model[k] = "v";
+    std::string k = Tag("k", i);
+    model.emplace(k, "v");
     tickets.push_back(s.Submit(OneRow("R", k, "v")));
   }
   ASSERT_TRUE(Drive(
@@ -368,7 +369,7 @@ TEST_F(SessionTest, BackpressureShrinksWindowWithoutLosingPublishes) {
   dep->RunFor(3 * sim::kMicrosPerSec);  // age out stale hints
   std::vector<Ticket> more;
   for (int i = 0; i < 6; ++i) {
-    more.push_back(s.Submit(OneRow("R", "m" + std::to_string(i), "v")));
+    more.push_back(s.Submit(OneRow("R", Tag("m", i), "v")));
   }
   ASSERT_TRUE(Drive([&more] {
     for (const Ticket& t : more) {
@@ -465,8 +466,8 @@ TEST_F(SessionTest, NoTornOrShadowedVersionsAcrossFullHistory) {
     std::vector<std::pair<std::string, std::string>> rows;
     for (size_t w = 0; w < kWriters; ++w) {
       // Disjoint per-writer key stripes, fresh value per round.
-      std::string k = "w" + std::to_string(w) + "k" + std::to_string(round % 2);
-      std::string v = "r" + std::to_string(round);
+      std::string k = Tag("w", w) + Tag("k", round % 2);
+      std::string v = Tag("r", round);
       rows.emplace_back(k, v);
       tickets.push_back(dep->session(w).Submit(OneRow("R", k, v)));
     }
@@ -522,7 +523,7 @@ TEST(MultiWriter, GcWatermarkIsMinAcrossParticipants) {
   // window), so nothing the slow writer bases on is retired.
   Epoch last = 0;
   for (int i = 0; i < 8; ++i) {
-    auto e = dep.Publish(0, OneRow("R", "fast", "v" + std::to_string(i)));
+    auto e = dep.Publish(0, OneRow("R", "fast", Tag("v", i)));
     ASSERT_TRUE(e.ok());
     last = *e;
   }
@@ -601,8 +602,8 @@ TEST(Fencing, FencedMidPublishFailsTicketAndAbortsSuccessorsInOrder) {
   Session& zombie = dep.session(writer);
   std::vector<UpdateBatch> batches;
   for (int i = 0; i < 3; ++i) {
-    batches.push_back(OneRow("R", "k" + std::to_string(i),
-                             "v" + std::to_string(i)));
+    batches.push_back(OneRow("R", Tag("k", i),
+                             Tag("v", i)));
   }
   std::vector<Ticket> tickets;
   for (const UpdateBatch& b : batches) tickets.push_back(zombie.Submit(b));
@@ -634,10 +635,9 @@ TEST(Fencing, FencedMidPublishFailsTicketAndAbortsSuccessorsInOrder) {
   const uint32_t fencer_id = 9;  // any non-owner participant may fence
   for (net::NodeId target : claim_reps) {
     Writer fw;
-    fw.PutVarint64(2);
-    fw.PutVarint32(fencer_id);
-    fw.PutVarint32(zombie.participant());
-    fw.PutVarint64(opts.fence_after_us);
+    storage::FenceRequest{2, fencer_id, zombie.participant(),
+                          static_cast<uint64_t>(opts.fence_after_us)}
+        .EncodeTo(&fw);
     Status granted = rpc(target, storage::kFenceEpoch, fw.Release());
     ASSERT_TRUE(granted.ok()) << granted.ToString();
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "localstore/local_store.h"
 #include "wal/backend.h"
 
@@ -108,7 +109,7 @@ TEST(LocalStore, RecoverRebuildsIdenticalIndex) {
   Rng rng(5);
   std::map<std::string, std::string> model;
   for (int i = 0; i < 2000; ++i) {
-    std::string k = "key-" + std::to_string(rng.Uniform(500));
+    std::string k = Tag("key-", rng.Uniform(500));
     if (rng.OneIn(4)) {
       store.Delete(k).ok();
       model.erase(k);
@@ -135,13 +136,13 @@ TEST(LocalStore, CompactionPreservesContentAndReclaimsLog) {
   // Overwrite the same small key set many times -> lots of garbage.
   for (int round = 0; round < 50; ++round) {
     for (int k = 0; k < 20; ++k) {
-      store.Put("k" + std::to_string(k), "round-" + std::to_string(round)).ok();
+      store.Put(Tag("k", k), Tag("round-", round)).ok();
     }
   }
   EXPECT_GT(store.stats().compactions, 0u);
   EXPECT_EQ(store.entry_count(), 20u);
   for (int k = 0; k < 20; ++k) {
-    EXPECT_EQ(*store.Get("k" + std::to_string(k)), "round-49");
+    EXPECT_EQ(*store.Get(Tag("k", k)), "round-49");
   }
   // After compaction, recovery still works.
   ASSERT_TRUE(store.Recover().ok());
@@ -305,7 +306,7 @@ TEST_P(LocalStoreFuzz, MatchesStdMapModel) {
   std::map<std::string, std::string> model;
   Rng rng(GetParam());
   for (int op = 0; op < 5000; ++op) {
-    std::string k = "k" + std::to_string(rng.Uniform(200));
+    std::string k = Tag("k", rng.Uniform(200));
     switch (rng.Uniform(3)) {
       case 0:
       case 1: {
@@ -349,13 +350,13 @@ TEST(LocalStore, SeekPrefixSurvivesCompactRecoverCycle) {
     return pfx + buf;
   };
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(store.Put(key("A/", i), "a" + std::to_string(i)).ok());
-    ASSERT_TRUE(store.Put(key("B/", i), "b" + std::to_string(i)).ok());
-    ASSERT_TRUE(store.Put(key("C/", i), "c" + std::to_string(i)).ok());
+    ASSERT_TRUE(store.Put(key("A/", i), Tag("a", i)).ok());
+    ASSERT_TRUE(store.Put(key("B/", i), Tag("b", i)).ok());
+    ASSERT_TRUE(store.Put(key("C/", i), Tag("c", i)).ok());
   }
   // Overwrite evens, delete every third key in the B family.
   for (int i = 0; i < 50; i += 2) {
-    ASSERT_TRUE(store.Put(key("B/", i), "B" + std::to_string(i)).ok());
+    ASSERT_TRUE(store.Put(key("B/", i), Tag("B", i)).ok());
   }
   for (int i = 0; i < 50; i += 3) {
     ASSERT_TRUE(store.Delete(key("B/", i)).ok());
@@ -366,7 +367,7 @@ TEST(LocalStore, SeekPrefixSurvivesCompactRecoverCycle) {
     for (int i = 0; i < 50; ++i) {
       if (i % 3 == 0) continue;
       want.emplace_back(key("B/", i),
-                        (i % 2 == 0 ? "B" : "b") + std::to_string(i));
+                        Tag(i % 2 == 0 ? "B" : "b", i));
     }
     size_t n = 0;
     for (auto it = store.SeekPrefix("B/"); it.Valid(); it.Next(), ++n) {

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "common/serial.h"
+#include "common/strings.h"
 #include "overlay/ring.h"
 
 namespace orchestra::overlay {
@@ -14,7 +15,7 @@ std::vector<Member> MakeMembers(size_t n) {
   std::vector<Member> members;
   for (size_t i = 0; i < n; ++i) {
     members.push_back(Member{static_cast<net::NodeId>(i),
-                             HashId::OfBytes("node-" + std::to_string(i))});
+                             HashId::OfBytes(Tag("node-", i))});
   }
   return members;
 }
@@ -41,7 +42,7 @@ TEST(RoutingSnapshot, PastryAssignsNearestNode) {
   auto snap = RoutingSnapshot::Build(1, AllocationScheme::kPastry, members);
   Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {
-    HashId key = HashId::OfBytes("k" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(Tag("k", rng.NextU64()));
     net::NodeId owner = snap.OwnerOf(key);
     // The owner must minimize ring distance (in either direction).
     auto dist = [&](const Member& m) {
@@ -74,7 +75,7 @@ TEST_P(AllocationProperty, EveryKeyHasExactlyOneOwner) {
   EXPECT_EQ(snap.node_count(), n);
   Rng rng(n * 31 + static_cast<int>(scheme));
   for (int trial = 0; trial < 100; ++trial) {
-    HashId key = HashId::OfBytes("key" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(Tag("key", rng.NextU64()));
     net::NodeId owner = snap.OwnerOf(key);
     EXPECT_LT(owner, n);
     auto [begin, end] = snap.RangeOf(key);
@@ -89,7 +90,7 @@ TEST_P(AllocationProperty, ReplicasAreDistinctAndStartWithOwner) {
   auto snap = RoutingSnapshot::Build(1, scheme, MakeMembers(n));
   Rng rng(n * 17);
   for (int trial = 0; trial < 50; ++trial) {
-    HashId key = HashId::OfBytes("rep" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(Tag("rep", rng.NextU64()));
     auto replicas = snap.ReplicasOf(key, 3);
     EXPECT_EQ(replicas[0], snap.OwnerOf(key));
     std::set<net::NodeId> uniq(replicas.begin(), replicas.end());
@@ -109,7 +110,7 @@ TEST_P(AllocationProperty, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back->version(), 7u);
   EXPECT_EQ(back->node_count(), n);
   for (int trial = 0; trial < 20; ++trial) {
-    HashId key = HashId::OfBytes("rt" + std::to_string(trial));
+    HashId key = HashId::OfBytes(Tag("rt", trial));
     EXPECT_EQ(back->OwnerOf(key), snap.OwnerOf(key));
   }
 }
@@ -156,7 +157,7 @@ TEST(RoutingSnapshot, ReassignFailedCoversWholeRing) {
   EXPECT_EQ(recovered.node_count(), 6u);
   Rng rng(4);
   for (int trial = 0; trial < 200; ++trial) {
-    HashId key = HashId::OfBytes("f" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(Tag("f", rng.NextU64()));
     net::NodeId owner = recovered.OwnerOf(key);
     EXPECT_NE(owner, 2u);
     EXPECT_NE(owner, 5u);
@@ -168,7 +169,7 @@ TEST(RoutingSnapshot, ReassignFailedPreservesLiveRanges) {
   auto recovered = snap.ReassignFailed({3}, 3, 2);
   Rng rng(11);
   for (int trial = 0; trial < 300; ++trial) {
-    HashId key = HashId::OfBytes("g" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(Tag("g", rng.NextU64()));
     net::NodeId before = snap.OwnerOf(key);
     net::NodeId after = recovered.OwnerOf(key);
     if (before != 3) {
@@ -188,7 +189,7 @@ TEST(RoutingSnapshot, ReassignSplitsAmongMultipleHeirs) {
   std::set<net::NodeId> heirs;
   Rng rng(12);
   for (int trial = 0; trial < 400; ++trial) {
-    HashId key = HashId::OfBytes("h" + std::to_string(rng.NextU64()));
+    HashId key = HashId::OfBytes(Tag("h", rng.NextU64()));
     if (snap.OwnerOf(key) == 3) heirs.insert(recovered.OwnerOf(key));
   }
   // r=3 gives one clockwise and one counterclockwise heir; the failed range

@@ -7,9 +7,12 @@
 //  * replication keeps every epoch readable after a node failure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "query/reference.h"
 #include "sql/parser.h"
@@ -26,6 +29,107 @@ using storage::Update;
 using storage::UpdateBatch;
 using storage::Value;
 using storage::ValueType;
+
+// ---------------------------------------------------------------------------
+// The copy-on-write page merge (storage::MergePage) against a reference that
+// loads the old page into a std::map, applies the edits in batch order and
+// sorts the survivors by (hash, key).
+
+storage::Page ReferenceMerge(const storage::Page& old,
+                             const std::vector<storage::PageEdit>& edits,
+                             Epoch epoch) {
+  std::map<std::string, std::pair<HashId, Epoch>> live;
+  for (size_t i = 0; i < old.ids.size(); ++i) {
+    live[old.ids[i].key_bytes] = {old.hashes[i], old.ids[i].epoch};
+  }
+  for (const storage::PageEdit& e : edits) {
+    if (e.erase) {
+      live.erase(std::string(e.key));
+    } else {
+      live[std::string(e.key)] = {e.hash, epoch};
+    }
+  }
+  std::vector<std::tuple<HashId, std::string, Epoch>> rows;
+  for (const auto& [key, v] : live) rows.emplace_back(v.first, key, v.second);
+  std::sort(rows.begin(), rows.end());
+  storage::Page out;
+  for (const auto& [hash, key, e] : rows) {
+    out.ids.push_back(storage::TupleId{key, e});
+    out.hashes.push_back(hash);
+  }
+  return out;
+}
+
+// Keys share a handful of hashes, as under a partition-prefix placement, so
+// ties on the hash exercise the key order too.
+HashId MergeHash(uint64_t k) { return HashId::FromU64(k % 5); }
+
+void ExpectMergeMatchesReference(const storage::Page& old,
+                                 const std::vector<storage::PageEdit>& edits,
+                                 Epoch epoch) {
+  storage::Page want = ReferenceMerge(old, edits, epoch);
+  storage::Page got = storage::MergePage(old, edits, epoch);
+  EXPECT_EQ(got.ids, want.ids);
+  EXPECT_EQ(got.hashes, want.hashes);
+}
+
+class MergePageProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MergePageProperty, MatchesMapReference) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 200; ++round) {
+    const uint64_t universe = 1 + rng.Uniform(40);
+    // Old page: a random subset of the universe at older epochs.
+    storage::Page old;
+    std::vector<std::tuple<HashId, std::string, Epoch>> rows;
+    for (uint64_t k = 0; k < universe; ++k) {
+      if (rng.OneIn(2)) rows.emplace_back(MergeHash(k), Tag("k", k), 1 + rng.Uniform(9));
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const auto& [hash, key, e] : rows) {
+      old.ids.push_back(storage::TupleId{key, e});
+      old.hashes.push_back(hash);
+    }
+    // Edits in batch order; keys repeat, so one batch may set, erase and
+    // set one key again. The key strings outlive the edits' views.
+    const size_t n = rng.Uniform(16);
+    std::vector<std::string> keys;
+    keys.reserve(n);
+    std::vector<storage::PageEdit> edits;
+    for (size_t j = 0; j < n; ++j) {
+      uint64_t k = rng.Uniform(universe);
+      keys.push_back(Tag("k", k));
+      edits.push_back(storage::PageEdit{keys.back(), MergeHash(k), rng.OneIn(3)});
+    }
+    ExpectMergeMatchesReference(old, edits, 10);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MergePageProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(MergePage, InsertThenDeleteAndEmptyResults) {
+  const std::string a = Tag("k", 1), b = Tag("k", 6), c = Tag("k", 2);
+  storage::Page old;
+  old.ids = {storage::TupleId{a, 3}, storage::TupleId{b, 4}};
+  old.hashes = {MergeHash(1), MergeHash(6)};
+  // A key the batch inserts and then deletes never reaches the page; one it
+  // deletes and then inserts does, at the new epoch.
+  std::vector<storage::PageEdit> edits = {
+      {c, MergeHash(2), false}, {c, MergeHash(2), true},
+      {a, MergeHash(1), true},  {a, MergeHash(1), false}};
+  ExpectMergeMatchesReference(old, edits, 7);
+  storage::Page merged = storage::MergePage(old, edits, 7);
+  ASSERT_EQ(merged.ids.size(), 2u);
+  EXPECT_EQ(merged.ids[0], (storage::TupleId{a, 7}));
+  EXPECT_EQ(merged.ids[1], (storage::TupleId{b, 4}));
+  // Deleting every key leaves an empty page, as does merging nothing.
+  std::vector<storage::PageEdit> erase_all = {{a, MergeHash(1), true},
+                                              {b, MergeHash(6), true}};
+  ExpectMergeMatchesReference(old, erase_all, 7);
+  EXPECT_TRUE(storage::MergePage(old, erase_all, 7).ids.empty());
+  EXPECT_TRUE(storage::MergePage(storage::Page{}, {}, 7).ids.empty());
+}
 
 // ---------------------------------------------------------------------------
 // Random publish histories: every epoch is a frozen snapshot.

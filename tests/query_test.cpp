@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "query/expr.h"
 #include "query/plan.h"
@@ -240,7 +241,7 @@ TEST_F(QueryClusterTest, CopyQueryReturnsAllRows) {
   Deploy(4);
   std::vector<Tuple> rows;
   for (int i = 0; i < 200; ++i) {
-    rows.push_back({S("k" + std::to_string(i)), S("v" + std::to_string(i % 7))});
+    rows.push_back({S(Tag("k", i)), S(Tag("v", i % 7))});
   }
   LoadRows("R", rows);
 
@@ -278,7 +279,7 @@ TEST_F(QueryClusterTest, SelectPushesPredicate) {
   Deploy(4);
   std::vector<Tuple> rows;
   for (int i = 0; i < 100; ++i) {
-    rows.push_back({S("k" + std::to_string(i)), S(i % 2 ? "odd" : "even")});
+    rows.push_back({S(Tag("k", i)), S(i % 2 ? "odd" : "even")});
   }
   LoadRows("R", rows);
 
@@ -311,7 +312,7 @@ TEST_F(QueryClusterTest, ProjectAndCompute) {
 TEST_F(QueryClusterTest, CoveringScanReadsKeysOnly) {
   Deploy(4);
   std::vector<Tuple> rows;
-  for (int i = 0; i < 60; ++i) rows.push_back({S("key" + std::to_string(i)), S("pay")});
+  for (int i = 0; i < 60; ++i) rows.push_back({S(Tag("key", i)), S("pay")});
   LoadRows("R", rows);
 
   PlanBuilder b;
@@ -382,12 +383,12 @@ TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
   Rng rng(99);
   std::vector<Tuple> r_rows, s_rows;
   for (int i = 0; i < 300; ++i) {
-    r_rows.push_back({S("rk" + std::to_string(i)),
-                      S("j" + std::to_string(rng.Uniform(40)))});
+    r_rows.push_back({S(Tag("rk", i)),
+                      S(Tag("j", rng.Uniform(40)))});
   }
   for (int i = 0; i < 150; ++i) {
-    s_rows.push_back({S("j" + std::to_string(rng.Uniform(40))),
-                      S("z" + std::to_string(i))});
+    s_rows.push_back({S(Tag("j", rng.Uniform(40))),
+                      S(Tag("z", i))});
   }
   // S's key is column 0 (the join attribute); keys must be unique.
   std::map<std::string, Tuple> uniq;
@@ -418,10 +419,10 @@ TEST_F(QueryClusterTest, DoubleRehashJoinBothSides) {
   Rng rng(123);
   std::vector<Tuple> r_rows, s_rows;
   for (int i = 0; i < 200; ++i) {
-    r_rows.push_back({S("rk" + std::to_string(i)),
-                      S("v" + std::to_string(rng.Uniform(25)))});
-    s_rows.push_back({S("sk" + std::to_string(i)),
-                      S("v" + std::to_string(rng.Uniform(25)))});
+    r_rows.push_back({S(Tag("rk", i)),
+                      S(Tag("v", rng.Uniform(25)))});
+    s_rows.push_back({S(Tag("sk", i)),
+                      S(Tag("v", rng.Uniform(25)))});
   }
   LoadRows("R", r_rows);
   LoadRows("S", s_rows);
@@ -447,8 +448,8 @@ TEST_F(QueryClusterTest, DistributedAggregationWithReaggregation) {
   std::vector<Tuple> rows;
   std::map<std::string, int64_t> expect_counts;
   for (int i = 0; i < 500; ++i) {
-    std::string g = "g" + std::to_string(rng.Uniform(7));
-    rows.push_back({S("k" + std::to_string(i)), S(g)});
+    std::string g = Tag("g", rng.Uniform(7));
+    rows.push_back({S(Tag("k", i)), S(g)});
     expect_counts[g] += 1;
   }
   LoadRows("R", rows);
@@ -522,12 +523,12 @@ class RecoveryTest : public QueryClusterTest {
     Rng rng(seed);
     std::vector<Tuple> r_rows, s_rows;
     for (int i = 0; i < n_r; ++i) {
-      r_rows.push_back({S("rk" + std::to_string(i)),
-                        S("j" + std::to_string(rng.Uniform(50)))});
+      r_rows.push_back({S(Tag("rk", i)),
+                        S(Tag("j", rng.Uniform(50)))});
     }
     for (int i = 0; i < n_s; ++i) {
-      s_rows.push_back({S("j" + std::to_string(i % 50)),
-                        S("z" + std::to_string(i))});
+      s_rows.push_back({S(Tag("j", i % 50)),
+                        S(Tag("z", i))});
     }
     std::map<std::string, Tuple> uniq;
     for (auto& t : s_rows) uniq[t[0].AsString()] = t;
@@ -627,8 +628,8 @@ TEST_F(RecoveryTest, AggregationSurvivesFailureWithoutDoubleCounting) {
   std::vector<Tuple> rows;
   std::map<std::string, int64_t> expect_counts;
   for (int i = 0; i < 5000; ++i) {
-    std::string g = "g" + std::to_string(rng.Uniform(10));
-    rows.push_back({S("k" + std::to_string(i)), S(g)});
+    std::string g = Tag("g", rng.Uniform(10));
+    rows.push_back({S(Tag("k", i)), S(g)});
     expect_counts[g] += 1;
   }
   LoadRows("R", rows);
@@ -702,9 +703,7 @@ TEST_F(RecoveryTest, HungNodeDetectedByPings) {
   ASSERT_TRUE(expect.ok());
 
   QueryOptions opts;
-  opts.enable_ping = true;
   opts.ping_interval_us = 200 * sim::kMicrosPerMilli;
-  opts.ping_miss_threshold = 3;
   FailureRun run = RunWithFailureAt(plan, 3, 0.3, opts, /*hang=*/true);
   ASSERT_TRUE(run.injected);
   ASSERT_TRUE(run.status.ok()) << run.status.ToString();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "net/rpc.h"
 #include "storage/publisher.h"
@@ -68,7 +69,7 @@ TEST_F(RpcLifecycleTest, PublishesDrainPendingTables) {
     UpdateBatch batch;
     for (int i = 0; i < 16; ++i) {
       batch["R"].push_back(
-          Update::Insert(Row("k" + std::to_string(b * 16 + i), "v")));
+          Update::Insert(Row(Tag("k", b * 16 + i), "v")));
     }
     // Each publish discovers the previous one's confirmed epoch.
     auto e = dep->Publish(0, std::move(batch));
@@ -114,7 +115,7 @@ TEST_F(RpcLifecycleTest, PeerFailureReapsOrphanedCalls) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   UpdateBatch batch;
   for (int i = 0; i < 32; ++i) {
-    batch["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    batch["R"].push_back(Update::Insert(Row(Tag("k", i), "v")));
   }
   auto epoch = dep->Publish(0, std::move(batch));
   ASSERT_TRUE(epoch.ok());
@@ -294,7 +295,7 @@ TEST_F(RpcLifecycleTest, RandomChurnDrainsTablesForEverySeed) {
       UpdateBatch batch;
       for (int i = 0; i < 6; ++i) {
         batch["R"].push_back(Update::Insert(
-            Row("k" + std::to_string(rng.Uniform(64)), "v" + std::to_string(round))));
+            Row(Tag("k", rng.Uniform(64)), Tag("v", round))));
       }
       auto e = dep->Publish(via, std::move(batch));
       if (e.ok()) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "optimizer/optimizer.h"
 #include "query/reference.h"
@@ -281,20 +282,20 @@ class SqlEndToEnd : public ::testing::Test {
     Rng rng(42);
     storage::UpdateBatch batch;
     for (int i = 0; i < 400; ++i) {
-      storage::Tuple row = {Value("x" + std::to_string(i)),
-                            Value("y" + std::to_string(rng.Uniform(30)))};
+      storage::Tuple row = {Value(Tag("x", i)),
+                            Value(Tag("y", rng.Uniform(30)))};
       ref_db["R"].push_back(row);
       batch["R"].push_back(storage::Update::Insert(row));
     }
     for (int i = 0; i < 30; ++i) {
-      storage::Tuple row = {Value("y" + std::to_string(i)),
-                            Value("z" + std::to_string(i % 4))};
+      storage::Tuple row = {Value(Tag("y", i)),
+                            Value(Tag("z", i % 4))};
       ref_db["S"].push_back(row);
       batch["S"].push_back(storage::Update::Insert(row));
     }
     for (int i = 0; i < 500; ++i) {
       storage::Tuple row = {Value(int64_t{i}),
-                            Value("g" + std::to_string(rng.Uniform(6))),
+                            Value(Tag("g", rng.Uniform(6))),
                             Value(rng.NextDouble() * 100)};
       ref_db["T"].push_back(row);
       batch["T"].push_back(storage::Update::Insert(row));

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "deploy/deployment.h"
 #include "storage/keys.h"
 #include "storage/page.h"
@@ -115,7 +116,7 @@ TEST(Page, PartitionGeometry) {
     // Random keys land in consistent partitions.
     Rng rng(parts);
     for (int i = 0; i < 50; ++i) {
-      HashId h = HashId::OfBytes("p" + std::to_string(rng.NextU64()));
+      HashId h = HashId::OfBytes(Tag("p", rng.NextU64()));
       uint32_t idx = PartitionIndexFor(h, parts);
       EXPECT_TRUE(h.InRange(PartitionBegin(idx, parts), PartitionEnd(idx, parts)));
     }
@@ -302,7 +303,7 @@ TEST_F(StorageClusterTest, LargeBatchRoundTrips) {
   UpdateBatch batch;
   std::multiset<std::string> expect;
   for (int i = 0; i < 500; ++i) {
-    Tuple t = Row("key-" + std::to_string(i), rng.AlphaString(20));
+    Tuple t = Row(Tag("key-", i), rng.AlphaString(20));
     expect.insert(TupleToString(t));
     batch["R"].push_back(Update::Insert(std::move(t)));
   }
@@ -316,7 +317,7 @@ TEST_F(StorageClusterTest, SurvivesSingleNodeFailure) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   UpdateBatch batch;
   for (int i = 0; i < 100; ++i) {
-    batch["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    batch["R"].push_back(Update::Insert(Row(Tag("k", i), "v")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
 
@@ -358,7 +359,7 @@ TEST_F(StorageClusterTest, ReplicateEverywhereRelation) {
   ASSERT_TRUE(dep->CreateRelation(0, def).ok());
   UpdateBatch batch;
   for (int i = 0; i < 25; ++i) {
-    batch["Nation"].push_back(Update::Insert(Row("n" + std::to_string(i), "meta")));
+    batch["Nation"].push_back(Update::Insert(Row(Tag("n", i), "meta")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
   // Every node holds every tuple.
@@ -378,7 +379,7 @@ TEST_F(StorageClusterTest, NewNodeReceivesReplicasViaRebalance) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   UpdateBatch batch;
   for (int i = 0; i < 200; ++i) {
-    batch["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    batch["R"].push_back(Update::Insert(Row(Tag("k", i), "v")));
   }
   ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
 
@@ -454,7 +455,7 @@ TEST_F(StorageClusterTest, PublishedPageHashesMatchFreshPlacementHash) {
   Rng rng(11);
   for (int i = 0; i < 200; ++i) {
     batch["R"].push_back(
-        Update::Insert(Row("key-" + std::to_string(i), rng.AlphaString(12))));
+        Update::Insert(Row(Tag("key-", i), rng.AlphaString(12))));
   }
   auto epoch = dep->Publish(0, std::move(batch));
   ASSERT_TRUE(epoch.ok());
@@ -484,7 +485,7 @@ TEST_F(StorageClusterTest, Sha1ComputedOncePerTuplePerPublish) {
   // publisher AND every kPutTuples/kPutPage receiver in the cluster.
   UpdateBatch first;
   for (int i = 0; i < 150; ++i) {
-    first["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "v")));
+    first["R"].push_back(Update::Insert(Row(Tag("k", i), "v")));
   }
   uint64_t before = TupleKeyHashCount();
   ASSERT_TRUE(dep->Publish(0, std::move(first)).ok());
@@ -494,7 +495,7 @@ TEST_F(StorageClusterTest, Sha1ComputedOncePerTuplePerPublish) {
   // stored hashes, so the count is again exactly the update count.
   UpdateBatch second;
   for (int i = 0; i < 40; ++i) {
-    second["R"].push_back(Update::Insert(Row("k" + std::to_string(i), "w")));
+    second["R"].push_back(Update::Insert(Row(Tag("k", i), "w")));
   }
   before = TupleKeyHashCount();
   ASSERT_TRUE(dep->Publish(0, std::move(second)).ok());
@@ -602,7 +603,7 @@ TEST_F(StorageClusterTest, WatermarkRetiresSupersededVersions) {
   ASSERT_TRUE(dep->Publish(0, std::move(e)).ok());
   for (int i = 1; i <= 3; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k", "v" + std::to_string(i)))};
+    u["R"] = {Update::Insert(Row("k", Tag("v", i)))};
     ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
   }
   UpdateBatch del;
@@ -650,7 +651,7 @@ TEST_F(StorageClusterTest, WatermarkRetiresPageAndCoordinatorRecords) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 2)).ok());
   for (int i = 0; i < 6; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i % 2), "v"))};
+    u["R"] = {Update::Insert(Row(Tag("k", i % 2), "v"))};
     ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
   }
   size_t coords_before = 0, pages_before = 0;
@@ -685,7 +686,7 @@ TEST_F(StorageClusterTest, PublisherAdvertisesWatermark) {
   Epoch last = 0;
   for (int i = 0; i < 8; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("hot", "v" + std::to_string(i)))};
+    u["R"] = {Update::Insert(Row("hot", Tag("v", i)))};
     auto e = dep->Publish(0, std::move(u));
     ASSERT_TRUE(e.ok());
     last = *e;
@@ -722,7 +723,7 @@ TEST(StorageGc, ReplicaPushPiggybacksWatermark) {
   Epoch last = 0;
   for (int i = 0; i < 6; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i % 2), "v" + std::to_string(i)))};
+    u["R"] = {Update::Insert(Row(Tag("k", i % 2), Tag("v", i)))};
     auto e = dep.Publish(0, std::move(u));
     ASSERT_TRUE(e.ok());
     last = *e;
@@ -768,7 +769,7 @@ TEST(StorageGc, InlineAndBackgroundSweepsRetireTheSameRecords) {
     EXPECT_TRUE(c.dep->CreateRelation(0, SimpleRelation("R", 2)).ok());
     UpdateBatch first;
     for (int k = 0; k < 1200; ++k) {
-      first["R"].push_back(Update::Insert(Row("k" + std::to_string(k), "v0")));
+      first["R"].push_back(Update::Insert(Row(Tag("k", k), "v0")));
     }
     first["R"].push_back(Update::Insert(Row("dead", "x")));
     EXPECT_TRUE(c.dep->Publish(0, std::move(first)).ok());
@@ -776,7 +777,7 @@ TEST(StorageGc, InlineAndBackgroundSweepsRetireTheSameRecords) {
       UpdateBatch u;
       for (int k = round % 2; k < 1200; k += 2) {
         u["R"].push_back(Update::Insert(
-            Row("k" + std::to_string(k), "v" + std::to_string(round))));
+            Row(Tag("k", k), Tag("v", round))));
       }
       if (round == 2) u["R"].push_back(Update::Delete(Row("dead", "")));
       auto e = c.dep->Publish(0, std::move(u));
@@ -916,9 +917,55 @@ TEST(ClaimCodec, GoldenBytesMatchTheWireLayouts) {
   EpochClaimRecord rec{300, 129, /*committed=*/true, 70000};
   EXPECT_EQ(EncodeToBytes(rec.instance()), reply.data());
 
+  // kFenceEpoch: varint64 epoch | varint32 fencer | varint32 fenced
+  // participant | varint64 ttl_us.
+  Writer fence;
+  fence.PutVarint64(epoch);
+  fence.PutVarint32(300);
+  fence.PutVarint32(129);
+  fence.PutVarint64(2000000);
+  const FenceRequest fence_req{epoch, /*fencer=*/300, /*fenced=*/129,
+                               /*ttl_us=*/2000000};
+  EXPECT_EQ(EncodeToBytes(fence_req), fence.data());
+  EXPECT_EQ(EncodeToBytes(FenceRequest{5, 7, 3, 1}),
+            std::string("\x05\x07\x03\x01", 4));
+
   ExpectRoundTripAndTruncationRejected(claim.data(), claim_req);
   ExpectRoundTripAndTruncationRejected(release.data(), release_body);
   ExpectRoundTripAndTruncationRejected(reply.data(), inst);
+  ExpectRoundTripAndTruncationRejected(fence.data(), fence_req);
+}
+
+// Every request code answers an empty (undecodable) body promptly instead of
+// leaving the caller to wait out its RPC deadline: Corruption for a body it
+// cannot decode, NotSupported for the reserved inverse-node id, and OK for
+// kGetMaxEpoch, which reads no body.
+TEST_F(StorageClusterTest, MalformedRequestsGetAnAnswer) {
+  const std::vector<uint16_t> request_codes = {
+      kCatalogAdd,  kPutTuples,  kPutPage,       kPutCoordinator, kGetCoordinator,
+      kGetPage,     kGetInverse, kGetTuple,      kScanPage,       kReplicaPush,
+      kGetMaxEpoch, kClaimEpoch, kGetEpochClaim, kConfirmEpoch,   kFenceEpoch};
+  for (uint16_t code : request_codes) {
+    bool done = false;
+    Status got;
+    const sim::SimTime sent = dep->sim().now();
+    dep->storage(0).Call(1, code, std::string(),
+                         [&](Status s, const std::string&) {
+                           got = s;
+                           done = true;
+                         });
+    ASSERT_TRUE(dep->RunUntil([&done] { return done; }));
+    EXPECT_LE(dep->sim().now() - sent, sim::kMicrosPerSec)
+        << "code " << code << " left its caller waiting: " << got.ToString();
+    if (code == kGetInverse) {
+      EXPECT_EQ(got.code(), Status::Code::kNotSupported) << got.ToString();
+    } else if (code == kGetMaxEpoch) {
+      EXPECT_TRUE(got.ok()) << got.ToString();
+    } else {
+      EXPECT_EQ(got.code(), Status::Code::kCorruption)
+          << "code " << code << ": " << got.ToString();
+    }
+  }
 }
 
 // Epoch discovery: publishing via a node whose publisher's epoch floor is
@@ -1088,7 +1135,7 @@ TEST_F(StorageClusterTest, RelationCreatedMidStreamStaysPublishable) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   for (int i = 0; i < 4; ++i) {
     UpdateBatch u;
-    u["R"] = {Update::Insert(Row("k" + std::to_string(i), "v"))};
+    u["R"] = {Update::Insert(Row(Tag("k", i), "v"))};
     ASSERT_TRUE(dep->Publish(0, std::move(u)).ok());
   }
   // S's first record lands at the CURRENT epoch (4); the next publish's base

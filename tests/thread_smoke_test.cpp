@@ -26,6 +26,7 @@
 
 #include "common/pending.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "localstore/local_store.h"
 #include "net/rpc.h"
 
@@ -73,9 +74,9 @@ TEST(ThreadSmoke, PendingPerThreadChurn) {
         Pending<std::string> copy = p;  // copies share one state
         p.OnReady([&local] { ++local; });
         copy.OnReady([&local] { ++local; });
-        EXPECT_TRUE(p.Resolve(Status::OK(), "v" + std::to_string(t)));
+        EXPECT_TRUE(p.Resolve(Status::OK(), Tag("v", t)));
         EXPECT_FALSE(copy.Resolve(Status::OK(), "second"));  // exactly once
-        EXPECT_EQ(copy.value(), "v" + std::to_string(t));
+        EXPECT_EQ(copy.value(), Tag("v", t));
       }
       total.fetch_add(local, std::memory_order_relaxed);
     });
@@ -94,8 +95,8 @@ TEST(ThreadSmoke, LocalStoreConcurrentReaders) {
   localstore::LocalStore store;
   constexpr int kKeys = 512;
   for (int i = 0; i < kKeys; ++i) {
-    std::string key = "key" + std::to_string(1000 + i);
-    ASSERT_TRUE(store.Put(key, "value" + std::to_string(i)).ok());
+    std::string key = Tag("key", 1000 + i);
+    ASSERT_TRUE(store.Put(key, Tag("value", i)).ok());
   }
 
   constexpr int kGetsPerThread = 2000;
@@ -107,15 +108,15 @@ TEST(ThreadSmoke, LocalStoreConcurrentReaders) {
       Rng rng(0x5EED0 + static_cast<uint64_t>(t));
       for (int i = 0; i < kGetsPerThread; ++i) {
         int k = static_cast<int>(rng.Uniform(kKeys));
-        std::string key = "key" + std::to_string(1000 + k);
+        std::string key = Tag("key", 1000 + k);
         if (i % 2 == 0) {
           auto v = store.Get(key);
-          if (!v.ok() || v.value() != "value" + std::to_string(k)) {
+          if (!v.ok() || v.value() != Tag("value", k)) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         } else {
           auto v = store.GetView(key);
-          if (!v.ok() || v.value() != "value" + std::to_string(k)) {
+          if (!v.ok() || v.value() != Tag("value", k)) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }

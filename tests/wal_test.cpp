@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "localstore/local_store.h"
 #include "wal/backend.h"
 #include "wal/wal.h"
@@ -76,7 +77,7 @@ TEST(Wal, SegmentsSealAtTargetAndStayOrdered) {
   opts.segment_target_bytes = 256;
   Wal wal(backend, opts);
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(wal.AppendPut("key-" + std::to_string(i), std::string(32, 'v')).ok());
+    ASSERT_TRUE(wal.AppendPut(Tag("key-", i), std::string(32, 'v')).ok());
   }
   EXPECT_GT(wal.stats().segments_sealed, 3u);
   EXPECT_EQ(wal.active_segment(), wal.stats().segments_sealed + 1);
@@ -86,7 +87,7 @@ TEST(Wal, SegmentsSealAtTargetAndStayOrdered) {
   ASSERT_TRUE(fresh.Recover(Collect(&applied)).ok());
   ASSERT_EQ(applied.size(), 40u);
   for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(applied[i].key, "key-" + std::to_string(i));  // id-order replay
+    EXPECT_EQ(applied[i].key, Tag("key-", i));  // id-order replay
   }
   // Recovery opens a fresh active segment past everything on disk.
   EXPECT_GT(fresh.active_segment(), wal.stats().segments_sealed);
@@ -132,11 +133,11 @@ TEST(Wal, TornTailTruncationIsDeterministic) {
     {
       Wal wal(backend, opts);
       for (int i = 0; i < 8; ++i) {
-        ASSERT_TRUE(wal.AppendPut("synced-" + std::to_string(i), "v").ok());
+        ASSERT_TRUE(wal.AppendPut(Tag("synced-", i), "v").ok());
       }
       ASSERT_TRUE(wal.Sync().ok());
       for (int i = 0; i < 8; ++i) {
-        ASSERT_TRUE(wal.AppendPut("unsynced-" + std::to_string(i), "v").ok());
+        ASSERT_TRUE(wal.AppendPut(Tag("unsynced-", i), "v").ok());
       }
       // A large final record guarantees the crash's half-tail cut lands
       // INSIDE a record (not on a frame boundary), so truncation really runs.
@@ -159,7 +160,7 @@ TEST(Wal, TornTailTruncationIsDeterministic) {
   // All synced records survived; the torn tail only cost unsynced ones.
   ASSERT_GE(a1.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(a1[i].key, "synced-" + std::to_string(i));
+    EXPECT_EQ(a1[i].key, Tag("synced-", i));
   }
 }
 
@@ -203,7 +204,7 @@ TEST(Wal, CorruptedCrcStopsReplayAtLastGoodRecord) {
 
 std::map<std::string, std::string> SnapshotMap(int n) {
   std::map<std::string, std::string> m;
-  for (int i = 0; i < n; ++i) m["snap-" + std::to_string(i)] = "v" + std::to_string(i);
+  for (int i = 0; i < n; ++i) m[Tag("snap-", i)] = Tag("v", i);
   return m;
 }
 
@@ -224,7 +225,7 @@ TEST(Wal, CheckpointRetiresSegmentsAndBoundsReplay) {
   opts.segment_target_bytes = 128;
   Wal wal(backend, opts);
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(wal.AppendPut("old-" + std::to_string(i), std::string(16, 'x')).ok());
+    ASSERT_TRUE(wal.AppendPut(Tag("old-", i), std::string(16, 'x')).ok());
   }
   const auto snapshot = SnapshotMap(5);
   ASSERT_TRUE(wal.WriteCheckpoint(MapIter(snapshot)).ok());
@@ -249,7 +250,7 @@ TEST(Wal, CheckpointRetiresSegmentsAndBoundsReplay) {
   ASSERT_EQ(applied.size(), 7u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(applied[i].from_checkpoint);
-    EXPECT_EQ(applied[i].key, "snap-" + std::to_string(i));  // sorted
+    EXPECT_EQ(applied[i].key, Tag("snap-", i));  // sorted
   }
   EXPECT_EQ(applied[5].key, "tail-1");
   EXPECT_EQ(applied[6].type, RecordType::kDelete);
@@ -373,7 +374,7 @@ TEST(FileBackend, WalRecoveryOnRealFiles) {
   {
     Wal wal(std::make_shared<FileBackend>(dir.path()), opts);
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(wal.AppendPut("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+      ASSERT_TRUE(wal.AppendPut(Tag("k", i), Tag("v", i)).ok());
     }
     const auto snapshot = SnapshotMap(4);
     ASSERT_TRUE(wal.WriteCheckpoint(MapIter(snapshot)).ok());
@@ -408,7 +409,7 @@ TEST(LocalStoreWal, CrashRecoverMatchesModel) {
   std::map<std::string, std::string> model;
   Rng rng(11);
   for (int op = 0; op < 1200; ++op) {
-    std::string k = "key-" + std::to_string(rng.Uniform(150));
+    std::string k = Tag("key-", rng.Uniform(150));
     if (rng.OneIn(4)) {
       ASSERT_TRUE(store.Delete(k).ok());
       model.erase(k);
@@ -451,7 +452,7 @@ TEST(LocalStoreWal, RepeatedCrashesStayDeterministic) {
     Rng rng(29);
     for (int round = 0; round < 5; ++round) {
       for (int op = 0; op < 200; ++op) {
-        std::string k = "k" + std::to_string(rng.Uniform(80));
+        std::string k = Tag("k", rng.Uniform(80));
         if (rng.OneIn(5)) {
           ASSERT_TRUE(store.Delete(k).ok());
         } else {
@@ -491,7 +492,7 @@ TEST(LocalStoreWal, UnsyncedLossIsAnOperationPrefix) {
   snapshots.push_back(model);
   Rng rng(3);
   for (int op = 0; op < 120; ++op) {
-    std::string k = "k" + std::to_string(rng.Uniform(20));
+    std::string k = Tag("k", rng.Uniform(20));
     if (rng.OneIn(4)) {
       ASSERT_TRUE(store.Delete(k).ok());
       model.erase(k);
@@ -524,7 +525,7 @@ TEST(LocalStoreWal, ExplicitCheckpointResetsTail) {
   localstore::LocalStore store(
       DurableOptions(backend, /*checkpoint_every=*/0, /*sync_every=*/1));
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(store.Put("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(store.Put(Tag("k", i), "v").ok());
   }
   ASSERT_TRUE(store.Checkpoint().ok());
   EXPECT_EQ(store.wal()->stats().checkpoints, 1u);
@@ -562,9 +563,9 @@ TEST(WalThreads, ConcurrentReplayDuringWrites) {
 
   std::map<std::string, std::string> live;
   for (int i = 0; i < 600; ++i) {
-    std::string k = "k" + std::to_string(i % 37);
+    std::string k = Tag("k", i % 37);
     ASSERT_TRUE(wal.AppendPut(k, std::string(64, 'v')).ok());
-    live[k] = "v";
+    live.emplace(k, "v");  // every value is "v"
     if (i % 150 == 149) {
       ASSERT_TRUE(wal.WriteCheckpoint(MapIter(live)).ok());
     }
