@@ -24,6 +24,13 @@
 #              whether the trace digest and each sim metric are the same or
 #              changed, then exits with the status of `run.py compare`.
 #              Several minutes (two benchmark builds and runs), so not in all.
+#   churndiff [REF]  builds churn_test from `git archive REF` (default HEAD)
+#              and from the working tree, runs Churn.SeedSweep,
+#              Churn.MultiWriterSweep and Churn.FencingAbandonmentSweep for
+#              seeds 1-20 one at a time (ORCHESTRA_CHURN_SEED) on both, and
+#              prints per sweep how many `end ok=... dig=...` lines are the
+#              same and which seeds differ; exits non-zero if any run fails.
+#              Two builds, so not in all.
 #
 #   ci/check.sh [stage]    # default: all
 #
@@ -360,6 +367,53 @@ PY
   return "$status"
 }
 
+churndiff() {
+  local ref="${1:-HEAD}"
+  local tmp
+  tmp="$(mktemp -d)"
+  echo "== churndiff: churn sweeps, seeds 1-20, at $ref and in the working tree ($tmp)"
+  mkdir "$tmp/tree"
+  git archive "$ref" | tar -x -C "$tmp/tree"
+  # Configure output (one rpath notice per target) goes to a log, shown
+  # only when configuring fails.
+  cmake -B "$tmp/build" -S "$tmp/tree" -DORC_BUILD_BENCH=OFF \
+        -DORC_BUILD_EXAMPLES=OFF > "$tmp/configure.log" 2>&1 || {
+    cat "$tmp/configure.log"
+    return 1
+  }
+  cmake --build "$tmp/build" -j "$jobs" --target churn_test > /dev/null
+  cmake -B build -S . > "$tmp/configure.log" 2>&1 || {
+    cat "$tmp/configure.log"
+    return 1
+  }
+  cmake --build build -j "$jobs" --target churn_test > /dev/null
+  local status=0 sweep seed same differ out_ref out_work
+  for sweep in SeedSweep MultiWriterSweep FencingAbandonmentSweep; do
+    same=0
+    differ=""
+    for seed in $(seq 1 20); do
+      if ! out_ref="$(ORCHESTRA_CHURN_SEED="$seed" "$tmp/build/churn_test" \
+                      --gtest_filter="Churn.$sweep" 2>&1)"; then
+        echo "Churn.$sweep seed $seed FAILED at $ref" >&2
+        status=1
+      fi
+      if ! out_work="$(ORCHESTRA_CHURN_SEED="$seed" ./build/churn_test \
+                       --gtest_filter="Churn.$sweep" 2>&1)"; then
+        echo "Churn.$sweep seed $seed FAILED in the working tree" >&2
+        status=1
+      fi
+      if [[ "$(grep "end ok=" <<< "$out_ref")" == "$(grep "end ok=" <<< "$out_work")" ]]; then
+        same=$((same + 1))
+      else
+        differ="$differ $seed"
+      fi
+    done
+    echo "Churn.$sweep: $same/20 end lines same${differ:+; differ at seeds$differ}"
+  done
+  rm -rf "$tmp"
+  return "$status"
+}
+
 case "$stage" in
   tier1) run_stage tier1 tier1 ;;
   release) run_stage release release ;;
@@ -374,6 +428,11 @@ case "$stage" in
   parentdiff)
     current_stage="parentdiff"
     parentdiff "${2:-HEAD}"
+    current_stage=""
+    ;;
+  churndiff)
+    current_stage="churndiff"
+    churndiff "${2:-HEAD}"
     current_stage=""
     ;;
   all)
@@ -391,6 +450,7 @@ case "$stage" in
   *)
     echo "usage: ci/check.sh [tier1|release|sanitize|tsan|lint|tidy|bench|benchdiff|benchsmoke|docs|all]" >&2
     echo "       ci/check.sh parentdiff [REF]    # REF defaults to HEAD; not part of all" >&2
+    echo "       ci/check.sh churndiff [REF]     # REF defaults to HEAD; not part of all" >&2
     exit 2
     ;;
 esac

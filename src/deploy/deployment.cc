@@ -18,29 +18,26 @@ Deployment::Deployment(DeploymentOptions options)
     ring_.Join(id, name);
   }
   board_->current = ring_.TakeSnapshot();
-
-  for (size_t i = 0; i < options_.num_nodes; ++i) {
-    hosts_.push_back(std::make_unique<net::NodeHost>(&network_, static_cast<net::NodeId>(i)));
-    storage_.push_back(std::make_unique<storage::StorageService>(
-        hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode()));
-    publishers_.push_back(std::make_unique<storage::Publisher>(storage_.back().get()));
-    publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);
-    publishers_.back()->set_fence_after_us(options_.fence_after_us);
-    query_.push_back(std::make_unique<query::QueryService>(
-        hosts_.back().get(), storage_.back().get(), board_));
-    sessions_.push_back(std::make_unique<client::Session>(
-        storage_.back().get(), publishers_.back().get(), query_.back().get(),
-        options_.session));
-  }
+  for (size_t i = 0; i < options_.num_nodes; ++i) BuildNode(static_cast<net::NodeId>(i));
 }
 
 Deployment::~Deployment() = default;
 
-localstore::StoreOptions Deployment::StoreOptionsForNewNode() {
-  localstore::StoreOptions opts = options_.store;
+void Deployment::BuildNode(net::NodeId id) {
+  localstore::StoreOptions store = options_.store;
   wal_backends_.push_back(std::make_shared<wal::MemoryBackend>());
-  opts.wal_backend = wal_backends_.back();
-  return opts;
+  store.wal_backend = wal_backends_.back();
+  hosts_.push_back(std::make_unique<net::NodeHost>(&network_, id));
+  storage_.push_back(std::make_unique<storage::StorageService>(
+      hosts_.back().get(), board_, options_.replication, store));
+  publishers_.push_back(std::make_unique<storage::Publisher>(storage_.back().get()));
+  publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);
+  publishers_.back()->set_fence_after_us(options_.fence_after_us);
+  query_.push_back(std::make_unique<query::QueryService>(
+      hosts_.back().get(), storage_.back().get(), board_));
+  sessions_.push_back(std::make_unique<client::Session>(
+      storage_.back().get(), publishers_.back().get(), query_.back().get(),
+      options_.session));
 }
 
 void Deployment::KillNode(net::NodeId node, bool update_routing, bool rebalance) {
@@ -98,18 +95,7 @@ net::NodeId Deployment::AddNode() {
   std::string name = "node-" + std::to_string(network_.node_count());
   net::NodeId id = network_.AddNode(name);
   ring_.Join(id, name);
-
-  hosts_.push_back(std::make_unique<net::NodeHost>(&network_, id));
-  storage_.push_back(std::make_unique<storage::StorageService>(
-      hosts_.back().get(), board_, options_.replication, StoreOptionsForNewNode()));
-  publishers_.push_back(std::make_unique<storage::Publisher>(storage_.back().get()));
-  publishers_.back()->set_gc_keep_epochs(options_.gc_keep_epochs);
-  publishers_.back()->set_fence_after_us(options_.fence_after_us);
-  query_.push_back(std::make_unique<query::QueryService>(
-      hosts_.back().get(), storage_.back().get(), board_));
-  sessions_.push_back(std::make_unique<client::Session>(
-      storage_.back().get(), publishers_.back().get(), query_.back().get(),
-      options_.session));
+  BuildNode(id);
 
   overlay::RoutingSnapshot next = ring_.TakeSnapshot();
   // Background replication (PAST-style): existing nodes push state the new
@@ -134,8 +120,7 @@ storage::Epoch Deployment::MaxKnownEpoch() const {
 bool Deployment::RunUntil(const std::function<bool()>& pred, sim::SimTime max_wait) {
   sim::SimTime deadline = sim_.now() + max_wait;
   while (!pred()) {
-    if (sim_.now() > deadline) return false;
-    if (!sim_.Step()) return pred();
+    if (!sim_.StepUntil(deadline)) return false;
   }
   return true;
 }

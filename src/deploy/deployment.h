@@ -118,8 +118,9 @@ class Deployment {
   /// Default wait budget for RunUntil and the synchronous conveniences.
   static constexpr sim::SimTime kDefaultWaitUs = 120 * sim::kMicrosPerSec;
 
-  /// Steps the simulator until `pred()` or `max_wait` simulated time passes.
-  /// Returns true if the predicate fired.
+  /// Steps the simulator until `pred()` holds, running no event scheduled
+  /// more than `max_wait` after now. Returns true if the predicate fired;
+  /// on false the clock stays at the last event run.
   bool RunUntil(const std::function<bool()>& pred,
                 sim::SimTime max_wait = kDefaultWaitUs);
   /// Runs for a fixed amount of simulated time.
@@ -142,9 +143,10 @@ class Deployment {
                                           query::QueryOptions options = {});
 
  private:
-  /// Copies options_.store and injects a fresh MemoryBackend (recorded in
-  /// wal_backends_) for the node being built.
-  localstore::StoreOptions StoreOptionsForNewNode();
+  /// Builds node `id`'s host and services: storage (over a fresh
+  /// MemoryBackend WAL, recorded in wal_backends_), publisher, query engine
+  /// and session.
+  void BuildNode(net::NodeId id);
 
   DeploymentOptions options_;
   sim::Simulator sim_;

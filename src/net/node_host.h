@@ -16,7 +16,7 @@ enum class ServiceId : uint16_t {
   kGossip = 1,  // reserved: the retired epoch gossip; no service registers it
   kStorage = 2,
   kQuery = 3,
-  kPing = 4,
+  kPing = 4,    // reserved: no service registers it (query pings are kQuery 12/13)
   kCdss = 5,
 };
 

@@ -15,6 +15,8 @@ std::atomic<int64_t> g_callbacks_alive{0};
 std::atomic<uint64_t> g_calls_started{0};
 std::atomic<uint64_t> g_calls_resolved{0};
 
+}  // namespace
+
 Status MakeStatus(uint8_t code, const std::string& msg) {
   switch (static_cast<Status::Code>(code)) {
     case Status::Code::kOk: return Status::OK();
@@ -32,8 +34,6 @@ Status MakeStatus(uint8_t code, const std::string& msg) {
   }
   return Status::IOError("rpc: unknown status code " + std::to_string(code));
 }
-
-}  // namespace
 
 int64_t RpcStats::callbacks_alive() { return g_callbacks_alive.load(); }
 uint64_t RpcStats::calls_started() { return g_calls_started.load(); }

@@ -66,6 +66,10 @@ std::function<void(T)> FanIn(size_t n, std::function<void(std::vector<T>)> done)
   };
 }
 
+/// Rebuilds a Status from the reply envelope's encoding of it: the code as
+/// one byte and the message. An unknown code becomes an IOError.
+Status MakeStatus(uint8_t code, const std::string& msg);
+
 /// One call's outcome: its status and reply body.
 struct Reply {
   Status status;

@@ -55,8 +55,6 @@ std::string HashJoinOp::KeyOf(const Tuple& t, const std::vector<int32_t>& cols) 
 void HashJoinOp::Consume(size_t child_idx, BlockRow row) {
   ORC_CHECK(child_idx < 2, "join has two children");
   const auto& my_keys = (child_idx == 0) ? def_->left_keys : def_->right_keys;
-  const auto& other_keys = (child_idx == 0) ? def_->right_keys : def_->left_keys;
-  (void)other_keys;
   std::string key = KeyOf(row.tuple, my_keys);
   cx_->charge(cx_->costs->hash_build_us);
 

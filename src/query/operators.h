@@ -64,8 +64,6 @@ class Operator {
   /// Re-arms EOS state for a new recovery phase.
   virtual void ResetForPhase();
 
-  bool eos_propagated() const { return eos_propagated_; }
-
  protected:
   void EmitUp(BlockRow row) {
     if (parent_ != nullptr) parent_->Consume(child_idx_in_parent_, std::move(row));
@@ -156,11 +154,18 @@ class AggregateOp : public Operator {
 
 /// Rehash: partitions its input by hash of `hash_cols` and sends rows to the
 /// owning nodes under the query's routing table. Output caching, ack
-/// tracking, and EOS markers live in the QueryService.
+/// tracking, and EOS markers live in the QueryService, which hands the op
+/// what arrives for it over the network.
 class RehashOp : public Operator {
  public:
   using Operator::Operator;
   void Consume(size_t child_idx, BlockRow row) override;
+  /// A row received from another node enters the parent.
+  void Deliver(BlockRow row) { EmitUp(std::move(row)); }
+  /// Every live sender's EOS marker arrived: this input of the parent ended.
+  void DeliverEos() {
+    if (parent_ != nullptr) parent_->OnChildEos(child_idx_in_parent_);
+  }
 
  protected:
   void OnAllChildrenEos() override { cx_->rehash_child_eos(def_->id); }

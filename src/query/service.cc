@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "net/rpc.h"
 
 namespace orchestra::query {
 
@@ -63,25 +64,24 @@ void QueryService::Execute(const PhysicalPlan& plan, storage::Epoch epoch,
     FinishRoot(ref, Status::InvalidArgument("plan has no scans"));
     return;
   }
-  auto remaining = std::make_shared<size_t>(scan_ids.size());
-  auto failed = std::make_shared<Status>();
+  using Bound = std::pair<int32_t, Result<storage::CoordinatorRecord>>;
+  auto arrive = net::FanIn<Bound>(scan_ids.size(), [this, qid](std::vector<Bound> bound) {
+    Root* live = FindRoot(qid);
+    if (live == nullptr) return;
+    for (auto& [op, rec] : bound) {
+      if (!rec.ok()) {
+        FinishRoot(*live, rec.status());
+        return;
+      }
+      live->bindings[op] = std::move(rec).value();
+    }
+    DisseminatePlan(*live);
+  });
   for (int32_t op : scan_ids) {
-    const std::string& rel = ref.plan.op(op).relation;
-    storage_->GetCoordinator(
-        rel, epoch,
-        [this, qid, op, remaining, failed](Status st, storage::CoordinatorRecord rec) {
-          Root* live = FindRoot(qid);
-          if (live == nullptr) return;
-          if (!st.ok() && failed->ok()) *failed = st;
-          if (st.ok()) live->bindings[op] = std::move(rec);
-          if (--*remaining == 0) {
-            if (!failed->ok()) {
-              FinishRoot(*live, *failed);
-              return;
-            }
-            DisseminatePlan(*live);
-          }
-        });
+    storage_->GetCoordinator(ref.plan.op(op).relation, epoch,
+                             [arrive, op](Status st, storage::CoordinatorRecord rec) {
+                               arrive(st.ok() ? Bound(op, std::move(rec)) : Bound(op, st));
+                             });
   }
 }
 
@@ -103,8 +103,8 @@ void QueryService::DisseminatePlan(Root& root) {
   for (net::NodeId m : LiveMembers(root.table)) {
     SendTo(m, kPlan, payload);
   }
-  if (root.options.ping_interval_us > 0 && !root.ping_timer_armed) {
-    root.ping_timer_armed = true;
+  if (root.options.ping_interval_us > 0 && !root.run.ping_timer_armed) {
+    root.run.ping_timer_armed = true;
     uint64_t qid = root.query_id;
     host_->network()->RunOnNode(
         node(), host_->network()->simulator()->now() + root.options.ping_interval_us,
@@ -119,7 +119,7 @@ std::vector<net::NodeId> QueryService::LiveMembers(
   return live;
 }
 
-void QueryService::HandleShipBlock(net::NodeId /*from*/, const std::string& payload) {
+void QueryService::HandleShipBlock(const std::string& payload) {
   TupleBlock block;
   if (!TupleBlock::Decode(payload, &block).ok()) return;
   Root* root = FindRoot(block.query_id);
@@ -127,7 +127,7 @@ void QueryService::HandleShipBlock(net::NodeId /*from*/, const std::string& payl
   ChargeBlockCosts(block);
   for (BlockRow& row : block.rows) {
     if (row.taint.Intersects(root->failed_bits)) continue;
-    root->results.push_back(std::move(row));
+    root->run.results.push_back(std::move(row));
   }
 }
 
@@ -137,17 +137,10 @@ void QueryService::HandleShipEos(net::NodeId from, Reader* r) {
   if (!r->GetU64(&qid).ok() || !r->GetVarint32(&phase).ok()) return;
   Root* root = FindRoot(qid);
   if (root == nullptr) return;
-  uint32_t& cur = root->ship_eos_phase[from];
-  cur = std::max(cur, phase);
-  CheckRootDone(*root);
-}
-
-void QueryService::CheckRootDone(Root& root) {
-  for (net::NodeId m : LiveMembers(root.table)) {
-    auto it = root.ship_eos_phase.find(m);
-    if (it == root.ship_eos_phase.end() || it->second < root.phase) return;
+  root->run.ship_eos.Mark(from, phase);
+  if (root->run.ship_eos.Reached(root->table, root->run.phase)) {
+    FinishRoot(*root, Status::OK());
   }
-  FinishRoot(root, Status::OK());
 }
 
 void QueryService::FinishRoot(Root& root, Status st) {
@@ -155,8 +148,8 @@ void QueryService::FinishRoot(Root& root, Status st) {
   QueryResult result;
   if (st.ok()) {
     std::vector<Tuple> raw;
-    raw.reserve(root.results.size());
-    for (BlockRow& r : root.results) raw.push_back(std::move(r.tuple));
+    raw.reserve(root.run.results.size());
+    for (BlockRow& r : root.run.results) raw.push_back(std::move(r.tuple));
     result.rows = root.plan.final_stage.Apply(raw);
   }
   result.execution_us = host_->network()->simulator()->now() - root.started_at;
@@ -199,32 +192,27 @@ void QueryService::HandleSuspect(Root& root, net::NodeId suspect) {
       for (net::NodeId m : LiveMembers(root.table)) SendTo(m, kAbort, w.data());
       MarkAborted(root.query_id);
 
-      uint64_t old_id = root.query_id;
       uint64_t new_id =
           (static_cast<uint64_t>(node()) << kQueryInitiatorShift) | next_query_seq_++;
-      auto node_handle = roots_.extract(old_id);
+      auto node_handle = roots_.extract(root.query_id);
       node_handle.key() = new_id;
       roots_.insert(std::move(node_handle));
-      Root& fresh = *roots_[new_id];
-      fresh.query_id = new_id;
-      fresh.phase = 0;
-      fresh.results.clear();
-      fresh.ship_eos_phase.clear();
-      // The old ping timer dies with the old query id; let DisseminatePlan
-      // arm a fresh one for the new id.
-      fresh.ping_timer_armed = false;
-      DisseminatePlan(fresh);
+      root.query_id = new_id;
+      // The old ping timer dies with the old query id; the new run arms one
+      // for the new id.
+      root.run = {};
+      DisseminatePlan(root);
       return;
     }
 
     case QueryOptions::RecoveryMode::kIncremental: {
       // §V-D stage 1: reassign the failed ranges among live replicas.
       root.recoveries += 1;
-      root.phase += 1;
+      root.run.phase += 1;
       root.table = root.table.ReassignFailed({suspect}, storage_->replication(),
                                              root.table.version() + 1);
       // Purge tainted rows already collected.
-      auto& results = root.results;
+      auto& results = root.run.results;
       results.erase(std::remove_if(results.begin(), results.end(),
                                    [&root](const BlockRow& r) {
                                      return r.taint.Intersects(root.failed_bits);
@@ -232,7 +220,7 @@ void QueryService::HandleSuspect(Root& root, net::NodeId suspect) {
                     results.end());
       Writer w;
       w.PutU64(root.query_id);
-      w.PutVarint32(root.phase);
+      w.PutVarint32(root.run.phase);
       w.PutVarint32(static_cast<uint32_t>(root.failed.size()));
       for (net::NodeId f : root.failed) w.PutU32(f);
       root.table.EncodeTo(&w);
@@ -282,25 +270,18 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
   Reader r(payload);
   switch (code) {
     case kPlan:
-      HandlePlan(from, payload);
+      HandlePlan(payload);
       return;
     case kDataBlock:
-      HandleDataBlock(from, payload);
-      return;
     case kBlockAck:
-      HandleBlockAck(from, &r);
-      return;
     case kEosMarker:
-      HandleEosMarker(from, payload);
-      return;
     case kScanPartDone:
-      HandleScanPartDone(from, payload);
-      return;
     case kQueryFetch:
-      HandleQueryFetch(from, payload);
+    case kRecover:
+      OnWorkerFrame(from, code, payload, &r);
       return;
     case kShipBlock:
-      HandleShipBlock(from, payload);
+      HandleShipBlock(payload);
       return;
     case kShipEos:
       HandleShipEos(from, &r);
@@ -312,9 +293,6 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
       if (Root* root = FindRoot(qid)) HandleSuspect(*root, suspect);
       return;
     }
-    case kRecover:
-      HandleRecover(from, payload);
-      return;
     case kAbort:
       HandleAbort(&r);
       return;
@@ -336,6 +314,73 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
       }
       return;
     }
+    case kScanFailed: {
+      uint64_t qid = 0;
+      uint8_t st_code = 0;
+      std::string st_msg;
+      if (!r.GetU64(&qid).ok() || !r.GetU8(&st_code).ok() ||
+          !r.GetString(&st_msg).ok()) {
+        return;
+      }
+      Status st = net::MakeStatus(st_code, st_msg);
+      Root* root = FindRoot(qid);
+      if (root != nullptr && !st.ok()) FinishRoot(*root, st);
+      return;
+    }
+  }
+}
+
+void QueryService::OnWorkerFrame(net::NodeId from, uint16_t code,
+                                 const std::string& payload, Reader* r) {
+  // Every worker frame starts `u64 qid`; all but kRecover go on with
+  // `varint32 op | varint32 phase` (kBlockAck: seq), which kDataBlock
+  // carries inside its compressed block.
+  uint64_t qid = 0;
+  uint32_t op = 0, phase = 0;
+  TupleBlock block;
+  if (code == kDataBlock) {
+    if (!TupleBlock::Decode(payload, &block).ok()) return;
+    qid = block.query_id;
+    op = static_cast<uint32_t>(block.dest_op);
+  } else if (!r->GetU64(&qid).ok() ||
+             (code != kRecover &&
+              (!r->GetVarint32(&op).ok() || !r->GetVarint32(&phase).ok()))) {
+    return;
+  }
+  Exec* ex = FindExec(qid);
+  if (ex == nullptr) {
+    // An ack answers a block this node sent, so its execution has ended.
+    if (code != kBlockAck) BufferPending(qid, from, code, payload);
+    return;
+  }
+  if (code == kRecover) {
+    HandleRecover(*ex, r);
+    return;
+  }
+  // A frame naming an operator the plan lacks, or one of the wrong kind, is
+  // dropped.
+  if (op >= ex->ops.size()) return;
+  OpKind kind = ex->plan.op(static_cast<int32_t>(op)).kind;
+  bool scan_frame = code == kScanPartDone || code == kQueryFetch;
+  bool is_scan = kind == OpKind::kScan || kind == OpKind::kCoveringScan;
+  if (scan_frame ? !is_scan : kind != OpKind::kRehash) return;
+  auto id = static_cast<int32_t>(op);
+  switch (code) {
+    case kDataBlock:
+      HandleDataBlock(*ex, from, std::move(block));
+      return;
+    case kBlockAck:
+      ex->ops[id].unacked[from].erase(phase);
+      TryBroadcastRehashEos(*ex, id);
+      return;
+    case kEosMarker:
+    case kScanPartDone:
+      ex->ops[id].eos.Mark(from, phase);
+      CheckEos(*ex, id);
+      return;
+    case kQueryFetch:
+      HandleQueryFetch(*ex, from, id, r);
+      return;
   }
 }
 
@@ -416,7 +461,7 @@ void QueryService::BufferPending(uint64_t query_id, net::NodeId from, uint16_t c
 // ===========================================================================
 // Worker: plan instantiation and scans
 
-void QueryService::HandlePlan(net::NodeId /*from*/, const std::string& payload) {
+void QueryService::HandlePlan(const std::string& payload) {
   Reader r(payload);
   auto ex = std::make_unique<Exec>();
   uint64_t qid;
@@ -425,24 +470,26 @@ void QueryService::HandlePlan(net::NodeId /*from*/, const std::string& payload) 
   uint32_t initiator;
   if (!r.GetU32(&initiator).ok()) return;
   ex->initiator = initiator;
-  uint64_t epoch;
+  uint64_t epoch = 0;  // pinned by the bindings below
   if (!r.GetVarint64(&epoch).ok()) return;
-  ex->epoch = epoch;
   if (!r.GetBool(&ex->provenance).ok()) return;
   if (!r.GetVarint32(&ex->block_rows).ok()) return;
   auto snap = overlay::RoutingSnapshot::Decode(&r);
   if (!snap.ok()) return;
   ex->table = std::move(snap).value();
   ex->prev_table = ex->table;
-  if (!PhysicalPlan::DecodeFrom(&r, &ex->plan).ok()) return;
-  uint32_t n_bindings;
+  if (!PhysicalPlan::DecodeFrom(&r, &ex->plan).ok() || !ex->plan.Validate().ok()) {
+    return;
+  }
+  ex->ops.resize(ex->plan.ops.size());
+  uint32_t n_bindings = 0;
   if (!r.GetVarint32(&n_bindings).ok()) return;
   for (uint32_t i = 0; i < n_bindings; ++i) {
-    uint32_t op;
-    storage::CoordinatorRecord rec;
-    if (!r.GetVarint32(&op).ok()) return;
-    if (!storage::CoordinatorRecord::DecodeFrom(&r, &rec).ok()) return;
-    ex->bindings[static_cast<int32_t>(op)] = std::move(rec);
+    uint32_t op = 0;
+    if (!r.GetVarint32(&op).ok() || op >= ex->ops.size() ||
+        !storage::CoordinatorRecord::DecodeFrom(&r, &ex->ops[op].binding).ok()) {
+      return;
+    }
   }
 
   // Execution context shared by this node's operator instances.
@@ -456,30 +503,24 @@ void QueryService::HandlePlan(net::NodeId /*from*/, const std::string& payload) 
   ex->cx.charge = [this](double us) { host_->network()->ChargeCpu(node(), us); };
   Exec* raw = ex.get();
   ex->cx.route = [this, raw](int32_t op, BlockRow row) {
-    RouteRow(*raw, op, std::move(row), /*count_cache=*/true);
+    RouteRow(*raw, op, std::move(row));
   };
   ex->cx.ship = [this, raw](BlockRow row) { ShipRow(*raw, std::move(row)); };
   ex->cx.rehash_child_eos = [this, raw](int32_t op) {
-    RehashState& rs = raw->rehash[op];
-    rs.child_eos = true;
-    FlushAllRehash(*raw, op);
+    raw->ops[op].phase.input_done = true;
+    for (auto& [dest, buf] : raw->ops[op].buffers) FlushRehash(*raw, op, dest);
     TryBroadcastRehashEos(*raw, op);
   };
   ex->cx.ship_child_eos = [this, raw]() { OnShipChildEos(*raw); };
 
   // Instantiate operators and wire parents.
-  ex->parents = ex->plan.ParentIds();
-  ex->ops.resize(ex->plan.ops.size());
   for (const PhysOp& def : ex->plan.ops) {
-    ex->ops[def.id] = MakeOperator(&ex->plan.ops[def.id], &ex->cx);
+    ex->ops[def.id].op = MakeOperator(&def, &ex->cx);
   }
   for (const PhysOp& def : ex->plan.ops) {
     for (size_t c = 0; c < def.children.size(); ++c) {
-      ex->ops[def.children[c]]->SetParent(ex->ops[def.id].get(), c);
+      ex->ops[def.children[c]].op->SetParent(ex->ops[def.id].op.get(), c);
     }
-  }
-  for (const PhysOp& def : ex->plan.ops) {
-    if (def.kind == OpKind::kRehash) ex->rehash[def.id];
   }
 
   execs_[qid] = std::move(ex);
@@ -498,11 +539,9 @@ void QueryService::AssignScanPages(Exec& ex, int32_t scan_op,
                                    const overlay::RoutingSnapshot& table,
                                    std::deque<storage::PageDescriptor>* out) const {
   const PhysOp& op = ex.plan.op(scan_op);
-  auto binding = ex.bindings.find(scan_op);
-  if (binding == ex.bindings.end()) return;
   auto def = storage_->Relation(op.relation);
   bool replicated = def.ok() && def->replicate_everywhere;
-  for (const storage::PageDescriptor& desc : binding->second.pages) {
+  for (const storage::PageDescriptor& desc : ex.ops[scan_op].binding.pages) {
     if (op.broadcast_local || replicated) {
       // Broadcast scans read the full local replica. Partitioned scans of a
       // replicate-everywhere relation also visit every page at every node:
@@ -517,34 +556,35 @@ void QueryService::AssignScanPages(Exec& ex, int32_t scan_op,
 
 void QueryService::StartExec(Exec& ex) {
   for (int32_t scan_op : ex.plan.ScanOpIds()) {
-    ScanState& ss = ex.scans[scan_op];
-    AssignScanPages(ex, scan_op, ex.table, &ss.pending_pages);
-    if (ss.pending_pages.empty()) {
-      FinishScanIteration(ex, scan_op);
-    } else {
-      ss.chain_running = true;
-      uint64_t qid = ex.query_id;
-      host_->network()->RunOnNode(node(), host_->network()->simulator()->now(),
-                                  [this, qid, scan_op] {
-                                    DriveScanChain(qid, scan_op);
-                                  });
-    }
+    AssignScanPages(ex, scan_op, ex.table, &ex.ops[scan_op].pending_pages);
+    RunScan(ex, scan_op);
+  }
+}
+
+void QueryService::RunScan(Exec& ex, int32_t scan_op) {
+  OpRec& scan = ex.ops[scan_op];
+  if (scan.pending_pages.empty() && scan.pending_partial.empty()) {
+    FinishScanIteration(ex, scan_op);
+  } else if (!scan.chain_running) {
+    scan.chain_running = true;
+    uint64_t qid = ex.query_id;
+    host_->network()->RunOnNode(node(), host_->network()->simulator()->now(),
+                                [this, qid, scan_op] { DriveScanChain(qid, scan_op); });
   }
 }
 
 void QueryService::DriveScanChain(uint64_t query_id, int32_t scan_op) {
   Exec* ex = FindExec(query_id);
   if (ex == nullptr) return;
-  ScanState& ss = ex->scans[scan_op];
-  if (ss.pending_pages.empty() && ss.pending_partial.empty()) {
-    ss.chain_running = false;
+  OpRec& scan = ex->ops[scan_op];
+  if (scan.pending_pages.empty() && scan.pending_partial.empty()) {
+    scan.chain_running = false;
     FinishScanIteration(*ex, scan_op);
     return;
   }
   ScanMode mode =
-      ss.pending_pages.empty() ? ScanMode::kFailedOwnersOnly : ScanMode::kFull;
-  auto& queue =
-      ss.pending_pages.empty() ? ss.pending_partial : ss.pending_pages;
+      scan.pending_pages.empty() ? ScanMode::kFailedOwnersOnly : ScanMode::kFull;
+  auto& queue = scan.pending_pages.empty() ? scan.pending_partial : scan.pending_pages;
   storage::PageDescriptor desc = queue.front();
   queue.pop_front();
 
@@ -554,15 +594,12 @@ void QueryService::DriveScanChain(uint64_t query_id, int32_t scan_op) {
   } else {
     // Stale local replica: fetch the page from a peer (§IV — missing state is
     // fetched, never substituted with an older version).
-    ss.async_outstanding += 1;
-    storage_->GetPage(desc, [this, query_id, scan_op, mode](Status st,
-                                                            storage::Page p) {
-      Exec* ex2 = FindExec(query_id);
-      if (ex2 == nullptr) return;
-      ScanState& ss2 = ex2->scans[scan_op];
-      ss2.async_outstanding -= 1;
-      if (st.ok()) ProcessPage(*ex2, scan_op, p, mode);
-      CheckScanEos(*ex2, scan_op);
+    scan.async_outstanding += 1;
+    storage_->GetPage(desc, [this, query_id, scan_op, mode,
+                             taint = SingletonTaint(ex->cx.taint_bits, node())](
+                                Status st, storage::Page p) {
+      FinishScanRead(query_id, scan_op, st, taint,
+                     [&](Exec& e) { ProcessPage(e, scan_op, p, mode); });
     });
   }
 
@@ -586,25 +623,30 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
     net::NodeId prev = ex.prev_table.OwnerOf(hash);
     return prev < ex.cx.failed.size() && ex.cx.failed.Test(prev);
   };
+  auto def = storage_->Relation(op.relation);
+  if (!def.ok()) {
+    ReportScanFailure(ex, def.status());
+    return;
+  }
 
   if (op.kind == OpKind::kCoveringScan) {
     if (mode == ScanMode::kFailedOwnersOnly) return;  // index-only: no spillover
     // Key attributes come straight from the index page (Table I).
-    auto def = storage_->Relation(op.relation);
-    if (!def.ok()) return;
     ex.cx.charge(costs.index_entry_us * static_cast<double>(page.ids.size()));
     for (const storage::TupleId& id : page.ids) {
       if (!op.key_filter.Matches(id.key_bytes)) continue;
       Tuple key_vals;
-      if (!storage::DecodeTupleKey(def->schema, id.key_bytes, &key_vals).ok()) continue;
+      Status st = storage::DecodeTupleKey(def->schema, id.key_bytes, &key_vals);
+      if (!st.ok()) {
+        ReportScanFailure(ex, st);
+        return;
+      }
       InjectScanRow(ex, scan_op, std::move(key_vals),
                     SingletonTaint(ex.cx.taint_bits, node()));
     }
     return;
   }
 
-  auto def = storage_->Relation(op.relation);
-  if (!def.ok()) return;
   bool broadcast = op.broadcast_local;
   bool replicated = def->replicate_everywhere;
   // True broadcast scans contribute identical local state at every node;
@@ -648,33 +690,25 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
     }
   }
 
-  ScanState& ss = ex.scans[scan_op];
   std::vector<storage::TupleId> missing;
   if (!local_part.ids.empty()) {
     // (Partial rescans often have nothing local in a page; skipping the
     // ordered pass keeps recovery's fixed cost proportional to lost data.)
-    storage_->ScanPageLocal(
+    Status st = storage_->ScanPageLocal(
         op.relation, local_part, op.key_filter,
         [this, &ex, scan_op](const storage::TupleId& /*id*/, Tuple t) {
           InjectScanRow(ex, scan_op, std::move(t),
                         SingletonTaint(ex.cx.taint_bits, node()));
         },
-        &missing).ok();
+        &missing);
+    if (!st.ok()) {
+      ReportScanFailure(ex, st);
+      return;
+    }
   }
   for (const storage::TupleId& id : missing) {
-    ss.async_outstanding += 1;
-    uint64_t qid = ex.query_id;
-    storage_->FetchTuple(op.relation, id, [this, qid, scan_op](Status st, Tuple t) {
-      Exec* ex2 = FindExec(qid);
-      if (ex2 == nullptr) return;
-      ScanState& ss2 = ex2->scans[scan_op];
-      ss2.async_outstanding -= 1;
-      if (st.ok()) {
-        InjectScanRow(*ex2, scan_op, std::move(t),
-                      SingletonTaint(ex2->cx.taint_bits, node()));
-      }
-      CheckScanEos(*ex2, scan_op);
-    });
+    FetchScanTuple(ex, scan_op, op.relation, id,
+                   SingletonTaint(ex.cx.taint_bits, node()));
   }
 
   std::string hb;  // reused 20-byte scratch: no per-id allocation
@@ -702,36 +736,58 @@ void QueryService::InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple,
   BlockRow row;
   row.tuple = std::move(tuple);
   row.taint = std::move(taint);
-  static_cast<ScanOp*>(ex.ops[scan_op].get())->Inject(std::move(row));
+  static_cast<ScanOp*>(ex.ops[scan_op].op.get())->Inject(std::move(row));
 }
 
-void QueryService::HandleQueryFetch(net::NodeId from, const std::string& payload) {
-  Reader r(payload);
-  uint64_t qid;
-  uint32_t scan_op, phase;
+void QueryService::FetchScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
+                                  const storage::TupleId& id, DynamicBitset taint) {
+  ex.ops[scan_op].async_outstanding += 1;
+  storage_->FetchTuple(rel, id, [this, qid = ex.query_id, scan_op,
+                                 taint = std::move(taint)](Status st, Tuple t) {
+    FinishScanRead(qid, scan_op, st, taint, [&](Exec& e) {
+      InjectScanRow(e, scan_op, std::move(t), taint);
+    });
+  });
+}
+
+void QueryService::FinishScanRead(uint64_t query_id, int32_t scan_op,
+                                  const Status& st, const DynamicBitset& taint,
+                                  const std::function<void(Exec&)>& use) {
+  Exec* ex = FindExec(query_id);
+  if (ex == nullptr) return;
+  ex->ops[scan_op].async_outstanding -= 1;
+  if (st.ok()) {
+    use(*ex);
+  } else if (!taint.Intersects(ex->cx.failed)) {
+    ReportScanFailure(*ex, st);
+  }
+  CheckEos(*ex, scan_op);
+}
+
+void QueryService::ReportScanFailure(Exec& ex, const Status& st) {
+  Writer w;
+  w.PutU64(ex.query_id);
+  w.PutU8(static_cast<uint8_t>(st.code()));
+  w.PutString(st.message());
+  SendTo(ex.initiator, kScanFailed, w.Release());
+}
+
+void QueryService::HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op,
+                                    Reader* r) {
   std::string rel;
-  uint64_t n;
-  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&scan_op).ok() ||
-      !r.GetVarint32(&phase).ok() || !r.GetString(&rel).ok() ||
-      !r.GetVarint64(&n).ok()) {
-    return;
-  }
-  Exec* ex = FindExec(qid);
-  if (ex == nullptr) {
-    BufferPending(qid, from, kQueryFetch, payload);
-    return;
-  }
+  uint64_t n = 0;
+  if (!r->GetString(&rel).ok() || !r->GetVarint64(&n).ok()) return;
   const auto& costs = host_->network()->costs();
-  DynamicBitset taint(ex->cx.taint_bits);
-  if (ex->cx.taint_bits > 0) {
-    if (from < ex->cx.taint_bits) taint.Set(from);
-    if (node() < ex->cx.taint_bits) taint.Set(node());
+  DynamicBitset taint(ex.cx.taint_bits);
+  if (ex.cx.taint_bits > 0) {
+    if (from < ex.cx.taint_bits) taint.Set(from);
+    if (node() < ex.cx.taint_bits) taint.Set(node());
   }
   for (uint64_t i = 0; i < n; ++i) {
     std::string_view hash_be20;
     storage::TupleId id;
-    if (!r.GetRawView(&hash_be20, 20).ok() ||
-        !storage::TupleId::DecodeFrom(&r, &id).ok()) {
+    if (!r->GetRawView(&hash_be20, 20).ok() ||
+        !storage::TupleId::DecodeFrom(r, &id).ok()) {
       return;
     }
     // The wire-carried hash keys the local read directly (no SHA-1).
@@ -742,127 +798,106 @@ void QueryService::HandleQueryFetch(net::NodeId from, const std::string& payload
       Reader tr(bytes.value());
       ok = storage::DecodeTuple(&tr, &t).ok();
     }
-    ex->cx.charge(costs.tuple_scan_us);
+    ex.cx.charge(costs.tuple_scan_us);
     if (ok) {
-      InjectScanRow(*ex, static_cast<int32_t>(scan_op), std::move(t), taint);
+      InjectScanRow(ex, scan_op, std::move(t), taint);
     } else {
-      ScanState& ss = ex->scans[static_cast<int32_t>(scan_op)];
-      ss.async_outstanding += 1;
-      storage_->FetchTuple(rel, id, [this, qid, scan_op, taint](Status st, Tuple t2) {
-        Exec* ex2 = FindExec(qid);
-        if (ex2 == nullptr) return;
-        ScanState& ss2 = ex2->scans[static_cast<int32_t>(scan_op)];
-        ss2.async_outstanding -= 1;
-        if (st.ok()) {
-          InjectScanRow(*ex2, static_cast<int32_t>(scan_op), std::move(t2), taint);
-        }
-        CheckScanEos(*ex2, static_cast<int32_t>(scan_op));
-      });
+      FetchScanTuple(ex, scan_op, rel, id, taint);
     }
   }
 }
 
 void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {
-  ScanState& ss = ex.scans[scan_op];
-  ss.iteration_done = true;
-  if (!ss.part_done_broadcast) {
-    ss.part_done_broadcast = true;
+  PhaseFlags& flags = ex.ops[scan_op].phase;
+  flags.input_done = true;
+  if (!flags.eos_sent) {
+    flags.eos_sent = true;
     Writer w;
     w.PutU64(ex.query_id);
     w.PutVarint32(static_cast<uint32_t>(scan_op));
     w.PutVarint32(ex.cx.phase);
     for (net::NodeId m : LiveMembers(ex.table)) SendTo(m, kScanPartDone, w.data());
   }
-  CheckScanEos(ex, scan_op);
+  CheckEos(ex, scan_op);
 }
 
-void QueryService::HandleScanPartDone(net::NodeId from, const std::string& payload) {
-  Reader r(payload);
-  uint64_t qid;
-  uint32_t scan_op, phase;
-  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&scan_op).ok() ||
-      !r.GetVarint32(&phase).ok()) {
+void QueryService::CheckEos(Exec& ex, int32_t id) {
+  OpRec& rec = ex.ops[id];
+  bool scan = ex.plan.op(id).kind != OpKind::kRehash;  // else a scan op
+  // A scan's barrier means every live node has finished its part for this
+  // phase, so no more spillover fetches can arrive (FIFO delivery makes this
+  // safe); it counts once this node's own iteration and reads are done.
+  if (rec.phase.eos_delivered ||
+      (scan && (!rec.phase.input_done || rec.async_outstanding > 0)) ||
+      !rec.eos.Reached(ex.table, ex.cx.phase)) {
     return;
   }
-  Exec* ex = FindExec(qid);
-  if (ex == nullptr) {
-    BufferPending(qid, from, kScanPartDone, payload);
-    return;
+  rec.phase.eos_delivered = true;
+  if (scan) {
+    static_cast<ScanOp*>(rec.op.get())->SignalEos();
+  } else {
+    static_cast<RehashOp*>(rec.op.get())->DeliverEos();
   }
-  ScanState& ss = ex->scans[static_cast<int32_t>(scan_op)];
-  uint32_t& cur = ss.part_done_phase[from];
+}
+
+void QueryService::Barrier::Mark(net::NodeId from, uint32_t phase) {
+  uint32_t& cur = marks_[from];
   cur = std::max(cur, phase);
-  CheckScanEos(*ex, static_cast<int32_t>(scan_op));
 }
 
-void QueryService::CheckScanEos(Exec& ex, int32_t scan_op) {
-  ScanState& ss = ex.scans[scan_op];
-  if (!ss.iteration_done || ss.async_outstanding > 0) return;
-  auto* scan = static_cast<ScanOp*>(ex.ops[scan_op].get());
-  if (scan->eos_propagated()) return;
-  // Scan barrier: every live node has finished its part for this phase, so
-  // no more spillover fetches can arrive (FIFO delivery makes this safe).
-  for (net::NodeId m : LiveMembers(ex.table)) {
-    auto it = ss.part_done_phase.find(m);
-    if (it == ss.part_done_phase.end() || it->second < ex.cx.phase) return;
+bool QueryService::Barrier::Reached(const overlay::RoutingSnapshot& table,
+                                    uint32_t phase) const {
+  for (const auto& m : table.members()) {
+    auto it = marks_.find(m.node);
+    if (it == marks_.end() || it->second < phase) return false;
   }
-  scan->SignalEos();
+  return true;
 }
 
 // ===========================================================================
 // Worker: rehash / ship dataflow
 
-void QueryService::RouteRow(Exec& ex, int32_t rehash_op, BlockRow row,
-                            bool count_cache) {
+void QueryService::RouteRow(Exec& ex, int32_t rehash_op, BlockRow row) {
   const PhysOp& op = ex.plan.op(rehash_op);
   net::NodeId dest = ex.table.OwnerOf(RowHash(row.tuple, op.hash_cols));
   counters_.rows_routed += 1;
-  RehashState& rs = ex.rehash[rehash_op];
-  if (count_cache && ex.provenance) {
+  OpRec& rehash = ex.ops[rehash_op];
+  if (ex.provenance) {
     // Output caching + provenance bookkeeping are the recovery-support
     // overhead the paper measures in §VI-E.
     ex.cx.charge(ex.cx.costs->provenance_tag_us);
-    rs.cache.push_back(RehashState::CacheEntry{row, dest});
+    rehash.cache.push_back(OpRec::CacheEntry{row, dest});
   }
-  auto& buf = rs.buffers[dest];
+  auto& buf = rehash.buffers[dest];
   buf.push_back(std::move(row));
   if (buf.size() >= ex.block_rows) FlushRehash(ex, rehash_op, dest);
 }
 
 void QueryService::FlushRehash(Exec& ex, int32_t rehash_op, net::NodeId dest) {
-  RehashState& rs = ex.rehash[rehash_op];
-  auto it = rs.buffers.find(dest);
-  if (it == rs.buffers.end() || it->second.empty()) return;
+  OpRec& rehash = ex.ops[rehash_op];
+  auto it = rehash.buffers.find(dest);
+  if (it == rehash.buffers.end() || it->second.empty()) return;
   TupleBlock block;
   block.query_id = ex.query_id;
   block.dest_op = rehash_op;
   block.phase = ex.cx.phase;
-  block.seq = rs.next_seq[dest]++;
+  block.seq = rehash.next_seq[dest]++;
   block.sender = node();
   block.rows = std::move(it->second);
   it->second.clear();
-  rs.unacked[dest].insert(block.seq);
+  rehash.unacked[dest].insert(block.seq);
   ChargeBlockCosts(block);
   counters_.blocks_sent += 1;
   SendTo(dest, kDataBlock, block.Encode());
 }
 
-void QueryService::FlushAllRehash(Exec& ex, int32_t rehash_op) {
-  RehashState& rs = ex.rehash[rehash_op];
-  std::vector<net::NodeId> dests;
-  for (auto& [dest, buf] : rs.buffers) {
-    if (!buf.empty()) dests.push_back(dest);
-  }
-  for (net::NodeId d : dests) FlushRehash(ex, rehash_op, d);
-}
-
 void QueryService::TryBroadcastRehashEos(Exec& ex, int32_t rehash_op) {
-  RehashState& rs = ex.rehash[rehash_op];
-  if (!rs.child_eos || rs.eos_broadcast) return;
-  for (const auto& [dest, unacked] : rs.unacked) {
+  OpRec& rehash = ex.ops[rehash_op];
+  if (!rehash.phase.input_done || rehash.phase.eos_sent) return;
+  for (const auto& [dest, unacked] : rehash.unacked) {
     if (!unacked.empty()) return;  // EOS only after all data acked (§V-B)
   }
-  rs.eos_broadcast = true;
+  rehash.phase.eos_sent = true;
   Writer w;
   w.PutU64(ex.query_id);
   w.PutVarint32(static_cast<uint32_t>(rehash_op));
@@ -870,94 +905,30 @@ void QueryService::TryBroadcastRehashEos(Exec& ex, int32_t rehash_op) {
   for (net::NodeId m : LiveMembers(ex.table)) SendTo(m, kEosMarker, w.data());
 }
 
-void QueryService::HandleDataBlock(net::NodeId from, const std::string& payload) {
-  TupleBlock block;
-  if (!TupleBlock::Decode(payload, &block).ok()) return;
-  Exec* ex = FindExec(block.query_id);
-  if (ex == nullptr) {
-    BufferPending(block.query_id, from, kDataBlock, payload);
-    return;
-  }
+void QueryService::HandleDataBlock(Exec& ex, net::NodeId from, TupleBlock block) {
   ChargeBlockCosts(block);
-
-  int32_t parent_id = ex->parents[block.dest_op];
-  ORC_CHECK(parent_id >= 0, "rehash without parent");
-  Operator* parent = ex->ops[parent_id].get();
-  size_t child_idx = 0;
-  const auto& siblings = ex->plan.op(parent_id).children;
-  for (size_t i = 0; i < siblings.size(); ++i) {
-    if (siblings[i] == block.dest_op) child_idx = i;
-  }
+  auto* rehash = static_cast<RehashOp*>(ex.ops[block.dest_op].op.get());
   for (BlockRow& row : block.rows) {
-    if (ex->cx.taint_bits > 0) {
-      if (row.taint.size() != ex->cx.taint_bits) {
-        DynamicBitset resized(ex->cx.taint_bits);
-        for (size_t i = 0; i < row.taint.size() && i < ex->cx.taint_bits; ++i) {
+    if (ex.cx.taint_bits > 0) {
+      if (row.taint.size() != ex.cx.taint_bits) {
+        DynamicBitset resized(ex.cx.taint_bits);
+        for (size_t i = 0; i < row.taint.size() && i < ex.cx.taint_bits; ++i) {
           if (row.taint.Test(i)) resized.Set(i);
         }
         row.taint = std::move(resized);
       }
       row.taint.Set(node());
-      ex->cx.charge(ex->cx.costs->provenance_tag_us);
-      if (row.taint.Intersects(ex->cx.failed)) continue;
+      ex.cx.charge(ex.cx.costs->provenance_tag_us);
+      if (row.taint.Intersects(ex.cx.failed)) continue;
     }
-    parent->Consume(child_idx, std::move(row));
+    rehash->Deliver(std::move(row));
   }
 
   Writer w;
-  w.PutU64(ex->query_id);
+  w.PutU64(ex.query_id);
   w.PutVarint32(static_cast<uint32_t>(block.dest_op));
   w.PutVarint32(block.seq);
   SendTo(from, kBlockAck, w.Release());
-}
-
-void QueryService::HandleBlockAck(net::NodeId from, Reader* r) {
-  uint64_t qid;
-  uint32_t op, seq;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&op).ok() || !r->GetVarint32(&seq).ok()) {
-    return;
-  }
-  Exec* ex = FindExec(qid);
-  if (ex == nullptr) return;
-  RehashState& rs = ex->rehash[static_cast<int32_t>(op)];
-  rs.unacked[from].erase(seq);
-  TryBroadcastRehashEos(*ex, static_cast<int32_t>(op));
-}
-
-void QueryService::HandleEosMarker(net::NodeId from, const std::string& payload) {
-  Reader r(payload);
-  uint64_t qid;
-  uint32_t op, phase;
-  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&op).ok() ||
-      !r.GetVarint32(&phase).ok()) {
-    return;
-  }
-  Exec* ex = FindExec(qid);
-  if (ex == nullptr) {
-    BufferPending(qid, from, kEosMarker, payload);
-    return;
-  }
-  auto& marks = ex->eos_from[static_cast<int32_t>(op)];
-  uint32_t& cur = marks[from];
-  cur = std::max(cur, phase);
-  CheckNetEos(*ex, static_cast<int32_t>(op));
-}
-
-void QueryService::CheckNetEos(Exec& ex, int32_t op) {
-  if (ex.net_eos_delivered[op]) return;
-  const auto& marks = ex.eos_from[op];
-  for (net::NodeId m : LiveMembers(ex.table)) {
-    auto it = marks.find(m);
-    if (it == marks.end() || it->second < ex.cx.phase) return;
-  }
-  ex.net_eos_delivered[op] = true;
-  int32_t parent_id = ex.parents[op];
-  const auto& siblings = ex.plan.op(parent_id).children;
-  size_t child_idx = 0;
-  for (size_t i = 0; i < siblings.size(); ++i) {
-    if (siblings[i] == op) child_idx = i;
-  }
-  ex.ops[parent_id]->OnChildEos(child_idx);
 }
 
 void QueryService::ShipRow(Exec& ex, BlockRow row) {
@@ -982,8 +953,9 @@ void QueryService::FlushShip(Exec& ex) {
 }
 
 void QueryService::OnShipChildEos(Exec& ex) {
-  if (ex.ship_eos_sent) return;
-  ex.ship_eos_sent = true;
+  PhaseFlags& flags = ex.ops[ex.plan.root].phase;
+  if (flags.eos_sent) return;
+  flags.eos_sent = true;
   FlushShip(ex);
   Writer w;
   w.PutU64(ex.query_id);
@@ -994,131 +966,86 @@ void QueryService::OnShipChildEos(Exec& ex) {
 // ===========================================================================
 // Worker: recovery (§V-D stages 2-4) and teardown
 
-void QueryService::HandleRecover(net::NodeId from, const std::string& payload) {
-  Reader r(payload);
-  uint64_t qid;
-  uint32_t phase, n_failed;
-  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&phase).ok() ||
-      !r.GetVarint32(&n_failed).ok()) {
-    return;
+void QueryService::HandleRecover(Exec& ex, Reader* r) {
+  uint32_t phase = 0, n_failed = 0;
+  if (!r->GetVarint32(&phase).ok() || !r->GetVarint32(&n_failed).ok()) return;
+  std::vector<net::NodeId> failed;
+  for (uint32_t i = 0; i < n_failed; ++i) {
+    net::NodeId f = 0;
+    if (!r->GetU32(&f).ok()) return;
+    failed.push_back(f);
   }
-  std::vector<net::NodeId> failed(n_failed);
-  for (auto& f : failed) {
-    if (!r.GetU32(&f).ok()) return;
-  }
-  auto table = overlay::RoutingSnapshot::Decode(&r);
+  auto table = overlay::RoutingSnapshot::Decode(r);
   if (!table.ok()) return;
+  if (phase <= ex.cx.phase) return;  // stale / duplicate
 
-  Exec* ex = FindExec(qid);
-  if (ex == nullptr) {
-    BufferPending(qid, from, kRecover, payload);
-    return;
-  }
-  if (phase <= ex->cx.phase) return;  // stale / duplicate
-
-  ex->prev_table = ex->table;
-  const overlay::RoutingSnapshot& prev_table = ex->prev_table;
-  ex->table = std::move(table).value();
-  ex->cx.phase = phase;
+  ex.prev_table = ex.table;
+  const overlay::RoutingSnapshot& prev_table = ex.prev_table;
+  ex.table = std::move(table).value();
+  ex.cx.phase = phase;
   for (net::NodeId f : failed) {
-    if (f < ex->cx.failed.size()) ex->cx.failed.Set(f);
+    if (f < ex.cx.failed.size()) ex.cx.failed.Set(f);
   }
+  auto tainted = [&ex](const BlockRow& b) { return b.taint.Intersects(ex.cx.failed); };
 
-  // Stage 2: drop all state derived from the failed nodes.
-  for (auto& op : ex->ops) op->PurgeTainted();
-  for (auto& [op_id, rs] : ex->rehash) {
-    rs.cache.erase(std::remove_if(rs.cache.begin(), rs.cache.end(),
-                                  [ex](const RehashState::CacheEntry& e) {
-                                    return e.row.taint.Intersects(ex->cx.failed);
-                                  }),
-                   rs.cache.end());
-    for (auto& [dest, buf] : rs.buffers) {
-      buf.erase(std::remove_if(buf.begin(), buf.end(),
-                               [ex](const BlockRow& b) {
-                                 return b.taint.Intersects(ex->cx.failed);
-                               }),
-                buf.end());
-    }
+  // Stage 2: drop all state derived from the failed nodes, and start the new
+  // phase with fresh EOS state; the EOS wave re-runs.
+  for (OpRec& rec : ex.ops) {
+    rec.op->PurgeTainted();
+    rec.op->ResetForPhase();
+    rec.phase = {};
+    std::erase_if(rec.cache, [&](const OpRec::CacheEntry& e) { return tainted(e.row); });
+    for (auto& [dest, buf] : rec.buffers) std::erase_if(buf, tainted);
     for (net::NodeId f : failed) {
-      rs.unacked.erase(f);
+      rec.unacked.erase(f);
       // Unflushed rows routed to a failed node are superseded by the cache
       // resend below (stage 4); flushing them later would wait forever for
       // an ack from a dead node.
-      rs.buffers.erase(f);
+      rec.buffers.erase(f);
     }
-    rs.child_eos = false;
-    rs.eos_broadcast = false;
   }
-  ex->ship_buffer.erase(std::remove_if(ex->ship_buffer.begin(), ex->ship_buffer.end(),
-                                       [ex](const BlockRow& b) {
-                                         return b.taint.Intersects(ex->cx.failed);
-                                       }),
-                        ex->ship_buffer.end());
-  ex->ship_eos_sent = false;
-
-  // Re-arm EOS bookkeeping for the new phase; the EOS wave re-runs.
-  for (auto& op : ex->ops) op->ResetForPhase();
-  ex->net_eos_delivered.clear();
+  std::erase_if(ex.ship_buffer, tainted);
 
   // Stage 4: re-create data that was sent to the failed nodes' ranges, now
   // routed under the new table.
-  for (auto& [op_id, rs] : ex->rehash) {
-    for (auto& entry : rs.cache) {
-      bool to_failed = std::find(failed.begin(), failed.end(), entry.dest) !=
-                       failed.end();
-      if (!to_failed) continue;
-      const PhysOp& op = ex->plan.op(op_id);
-      entry.dest = ex->table.OwnerOf(RowHash(entry.row.tuple, op.hash_cols));
-      rs.buffers[entry.dest].push_back(entry.row);
+  for (size_t id = 0; id < ex.ops.size(); ++id) {
+    OpRec& rec = ex.ops[id];
+    for (auto& entry : rec.cache) {
+      if (std::find(failed.begin(), failed.end(), entry.dest) == failed.end()) continue;
+      const PhysOp& op = ex.plan.op(static_cast<int32_t>(id));
+      entry.dest = ex.table.OwnerOf(RowHash(entry.row.tuple, op.hash_cols));
+      rec.buffers[entry.dest].push_back(entry.row);
       counters_.cache_rows_resent += 1;
-      if (rs.buffers[entry.dest].size() >= ex->block_rows) {
-        FlushRehash(*ex, op_id, entry.dest);
+      if (rec.buffers[entry.dest].size() >= ex.block_rows) {
+        FlushRehash(ex, static_cast<int32_t>(id), entry.dest);
       }
     }
   }
 
   // Stage 3: restart leaf scans for the hash ranges inherited from the
   // failed nodes.
-  for (int32_t scan_op : ex->plan.ScanOpIds()) {
-    ScanState& ss = ex->scans[scan_op];
-    ss.part_done_broadcast = false;
-    ss.iteration_done = false;
-
+  for (int32_t scan_op : ex.plan.ScanOpIds()) {
+    OpRec& scan = ex.ops[scan_op];
     std::deque<storage::PageDescriptor> prev_pages, new_pages;
-    AssignScanPages(*ex, scan_op, prev_table, &prev_pages);
-    AssignScanPages(*ex, scan_op, ex->table, &new_pages);
-    auto was_mine = [&prev_pages](const storage::PageDescriptor& d) {
-      for (const auto& p : prev_pages) {
-        if (p.id == d.id) return true;
-      }
-      return false;
-    };
+    AssignScanPages(ex, scan_op, prev_table, &prev_pages);
+    AssignScanPages(ex, scan_op, ex.table, &new_pages);
     for (const auto& d : new_pages) {
-      if (!was_mine(d)) {
-        ss.pending_pages.push_back(d);  // full rescan of inherited ranges
-      } else {
-        // Already scanned, but ids whose data node failed must be re-routed
-        // (their pushed-into-plan copies were purged as tainted).
-        ss.pending_partial.push_back(d);
-      }
+      bool was_mine = std::any_of(prev_pages.begin(), prev_pages.end(),
+                                  [&d](const auto& p) { return p.id == d.id; });
+      // Inherited ranges are rescanned in full. Pages already scanned are
+      // re-read only for the ids whose data node failed (their
+      // pushed-into-plan copies were purged as tainted).
+      (was_mine ? scan.pending_partial : scan.pending_pages).push_back(d);
     }
-    if (!ss.pending_pages.empty()) counters_.scans_restarted += 1;
-    if (ss.pending_pages.empty() && ss.pending_partial.empty()) {
-      FinishScanIteration(*ex, scan_op);
-    } else if (!ss.chain_running) {
-      ss.chain_running = true;
-      host_->network()->RunOnNode(node(), host_->network()->simulator()->now(),
-                                  [this, qid, scan_op] {
-                                    DriveScanChain(qid, scan_op);
-                                  });
-    }
+    if (!scan.pending_pages.empty()) counters_.scans_restarted += 1;
+    RunScan(ex, scan_op);
   }
 
   // EOS markers and part-done messages for the new phase may have overtaken
   // this recovery broadcast (they travel on different connections); re-check
   // every condition that would otherwise only fire on message arrival.
-  for (const PhysOp& def : ex->plan.ops) {
-    if (def.kind == OpKind::kRehash) CheckNetEos(*ex, def.id);
+  for (const PhysOp& def : ex.plan.ops) {
+    if (def.kind == OpKind::kRehash) CheckEos(ex, def.id);
   }
 }
 

@@ -11,14 +11,16 @@
 //    blocks were acked (§V-B),
 //  * on a recovery message: purges tainted state, re-arms EOS for the new
 //    phase, restarts leaf scans for inherited ranges, and re-sends cached
-//    output that had been destined to failed nodes (§V-D stages 2-4).
+//    output that had been destined to failed nodes (§V-D stages 2-4),
+//  * reports a scan read that fails to the initiator (kScanFailed).
 //
 // Initiator role:
 //  * resolves scan bindings (coordinator records) at the chosen epoch,
 //  * takes the routing snapshot and disseminates it with the plan (§V-A),
 //  * collects shipped rows (with taints) and runs the final stage,
 //  * detects failures via connection drops, participant reports, and
-//    optional pings; recovers incrementally or by full restart (§V-C/D).
+//    optional pings; recovers incrementally or by full restart (§V-C/D),
+//  * fails the query with the status of a worker's failed scan read.
 #ifndef ORCHESTRA_QUERY_SERVICE_H_
 #define ORCHESTRA_QUERY_SERVICE_H_
 
@@ -122,10 +124,49 @@ class QueryService : public net::Service {
     kAbort = 11,
     kPing = 12,
     kPong = 13,
+    kScanFailed = 14,
+  };
+
+  /// End-of-stream barrier over a routing table: each sender marks the
+  /// highest phase it has finished, and the barrier holds for phase p once
+  /// every member of the table has marked p. One type serves the scan
+  /// part-done wait, a rehash op's EOS markers and the initiator's ship EOS.
+  class Barrier {
+   public:
+    void Mark(net::NodeId from, uint32_t phase);
+    bool Reached(const overlay::RoutingSnapshot& table, uint32_t phase) const;
+
+   private:
+    std::map<net::NodeId, uint32_t> marks_;
   };
 
   // --- Worker-side state -----------------------------------------------------
-  struct RehashState {
+  /// What one operator's network edge has done in the current recovery
+  /// phase; a new phase starts from fresh flags and the EOS wave re-runs.
+  struct PhaseFlags {
+    bool input_done = false;     // scan: iteration ended; rehash: input ended
+    bool eos_sent = false;       // part-done, EOS markers or ship EOS sent
+    bool eos_delivered = false;  // the barrier released EOS into the plan
+  };
+
+  /// One plan operator on this node: its instance plus the state of its
+  /// network edge. Scan ops use the scan fields, rehash ops the rehash
+  /// fields; both wait on `eos` (scan: every node's part-done; rehash: every
+  /// sender's EOS marker).
+  struct OpRec {
+    std::unique_ptr<Operator> op;
+    PhaseFlags phase;
+    Barrier eos;
+    // Scan: the coordinator record it reads and its page queues.
+    storage::CoordinatorRecord binding;
+    std::deque<storage::PageDescriptor> pending_pages;
+    /// Pages this node already scanned whose ids must be re-routed because
+    /// their data-storage node failed (partial rescan, §V-D stage 3).
+    std::deque<storage::PageDescriptor> pending_partial;
+    size_t async_outstanding = 0;
+    bool chain_running = false;
+    // Rehash: per-destination buffers, block sequence numbers, unacked
+    // blocks, and the output cache for recovery resend (§V-D).
     std::map<net::NodeId, std::vector<BlockRow>> buffers;
     std::map<net::NodeId, uint32_t> next_seq;
     std::map<net::NodeId, std::set<uint32_t>> unacked;
@@ -133,79 +174,67 @@ class QueryService : public net::Service {
       BlockRow row;
       net::NodeId dest;
     };
-    std::vector<CacheEntry> cache;  // output cache for recovery resend (§V-D)
-    bool child_eos = false;
-    bool eos_broadcast = false;  // for the current phase
-  };
-
-  struct ScanState {
-    std::deque<storage::PageDescriptor> pending_pages;
-    /// Pages this node already scanned whose ids must be re-routed because
-    /// their data-storage node failed (partial rescan, §V-D stage 3).
-    std::deque<storage::PageDescriptor> pending_partial;
-    bool iteration_done = false;
-    bool part_done_broadcast = false;
-    size_t async_outstanding = 0;
-    std::map<net::NodeId, uint32_t> part_done_phase;  // scan barrier
-    bool chain_running = false;
+    std::vector<CacheEntry> cache;
   };
 
   struct Exec {
     uint64_t query_id = 0;
     net::NodeId initiator = net::kInvalidNode;
-    storage::Epoch epoch = 0;
     bool provenance = true;
     uint32_t block_rows = 1024;
     PhysicalPlan plan;
     overlay::RoutingSnapshot table;       // current (updated by recovery)
     overlay::RoutingSnapshot prev_table;  // table of the previous phase
     ExecContext cx;
-    std::vector<std::unique_ptr<Operator>> ops;
-    std::vector<int32_t> parents;
-    std::map<int32_t, storage::CoordinatorRecord> bindings;
-    std::map<int32_t, RehashState> rehash;
-    std::map<int32_t, ScanState> scans;
-    std::map<int32_t, std::map<net::NodeId, uint32_t>> eos_from;  // rehash EOS
-    std::map<int32_t, bool> net_eos_delivered;  // per rehash op, this phase
+    std::vector<OpRec> ops;  // indexed by op id
     std::vector<BlockRow> ship_buffer;
     uint32_t ship_seq = 0;
-    bool ship_eos_sent = false;
   };
 
   // --- Initiator-side state ---------------------------------------------------
+  /// One run of the plan; a restart (kRestart recovery) replaces it whole.
+  struct Run {
+    uint32_t phase = 0;
+    std::vector<BlockRow> results;
+    Barrier ship_eos;
+    bool ping_timer_armed = false;
+  };
+
   struct Root {
     uint64_t query_id = 0;
     PhysicalPlan plan;
     storage::Epoch epoch = 0;
     QueryOptions options;
     overlay::RoutingSnapshot table;  // pinned at start, updated by recovery
-    uint32_t phase = 0;
     std::vector<net::NodeId> failed;
     DynamicBitset failed_bits;
     std::map<int32_t, storage::CoordinatorRecord> bindings;
-    std::vector<BlockRow> results;
-    std::map<net::NodeId, uint32_t> ship_eos_phase;
+    Run run;
     Callback cb;
     sim::SimTime started_at = 0;
     uint32_t recoveries = 0;
     uint32_t restarts = 0;
-    // Ping-based hung-node detection.
+    // Ping-based hung-node detection; survives a restart.
     uint64_t ping_round = 0;
     std::map<net::NodeId, uint64_t> last_pong_round;
-    bool ping_timer_armed = false;
   };
 
   // Worker paths.
-  void HandlePlan(net::NodeId from, const std::string& payload);
-  void HandleDataBlock(net::NodeId from, const std::string& payload);
-  void HandleBlockAck(net::NodeId from, Reader* r);
-  void HandleEosMarker(net::NodeId from, const std::string& payload);
-  void HandleScanPartDone(net::NodeId from, const std::string& payload);
-  void HandleQueryFetch(net::NodeId from, const std::string& payload);
-  void HandleRecover(net::NodeId from, const std::string& payload);
+  void HandlePlan(const std::string& payload);
+  /// Decodes a worker frame's header once, finds its execution (or holds
+  /// the frame until the plan arrives), checks the op it names against the
+  /// plan and hands it to its handler.
+  void OnWorkerFrame(net::NodeId from, uint16_t code, const std::string& payload,
+                     Reader* r);
+  void HandleDataBlock(Exec& ex, net::NodeId from, TupleBlock block);
+  void HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op, Reader* r);
+  void HandleRecover(Exec& ex, Reader* r);
   void HandleAbort(Reader* r);
 
   void StartExec(Exec& ex);
+  /// Starts the scan chain over the queued pages unless it runs already;
+  /// with no page queued, this node's part of the phase is done.
+  void RunScan(Exec& ex, int32_t scan_op);
   void AssignScanPages(Exec& ex, int32_t scan_op,
                        const overlay::RoutingSnapshot& table,
                        std::deque<storage::PageDescriptor>* out) const;
@@ -214,23 +243,33 @@ class QueryService : public net::Service {
   void ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& page,
                    ScanMode mode);
   void InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple, DynamicBitset taint);
+  void FetchScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
+                      const storage::TupleId& id, DynamicBitset taint);
+  /// The one completion of an asynchronous scan read: settles the scan's
+  /// outstanding count, runs `use` on success and re-checks the barrier. A
+  /// failed read fails the query unless recovery would purge its rows anyway
+  /// (their taint already meets the failed set).
+  void FinishScanRead(uint64_t query_id, int32_t scan_op, const Status& st,
+                      const DynamicBitset& taint,
+                      const std::function<void(Exec&)>& use);
+  /// Fails the query at its initiator (kScanFailed).
+  void ReportScanFailure(Exec& ex, const Status& st);
   void FinishScanIteration(Exec& ex, int32_t scan_op);
-  void CheckScanEos(Exec& ex, int32_t scan_op);
-  void RouteRow(Exec& ex, int32_t rehash_op, BlockRow row, bool count_cache);
+  /// Releases EOS into the plan, once per phase, when op `id`'s barrier
+  /// holds (for a scan, also only after this node's iteration and reads).
+  void CheckEos(Exec& ex, int32_t id);
+  void RouteRow(Exec& ex, int32_t rehash_op, BlockRow row);
   void FlushRehash(Exec& ex, int32_t rehash_op, net::NodeId dest);
-  void FlushAllRehash(Exec& ex, int32_t rehash_op);
   void TryBroadcastRehashEos(Exec& ex, int32_t rehash_op);
-  void CheckNetEos(Exec& ex, int32_t op);
   void ShipRow(Exec& ex, BlockRow row);
   void FlushShip(Exec& ex);
   void OnShipChildEos(Exec& ex);
 
   // Initiator paths.
   void DisseminatePlan(Root& root);
-  void HandleShipBlock(net::NodeId from, const std::string& payload);
+  void HandleShipBlock(const std::string& payload);
   void HandleShipEos(net::NodeId from, Reader* r);
   void HandleSuspect(Root& root, net::NodeId node);
-  void CheckRootDone(Root& root);
   void FinishRoot(Root& root, Status st);
   void PingTick(uint64_t query_id);
   /// The nodes of a query's current routing table.

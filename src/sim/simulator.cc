@@ -14,12 +14,16 @@ Simulator::EventId Simulator::Schedule(SimTime at, Callback cb) {
 
 void Simulator::Cancel(EventId id) { callbacks_.erase(id); }
 
-bool Simulator::Step() {
+bool Simulator::StepUntil(SimTime t) {
   while (!heap_.empty()) {
     Event ev = heap_.top();
-    heap_.pop();
     auto it = callbacks_.find(ev.id);
-    if (it == callbacks_.end()) continue;  // cancelled
+    if (it == callbacks_.end()) {  // cancelled
+      heap_.pop();
+      continue;
+    }
+    if (ev.at > t) return false;
+    heap_.pop();
     Callback cb = std::move(it->second);
     callbacks_.erase(it);
     ORC_CHECK(ev.at >= now_, "event in the past");
@@ -39,14 +43,7 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(SimTime t) {
-  while (!heap_.empty()) {
-    const Event& top = heap_.top();
-    if (callbacks_.find(top.id) == callbacks_.end()) {
-      heap_.pop();  // cancelled
-      continue;
-    }
-    if (top.at > t) break;
-    Step();
+  while (StepUntil(t)) {
   }
   if (now_ < t) now_ = t;
 }

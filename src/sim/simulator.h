@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -40,7 +41,10 @@ class Simulator {
   void Cancel(EventId id);
 
   /// Runs the next event. Returns false when the queue is empty.
-  bool Step();
+  bool Step() { return StepUntil(std::numeric_limits<SimTime>::max()); }
+  /// Runs the next event if it is due at or before `t`. Returns false, and
+  /// runs nothing, when no event is due by then.
+  bool StepUntil(SimTime t);
   /// Runs until the queue drains.
   void Run();
   /// Runs events with time <= t, then sets now to t.

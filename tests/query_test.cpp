@@ -9,6 +9,7 @@
 #include "query/plan.h"
 #include "query/reference.h"
 #include "query/service.h"
+#include "storage/keys.h"
 
 namespace orchestra::query {
 namespace {
@@ -514,6 +515,61 @@ TEST_F(QueryClusterTest, FinalStageSortAndLimit) {
 }
 
 // ---------------------------------------------------------------------------
+// A scan read that no replica can serve fails the query with a Status: the
+// query never returns a partial answer, and leaves nothing behind.
+
+class ScanFailureTest : public QueryClusterTest {
+ protected:
+  void Load200() {
+    Deploy(4);
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 200; ++i) rows.push_back({S(Tag("k", i)), S(Tag("v", i % 7))});
+    LoadRows("R", rows);
+  }
+
+  void DeleteEverywhere(const std::string& key) {
+    for (size_t i = 0; i < dep->size(); ++i) {
+      ASSERT_TRUE(dep->storage(i).store().Delete(key).ok());
+    }
+  }
+
+  /// Retrieve and Ship(Scan(R)) both fail, and once the kAbort round has
+  /// landed no node holds a root, an execution or a buffered frame.
+  void ExpectScanFails() {
+    EXPECT_FALSE(dep->Retrieve(0, "R", db_epoch).ok());
+    PlanBuilder b;
+    auto result = dep->ExecuteQuery(0, b.Ship(b.Scan("R")), db_epoch);
+    EXPECT_FALSE(result.ok()) << "returned " << result->rows.size() << " rows";
+    dep->RunFor(1 * sim::kMicrosPerSec);
+    for (size_t i = 0; i < dep->size(); ++i) {
+      EXPECT_EQ(dep->query(i).active_root_count(), 0u) << "node " << i;
+      EXPECT_EQ(dep->query(i).active_exec_count(), 0u) << "node " << i;
+      EXPECT_EQ(dep->query(i).buffered_message_count(), 0u) << "node " << i;
+    }
+  }
+};
+
+TEST_F(ScanFailureTest, PageMissingFromEveryReplicaFailsTheQuery) {
+  Load200();
+  storage::PageId page;  // the first page R's coordinator lists at db_epoch
+  for (size_t i = 0; i < dep->size() && page.relation.empty(); ++i) {
+    auto rec = dep->storage(i).ReadCoordinatorLocal("R", db_epoch);
+    if (rec.ok() && !rec->pages.empty()) page = rec->pages.front().id;
+  }
+  ASSERT_FALSE(page.relation.empty());
+  DeleteEverywhere(storage::keys::PageRec(page.relation, page.epoch, page.partition));
+  ExpectScanFails();
+}
+
+TEST_F(ScanFailureTest, TupleVersionMissingFromEveryReplicaFailsTheQuery) {
+  Load200();
+  auto it = dep->storage(0).store().SeekPrefix(storage::keys::DataPrefix("R"));
+  ASSERT_TRUE(it.Valid());
+  DeleteEverywhere(std::string(it.key()));
+  ExpectScanFails();
+}
+
+// ---------------------------------------------------------------------------
 // Failure handling (§V-C, §V-D)
 
 class RecoveryTest : public QueryClusterTest {
@@ -722,6 +778,54 @@ TEST_F(RecoveryTest, FailureAfterCompletionIsIgnored) {
   ASSERT_TRUE(r1.ok());
   dep->KillNode(2, false);
   dep->RunFor(1 * sim::kMicrosPerSec);  // no crash, nothing pending
+}
+
+// A worker drops every frame that names an operator the plan lacks, or one of
+// the wrong kind, instead of indexing its operator tables with the id.
+TEST_F(RecoveryTest, FramesNamingAnOpThePlanLacksAreDropped) {
+  Deploy(4);
+  LoadBulk(2000, 50);
+  PhysicalPlan plan = JoinPlan();  // 0 Scan R, 1 Rehash, 2 Scan S, 3 Join, 4 Ship
+  auto expect = ReferenceExecute(plan, ref_db);
+  ASSERT_TRUE(expect.ok());
+
+  bool done = false;
+  Status status;
+  QueryResult result;
+  dep->query(0).Execute(plan, db_epoch, {}, [&](Status st, QueryResult r) {
+    status = st;
+    result = std::move(r);
+    done = true;
+  });
+  ASSERT_TRUE(dep->RunUntil([&] { return dep->query(2).active_exec_count() > 0; }));
+  ASSERT_FALSE(done);
+
+  // Node 0's first query: initiator 0 in the id's high bits, sequence 1.
+  const uint64_t qid = 1;
+  auto send = [&](uint16_t code, std::string payload) {
+    dep->host(1).SendTo(2, net::ServiceId::kQuery, code, std::move(payload));
+  };
+  // kDataBlock (2) naming no op, and naming Scan R with a row that joins.
+  TupleBlock block;
+  block.query_id = qid;
+  block.sender = 1;
+  block.rows.push_back(BlockRow{{S("rk-extra"), S("j1")}, DynamicBitset(4)});
+  for (int32_t op : {99, 0}) {
+    block.dest_op = op;
+    send(2, block.Encode());
+  }
+  // kBlockAck, kEosMarker, kScanPartDone and kQueryFetch (3-6) naming no op.
+  Writer header;
+  header.PutU64(qid);
+  header.PutVarint32(99);
+  header.PutVarint32(0);
+  for (uint16_t code = 3; code <= 6; ++code) send(code, header.data());
+
+  ASSERT_TRUE(dep->RunUntil([&] { return done; }, 600 * sim::kMicrosPerSec));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(SameBag(result.rows, *expect))
+      << "got " << result.rows.size() << " rows, want " << expect->size();
+  ExpectNoExecsLeft();
 }
 
 // Property sweep: random failure times against the same join must always

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "deploy/deployment.h"
 #include "sim/cost_model.h"
 #include "sim/simulator.h"
 
@@ -68,6 +69,30 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(sim.now(), 15);
   sim.Run();
   EXPECT_EQ(hits, 2);
+}
+
+TEST(Simulator, StepUntilLeavesLaterEventsPending) {
+  Simulator sim;
+  int hits = 0;
+  sim.Schedule(10, [&] { ++hits; });
+  sim.Schedule(20, [&] { ++hits; });
+  EXPECT_TRUE(sim.StepUntil(15));
+  EXPECT_FALSE(sim.StepUntil(15));
+  EXPECT_EQ(hits, 1);
+  EXPECT_EQ(sim.now(), 10);
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+// Deployment::RunUntil never runs an event scheduled after its budget, so a
+// predicate that only a later event satisfies is reported as not reached.
+TEST(DeploymentRunUntil, NeverRunsAnEventPastItsBudget) {
+  deploy::Deployment dep(deploy::DeploymentOptions{});
+  SimTime start = dep.sim().now();
+  bool fired = false;
+  dep.sim().ScheduleAfter(60 * kMicrosPerSec, [&] { fired = true; });
+  EXPECT_FALSE(dep.RunUntil([&] { return fired; }, 1 * kMicrosPerSec));
+  EXPECT_FALSE(fired);
+  EXPECT_LE(dep.sim().now(), start + 1 * kMicrosPerSec);
 }
 
 TEST(Simulator, StepReturnsFalseWhenEmpty) {
