@@ -26,11 +26,12 @@
 #              Several minutes (two benchmark builds and runs), so not in all.
 #   churndiff [REF]  builds churn_test from `git archive REF` (default HEAD)
 #              and from the working tree, runs Churn.SeedSweep,
-#              Churn.MultiWriterSweep and Churn.FencingAbandonmentSweep for
-#              seeds 1-20 one at a time (ORCHESTRA_CHURN_SEED) on both, and
-#              prints per sweep how many `end ok=... dig=...` lines are the
-#              same and which seeds differ; exits non-zero if any run fails.
-#              Two builds, so not in all.
+#              Churn.MultiWriterSweep, Churn.FencingAbandonmentSweep and
+#              Churn.TornTailSweep for seeds 1-20 one at a time
+#              (ORCHESTRA_CHURN_SEED) on both, and prints per sweep how many
+#              `end ok=... dig=...` lines are the same and which seeds
+#              differ (a sweep REF lacks runs in the working tree only);
+#              exits non-zero if any run fails. Two builds, so not in all.
 #
 #   ci/check.sh [stage]    # default: all
 #
@@ -387,12 +388,19 @@ churndiff() {
     return 1
   }
   cmake --build build -j "$jobs" --target churn_test > /dev/null
-  local status=0 sweep seed same differ out_ref out_work
-  for sweep in SeedSweep MultiWriterSweep FencingAbandonmentSweep; do
+  local status=0 sweep seed same differ out_ref out_work at_ref listed
+  for sweep in SeedSweep MultiWriterSweep FencingAbandonmentSweep TornTailSweep; do
     same=0
     differ=""
+    at_ref=0
+    listed="$("$tmp/build/churn_test" --gtest_list_tests --gtest_filter="Churn.$sweep")"
+    if grep -q "$sweep" <<< "$listed"; then
+      at_ref=1
+    fi
     for seed in $(seq 1 20); do
-      if ! out_ref="$(ORCHESTRA_CHURN_SEED="$seed" "$tmp/build/churn_test" \
+      out_ref=""
+      if [[ "$at_ref" == 1 ]] && \
+         ! out_ref="$(ORCHESTRA_CHURN_SEED="$seed" "$tmp/build/churn_test" \
                       --gtest_filter="Churn.$sweep" 2>&1)"; then
         echo "Churn.$sweep seed $seed FAILED at $ref" >&2
         status=1
@@ -408,6 +416,10 @@ churndiff() {
         differ="$differ $seed"
       fi
     done
+    if [[ "$at_ref" == 0 ]]; then
+      echo "Churn.$sweep: absent at $ref; ran in the working tree only"
+      continue
+    fi
     echo "Churn.$sweep: $same/20 end lines same${differ:+; differ at seeds$differ}"
   done
   rm -rf "$tmp"

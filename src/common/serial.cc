@@ -113,6 +113,14 @@ Status Reader::GetVarint64(uint64_t* v) {
   return Status::Corruption("varint64 too long");
 }
 
+Status Reader::GetCount(uint64_t* n, size_t min_bytes) {
+  ORC_RETURN_IF_ERROR(GetVarint64(n));
+  if (*n > remaining() / min_bytes) {
+    return Status::Corruption("serial: count exceeds the input");
+  }
+  return Status::OK();
+}
+
 Status Reader::GetString(std::string* s) {
   std::string_view view;
   ORC_RETURN_IF_ERROR(GetStringView(&view));

@@ -57,6 +57,10 @@ class Reader {
   Status GetDouble(double* v);
   Status GetVarint32(uint32_t* v);
   Status GetVarint64(uint64_t* v);
+  /// Reads a varint element count, and rejects with Corruption a count the
+  /// rest of the input cannot hold at `min_bytes` per element — so a decoder
+  /// may size a container from it.
+  Status GetCount(uint64_t* n, size_t min_bytes);
   Status GetString(std::string* s);
   Status GetStringView(std::string_view* s);
   /// Zero-copy view of the next `n` raw (unprefixed) bytes.

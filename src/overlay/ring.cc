@@ -116,15 +116,16 @@ Result<RoutingSnapshot> RoutingSnapshot::Decode(Reader* r) {
   uint8_t scheme;
   ORC_RETURN_IF_ERROR(r->GetU8(&scheme));
   snap.scheme_ = static_cast<AllocationScheme>(scheme);
+  // Members and range entries are each a 4-byte node id and a 20-byte hash.
   uint64_t n;
-  ORC_RETURN_IF_ERROR(r->GetVarint64(&n));
+  ORC_RETURN_IF_ERROR(r->GetCount(&n, 24));
   snap.members_.resize(n);
   for (auto& m : snap.members_) {
     ORC_RETURN_IF_ERROR(r->GetU32(&m.node));
     ORC_RETURN_IF_ERROR(HashId::DecodeFrom(r, &m.position));
   }
   uint64_t e;
-  ORC_RETURN_IF_ERROR(r->GetVarint64(&e));
+  ORC_RETURN_IF_ERROR(r->GetCount(&e, 24));
   snap.entries_.resize(e);
   for (auto& entry : snap.entries_) {
     ORC_RETURN_IF_ERROR(HashId::DecodeFrom(r, &entry.begin));

@@ -185,10 +185,13 @@ void QueryService::HandleSuspect(Root& root, net::NodeId suspect) {
       // Abort everywhere and run the whole query again over the remaining
       // nodes — same routing-table derivation as incremental recovery (§VI-E).
       root.restarts += 1;
-      Writer w;
-      w.PutU64(root.query_id);
       root.table = root.table.ReassignFailed({suspect}, storage_->replication(),
                                              root.table.version() + 1);
+      // Before the scan bindings arrive no worker holds the plan: Execute's
+      // fan-in disseminates it over the new table, under the same id.
+      if (root.bindings.empty()) return;
+      Writer w;
+      w.PutU64(root.query_id);
       for (net::NodeId m : LiveMembers(root.table)) SendTo(m, kAbort, w.data());
       MarkAborted(root.query_id);
 

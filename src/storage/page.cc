@@ -133,8 +133,9 @@ void Page::EncodeTo(Writer* w) const {
 
 Status Page::DecodeFrom(Reader* r, Page* out) {
   ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(r, &out->desc));
+  // An entry is at least a 2-byte TupleId and a 20-byte hash.
   uint64_t n;
-  ORC_RETURN_IF_ERROR(r->GetVarint64(&n));
+  ORC_RETURN_IF_ERROR(r->GetCount(&n, 22));
   out->ids.clear();
   out->ids.reserve(n);
   out->hashes.clear();
@@ -272,8 +273,9 @@ Status CoordinatorRecord::DecodeFrom(Reader* r, CoordinatorRecord* out) {
   ORC_RETURN_IF_ERROR(r->GetString(&out->relation));
   ORC_RETURN_IF_ERROR(r->GetVarint64(&out->epoch));
   ORC_RETURN_IF_ERROR(r->GetVarint32(&out->participant));
+  // A page descriptor is at least four one-byte fields.
   uint64_t n;
-  ORC_RETURN_IF_ERROR(r->GetVarint64(&n));
+  ORC_RETURN_IF_ERROR(r->GetCount(&n, 4));
   out->pages.clear();
   out->pages.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

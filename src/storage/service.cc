@@ -16,6 +16,47 @@ namespace {
 // delay is what coalesces a burst of advertisements into a single sweep.
 constexpr uint64_t kGcSliceRecords = 2048;
 constexpr sim::SimTime kGcSliceIntervalUs = 20 * sim::kMicrosPerMilli;
+
+// Re-replication compares buckets of records by digest before it ships any.
+// A bucket is the top kBucketBits of a record's placement hash. Records
+// every member holds — catalog entries, and the data and pages of relations
+// replicated everywhere — make one more bucket, kEveryoneBucket.
+constexpr int kBucketBits = 10;
+constexpr uint32_t kEveryoneBucket = 1u << kBucketBits;
+constexpr uint32_t kBucketCount = kEveryoneBucket + 1;
+
+// 64-bit FNV-1a over `bytes`, continuing from `h`.
+uint64_t Fnv1a(std::string_view bytes, uint64_t h = 0xcbf29ce484222325ull) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// A record's share of its bucket's digest. Data and page versions are
+// written once per (key, epoch) and merge store-if-absent, so the key alone
+// tells whether the receiver holds one; claims, coordinator records and
+// catalog entries merge by value, so their value counts too. MurmurHash3's
+// finalizer spreads FNV-1a's last byte over every bit, so two records whose
+// keys differ only there (one key at two epochs) cannot trade places in the
+// bucket's sum unnoticed.
+uint64_t RecordDigest(std::string_view key, std::string_view value) {
+  uint64_t h = Fnv1a(key);
+  const char tag = keys::Tag(key);
+  if (tag != keys::kDataTag && tag != keys::kPageTag) h = Fnv1a(value, h);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+// The first hash of bucket `b` (< kEveryoneBucket).
+HashId BucketFloor(uint32_t b) {
+  return HashId::SpacePartition(kEveryoneBucket).MultiplyBy(b);
+}
 }  // namespace
 
 void KeyFilter::EncodeTo(Writer* w) const {
@@ -545,152 +586,9 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       }
       return;
     }
-    case kReplicaPush: {
-      // Leads with the pusher's participant-watermark table so a restarted
-      // node re-learns every participant's mark (not just a scalar) from
-      // re-replication; the effective watermark is recomputed as the min.
-      uint64_t mark_count, n;
-      if (!r->GetVarint64(&mark_count).ok()) break;
-      std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
-      pushed_marks.reserve(mark_count);
-      for (uint64_t i = 0; i < mark_count; ++i) {
-        uint32_t p;
-        uint64_t m;
-        if (!r->GetVarint32(&p).ok() || !r->GetVarint64(&m).ok()) {
-          RespondCorrupt(from, req_id, code);
-          return;
-        }
-        pushed_marks.emplace_back(p, m);
-      }
-      // Piggybacked fenced-epoch table: merged BEFORE the records below so a
-      // push can never resurrect orphans at epochs its own sender knows are
-      // burned (and so a restarted receiver whose fenced claim records were
-      // GC'd below the watermark still re-learns the burns).
-      uint64_t fence_count;
-      if (!r->GetVarint64(&fence_count).ok()) break;
-      for (uint64_t i = 0; i < fence_count; ++i) {
-        EpochInstance burn;
-        if (!EpochInstance::DecodeFrom(r, &burn).ok()) {
-          RespondCorrupt(from, req_id, code);
-          return;
-        }
-        MergeFencedEpoch(burn.epoch, burn.participant, burn.nonce);
-      }
-      if (!r->GetVarint64(&n).ok()) break;
-      for (uint64_t i = 0; i < n; ++i) {
-        std::string_view key, value;
-        if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) {
-          RespondCorrupt(from, req_id, code);
-          return;
-        }
-        if (keys::Tag(key) == keys::kClaimTag) {
-          // Epoch claims merge by strength: committed > purged burn > burn
-          // promise > uncommitted claim > absent. A CONFIRMED claim replaces
-          // anything unconfirmed (the commit is a fact — including a burn
-          // promise from a fence round the commit's confirm refused
-          // elsewhere). A PURGED burn carries purge authority and merges via
-          // the phase-two path; a bare burn promise only installs the
-          // marker — it must never purge, its fence round may have failed. A
-          // plain claim fills an empty slot with a conservatively-fresh
-          // clock (a pushed claim's owner gets a TTL of grace before a fence
-          // can use this replica's vote). A slot whose bytes do not decode is
-          // left alone by a plain claim: only an empty slot is filled.
-          Reader vr(value);
-          EpochClaimRecord pushed;
-          Epoch ce = 0;
-          if (!keys::ParseClaim(key, &ce) ||
-              !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
-            continue;
-          }
-          auto mine = LoadClaim(ce);
-          if (pushed.committed) {
-            if (!mine.ok() || !mine->committed) store_.Put(key, value).ok();
-            max_epoch_seen_ = std::max(max_epoch_seen_, ce);
-            claim_touch_.erase(ce);
-          } else if (pushed.fenced && pushed.purged) {
-            if (!mine.ok() || !mine->committed) {
-              MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
-            }
-          } else if (pushed.fenced) {
-            if (!mine.ok() || (!mine->committed && !mine->fenced)) {
-              store_.Put(key, value).ok();
-              claim_touch_.erase(ce);
-            }
-          } else if (mine.status().IsNotFound() && !IsEpochFenced(ce)) {
-            store_.Put(key, value).ok();
-            claim_touch_[ce] = host_->network()->simulator()->now();
-          }
-          continue;
-        }
-        if (keys::Tag(key) == keys::kCoordTag) {
-          // Coordinator records replicate store-if-absent like everything
-          // else, EXCEPT when replicas disagree about a (rel, epoch)'s
-          // writer — possible only after the commit-gate backstop fired
-          // under a claim-replica wipeout. Store-if-absent would then
-          // freeze the disagreement forever (neither writer's pushes could
-          // ever overwrite the other's replicas); merging toward the
-          // smaller participant makes every replica CONVERGE to one
-          // deterministic writer per epoch instead.
-          if (!fenced_epochs_.empty()) {
-            keys::ParsedCoordKey ck;
-            if (keys::ParseCoord(key, &ck) && IsEpochFenced(ck.epoch)) {
-              continue;  // burned epoch: never rebuild its coordinator chain
-            }
-          }
-          auto curv = store_.Get(key);
-          if (!curv.ok()) {
-            store_.Put(key, value).ok();
-          } else {
-            Reader pr(value);
-            Reader cr(curv.value());
-            CoordinatorRecord pushed, mine;
-            if (CoordinatorRecord::DecodeFrom(&pr, &pushed).ok() &&
-                CoordinatorRecord::DecodeFrom(&cr, &mine).ok() &&
-                pushed.participant != 0 && mine.participant != 0 &&
-                pushed.participant < mine.participant) {
-              store_.Put(key, value).ok();
-            }
-          }
-          continue;
-        }
-        // Fence filter on store-if-absent: a stale pusher that missed a
-        // fence must not resurrect the purged orphans here.
-        if (!fenced_epochs_.empty()) {
-          Epoch ve = 0;
-          bool versioned = false;
-          if (keys::Tag(key) == keys::kDataTag) {
-            keys::ParsedDataKey dk;
-            versioned = keys::ParseData(key, &dk);
-            if (versioned) ve = dk.epoch;
-          } else if (keys::Tag(key) == keys::kPageTag) {
-            keys::ParsedPageKey pk;
-            versioned = keys::ParsePageRec(key, &pk);
-            if (versioned) ve = pk.epoch;
-          }
-          if (versioned && IsEpochFenced(ve)) continue;
-        }
-        if (!store_.Contains(key)) store_.Put(key, value).ok();
-        if (keys::Tag(key) == keys::kCatalogTag) {
-          Reader cr(value);
-          RelationDef def;
-          if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
-        }
-      }
-      ChargeCpu(costs.tuple_write_us * static_cast<double>(n));
-      // Piggybacked GC watermarks: a freshly restarted node (its table
-      // resets empty) learns every participant's mark from the first replica
-      // push instead of waiting for the next advertisements. Conversely, a
-      // push from a node that lags OUR watermark may have resurrected
-      // already-retired records. Marks are merged WITHOUT per-mark
-      // retirement and the sweep runs ONCE at the end — a push used to run
-      // a full-store sweep per mark plus one more.
-      for (const auto& [p, m] : pushed_marks) MergeParticipantMark(p, m);
-      Epoch effective = EffectiveParticipantWatermark();
-      if (effective > gc_watermark_) gc_watermark_ = effective;
-      if (n > 0 && gc_watermark_ > 0) ScheduleGcSweep();
-      Respond(from, req_id, Status::OK(), {});
+    case kReplicaPush:
+      HandleReplicaPush(from, r, req_id);
       return;
-    }
     case kScanPage:
       HandleScanPage(from, r, req_id);
       return;
@@ -700,6 +598,184 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
   }
   // A case leaves the switch only when its request body does not decode.
   RespondCorrupt(from, req_id, code);
+}
+
+void StorageService::HandleReplicaPush(net::NodeId from, Reader* r,
+                                       uint64_t req_id) {
+  // Body: participant marks, burned epochs, records, bucket digests (see
+  // RebalanceTo). Round 1 carries digests and no records, round 2 records
+  // and no digests; the reply names the digested buckets that differ here.
+  const auto& costs = host_->network()->costs();
+  auto corrupt = [&] { RespondCorrupt(from, req_id, kReplicaPush); };
+  // The participant-watermark table comes first, so a restarted node
+  // re-learns every participant's mark (not just a scalar); the effective
+  // watermark is recomputed as the min.
+  uint64_t mark_count;
+  if (!r->GetCount(&mark_count, 2).ok()) return corrupt();
+  std::vector<std::pair<ParticipantId, Epoch>> pushed_marks;
+  pushed_marks.reserve(mark_count);
+  for (uint64_t i = 0; i < mark_count; ++i) {
+    uint32_t p;
+    uint64_t m;
+    if (!r->GetVarint32(&p).ok() || !r->GetVarint64(&m).ok()) return corrupt();
+    pushed_marks.emplace_back(p, m);
+  }
+  // Piggybacked fenced-epoch table: merged BEFORE the records below so a
+  // push can never resurrect orphans at epochs its own sender knows are
+  // burned (and so a restarted receiver whose fenced claim records were
+  // GC'd below the watermark still re-learns the burns).
+  uint64_t fence_count;
+  if (!r->GetVarint64(&fence_count).ok()) return corrupt();
+  for (uint64_t i = 0; i < fence_count; ++i) {
+    EpochInstance burn;
+    if (!EpochInstance::DecodeFrom(r, &burn).ok()) return corrupt();
+    MergeFencedEpoch(burn.epoch, burn.participant, burn.nonce);
+  }
+  uint64_t n;
+  if (!r->GetVarint64(&n).ok()) return corrupt();
+  uint64_t stored = 0;
+  auto put = [&](std::string_view key, std::string_view value) {
+    store_.Put(key, value).ok();
+    ++stored;
+  };
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string_view key, value;
+    if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) {
+      return corrupt();
+    }
+    if (keys::Tag(key) == keys::kClaimTag) {
+      // Epoch claims merge by strength: committed > purged burn > burn
+      // promise > uncommitted claim > absent. A CONFIRMED claim replaces
+      // anything unconfirmed (the commit is a fact — including a burn
+      // promise from a fence round the commit's confirm refused
+      // elsewhere). A PURGED burn carries purge authority and merges via
+      // the phase-two path; a bare burn promise only installs the
+      // marker — it must never purge, its fence round may have failed. A
+      // plain claim fills an empty slot with a conservatively-fresh
+      // clock (a pushed claim's owner gets a TTL of grace before a fence
+      // can use this replica's vote). A slot whose bytes do not decode is
+      // left alone by a plain claim: only an empty slot is filled.
+      Reader vr(value);
+      EpochClaimRecord pushed;
+      Epoch ce = 0;
+      if (!keys::ParseClaim(key, &ce) ||
+          !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
+        continue;
+      }
+      auto mine = LoadClaim(ce);
+      if (pushed.committed) {
+        if (!mine.ok() || !mine->committed) put(key, value);
+        max_epoch_seen_ = std::max(max_epoch_seen_, ce);
+        claim_touch_.erase(ce);
+      } else if (pushed.fenced && pushed.purged) {
+        if (!mine.ok() || !mine->committed) {
+          MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
+        }
+      } else if (pushed.fenced) {
+        if (!mine.ok() || (!mine->committed && !mine->fenced)) {
+          put(key, value);
+          claim_touch_.erase(ce);
+        }
+      } else if (mine.status().IsNotFound() && !IsEpochFenced(ce)) {
+        put(key, value);
+        claim_touch_[ce] = host_->network()->simulator()->now();
+      }
+      continue;
+    }
+    if (keys::Tag(key) == keys::kCoordTag) {
+      // Coordinator records replicate store-if-absent like everything
+      // else, EXCEPT when replicas disagree about a (rel, epoch)'s
+      // writer — possible only after the commit-gate backstop fired
+      // under a claim-replica wipeout. Store-if-absent would then
+      // freeze the disagreement forever (neither writer's pushes could
+      // ever overwrite the other's replicas); merging toward the
+      // smaller participant makes every replica CONVERGE to one
+      // deterministic writer per epoch instead.
+      if (!fenced_epochs_.empty()) {
+        keys::ParsedCoordKey ck;
+        if (keys::ParseCoord(key, &ck) && IsEpochFenced(ck.epoch)) {
+          continue;  // burned epoch: never rebuild its coordinator chain
+        }
+      }
+      auto curv = store_.Get(key);
+      if (!curv.ok()) {
+        put(key, value);
+      } else {
+        Reader pr(value);
+        Reader cr(curv.value());
+        CoordinatorRecord pushed, mine;
+        if (CoordinatorRecord::DecodeFrom(&pr, &pushed).ok() &&
+            CoordinatorRecord::DecodeFrom(&cr, &mine).ok() &&
+            pushed.participant != 0 && mine.participant != 0 &&
+            pushed.participant < mine.participant) {
+          put(key, value);
+        }
+      }
+      continue;
+    }
+    // Fence filter on store-if-absent: a stale pusher that missed a
+    // fence must not resurrect the purged orphans here.
+    if (!fenced_epochs_.empty()) {
+      Epoch ve = 0;
+      bool versioned = false;
+      if (keys::Tag(key) == keys::kDataTag) {
+        keys::ParsedDataKey dk;
+        versioned = keys::ParseData(key, &dk);
+        if (versioned) ve = dk.epoch;
+      } else if (keys::Tag(key) == keys::kPageTag) {
+        keys::ParsedPageKey pk;
+        versioned = keys::ParsePageRec(key, &pk);
+        if (versioned) ve = pk.epoch;
+      }
+      if (versioned && IsEpochFenced(ve)) continue;
+    }
+    if (!store_.Contains(key)) put(key, value);
+    if (keys::Tag(key) == keys::kCatalogTag) {
+      Reader cr(value);
+      RelationDef def;
+      if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
+    }
+  }
+  // Only a stored record costs a write; one already held costs a lookup.
+  ChargeCpu(costs.tuple_write_us * static_cast<double>(stored) +
+            costs.index_entry_us * static_cast<double>(n - stored));
+  // Piggybacked GC watermarks: a freshly restarted node (its table resets
+  // empty) learns every participant's mark from the first replica push
+  // instead of waiting for the next advertisements. Conversely, a push from
+  // a node that lags OUR watermark may have resurrected already-retired
+  // records. Marks merge WITHOUT per-mark retirement, and one sweep covers
+  // both cases: a raised watermark, and records this frame stored.
+  for (const auto& [p, m] : pushed_marks) MergeParticipantMark(p, m);
+  const Epoch effective = EffectiveParticipantWatermark();
+  const bool raised = effective > gc_watermark_;
+  if (raised) gc_watermark_ = effective;
+  if ((raised || stored > 0) && gc_watermark_ > 0) ScheduleGcSweep();
+
+  // Compare the pusher's digests with this node's own, bucket by bucket. An
+  // entry is at least a one-byte bucket, a one-byte count and an 8-byte sum.
+  uint64_t digest_count;
+  if (!r->GetCount(&digest_count, 10).ok()) return corrupt();
+  Writer differ;
+  uint64_t differing = 0;
+  if (digest_count > 0) {
+    const std::vector<BucketDigest>& mine = LocalBucketDigests();
+    for (uint64_t i = 0; i < digest_count; ++i) {
+      uint32_t bucket;
+      BucketDigest theirs;
+      if (!r->GetVarint32(&bucket).ok() || !r->GetVarint64(&theirs.count).ok() ||
+          !r->GetU64(&theirs.sum).ok() || bucket >= kBucketCount) {
+        return corrupt();
+      }
+      if (mine[bucket].count != theirs.count || mine[bucket].sum != theirs.sum) {
+        differ.PutVarint32(bucket);
+        ++differing;
+      }
+    }
+  }
+  Writer reply;
+  reply.PutVarint64(differing);
+  reply.PutRaw(differ.data().data(), differ.size());
+  Respond(from, req_id, Status::OK(), reply.Release());
 }
 
 void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
@@ -1098,8 +1174,8 @@ void StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r) {
     if (!DecodeTuple(r, &t).ok()) return;
     state.rows.push_back(std::move(t));
   }
-  uint64_t missing_n;
-  if (!r->GetVarint64(&missing_n).ok()) return;
+  uint64_t missing_n;  // a TupleId is at least two bytes
+  if (!r->GetCount(&missing_n, 2).ok()) return;
   std::vector<TupleId> missing(missing_n);
   for (auto& id : missing) {
     if (!TupleId::DecodeFrom(r, &id).ok()) return;
@@ -1303,80 +1379,216 @@ void StorageService::ScanFail(uint64_t scan_id, Status st) {
 // --------------------------------------------------------------------------
 // Background re-replication
 
-void StorageService::RebalanceTo(const overlay::RoutingSnapshot& snap) {
-  std::map<net::NodeId, Writer> batches;
-  std::map<net::NodeId, uint64_t> batch_counts;
-
-  auto add_to = [&](net::NodeId target, std::string_view key, std::string_view value) {
-    if (target == node()) return;
-    Writer& w = batches[target];
-    w.PutString(key);
-    w.PutString(value);
-    batch_counts[target] += 1;
-  };
-
-  for (auto it = store_.Seek(""); it.Valid(); it.Next()) {
-    std::string_view key = it.key();
-    if (key.empty()) continue;
-    std::vector<net::NodeId> targets;
-    switch (keys::Tag(key)) {
-      case keys::kDataTag: {
-        keys::ParsedDataKey dk;
-        if (!keys::ParseData(key, &dk)) continue;
-        HashId h = HashId::FromBigEndianBytes(dk.hash_be20);
-        targets = snap.ReplicasOf(h, replication_);
-        break;
-      }
-      case keys::kPageTag: {
-        keys::ParsedPageKey pk;
-        if (!keys::ParsePageRec(key, &pk)) continue;
-        auto def = catalog_.find(std::string(pk.relation));
-        if (def == catalog_.end()) continue;
-        targets = snap.ReplicasOf(
-            PartitionHome(pk.partition, def->second.num_partitions), replication_);
-        break;
-      }
-      case keys::kCoordTag: {
-        keys::ParsedCoordKey ck;
-        if (!keys::ParseCoord(key, &ck)) continue;
-        targets = snap.ReplicasOf(CoordinatorHash(std::string(ck.relation), ck.epoch),
-                                  replication_);
-        break;
-      }
-      case keys::kClaimTag: {
-        Epoch e;
-        if (!keys::ParseClaim(key, &e)) continue;
-        targets = snap.ReplicasOf(ClaimHash(e), replication_);
-        break;
-      }
-      case keys::kCatalogTag: {
-        for (const auto& m : snap.members()) targets.push_back(m.node);
-        break;
-      }
-      default:
-        continue;
+std::optional<StorageService::Placement> StorageService::PlaceRecord(
+    std::string_view key) const {
+  static const Placement kEveryone{kEveryoneBucket, /*everyone=*/true, HashId()};
+  HashId hash;
+  switch (keys::Tag(key)) {
+    case keys::kDataTag: {
+      keys::ParsedDataKey dk;
+      if (!keys::ParseData(key, &dk)) return std::nullopt;
+      const RelationDef* def = FindRelation(dk.relation);
+      if (def != nullptr && def->replicate_everywhere) return kEveryone;
+      hash = HashId::FromBigEndianBytes(dk.hash_be20);
+      break;
     }
-    for (net::NodeId t : targets) add_to(t, key, it.value());
+    case keys::kPageTag: {
+      keys::ParsedPageKey pk;
+      if (!keys::ParsePageRec(key, &pk)) return std::nullopt;
+      const RelationDef* def = FindRelation(pk.relation);
+      if (def == nullptr) return std::nullopt;
+      if (def->replicate_everywhere) return kEveryone;
+      hash = PartitionHome(pk.partition, def->num_partitions);
+      break;
+    }
+    case keys::kCoordTag: {
+      keys::ParsedCoordKey ck;
+      if (!keys::ParseCoord(key, &ck)) return std::nullopt;
+      hash = CoordinatorHash(std::string(ck.relation), ck.epoch);
+      break;
+    }
+    case keys::kClaimTag: {
+      Epoch e;
+      if (!keys::ParseClaim(key, &e)) return std::nullopt;
+      hash = ClaimHash(e);
+      break;
+    }
+    case keys::kCatalogTag:
+      return kEveryone;
+    default:
+      return std::nullopt;
   }
+  return Placement{static_cast<uint32_t>(hash.Top64() >> (64 - kBucketBits)),
+                   /*everyone=*/false, hash};
+}
 
-  for (auto& [target, w] : batches) {
-    Writer out;
-    // Piggybacked GC marks: the full participant table, so a restarted
-    // receiver rebuilds the min-across-participants watermark, not a scalar.
-    out.PutVarint64(participant_marks_.size());
-    for (const auto& [p, pm] : participant_marks_) {
-      out.PutVarint32(p);
-      out.PutVarint64(pm.mark);
+std::optional<uint32_t> StorageService::ReplicaBucket(std::string_view key) const {
+  auto place = PlaceRecord(key);
+  if (!place) return std::nullopt;
+  return place->bucket;
+}
+
+void StorageService::ForEachPlaced(
+    const std::function<void(std::string_view key, std::string_view value,
+                             const Placement&)>& fn) const {
+  for (auto it = store_.Seek(""); it.Valid(); it.Next()) {
+    if (auto place = PlaceRecord(it.key())) fn(it.key(), it.value(), *place);
+  }
+}
+
+const std::vector<StorageService::BucketDigest>&
+StorageService::LocalBucketDigests() {
+  const localstore::StoreStats& stats = store_.stats();
+  if (!digests_.buckets.empty() && digests_.puts == stats.puts &&
+      digests_.deletes == stats.deletes) {
+    return digests_.buckets;
+  }
+  digests_.buckets.assign(kBucketCount, {});
+  uint64_t digested = 0;
+  ForEachPlaced([&](std::string_view key, std::string_view value,
+                    const Placement& place) {
+    BucketDigest& d = digests_.buckets[place.bucket];
+    d.count += 1;
+    d.sum += RecordDigest(key, value);
+    ++digested;
+  });
+  ChargeCpu(host_->network()->costs().index_entry_us *
+            static_cast<double>(digested));
+  digests_.puts = stats.puts;
+  digests_.deletes = stats.deletes;
+  return digests_.buckets;
+}
+
+void StorageService::PutPushTables(Writer* w) const {
+  // The full participant table, so a restarted receiver rebuilds the
+  // min-across-participants watermark, not a scalar.
+  w->PutVarint64(participant_marks_.size());
+  for (const auto& [p, pm] : participant_marks_) {
+    w->PutVarint32(p);
+    w->PutVarint64(pm.mark);
+  }
+  // Burns propagate even after the fenced claim records themselves were
+  // retired below the GC watermark.
+  w->PutVarint64(fenced_epochs_.size());
+  for (const auto& [fe, inst] : fenced_epochs_) {
+    EpochInstance{fe, inst.participant, inst.nonce}.EncodeTo(w);
+  }
+}
+
+std::vector<std::vector<net::NodeId>> StorageService::BucketTargets(
+    const overlay::RoutingSnapshot& snap) const {
+  std::vector<std::vector<net::NodeId>> targets(kBucketCount);
+  for (uint32_t b = 0; b < kEveryoneBucket; ++b) {
+    targets[b] = snap.ReplicasOf(BucketFloor(b), replication_);
+  }
+  // A range that starts inside a bucket adds its replicas to that bucket's.
+  for (const overlay::RangeEntry& range : snap.entries()) {
+    const auto b = static_cast<uint32_t>(range.begin.Top64() >> (64 - kBucketBits));
+    if (range.begin == BucketFloor(b)) continue;
+    for (net::NodeId t : snap.ReplicasOf(range.begin, replication_)) {
+      if (std::find(targets[b].begin(), targets[b].end(), t) == targets[b].end()) {
+        targets[b].push_back(t);
+      }
     }
-    // Piggybacked fenced-epoch table: burns propagate even after the fenced
-    // claim records themselves were retired below the GC watermark.
-    out.PutVarint64(fenced_epochs_.size());
-    for (const auto& [fe, inst] : fenced_epochs_) {
-      EpochInstance{fe, inst.participant, inst.nonce}.EncodeTo(&out);
+  }
+  for (const auto& m : snap.members()) targets[kEveryoneBucket].push_back(m.node);
+  for (auto& t : targets) t.erase(std::remove(t.begin(), t.end(), node()), t.end());
+  return targets;
+}
+
+void StorageService::RebalanceTo(const overlay::RoutingSnapshot& snap) {
+  // Round 1: offer each target the digest of every non-empty bucket `snap`
+  // places on it. The digests are the ones this node answers pushers with;
+  // a bucket split between replica sets is offered whole, so it differs at
+  // a target that holds only part of it and ships.
+  const std::vector<BucketDigest>& mine = LocalBucketDigests();
+  const std::vector<std::vector<net::NodeId>> targets = BucketTargets(snap);
+  std::map<net::NodeId, std::vector<uint32_t>> offers;
+  for (uint32_t b = 0; b < kBucketCount; ++b) {
+    if (mine[b].count == 0) continue;
+    for (net::NodeId t : targets[b]) offers[t].push_back(b);
+  }
+  if (offers.empty()) return;
+
+  // Round 2 starts once every target has answered: an answer names the
+  // buckets it lacks or holds differently, and a failed call names none.
+  using Ask = std::pair<net::NodeId, std::vector<uint32_t>>;
+  auto answered = net::FanIn<Ask>(
+      offers.size(),
+      [this, pinned = std::make_shared<const overlay::RoutingSnapshot>(snap)](
+          std::vector<Ask> asks) {
+        std::map<net::NodeId, std::vector<bool>> asked;
+        for (auto& [target, buckets] : asks) {
+          if (buckets.empty()) continue;
+          std::vector<bool>& want = asked[target];
+          want.resize(kBucketCount);
+          for (uint32_t b : buckets) want[b] = true;
+        }
+        if (!asked.empty()) PushBuckets(*pinned, asked);
+      });
+  for (const auto& [target, buckets] : offers) {
+    Writer w;
+    PutPushTables(&w);
+    w.PutVarint64(0);  // no records
+    w.PutVarint64(buckets.size());
+    for (uint32_t b : buckets) {
+      w.PutVarint32(b);
+      w.PutVarint64(mine[b].count);
+      w.PutU64(mine[b].sum);
     }
-    out.PutVarint64(batch_counts[target]);
-    out.PutRaw(w.data().data(), w.size());
-    Call(target, kReplicaPush, out.Release(), [](Status, const std::string&) {});
+    Call(target, kReplicaPush, w.Release(),
+         [answered, target](Status st, const std::string& body) {
+           std::vector<uint32_t> differ;
+           Reader r(body);
+           uint64_t n = 0;
+           if (st.ok() && r.GetCount(&n, 1).ok()) {
+             for (uint64_t i = 0; i < n; ++i) {
+               uint32_t b;
+               if (!r.GetVarint32(&b).ok() || b >= kBucketCount) break;
+               differ.push_back(b);
+             }
+           }
+           answered(Ask(target, std::move(differ)));
+         });
+  }
+}
+
+void StorageService::PushBuckets(
+    const overlay::RoutingSnapshot& snap,
+    const std::map<net::NodeId, std::vector<bool>>& asked) {
+  std::vector<bool> any(kBucketCount);
+  for (const auto& [target, want] : asked) {
+    for (uint32_t b = 0; b < kBucketCount; ++b) {
+      if (want[b]) any[b] = true;
+    }
+  }
+  std::map<net::NodeId, Writer> batches;
+  std::map<net::NodeId, uint64_t> counts;
+  ForEachPlaced([&](std::string_view key, std::string_view value,
+                    const Placement& place) {
+    if (!any[place.bucket]) return;
+    std::vector<net::NodeId> targets;
+    if (place.everyone) {
+      for (const auto& m : snap.members()) targets.push_back(m.node);
+    } else {
+      targets = snap.ReplicasOf(place.hash, replication_);
+    }
+    for (net::NodeId t : targets) {
+      auto want = asked.find(t);  // never this node: it offers to others only
+      if (want == asked.end() || !want->second[place.bucket]) continue;
+      Writer& w = batches[t];
+      w.PutString(key);
+      w.PutString(value);
+      counts[t] += 1;
+    }
+  });
+  for (auto& [target, batch] : batches) {
+    Writer w;
+    PutPushTables(&w);
+    w.PutVarint64(counts[target]);
+    w.PutRaw(batch.data().data(), batch.size());
+    w.PutVarint64(0);  // no digests
+    Call(target, kReplicaPush, w.Release(), [](Status, const std::string&) {});
   }
 }
 
@@ -1652,6 +1864,7 @@ void StorageService::OnRestart() {
   // Per-participant marks are transient too; re-learned from advertisements
   // and the replica-push piggyback table.
   participant_marks_.clear();
+  digests_ = {};
   // Any background sweep died with the node (its slice tasks were dropped as
   // node tasks); reset the cursor so the next advertisement starts fresh.
   ResetGcSweep(/*active=*/false);

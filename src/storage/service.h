@@ -57,9 +57,12 @@ enum StorageCode : uint16_t {
   kScanPage = 9,      // Algorithm 1, step 4: ask index node to scan a page
   kFetchTuples = 10,  // Algorithm 1, step 8: index node -> data node
   kTupleData = 11,    // Algorithm 1, step 9: data node -> requester (direct)
-  kReplicaPush = 12,  // background re-replication (PAST-style, §III-C);
-                      // leads with the pusher's GC watermark so a restarted
-                      // node catches up without waiting for the next publish
+  // Background re-replication (PAST-style, §III-C), in two rounds per
+  // target: bucket digests, answered with the buckets that differ, then the
+  // records of those buckets. Every frame leads with the pusher's GC marks
+  // and burned epochs, so a restarted node catches up without waiting for
+  // the next publish.
+  kReplicaPush = 12,
   kGetMaxEpoch = 13,  // highest coordinator epoch this node stores
   kSetWatermark = 14, // one-way: (participant, GC low-watermark) advertisement
   // Multi-writer epoch claims: the pre-write serialization point. A claim
@@ -223,9 +226,18 @@ class StorageService : public net::Service {
   void FetchTuple(const std::string& rel, const TupleId& id,
                   std::function<void(Status, Tuple)> cb);
 
-  /// Re-replicates local state according to `snap` (background replication
-  /// after membership change). Sends batched kReplicaPush messages.
+  /// Re-replicates local state according to `snap` after a membership
+  /// change, shipping only what differs. Round 1 offers every other replica
+  /// this node's (bucket, count, digest) entry for each non-empty bucket
+  /// `snap` places on it; the target answers with the buckets whose digests
+  /// differ from its own. Once every target has answered, round 2 ships the
+  /// records of those buckets that `snap` places on the target, which it
+  /// merges like any push. Both rounds are kReplicaPush frames carrying the
+  /// participant-mark and burned-epoch tables.
   void RebalanceTo(const overlay::RoutingSnapshot& snap);
+  /// The digest bucket RebalanceTo files a stored record under; nullopt for
+  /// a key outside the replicated families.
+  std::optional<uint32_t> ReplicaBucket(std::string_view key) const;
 
   // --- Multi-epoch GC -------------------------------------------------------
   /// Raises the GC low-watermark and retires superseded versions below it:
@@ -387,12 +399,49 @@ class StorageService : public net::Service {
   /// discovery never sees torn state after a fence.
   void PurgeEpochLocal(Epoch epoch);
   void HandleRequest(net::NodeId from, uint16_t code, Reader* r, uint64_t req_id);
+  void HandleReplicaPush(net::NodeId from, Reader* r, uint64_t req_id);
   void HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id);
   void HandleFetchTuples(net::NodeId from, Reader* r);
   void HandleTupleData(net::NodeId from, Reader* r);
   void ScanCheckDone(uint64_t scan_id);
   void ScanFail(uint64_t scan_id, Status st);
   void StartPageScan(uint64_t scan_id, const PageDescriptor& desc);
+
+  // --- Re-replication by difference --------------------------------------
+  /// Where a stored record replicates: around the ring position `hash`, or
+  /// on every member (`everyone`: a catalog entry, or a record of a relation
+  /// replicated everywhere). `bucket` is its digest bucket: the top bits of
+  /// `hash`, or the one bucket of everything every member holds.
+  struct Placement {
+    uint32_t bucket = 0;
+    bool everyone = false;
+    HashId hash;
+  };
+  /// nullopt for a key outside the replicated families.
+  std::optional<Placement> PlaceRecord(std::string_view key) const;
+  /// One ordered pass over every record PlaceRecord places.
+  void ForEachPlaced(const std::function<void(std::string_view key,
+                                              std::string_view value,
+                                              const Placement&)>& fn) const;
+  struct BucketDigest {
+    uint64_t count = 0;
+    uint64_t sum = 0;  // of the records' digests, mod 2^64
+  };
+  /// This node's digest of every bucket, which it both offers as a pusher
+  /// and compares against as a target. Rebuilt, in one pass, only when the
+  /// store changed since the last build.
+  const std::vector<BucketDigest>& LocalBucketDigests();
+  /// Per bucket, the nodes other than this one that `snap` places some of
+  /// its records on.
+  std::vector<std::vector<net::NodeId>> BucketTargets(
+      const overlay::RoutingSnapshot& snap) const;
+  /// Round 2: one pass ships each target the records of the buckets it
+  /// named in its round-1 reply.
+  void PushBuckets(const overlay::RoutingSnapshot& snap,
+                   const std::map<net::NodeId, std::vector<bool>>& asked);
+  /// The tables every kReplicaPush leads with: participant marks and
+  /// burned epochs.
+  void PutPushTables(Writer* w) const;
 
   void ChargeCpu(double micros) { host_->network()->ChargeCpu(node(), micros); }
 
@@ -453,6 +502,15 @@ class StorageService : public net::Service {
     uint64_t nonce = 0;
   };
   std::map<Epoch, FencedInstance> fenced_epochs_;
+  // LocalBucketDigests' last build (empty before the first), and the
+  // store's put and delete counts it was built at. OnRestart drops it:
+  // recovery rebuilds the store without counting.
+  struct DigestCache {
+    uint64_t puts = 0;
+    uint64_t deletes = 0;
+    std::vector<BucketDigest> buckets;
+  };
+  DigestCache digests_;
 };
 
 }  // namespace orchestra::storage

@@ -135,6 +135,40 @@ TEST(Churn, SeedSweep) {
   }
 }
 
+// Torn-tail sweep: SeedSweep's fault mix over an unsynced WAL, so every
+// crash tears its victim's tail (half of them mid-seal) and every restart
+// has to win back what the victim lost through re-replication.
+TEST(Churn, TornTailSweep) {
+  constexpr uint64_t kSeeds = 20;
+  const uint64_t only_seed = OnlySeed();
+  uint64_t total_restarts = 0, total_torn_tails = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    if (only_seed != 0 && seed != only_seed) continue;
+    if (only_seed == 0 && !InThisBucket(seed)) continue;
+    ChurnOptions opts;
+    opts.seed = seed;
+    opts.rounds = 30;
+    opts.check_every = 10;
+    opts.publish_window = 2;
+    opts.hang_prob = 0.04;
+    opts.wal_sync_every = 0;  // crashes genuinely tear the WAL tail
+    opts.crash_mid_seal_prob = 0.5;
+    ChurnReport rep = RunChurn(opts);
+    EXPECT_TRUE(rep.ok) << rep.failure << "\nreplay: "
+                        << ReplayCommand(rep, "Churn.TornTailSweep")
+                        << "\ntrace tail:\n" << TraceTail(rep, kFailTraceLines);
+    PrintEndLine(rep, "Churn.TornTailSweep");
+    EXPECT_GE(rep.checks, 3u) << "seed " << seed;
+    total_restarts += rep.restarts;
+    total_torn_tails += rep.wal_torn_tails;
+    if (HasFailure()) break;
+  }
+  if (only_seed == 0 && !GetBucket().sharded) {
+    EXPECT_GT(total_restarts, 0u);
+    EXPECT_GT(total_torn_tails, 0u);
+  }
+}
+
 // Deeper pipeline under churn: window 4, crashes/drops landing between
 // overlapped publishes, model equivalence at every convergence point.
 TEST(Churn, PipelinedWindowFour) {

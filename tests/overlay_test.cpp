@@ -115,6 +115,40 @@ TEST_P(AllocationProperty, EncodeDecodeRoundTrip) {
   }
 }
 
+// A snapshot body whose member or range count claims more entries than
+// its bytes hold is Corruption, not an allocation sized by the claim.
+TEST(RoutingSnapshot, DecodeRejectsACountTheBodyCannotHold) {
+  auto snap = RoutingSnapshot::Build(7, AllocationScheme::kBalanced, MakeMembers(3));
+  for (uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    Writer members;
+    members.PutU64(7);  // version
+    members.PutU8(static_cast<uint8_t>(AllocationScheme::kBalanced));
+    members.PutVarint64(claimed);
+    Reader mr(members.data());
+    EXPECT_TRUE(RoutingSnapshot::Decode(&mr).status().IsCorruption());
+
+    // A whole member table, then a huge range-entry count.
+    Writer whole;
+    snap.EncodeTo(&whole);
+    Reader full(whole.data());
+    uint64_t version;
+    uint8_t scheme;
+    uint64_t n;
+    ASSERT_TRUE(full.GetU64(&version).ok() && full.GetU8(&scheme).ok() &&
+                full.GetVarint64(&n).ok());
+    std::string_view member_bytes;
+    ASSERT_TRUE(full.GetRawView(&member_bytes, n * 24).ok());
+    Writer entries;
+    entries.PutU64(version);
+    entries.PutU8(scheme);
+    entries.PutVarint64(n);
+    entries.PutRaw(member_bytes.data(), member_bytes.size());
+    entries.PutVarint64(claimed);
+    Reader er(entries.data());
+    EXPECT_TRUE(RoutingSnapshot::Decode(&er).status().IsCorruption());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndSizes, AllocationProperty,
     ::testing::Values(SchemeAndSize{AllocationScheme::kBalanced, 1},

@@ -617,7 +617,8 @@ class RecoveryTest : public QueryClusterTest {
   };
 
   /// Starts `plan`, injects a failure of `victim` at `fraction` of the
-  /// calibrated runtime, and drives to completion.
+  /// calibrated runtime (at 0, before any event of the query runs), and
+  /// drives to completion.
   FailureRun RunWithFailureAt(const PhysicalPlan& plan, net::NodeId victim,
                               double fraction, QueryOptions opts = {},
                               bool hang = false, size_t via = 0) {
@@ -629,7 +630,9 @@ class RecoveryTest : public QueryClusterTest {
       out.result = std::move(r);
       done = true;
     });
-    dep->RunFor(static_cast<sim::SimTime>(fraction * static_cast<double>(t)));
+    if (fraction > 0) {
+      dep->RunFor(static_cast<sim::SimTime>(fraction * static_cast<double>(t)));
+    }
     if (!done) {
       out.injected = true;
       if (hang) {
@@ -662,20 +665,27 @@ TEST_F(RecoveryTest, IncrementalRecoveryProducesExactAnswer) {
   ExpectNoExecsLeft();
 }
 
+// Mid-query, and before any event of the query ran (the scan bindings are
+// still in flight then): either way the restart returns the exact answer.
 TEST_F(RecoveryTest, RestartRecoveryProducesExactAnswer) {
-  Deploy(6);
-  LoadBulk(2000, 100);
-  PhysicalPlan plan = JoinPlan();
-  auto expect = ReferenceExecute(plan, ref_db);
-  ASSERT_TRUE(expect.ok());
+  for (double fraction : {0.5, 0.0}) {
+    SCOPED_TRACE(testing::Message() << "failure at " << fraction
+                                    << " of the runtime");
+    Deploy(6);
+    LoadBulk(2000, 100);
+    PhysicalPlan plan = JoinPlan();
+    auto expect = ReferenceExecute(plan, ref_db);
+    ASSERT_TRUE(expect.ok());
 
-  QueryOptions opts;
-  opts.recovery = QueryOptions::RecoveryMode::kRestart;
-  FailureRun run = RunWithFailureAt(plan, 4, 0.5, opts);
-  ASSERT_TRUE(run.injected);
-  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
-  EXPECT_EQ(run.result.restarts, 1u);
-  EXPECT_TRUE(SameBag(run.result.rows, *expect));
+    QueryOptions opts;
+    opts.recovery = QueryOptions::RecoveryMode::kRestart;
+    FailureRun run = RunWithFailureAt(plan, 4, fraction, opts);
+    ASSERT_TRUE(run.injected);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_EQ(run.result.restarts, 1u);
+    EXPECT_TRUE(SameBag(run.result.rows, *expect))
+        << "got " << run.result.rows.size() << " rows, want " << expect->size();
+  }
 }
 
 TEST_F(RecoveryTest, AggregationSurvivesFailureWithoutDoubleCounting) {

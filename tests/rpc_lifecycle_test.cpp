@@ -9,6 +9,7 @@
 // events kept their closures queued in the simulator until their timestamp.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/strings.h"
 #include "deploy/deployment.h"
 #include "net/rpc.h"
+#include "replica_push_tap.h"
 #include "storage/publisher.h"
 #include "storage/schema.h"
 #include "storage/service.h"
@@ -323,6 +325,54 @@ TEST_F(RpcLifecycleTest, RandomChurnDrainsTablesForEverySeed) {
     dep.reset();
     EXPECT_EQ(CallbacksAliveDelta(), 0) << "seed " << seed;
   }
+}
+
+// Re-replication sends round 2 only once round 1 was answered. A target
+// that dies between the two rounds leaves no call and no callback behind
+// once the deadlines have run, and its next restart repairs what it lost.
+TEST_F(RpcLifecycleTest, TargetKilledBetweenPushRoundsLeavesNothingPending) {
+  deploy::DeploymentOptions opts;
+  opts.num_nodes = 4;
+  opts.replication = 3;
+  opts.store.wal.sync_every_records = 0;  // a crash tears the unsynced tail
+  auto dep = std::make_unique<deploy::Deployment>(opts);
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
+  for (int round = 0; round < 3; ++round) {
+    UpdateBatch batch;
+    for (int i = 0; i < 300; ++i) {
+      batch["R"].push_back(Update::Insert(Row(Tag("k", i), Tag("v", round))));
+    }
+    ASSERT_TRUE(dep->Publish(0, std::move(batch)).ok());
+  }
+  auto contents = [&dep](net::NodeId n) {
+    std::map<std::string, std::string> out;
+    for (auto it = dep->storage(n).store().Seek(""); it.Valid(); it.Next()) {
+      out.emplace(it.key(), it.value());
+    }
+    return out;
+  };
+  const net::NodeId victim = 2;
+  const auto before = contents(victim);
+  dep->KillNode(victim, /*update_routing=*/false);
+  dep->RunFor(1 * sim::kMicrosPerSec);
+  {
+    ReplicaPushTap tap(dep.get(), victim);
+    dep->RestartNode(victim);
+    ASSERT_NE(contents(victim), before) << "the crash tore nothing";
+    // Every other node's round 1 answered, no round 2 landed yet: kill.
+    ASSERT_TRUE(dep->RunUntil(
+        [&] { return tap.digest_frames() == dep->size() - 1; }));
+    ASSERT_EQ(tap.records(), 0u);
+    dep->KillNode(victim, /*update_routing=*/false);
+  }
+  ASSERT_TRUE(dep->RunUntil([&] { return dep->PendingRpcCount() == 0; }));
+  EXPECT_EQ(CallbacksAliveDelta(), 0);
+
+  dep->RestartNode(victim);
+  ASSERT_TRUE(dep->RunUntil([&] { return dep->PendingRpcCount() == 0; }));
+  EXPECT_EQ(contents(victim), before);
+  dep.reset();
+  EXPECT_EQ(CallbacksAliveDelta(), 0);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/rng.h"
 #include "common/strings.h"
 #include "deploy/deployment.h"
+#include "replica_push_tap.h"
 #include "storage/keys.h"
 #include "storage/page.h"
 #include "storage/publisher.h"
@@ -139,6 +141,49 @@ TEST(Page, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back.hashes, page.hashes);
 }
 
+// Bodies that claim 2^40 or 2^62 entries in a few bytes: a page's ids and
+// a coordinator record's page descriptors. Sizing a vector from such a
+// count aborted the process (bad_alloc, length_error).
+std::vector<std::string> HugeCountPages() {
+  std::vector<std::string> out;
+  for (uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    Writer w;
+    PageDescriptor{PageId{"R", 1, 0}, 8}.EncodeTo(&w);
+    w.PutVarint64(claimed);
+    out.push_back(w.Release());
+  }
+  return out;
+}
+
+std::vector<std::string> HugeCountCoordinators() {
+  std::vector<std::string> out;
+  for (uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    Writer w;
+    w.PutString("R");
+    w.PutVarint64(1);   // epoch
+    w.PutVarint32(1);   // participant
+    w.PutVarint64(claimed);
+    out.push_back(w.Release());
+  }
+  return out;
+}
+
+TEST(Page, DecodeRejectsACountTheBodyCannotHold) {
+  for (const std::string& body : HugeCountPages()) {
+    Reader r(body);
+    Page page;
+    EXPECT_TRUE(Page::DecodeFrom(&r, &page).IsCorruption());
+  }
+}
+
+TEST(CoordinatorRecordTest, DecodeRejectsACountTheBodyCannotHold) {
+  for (const std::string& body : HugeCountCoordinators()) {
+    Reader r(body);
+    CoordinatorRecord rec;
+    EXPECT_TRUE(CoordinatorRecord::DecodeFrom(&r, &rec).IsCorruption());
+  }
+}
+
 TEST(CoordinatorRecordTest, EncodeDecodeRoundTrip) {
   CoordinatorRecord rec;
   rec.relation = "R";
@@ -191,6 +236,25 @@ std::multiset<std::string> AsBag(const std::vector<Tuple>& rows) {
   std::multiset<std::string> bag;
   for (const auto& t : rows) bag.insert(TupleToString(t));
   return bag;
+}
+
+std::map<std::string, std::string> StoreContents(StorageService& svc) {
+  std::map<std::string, std::string> out;
+  for (auto it = svc.store().Seek(""); it.Valid(); it.Next()) {
+    out.emplace(it.key(), it.value());
+  }
+  return out;
+}
+
+// Publishes `rounds` batches that each overwrite keys k0..k<keys-1>.
+void PublishRounds(deploy::Deployment& dep, int rounds, int keys) {
+  for (int round = 0; round < rounds; ++round) {
+    UpdateBatch batch;
+    for (int i = 0; i < keys; ++i) {
+      batch["R"].push_back(Update::Insert(Row(Tag("k", i), Tag("v", round))));
+    }
+    ASSERT_TRUE(dep.Publish(0, std::move(batch)).ok());
+  }
 }
 
 class StorageClusterTest : public ::testing::Test {
@@ -749,6 +813,107 @@ TEST(StorageGc, ReplicaPushPiggybacksWatermark) {
   EXPECT_EQ(at->size(), 2u);
 }
 
+// ---------------------------------------------------------------------------
+// Re-replication by difference: kReplicaPush round 1 compares bucket
+// digests, round 2 ships only the buckets that differ.
+
+// A node killed cleanly (every WAL record synced) and restarted with no
+// publish in between lacks nothing: every digest matches, and no node ships
+// a record in round 2.
+TEST_F(StorageClusterTest, CleanRestartShipsNoRecords) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
+  PublishRounds(*dep, 2, 200);
+  dep->KillNode(2, /*update_routing=*/false);
+  dep->RunFor(1 * sim::kMicrosPerSec);  // the peers see the drop
+  std::vector<std::unique_ptr<ReplicaPushTap>> taps;
+  for (size_t n = 0; n < dep->size(); ++n) {
+    taps.push_back(std::make_unique<ReplicaPushTap>(dep.get(), n));
+  }
+  dep->RestartNode(2);
+  ASSERT_TRUE(dep->RunUntil([this] { return dep->PendingRpcCount() == 0; }));
+  size_t digest_frames = 0;
+  for (size_t n = 0; n < dep->size(); ++n) {
+    digest_frames += taps[n]->digest_frames();
+    EXPECT_EQ(taps[n]->records(), 0u) << "node " << n;
+  }
+  EXPECT_EQ(digest_frames, dep->size() * (dep->size() - 1));
+}
+
+// A node restarted with a torn WAL tail gets back exactly what it lost, and
+// only buckets that held a lost record ship to it.
+TEST(ReplicaExchange, TornTailRestartGetsBackExactlyWhatItLost) {
+  deploy::DeploymentOptions opts;
+  opts.num_nodes = 4;
+  opts.replication = 3;
+  opts.store.wal.sync_every_records = 0;  // a crash tears the unsynced tail
+  deploy::Deployment dep(opts);
+  ASSERT_TRUE(dep.CreateRelation(0, SimpleRelation("R")).ok());
+  PublishRounds(dep, 3, 300);
+  const net::NodeId victim = 2;
+  const auto before = StoreContents(dep.storage(victim));
+  dep.KillNode(victim, /*update_routing=*/false);
+  dep.RunFor(1 * sim::kMicrosPerSec);
+  ReplicaPushTap tap(&dep, victim);
+  dep.RestartNode(victim);  // recovers now; the pushes land as events run
+  const auto recovered = StoreContents(dep.storage(victim));
+  std::set<uint32_t> lost_buckets;
+  for (const auto& [key, value] : before) {
+    if (recovered.count(key) == 0) {
+      lost_buckets.insert(dep.storage(victim).ReplicaBucket(key).value());
+    }
+  }
+  ASSERT_FALSE(lost_buckets.empty()) << "the crash tore nothing";
+  ASSERT_TRUE(dep.RunUntil([&dep] { return dep.PendingRpcCount() == 0; }));
+
+  EXPECT_EQ(StoreContents(dep.storage(victim)), before);
+  EXPECT_GT(tap.records(), 0u);
+  for (const auto& frame : tap.frames) {
+    for (const std::string& key : frame.keys) {
+      auto bucket = dep.storage(victim).ReplicaBucket(key);
+      ASSERT_TRUE(bucket.has_value());
+      EXPECT_EQ(lost_buckets.count(*bucket), 1u)
+          << "node " << frame.from << " shipped bucket " << *bucket
+          << ", which lost nothing";
+    }
+  }
+}
+
+// A pusher that lags the receiver's GC watermark ships versions the
+// receiver already retired; the sweep the push schedules retires them
+// again, so none survives at the receiver.
+TEST(ReplicaExchange, LaggingPusherLeavesNoRetiredVersion) {
+  deploy::DeploymentOptions opts;
+  opts.num_nodes = 4;
+  opts.replication = 3;
+  opts.gc_keep_epochs = 1;
+  deploy::Deployment dep(opts);
+  ASSERT_TRUE(dep.CreateRelation(0, SimpleRelation("R")).ok());
+  PublishRounds(dep, 3, 50);
+  const net::NodeId lagger = 3, receiver = 1;
+  dep.KillNode(lagger);  // frozen with versions the cluster retires next
+  PublishRounds(dep, 3, 50);
+  auto sweeps_idle = [&dep] {
+    for (size_t n = 0; n < dep.size(); ++n) {
+      auto node = static_cast<net::NodeId>(n);
+      if (dep.IsAlive(node) && dep.storage(n).gc_sweep_active()) return false;
+    }
+    return true;
+  };
+  dep.RunFor(1 * sim::kMicrosPerSec);
+  ASSERT_TRUE(dep.RunUntil(sweeps_idle));
+  const Epoch w = dep.storage(receiver).gc_watermark();
+  ASSERT_GT(w, 3u);
+  const auto settled = StoreContents(dep.storage(receiver));
+
+  ReplicaPushTap tap(&dep, receiver);
+  dep.RestartNode(lagger);
+  ASSERT_TRUE(dep.RunUntil([&dep] { return dep.PendingRpcCount() == 0; }));
+  ASSERT_TRUE(dep.RunUntil(sweeps_idle));
+  EXPECT_GT(tap.records(), 0u) << "the lagging pusher shipped nothing";
+  EXPECT_EQ(dep.storage(receiver).gc_watermark(), w);
+  EXPECT_EQ(StoreContents(dep.storage(receiver)), settled);
+}
+
 // The two GC entry points run one sweep: SetGcWatermark (the inline,
 // synchronous floor raise) and a participant advertisement (a background
 // sweep in bounded slices) must retire exactly the same records from the
@@ -936,6 +1101,83 @@ TEST(ClaimCodec, GoldenBytesMatchTheWireLayouts) {
   ExpectRoundTripAndTruncationRejected(fence.data(), fence_req);
 }
 
+// kReplicaPush golden bytes, assembled by hand from docs/WIRE_FORMATS.md:
+// round 1, the reply naming differing buckets, and round 2. Two nodes that
+// each hold one catalog entry, which lives in the bucket of records every
+// member holds (2^10). Its digest is FNV-1a over its key, then its value,
+// then MurmurHash3's finalizer.
+TEST(ReplicaPushCodec, GoldenBytesMatchTheWireLayouts) {
+  deploy::DeploymentOptions opts;
+  opts.num_nodes = 2;
+  opts.replication = 2;
+  deploy::Deployment dep(opts);
+  const RelationDef def = SimpleRelation("R");
+  for (size_t n = 0; n < dep.size(); ++n) dep.storage(n).AddRelationLocal(def);
+  const std::string key = keys::Catalog("R");
+  Writer value;
+  def.EncodeTo(&value);
+  auto fnv1a = [](std::string_view bytes, uint64_t h) {
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  uint64_t sum = fnv1a(value.data(), fnv1a(key, 0xcbf29ce484222325ull));
+  sum ^= sum >> 33;
+  sum *= 0xff51afd7ed558ccdull;
+  sum ^= sum >> 33;
+  sum *= 0xc4ceb9fe1a85ec53ull;
+  sum ^= sum >> 33;
+
+  // Round 1: no marks, no burned epochs, no records, one digest entry:
+  // varint32 bucket | varint64 count | u64 (little-endian) digest sum.
+  Writer round1;
+  round1.PutVarint64(0);
+  round1.PutVarint64(0);
+  round1.PutVarint64(0);
+  round1.PutVarint64(1);
+  round1.PutVarint32(1024);
+  round1.PutVarint64(1);
+  round1.PutU64(sum);
+  ASSERT_EQ(round1.data().substr(0, 7), std::string("\x00\x00\x00\x01\x80\x08\x01", 7));
+  ReplicaPushTap tap(&dep, 1);
+  dep.storage(0).RebalanceTo(dep.snapshot());
+  ASSERT_TRUE(dep.RunUntil([&dep] { return dep.PendingRpcCount() == 0; }));
+  ASSERT_EQ(tap.frames.size(), 1u) << "equal digests, yet a round 2";
+  EXPECT_EQ(tap.frames[0].body, round1.data());
+
+  // The reply: varint64 count | varint32 bucket per differing bucket.
+  auto reply_to = [&dep](const std::string& body) {
+    std::string got = "unanswered";
+    dep.storage(0).Call(1, kReplicaPush, body,
+                        [&got](Status st, const std::string& reply) {
+                          got = st.ok() ? reply : st.ToString();
+                        });
+    EXPECT_TRUE(dep.RunUntil([&got] { return got != "unanswered"; }));
+    return got;
+  };
+  EXPECT_EQ(reply_to(round1.data()), std::string("\x00", 1));
+  ASSERT_TRUE(dep.storage(1).store().Delete(key).ok());
+  EXPECT_EQ(reply_to(round1.data()), std::string("\x01\x80\x08", 3));
+
+  // Round 2: the record of the differing bucket, and no digests.
+  Writer round2;
+  round2.PutVarint64(0);
+  round2.PutVarint64(0);
+  round2.PutVarint64(1);
+  round2.PutString(key);
+  round2.PutString(value.data());
+  round2.PutVarint64(0);
+  tap.frames.clear();
+  dep.storage(0).RebalanceTo(dep.snapshot());
+  ASSERT_TRUE(dep.RunUntil([&dep] { return dep.PendingRpcCount() == 0; }));
+  ASSERT_EQ(tap.frames.size(), 2u);
+  EXPECT_EQ(tap.frames[0].body, round1.data());
+  EXPECT_EQ(tap.frames[1].body, round2.data());
+  EXPECT_TRUE(dep.storage(1).store().Contains(key));
+}
+
 // Every request code answers an empty (undecodable) body promptly instead of
 // leaving the caller to wait out its RPC deadline: Corruption for a body it
 // cannot decode, NotSupported for the reserved inverse-node id, and OK for
@@ -966,6 +1208,58 @@ TEST_F(StorageClusterTest, MalformedRequestsGetAnAnswer) {
           << "code " << code << ": " << got.ToString();
     }
   }
+  // A body whose count claims more entries than it holds is Corruption too,
+  // and the node that decoded it keeps answering.
+  std::vector<std::pair<uint16_t, std::string>> huge;
+  for (std::string& b : HugeCountPages()) huge.emplace_back(kPutPage, b);
+  for (std::string& b : HugeCountCoordinators()) {
+    huge.emplace_back(kPutCoordinator, b);
+  }
+  Writer marks;  // kReplicaPush leads with its participant-mark count
+  marks.PutVarint64(uint64_t{1} << 62);
+  huge.emplace_back(kReplicaPush, marks.Release());
+  for (const auto& [code, body] : huge) {
+    bool done = false;
+    Status got;
+    dep->storage(0).Call(1, code, body, [&](Status s, const std::string&) {
+      got = s;
+      done = true;
+    });
+    ASSERT_TRUE(dep->RunUntil([&done] { return done; }));
+    EXPECT_EQ(got.code(), Status::Code::kCorruption)
+        << "code " << code << ": " << got.ToString();
+  }
+}
+
+// kTupleData is one-way, and its missing-id list is decoded only for a live
+// scan. A count its bytes cannot hold drops the frame; the scan still ends
+// with every row.
+TEST_F(StorageClusterTest, TupleDataWithAHugeMissingCountIsDropped) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
+  UpdateBatch batch;
+  for (int i = 0; i < 20; ++i) {
+    batch["R"].push_back(Update::Insert(Row(Tag("k", i), "v")));
+  }
+  auto e = dep->Publish(0, std::move(batch));
+  ASSERT_TRUE(e.ok());
+  bool done = false;
+  Status got;
+  size_t rows = 0;
+  dep->storage(0).Retrieve("R", *e, KeyFilter{},
+                           [&](Status st, std::vector<Tuple> r) {
+                             got = st;
+                             rows = r.size();
+                             done = true;
+                           });
+  Writer w;
+  w.PutU64(1);  // node 0's first scan id
+  w.PutString("R");
+  w.PutVarint64(0);  // rows
+  w.PutVarint64(uint64_t{1} << 62);  // missing ids
+  dep->storage(1).SendOneWay(0, kTupleData, w.Release());
+  ASSERT_TRUE(dep->RunUntil([&done] { return done; }));
+  EXPECT_TRUE(got.ok()) << got.ToString();
+  EXPECT_EQ(rows, 20u);
 }
 
 // Epoch discovery: publishing via a node whose publisher's epoch floor is
