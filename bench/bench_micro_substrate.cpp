@@ -129,8 +129,7 @@ void BenchLocalStore() {
   t0 = Now();
   scanned = 0;
   for (size_t round = 0; round < scan_rounds; ++round) {
-    for (auto it = store.SeekPrefix(prefix);
-         localstore::LocalStore::WithinPrefix(it, prefix); it.Next()) {
+    for (auto it = store.SeekPrefix(prefix); it.Valid(); it.Next()) {
       g_sink += it.key().size();
       ++scanned;
     }

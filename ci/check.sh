@@ -7,7 +7,8 @@
 #              RelWithDebInfo build does not)
 #   sanitize   ASan/UBSan with leak detection on the suites that own async
 #              RPC state, storage churn, and the raw LocalStore paths
-#   tsan       ThreadSanitizer build + the real-thread smoke suite
+#              (a Ninja tree, so the suites compile concurrently)
+#   tsan       ThreadSanitizer build + the real-thread smoke suite (Ninja)
 #   lint       project-invariant linter (tools/lint/) over src/, then its
 #              fixture selftest — every rule must flag and pass on cue
 #   tidy       clang-tidy (per .clang-tidy) over the compilation database;
@@ -87,11 +88,26 @@ release() {
   cmake --build build-release -j "$jobs"
 }
 
+# Configures a sanitizer tree with the Ninja generator: one Ninja build
+# compiles every listed target concurrently, where a Makefile tree's
+# top-level Makefile is .NOTPARALLEL and builds them one after another. A
+# tree an earlier run generated with Makefiles is removed first, because
+# CMake cannot switch an existing tree's generator.
+configure_ninja() {
+  local dir="$1"
+  shift
+  if [[ -f "$dir/CMakeCache.txt" ]] && \
+     ! grep -qx 'CMAKE_GENERATOR:INTERNAL=Ninja' "$dir/CMakeCache.txt"; then
+    rm -rf "$dir"
+  fi
+  cmake -B "$dir" -S . -G Ninja "$@"
+}
+
 sanitize() {
   echo "== sanitizer: address,undefined with leak detection"
   local suites="storage_test query_test integration_test rpc_lifecycle_test \
     client_test churn_test localstore_test net_test wal_test"
-  cmake -B build-asan -S . -DORC_SANITIZE=address,undefined \
+  configure_ninja build-asan -DORC_SANITIZE=address,undefined \
         -DORC_BUILD_BENCH=OFF -DORC_BUILD_EXAMPLES=OFF
   # shellcheck disable=SC2086
   cmake --build build-asan -j "$jobs" --target $suites
@@ -103,7 +119,7 @@ sanitize() {
 
 tsan() {
   echo "== tsan: ThreadSanitizer build + real-thread smoke suites"
-  cmake -B build-tsan -S . -DORC_SANITIZE=thread \
+  configure_ninja build-tsan -DORC_SANITIZE=thread \
         -DORC_BUILD_BENCH=OFF -DORC_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j "$jobs" --target thread_smoke_test wal_test
   ./build-tsan/thread_smoke_test

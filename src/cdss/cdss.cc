@@ -67,8 +67,7 @@ std::vector<Tuple> Participant::LocalScan(const std::string& relation) const {
   std::vector<Tuple> out;
   std::string prefix = relation;
   prefix.push_back('\x1f');
-  for (auto it = local_db_.SeekPrefix(prefix);
-       localstore::LocalStore::WithinPrefix(it, prefix); it.Next()) {
+  for (auto it = local_db_.SeekPrefix(prefix); it.Valid(); it.Next()) {
     Reader r(it.value());
     Tuple t;
     if (storage::DecodeTuple(&r, &t).ok()) out.push_back(std::move(t));

@@ -478,9 +478,9 @@ Status LocalStore::Delete(std::string_view key) {
   return Status::OK();
 }
 
-LocalStore::Iterator LocalStore::Seek(std::string_view start) const {
+LocalStore::Iterator LocalStore::Seek(std::string_view start, std::string end) const {
   auto [leaf, idx] = TreeLowerBound(start);
-  return Iterator(this, leaf, idx, std::string());
+  return Iterator(this, leaf, idx, std::move(end));
 }
 
 std::string LocalStore::PrefixUpperBound(std::string_view prefix) {
@@ -494,12 +494,7 @@ std::string LocalStore::PrefixUpperBound(std::string_view prefix) {
 }
 
 LocalStore::Iterator LocalStore::SeekPrefix(std::string_view prefix) const {
-  auto [leaf, idx] = TreeLowerBound(prefix);
-  return Iterator(this, leaf, idx, PrefixUpperBound(prefix));
-}
-
-bool LocalStore::WithinPrefix(const Iterator& it, std::string_view prefix) {
-  return it.Valid() && it.key().substr(0, prefix.size()) == prefix;
+  return Seek(prefix, PrefixUpperBound(prefix));
 }
 
 void LocalStore::IndexLiveRecord(Slot rec) {

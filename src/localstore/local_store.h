@@ -149,15 +149,12 @@ class LocalStore {
     std::string ub_;  // exclusive end bound; empty = unbounded
   };
 
-  /// Iterator positioned at the first key >= `start` (no end bound).
-  Iterator Seek(std::string_view start) const;
-  /// Iterator over exactly the keys with the given prefix: positioned at the
-  /// first such key, and Valid() turns false past the computed end bound
-  /// (the smallest key greater than every key with the prefix).
+  /// Iterator positioned at the first key >= `start`; Valid() turns false at
+  /// the first key >= `end`. An empty `end` is no end bound.
+  Iterator Seek(std::string_view start, std::string end = {}) const;
+  /// Iterator over exactly the keys with the given prefix: Seek from the
+  /// prefix to PrefixUpperBound(prefix).
   Iterator SeekPrefix(std::string_view prefix) const;
-  /// True while `it` is valid and still within `prefix`. Compatibility shim:
-  /// with SeekPrefix's end bound this is equivalent to it.Valid().
-  static bool WithinPrefix(const Iterator& it, std::string_view prefix);
 
   /// Smallest string greater than every string with the given prefix, or ""
   /// if no such bound exists (prefix is empty or all-0xFF).

@@ -73,7 +73,7 @@ std::string EpochClaim(Epoch epoch) {
   return k;
 }
 
-// --- Key parsers ------------------------------------------------------------
+// --- Key parser -------------------------------------------------------------
 // Built on Reader (the same decoder as the wire formats) for the varint
 // length prefixes; the big-endian integers are key-layout-specific (Reader's
 // fixed-width integers are little-endian) and decoded here.
@@ -100,33 +100,35 @@ bool ReadU32BE(Reader* r, uint32_t* out) {
 
 }  // namespace
 
-bool ParseData(std::string_view key, ParsedDataKey* out) {
-  if (key.empty() || key[0] != 'D') return false;
+bool Parse(std::string_view key, ParsedKey* out) {
+  *out = ParsedKey{};
+  if (key.empty()) return false;
+  out->tag = key[0];
   Reader r(key.substr(1));
-  return r.GetStringView(&out->relation).ok() &&
-         r.GetRawView(&out->hash_be20, 20).ok() &&
-         r.GetStringView(&out->key_bytes).ok() && ReadEpochBE(&r, &out->epoch) &&
-         r.AtEnd();
-}
-
-bool ParsePageRec(std::string_view key, ParsedPageKey* out) {
-  if (key.empty() || key[0] != 'P') return false;
-  Reader r(key.substr(1));
-  return r.GetStringView(&out->relation).ok() && ReadU32BE(&r, &out->partition) &&
-         ReadEpochBE(&r, &out->epoch) && r.AtEnd();
-}
-
-bool ParseCoord(std::string_view key, ParsedCoordKey* out) {
-  if (key.empty() || key[0] != 'C') return false;
-  Reader r(key.substr(1));
-  return r.GetStringView(&out->relation).ok() && ReadEpochBE(&r, &out->epoch) &&
-         r.AtEnd();
-}
-
-bool ParseClaim(std::string_view key, Epoch* out) {
-  if (key.empty() || key[0] != 'E') return false;
-  Reader r(key.substr(1));
-  return ReadEpochBE(&r, out) && r.AtEnd();
+  bool ok = false;
+  switch (out->tag) {
+    case kDataTag:
+      ok = r.GetStringView(&out->relation).ok() &&
+           r.GetRawView(&out->hash_be20, 20).ok() &&
+           r.GetStringView(&out->key_bytes).ok() && ReadEpochBE(&r, &out->epoch);
+      break;
+    case kPageTag:
+      ok = r.GetStringView(&out->relation).ok() &&
+           ReadU32BE(&r, &out->partition) && ReadEpochBE(&r, &out->epoch);
+      break;
+    case kCoordTag:
+      ok = r.GetStringView(&out->relation).ok() && ReadEpochBE(&r, &out->epoch);
+      break;
+    case kClaimTag:
+      ok = ReadEpochBE(&r, &out->epoch);
+      break;
+    case kCatalogTag:
+      ok = r.GetStringView(&out->relation).ok();
+      break;
+    default:
+      break;
+  }
+  return ok && r.AtEnd();
 }
 
 std::string_view VersionGroupPrefix(std::string_view key) {

@@ -1,13 +1,15 @@
 // LocalStore key layouts for the versioned storage roles one node plays
 // simultaneously (Fig. 3): data storage node, index node, and relation
-// coordinator. The paper's inverse node (partition -> latest page) has no
-// records: a publisher finds a partition's current page in the base epoch's
-// coordinator record. Layouts are prefix-free across namespaces and
+// coordinator, plus the two families this system adds: epoch claims and
+// catalog entries. The paper's inverse node (partition -> latest page) has
+// no records: a publisher finds a partition's current page in the base
+// epoch's coordinator record. Layouts are prefix-free across namespaces and
 // relations, and ordered so that:
 //   * data records of a relation sort by (tuple-key hash, key, epoch) —
 //     a page's tuples are "retrieved in a single pass through the hash ID
 //     range for that page" (§V-B);
 //   * page/coordinator records sort by epoch for debugging scans.
+// One parser, Parse(), reads a key of any family back into its fields.
 #ifndef ORCHESTRA_STORAGE_KEYS_H_
 #define ORCHESTRA_STORAGE_KEYS_H_
 
@@ -19,8 +21,8 @@
 
 namespace orchestra::storage::keys {
 
-// Namespace tag bytes — the first byte of every stored key. These constants
-// and the builders/parsers below are the ONE codec for stored-key bytes;
+// Namespace tag bytes — the first byte of every stored key. These constants,
+// the builders and Parse() below are the ONE codec for stored-key bytes;
 // dispatching on a raw character literal or slicing key bytes by hand
 // anywhere else is a codec-unity lint violation
 // (docs/STATIC_ANALYSIS.md#codec-rawkey).
@@ -29,10 +31,6 @@ inline constexpr char kPageTag = 'P';
 inline constexpr char kCoordTag = 'C';
 inline constexpr char kCatalogTag = 'M';
 inline constexpr char kClaimTag = 'E';
-
-/// Namespace tag of a stored key ('\0' for the empty key). The only
-/// sanctioned way to dispatch on a key's record family.
-inline char Tag(std::string_view key) { return key.empty() ? '\0' : key[0]; }
 
 /// One-byte seek prefix for a whole namespace (e.g. the GC sweeps).
 inline std::string TagPrefix(char tag) { return std::string(1, tag); }
@@ -68,36 +66,24 @@ std::string Catalog(std::string_view relation);
 /// and is retired by GC like coordinator records once below the watermark.
 std::string EpochClaim(Epoch epoch);
 
-// --- Key parsers, used by the GC, purge and rebalance passes -------------
-// Each returns false on malformed input (wrong tag, truncation, trailing
-// bytes). The parsed views alias `key`.
-
-/// Fields of a data-record key: relation, 20-byte BE hash, key bytes, epoch.
-struct ParsedDataKey {
+/// Fields of a stored key. Each family fills its own and leaves the rest
+/// empty or zero; the views alias the parsed key.
+///   D  relation, hash_be20, key_bytes, epoch
+///   P  relation, partition, epoch
+///   C  relation, epoch
+///   E  epoch
+///   M  relation
+struct ParsedKey {
+  char tag = '\0';
   std::string_view relation;
   std::string_view hash_be20;
   std::string_view key_bytes;
-  Epoch epoch = 0;
-};
-bool ParseData(std::string_view key, ParsedDataKey* out);
-
-/// Fields of a page-record key: relation, partition, epoch.
-struct ParsedPageKey {
-  std::string_view relation;
   uint32_t partition = 0;
   Epoch epoch = 0;
 };
-bool ParsePageRec(std::string_view key, ParsedPageKey* out);
-
-/// Fields of a coordinator-record key: relation, epoch.
-struct ParsedCoordKey {
-  std::string_view relation;
-  Epoch epoch = 0;
-};
-bool ParseCoord(std::string_view key, ParsedCoordKey* out);
-
-/// Epoch of an epoch-claim key.
-bool ParseClaim(std::string_view key, Epoch* out);
+/// Parses a key of any of the five families. False for an unknown tag, a
+/// truncated key or trailing bytes.
+bool Parse(std::string_view key, ParsedKey* out);
 
 /// Version-group prefix of a data or page key: the key minus its trailing
 /// 8-byte big-endian epoch. Keys of one group differ only in epoch and sort

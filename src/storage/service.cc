@@ -41,10 +41,16 @@ uint64_t Fnv1a(std::string_view bytes, uint64_t h = 0xcbf29ce484222325ull) {
 // finalizer spreads FNV-1a's last byte over every bit, so two records whose
 // keys differ only there (one key at two epochs) cannot trade places in the
 // bucket's sum unnoticed.
-uint64_t RecordDigest(std::string_view key, std::string_view value) {
+uint64_t RecordDigest(const keys::ParsedKey& pk, std::string_view key,
+                      std::string_view value) {
   uint64_t h = Fnv1a(key);
-  const char tag = keys::Tag(key);
-  if (tag != keys::kDataTag && tag != keys::kPageTag) h = Fnv1a(value, h);
+  switch (pk.tag) {
+    case keys::kDataTag:
+    case keys::kPageTag:
+      break;
+    default:
+      h = Fnv1a(value, h);
+  }
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
   h ^= h >> 33;
@@ -195,18 +201,19 @@ Status StorageService::ScanPageLocal(
   ChargeCpu(host_->network()->costs().index_entry_us *
             static_cast<double>(page.ids.size()));
 
-  // Single ordered pass through the page's hash range (§V-B).
-  std::string start = keys::DataHashFloor(rel, page.desc.range_begin());
-  std::string prefix = keys::DataPrefix(rel);
-  HashId end = page.desc.range_end();
-  bool wraps = end == HashId::Zero();
-  std::string end_key = wraps ? std::string() : keys::DataHashFloor(rel, end);
+  // Single ordered pass through the page's hash range (§V-B). A range that
+  // wraps past the top of the ring ends with the relation's data records.
+  const HashId end = page.desc.range_end();
+  std::string end_key =
+      end == HashId::Zero()
+          ? localstore::LocalStore::PrefixUpperBound(keys::DataPrefix(rel))
+          : keys::DataHashFloor(rel, end);
 
   std::vector<bool> found(page.ids.size(), false);
   size_t scanned = 0;
-  for (auto it = store_.Seek(start); localstore::LocalStore::WithinPrefix(it, prefix);
-       it.Next()) {
-    if (!wraps && std::string_view(it.key()) >= end_key) break;
+  for (auto it = store_.Seek(keys::DataHashFloor(rel, page.desc.range_begin()),
+                             std::move(end_key));
+       it.Valid(); it.Next()) {
     ++scanned;
     auto w = wanted.find(it.key());
     if (w == wanted.end()) continue;  // other version / other epoch
@@ -269,6 +276,12 @@ void StorageService::RespondCorrupt(net::NodeId to, uint64_t req_id,
   std::string why = Tag("storage request ", code);
   why += " does not decode";
   Respond(to, req_id, Status::Corruption(why), {});
+}
+
+void StorageService::RefuseFenced(net::NodeId to, uint64_t req_id,
+                                  uint64_t writes, std::string why) {
+  counters_.fenced_writes_refused += writes;
+  Respond(to, req_id, Status::Fenced(std::move(why)), {});
 }
 
 void StorageService::RespondStored(net::NodeId to, uint64_t req_id,
@@ -418,9 +431,8 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       }
       ChargeCpu(costs.tuple_write_us * static_cast<double>(total));
       if (fenced_refused > 0) {
-        counters_.fenced_writes_refused += fenced_refused;
-        Respond(from, req_id,
-                Status::Fenced("tuple writes at a fenced epoch refused"), {});
+        RefuseFenced(from, req_id, fenced_refused,
+                     "tuple writes at a fenced epoch refused");
         return;
       }
       Respond(from, req_id, Status::OK(), {});
@@ -434,11 +446,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       if (!Page::DecodeFrom(r, &page).ok() || !r->AtEnd()) break;
       const PageId& id = page.desc.id;
       if (IsEpochFenced(id.epoch)) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Fenced("page write at fenced epoch " +
-                               std::to_string(id.epoch)),
-                {});
+        RefuseFenced(from, req_id, 1, Tag("page write at fenced epoch ", id.epoch));
         return;
       }
       store_.Put(keys::PageRec(id.relation, id.epoch, id.partition), page_bytes)
@@ -456,11 +464,8 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // Zombie commit refusal: a fenced epoch's coordinator chain is burned
       // and purged; no participant may rebuild it.
       if (IsEpochFenced(rec.epoch)) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Fenced("coordinator write at fenced epoch " +
-                               std::to_string(rec.epoch)),
-                {});
+        RefuseFenced(from, req_id, 1,
+                     Tag("coordinator write at fenced epoch ", rec.epoch));
         return;
       }
       // Multi-writer commit gate: the first committed writer of (rel, epoch)
@@ -513,11 +518,7 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // whose data is gone. The publisher's ticket fails with kFenced and
       // the batch republishes at a fresh epoch.
       if (IsEpochFenced(epoch)) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Fenced("confirm at fenced epoch " +
-                               std::to_string(epoch)),
-                {});
+        RefuseFenced(from, req_id, 1, Tag("confirm at fenced epoch ", epoch));
         return;
       }
       // A burn PROMISE (fence granted here, unanimity unknown) also refuses
@@ -643,100 +644,90 @@ void StorageService::HandleReplicaPush(net::NodeId from, Reader* r,
     if (!r->GetStringView(&key).ok() || !r->GetStringView(&value).ok()) {
       return corrupt();
     }
-    if (keys::Tag(key) == keys::kClaimTag) {
-      // Epoch claims merge by strength: committed > purged burn > burn
-      // promise > uncommitted claim > absent. A CONFIRMED claim replaces
-      // anything unconfirmed (the commit is a fact — including a burn
-      // promise from a fence round the commit's confirm refused
-      // elsewhere). A PURGED burn carries purge authority and merges via
-      // the phase-two path; a bare burn promise only installs the
-      // marker — it must never purge, its fence round may have failed. A
-      // plain claim fills an empty slot with a conservatively-fresh
-      // clock (a pushed claim's owner gets a TTL of grace before a fence
-      // can use this replica's vote). A slot whose bytes do not decode is
-      // left alone by a plain claim: only an empty slot is filled.
-      Reader vr(value);
-      EpochClaimRecord pushed;
-      Epoch ce = 0;
-      if (!keys::ParseClaim(key, &ce) ||
-          !EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) {
-        continue;
-      }
-      auto mine = LoadClaim(ce);
-      if (pushed.committed) {
-        if (!mine.ok() || !mine->committed) put(key, value);
-        max_epoch_seen_ = std::max(max_epoch_seen_, ce);
-        claim_touch_.erase(ce);
-      } else if (pushed.fenced && pushed.purged) {
-        if (!mine.ok() || !mine->committed) {
-          MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
-        }
-      } else if (pushed.fenced) {
-        if (!mine.ok() || (!mine->committed && !mine->fenced)) {
-          put(key, value);
+    // A key no family parses is not stored: no pass would ever read,
+    // retire or re-replicate it.
+    keys::ParsedKey pk;
+    if (!keys::Parse(key, &pk)) continue;
+    switch (pk.tag) {
+      case keys::kClaimTag: {
+        // Epoch claims merge by strength: committed > purged burn > burn
+        // promise > uncommitted claim > absent. A CONFIRMED claim replaces
+        // anything unconfirmed (the commit is a fact — including a burn
+        // promise from a fence round the commit's confirm refused
+        // elsewhere). A PURGED burn carries purge authority and merges via
+        // the phase-two path; a bare burn promise only installs the
+        // marker — it must never purge, its fence round may have failed. A
+        // plain claim fills an empty slot with a conservatively-fresh
+        // clock (a pushed claim's owner gets a TTL of grace before a fence
+        // can use this replica's vote). A slot whose bytes do not decode is
+        // left alone by a plain claim: only an empty slot is filled.
+        const Epoch ce = pk.epoch;
+        Reader vr(value);
+        EpochClaimRecord pushed;
+        if (!EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) break;
+        auto mine = LoadClaim(ce);
+        if (pushed.committed) {
+          if (!mine.ok() || !mine->committed) put(key, value);
+          max_epoch_seen_ = std::max(max_epoch_seen_, ce);
           claim_touch_.erase(ce);
+        } else if (pushed.fenced && pushed.purged) {
+          if (!mine.ok() || !mine->committed) {
+            MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
+          }
+        } else if (pushed.fenced) {
+          if (!mine.ok() || (!mine->committed && !mine->fenced)) {
+            put(key, value);
+            claim_touch_.erase(ce);
+          }
+        } else if (mine.status().IsNotFound() && !IsEpochFenced(ce)) {
+          put(key, value);
+          claim_touch_[ce] = host_->network()->simulator()->now();
         }
-      } else if (mine.status().IsNotFound() && !IsEpochFenced(ce)) {
-        put(key, value);
-        claim_touch_[ce] = host_->network()->simulator()->now();
+        break;
       }
-      continue;
-    }
-    if (keys::Tag(key) == keys::kCoordTag) {
-      // Coordinator records replicate store-if-absent like everything
-      // else, EXCEPT when replicas disagree about a (rel, epoch)'s
-      // writer — possible only after the commit-gate backstop fired
-      // under a claim-replica wipeout. Store-if-absent would then
-      // freeze the disagreement forever (neither writer's pushes could
-      // ever overwrite the other's replicas); merging toward the
-      // smaller participant makes every replica CONVERGE to one
-      // deterministic writer per epoch instead.
-      if (!fenced_epochs_.empty()) {
-        keys::ParsedCoordKey ck;
-        if (keys::ParseCoord(key, &ck) && IsEpochFenced(ck.epoch)) {
-          continue;  // burned epoch: never rebuild its coordinator chain
+      case keys::kCatalogTag: {
+        if (!store_.Contains(key)) put(key, value);
+        Reader cr(value);
+        RelationDef def;
+        if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
+        break;
+      }
+      default: {
+        // Coordinator, page and data versions. A stale pusher that missed
+        // a fence must neither resurrect the orphans it purged nor rebuild
+        // the burned epoch's coordinator chain.
+        if (IsEpochFenced(pk.epoch)) break;
+        // Data and page versions are written once per (key, epoch):
+        // store-if-absent. Coordinator records too, EXCEPT when replicas
+        // disagree about a (rel, epoch)'s writer — possible only after the
+        // commit-gate backstop fired under a claim-replica wipeout.
+        // Store-if-absent would then freeze the disagreement forever
+        // (neither writer's pushes could ever overwrite the other's
+        // replicas); merging toward the smaller participant makes every
+        // replica CONVERGE to one deterministic writer per epoch instead.
+        if (pk.tag != keys::kCoordTag) {
+          if (!store_.Contains(key)) put(key, value);
+          break;
         }
-      }
-      auto curv = store_.Get(key);
-      if (!curv.ok()) {
-        put(key, value);
-      } else {
+        auto curv = store_.Get(key);
+        if (!curv.ok()) {
+          put(key, value);
+          break;
+        }
         Reader pr(value);
         Reader cr(curv.value());
-        CoordinatorRecord pushed, mine;
+        CoordinatorRecord pushed, held;
         if (CoordinatorRecord::DecodeFrom(&pr, &pushed).ok() &&
-            CoordinatorRecord::DecodeFrom(&cr, &mine).ok() &&
-            pushed.participant != 0 && mine.participant != 0 &&
-            pushed.participant < mine.participant) {
+            CoordinatorRecord::DecodeFrom(&cr, &held).ok() &&
+            pushed.participant != 0 && held.participant != 0 &&
+            pushed.participant < held.participant) {
           put(key, value);
         }
+        break;
       }
-      continue;
-    }
-    // Fence filter on store-if-absent: a stale pusher that missed a
-    // fence must not resurrect the purged orphans here.
-    if (!fenced_epochs_.empty()) {
-      Epoch ve = 0;
-      bool versioned = false;
-      if (keys::Tag(key) == keys::kDataTag) {
-        keys::ParsedDataKey dk;
-        versioned = keys::ParseData(key, &dk);
-        if (versioned) ve = dk.epoch;
-      } else if (keys::Tag(key) == keys::kPageTag) {
-        keys::ParsedPageKey pk;
-        versioned = keys::ParsePageRec(key, &pk);
-        if (versioned) ve = pk.epoch;
-      }
-      if (versioned && IsEpochFenced(ve)) continue;
-    }
-    if (!store_.Contains(key)) put(key, value);
-    if (keys::Tag(key) == keys::kCatalogTag) {
-      Reader cr(value);
-      RelationDef def;
-      if (RelationDef::DecodeFrom(&cr, &def).ok()) catalog_[def.name] = def;
     }
   }
-  // Only a stored record costs a write; one already held costs a lookup.
+  // Only a stored record costs a write; every other record costs a lookup.
   ChargeCpu(costs.tuple_write_us * static_cast<double>(stored) +
             costs.index_entry_us * static_cast<double>(n - stored));
   // Piggybacked GC watermarks: a freshly restarted node (its table resets
@@ -1020,31 +1011,17 @@ void StorageService::PurgeEpochLocal(Epoch epoch) {
   // fence entry points refuse committed epochs), so every version stored at
   // it is unreachable garbage — and worse, a data version at the burned
   // epoch would SHADOW the committed version the coordinator chain
-  // references once the GC watermark passes it. One ordered pass per family.
+  // references once the GC watermark passes it. One ordered pass per
+  // version family.
   std::vector<std::string> doomed;
   uint64_t scanned = 0;
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kDataTag)); it.Valid();
-       it.Next()) {
-    ++scanned;
-    keys::ParsedDataKey dk;
-    if (keys::ParseData(it.key(), &dk) && dk.epoch == epoch) {
-      doomed.emplace_back(it.key());
-    }
-  }
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kPageTag)); it.Valid();
-       it.Next()) {
-    ++scanned;
-    keys::ParsedPageKey pk;
-    if (keys::ParsePageRec(it.key(), &pk) && pk.epoch == epoch) {
-      doomed.emplace_back(it.key());
-    }
-  }
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kCoordTag));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    keys::ParsedCoordKey ck;
-    if (keys::ParseCoord(it.key(), &ck) && ck.epoch == epoch) {
-      doomed.emplace_back(it.key());
+  for (char tag : {keys::kDataTag, keys::kPageTag, keys::kCoordTag}) {
+    for (auto it = store_.SeekPrefix(keys::TagPrefix(tag)); it.Valid(); it.Next()) {
+      ++scanned;
+      keys::ParsedKey pk;
+      if (keys::Parse(it.key(), &pk) && pk.epoch == epoch) {
+        doomed.emplace_back(it.key());
+      }
     }
   }
   for (const std::string& key : doomed) store_.Delete(key).ok();
@@ -1263,7 +1240,6 @@ void StorageService::Retrieve(const std::string& rel, Epoch epoch,
   uint64_t scan_id = next_scan_id_++;
   ScanState state;
   state.relation = rel;
-  state.epoch = epoch;
   state.filter = filter;
   state.cb = std::move(cb);
   state.deadline_event = host_->network()->simulator()->ScheduleAfter(
@@ -1356,7 +1332,6 @@ void StorageService::ScanCheckDone(uint64_t scan_id) {
   auto it = scans_.find(scan_id);
   if (it == scans_.end()) return;
   ScanState& state = it->second;
-  if (state.failed) return;
   if (state.summaries_received < state.pages_total) return;
   if (state.data_parts_received < state.data_parts_expected) return;
   if (state.lookups_outstanding > 0) return;
@@ -1380,59 +1355,52 @@ void StorageService::ScanFail(uint64_t scan_id, Status st) {
 // Background re-replication
 
 std::optional<StorageService::Placement> StorageService::PlaceRecord(
-    std::string_view key) const {
+    const keys::ParsedKey& pk) const {
   static const Placement kEveryone{kEveryoneBucket, /*everyone=*/true, HashId()};
   HashId hash;
-  switch (keys::Tag(key)) {
+  switch (pk.tag) {
     case keys::kDataTag: {
-      keys::ParsedDataKey dk;
-      if (!keys::ParseData(key, &dk)) return std::nullopt;
-      const RelationDef* def = FindRelation(dk.relation);
+      const RelationDef* def = FindRelation(pk.relation);
       if (def != nullptr && def->replicate_everywhere) return kEveryone;
-      hash = HashId::FromBigEndianBytes(dk.hash_be20);
+      hash = HashId::FromBigEndianBytes(pk.hash_be20);
       break;
     }
     case keys::kPageTag: {
-      keys::ParsedPageKey pk;
-      if (!keys::ParsePageRec(key, &pk)) return std::nullopt;
       const RelationDef* def = FindRelation(pk.relation);
       if (def == nullptr) return std::nullopt;
       if (def->replicate_everywhere) return kEveryone;
       hash = PartitionHome(pk.partition, def->num_partitions);
       break;
     }
-    case keys::kCoordTag: {
-      keys::ParsedCoordKey ck;
-      if (!keys::ParseCoord(key, &ck)) return std::nullopt;
-      hash = CoordinatorHash(std::string(ck.relation), ck.epoch);
+    case keys::kCoordTag:
+      hash = CoordinatorHash(std::string(pk.relation), pk.epoch);
       break;
-    }
-    case keys::kClaimTag: {
-      Epoch e;
-      if (!keys::ParseClaim(key, &e)) return std::nullopt;
-      hash = ClaimHash(e);
+    case keys::kClaimTag:
+      hash = ClaimHash(pk.epoch);
       break;
-    }
-    case keys::kCatalogTag:
+    default:  // kCatalogTag
       return kEveryone;
-    default:
-      return std::nullopt;
   }
   return Placement{static_cast<uint32_t>(hash.Top64() >> (64 - kBucketBits)),
                    /*everyone=*/false, hash};
 }
 
 std::optional<uint32_t> StorageService::ReplicaBucket(std::string_view key) const {
-  auto place = PlaceRecord(key);
+  keys::ParsedKey pk;
+  if (!keys::Parse(key, &pk)) return std::nullopt;
+  auto place = PlaceRecord(pk);
   if (!place) return std::nullopt;
   return place->bucket;
 }
 
 void StorageService::ForEachPlaced(
     const std::function<void(std::string_view key, std::string_view value,
-                             const Placement&)>& fn) const {
+                             const keys::ParsedKey&, const Placement&)>& fn)
+    const {
   for (auto it = store_.Seek(""); it.Valid(); it.Next()) {
-    if (auto place = PlaceRecord(it.key())) fn(it.key(), it.value(), *place);
+    keys::ParsedKey pk;
+    if (!keys::Parse(it.key(), &pk)) continue;
+    if (auto place = PlaceRecord(pk)) fn(it.key(), it.value(), pk, *place);
   }
 }
 
@@ -1446,10 +1414,10 @@ StorageService::LocalBucketDigests() {
   digests_.buckets.assign(kBucketCount, {});
   uint64_t digested = 0;
   ForEachPlaced([&](std::string_view key, std::string_view value,
-                    const Placement& place) {
+                    const keys::ParsedKey& pk, const Placement& place) {
     BucketDigest& d = digests_.buckets[place.bucket];
     d.count += 1;
-    d.sum += RecordDigest(key, value);
+    d.sum += RecordDigest(pk, key, value);
     ++digested;
   });
   ChargeCpu(host_->network()->costs().index_entry_us *
@@ -1565,7 +1533,7 @@ void StorageService::PushBuckets(
   std::map<net::NodeId, Writer> batches;
   std::map<net::NodeId, uint64_t> counts;
   ForEachPlaced([&](std::string_view key, std::string_view value,
-                    const Placement& place) {
+                    const keys::ParsedKey&, const Placement& place) {
     if (!any[place.bucket]) return;
     std::vector<net::NodeId> targets;
     if (place.everyone) {
@@ -1672,7 +1640,7 @@ void StorageService::ResetGcSweep(bool active) {
   gc_sweep_.generation += 1;
   gc_sweep_.watermark = gc_watermark_;
   gc_sweep_.phase = 0;
-  gc_sweep_.resume = keys::TagPrefix(keys::kCoordTag);
+  gc_sweep_.resume.clear();
   gc_sweep_.group.clear();
   gc_sweep_.best_key.clear();
   gc_sweep_.best_is_tombstone = false;
@@ -1692,9 +1660,8 @@ void StorageService::GcSliceTask(uint64_t generation) {
 }
 
 bool StorageService::RunGcSlice(uint64_t budget) {
-  static constexpr char kPhaseTags[4] = {keys::kCoordTag, keys::kClaimTag,
-                                         keys::kPageTag, keys::kDataTag};
-  // One ordered pass per record family. Coordinator records and epoch
+  // One ordered pass per record family, in this order, each counting what
+  // it retires in its own GcStats field. Coordinator records and epoch
   // claims below the watermark are unreachable (retrieval is supported at
   // [w, current]; no publisher can contend for a claim that far back).
   //
@@ -1714,28 +1681,37 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   // publishing different data — an abandoned batch's orphan versions would
   // otherwise shadow the committed version the coordinators reference once
   // the watermark passes them.
+  struct Phase {
+    char tag;
+    uint64_t GcStats::*retired;
+  };
+  static constexpr Phase kPhases[] = {{keys::kCoordTag, &GcStats::retired_coords},
+                                      {keys::kClaimTag, &GcStats::retired_claims},
+                                      {keys::kPageTag, &GcStats::retired_pages},
+                                      {keys::kDataTag, &GcStats::retired_data}};
   const Epoch w = gc_sweep_.watermark;
   std::vector<std::string> doomed;
   uint64_t scanned = 0;
-  uint64_t n_coords = 0, n_pages = 0, n_data = 0, n_tombs = 0, n_claims = 0;
 
   // Reaps the tracked survivor if it is a trailing tombstone, then clears
   // the version-group carry.
   auto flush_group = [&] {
     if (gc_sweep_.best_is_tombstone && !gc_sweep_.best_key.empty()) {
       doomed.push_back(gc_sweep_.best_key);
-      ++n_tombs;
+      ++gc_.retired_tombstones;
     }
     gc_sweep_.best_key.clear();
     gc_sweep_.best_is_tombstone = false;
   };
 
   while (gc_sweep_.phase < 4 && scanned < budget) {
-    const int phase = gc_sweep_.phase;
-    const std::string prefix = keys::TagPrefix(kPhaseTags[phase]);
+    const Phase& phase = kPhases[gc_sweep_.phase];
+    uint64_t& retired = gc_.*phase.retired;
+    const std::string prefix = keys::TagPrefix(phase.tag);
     bool exhausted = true;
-    for (auto it = store_.Seek(gc_sweep_.resume);
-         localstore::LocalStore::WithinPrefix(it, prefix); it.Next()) {
+    for (auto it = store_.Seek(gc_sweep_.resume.empty() ? prefix : gc_sweep_.resume,
+                               localstore::LocalStore::PrefixUpperBound(prefix));
+         it.Valid(); it.Next()) {
       if (scanned >= budget) {
         // Stop BEFORE consuming this record; the next slice re-seeks to it.
         // Records a push inserts behind the cursor are caught by the re-arm
@@ -1746,85 +1722,57 @@ bool StorageService::RunGcSlice(uint64_t budget) {
       }
       ++scanned;
       std::string_view key = it.key();
-      switch (phase) {
-        case 0: {
-          keys::ParsedCoordKey ck;
-          if (keys::ParseCoord(key, &ck) && ck.epoch < w) {
+      keys::ParsedKey pk;
+      if (!keys::Parse(key, &pk)) continue;  // malformed: leave it alone
+      switch (pk.tag) {
+        case keys::kClaimTag:
+          if (pk.epoch < w) claim_touch_.erase(pk.epoch);
+          [[fallthrough]];
+        case keys::kCoordTag:
+          if (pk.epoch < w) {
             doomed.emplace_back(key);
-            ++n_coords;
+            ++retired;
           }
           break;
-        }
-        case 1: {
-          Epoch e = 0;
-          if (keys::ParseClaim(key, &e) && e < w) {
-            doomed.emplace_back(key);
-            ++n_claims;
-            claim_touch_.erase(e);
-          }
-          break;
-        }
-        default: {
-          Epoch epoch = 0;
-          bool parsed = false;
-          if (phase == 2) {
-            keys::ParsedPageKey pk;
-            parsed = keys::ParsePageRec(key, &pk);
-            if (parsed) epoch = pk.epoch;
-          } else {
-            keys::ParsedDataKey dk;
-            parsed = keys::ParseData(key, &dk);
-            if (parsed) epoch = dk.epoch;
-          }
-          if (!parsed) break;  // malformed: leave it alone
+        default: {  // kPageTag, kDataTag
           std::string_view group = keys::VersionGroupPrefix(key);
           if (group != gc_sweep_.group) {
             flush_group();
             gc_sweep_.group.assign(group);
           }
-          if (epoch > w) break;
+          if (pk.epoch > w) break;
           // A version at a fenced epoch is NEVER a survivor: it is purged
           // garbage a stale push resurrected, and letting it win the
           // newest-at-or-below race would shadow the committed version the
           // coordinators reference. Doom it without updating the carry.
-          if (IsEpochFenced(epoch)) {
+          if (IsEpochFenced(pk.epoch)) {
             doomed.emplace_back(key);
-            ++(phase == 2 ? n_pages : n_data);
+            ++retired;
             break;
           }
           if (!gc_sweep_.best_key.empty()) {
             doomed.push_back(gc_sweep_.best_key);
-            if (gc_sweep_.best_is_tombstone) {
-              ++n_tombs;
-            } else {
-              ++(phase == 2 ? n_pages : n_data);
-            }
+            ++(gc_sweep_.best_is_tombstone ? gc_.retired_tombstones : retired);
           }
           gc_sweep_.best_key.assign(key);
           // Only data-family tombstones (empty value) are reaped once
           // trailing; pages have no tombstone notion.
-          gc_sweep_.best_is_tombstone = phase == 3 && it.value().empty();
+          gc_sweep_.best_is_tombstone =
+              pk.tag == keys::kDataTag && it.value().empty();
           break;
         }
       }
     }
     if (!exhausted) break;
-    if (phase >= 2) flush_group();
+    flush_group();
     gc_sweep_.phase += 1;
+    gc_sweep_.resume.clear();
     gc_sweep_.group.clear();
-    if (gc_sweep_.phase < 4) {
-      gc_sweep_.resume = keys::TagPrefix(kPhaseTags[gc_sweep_.phase]);
-    }
   }
 
   for (const std::string& key : doomed) store_.Delete(key).ok();
   ChargeCpu(host_->network()->costs().tuple_scan_us *
             static_cast<double>(scanned + doomed.size()));
-  gc_.retired_coords += n_coords;
-  gc_.retired_pages += n_pages;
-  gc_.retired_data += n_data;
-  gc_.retired_tombstones += n_tombs;
-  gc_.retired_claims += n_claims;
   return gc_sweep_.phase >= 4;
 }
 
@@ -1840,8 +1788,9 @@ void StorageService::OnRestart() {
   const sim::SimTime now = host_->network()->simulator()->now();
   for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kClaimTag));
        it.Valid(); it.Next()) {
-    Epoch e;
-    if (!keys::ParseClaim(it.key(), &e)) continue;
+    keys::ParsedKey pk;
+    if (!keys::Parse(it.key(), &pk)) continue;
+    const Epoch e = pk.epoch;
     Reader vr(it.value());
     EpochClaimRecord rec;
     if (!EpochClaimRecord::DecodeFrom(&vr, &rec).ok()) continue;

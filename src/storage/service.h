@@ -7,6 +7,14 @@
 // Retrieve(R, e, f) — Algorithm 1 — with replica-retry on missing state, so
 // a retrieval can never observe stale data: a tuple version is reachable
 // only through the epoch's page list (§IV).
+//
+// Five record families share the node's one LocalStore (storage/keys.h):
+// data, page and coordinator versions, epoch claims and catalog entries.
+// Every pass that treats families differently parses a stored key once
+// (keys::Parse) and switches on the parsed tag, one function per decision:
+// PlaceRecord (where it replicates), RecordDigest (what its bucket digest
+// covers), HandleReplicaPush (how a pushed copy merges), PurgeEpochLocal
+// (what a fence purges) and RunGcSlice (when GC retires it).
 #ifndef ORCHESTRA_STORAGE_SERVICE_H_
 #define ORCHESTRA_STORAGE_SERVICE_H_
 
@@ -343,7 +351,6 @@ class StorageService : public net::Service {
  private:
   struct ScanState {
     std::string relation;
-    Epoch epoch;
     KeyFilter filter;
     RetrieveCallback cb;
     size_t pages_total = 0;
@@ -352,7 +359,6 @@ class StorageService : public net::Service {
     size_t data_parts_received = 0;
     size_t lookups_outstanding = 0;  // retries of individually missing tuples
     std::vector<Tuple> rows;
-    bool failed = false;
     // Whole-scan deadline: the data legs (kFetchTuples/kTupleData) are
     // one-way, so a lost message would otherwise leave the scan pending
     // forever. Resolves the scan with TimedOut; cancelled on completion.
@@ -363,6 +369,10 @@ class StorageService : public net::Service {
   /// Answers a request whose body does not decode: every request gets a
   /// reply, so a malformed one fails fast instead of timing out.
   void RespondCorrupt(net::NodeId to, uint64_t req_id, uint16_t code);
+  /// Refuses `writes` writes at a burned epoch with kFenced: a fenced epoch
+  /// is never written, rebuilt or confirmed again.
+  void RefuseFenced(net::NodeId to, uint64_t req_id, uint64_t writes,
+                    std::string why);
   /// Replies with the stored bytes under `key`, or with NotFound.
   void RespondStored(net::NodeId to, uint64_t req_id, const std::string& key);
   /// The epoch's stored claim record: NotFound when the slot is empty,
@@ -417,12 +427,13 @@ class StorageService : public net::Service {
     bool everyone = false;
     HashId hash;
   };
-  /// nullopt for a key outside the replicated families.
-  std::optional<Placement> PlaceRecord(std::string_view key) const;
-  /// One ordered pass over every record PlaceRecord places.
-  void ForEachPlaced(const std::function<void(std::string_view key,
-                                              std::string_view value,
-                                              const Placement&)>& fn) const;
+  /// nullopt for a page whose relation the catalog does not hold yet.
+  std::optional<Placement> PlaceRecord(const keys::ParsedKey& pk) const;
+  /// One ordered pass over every stored key that parses and is placed.
+  void ForEachPlaced(
+      const std::function<void(std::string_view key, std::string_view value,
+                               const keys::ParsedKey&, const Placement&)>& fn)
+      const;
   struct BucketDigest {
     uint64_t count = 0;
     uint64_t sum = 0;  // of the records' digests, mod 2^64
@@ -467,7 +478,7 @@ class StorageService : public net::Service {
     uint64_t generation = 0;
     Epoch watermark = 0;
     int phase = 0;
-    std::string resume;       // lower bound of the next slice's Seek
+    std::string resume;       // next slice's Seek start; empty: the phase's
     std::string group;        // version-group carry (phases 2 and 3)
     std::string best_key;     // newest version <= watermark in `group`
     bool best_is_tombstone = false;

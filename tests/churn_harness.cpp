@@ -522,14 +522,14 @@ struct Driver {
       const auto& store = dep->storage(i).store();
       for (auto it = store.SeekPrefix(storage::keys::TagPrefix(storage::keys::kClaimTag));
            it.Valid(); it.Next()) {
-        Epoch e = 0;
-        if (!storage::keys::ParseClaim(it.key(), &e)) continue;
+        storage::keys::ParsedKey pk;
+        if (!storage::keys::Parse(it.key(), &pk)) continue;
         storage::EpochClaimRecord rec;
         Reader r(it.value());
         if (!storage::EpochClaimRecord::DecodeFrom(&r, &rec).ok()) continue;
         Trace("claim node=%u ep=%llu owner=%u from=%u committed=%d fenced=%d "
               "nonce=%llu",
-              n, static_cast<unsigned long long>(e), rec.participant, rec.node,
+              n, static_cast<unsigned long long>(pk.epoch), rec.participant, rec.node,
               rec.committed ? 1 : 0, rec.fenced ? 1 : 0,
               static_cast<unsigned long long>(rec.nonce));
       }

@@ -67,13 +67,32 @@ TEST(LocalStore, SeekStartsAtLowerBound) {
   EXPECT_EQ(it.key(), "banana");
 }
 
+TEST(LocalStore, BoundedSeekStopsBeforeItsBound) {
+  LocalStore store;
+  for (const char* k : {"apple", "banana", "blueberry", "cherry"}) {
+    store.Put(k, "v").ok();
+  }
+  auto scan = [&store](std::string_view start, std::string end) {
+    std::string keys;
+    for (auto it = store.Seek(start, std::move(end)); it.Valid(); it.Next()) {
+      keys += it.key();
+      keys += ' ';
+    }
+    return keys;
+  };
+  EXPECT_EQ(scan("b", "blueberry"), "banana ");  // the bound is exclusive
+  EXPECT_EQ(scan("b", "c"), "banana blueberry ");
+  EXPECT_EQ(scan("c", "b"), "");  // a bound below the start: nothing
+  EXPECT_EQ(scan("b", ""), "banana blueberry cherry ");  // empty: no bound
+}
+
 TEST(LocalStore, PrefixScan) {
   LocalStore store;
   store.Put("x/1", "a").ok();
   store.Put("x/2", "b").ok();
   store.Put("y/1", "c").ok();
   int count = 0;
-  for (auto it = store.SeekPrefix("x/"); LocalStore::WithinPrefix(it, "x/"); it.Next()) {
+  for (auto it = store.SeekPrefix("x/"); it.Valid(); it.Next()) {
     ++count;
   }
   EXPECT_EQ(count, 2);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/rng.h"
@@ -430,9 +431,8 @@ TEST_F(StorageClusterTest, ReplicateEverywhereRelation) {
   for (size_t n = 0; n < dep->size(); ++n) {
     size_t local = 0;
     auto& store = dep->storage(n).store();
-    std::string prefix = keys::DataPrefix("Nation");
-    for (auto it = store.SeekPrefix(prefix);
-         localstore::LocalStore::WithinPrefix(it, prefix); it.Next()) {
+    for (auto it = store.SeekPrefix(keys::DataPrefix("Nation")); it.Valid();
+         it.Next()) {
       ++local;
     }
     EXPECT_EQ(local, 25u) << "node " << n;
@@ -458,13 +458,12 @@ TEST_F(StorageClusterTest, NewNodeReceivesReplicasViaRebalance) {
   EXPECT_EQ(rows->size(), 200u);
   // Every node stores only record families some read or recovery path
   // uses: data, pages, coordinators, epoch claims and the catalog.
-  const std::set<char> kStoredTags = {keys::kDataTag, keys::kPageTag, keys::kCoordTag,
-                                      keys::kClaimTag, keys::kCatalogTag};
   for (size_t n = 0; n < dep->size(); ++n) {
     const auto& store = dep->storage(n).store();
     for (auto it = store.Seek(""); it.Valid(); it.Next()) {
-      EXPECT_EQ(kStoredTags.count(keys::Tag(it.key())), 1u)
-          << "node " << n << " stores a key with tag '" << keys::Tag(it.key()) << "'";
+      keys::ParsedKey pk;
+      EXPECT_TRUE(keys::Parse(it.key(), &pk))
+          << "node " << n << " stores a key no family parses: " << it.key();
     }
   }
 }
@@ -580,35 +579,43 @@ TEST(Keys, ParsersInvertBuilders) {
   h.AppendBigEndian(&hb);
   const std::string_view kb("k\0y", 3);  // embedded NUL survives round-trip
 
-  // The parsed views alias the key, so each key must outlive its checks.
-  const std::string data_key = keys::Data("rel", h, kb, 42);
-  keys::ParsedDataKey dk;
-  ASSERT_TRUE(keys::ParseData(data_key, &dk));
-  EXPECT_EQ(dk.relation, "rel");
-  EXPECT_EQ(dk.hash_be20, hb);
-  EXPECT_EQ(dk.key_bytes, kb);
-  EXPECT_EQ(dk.epoch, 42u);
+  // One row per family: a built key and the fields Parse reads back. The
+  // expected views alias `hb`, `kb` and literals, which outlive the rows.
+  struct Row {
+    std::string key;
+    keys::ParsedKey want;
+  };
+  const std::vector<Row> rows = {
+      {keys::Data("rel", h, kb, 42), {keys::kDataTag, "rel", hb, kb, 0, 42}},
+      {keys::PageRec("r2", 7, 31), {keys::kPageTag, "r2", {}, {}, 31, 7}},
+      {keys::Coord("r3", 1u << 20), {keys::kCoordTag, "r3", {}, {}, 0, 1u << 20}},
+      {keys::EpochClaim(9), {keys::kClaimTag, {}, {}, {}, 0, 9}},
+      {keys::Catalog("r4"), {keys::kCatalogTag, "r4", {}, {}, 0, 0}},
+  };
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    SCOPED_TRACE(std::string("family ") + row.want.tag);
+    keys::ParsedKey got;
+    ASSERT_TRUE(keys::Parse(row.key, &got));
+    EXPECT_EQ(got.tag, row.want.tag);
+    EXPECT_EQ(got.relation, row.want.relation);
+    EXPECT_EQ(got.hash_be20, row.want.hash_be20);
+    EXPECT_EQ(got.key_bytes, row.want.key_bytes);
+    EXPECT_EQ(got.partition, row.want.partition);
+    EXPECT_EQ(got.epoch, row.want.epoch);
 
-  const std::string page_key = keys::PageRec("r2", 7, 31);
-  keys::ParsedPageKey pk;
-  ASSERT_TRUE(keys::ParsePageRec(page_key, &pk));
-  EXPECT_EQ(pk.relation, "r2");
-  EXPECT_EQ(pk.partition, 31u);
-  EXPECT_EQ(pk.epoch, 7u);
-
-  const std::string coord_key = keys::Coord("r3", 1u << 20);
-  keys::ParsedCoordKey ck;
-  ASSERT_TRUE(keys::ParseCoord(coord_key, &ck));
-  EXPECT_EQ(ck.relation, "r3");
-  EXPECT_EQ(ck.epoch, 1u << 20);
-
-  // Wrong tag, truncation, and trailing garbage are all rejected.
-  const std::string wrong_tag = keys::Coord("rel", 1);
-  const std::string truncated = wrong_tag.substr(0, 4);
-  const std::string trailing = keys::PageRec("r", 1, 2) + "x";
-  EXPECT_FALSE(keys::ParseData(wrong_tag, &dk));
-  EXPECT_FALSE(keys::ParseCoord(truncated, &ck));
-  EXPECT_FALSE(keys::ParsePageRec(trailing, &pk));
+    // The next family's tag over this family's layout, truncation, and a
+    // trailing byte are all rejected.
+    std::string wrong_tag = row.key;
+    wrong_tag[0] = rows[(i + 1) % rows.size()].want.tag;
+    EXPECT_FALSE(keys::Parse(wrong_tag, &got));
+    EXPECT_FALSE(keys::Parse(row.key.substr(0, row.key.size() - 1), &got));
+    EXPECT_FALSE(keys::Parse(row.key + "x", &got));
+  }
+  // A tag no family uses, and the empty key, are rejected too.
+  keys::ParsedKey got;
+  EXPECT_FALSE(keys::Parse("Z" + rows[0].key.substr(1), &got));
+  EXPECT_FALSE(keys::Parse("", &got));
 }
 
 // ---------------------------------------------------------------------------
@@ -1176,6 +1183,41 @@ TEST(ReplicaPushCodec, GoldenBytesMatchTheWireLayouts) {
   EXPECT_EQ(tap.frames[0].body, round1.data());
   EXPECT_EQ(tap.frames[1].body, round2.data());
   EXPECT_TRUE(dep.storage(1).store().Contains(key));
+}
+
+// A pushed record is stored only if its key parses as one of the five
+// families: a key with an unknown tag, or a truncated one, would sit where
+// no pass ever reads, retires or re-replicates it. A data record is stored
+// even while its relation is missing from the catalog (a push sends its
+// data records before its catalog entries).
+TEST(ReplicaPushMerge, StoresOnlyKeysAFamilyParses) {
+  deploy::DeploymentOptions opts;
+  opts.num_nodes = 2;
+  opts.replication = 2;
+  deploy::Deployment dep(opts);
+  const std::string data = keys::Data("R", HashId::OfBytes("k"), "k", 1);
+  const std::string unknown_tag = "Zjunk";
+  const std::string truncated = data.substr(0, data.size() - 1);
+
+  // Round 2: no marks, no burned epochs, three records, no digests.
+  Writer body;
+  body.PutVarint64(0);
+  body.PutVarint64(0);
+  body.PutVarint64(3);
+  for (const std::string& key : {data, unknown_tag, truncated}) {
+    body.PutString(key);
+    body.PutString("v");
+  }
+  body.PutVarint64(0);
+  std::optional<Status> got;
+  dep.storage(0).Call(1, kReplicaPush, body.Release(),
+                      [&got](Status st, const std::string&) { got = st; });
+  ASSERT_TRUE(dep.RunUntil([&got] { return got.has_value(); }));
+  ASSERT_TRUE(got->ok()) << got->ToString();
+  const auto& store = dep.storage(1).store();
+  EXPECT_TRUE(store.Contains(data));
+  EXPECT_FALSE(store.Contains(unknown_tag));
+  EXPECT_FALSE(store.Contains(truncated));
 }
 
 // Every request code answers an empty (undecodable) body promptly instead of

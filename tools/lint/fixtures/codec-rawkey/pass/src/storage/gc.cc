@@ -1,8 +1,9 @@
 #include "storage/keys.h"
 
 namespace orchestra::storage {
-// Tag dispatch through the one key codec.
+// Family dispatch through the one key parser.
 bool IsCoord(std::string_view key) {
-  return keys::Tag(key) == keys::kCoordTag;
+  keys::ParsedKey pk;
+  return keys::Parse(key, &pk) && pk.tag == keys::kCoordTag;
 }
 }  // namespace orchestra::storage

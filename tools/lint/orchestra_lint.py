@@ -226,8 +226,8 @@ RULES.append(regex_rule(
     "codec-rawkey",
     r"\bkey\s*\[\s*0\s*\]|\bkey\.substr\s*\(|case\s*'[DPICME]'"
     r"|SeekPrefix\s*\(\s*\"[DPICME]\"\s*\)",
-    "ad-hoc stored-key bytes: dispatch with keys::Tag()/tag constants and "
-    "parse with the keys::Parse* codec (src/storage/keys.h)",
+    "ad-hoc stored-key bytes: parse with keys::Parse (src/storage/keys.h) "
+    "and dispatch on the parsed tag with the keys::k*Tag constants",
     scope=_CODEC_SCOPE, exclude=_CODEC_HOME))
 
 _FRAME_HOME = ["src/storage/service.h", "src/storage/service.cc",
