@@ -96,7 +96,7 @@ void BenchLocalStore() {
   }
   Report("localstore_get", static_cast<double>(n_ops), Now() - t0);
 
-  // Zero-copy lookup (the retuned kGetTuple/kFetchTuples path).
+  // Zero-copy lookup (the kGetTuple/kQueryFetch read path).
   t0 = Now();
   for (size_t i = 0; i < n_ops; ++i) {
     auto v = store.GetView(keys[(i * 7) % keys.size()]);

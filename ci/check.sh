@@ -7,7 +7,9 @@
 #              RelWithDebInfo build does not)
 #   sanitize   ASan/UBSan with leak detection on the suites that own async
 #              RPC state, storage churn, and the raw LocalStore paths
-#              (a Ninja tree, so the suites compile concurrently)
+#              (a Ninja tree, so the suites compile concurrently; ctest runs
+#              them concurrently, churn_test as its buckets, each under its
+#              ctest TIMEOUT)
 #   tsan       ThreadSanitizer build + the real-thread smoke suite (Ninja)
 #   lint       project-invariant linter (tools/lint/) over src/, then its
 #              fixture selftest — every rule must flag and pass on cue
@@ -111,10 +113,14 @@ sanitize() {
         -DORC_BUILD_BENCH=OFF -DORC_BUILD_EXAMPLES=OFF
   # shellcheck disable=SC2086
   cmake --build build-asan -j "$jobs" --target $suites
+  # churn_test registers with ctest as the buckets churn_test_b0..b3.
+  local t pattern=""
   for t in $suites; do
-    echo "-- $t"
-    ASAN_OPTIONS=detect_leaks=1 "./build-asan/$t"
+    [[ "$t" == churn_test ]] && t="churn_test_b[0-9]+"
+    pattern="${pattern:+$pattern|}$t"
   done
+  ASAN_OPTIONS=detect_leaks=1 ctest --test-dir build-asan -j "$jobs" \
+    --output-on-failure -R "^($pattern)\$"
 }
 
 tsan() {

@@ -196,11 +196,23 @@ Pending<std::monostate> Session::CreateRelation(const storage::RelationDef& def)
 Pending<std::vector<storage::Tuple>> Session::Retrieve(
     const std::string& relation, storage::Epoch epoch,
     storage::KeyFilter filter) {
+  query::PhysicalPlan plan;
+  plan.ops.resize(2);
+  query::PhysOp& scan = plan.ops[0];
+  scan.kind = query::OpKind::kScan;
+  scan.id = 0;
+  scan.relation = relation;
+  scan.key_filter = std::move(filter);
+  query::PhysOp& ship = plan.ops[1];
+  ship.kind = query::OpKind::kShip;
+  ship.id = 1;
+  ship.children = {0};
+  plan.root = 1;
   Pending<std::vector<storage::Tuple>> p;
-  impl_->storage->Retrieve(relation, epoch, filter,
-                           [p](Status st, std::vector<storage::Tuple> rows) mutable {
-                             p.Resolve(std::move(st), std::move(rows));
-                           });
+  impl_->query->Execute(plan, epoch, {},
+                        [p](Status st, query::QueryResult result) mutable {
+                          p.Resolve(std::move(st), std::move(result.rows));
+                        });
   return p;
 }
 
@@ -208,10 +220,6 @@ Pending<query::QueryResult> Session::Query(const query::PhysicalPlan& plan,
                                            storage::Epoch epoch,
                                            query::QueryOptions options) {
   Pending<query::QueryResult> p;
-  if (impl_->query == nullptr) {
-    p.Resolve(Status::FailedPrecondition("session has no query service"));
-    return p;
-  }
   impl_->query->Execute(plan, epoch, options,
                         [p](Status st, query::QueryResult result) mutable {
                           p.Resolve(std::move(st), std::move(result));

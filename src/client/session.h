@@ -5,7 +5,7 @@
 //
 //   Submit(UpdateBatch) -> Ticket          queue a versioned write batch
 //   Flush()             -> Pending<Epoch>  barrier: all submitted work done
-//   Retrieve(...)       -> Pending<rows>   Algorithm 1 read at an epoch
+//   Retrieve(...)       -> Pending<rows>   Algorithm 1 read: a one-scan query
 //   Query(...)          -> Pending<result> distributed query execution
 //
 // Every verb returns a Pending<T> (src/common/pending.h) instead of a bare
@@ -90,9 +90,8 @@ class Session {
   /// implementation's helpers can name it.
   struct Impl;
 
-  /// `query` may be null for storage-only deployments; Query() then fails.
   Session(storage::StorageService* storage, storage::Publisher* publisher,
-          query::QueryService* query = nullptr, SessionOptions options = {});
+          query::QueryService* query, SessionOptions options = {});
   /// Destroying a session with work in flight aborts its unresolved tickets
   /// (AbortInFlight) — late publisher completions then land harmlessly in
   /// the shared core instead of keeping abandoned state alive.
@@ -113,7 +112,9 @@ class Session {
   /// Registers a relation cluster-wide (catalog + empty coordinator record).
   Pending<std::monostate> CreateRelation(const storage::RelationDef& def);
 
-  /// Algorithm 1: Retrieve(R, e, f) from this session's node.
+  /// Algorithm 1: Retrieve(R, e, f) from this session's node. Runs the plan
+  /// Ship(Scan relation), with `filter` as the scan's key filter, on the
+  /// node's query executor at `epoch`, and resolves with its rows.
   Pending<std::vector<storage::Tuple>> Retrieve(const std::string& relation,
                                                 storage::Epoch epoch,
                                                 storage::KeyFilter filter = {});

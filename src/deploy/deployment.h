@@ -130,6 +130,8 @@ class Deployment {
   // and drive the sim until the returned Pending resolves) -----------------
   Status CreateRelation(size_t via_node, const storage::RelationDef& def);
   Result<storage::Epoch> Publish(size_t via_node, storage::UpdateBatch batch);
+  /// Algorithm 1 read at exactly `epoch`: a one-scan query on `via_node`'s
+  /// executor (client::Session::Retrieve).
   Result<std::vector<storage::Tuple>> Retrieve(size_t via_node,
                                                const std::string& relation,
                                                storage::Epoch epoch,

@@ -45,6 +45,12 @@ void Network::Send(NodeId from, NodeId to, uint32_t type, std::string payload) {
   // If called from inside this node's handler, the message departs at the
   // handler's current charged time; otherwise at the simulator's now.
   sim::SimTime initiate = std::max(sim_->now(), sender.cpu_free);
+  if (!nodes_[to].alive) {
+    SendDropNotice(to, from,
+                   initiate + GetLinkParams(from, to).latency_us +
+                       GetLinkParams(to, from).latency_us);
+    return;
+  }
 
   Delivery d;
   d.from = from;
@@ -181,23 +187,27 @@ void Network::KillNode(NodeId node) {
   state.alive = false;
   InboxClear(state);
   // TCP reset propagates to every peer holding a connection; with complete
-  // routing tables (§III-B) that is every other node. In-order delivery is
-  // per-connection: the reset cannot overtake data the dead node already
-  // sent to that peer (so a handler never sees a message from a peer it has
-  // observed as dropped), but it is NOT delayed by unrelated traffic the
-  // peer is ingesting from other nodes.
+  // routing tables (§III-B) that is every other node. It is NOT delayed by
+  // unrelated traffic the peer is ingesting from other nodes.
   for (NodeId peer = 0; peer < nodes_.size(); ++peer) {
     if (peer == node || !nodes_[peer].alive) continue;
-    Delivery d;
-    d.from = node;
-    d.is_drop_notice = true;
-    sim::SimTime at = sim_->now() + GetLinkParams(node, peer).latency_us;
-    auto last = nodes_[peer].last_arrival_from.find(node);
-    if (last != nodes_[peer].last_arrival_from.end()) {
-      at = std::max(at, last->second);
-    }
-    EnqueueDelivery(peer, std::move(d), at);
+    SendDropNotice(node, peer,
+                   sim_->now() + GetLinkParams(node, peer).latency_us);
   }
+}
+
+void Network::SendDropNotice(NodeId dead, NodeId peer, sim::SimTime at) {
+  // In-order delivery is per-connection: the reset cannot overtake data the
+  // dead node already sent to that peer, so a handler never sees a message
+  // from a peer it has observed as dropped.
+  auto last = nodes_[peer].last_arrival_from.find(dead);
+  if (last != nodes_[peer].last_arrival_from.end()) {
+    at = std::max(at, last->second);
+  }
+  Delivery d;
+  d.from = dead;
+  d.is_drop_notice = true;
+  EnqueueDelivery(peer, std::move(d), at);
 }
 
 void Network::HangNode(NodeId node) { nodes_[node].hung = true; }

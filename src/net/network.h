@@ -110,7 +110,9 @@ class Network {
 
   /// Reliable in-order send. Local sends (from == to) are delivered without
   /// touching the network (zero traffic, zero latency) — this is what makes
-  /// the storage layer's index/data co-location optimization real (§IV).
+  /// the storage layer's index/data co-location optimization real (§IV). A
+  /// send to a dead node is a connect to a closed port: nothing is delivered,
+  /// and the sender gets OnConnectionDrop one round trip later.
   void Send(NodeId from, NodeId to, uint32_t type, std::string payload);
 
   /// Fail-stop kill: node stops processing; all peers get OnConnectionDrop
@@ -199,6 +201,9 @@ class Network {
   };
 
   void EnqueueDelivery(NodeId to, Delivery d, sim::SimTime at);
+  /// Tells `peer` at `at` that its connection to `dead` dropped, but never
+  /// ahead of data `dead` already sent it.
+  void SendDropNotice(NodeId dead, NodeId peer, sim::SimTime at);
   void ScheduleDrain(NodeId node, sim::SimTime at);
   void DrainOne(NodeId node);
 

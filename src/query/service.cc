@@ -56,6 +56,11 @@ void QueryService::Execute(const PhysicalPlan& plan, storage::Epoch epoch,
   uint64_t qid = root->query_id;
   Root& ref = *root;
   roots_[qid] = std::move(root);
+  // A simulator event, not a node task: a node task cannot be cancelled, and
+  // would hold pending_events() above zero long after the query resolved.
+  ref.deadline = host_->network()->simulator()->ScheduleAfter(
+      kQueryDeadlineUs,
+      [this, &ref] { FinishRoot(ref, Status::TimedOut("query deadline")); });
 
   // Resolve every scan's coordinator record at the chosen epoch; this is what
   // pins the query to one consistent version of the database (§IV).
@@ -144,6 +149,7 @@ void QueryService::HandleShipEos(net::NodeId from, Reader* r) {
 }
 
 void QueryService::FinishRoot(Root& root, Status st) {
+  host_->network()->simulator()->Cancel(root.deadline);
   uint64_t qid = root.query_id;
   QueryResult result;
   if (st.ok()) {
@@ -425,8 +431,7 @@ void QueryService::OnConnectionDrop(net::NodeId peer) {
     Exec* ex = FindExec(qid);
     if (ex == nullptr) continue;
     if (ex->initiator == peer) {
-      execs_.erase(qid);
-      MarkAborted(qid);
+      ReleaseExec(qid);
       continue;
     }
     if (ex->initiator == node()) continue;  // the Root path handles it
@@ -527,6 +532,9 @@ void QueryService::HandlePlan(const std::string& payload) {
   }
 
   execs_[qid] = std::move(ex);
+  // By then the root has resolved, even if its kAbort never arrives here.
+  raw->deadline = host_->network()->simulator()->ScheduleAfter(
+      kQueryDeadlineUs, [this, qid] { ReleaseExec(qid); });
   StartExec(*raw);
 
   // Replay any messages that raced ahead of the plan.
@@ -1055,9 +1063,26 @@ void QueryService::HandleRecover(Exec& ex, Reader* r) {
 void QueryService::HandleAbort(Reader* r) {
   uint64_t qid;
   if (!r->GetU64(&qid).ok()) return;
-  execs_.erase(qid);
+  ReleaseExec(qid);
   pending_.erase(qid);
-  MarkAborted(qid);
+}
+
+void QueryService::ReleaseExec(uint64_t query_id) {
+  auto it = execs_.find(query_id);
+  if (it != execs_.end()) {
+    host_->network()->simulator()->Cancel(it->second->deadline);
+    execs_.erase(it);
+  }
+  MarkAborted(query_id);
+}
+
+void QueryService::OnSelfFailed() {
+  sim::Simulator* sim = host_->network()->simulator();
+  for (const auto& [qid, root] : roots_) sim->Cancel(root->deadline);
+  for (const auto& [qid, ex] : execs_) sim->Cancel(ex->deadline);
+  roots_.clear();
+  execs_.clear();
+  pending_.clear();
 }
 
 void QueryService::MarkAborted(uint64_t query_id) {

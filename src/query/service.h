@@ -42,6 +42,13 @@ namespace orchestra::query {
 /// suspected hung.
 constexpr uint64_t kPingMissThreshold = 3;
 
+/// Every query resolves: query frames are one-way, so one lost ship or EOS
+/// frame would leave its root waiting forever, and one lost kAbort its
+/// worker's execution. This long after Execute the root finishes with
+/// TimedOut, and this long after its plan arrived a worker releases the
+/// execution.
+constexpr sim::SimTime kQueryDeadlineUs = 120 * sim::kMicrosPerSec;
+
 struct QueryOptions {
   enum class RecoveryMode : uint8_t { kNone = 0, kRestart = 1, kIncremental = 2 };
   RecoveryMode recovery = RecoveryMode::kIncremental;
@@ -71,20 +78,17 @@ class QueryService : public net::Service {
                std::shared_ptr<storage::SnapshotBoard> board);
 
   /// Initiator entry point: runs `plan` against exactly `epoch` (every scan
-  /// binds its coordinator record there) and delivers the final rows.
+  /// binds its coordinator record there) and delivers the final rows, or an
+  /// error no later than kQueryDeadlineUs.
   void Execute(const PhysicalPlan& plan, storage::Epoch epoch, QueryOptions options,
                Callback cb);
 
   void OnMessage(net::NodeId from, uint16_t code, const std::string& payload) override;
   void OnConnectionDrop(net::NodeId peer) override;
   /// Fail-stop death of this node: release every root (initiator state,
-  /// including the user's completion callback), exec, and buffered message
-  /// without invoking anything — the node is halted.
-  void OnSelfFailed() override {
-    roots_.clear();
-    execs_.clear();
-    pending_.clear();
-  }
+  /// including the user's completion callback), exec, deadline and buffered
+  /// message without invoking anything — the node is halted.
+  void OnSelfFailed() override;
 
   net::NodeId node() const { return host_->node(); }
 
@@ -189,6 +193,8 @@ class QueryService : public net::Service {
     std::vector<OpRec> ops;  // indexed by op id
     std::vector<BlockRow> ship_buffer;
     uint32_t ship_seq = 0;
+    /// The kQueryDeadlineUs event; ReleaseExec and OnSelfFailed cancel it.
+    sim::Simulator::EventId deadline = 0;
   };
 
   // --- Initiator-side state ---------------------------------------------------
@@ -212,6 +218,9 @@ class QueryService : public net::Service {
     Run run;
     Callback cb;
     sim::SimTime started_at = 0;
+    /// The kQueryDeadlineUs event. It holds a pointer to this root, so
+    /// every path that erases a root cancels it (FinishRoot, OnSelfFailed).
+    sim::Simulator::EventId deadline = 0;
     uint32_t recoveries = 0;
     uint32_t restarts = 0;
     // Ping-based hung-node detection; survives a restart.
@@ -230,6 +239,9 @@ class QueryService : public net::Service {
   void HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op, Reader* r);
   void HandleRecover(Exec& ex, Reader* r);
   void HandleAbort(Reader* r);
+  /// Erases the query's execution, if any, with its deadline, and marks the
+  /// id aborted so its late frames are not buffered.
+  void ReleaseExec(uint64_t query_id);
 
   void StartExec(Exec& ex);
   /// Starts the scan chain over the queued pages unless it runs already;

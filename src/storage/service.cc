@@ -325,14 +325,6 @@ void StorageService::OnMessage(net::NodeId from, uint16_t code,
     rpc_.HandleReply(payload);
     return;
   }
-  if (code == kFetchTuples) {
-    HandleFetchTuples(from, &r);
-    return;
-  }
-  if (code == kTupleData) {
-    HandleTupleData(from, &r);
-    return;
-  }
   if (code == kSetWatermark) {
     uint32_t participant;
     uint64_t w;
@@ -583,15 +575,13 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       } else if (!bytes.ok()) {
         Respond(from, req_id, bytes.status(), {});
       } else {
+        counters_.tuples_served += 1;
         Respond(from, req_id, Status::OK(), std::string(bytes.value()));
       }
       return;
     }
     case kReplicaPush:
       HandleReplicaPush(from, r, req_id);
-      return;
-    case kScanPage:
-      HandleScanPage(from, r, req_id);
       return;
     default:
       Respond(from, req_id, Status::NotSupported("unknown storage code"), {});
@@ -1030,157 +1020,8 @@ void StorageService::PurgeEpochLocal(Epoch epoch) {
             static_cast<double>(scanned + doomed.size()));
 }
 
-void StorageService::HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id) {
-  uint64_t scan_id;
-  uint32_t requester;
-  std::string rel;
-  PageDescriptor desc;
-  KeyFilter filter;
-  if (!r->GetU64(&scan_id).ok() || !r->GetU32(&requester).ok() ||
-      !r->GetString(&rel).ok() || !PageDescriptor::DecodeFrom(r, &desc).ok() ||
-      !KeyFilter::DecodeFrom(r, &filter).ok()) {
-    RespondCorrupt(from, req_id, kScanPage);
-    return;
-  }
-
-  auto page = ReadPageLocal(desc.id);
-  if (!page.ok()) {
-    // This replica does not (yet) have the page; the caller retries another.
-    Respond(from, req_id, page.status(), {});
-    return;
-  }
-  ChargeCpu(host_->network()->costs().index_entry_us *
-            static_cast<double>(page->ids.size()));
-
-  // Group surviving tuple ids by their data storage node (Algorithm 1 line
-  // 8), routing on the hashes carried in the page — no SHA-1 per id.
-  if (FindRelation(rel) == nullptr) {
-    Respond(from, req_id, Status::NotFound("no relation " + rel), {});
-    return;
-  }
-  std::map<net::NodeId, std::vector<size_t>> by_owner;
-  for (size_t i = 0; i < page->ids.size(); ++i) {
-    if (!filter.Matches(page->ids[i].key_bytes)) continue;
-    net::NodeId owner = board_->current.OwnerOf(page->hashes[i]);
-    by_owner[owner].push_back(i);
-  }
-
-  uint64_t total_ids = 0;
-  std::string hb;  // reused 20-byte scratch: no per-id allocation
-  for (auto& [owner, idxs] : by_owner) {
-    Writer w;
-    w.PutU64(scan_id);
-    w.PutU32(requester);
-    w.PutString(rel);
-    w.PutVarint64(idxs.size());
-    for (size_t i : idxs) {
-      // hash(20B BE) + TupleId: the data node splices these into its keys.
-      hb.clear();
-      page->hashes[i].AppendBigEndian(&hb);
-      w.PutRaw(hb.data(), hb.size());
-      page->ids[i].EncodeTo(&w);
-    }
-    total_ids += idxs.size();
-    SendOneWay(owner, kFetchTuples, w.Release());
-  }
-
-  // Page summary back to the requester so it can count completion.
-  Writer w;
-  w.PutVarint64(by_owner.size());
-  w.PutVarint64(total_ids);
-  Respond(from, req_id, Status::OK(), w.Release());
-}
-
-void StorageService::HandleFetchTuples(net::NodeId /*from*/, Reader* r) {
-  uint64_t scan_id;
-  uint32_t requester;
-  std::string rel;
-  uint64_t n;
-  if (!r->GetU64(&scan_id).ok() || !r->GetU32(&requester).ok() ||
-      !r->GetString(&rel).ok() || !r->GetVarint64(&n).ok()) {
-    return;
-  }
-  Writer out;
-  out.PutU64(scan_id);
-  Writer rows;
-  Writer missing;
-  uint64_t rows_n = 0, missing_n = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view hash_be20, key_bytes;
-    uint64_t epoch;
-    if (!r->GetRawView(&hash_be20, 20).ok() ||
-        !r->GetStringView(&key_bytes).ok() || !r->GetVarint64(&epoch).ok()) {
-      return;
-    }
-    // The stored bytes ARE the encoded tuple: splice them into the reply
-    // without decode/re-encode, keyed by the wire-carried hash (no SHA-1).
-    // Empty bytes are a delete tombstone — report the id missing instead.
-    auto bytes = ReadTupleBytesRaw(rel, hash_be20, key_bytes, epoch);
-    if (bytes.ok() && !bytes.value().empty()) {
-      rows.PutRaw(bytes.value().data(), bytes.value().size());
-      ++rows_n;
-    } else {
-      TupleId{std::string(key_bytes), epoch}.EncodeTo(&missing);
-      ++missing_n;
-    }
-  }
-  counters_.tuples_served += rows_n;
-  ChargeCpu(host_->network()->costs().tuple_scan_us * static_cast<double>(n));
-  out.PutString(rel);
-  out.PutVarint64(rows_n);
-  out.PutRaw(rows.data().data(), rows.size());
-  out.PutVarint64(missing_n);
-  out.PutRaw(missing.data().data(), missing.size());
-  // Direct to the requester, "bypassing the Index node and Relation
-  // Coordinator" (Algorithm 1 line 9).
-  SendOneWay(requester, kTupleData, out.Release());
-}
-
-void StorageService::HandleTupleData(net::NodeId /*from*/, Reader* r) {
-  uint64_t scan_id;
-  std::string rel;
-  if (!r->GetU64(&scan_id).ok() || !r->GetString(&rel).ok()) return;
-  auto it = scans_.find(scan_id);
-  if (it == scans_.end()) return;  // scan already failed/finished
-  ScanState& state = it->second;
-
-  uint64_t rows_n;
-  if (!r->GetVarint64(&rows_n).ok()) return;
-  for (uint64_t i = 0; i < rows_n; ++i) {
-    Tuple t;
-    if (!DecodeTuple(r, &t).ok()) return;
-    state.rows.push_back(std::move(t));
-  }
-  uint64_t missing_n;  // a TupleId is at least two bytes
-  if (!r->GetCount(&missing_n, 2).ok()) return;
-  std::vector<TupleId> missing(missing_n);
-  for (auto& id : missing) {
-    if (!TupleId::DecodeFrom(r, &id).ok()) return;
-  }
-  state.data_parts_received += 1;
-  state.lookups_outstanding += missing.size();
-  // A stale local replica: fetch each missing id from its data node's
-  // replicas (§IV). FetchTuple may fail synchronously and erase the scan, so
-  // the loop re-checks it instead of holding `state`.
-  for (const auto& id : missing) {
-    if (scans_.count(scan_id) == 0) return;
-    FetchTuple(rel, id, [this, scan_id](Status st, Tuple t) {
-      auto sit = scans_.find(scan_id);
-      if (sit == scans_.end()) return;
-      if (!st.ok()) {
-        ScanFail(scan_id, st);
-        return;
-      }
-      sit->second.rows.push_back(std::move(t));
-      sit->second.lookups_outstanding -= 1;
-      ScanCheckDone(scan_id);
-    });
-  }
-  ScanCheckDone(scan_id);
-}
-
 // --------------------------------------------------------------------------
-// Retrieve (Algorithm 1)
+// Replica-retry reads
 
 void StorageService::GetCoordinator(
     const std::string& rel, Epoch epoch,
@@ -1235,69 +1076,6 @@ void StorageService::GetPage(const PageDescriptor& desc,
                  });
 }
 
-void StorageService::Retrieve(const std::string& rel, Epoch epoch,
-                              const KeyFilter& filter, RetrieveCallback cb) {
-  uint64_t scan_id = next_scan_id_++;
-  ScanState state;
-  state.relation = rel;
-  state.filter = filter;
-  state.cb = std::move(cb);
-  state.deadline_event = host_->network()->simulator()->ScheduleAfter(
-      kScanDeadlineUs, [this, scan_id] {
-        ScanFail(scan_id, Status::TimedOut("retrieve scan deadline"));
-      });
-  scans_.emplace(scan_id, std::move(state));
-
-  GetCoordinator(rel, epoch, [this, scan_id](Status st, CoordinatorRecord rec) {
-    auto it = scans_.find(scan_id);
-    if (it == scans_.end()) return;
-    if (!st.ok()) {
-      ScanFail(scan_id, st);
-      return;
-    }
-    it->second.pages_total = rec.pages.size();
-    if (rec.pages.empty()) {
-      ScanCheckDone(scan_id);
-      return;
-    }
-    for (const PageDescriptor& desc : rec.pages) StartPageScan(scan_id, desc);
-  });
-}
-
-void StorageService::StartPageScan(uint64_t scan_id, const PageDescriptor& desc) {
-  auto it = scans_.find(scan_id);
-  if (it == scans_.end()) return;  // an earlier page's scan already failed
-  const ScanState& state = it->second;
-  Writer w;
-  w.PutU64(scan_id);
-  w.PutU32(node());
-  w.PutString(state.relation);
-  desc.EncodeTo(&w);
-  state.filter.EncodeTo(&w);
-
-  rpc_.CallFirst(board_->current.ReplicasOf(desc.home(), replication_), kScanPage,
-                 w.Release(),
-                 [this, scan_id, desc](Status st, const std::string& reply) {
-                   auto sit = scans_.find(scan_id);
-                   if (sit == scans_.end()) return;
-                   if (!st.ok()) {
-                     ScanFail(scan_id, Status::Unavailable(
-                                           "no replica can scan page " +
-                                           desc.id.ToString()));
-                     return;
-                   }
-                   Reader r(reply);
-                   uint64_t parts, ids;
-                   if (!r.GetVarint64(&parts).ok() || !r.GetVarint64(&ids).ok()) {
-                     ScanFail(scan_id, Status::Corruption("bad page summary"));
-                     return;
-                   }
-                   sit->second.summaries_received += 1;
-                   sit->second.data_parts_expected += parts;
-                   ScanCheckDone(scan_id);
-                 });
-}
-
 void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
                                 std::function<void(Status, Tuple)> cb) {
   auto def = Relation(rel);
@@ -1326,29 +1104,6 @@ void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
                    }
                    cb(Status::OK(), std::move(t));
                  });
-}
-
-void StorageService::ScanCheckDone(uint64_t scan_id) {
-  auto it = scans_.find(scan_id);
-  if (it == scans_.end()) return;
-  ScanState& state = it->second;
-  if (state.summaries_received < state.pages_total) return;
-  if (state.data_parts_received < state.data_parts_expected) return;
-  if (state.lookups_outstanding > 0) return;
-  RetrieveCallback cb = std::move(state.cb);
-  std::vector<Tuple> rows = std::move(state.rows);
-  host_->network()->simulator()->Cancel(state.deadline_event);
-  scans_.erase(it);
-  cb(Status::OK(), std::move(rows));
-}
-
-void StorageService::ScanFail(uint64_t scan_id, Status st) {
-  auto it = scans_.find(scan_id);
-  if (it == scans_.end()) return;
-  RetrieveCallback cb = std::move(it->second.cb);
-  host_->network()->simulator()->Cancel(it->second.deadline_event);
-  scans_.erase(it);
-  cb(st, {});
 }
 
 // --------------------------------------------------------------------------

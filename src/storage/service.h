@@ -3,10 +3,9 @@
 // owns/replicates: relation coordinator, index node, and data storage node.
 // The paper's fourth role, the inverse node, stores nothing here: the
 // coordinator record names each partition's current page, and a publisher
-// reads it there (§IV). The service also implements the client side of
-// Retrieve(R, e, f) — Algorithm 1 — with replica-retry on missing state, so
-// a retrieval can never observe stale data: a tuple version is reachable
-// only through the epoch's page list (§IV).
+// reads it there (§IV). Its replica-retry reads (GetCoordinator, GetPage,
+// FetchTuple) serve the query executor, which runs Algorithm 1's
+// Retrieve(R, e, f) as a one-scan plan (client::Session::Retrieve).
 //
 // Five record families share the node's one LocalStore (storage/keys.h):
 // data, page and coordinator versions, epoch claims and catalog entries.
@@ -45,10 +44,9 @@ struct SnapshotBoard {
 
 /// Storage protocol message codes (service kStorage).
 ///
-/// The publish-path bodies (kPutTuples, kFetchTuples) carry each tuple's
-/// placement hash in 20-byte big-endian wire form, computed once by the
-/// publisher; receivers splice it straight into their localstore keys and
-/// never recompute SHA-1.
+/// The publish-path body (kPutTuples) carries each tuple's placement hash in
+/// 20-byte big-endian wire form, computed once by the publisher; receivers
+/// splice it straight into their localstore keys and never recompute SHA-1.
 enum StorageCode : uint16_t {
   kCatalogAdd = 1,
   // One coalesced frame per destination node and publish: nrels, then per
@@ -62,9 +60,9 @@ enum StorageCode : uint16_t {
   kGetPage = 6,
   kGetInverse = 7,    // retired (inverse-node lookup); reserved, never reused
   kGetTuple = 8,
-  kScanPage = 9,      // Algorithm 1, step 4: ask index node to scan a page
-  kFetchTuples = 10,  // Algorithm 1, step 8: index node -> data node
-  kTupleData = 11,    // Algorithm 1, step 9: data node -> requester (direct)
+  kScanPage = 9,      // retired (storage-side Retrieve scan); reserved
+  kFetchTuples = 10,  // retired (storage-side Retrieve scan); reserved
+  kTupleData = 11,    // retired (storage-side Retrieve scan); reserved
   // Background re-replication (PAST-style, §III-C), in two rounds per
   // target: bucket digests, answered with the buckets that differ, then the
   // records of those buckets. Every frame leads with the pusher's GC marks
@@ -115,15 +113,13 @@ enum StorageCode : uint16_t {
 /// deadline so a publish past a dead member stalls seconds, not a minute.
 constexpr sim::SimTime kEpochDiscoveryTimeoutUs = 5 * sim::kMicrosPerSec;
 
-/// Whole-scan deadline for Retrieve: bounds loss of the one-way data legs.
-constexpr sim::SimTime kScanDeadlineUs = 120 * sim::kMicrosPerSec;
-
 /// A participant's GC watermark advertisement stays live this long; after
 /// that the participant is considered departed and stops holding the
 /// effective (min-across-participants) watermark down.
 constexpr sim::SimTime kParticipantMarkTtlUs = 300 * sim::kMicrosPerSec;
 
-/// Sargable filter pushed to index nodes: an inclusive key-bytes range.
+/// Sargable filter a scan applies to index-page ids: an inclusive key-bytes
+/// range.
 struct KeyFilter {
   bool all = true;
   std::string lo, hi;  // valid when !all
@@ -138,8 +134,6 @@ struct KeyFilter {
 class StorageService : public net::Service {
  public:
   using RpcCallback = std::function<void(Status, const std::string& body)>;
-  using RetrieveCallback =
-      std::function<void(Status, std::vector<Tuple>)>;
 
   StorageService(net::NodeHost* host, std::shared_ptr<SnapshotBoard> board,
                  int replication, localstore::StoreOptions store_options = {});
@@ -163,7 +157,7 @@ class StorageService : public net::Service {
   Result<std::string_view> ReadTupleBytesLocal(std::string_view rel,
                                                const TupleId& id) const;
   /// Same, with the placement hash supplied in its 20-byte big-endian wire
-  /// form (as carried by kPutTuples/kFetchTuples/kQueryFetch) — no SHA-1.
+  /// form (as carried by kPutTuples/kQueryFetch) — no SHA-1.
   Result<std::string_view> ReadTupleBytesRaw(std::string_view rel,
                                              std::string_view hash_be20,
                                              std::string_view key_bytes,
@@ -202,8 +196,6 @@ class StorageService : public net::Service {
 
   /// Outstanding entries in the pending-call table (leak regression hook).
   size_t pending_rpc_count() const { return rpc_.pending_count(); }
-  /// Retrieve scans still in flight (leak regression hook).
-  size_t active_scan_count() const { return scans_.size(); }
   const net::RpcClient::Counters& rpc_counters() const { return rpc_.counters(); }
 
   // --- Admission control ----------------------------------------------------
@@ -226,9 +218,6 @@ class StorageService : public net::Service {
   /// Fetches a page from its index node, retrying replicas.
   void GetPage(const PageDescriptor& desc,
                std::function<void(Status, Page)> cb);
-  /// Algorithm 1: Retrieve(R, e, f). Returns all matching tuples via cb.
-  void Retrieve(const std::string& rel, Epoch epoch, const KeyFilter& filter,
-                RetrieveCallback cb);
   /// Fetches one tuple version, trying each replica of its data node in turn
   /// (used when a local replica is stale, §IV).
   void FetchTuple(const std::string& rel, const TupleId& id,
@@ -311,23 +300,14 @@ class StorageService : public net::Service {
   // --- net::Service ----------------------------------------------------------
   void OnMessage(net::NodeId from, uint16_t code, const std::string& payload) override;
   void OnConnectionDrop(net::NodeId peer) override;
-  /// Fail-stop death of this node: drop outstanding calls and scans without
-  /// invoking their callbacks — nothing may execute on a halted node. Scan
-  /// deadline closures are cancelled eagerly, like resolved RPC deadlines.
-  void OnSelfFailed() override {
-    rpc_.DropAll();
-    // lint:allow(det-unordered-iter): cancels deadline closures only; no
-    // callbacks run on a halted node, so order cannot reach the trace.
-    for (auto& [id, scan] : scans_) {
-      host_->network()->simulator()->Cancel(scan.deadline_event);
-    }
-    scans_.clear();
-  }
+  /// Fail-stop death of this node: drop outstanding calls without invoking
+  /// their callbacks — nothing may execute on a halted node.
+  void OnSelfFailed() override { rpc_.DropAll(); }
 
   struct Counters {
     uint64_t tuples_stored = 0;
     uint64_t pages_stored = 0;
-    uint64_t tuples_served = 0;
+    uint64_t tuples_served = 0;  // kGetTuple replies that carried a tuple
     // Coalesced publish frames received: one per (publish, destination node)
     // pair — the RPC-count story of the pipelined publish path.
     uint64_t puttuples_frames = 0;
@@ -349,22 +329,6 @@ class StorageService : public net::Service {
   const Counters& counters() const { return counters_; }
 
  private:
-  struct ScanState {
-    std::string relation;
-    KeyFilter filter;
-    RetrieveCallback cb;
-    size_t pages_total = 0;
-    size_t summaries_received = 0;
-    size_t data_parts_expected = 0;
-    size_t data_parts_received = 0;
-    size_t lookups_outstanding = 0;  // retries of individually missing tuples
-    std::vector<Tuple> rows;
-    // Whole-scan deadline: the data legs (kFetchTuples/kTupleData) are
-    // one-way, so a lost message would otherwise leave the scan pending
-    // forever. Resolves the scan with TimedOut; cancelled on completion.
-    sim::Simulator::EventId deadline_event = 0;
-  };
-
   void Respond(net::NodeId to, uint64_t req_id, Status st, std::string body);
   /// Answers a request whose body does not decode: every request gets a
   /// reply, so a malformed one fails fast instead of timing out.
@@ -410,12 +374,6 @@ class StorageService : public net::Service {
   void PurgeEpochLocal(Epoch epoch);
   void HandleRequest(net::NodeId from, uint16_t code, Reader* r, uint64_t req_id);
   void HandleReplicaPush(net::NodeId from, Reader* r, uint64_t req_id);
-  void HandleScanPage(net::NodeId from, Reader* r, uint64_t req_id);
-  void HandleFetchTuples(net::NodeId from, Reader* r);
-  void HandleTupleData(net::NodeId from, Reader* r);
-  void ScanCheckDone(uint64_t scan_id);
-  void ScanFail(uint64_t scan_id, Status st);
-  void StartPageScan(uint64_t scan_id, const PageDescriptor& desc);
 
   // --- Re-replication by difference --------------------------------------
   /// Where a stored record replicates: around the ring position `hash`, or
@@ -463,8 +421,6 @@ class StorageService : public net::Service {
   localstore::LocalStore store_;
   // std::less<> enables string_view lookups without temporary strings.
   std::map<std::string, RelationDef, std::less<>> catalog_;
-  uint64_t next_scan_id_ = 1;
-  std::unordered_map<uint64_t, ScanState> scans_;
   Counters counters_;
   Epoch max_epoch_seen_ = 0;
   Epoch gc_watermark_ = 0;

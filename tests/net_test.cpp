@@ -122,6 +122,25 @@ TEST_F(NetworkTest, DeadNodeCannotSend) {
   EXPECT_TRUE(rb->msgs.empty());
 }
 
+// A send to a node that is already dead is a connect to a closed port:
+// nothing is delivered or counted, and the sender alone learns of the drop,
+// one round trip later.
+TEST_F(NetworkTest, SendToDeadNodeReturnsADropNotice) {
+  network.KillNode(b);
+  sim.Run();
+  ra->drops.clear();
+  rc->drops.clear();
+  const sim::SimTime sent = sim.now();
+  network.Send(a, b, 1, "closed port");
+  sim.Run();
+  EXPECT_TRUE(rb->msgs.empty());
+  EXPECT_EQ(network.total_messages(), 0u);
+  ASSERT_EQ(ra->drops.size(), 1u);
+  EXPECT_EQ(ra->drops[0], b);
+  EXPECT_EQ(sim.now() - sent, 2 * LinkParams{}.latency_us);
+  EXPECT_TRUE(rc->drops.empty());
+}
+
 TEST_F(NetworkTest, HungNodeReceivesNothingButStaysConnected) {
   network.HangNode(b);
   network.Send(a, b, 1, "stuck");

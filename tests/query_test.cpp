@@ -569,6 +569,39 @@ TEST_F(ScanFailureTest, TupleVersionMissingFromEveryReplicaFailsTheQuery) {
   ExpectScanFails();
 }
 
+// Query frames are one-way: with every frame from a worker to the initiator
+// lost, the query still resolves, TimedOut at kQueryDeadlineUs, and the
+// kAbort round then releases every execution.
+TEST_F(ScanFailureTest, LostWorkerFramesEndAtTheQueryDeadline) {
+  Load200();
+  dep->network().SetDropOverride(/*from=*/2, /*to=*/0, 1.0);
+  PlanBuilder b;
+  const sim::SimTime start = dep->sim().now();
+  Pending<QueryResult> p = dep->session(0).Query(b.Ship(b.Scan("R")), db_epoch);
+  dep->RunUntil([&p] { return p.done(); }, 2 * kQueryDeadlineUs);
+  ASSERT_TRUE(p.done()) << "the query never resolved";
+  EXPECT_EQ(p.status().code(), Status::Code::kTimedOut) << p.status().ToString();
+  EXPECT_EQ(dep->sim().now() - start, kQueryDeadlineUs);
+  EXPECT_EQ(dep->query(0).active_root_count(), 0u);
+  ExpectNoExecsLeft();
+}
+
+// A worker whose kAbort is lost releases its execution kQueryDeadlineUs after
+// its plan arrived, by when the root has resolved whatever its outcome.
+TEST_F(ScanFailureTest, WorkerReleasesItsExecutionWhenTheAbortIsLost) {
+  Load200();
+  PlanBuilder b;
+  Pending<QueryResult> p = dep->session(0).Query(b.Ship(b.Scan("R")), db_epoch);
+  ASSERT_TRUE(dep->RunUntil([this] { return dep->query(2).active_exec_count() == 1; }));
+  const sim::SimTime plan_arrived = dep->sim().now();
+  dep->network().SetDropOverride(/*from=*/0, /*to=*/2, 1.0);
+  ASSERT_TRUE(dep->RunUntil([&p] { return p.done(); }, 2 * kQueryDeadlineUs));
+  dep->RunUntil([this] { return dep->query(2).active_exec_count() == 0; },
+                2 * kQueryDeadlineUs);
+  EXPECT_EQ(dep->query(2).active_exec_count(), 0u);
+  EXPECT_EQ(dep->sim().now() - plan_arrived, kQueryDeadlineUs);
+}
+
 // ---------------------------------------------------------------------------
 // Failure handling (§V-C, §V-D)
 

@@ -86,11 +86,16 @@ TEST_F(RpcLifecycleTest, PublishesDrainPendingTables) {
   EXPECT_EQ(dep->PendingRpcCount(), 0u);
   for (size_t i = 0; i < dep->size(); ++i) {
     EXPECT_EQ(dep->storage(i).pending_rpc_count(), 0u) << "node " << i;
-    EXPECT_EQ(dep->storage(i).active_scan_count(), 0u) << "node " << i;
     EXPECT_EQ(dep->query(i).active_root_count(), 0u) << "node " << i;
     EXPECT_EQ(dep->query(i).buffered_message_count(), 0u) << "node " << i;
   }
   EXPECT_EQ(CallbacksAliveDelta(), 0);
+  // A worker releases its execution once the initiator's kAbort lands, one
+  // hop after the root resolved.
+  dep->RunFor(1 * sim::kMicrosPerSec);
+  for (size_t i = 0; i < dep->size(); ++i) {
+    EXPECT_EQ(dep->query(i).active_exec_count(), 0u) << "node " << i;
+  }
 }
 
 // Started calls must be accounted as resolved exactly once.
@@ -316,7 +321,9 @@ TEST_F(RpcLifecycleTest, RandomChurnDrainsTablesForEverySeed) {
     for (size_t i = 0; i < dep->size(); ++i) {
       EXPECT_EQ(dep->storage(i).pending_rpc_count(), 0u)
           << "seed " << seed << " node " << i;
-      EXPECT_EQ(dep->storage(i).active_scan_count(), 0u)
+      EXPECT_EQ(dep->query(i).active_root_count(), 0u)
+          << "seed " << seed << " node " << i;
+      EXPECT_EQ(dep->query(i).active_exec_count(), 0u)
           << "seed " << seed << " node " << i;
       const auto& c = dep->storage(i).rpc_counters();
       EXPECT_EQ(c.started, c.completed + c.timed_out + c.reaped + c.cancelled)

@@ -394,6 +394,78 @@ TEST_F(StorageClusterTest, SurvivesSingleNodeFailure) {
   EXPECT_EQ(rows->size(), 100u);
 }
 
+// A data owner that died while the routing table still names it: 4 nodes,
+// replication 3, 200 rows, and node 0 reads either right after the kill or
+// 10 s later, long after the kill's drop notices arrived. Every row has two
+// live replicas, so the read returns all of them within a few ms.
+class DeadRoutedOwnerTest : public ::testing::TestWithParam<sim::SimTime> {};
+
+TEST_P(DeadRoutedOwnerTest, RetrieveReadsLiveReplicas) {
+  for (net::NodeId victim = 1; victim < 4; ++victim) {
+    deploy::DeploymentOptions opts;
+    opts.num_nodes = 4;
+    opts.replication = 3;
+    deploy::Deployment dep(opts);
+    ASSERT_TRUE(dep.CreateRelation(0, SimpleRelation("R")).ok());
+    UpdateBatch batch;
+    for (int i = 0; i < 200; ++i) {
+      batch["R"].push_back(Update::Insert(Row(Tag("k", i), "v")));
+    }
+    auto e = dep.Publish(0, std::move(batch));
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    dep.KillNode(victim, /*update_routing=*/false);
+    if (GetParam() > 0) dep.RunFor(GetParam());
+    const sim::SimTime start = dep.sim().now();
+    auto rows = dep.Retrieve(0, "R", *e);
+    ASSERT_TRUE(rows.ok()) << "victim " << victim << ": " << rows.status().ToString();
+    EXPECT_EQ(rows->size(), 200u) << "victim " << victim;
+    EXPECT_LE(dep.sim().now() - start, 10 * sim::kMicrosPerMilli)
+        << "victim " << victim;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KillThenRead, DeadRoutedOwnerTest,
+                         ::testing::Values(sim::SimTime{0}, 10 * sim::kMicrosPerSec));
+
+// A read whose first replica died before the call fails over at once: the
+// send to the dead node comes back as a drop notice one round trip later,
+// not as the 60 s RPC deadline.
+TEST_F(StorageClusterTest, GetPagePastADeadFirstReplicaFailsOverAtOnce) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
+  UpdateBatch batch;
+  for (int i = 0; i < 100; ++i) {
+    batch["R"].push_back(Update::Insert(Row(Tag("k", i), "v")));
+  }
+  auto e = dep->Publish(0, std::move(batch));
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  std::vector<PageDescriptor> pages;
+  for (size_t n = 0; n < dep->size() && pages.empty(); ++n) {
+    auto rec = dep->storage(n).ReadCoordinatorLocal("R", *e);
+    if (rec.ok()) pages = rec->pages;
+  }
+  // A page whose first replica is not the reader.
+  const StorageService& reader = dep->storage(0);
+  std::optional<PageDescriptor> page;
+  net::NodeId victim = 0;
+  for (const PageDescriptor& desc : pages) {
+    net::NodeId first = reader.snapshot().ReplicasOf(desc.home(), reader.replication())[0];
+    if (first != 0) {
+      page = desc;
+      victim = first;
+      break;
+    }
+  }
+  ASSERT_TRUE(page.has_value());
+  dep->KillNode(victim, /*update_routing=*/false);
+  dep->RunFor(10 * sim::kMicrosPerSec);
+  std::optional<Status> got;
+  const sim::SimTime start = dep->sim().now();
+  dep->storage(0).GetPage(*page, [&got](Status st, Page) { got = st; });
+  ASSERT_TRUE(dep->RunUntil([&got] { return got.has_value(); }));
+  EXPECT_TRUE(got->ok()) << got->ToString();
+  EXPECT_LE(dep->sim().now() - start, 10 * sim::kMicrosPerMilli);
+}
+
 TEST_F(StorageClusterTest, MultipleRelationsSnapshotTogether) {
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
   ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("S")).ok());
@@ -1222,8 +1294,8 @@ TEST(ReplicaPushMerge, StoresOnlyKeysAFamilyParses) {
 
 // Every request code answers an empty (undecodable) body promptly instead of
 // leaving the caller to wait out its RPC deadline: Corruption for a body it
-// cannot decode, NotSupported for the reserved inverse-node id, and OK for
-// kGetMaxEpoch, which reads no body.
+// cannot decode, NotSupported for the reserved ids of retired frames, and OK
+// for kGetMaxEpoch, which reads no body.
 TEST_F(StorageClusterTest, MalformedRequestsGetAnAnswer) {
   const std::vector<uint16_t> request_codes = {
       kCatalogAdd,  kPutTuples,  kPutPage,       kPutCoordinator, kGetCoordinator,
@@ -1241,7 +1313,7 @@ TEST_F(StorageClusterTest, MalformedRequestsGetAnAnswer) {
     ASSERT_TRUE(dep->RunUntil([&done] { return done; }));
     EXPECT_LE(dep->sim().now() - sent, sim::kMicrosPerSec)
         << "code " << code << " left its caller waiting: " << got.ToString();
-    if (code == kGetInverse) {
+    if (code == kGetInverse || code == kScanPage) {
       EXPECT_EQ(got.code(), Status::Code::kNotSupported) << got.ToString();
     } else if (code == kGetMaxEpoch) {
       EXPECT_TRUE(got.ok()) << got.ToString();
@@ -1271,37 +1343,6 @@ TEST_F(StorageClusterTest, MalformedRequestsGetAnAnswer) {
     EXPECT_EQ(got.code(), Status::Code::kCorruption)
         << "code " << code << ": " << got.ToString();
   }
-}
-
-// kTupleData is one-way, and its missing-id list is decoded only for a live
-// scan. A count its bytes cannot hold drops the frame; the scan still ends
-// with every row.
-TEST_F(StorageClusterTest, TupleDataWithAHugeMissingCountIsDropped) {
-  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
-  UpdateBatch batch;
-  for (int i = 0; i < 20; ++i) {
-    batch["R"].push_back(Update::Insert(Row(Tag("k", i), "v")));
-  }
-  auto e = dep->Publish(0, std::move(batch));
-  ASSERT_TRUE(e.ok());
-  bool done = false;
-  Status got;
-  size_t rows = 0;
-  dep->storage(0).Retrieve("R", *e, KeyFilter{},
-                           [&](Status st, std::vector<Tuple> r) {
-                             got = st;
-                             rows = r.size();
-                             done = true;
-                           });
-  Writer w;
-  w.PutU64(1);  // node 0's first scan id
-  w.PutString("R");
-  w.PutVarint64(0);  // rows
-  w.PutVarint64(uint64_t{1} << 62);  // missing ids
-  dep->storage(1).SendOneWay(0, kTupleData, w.Release());
-  ASSERT_TRUE(dep->RunUntil([&done] { return done; }));
-  EXPECT_TRUE(got.ok()) << got.ToString();
-  EXPECT_EQ(rows, 20u);
 }
 
 // Epoch discovery: publishing via a node whose publisher's epoch floor is
