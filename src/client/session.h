@@ -15,7 +15,7 @@
 // Pipelining: the session keeps up to `max_window` publishes in flight.
 // Submitted batches form a FIFO chain — publish N+1 bases itself on publish
 // N's in-memory output (Publisher::PublishChained), overlapping its
-// fetch/partition/apply stages with N's tuple/page writes while commits stay
+// prepare stage with N's tuple/page writes while commits stay
 // strictly ordered. On a failure the failed ticket AND everything behind it
 // (in flight or queued) resolves with an error and the chain resets: the
 // caller re-submits the failed suffix in order (same batches — publishing is

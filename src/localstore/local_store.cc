@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/log.h"
+#include "common/serial.h"
 
 namespace orchestra::localstore {
 namespace {
@@ -39,7 +40,113 @@ inline uint64_t HashKey(std::string_view s) {
 
 constexpr size_t kMinTableCapacity = 1024;
 
+// A derived put's WAL value: varint32 base key length | base key | splice.
+std::string EncodeDerivation(std::string_view base_key, std::string_view splice) {
+  Writer w(base_key.size() + splice.size() + 5);
+  w.PutVarint32(static_cast<uint32_t>(base_key.size()));
+  w.PutRaw(base_key.data(), base_key.size());
+  w.PutRaw(splice.data(), splice.size());
+  return w.Release();
+}
+
+bool DecodeDerivation(std::string_view value, std::string_view* base_key,
+                      std::string_view* splice) {
+  Reader r(value);
+  uint32_t len = 0;
+  if (!r.GetVarint32(&len).ok() || !r.GetRawView(base_key, len).ok()) return false;
+  *splice = r.RemainingView();
+  return true;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Splice
+
+void Splice::Copy(uint64_t offset, uint64_t len) {
+  if (len == 0) return;
+  size_ += len;
+  if (!runs_.empty() && !runs_.back().literal &&
+      runs_.back().offset + runs_.back().len == offset) {
+    runs_.back().len += len;
+    return;
+  }
+  runs_.push_back(Run{false, offset, len});
+}
+
+void Splice::Literal(std::string_view bytes) {
+  if (bytes.empty()) return;
+  size_ += bytes.size();
+  if (runs_.empty() || !runs_.back().literal) {
+    runs_.push_back(Run{true, literals_.size(), 0});
+  }
+  runs_.back().len += bytes.size();
+  literals_.append(bytes);
+}
+
+void Splice::Append(const Splice& tail) {
+  for (const Run& run : tail.runs_) {
+    if (run.literal) {
+      Literal(std::string_view(tail.literals_).substr(run.offset, run.len));
+    } else {
+      Copy(run.offset, run.len);
+    }
+  }
+}
+
+std::string Splice::Encode(uint64_t base_size) const {
+  Writer w(literals_.size() + 12 * runs_.size() + 20);
+  w.PutVarint64(base_size);
+  w.PutVarint64(size_);
+  for (const Run& run : runs_) {
+    w.PutVarint64(run.len << 1 | (run.literal ? 1 : 0));
+    if (run.literal) {
+      w.PutRaw(literals_.data() + run.offset, run.len);
+    } else {
+      w.PutVarint64(run.offset);
+    }
+  }
+  return w.Release();
+}
+
+Status Splice::Apply(std::string_view encoded, std::string_view base,
+                     std::string* out) {
+  Reader r(encoded);
+  uint64_t base_size = 0, size = 0;
+  ORC_RETURN_IF_ERROR(r.GetVarint64(&base_size));
+  ORC_RETURN_IF_ERROR(r.GetVarint64(&size));
+  if (base_size != base.size()) {
+    return Status::Corruption("splice: made for a base of another size");
+  }
+  out->clear();
+  // Each base byte is copied at most once by a well-formed splice, so the
+  // declared size is reserved only up to what the inputs can make.
+  out->reserve(std::min<uint64_t>(size, base.size() + encoded.size()));
+  while (!r.AtEnd()) {
+    uint64_t head = 0;
+    ORC_RETURN_IF_ERROR(r.GetVarint64(&head));
+    const uint64_t len = head >> 1;
+    if (len > size - out->size()) {
+      return Status::Corruption("splice: runs exceed the declared size");
+    }
+    if ((head & 1) != 0) {
+      std::string_view bytes;
+      ORC_RETURN_IF_ERROR(r.GetRawView(&bytes, len));
+      out->append(bytes);
+      continue;
+    }
+    uint64_t offset = 0;
+    ORC_RETURN_IF_ERROR(r.GetVarint64(&offset));
+    if (offset > base.size() || len > base.size() - offset) {
+      return Status::Corruption("splice: a copy reaches past the base");
+    }
+    out->append(base.substr(offset, len));
+  }
+  if (out->size() != size) {
+    return Status::Corruption("splice: runs fall short of the declared size");
+  }
+  return Status::OK();
+}
 
 // ---------------------------------------------------------------------------
 // Arena
@@ -430,12 +537,37 @@ Status LocalStore::Put(std::string_view key, std::string_view value) {
     ORC_RETURN_IF_ERROR(wal_->AppendPut(key, value));
     ++appends_since_checkpoint_;
   }
+  CommitPut(key, value);
+  return Status::OK();
+}
+
+Status LocalStore::PutDerived(std::string_view key, std::string_view base_key,
+                              std::string_view splice) {
+  if (key.empty()) return Status::InvalidArgument("localstore: empty key");
+  std::string value;
+  ORC_RETURN_IF_ERROR(Derive(base_key, splice, &value));
+  if (wal_ != nullptr) {
+    ORC_RETURN_IF_ERROR(
+        wal_->AppendDerivedPut(key, EncodeDerivation(base_key, splice)));
+    ++appends_since_checkpoint_;
+  }
+  CommitPut(key, value);
+  return Status::OK();
+}
+
+void LocalStore::CommitPut(std::string_view key, std::string_view value) {
   ApplyPut(key, value, /*count_stats=*/true);
   stats_.puts += 1;
   stats_.live_records = hcount_;
   MaybeCompact();
   MaybeCheckpoint();
-  return Status::OK();
+}
+
+Status LocalStore::Derive(std::string_view base_key, std::string_view splice,
+                          std::string* out) const {
+  size_t hidx = HashFind(HashKey(base_key), base_key);
+  if (hidx == kNoSlot) return Status::NotFound("localstore: no base for a derived put");
+  return Splice::Apply(splice, live_[htable_[hidx].idx1 - 1].value(), out);
 }
 
 Result<std::string> LocalStore::Get(std::string_view key) const {
@@ -525,16 +657,36 @@ Status LocalStore::Recover() {
                                 std::string_view value, bool from_checkpoint) {
     if (from_checkpoint) {
       IndexLiveRecord(AppendRecord(key, value, /*count_stats=*/false));
-      return;
+      return true;
     }
     ++tail_records;
-    if (type != wal::RecordType::kDelete) {
-      ApplyPut(key, value, /*count_stats=*/false);
-      return;
+    switch (type) {
+      case wal::RecordType::kPut:
+        ApplyPut(key, value, /*count_stats=*/false);
+        return true;
+      case wal::RecordType::kDerivedPut: {
+        // The splice applies to the base's value at this point of the log;
+        // a base that a torn segment lost leaves nothing to apply it to, and
+        // the record is dropped.
+        std::string_view base_key, splice;
+        std::string derived;
+        if (!DecodeDerivation(value, &base_key, &splice) ||
+            !Derive(base_key, splice, &derived).ok()) {
+          return false;
+        }
+        ApplyPut(key, derived, /*count_stats=*/false);
+        return true;
+      }
+      case wal::RecordType::kDelete: {
+        // An absent key is one the checkpoint already folded away.
+        size_t hidx = HashFind(HashKey(key), key);
+        if (hidx != kNoSlot) EraseAt(hidx);
+        return true;
+      }
+      case wal::RecordType::kManifestHeader:
+        break;
     }
-    // An absent key is one the checkpoint already folded away.
-    size_t hidx = HashFind(HashKey(key), key);
-    if (hidx != kNoSlot) EraseAt(hidx);
+    return false;
   });
   stats_.live_records = hcount_;
   appends_since_checkpoint_ = tail_records;

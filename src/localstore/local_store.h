@@ -7,7 +7,9 @@
 // indexes), in the spirit of the log-structured filesystems that inspired the
 // paper's versioned page scheme (§IV): writes append; the indexes point at
 // live records; compaction reclaims superseded records. Durability is the
-// WAL's job: Recover() rebuilds the store from it.
+// WAL's job: Recover() rebuilds the store from it. A derived put stores a
+// whole value but logs only the Splice that builds it from another key's
+// value, so a small change to a large value costs the log a small record.
 //
 // Layout, tuned for the publish/scan hot paths:
 //   * record bytes live in a chunked append-only arena — one memcpy per
@@ -61,6 +63,38 @@ struct StoreStats {
   // live in the WAL's own stats: wal()->stats().
 };
 
+/// A value built from a base value: runs copied from the base and literal
+/// bytes, in order. Its encoding is what LocalStore::PutDerived takes and the
+/// WAL logs: varint64 base size | varint64 result size | per run, varint64
+/// (length << 1 | 1 for literal bytes) and then the varint64 base offset of a
+/// copy or the bytes of a literal.
+class Splice {
+ public:
+  /// Appends `len` bytes of the base from `offset`.
+  void Copy(uint64_t offset, uint64_t len);
+  /// Appends literal bytes.
+  void Literal(std::string_view bytes);
+  /// Appends every run of `tail`.
+  void Append(const Splice& tail);
+  /// The encoding, for a base of `base_size` bytes.
+  std::string Encode(uint64_t base_size) const;
+  /// Materializes an encoded splice against `base` into `out`. Corruption
+  /// when it does not decode, was made for a base of another size, or
+  /// reaches past the base.
+  static Status Apply(std::string_view encoded, std::string_view base,
+                      std::string* out);
+
+ private:
+  struct Run {
+    bool literal = false;
+    uint64_t offset = 0;  // into the base, or into literals_
+    uint64_t len = 0;
+  };
+  std::vector<Run> runs_;
+  std::string literals_;
+  uint64_t size_ = 0;  // of the result
+};
+
 struct StoreOptions {
   /// Compact when dead records exceed this fraction of log_size().
   double compaction_garbage_ratio = 0.5;
@@ -84,6 +118,12 @@ class LocalStore {
 
   /// Inserts or overwrites.
   Status Put(std::string_view key, std::string_view value);
+  /// Inserts or overwrites `key` with the value the encoded `splice` makes
+  /// of `base_key`'s current value, and logs only the splice: replay applies
+  /// it to the base's value at that point of the log. NotFound when
+  /// `base_key` is absent, Corruption when the splice does not apply.
+  Status PutDerived(std::string_view key, std::string_view base_key,
+                    std::string_view splice);
   /// Fails with NotFound if absent. Copies; prefer GetView on hot paths.
   Result<std::string> Get(std::string_view key) const;
   /// Zero-copy read: the view aliases the record arena and is valid until
@@ -288,6 +328,11 @@ class LocalStore {
   /// triggers. `count_stats` as for AppendRecord.
   void ApplyPut(std::string_view key, std::string_view value, bool count_stats);
   void EraseAt(size_t hidx);
+  /// Put's and PutDerived's shared tail, once the WAL holds the record.
+  void CommitPut(std::string_view key, std::string_view value);
+  /// The value `splice` makes of `base_key`'s current value.
+  Status Derive(std::string_view base_key, std::string_view splice,
+                std::string* out) const;
 
   StoreOptions options_;
   Arena arena_;

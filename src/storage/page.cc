@@ -5,6 +5,7 @@
 #include "common/log.h"
 #include "common/serial.h"
 #include "hash/sha1.h"
+#include "localstore/local_store.h"
 
 namespace orchestra::storage {
 
@@ -151,48 +152,142 @@ Status Page::DecodeFrom(Reader* r, Page* out) {
   return Status::OK();
 }
 
-Page MergePage(Page old, const std::vector<PageEdit>& edits, Epoch epoch) {
-  auto before = [](const HashId& ha, std::string_view ka, const HashId& hb,
-                   std::string_view kb) { return ha != hb ? ha < hb : ka < kb; };
-  // The edits in (hash, key) order; the stable sort keeps batch order within
-  // a key, so the last edit of a key ends its run.
-  std::vector<const PageEdit*> order;
-  for (const PageEdit& e : edits) order.push_back(&e);
-  std::stable_sort(order.begin(), order.end(),
-                   [&before](const PageEdit* a, const PageEdit* b) {
-                     return before(a->hash, a->key, b->hash, b->key);
-                   });
-  Page out;
-  out.ids.reserve(old.ids.size() + order.size());
-  out.hashes.reserve(old.ids.size() + order.size());
-  size_t i = 0;  // next old entry
-  auto carry_until = [&](const PageEdit* e) {
-    for (; i < old.ids.size() &&
-           (e == nullptr ||
-            before(old.hashes[i], old.ids[i].key_bytes, e->hash, e->key));
-         ++i) {
-      out.ids.push_back(std::move(old.ids[i]));
-      out.hashes.push_back(old.hashes[i]);
+namespace {
+// The (hash, key) order of page entries and edits.
+bool Before(const HashId& ha, std::string_view ka, const HashId& hb,
+            std::string_view kb) {
+  return ha != hb ? ha < hb : ka < kb;
+}
+}  // namespace
+
+void PageDelta::EncodeTo(Writer* w) const {
+  page.EncodeTo(w);
+  w->PutBool(base.has_value());
+  if (base) base->EncodeTo(w);
+  w->PutVarint64(edits.size());
+  for (const PageEdit& e : edits) {
+    e.hash.EncodeTo(w);
+    w->PutString(e.key);
+    w->PutBool(e.erase);
+  }
+}
+
+Status PageDelta::DecodeFrom(Reader* r, PageDelta* out) {
+  ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(r, &out->page));
+  const PageId& id = out->page.id;
+  bool has_base = false;
+  ORC_RETURN_IF_ERROR(r->GetBool(&has_base));
+  out->base.reset();
+  if (has_base) {
+    PageId base;
+    ORC_RETURN_IF_ERROR(PageId::DecodeFrom(r, &base));
+    if (base.relation != id.relation || base.partition != id.partition) {
+      return Status::Corruption("page delta: base is another partition's page");
     }
+    if (base.epoch >= id.epoch) {
+      return Status::Corruption("page delta: base is not older than the page");
+    }
+    out->base = std::move(base);
+  }
+  // An edit is at least a 20-byte hash, a one-byte key length and a flag.
+  uint64_t n;
+  ORC_RETURN_IF_ERROR(r->GetCount(&n, 22));
+  out->edits.clear();
+  out->edits.reserve(n);
+  const HashId begin = out->page.range_begin();
+  const HashId end = out->page.range_end();  // zero: the top of the ring
+  for (uint64_t i = 0; i < n; ++i) {
+    PageEdit e;
+    ORC_RETURN_IF_ERROR(HashId::DecodeFrom(r, &e.hash));
+    ORC_RETURN_IF_ERROR(r->GetStringView(&e.key));
+    ORC_RETURN_IF_ERROR(r->GetBool(&e.erase));
+    if (e.hash < begin || (end != HashId::Zero() && !(e.hash < end))) {
+      return Status::Corruption("page delta: edit outside the partition");
+    }
+    if (!out->edits.empty() &&
+        !Before(out->edits.back().hash, out->edits.back().key, e.hash, e.key)) {
+      return Status::Corruption("page delta: edits out of order or repeated");
+    }
+    out->edits.push_back(e);
+  }
+  return Status::OK();
+}
+
+Result<PageMerge> MergePage(std::string_view base, const PageDelta& delta) {
+  Reader r(base);
+  uint64_t n = 0;
+  if (delta.base) {
+    PageDescriptor held;
+    ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(&r, &held));
+    if (!(held == PageDescriptor{*delta.base, delta.page.num_partitions})) {
+      return Status::Corruption("page merge: base holds another page");
+    }
+    ORC_RETURN_IF_ERROR(r.GetCount(&n, 22));
+  } else if (!base.empty()) {
+    return Status::Corruption("page merge: bytes for a partition without a base");
+  }
+  const Epoch epoch = delta.page.id.epoch;
+  const std::vector<PageEdit>& edits = delta.edits;
+  localstore::Splice body;
+  uint64_t entries = 0;
+  size_t run = r.position();  // start of the base run not yet copied
+  auto copy_to = [&](size_t end) {
+    body.Copy(run, end - run);
+    run = end;
   };
-  for (size_t j = 0; j < order.size(); ++j) {
-    const PageEdit& e = *order[j];
-    if (j + 1 < order.size() && order[j + 1]->hash == e.hash &&
-        order[j + 1]->key == e.key) {
-      continue;  // a later edit of this key wins
+  auto write = [&](const PageEdit& e) {
+    Writer w(e.key.size() + 32);
+    TupleId{std::string(e.key), epoch}.EncodeTo(&w);
+    e.hash.EncodeTo(&w);
+    body.Literal(w.data());
+    ++entries;
+  };
+  size_t j = 0;  // next edit
+  HashId prev_hash;
+  std::string_view prev_key;
+  for (uint64_t i = 0; i < n; ++i) {
+    const size_t at = r.position();
+    std::string_view key;
+    uint64_t key_epoch;
+    HashId hash;
+    ORC_RETURN_IF_ERROR(r.GetStringView(&key));
+    ORC_RETURN_IF_ERROR(r.GetVarint64(&key_epoch));
+    ORC_RETURN_IF_ERROR(HashId::DecodeFrom(&r, &hash));
+    if (i > 0 && !Before(prev_hash, prev_key, hash, key)) {
+      return Status::Corruption("page merge: base entries out of order");
     }
-    carry_until(&e);
-    if (i < old.ids.size() && old.hashes[i] == e.hash &&
-        old.ids[i].key_bytes == e.key) {
-      ++i;  // the edit replaces or erases the old entry
+    prev_hash = hash;
+    prev_key = key;
+    // Edits that sort before this entry name keys the base does not hold.
+    for (; j < edits.size() && Before(edits[j].hash, edits[j].key, hash, key); ++j) {
+      if (edits[j].erase) continue;
+      copy_to(at);
+      write(edits[j]);
     }
-    if (!e.erase) {
-      out.ids.push_back(TupleId{std::string(e.key), epoch});
-      out.hashes.push_back(e.hash);
+    if (j < edits.size() && edits[j].hash == hash && edits[j].key == key) {
+      copy_to(at);
+      run = r.position();  // the edit replaces or erases this entry
+      if (!edits[j].erase) write(edits[j]);
+      ++j;
+    } else {
+      ++entries;  // carried unchanged
     }
   }
-  carry_until(nullptr);
-  return out;
+  if (!r.AtEnd()) return Status::Corruption("page merge: bytes past the base's entries");
+  for (; j < edits.size(); ++j) {
+    if (edits[j].erase) continue;
+    copy_to(base.size());
+    write(edits[j]);
+  }
+  copy_to(base.size());
+
+  Writer header;
+  delta.page.EncodeTo(&header);
+  header.PutVarint64(entries);
+  localstore::Splice whole;
+  whole.Literal(header.data());
+  whole.Append(body);
+  return PageMerge{whole.Encode(base.size()), entries};
 }
 
 void ClaimInstance::EncodeTo(Writer* w) const {

@@ -8,6 +8,7 @@
 #define ORCHESTRA_STORAGE_PAGE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -124,20 +125,46 @@ struct Page {
 
 /// One change a publish makes to a page: a tuple's key bytes and placement
 /// hash, and whether the key is deleted (otherwise it becomes live at the
-/// merge's epoch).
+/// new version's epoch).
 struct PageEdit {
   std::string_view key;
   HashId hash;
   bool erase = false;
+
+  bool operator==(const PageEdit&) const = default;
 };
 
-/// Builds a page's next version in one linear merge (§IV copy-on-write).
-/// `old` is the previous version, sorted by (hash, key_bytes) as every
-/// stored page is; its key strings move into the result. `edits` come in
-/// batch order: the last edit of a key wins, a live key takes `epoch`, and an
-/// erased key drops out. The result is sorted the same way; its descriptor is
-/// left to the caller.
-Page MergePage(Page old, const std::vector<PageEdit>& edits, Epoch epoch);
+/// Body of kPutPage: the page version to store, the version it is built
+/// from, and the edits between the two. The index replica builds the new
+/// version from its stored base (MergePage); the publisher never reads or
+/// merges a page.
+struct PageDelta {
+  PageDescriptor page;          // the new version
+  std::optional<PageId> base;   // none: the partition had no page yet
+  std::vector<PageEdit> edits;  // strictly ascending (hash, key)
+
+  bool operator==(const PageDelta&) const = default;
+  void EncodeTo(Writer* w) const;
+  /// Corruption for a delta that is not canonical: edits out of order or
+  /// naming a key twice, an edit hash outside the page's partition, or a
+  /// base of another relation or partition or not older than the page. The
+  /// edits' keys are views into the reader's input.
+  static Status DecodeFrom(Reader* r, PageDelta* out);
+};
+
+/// A page's next version, as the index replica builds it.
+struct PageMerge {
+  std::string splice;    // localstore::Splice encoding over the base's bytes
+  uint64_t entries = 0;  // in the new version
+};
+
+/// The one page merge (§IV copy-on-write), on encoded bytes: `base` is the
+/// stored page `delta.base` names (empty without one). One walk over the
+/// base's entries yields the new version as a splice of the base: the new
+/// header and every written entry literal, each unchanged run of entries a
+/// copy. A live edit takes the new version's epoch; an erase drops its key.
+/// Corruption when `base` is not that page's well-formed encoding.
+Result<PageMerge> MergePage(std::string_view base, const PageDelta& delta);
 
 /// One claim attempt: (participant, node, nonce). Encoded alone it is the
 /// reply body of claim refusals (kEpochTaken/kFenced from kClaimEpoch) and
@@ -227,7 +254,8 @@ struct EpochClaimRecord {
 };
 
 /// "Relation @epoch -> list of pages' IDs & tuple ID hash ranges" (Fig. 3).
-/// Only non-empty partitions carry a descriptor. `participant` tags the
+/// Every partition a publish has touched carries a descriptor, even when its
+/// newest version is empty. `participant` tags the
 /// epoch's writer: storage nodes refuse a conflicting same-epoch record from
 /// a different participant with kEpochTaken (first committed writer wins),
 /// which is the authoritative commit-time gate of multi-writer publishing.

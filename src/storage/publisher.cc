@@ -23,26 +23,19 @@ Status PrevFailed(const Status& prev_status) {
 /// every async callback holds the attempt it was issued for and does nothing
 /// once that is no longer the publish's current one.
 struct Publisher::Attempt {
-  struct PartitionWork {
-    std::string relation;
-    uint32_t partition = 0;
-    std::optional<PageDescriptor> old_desc;  // none: a new partition
-    std::vector<const Update*> updates;
-    // Parallel to `updates`: encoded key bytes and placement hash, computed
-    // exactly once per update in FetchPages and reused everywhere after
-    // (page merge, tuple writes, wire format) — SHA-1 never runs twice for
-    // the same tuple in a publish.
-    std::vector<std::string> update_keys;
-    std::vector<HashId> update_hashes;
-    Page old_page;  // empty without old_desc
-  };
-
   struct TupleWrite {
     std::string relation;
     TupleId id;
-    std::string tuple_bytes;
+    std::string tuple_bytes;  // empty: a delete's tombstone
     HashId hash;
     bool everywhere = false;
+  };
+
+  /// One kPutPage: the new page version's descriptor and its encoded
+  /// PageDelta.
+  struct PageWrite {
+    PageDescriptor desc;
+    std::string body;
   };
 
   Attempt(Epoch base, Epoch target,
@@ -52,13 +45,12 @@ struct Publisher::Attempt {
   const Epoch base_epoch;
   const Epoch new_epoch;
   std::map<std::string, CoordinatorRecord> records;  // base-epoch records
-  std::vector<PartitionWork> parts;
 
-  // Prepared output: what a chained successor bases itself on, and what the
-  // write/commit stages send. Valid once `prepared`.
+  // Prepared output: what the write/commit stages send, and (out_records)
+  // what a chained successor bases itself on. Valid once `prepared`.
   bool prepared = false;
   std::vector<TupleWrite> tuple_writes;
-  std::vector<Page> new_pages;
+  std::vector<PageWrite> page_writes;
   std::map<std::string, CoordinatorRecord> out_records;  // new-epoch records
 
   // The claim on new_epoch. Its round runs CONCURRENTLY with the prepare
@@ -86,6 +78,7 @@ struct Publisher::Attempt {
                                // no other writer can take the epoch and leave
                                // our partial writes as shadowing orphans
   int claim_stall_left = 6;    // AwaitWinner probes before failing the batch
+  bool paused = false;         // waited on a live winner (ReclaimAfterPause)
   int fence_rounds_left = 2;   // fence attempts in this attempt
   ParticipantId fence_target = 0;  // stalled owner named by the last probe
 };
@@ -100,13 +93,15 @@ struct Publisher::PubState {
   UpdateBatch batch;  // released at Finish
   std::function<void(Status, Epoch)> cb;
   AttemptPtr at;  // current attempt; null before discovery and after Finish
-  int rebase_left = 4;       // contention re-bases allowed for this publish
-  int fence_skip_left = 64;  // burned epochs this publish may step past —
-                             // separate from rebase_left because a skip
-                             // keeps the base and prepared records intact
-                             // and always moves forward, while abandonment
-                             // churn can burn runs of epochs far wider than
-                             // any sane contention re-base budget
+  int rebase_left = 4;  // contention re-bases allowed for this publish
+  int skip_left = 64;   // steps past an epoch this publish did not wait on
+                        // a live winner for: a burned one (SkipFenced) or
+                        // one already committed when first probed (a
+                        // catch-up Rebase). Separate from rebase_left
+                        // because a step always moves forward, and
+                        // abandonment churn can burn (and a stale base can
+                        // trail) runs of epochs far wider than any sane
+                        // contention re-base budget
 
   Handle prev;         // chain predecessor; cleared when the write gate opens
   Handle commit_prev;  // retained until the commit gate (prev fully resolved)
@@ -224,7 +219,7 @@ void Publisher::RestartAttempt(
     std::map<std::string, CoordinatorRecord> records) {
   st->at = std::make_shared<Attempt>(base, target, std::move(records));
   StartClaim(st);
-  FetchPages(st);
+  Apply(st);
 }
 
 void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
@@ -241,6 +236,7 @@ void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
   service_->CallEach(
       members, kGetMaxEpoch, {},
       [this, st, rounds_left](std::vector<net::Reply> replies) {
+        if (st->done) return;
         Epoch max_epoch = 0;
         size_t heard = 0;
         for (const net::Reply& reply : replies) {
@@ -264,10 +260,10 @@ void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
 
 void Publisher::ClaimAndFetchBase(Handle st, int stall_left) {
   // Stage 1: coordinator records of every relation at the base epoch
-  // (needed both for the copy-on-write page lookups and for carrying
-  // unchanged relations forward to the new epoch). The epoch claim launches
-  // concurrently — by the time the prepare stages finish, the claim outcome
-  // is usually already in.
+  // (needed both for the base version each page delta names and for
+  // carrying unchanged relations forward to the new epoch). The epoch claim
+  // launches concurrently — by the time the prepare stage finishes, the
+  // claim outcome is usually already in.
   auto rels = service_->RelationNames();
   if (rels.empty()) {
     Finish(st, Status::FailedPrecondition("no relations in catalog"));
@@ -275,7 +271,7 @@ void Publisher::ClaimAndFetchBase(Handle st, int stall_left) {
   }
   const AttemptPtr at = st->at;
   StartClaim(st);
-  auto arrive = StageFanIn(st, rels.size(), &Publisher::FetchPages);
+  auto arrive = StageFanIn(st, rels.size(), &Publisher::Apply);
   for (const auto& rel : rels) {
     FetchBaseCoordinator(st, at, arrive, rel, at->base_epoch,
                          /*walk_left=*/16, stall_left);
@@ -325,125 +321,84 @@ void Publisher::FetchBaseCoordinator(Handle st, AttemptPtr at,
       });
 }
 
-void Publisher::FetchPages(Handle st) {
+void Publisher::Apply(Handle st) {
   const AttemptPtr at = st->at;
-  // Group each relation's updates by partition. Each tuple's placement hash
-  // is computed here, once, and carried through the rest of the publish.
   for (auto& [rel, updates] : st->batch) {
     const RelationDef* def = service_->FindRelation(rel);
-    std::map<uint32_t, Attempt::PartitionWork> by_partition;
+    // Each tuple's placement hash is computed here, once, and carried into
+    // its tuple write and its page edit.
+    std::vector<Attempt::TupleWrite> writes;
+    writes.reserve(updates.size());
     for (const Update& u : updates) {
       std::string kb = EncodeTupleKey(def->schema, u.tuple);
       HashId h = PlacementHash(*def, kb);
-      uint32_t part = PartitionIndexFor(h, def->num_partitions);
-      Attempt::PartitionWork& pw = by_partition[part];
-      pw.relation = rel;
-      pw.partition = part;
-      pw.updates.push_back(&u);
-      pw.update_keys.push_back(std::move(kb));
-      pw.update_hashes.push_back(h);
-    }
-    // Partition -> current descriptor, built once per relation instead of a
-    // linear scan over rec.pages for every touched partition.
-    const CoordinatorRecord& rec = at->records[rel];
-    std::map<uint32_t, const PageDescriptor*> desc_of;
-    for (const PageDescriptor& d : rec.pages) desc_of[d.id.partition] = &d;
-    for (auto& [part, pw] : by_partition) {
-      auto d = desc_of.find(part);
-      if (d != desc_of.end()) pw.old_desc = *d->second;
-      at->parts.push_back(std::move(pw));
-    }
-  }
-
-  // Stage 2: fetch the current page of each affected partition. The paper
-  // locates it via the inverse node (§IV); here the base coordinator record
-  // plays that role — its descriptor names the page, so we go straight to
-  // the index node.
-  //
-  // Chained publishes: a descriptor at an uncommitted ancestor's epoch names
-  // a page that may still be in flight to its index nodes — it MUST be taken
-  // from that ancestor's in-memory output, which doubles as the pipeline
-  // overlap win: these partitions cost no round trip at all. The walk follows
-  // `prev` links over the live chain (a window-4 pipeline can reference pages
-  // from three epochs back); it stops at an ancestor whose chain link was
-  // already cleared, or that resolved: those have committed, so their pages
-  // are durably fetchable over the network.
-  auto page_from_chain = [&st](const Attempt::PartitionWork& pw) -> const Page* {
-    for (const PubState* anc = st->prev.get(); anc != nullptr && anc->at;
-         anc = anc->prev.get()) {
-      if (pw.old_desc->id.epoch != anc->at->new_epoch) continue;
-      for (const Page& page : anc->at->new_pages) {
-        if (page.desc.id.relation == pw.relation &&
-            page.desc.id.partition == pw.partition) {
-          return &page;
-        }
-      }
-      return nullptr;  // right epoch, page missing: fetch over the network
-    }
-    return nullptr;
-  };
-  std::vector<size_t> fetch;
-  for (size_t i = 0; i < at->parts.size(); ++i) {
-    Attempt::PartitionWork& pw = at->parts[i];
-    if (!pw.old_desc) continue;
-    if (const Page* cached = page_from_chain(pw)) {
-      pw.old_page = *cached;
-    } else {
-      fetch.push_back(i);
-    }
-  }
-  auto arrive = StageFanIn(st, fetch.size(), &Publisher::Apply);
-  for (size_t i : fetch) {
-    service_->GetPage(*at->parts[i].old_desc, [at, i, arrive](Status s, Page page) {
-      if (s.ok()) at->parts[i].old_page = std::move(page);
-      arrive(s);
-    });
-  }
-}
-
-void Publisher::Apply(Handle st) {
-  const AttemptPtr at = st->at;
-  for (Attempt::PartitionWork& pw : at->parts) {
-    const RelationDef* def = service_->FindRelation(pw.relation);
-    // Hashes come from the old page (for carried-forward tuples) or from
-    // FetchPages (for updates); nothing here computes SHA-1.
-    std::vector<PageEdit> edits;
-    edits.reserve(pw.updates.size());
-    for (size_t j = 0; j < pw.updates.size(); ++j) {
-      const Update* u = pw.updates[j];
-      const std::string& kb = pw.update_keys[j];
-      const bool erase = u->kind == Update::Kind::kDelete;
-      edits.push_back(PageEdit{kb, pw.update_hashes[j], erase});
       // A delete writes a tombstone: an empty-value data record at the new
       // epoch. No page ever lists it; it exists so data-node GC can tell
       // "this key was deleted at epoch e" apart from "version still live"
-      // and reclaim the dead versions (then the tombstone itself). Writes
-      // preserve batch order, so insert+delete of one key in one batch
-      // resolves to whichever came last.
+      // and reclaim the dead versions (then the tombstone itself).
       std::string bytes;
-      if (!erase) {
+      if (u.kind != Update::Kind::kDelete) {
         Writer tw;
-        EncodeTuple(u->tuple, &tw);
+        EncodeTuple(u.tuple, &tw);
         bytes = tw.Release();
       }
-      at->tuple_writes.push_back(
-          Attempt::TupleWrite{pw.relation, TupleId{kb, at->new_epoch},
-                              std::move(bytes), pw.update_hashes[j],
-                              def->replicate_everywhere});
+      writes.push_back(Attempt::TupleWrite{rel, TupleId{std::move(kb), at->new_epoch},
+                                           std::move(bytes), h,
+                                           def->replicate_everywhere});
     }
-    Page page = MergePage(std::move(pw.old_page), edits, at->new_epoch);
-    page.desc.id = PageId{pw.relation, at->new_epoch, pw.partition};
-    page.desc.num_partitions = def->num_partitions;
-    // Empty pages are still written: an empty version is what lets GC retire
-    // a partition's last non-empty page. It carries no descriptor in the new
-    // coordinator record.
-    at->new_pages.push_back(std::move(page));
+    // The last update of a key in the batch wins, so insert+delete of one
+    // key resolves to whichever came last, and each (key, epoch) record is
+    // written once: a torn log then loses a record whole, which the
+    // restart's digest exchange repairs, never half of a key's writes. The
+    // stable sort keeps batch order within a key.
+    std::stable_sort(writes.begin(), writes.end(),
+                     [](const Attempt::TupleWrite& a, const Attempt::TupleWrite& b) {
+                       return a.hash != b.hash ? a.hash < b.hash
+                                               : a.id.key_bytes < b.id.key_bytes;
+                     });
+    const size_t first = at->tuple_writes.size();
+    for (size_t j = 0; j < writes.size(); ++j) {
+      if (j + 1 < writes.size() && writes[j + 1].hash == writes[j].hash &&
+          writes[j + 1].id.key_bytes == writes[j].id.key_bytes) {
+        continue;
+      }
+      at->tuple_writes.push_back(std::move(writes[j]));
+    }
+    // Stage 2: one page delta per touched partition, built on the version
+    // the base coordinator record names (the paper locates it via the
+    // inverse node, §IV). The index replicas merge it into the stored base,
+    // so no page is fetched here; a chained publish names a page its
+    // predecessor is still writing, which the write gate orders first. The
+    // writes are in (hash, key) order, so a partition's edits are a run of
+    // them, already in the order a delta carries.
+    std::map<uint32_t, PageId> base_of;
+    for (const PageDescriptor& d : at->records[rel].pages) {
+      base_of[d.id.partition] = d.id;
+    }
+    for (size_t i = first; i < at->tuple_writes.size();) {
+      const uint32_t part =
+          PartitionIndexFor(at->tuple_writes[i].hash, def->num_partitions);
+      PageDelta delta;
+      delta.page = PageDescriptor{PageId{rel, at->new_epoch, part},
+                                  def->num_partitions};
+      if (auto b = base_of.find(part); b != base_of.end()) delta.base = b->second;
+      const HashId end = delta.page.range_end();  // zero: the top of the ring
+      for (; i < at->tuple_writes.size() &&
+             (end == HashId::Zero() || at->tuple_writes[i].hash < end);
+           ++i) {
+        const Attempt::TupleWrite& tw = at->tuple_writes[i];
+        delta.edits.push_back(
+            PageEdit{tw.id.key_bytes, tw.hash, tw.tuple_bytes.empty()});
+      }
+      Writer w;
+      delta.EncodeTo(&w);
+      at->page_writes.push_back(Attempt::PageWrite{delta.page, w.Release()});
+    }
   }
 
-  // The publish is now *prepared*: its output (new pages + coordinator
+  // The publish is now *prepared*: its output (page deltas + coordinator
   // records) exists in memory, so a chained successor can begin its own
-  // fetch/partition/apply stages — overlapping them with this publish's
-  // writes and commit.
+  // prepare stage — overlapping it with this publish's writes and commit.
   BuildOutputs(*at);
   at->prepared = true;
   Resume(st->next.lock(), Gate::kPrepared);
@@ -504,12 +459,11 @@ void Publisher::ReleaseGate(Handle st, Handle prev) {
   if (prev_epoch != at->base_epoch) {
     // The predecessor lost an epoch race and re-based: it committed at a
     // later epoch than the one our prepared output was built against, so our
-    // base coordinator records, page contents, epoch — and the claim round
-    // we launched for it — are all stale. Re-base onto its FINAL output. Its
-    // pages are already durably committed, so the re-run fetches them over
-    // the network. Any fragments our stale claim stored sit at an epoch at
-    // or below the predecessor's committed one — no future claim ever
-    // targets it, and GC sweeps it.
+    // base coordinator records, page deltas, epoch — and the claim round we
+    // launched for it — are all stale. Re-base onto its FINAL output. Any
+    // fragments our stale claim stored sit at an epoch at or below the
+    // predecessor's committed one — no future claim ever targets it, and GC
+    // sweeps it.
     pipeline_stats_.chain_rebases += 1;
     if (written_epochs_.count(at->new_epoch) == 0) {
       ReleaseClaim(at->new_epoch, at->claim_nonce);
@@ -517,7 +471,7 @@ void Publisher::ReleaseGate(Handle st, Handle prev) {
     if (prev->done) {
       // The predecessor already RESOLVED and dropped its attempt; its
       // committed records are durable, so re-fetch them over the network.
-      Rebase(st, prev_epoch);
+      Rebase(st, prev_epoch, /*catch_up=*/false);
       return;
     }
     RestartAttempt(st, prev_epoch, prev_epoch + 1, prev->at->out_records);
@@ -692,7 +646,7 @@ void Publisher::AwaitWinner(Handle st) {
           EpochClaimRecord claim;
           if (EpochClaimRecord::DecodeFrom(&r, &claim).ok()) {
             if (claim.committed) {
-              Rebase(st, contested);
+              Rebase(st, contested, /*catch_up=*/!at->paused);
               return;
             }
             if (claim.fenced && claim.purged) {
@@ -795,7 +749,7 @@ void Publisher::SkipFenced(Handle st) {
   // one claim round and nothing else, and new_epoch only ever moves forward,
   // so the loop terminates at the far edge of any burn region. Only a
   // pathological fence storm fails the publish here.
-  if (--st->fence_skip_left < 0) {
+  if (--st->skip_left < 0) {
     Finish(st, Status::Aborted("fencing: burned-epoch skip budget exhausted"));
     return;
   }
@@ -814,6 +768,7 @@ void Publisher::ReclaimAfterPause(Handle st) {
   sim::SimTime pause = 2 * sim::kMicrosPerSec +
                        static_cast<sim::SimTime>(participant_) *
                            (sim::kMicrosPerSec / 4);
+  st->at->paused = true;
   service_->RunAfter(pause, [this, st, at = st->at] {
     if (st->at == at) StartClaim(st);
   });
@@ -856,7 +811,7 @@ void Publisher::ScheduleClaimRefresh(Handle st, AttemptPtr at) {
           // pipeline surfaces the terminal error on its own — just stop
           // refreshing. No writes yet -> the kBurned path, which MaybeIssue
           // takes only once the prepare stages are quiescent (acting here
-          // could collide with in-flight page fetches).
+          // could collide with in-flight base coordinator fetches).
           if (!at->writes_issued) {
             at->claim = Attempt::Claim::kBurned;
             at->claim_split = true;  // we held a grant; release fragments
@@ -867,22 +822,36 @@ void Publisher::ScheduleClaimRefresh(Handle st, AttemptPtr at) {
   });
 }
 
-void Publisher::Rebase(Handle st, Epoch base) {
+void Publisher::Rebase(Handle st, Epoch base, bool catch_up) {
   if (st->done) return;
-  if (--st->rebase_left < 0) {
-    Finish(st, Status::Aborted("epoch contention: rebase budget exhausted"));
+  if (catch_up ? --st->skip_left < 0 : --st->rebase_left < 0) {
+    Finish(st, Status::Aborted(catch_up
+                                   ? "epoch contention: skip budget exhausted"
+                                   : "epoch contention: rebase budget exhausted"));
     return;
   }
   pipeline_stats_.rebases += 1;
+  if (catch_up) {
+    // The frontier may already be past `base`: one discovery round finds
+    // it, where claiming base + 1, base + 2, ... would walk it one claim
+    // round and one probe at a time.
+    epoch_ = std::max(epoch_, base);
+    st->at.reset();
+    DiscoverEpoch(st, /*rounds_left=*/2);
+    return;
+  }
   st->at = std::make_shared<Attempt>(base, base + 1);
   ClaimAndFetchBase(st, /*stall_left=*/3);
 }
 
 void Publisher::BuildOutputs(Attempt& at) {
   // New-epoch coordinator record for EVERY relation: carry forward untouched
-  // pages, add the new versions of touched non-empty partitions. Built once,
-  // pre-write: the commit stage serializes these, and a chained successor
-  // bases itself on them.
+  // pages, and name the new version of every touched partition. The
+  // publisher sends edits, not pages, so it cannot tell whether a version
+  // emptied: an emptied partition keeps its descriptor and costs a scan one
+  // empty page read, and its empty version is what lets GC retire the
+  // partition's last non-empty one. Built once, pre-write: the commit stage
+  // serializes these, and a chained successor bases itself on them.
   for (const auto& rel : service_->RelationNames()) {
     CoordinatorRecord rec;
     rec.relation = rel;
@@ -894,10 +863,10 @@ void Publisher::BuildOutputs(Attempt& at) {
     ORC_CHECK(at.records.count(rel) > 0,
               "publish base is missing a relation's coordinator record");
     std::set<uint32_t> touched;
-    for (const Page& page : at.new_pages) {
-      if (page.desc.id.relation != rel) continue;
-      touched.insert(page.desc.id.partition);
-      if (!page.ids.empty()) rec.pages.push_back(page.desc);
+    for (const Attempt::PageWrite& pw : at.page_writes) {
+      if (pw.desc.id.relation != rel) continue;
+      touched.insert(pw.desc.id.partition);
+      rec.pages.push_back(pw.desc);
     }
     for (const PageDescriptor& d : at.records[rel].pages) {
       if (touched.count(d.id.partition) == 0) rec.pages.push_back(d);
@@ -911,7 +880,7 @@ void Publisher::BuildOutputs(Attempt& at) {
 }
 
 void Publisher::IssueWrites(Handle st) {
-  // Stage 3: tuple versions and page versions. Coordinator records — the
+  // Stage 3: tuple versions and page deltas. Coordinator records — the
   // commit point — only go out once every write here has succeeded
   // (WriteCoordinators), so a torn publish can leave orphan tuples/pages at
   // the uncommitted epoch but never a coordinator record referencing state
@@ -947,7 +916,7 @@ void Publisher::IssueWrites(Handle st) {
       per_node_count[t][tw.relation] += 1;
     }
   }
-  auto arrive = StageFanIn(st, per_node_rel.size() + at->new_pages.size(),
+  auto arrive = StageFanIn(st, per_node_rel.size() + at->page_writes.size(),
                            &Publisher::WriteCoordinators);
   for (auto& [target, rels] : per_node_rel) {
     Writer body;
@@ -962,16 +931,14 @@ void Publisher::IssueWrites(Handle st) {
                    [arrive](Status s, const std::string&) { arrive(s); });
   }
 
-  // 3b: new page versions to their index nodes.
-  for (const Page& page : at->new_pages) {
-    const RelationDef* def = service_->FindRelation(page.desc.id.relation);
-    Writer w;
-    page.EncodeTo(&w);
+  // 3b: page deltas to their index nodes, which merge them.
+  for (const Attempt::PageWrite& pw : at->page_writes) {
+    const RelationDef* def = service_->FindRelation(pw.desc.id.relation);
     std::vector<net::NodeId> targets =
         def->replicate_everywhere
             ? everyone
-            : snap.ReplicasOf(page.desc.home(), service_->replication());
-    service_->CallAll(targets, kPutPage, w.data(), arrive);
+            : snap.ReplicasOf(pw.desc.home(), service_->replication());
+    service_->CallAll(targets, kPutPage, pw.body, arrive);
   }
 }
 
@@ -1021,7 +988,7 @@ void Publisher::CommitAfterPrev(Handle st) {
           // re-publish the batch.
           pipeline_stats_.epoch_conflicts += 1;
           ReleaseClaim(at->new_epoch, at->claim_nonce);
-          Rebase(st, at->new_epoch);
+          Rebase(st, at->new_epoch, /*catch_up=*/false);
           return;
         }
         if (!result.ok()) {

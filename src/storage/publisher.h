@@ -1,12 +1,15 @@
 // Publisher: the participant-side write path of the versioned store (§IV).
 // Publishing a batch of updates creates a new global epoch:
 //   1. fetch the coordinator records of ALL relations at the current epoch,
-//   2. fetch the affected pages, apply the updates copy-on-write (the new
-//      page lists the new TupleIds; untouched pages are shared),
+//   2. group the updates by page partition into page deltas: the new page
+//      version, the version it builds on (named by the base coordinator
+//      record) and the partition's edits; untouched pages are shared,
 //   3. write new tuple versions to their data storage nodes (replicated on
-//      insert, §III-C), new pages to their index nodes, and a coordinator
-//      record per relation at the new epoch (unchanged relations carry their
-//      page list forward, so every relation is resolvable at every epoch),
+//      insert, §III-C), page deltas to their index nodes — the index
+//      replica is the only place a page is merged (copy-on-write, §IV) —
+//      and a coordinator record per relation at the new epoch (unchanged
+//      relations carry their page list forward, so every relation is
+//      resolvable at every epoch),
 //   4. confirm the epoch at its claim replicas, which makes it discoverable,
 //      and raise this publisher's epoch floor to it.
 //
@@ -20,8 +23,8 @@
 //     epoch at the claim replicas (kClaimEpoch, first-come, idempotent per
 //     participant). A refused claim (kEpochTaken naming the winner) means
 //     the loser has written NOTHING at that epoch — it waits for the
-//     winner's commit and then RE-BASES: it re-runs its fetch/partition/
-//     apply stages on top of the winner's committed output (the same
+//     winner's commit and then RE-BASES: it re-runs its prepare stage on
+//     top of the winner's committed output (the same
 //     machinery a chained publish uses for an in-memory base) and claims the
 //     next epoch. A held claim is NEVER taken over — takeover rules break
 //     under membership churn — so a wedged epoch waits for its holder's
@@ -42,10 +45,9 @@
 // of publishes in flight. A publish chained onto a still-in-flight
 // predecessor skips epoch discovery and the base-coordinator fetches — it
 // bases itself on the predecessor's in-memory output (its computed
-// coordinator records and new pages) as soon as the predecessor has
-// *prepared* them, overlapping its own fetch/partition/apply stages with the
-// predecessor's tuple/page writes (and claims its own epoch concurrently
-// with those stages). A publish has at most one chained successor, which it
+// coordinator records) as soon as the predecessor has *prepared* them,
+// overlapping its own prepare stage with the predecessor's tuple/page
+// writes (and claims its own epoch concurrently with that stage). A publish has at most one chained successor, which it
 // links weakly; the successor records where it waits on its predecessor —
 // for it to prepare, at the write gate, or at the commit gate — and the
 // predecessor resumes it from exactly that place. The two gates keep
@@ -204,14 +206,13 @@ class Publisher {
   /// `next` runs — unless the attempt was replaced meanwhile.
   std::function<void(Status)> StageFanIn(Handle st, size_t n,
                                          void (Publisher::*next)(Handle));
-  void FetchPages(Handle st);
-  /// Applies the batch copy-on-write: computes the new pages (MergePage),
-  /// tuple writes, and — via BuildOutputs — the new coordinator records, then
-  /// *prepares* the publish (resuming a successor that waits for it) before
-  /// gating its own writes on the predecessor's commit.
+  /// The prepare stage: computes the tuple writes, one page delta per
+  /// touched partition and — via BuildOutputs — the new coordinator records,
+  /// then *prepares* the publish (resuming a successor that waits for it)
+  /// before gating its own writes on the predecessor's commit.
   void Apply(Handle st);
   /// Publishes the prepared writes: tuple versions coalesced into one
-  /// multi-relation kPutTuples frame per destination node, page versions to
+  /// multi-relation kPutTuples frame per destination node, page deltas to
   /// their index nodes. Runs only once the predecessor (if any) committed.
   void IssueWrites(Handle st);
   /// Computes the new-epoch coordinator record of every relation from the
@@ -268,8 +269,13 @@ class Publisher {
   void ScheduleClaimRefresh(Handle st, AttemptPtr at);
   /// Re-bases a contention loser onto the winner's committed output: a new
   /// attempt fetches the committed coordinator records at `base` and re-runs
-  /// FetchPages/Apply/claim at base + 1. Bounded per publish.
-  void Rebase(Handle st, Epoch base);
+  /// Apply and the claim at base + 1. A `catch_up` — `base` was already
+  /// committed when this attempt first probed it, so no live winner was
+  /// waited on and the attempt's view of the frontier was stale — instead
+  /// re-runs epoch discovery (floored at `base`) and bases on the frontier
+  /// it finds. Bounded per publish: a catch-up draws on the skip budget that
+  /// steps past burned epochs, any other re-base on the contention budget.
+  void Rebase(Handle st, Epoch base, bool catch_up);
   /// One-way claim cleanup of a failed or lost epoch: deletes this
   /// participant's claim (fragments) at `epoch` — only the exact instance
   /// named by `nonce`, so a delayed release never unpins a newer attempt.

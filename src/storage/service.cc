@@ -430,26 +430,12 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       Respond(from, req_id, Status::OK(), {});
       return;
     }
-    case kPutPage: {
-      // The body after the request id IS the stored record: validate with a
-      // full decode, then store the raw wire bytes — no re-encode.
-      std::string_view page_bytes = r->RemainingView();
-      Page page;
-      if (!Page::DecodeFrom(r, &page).ok() || !r->AtEnd()) break;
-      const PageId& id = page.desc.id;
-      if (IsEpochFenced(id.epoch)) {
-        RefuseFenced(from, req_id, 1, Tag("page write at fenced epoch ", id.epoch));
-        return;
-      }
-      store_.Put(keys::PageRec(id.relation, id.epoch, id.partition), page_bytes)
-          .ok();
-      counters_.pages_stored += 1;
-      ChargeCpu(costs.index_entry_us * static_cast<double>(page.ids.size()));
-      Respond(from, req_id, Status::OK(), {});
+    case kPutPage:
+      HandlePutPage(from, r->RemainingView(), req_id, /*may_fetch=*/true);
       return;
-    }
     case kPutCoordinator: {
-      // As with kPutPage: validate with a full decode, store the wire bytes.
+      // The body IS the stored record: validate with a full decode, then
+      // store the wire bytes.
       std::string_view rec_bytes = r->RemainingView();
       CoordinatorRecord rec;
       if (!CoordinatorRecord::DecodeFrom(r, &rec).ok() || !r->AtEnd()) break;
@@ -589,6 +575,73 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
   }
   // A case leaves the switch only when its request body does not decode.
   RespondCorrupt(from, req_id, code);
+}
+
+void StorageService::HandlePutPage(net::NodeId from, std::string_view body,
+                                   uint64_t req_id, bool may_fetch) {
+  Reader r(body);
+  PageDelta delta;
+  if (!PageDelta::DecodeFrom(&r, &delta).ok() || !r.AtEnd()) {
+    RespondCorrupt(from, req_id, kPutPage);
+    return;
+  }
+  const PageId& id = delta.page.id;
+  if (IsEpochFenced(id.epoch)) {
+    RefuseFenced(from, req_id, 1, Tag("page write at fenced epoch ", id.epoch));
+    return;
+  }
+  std::string base_key;
+  std::string_view base;
+  if (delta.base) {
+    base_key = keys::PageRec(delta.base->relation, delta.base->epoch,
+                             delta.base->partition);
+    auto held = store_.GetView(base_key);
+    if (!held.ok() && may_fetch) {
+      // A new owner after a routing change, or a restart that lost the
+      // record: fetch the base from a co-replica, store it, then merge.
+      const PageDescriptor base_desc{*delta.base, delta.page.num_partitions};
+      GetPage(base_desc, [this, from, req_id, base_key,
+                          body = std::string(body)](Status st, Page page) {
+        if (!st.ok()) {
+          Respond(from, req_id, st, {});
+          return;
+        }
+        Writer w;
+        page.EncodeTo(&w);
+        store_.Put(base_key, w.data()).ok();
+        HandlePutPage(from, body, req_id, /*may_fetch=*/false);
+      });
+      return;
+    }
+    if (!held.ok()) {
+      Respond(from, req_id, held.status(), {});
+      return;
+    }
+    base = *held;
+  }
+  auto merged = MergePage(base, delta);
+  if (!merged.ok()) {
+    Respond(from, req_id, merged.status(), {});
+    return;
+  }
+  // Stored whole; logged as the splice of the base it was built from.
+  const std::string key = keys::PageRec(id.relation, id.epoch, id.partition);
+  Status st;
+  if (delta.base) {
+    st = store_.PutDerived(key, base_key, merged->splice);
+  } else {
+    std::string page_bytes;
+    st = localstore::Splice::Apply(merged->splice, {}, &page_bytes);
+    if (st.ok()) st = store_.Put(key, page_bytes);
+  }
+  if (!st.ok()) {
+    Respond(from, req_id, st, {});
+    return;
+  }
+  counters_.pages_stored += 1;
+  ChargeCpu(host_->network()->costs().index_entry_us *
+            static_cast<double>(merged->entries));
+  Respond(from, req_id, Status::OK(), {});
 }
 
 void StorageService::HandleReplicaPush(net::NodeId from, Reader* r,

@@ -5,7 +5,8 @@
 // coordinator record names each partition's current page, and a publisher
 // reads it there (§IV). Its replica-retry reads (GetCoordinator, GetPage,
 // FetchTuple) serve the query executor, which runs Algorithm 1's
-// Retrieve(R, e, f) as a one-scan plan (client::Session::Retrieve).
+// Retrieve(R, e, f) as a one-scan plan (client::Session::Retrieve); GetPage
+// also fetches a page delta's base for an index replica that lacks it.
 //
 // Five record families share the node's one LocalStore (storage/keys.h):
 // data, page and coordinator versions, epoch claims and catalog entries.
@@ -54,6 +55,10 @@ enum StorageCode : uint16_t {
   // publisher batches every tuple write bound for a node — across all
   // relations and partitions — into a single kPutTuples RPC.
   kPutTuples = 2,
+  // One frame per (publish, touched partition) and index replica: the new
+  // page's descriptor, the PageId of the version it builds on (none for a
+  // new partition) and the partition's edits (PageDelta). The replica
+  // merges them into its stored base (MergePage).
   kPutPage = 3,
   kPutCoordinator = 4,
   kGetCoordinator = 5,
@@ -373,6 +378,13 @@ class StorageService : public net::Service {
   /// discovery never sees torn state after a fence.
   void PurgeEpochLocal(Epoch epoch);
   void HandleRequest(net::NodeId from, uint16_t code, Reader* r, uint64_t req_id);
+  /// kPutPage: the index replica is the only place a page is merged. Merges
+  /// the body's PageDelta into the stored base (MergePage) and stores the
+  /// result whole, logging only the splice. Without the base in its store
+  /// (`may_fetch`), it first fetches the base from a co-replica and stores
+  /// it; the put then fails with the fetch's error if no replica has it.
+  void HandlePutPage(net::NodeId from, std::string_view body, uint64_t req_id,
+                     bool may_fetch);
   void HandleReplicaPush(net::NodeId from, Reader* r, uint64_t req_id);
 
   // --- Re-replication by difference --------------------------------------

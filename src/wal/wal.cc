@@ -59,6 +59,12 @@ bool DecodeKv(std::string_view payload, std::string_view* key,
   return true;
 }
 
+/// The record types a segment holds.
+bool IsTailRecord(RecordType type) {
+  return type == RecordType::kPut || type == RecordType::kDelete ||
+         type == RecordType::kDerivedPut;
+}
+
 /// Walks the CRC-framed records of one buffer. Any framing defect —
 /// truncated header, impossible length, CRC mismatch — is a torn tail: the
 /// walk stops at the last whole record and reports where.
@@ -143,6 +149,10 @@ Status Wal::AppendRecord(RecordType type, std::string_view key,
 
 Status Wal::AppendPut(std::string_view key, std::string_view value) {
   return AppendRecord(RecordType::kPut, key, value);
+}
+
+Status Wal::AppendDerivedPut(std::string_view key, std::string_view derivation) {
+  return AppendRecord(RecordType::kDerivedPut, key, derivation);
 }
 
 Status Wal::AppendDelete(std::string_view key) {
@@ -286,11 +296,13 @@ Status Wal::Recover(const ApplyFn& apply) {
         WalkFrames(*data, [&](RecordType type, std::string_view payload) {
           std::string_view key, value;
           if (!DecodeKv(payload, &key, &value)) return false;
-          if (type != RecordType::kPut && type != RecordType::kDelete) {
+          if (!IsTailRecord(type)) {
             decode_ok = false;
             return false;
           }
-          apply(type, key, value, /*from_checkpoint=*/false);
+          if (!apply(type, key, value, /*from_checkpoint=*/false)) {
+            stats_.dropped_records += 1;
+          }
           return true;
         });
     if (!decode_ok) return Status::Corruption("wal: bad record type in " + name);
@@ -330,8 +342,7 @@ Status Wal::Replay(const Backend& backend, const ApplyFn& apply) {
     if (!data.ok()) continue;  // retired mid-walk
     WalkFrames(*data, [&](RecordType type, std::string_view payload) {
       std::string_view key, value;
-      if (!DecodeKv(payload, &key, &value)) return false;
-      if (type != RecordType::kPut && type != RecordType::kDelete) return false;
+      if (!DecodeKv(payload, &key, &value) || !IsTailRecord(type)) return false;
       apply(type, key, value, /*from_checkpoint=*/false);
       return true;
     });

@@ -18,7 +18,9 @@
 //     (incomplete frame or CRC mismatch, the residue of a crash with
 //     unsynced bytes) stops replay of that segment at the last whole record
 //     and truncates the file there — deterministically, so two recoveries of
-//     the same bytes agree.
+//     the same bytes agree. Replay goes on into later segments, where a
+//     derived put can name a base the torn segment lost: the store then
+//     drops that record, and Recover counts it.
 //
 // Determinism contract: the WAL reads no clocks and draws no randomness; all
 // state is a pure function of the append/checkpoint call sequence and the
@@ -46,6 +48,10 @@ enum class RecordType : uint8_t {
   kPut = 1,     // payload: varint32 key_len, key bytes, value = rest
   kDelete = 2,  // payload: varint32 key_len, key bytes
   kManifestHeader = 3,  // payload: varint64 first_live_segment
+  // Payload as kPut, but the value is a derivation the store materializes
+  // against another key's value at this point of the log (LocalStore::
+  // PutDerived); the WAL does not interpret it.
+  kDerivedPut = 4,
 };
 
 struct WalOptions {
@@ -69,6 +75,8 @@ struct WalStats {
   uint64_t recoveries = 0;
   uint64_t snapshot_records = 0;  // manifest entries loaded across recoveries
   uint64_t replayed_records = 0;  // tail records replayed across recoveries
+  uint64_t dropped_records = 0;   // replayed records the store could not
+                                  // apply: derived puts whose base is gone
   uint64_t torn_tails = 0;        // segments truncated during recovery
   uint64_t torn_bytes = 0;        // bytes discarded by those truncations
 };
@@ -81,7 +89,9 @@ class Wal {
  public:
   /// Applied to every recovered record. `from_checkpoint` records come from
   /// the manifest snapshot: always kPut, unique keys, sorted ascending.
-  using ApplyFn = std::function<void(RecordType type, std::string_view key,
+  /// Returns false for a record the store could not apply (a derived put
+  /// whose base a torn segment lost); Recover skips and counts it.
+  using ApplyFn = std::function<bool(RecordType type, std::string_view key,
                                      std::string_view value,
                                      bool from_checkpoint)>;
   /// Pull-style snapshot source for WriteCheckpoint: yields the next live
@@ -93,6 +103,7 @@ class Wal {
   explicit Wal(std::shared_ptr<Backend> backend, WalOptions options = {});
 
   Status AppendPut(std::string_view key, std::string_view value);
+  Status AppendDerivedPut(std::string_view key, std::string_view derivation);
   Status AppendDelete(std::string_view key);
   /// Makes every record appended so far durable.
   Status Sync();

@@ -255,7 +255,7 @@ TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
     const std::string& prefix = prefixes[rng.Uniform(prefixes.size())];
     std::string k = prefix + std::to_string(rng.Uniform(300));
     if (k.empty()) k = "fallback";
-    switch (rng.Uniform(8)) {
+    switch (rng.Uniform(9)) {
       case 0:
       case 1:
       case 2:
@@ -276,6 +276,24 @@ TEST_P(LocalStoreProperty, EquivalentToModelUnderChurn) {
       case 7:
         ASSERT_TRUE(store.Recover().ok());
         break;
+      case 8: {
+        // A derived put: the base's value with its first byte replaced and
+        // a literal tail; recoveries replay it against the base as of then.
+        auto base = model.lower_bound(prefix + std::to_string(rng.Uniform(300)));
+        if (base == model.end()) break;
+        const std::string from = base->second;
+        const std::string tail = rng.AlphaString(rng.Uniform(8));
+        Splice splice;
+        splice.Literal("#");
+        splice.Copy(1, from.size() - 1);
+        splice.Literal(tail);
+        ASSERT_TRUE(store.PutDerived(k, base->first, splice.Encode(from.size())).ok());
+        std::string derived = from;
+        derived[0] = '#';
+        derived += tail;
+        model[k] = derived;
+        break;
+      }
     }
     if (op % 997 == 0) {
       // Full ordered sweep matches the model exactly.

@@ -13,7 +13,9 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/serial.h"
 #include "deploy/deployment.h"
+#include "localstore/local_store.h"
 #include "query/reference.h"
 #include "sql/parser.h"
 #include "optimizer/optimizer.h"
@@ -31,9 +33,11 @@ using storage::Value;
 using storage::ValueType;
 
 // ---------------------------------------------------------------------------
-// The copy-on-write page merge (storage::MergePage) against a reference that
-// loads the old page into a std::map, applies the edits in batch order and
-// sorts the survivors by (hash, key).
+// The copy-on-write page merge (storage::MergePage, the index replica's merge
+// on encoded bytes) against a reference that loads the old page into a
+// std::map, applies the edits in batch order and sorts the survivors by
+// (hash, key). The merge's splice, applied to the encoded old page, must
+// decode to the reference.
 
 storage::Page ReferenceMerge(const storage::Page& old,
                              const std::vector<storage::PageEdit>& edits,
@@ -61,16 +65,83 @@ storage::Page ReferenceMerge(const storage::Page& old,
 }
 
 // Keys share a handful of hashes, as under a partition-prefix placement, so
-// ties on the hash exercise the key order too.
+// ties on the hash exercise the key order too. Every hash falls in
+// partition 0 of kMergePartitions.
 HashId MergeHash(uint64_t k) { return HashId::FromU64(k % 5); }
+constexpr uint32_t kMergePartitions = 4;
+
+// One partition's edits, given in batch order, as a delta carries them:
+// strictly ascending by (hash, key), the last edit of a key winning.
+std::vector<storage::PageEdit> SortEdits(const std::vector<storage::PageEdit>& edits) {
+  std::map<std::pair<HashId, std::string_view>, storage::PageEdit> last;
+  for (const storage::PageEdit& e : edits) last[{e.hash, e.key}] = e;
+  std::vector<storage::PageEdit> out;
+  for (const auto& [key, e] : last) out.push_back(e);
+  return out;
+}
+
+std::string EncodePage(const storage::Page& page) {
+  Writer w;
+  page.EncodeTo(&w);
+  return w.Release();
+}
+
+// The new version `old` (at epoch 1, or none when `old` is null) becomes
+// under `edits` (batch order), as the index replica stores it.
+storage::Page ReplicaMerge(const storage::Page* old,
+                           const std::vector<storage::PageEdit>& edits,
+                           Epoch epoch, std::string* page_bytes = nullptr) {
+  storage::PageDelta delta;
+  delta.page = storage::PageDescriptor{storage::PageId{"R", epoch, 0},
+                                       kMergePartitions};
+  std::string base;
+  if (old != nullptr) {
+    delta.base = old->desc.id;
+    base = EncodePage(*old);
+  }
+  delta.edits = SortEdits(edits);
+  auto merged = storage::MergePage(base, delta);
+  EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+  if (!merged.ok()) return {};
+  std::string bytes;
+  Status applied = localstore::Splice::Apply(merged->splice, base, &bytes);
+  EXPECT_TRUE(applied.ok()) << applied.ToString();
+  Reader r(bytes);
+  storage::Page got;
+  EXPECT_TRUE(storage::Page::DecodeFrom(&r, &got).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(got.desc, delta.page);
+  EXPECT_EQ(got.ids.size(), merged->entries);
+  if (page_bytes != nullptr) *page_bytes = std::move(bytes);
+  return got;
+}
+
+storage::Page OldPage(std::vector<storage::TupleId> ids,
+                      std::vector<HashId> hashes) {
+  storage::Page old;
+  old.desc = storage::PageDescriptor{storage::PageId{"R", 1, 0}, kMergePartitions};
+  old.ids = std::move(ids);
+  old.hashes = std::move(hashes);
+  return old;
+}
 
 void ExpectMergeMatchesReference(const storage::Page& old,
                                  const std::vector<storage::PageEdit>& edits,
                                  Epoch epoch) {
   storage::Page want = ReferenceMerge(old, edits, epoch);
-  storage::Page got = storage::MergePage(old, edits, epoch);
+  std::string bytes;
+  storage::Page got = ReplicaMerge(&old, edits, epoch, &bytes);
   EXPECT_EQ(got.ids, want.ids);
   EXPECT_EQ(got.hashes, want.hashes);
+  // A same-batch retry rebuilds the version byte for byte.
+  std::string retried;
+  ReplicaMerge(&old, edits, epoch, &retried);
+  EXPECT_EQ(retried, bytes);
+  // Without a base, the edits alone make the version.
+  if (old.ids.empty()) {
+    storage::Page fresh = ReplicaMerge(nullptr, edits, epoch);
+    EXPECT_EQ(fresh.ids, want.ids);
+  }
 }
 
 class MergePageProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -80,12 +151,12 @@ TEST_P(MergePageProperty, MatchesMapReference) {
   for (int round = 0; round < 200; ++round) {
     const uint64_t universe = 1 + rng.Uniform(40);
     // Old page: a random subset of the universe at older epochs.
-    storage::Page old;
     std::vector<std::tuple<HashId, std::string, Epoch>> rows;
     for (uint64_t k = 0; k < universe; ++k) {
       if (rng.OneIn(2)) rows.emplace_back(MergeHash(k), Tag("k", k), 1 + rng.Uniform(9));
     }
     std::sort(rows.begin(), rows.end());
+    storage::Page old = OldPage({}, {});
     for (const auto& [hash, key, e] : rows) {
       old.ids.push_back(storage::TupleId{key, e});
       old.hashes.push_back(hash);
@@ -110,16 +181,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MergePageProperty,
 
 TEST(MergePage, InsertThenDeleteAndEmptyResults) {
   const std::string a = Tag("k", 1), b = Tag("k", 6), c = Tag("k", 2);
-  storage::Page old;
-  old.ids = {storage::TupleId{a, 3}, storage::TupleId{b, 4}};
-  old.hashes = {MergeHash(1), MergeHash(6)};
+  const storage::Page old = OldPage(
+      {storage::TupleId{a, 3}, storage::TupleId{b, 4}}, {MergeHash(1), MergeHash(6)});
   // A key the batch inserts and then deletes never reaches the page; one it
   // deletes and then inserts does, at the new epoch.
   std::vector<storage::PageEdit> edits = {
       {c, MergeHash(2), false}, {c, MergeHash(2), true},
       {a, MergeHash(1), true},  {a, MergeHash(1), false}};
   ExpectMergeMatchesReference(old, edits, 7);
-  storage::Page merged = storage::MergePage(old, edits, 7);
+  storage::Page merged = ReplicaMerge(&old, edits, 7);
   ASSERT_EQ(merged.ids.size(), 2u);
   EXPECT_EQ(merged.ids[0], (storage::TupleId{a, 7}));
   EXPECT_EQ(merged.ids[1], (storage::TupleId{b, 4}));
@@ -127,8 +197,49 @@ TEST(MergePage, InsertThenDeleteAndEmptyResults) {
   std::vector<storage::PageEdit> erase_all = {{a, MergeHash(1), true},
                                               {b, MergeHash(6), true}};
   ExpectMergeMatchesReference(old, erase_all, 7);
-  EXPECT_TRUE(storage::MergePage(old, erase_all, 7).ids.empty());
-  EXPECT_TRUE(storage::MergePage(storage::Page{}, {}, 7).ids.empty());
+  EXPECT_TRUE(ReplicaMerge(&old, erase_all, 7).ids.empty());
+  EXPECT_TRUE(ReplicaMerge(nullptr, {}, 7).ids.empty());
+}
+
+// The base is the stored record the replica merges into: a truncated or
+// corrupted one is answered with Corruption or merged as what it decodes
+// to, and never aborts the node.
+TEST(MergePage, TruncatedOrCorruptBaseIsCorruption) {
+  const std::string a = Tag("k", 1), b = Tag("k", 6), c = Tag("k", 2);
+  const storage::Page old = OldPage(
+      {storage::TupleId{a, 3}, storage::TupleId{b, 4}}, {MergeHash(1), MergeHash(6)});
+  const std::string base = EncodePage(old);
+  storage::PageDelta delta;
+  delta.page = storage::PageDescriptor{storage::PageId{"R", 7, 0}, kMergePartitions};
+  delta.base = old.desc.id;
+  delta.edits = {{c, MergeHash(2), false}};
+  ASSERT_TRUE(storage::MergePage(base, delta).ok());
+  for (size_t n = 0; n < base.size(); ++n) {
+    auto cut = storage::MergePage(std::string_view(base).substr(0, n), delta);
+    EXPECT_TRUE(cut.status().IsCorruption()) << "prefix " << n;
+  }
+  EXPECT_TRUE(storage::MergePage(base + "x", delta).status().IsCorruption());
+  // Entries out of order, and a base that is another page.
+  storage::Page swapped = old;
+  std::swap(swapped.ids[0], swapped.ids[1]);
+  std::swap(swapped.hashes[0], swapped.hashes[1]);
+  EXPECT_TRUE(storage::MergePage(EncodePage(swapped), delta).status().IsCorruption());
+  storage::PageDelta other = delta;
+  other.base->epoch = 2;
+  EXPECT_TRUE(storage::MergePage(base, other).status().IsCorruption());
+  // Every single-byte corruption either decodes to some page or is refused.
+  Rng rng(5);
+  for (int i = 0; i < 500; ++i) {
+    std::string bad = base;
+    bad[rng.Uniform(bad.size())] = static_cast<char>(rng.Uniform(256));
+    auto merged = storage::MergePage(bad, delta);
+    if (!merged.ok()) {
+      EXPECT_TRUE(merged.status().IsCorruption());
+      continue;
+    }
+    std::string bytes;
+    EXPECT_TRUE(localstore::Splice::Apply(merged->splice, bad, &bytes).ok());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -156,6 +156,20 @@ std::vector<std::string> HugeCountPages() {
   return out;
 }
 
+// kPutPage bodies (page deltas for a new partition) that claim as many
+// edits.
+std::vector<std::string> HugeCountPageDeltas() {
+  std::vector<std::string> out;
+  for (uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    Writer w;
+    PageDescriptor{PageId{"R", 1, 0}, 8}.EncodeTo(&w);
+    w.PutBool(false);  // no base
+    w.PutVarint64(claimed);
+    out.push_back(w.Release());
+  }
+  return out;
+}
+
 std::vector<std::string> HugeCountCoordinators() {
   std::vector<std::string> out;
   for (uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 62}) {
@@ -174,6 +188,11 @@ TEST(Page, DecodeRejectsACountTheBodyCannotHold) {
     Reader r(body);
     Page page;
     EXPECT_TRUE(Page::DecodeFrom(&r, &page).IsCorruption());
+  }
+  for (const std::string& body : HugeCountPageDeltas()) {
+    Reader r(body);
+    PageDelta delta;
+    EXPECT_TRUE(PageDelta::DecodeFrom(&r, &delta).IsCorruption());
   }
 }
 
@@ -1180,6 +1199,67 @@ TEST(ClaimCodec, GoldenBytesMatchTheWireLayouts) {
   ExpectRoundTripAndTruncationRejected(fence.data(), fence_req);
 }
 
+// kPutPage golden bytes, assembled by hand from docs/WIRE_FORMATS.md: a
+// delta with a base and one without. Partition 3 of 8 begins at 3 * 2^157,
+// whose top limb is 0x60000000; hashes go out as five little-endian u32
+// limbs, least significant first.
+TEST(PageDeltaCodec, GoldenBytesMatchTheWireLayouts) {
+  const HashId h1 = PartitionBegin(3, 8).Add(HashId::FromU64(1));
+  const HashId h2 = PartitionBegin(3, 8).Add(HashId::FromU64(2));
+  auto put_hash = [](Writer* w, uint32_t low) {
+    w->PutU32(low);
+    w->PutU32(0);
+    w->PutU32(0);
+    w->PutU32(0);
+    w->PutU32(0x60000000);
+  };
+  PageDelta delta;
+  delta.page = PageDescriptor{PageId{"R", 1000, 3}, 8};
+  delta.base = PageId{"R", 999, 3};
+  delta.edits = {PageEdit{"k1", h1, false}, PageEdit{"k2", h2, true}};
+  // string relation | varint64 epoch | varint32 partition | varint32
+  // partitions | bool has_base | base PageId | varint64 n | n x (hash |
+  // string key | bool erase).
+  Writer want;
+  want.PutString("R");
+  want.PutVarint64(1000);
+  want.PutVarint32(3);
+  want.PutVarint32(8);
+  want.PutBool(true);
+  want.PutString("R");
+  want.PutVarint64(999);
+  want.PutVarint32(3);
+  want.PutVarint64(2);
+  put_hash(&want, 1);
+  want.PutString("k1");
+  want.PutBool(false);
+  put_hash(&want, 2);
+  want.PutString("k2");
+  want.PutBool(true);
+  EXPECT_EQ(EncodeToBytes(delta), want.data());
+  ASSERT_EQ(want.data().substr(0, 8), std::string("\x01R\xe8\x07\x03\x08\x01\x01", 8));
+  ExpectRoundTripAndTruncationRejected(want.data(), delta);
+
+  // A new partition: no base, and the flag says so.
+  PageDelta fresh = delta;
+  fresh.base.reset();
+  Writer want_fresh;
+  want_fresh.PutString("R");
+  want_fresh.PutVarint64(1000);
+  want_fresh.PutVarint32(3);
+  want_fresh.PutVarint32(8);
+  want_fresh.PutBool(false);
+  want_fresh.PutVarint64(2);
+  put_hash(&want_fresh, 1);
+  want_fresh.PutString("k1");
+  want_fresh.PutBool(false);
+  put_hash(&want_fresh, 2);
+  want_fresh.PutString("k2");
+  want_fresh.PutBool(true);
+  EXPECT_EQ(EncodeToBytes(fresh), want_fresh.data());
+  ExpectRoundTripAndTruncationRejected(want_fresh.data(), fresh);
+}
+
 // kReplicaPush golden bytes, assembled by hand from docs/WIRE_FORMATS.md:
 // round 1, the reply naming differing buckets, and round 2. Two nodes that
 // each hold one catalog entry, which lives in the bucket of records every
@@ -1325,7 +1405,7 @@ TEST_F(StorageClusterTest, MalformedRequestsGetAnAnswer) {
   // A body whose count claims more entries than it holds is Corruption too,
   // and the node that decoded it keeps answering.
   std::vector<std::pair<uint16_t, std::string>> huge;
-  for (std::string& b : HugeCountPages()) huge.emplace_back(kPutPage, b);
+  for (std::string& b : HugeCountPageDeltas()) huge.emplace_back(kPutPage, b);
   for (std::string& b : HugeCountCoordinators()) {
     huge.emplace_back(kPutCoordinator, b);
   }
@@ -1343,6 +1423,91 @@ TEST_F(StorageClusterTest, MalformedRequestsGetAnAnswer) {
     EXPECT_EQ(got.code(), Status::Code::kCorruption)
         << "code " << code << ": " << got.ToString();
   }
+}
+
+// A page delta is outside input: one that is not canonical is answered
+// Corruption at once — edits out of order, one key edited twice, an edit
+// outside the page's partition, or a base not older than the page — and
+// nothing is stored.
+TEST_F(StorageClusterTest, MalformedPageDeltasAreCorruption) {
+  const HashId lo = PartitionBegin(1, 4).Add(HashId::FromU64(1));
+  const HashId hi = PartitionBegin(1, 4).Add(HashId::FromU64(2));
+  const HashId outside = PartitionBegin(2, 4);
+  auto delta = [](std::optional<Epoch> base, std::vector<PageEdit> edits) {
+    PageDelta d;
+    d.page = PageDescriptor{PageId{"R", 5, 1}, 4};
+    if (base) d.base = PageId{"R", *base, 1};
+    d.edits = std::move(edits);
+    return EncodeToBytes(d);
+  };
+  const std::vector<std::pair<std::string, std::string>> bodies = {
+      {"edits out of order", delta(4, {{"b", hi, false}, {"a", lo, false}})},
+      {"a key edited twice", delta(4, {{"a", lo, false}, {"a", lo, true}})},
+      {"an edit outside the partition", delta(4, {{"a", outside, false}})},
+      {"a base at the page's epoch", delta(5, {{"a", lo, false}})},
+      {"a base above the page's epoch", delta(6, {{"a", lo, false}})},
+  };
+  for (const auto& [what, body] : bodies) {
+    std::optional<Status> got;
+    const sim::SimTime sent = dep->sim().now();
+    dep->storage(0).Call(1, kPutPage, body,
+                         [&got](Status s, const std::string&) { got = s; });
+    ASSERT_TRUE(dep->RunUntil([&got] { return got.has_value(); }));
+    EXPECT_LE(dep->sim().now() - sent, sim::kMicrosPerSec) << what;
+    EXPECT_TRUE(got->IsCorruption()) << what << ": " << got->ToString();
+  }
+  EXPECT_FALSE(dep->storage(1).store().Contains(keys::PageRec("R", 5, 1)));
+  EXPECT_EQ(dep->storage(1).counters().pages_stored, 0u);
+}
+
+// The index replica merges a delta into the base it stores. A replica that
+// lost the base record fetches it from a co-replica, stores it and merges,
+// so every replica ends with the same page bytes. With the base gone from
+// every replica, the put fails with the fetch's error within one RPC
+// deadline, the ticket resolves, and no call is left pending.
+TEST_F(StorageClusterTest, ReplicaWithoutTheBaseFetchesIt) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 4)).ok());
+  UpdateBatch load;
+  for (int i = 0; i < 40; ++i) load["R"].push_back(Update::Insert(Row(Tag("k", i), "v0")));
+  const Epoch e1 = *dep->Publish(0, std::move(load));
+  const std::string key_bytes =
+      EncodeTupleKey(SimpleRelation("R", 4).schema, Row("k7", "v1"));
+  const uint32_t part = PartitionIndexFor(TupleKeyHash(key_bytes), 4);
+  const PageDescriptor base{PageId{"R", e1, part}, 4};
+  const std::string base_key = keys::PageRec("R", e1, part);
+  auto replicas = dep->snapshot().ReplicasOf(base.home(), 3);
+  ASSERT_EQ(replicas.size(), 3u);
+  const std::string base_bytes = *dep->storage(replicas[0]).store().Get(base_key);
+  ASSERT_TRUE(dep->storage(replicas[1]).store().Delete(base_key).ok());
+
+  UpdateBatch update;
+  update["R"] = {Update::Insert(Row("k7", "v1"))};
+  auto e2 = dep->Publish(0, std::move(update));
+  ASSERT_TRUE(e2.ok()) << e2.status().ToString();
+  EXPECT_EQ(*dep->storage(replicas[1]).store().Get(base_key), base_bytes);
+  const std::string page_key = keys::PageRec("R", *e2, part);
+  const std::string page_bytes = *dep->storage(replicas[0]).store().Get(page_key);
+  for (net::NodeId r : replicas) {
+    EXPECT_EQ(*dep->storage(r).store().Get(page_key), page_bytes) << "node " << r;
+  }
+  auto rows = dep->Retrieve(2, "R", *e2);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 40u);
+  EXPECT_EQ(AsBag(*rows).count(TupleToString(Row("k7", "v1"))), 1u);
+
+  // Now the newest version is gone everywhere.
+  for (size_t n = 0; n < dep->size(); ++n) {
+    ASSERT_TRUE(dep->storage(n).store().Delete(page_key).ok());
+  }
+  UpdateBatch again;
+  again["R"] = {Update::Insert(Row("k7", "v2"))};
+  client::Ticket t = dep->session(0).Submit(std::move(again));
+  const sim::SimTime sent = dep->sim().now();
+  ASSERT_TRUE(dep->RunUntil([&t] { return t.epoch.done(); }));
+  EXPECT_FALSE(t.epoch.ok());
+  EXPECT_LE(dep->sim().now() - sent, net::kDefaultRpcTimeoutUs)
+      << t.epoch.status().ToString();
+  ASSERT_TRUE(dep->RunUntil([this] { return dep->PendingRpcCount() == 0; }));
 }
 
 // Epoch discovery: publishing via a node whose publisher's epoch floor is
@@ -1738,18 +1903,18 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   std::string key_bytes = EncodeTupleKey(schema, orphan_row);
   HashId h = TupleKeyHash(key_bytes);
   uint32_t part = PartitionIndexFor(h, 4);
-  Page pg;
-  pg.desc.id = PageId{"R", 3, part};
-  pg.desc.num_partitions = 4;
-  pg.ids = {TupleId{key_bytes, 3}};
-  pg.hashes = {h};
+  // The page delta lists the orphan row alone (no base), so the forged page
+  // holds only a tuple that was never written.
+  PageDelta pg;
+  pg.page = PageDescriptor{PageId{"R", 3, part}, 4};
+  pg.edits = {PageEdit{key_bytes, h, false}};
   Writer pw;
   pg.EncodeTo(&pw);
   CoordinatorRecord crec;
   crec.relation = "R";
   crec.epoch = 3;
   crec.participant = 7;
-  crec.pages = {pg.desc};
+  crec.pages = {pg.page};
   Writer cw;
   crec.EncodeTo(&cw);
   for (size_t n = 0; n < dep->size(); ++n) {

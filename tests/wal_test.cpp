@@ -31,7 +31,25 @@ Wal::ApplyFn Collect(std::vector<Applied>* out) {
   return [out](RecordType type, std::string_view key, std::string_view value,
                bool from_checkpoint) {
     out->push_back({type, std::string(key), std::string(value), from_checkpoint});
+    return true;
   };
+}
+
+// The value of `base` with its first byte replaced by `c`, as a splice.
+std::string ReplaceFirstByte(std::string_view base, char c) {
+  localstore::Splice splice;
+  splice.Literal(std::string(1, c));
+  splice.Copy(1, base.size() - 1);
+  return splice.Encode(base.size());
+}
+
+// The store's full contents, in key order.
+std::map<std::string, std::string> Contents(const localstore::LocalStore& store) {
+  std::map<std::string, std::string> out;
+  for (auto it = store.Seek(""); it.Valid(); it.Next()) {
+    out.emplace(it.key(), it.value());
+  }
+  return out;
 }
 
 TEST(WalNames, SegmentNameRoundTrip) {
@@ -310,6 +328,37 @@ TEST(Wal, CrashMidSealTearsNonFinalSegment) {
   EXPECT_EQ(fresh.stats().torn_tails, 1u);
   ASSERT_EQ(applied.size(), 1u);
   EXPECT_EQ(applied[0].key, "second");
+  EXPECT_EQ(fresh.stats().dropped_records, 0u);
+
+  // The same tear through a store: the torn segment held the base of a
+  // derived put that a later, durable segment holds. Recover drops that
+  // record and counts it; the rest of the store equals the model.
+  auto store_backend = std::make_shared<MemoryBackend>();
+  localstore::StoreOptions store_opts;
+  store_opts.wal_backend = store_backend;
+  store_opts.checkpoint_every_records = 0;
+  store_opts.wal = opts;
+  localstore::LocalStore store(store_opts);
+  ASSERT_TRUE(store.Put("kept", "k").ok());
+  ASSERT_TRUE(store.wal()->Sync().ok());
+  store.wal()->SkipNextSealSync();
+  const std::string base(80, 'a');
+  // Fills segment 1 past the target: it seals WITHOUT a sync.
+  ASSERT_TRUE(store.Put("base", base).ok());
+  ASSERT_GE(store.wal()->active_segment(), 2u);
+  ASSERT_TRUE(store.PutDerived("derived", "base", ReplaceFirstByte(base, 'b')).ok());
+  std::string derived = base;
+  derived[0] = 'b';
+  EXPECT_EQ(*store.Get("derived"), derived);
+  ASSERT_TRUE(store.Put("later", "l").ok());
+  ASSERT_TRUE(store.wal()->Sync().ok());  // segment 2 is durable
+  store_backend->Crash();
+
+  ASSERT_TRUE(store.Recover().ok());
+  EXPECT_EQ(store.wal()->stats().torn_tails, 1u);
+  EXPECT_EQ(store.wal()->stats().dropped_records, 1u);
+  const std::map<std::string, std::string> model = {{"kept", "k"}, {"later", "l"}};
+  EXPECT_EQ(Contents(store), model);
 }
 
 TEST(Wal, StaticReplayIsReadOnly) {
@@ -413,6 +462,15 @@ TEST(LocalStoreWal, CrashRecoverMatchesModel) {
     if (rng.OneIn(4)) {
       ASSERT_TRUE(store.Delete(k).ok());
       model.erase(k);
+    } else if (rng.OneIn(3) && !model.empty()) {
+      // A derived put from another live key; checkpoints land between
+      // bases and the records derived from them.
+      auto base = model.lower_bound(Tag("key-", rng.Uniform(150)));
+      if (base == model.end()) base = model.begin();
+      std::string derived = base->second;
+      ASSERT_TRUE(store.PutDerived(k, base->first, ReplaceFirstByte(derived, 'z')).ok());
+      derived[0] = 'z';
+      model[k] = derived;
     } else {
       std::string v = rng.AlphaString(24);
       ASSERT_TRUE(store.Put(k, v).ok());
@@ -432,6 +490,7 @@ TEST(LocalStoreWal, CrashRecoverMatchesModel) {
   }
   // Tail-only replay: far fewer records than the 1200 mutations.
   EXPECT_LT(store.wal()->stats().replayed_records, 200u);
+  EXPECT_EQ(store.wal()->stats().dropped_records, 0u);
   // Ordered iteration equivalence too (the tree rebuilt correctly).
   auto it = store.Seek("");
   for (const auto& [k, v] : model) {
@@ -520,6 +579,32 @@ TEST(LocalStoreWal, UnsyncedLossIsAnOperationPrefix) {
       << "recovered state matches no prefix of the operation stream";
 }
 
+// A checkpoint between a base put and the put derived from it: the manifest
+// holds the base's materialized value, and the tail's derived record applies
+// to it on replay. A derived put's value is the base's value at the time of
+// the put, whatever the base holds later.
+TEST(LocalStoreWal, DerivedPutReplaysAgainstACheckpointedBase) {
+  auto backend = std::make_shared<MemoryBackend>();
+  localstore::LocalStore store(
+      DurableOptions(backend, /*checkpoint_every=*/0, /*sync_every=*/1));
+  ASSERT_TRUE(store.Put("base", "abcdef").ok());
+  ASSERT_TRUE(store.Checkpoint().ok());
+  ASSERT_TRUE(store.PutDerived("derived", "base", ReplaceFirstByte("abcdef", 'X')).ok());
+  ASSERT_TRUE(store.Put("base", "uvwxyz").ok());
+  EXPECT_TRUE(store.PutDerived("orphan", "absent", ReplaceFirstByte("ab", 'X'))
+                  .IsNotFound());
+  EXPECT_TRUE(store.PutDerived("short", "base", ReplaceFirstByte("abc", 'X'))
+                  .IsCorruption());
+  const std::map<std::string, std::string> model = {{"base", "uvwxyz"},
+                                                    {"derived", "Xbcdef"}};
+  EXPECT_EQ(Contents(store), model);
+  backend->Crash();
+  ASSERT_TRUE(store.Recover().ok());
+  EXPECT_EQ(store.wal()->stats().replayed_records, 2u);
+  EXPECT_EQ(store.wal()->stats().dropped_records, 0u);
+  EXPECT_EQ(Contents(store), model);
+}
+
 TEST(LocalStoreWal, ExplicitCheckpointResetsTail) {
   auto backend = std::make_shared<MemoryBackend>();
   localstore::LocalStore store(
@@ -554,7 +639,10 @@ TEST(WalThreads, ConcurrentReplayDuringWrites) {
       while (!stop.load(std::memory_order_acquire)) {
         uint64_t seen = 0;
         Status st = Wal::Replay(*backend, [&](RecordType, std::string_view,
-                                              std::string_view, bool) { ++seen; });
+                                              std::string_view, bool) {
+          ++seen;
+          return true;
+        });
         ASSERT_TRUE(st.ok());
         replays.fetch_add(1, std::memory_order_relaxed);
       }
