@@ -45,7 +45,10 @@
 #                      committed zero stays zero); micro_substrate entries
 #                      carry neither, so they are recorded but not gated
 #   sustained_churn    gc_on sim throughput (ops / sim_makespan_s) >= 90% of
-#                      gc_off, and gc_on live_records <= 1.3 x committed
+#                      gc_off, and gc_on live_records <= 1.3 x committed;
+#                      every contention width commits a dense chain
+#                      (chain_epoch == commits), and contention_w32 commits
+#                      per sim-second >= 1/4 of contention_w1's
 #   pipelined_publish  window-4 vs window-1 sim throughput, inbox depth and
 #                      throttling, all from the fresh run
 #   fig21_recovery     WAL replay counters from the fresh run
@@ -254,8 +257,10 @@ for ref_path in baselines:
                     "under injected overload")
         except KeyError as e:
             failures.append(f"pipelined_publish: missing entry {e}")
-    # Sustained-churn acceptance bound: incremental background GC must keep
-    # the gc_on/gc_off sim-throughput gap <= 10%.
+    # Sustained-churn acceptance bounds: incremental background GC must keep
+    # the gc_on/gc_off sim-throughput gap <= 10%; the contention sweep must
+    # commit a dense chain at every width, and 32 racing writers must commit
+    # at least a quarter as many epochs per sim-second as one writer.
     if ref["bench"] == "sustained_churn":
         f = fresh_entries
         try:
@@ -266,6 +271,18 @@ for ref_path in baselines:
                 failures.append(
                     f"sustained_churn: gc_on sim throughput {on_tput:.0f} ops/s"
                     f" < 90% of gc_off {off_tput:.0f}")
+            for name in sorted(n for n in f if n.startswith("contention_w")):
+                if f[name]["chain_epoch"] != f[name]["commits"]:
+                    failures.append(
+                        f"sustained_churn/{name}: chain_epoch "
+                        f"{f[name]['chain_epoch']} != commits {f[name]['commits']}")
+            w1, w32 = f["contention_w1"], f["contention_w32"]
+            rate1 = w1["commits"] / w1["sim_makespan_s"]
+            rate32 = w32["commits"] / w32["sim_makespan_s"]
+            if rate32 < 0.25 * rate1:
+                failures.append(
+                    f"sustained_churn: contention_w32 commits {rate32:.1f} "
+                    f"epochs/sim-s < 1/4 of contention_w1's {rate1:.1f}")
         except KeyError as e:
             failures.append(f"sustained_churn: missing entry {e}")
     # Recovery acceptance bounds, on the FRESH run's deterministic replay

@@ -88,8 +88,8 @@ void RpcClient::CallEach(const std::vector<NodeId>& targets, uint16_t code,
   auto arrive = FanIn<Reply>(targets.size(), std::move(done));
   for (NodeId t : targets) {
     Call(t, code, body,
-         [arrive](Status st, const std::string& reply) {
-           arrive(Reply{std::move(st), reply});
+         [arrive, t](Status st, const std::string& reply) {
+           arrive(Reply{std::move(st), reply, t});
          },
          timeout_us);
   }

@@ -70,10 +70,11 @@ std::function<void(T)> FanIn(size_t n, std::function<void(std::vector<T>)> done)
 /// one byte and the message. An unknown code becomes an IOError.
 Status MakeStatus(uint8_t code, const std::string& msg);
 
-/// One call's outcome: its status and reply body.
+/// One call's outcome: its status, reply body and the node it went to.
 struct Reply {
   Status status;
   std::string body;
+  NodeId from = kInvalidNode;
 };
 
 class RpcClient {

@@ -356,6 +356,25 @@ Status EpochClaimRecord::DecodeFrom(Reader* r, EpochClaimRecord* out) {
   return r->GetBool(&out->purged);
 }
 
+void ClaimProbeAnswer::EncodeTo(Writer* w) const {
+  w->PutU8(static_cast<uint8_t>(outcome));
+  w->PutBool(waited);
+  w->PutVarint32(rank);
+  claim.EncodeTo(w);
+}
+
+Status ClaimProbeAnswer::DecodeFrom(Reader* r, ClaimProbeAnswer* out) {
+  uint8_t outcome = 0;
+  ORC_RETURN_IF_ERROR(r->GetU8(&outcome));
+  if (outcome > static_cast<uint8_t>(Outcome::kHeld)) {
+    return Status::Corruption("claim probe answer: unknown outcome");
+  }
+  out->outcome = static_cast<Outcome>(outcome);
+  ORC_RETURN_IF_ERROR(r->GetBool(&out->waited));
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&out->rank));
+  return EpochClaimRecord::DecodeFrom(r, &out->claim);
+}
+
 void CoordinatorRecord::EncodeTo(Writer* w) const {
   w->PutString(relation);
   w->PutVarint64(epoch);

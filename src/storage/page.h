@@ -249,8 +249,33 @@ struct EpochClaimRecord {
 
   ClaimInstance instance() const { return {participant, node, nonce}; }
 
+  bool operator==(const EpochClaimRecord&) const = default;
   void EncodeTo(Writer* w) const;
   static Status DecodeFrom(Reader* r, EpochClaimRecord* out);
+};
+
+/// Reply body of kGetEpochClaim. The claim replica holds a probe while the
+/// epoch is claimed or burn-promised and answers it once that changes or
+/// its hold bound passes; `waited` says whether it was held. `rank` is the
+/// probe's place among the probes one change answered, in their arrival
+/// order (0 when answered alone). `claim` is the stored record, all zero
+/// when the slot is empty.
+struct ClaimProbeAnswer {
+  enum class Outcome : uint8_t {
+    kConfirmed = 0,  // the epoch committed
+    kEmpty = 1,      // nobody holds the slot (released, never claimed)
+    kBurned = 2,     // the epoch is burned: fenced and purged
+    kPromised = 3,   // a fence round promised the burn while the probe waited
+    kHeld = 4,       // the hold bound passed; the slot is still held
+  };
+  Outcome outcome = Outcome::kEmpty;
+  bool waited = false;
+  uint32_t rank = 0;
+  EpochClaimRecord claim;
+
+  bool operator==(const ClaimProbeAnswer&) const = default;
+  void EncodeTo(Writer* w) const;
+  static Status DecodeFrom(Reader* r, ClaimProbeAnswer* out);
 };
 
 /// "Relation @epoch -> list of pages' IDs & tuple ID hash ranges" (Fig. 3).

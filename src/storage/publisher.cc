@@ -1,7 +1,7 @@
 #include "storage/publisher.h"
 
 #include <algorithm>
-#include <optional>
+#include <set>
 
 #include "common/log.h"
 
@@ -15,6 +15,89 @@ Status PrevFailed(const Status& prev_status) {
                          prev_status.ToString());
 }
 
+/// The unit of a claim loser's re-claim phases: a little over one network
+/// hop, so a claim sent a unit after another reaches every claim replica
+/// after it, even a replica the earlier claimant shares a node with.
+constexpr sim::SimTime kPhaseUnitUs = 125;
+
+/// The re-claim phase of a loser the claim replica woke with `rank` (its
+/// place among the probes one change of the slot answered). Rank 0 claims
+/// first; every later rank waits two units, so it finds the slot taken and
+/// waits on that claim instead of splitting it. After an emptied slot each
+/// claimant adds a phase of zero to seven units drawn from its participant
+/// and its claim round: two claimants woken apart (a split, where each held
+/// a fragment) then re-claim at distinct times, and a tie in one round is
+/// unlikely to repeat in the next.
+sim::SimTime ReclaimPhase(uint32_t rank, bool emptied, ParticipantId participant,
+                          uint64_t nonce) {
+  sim::SimTime phase = rank > 0 ? (emptied ? 8 : 2) * kPhaseUnitUs : 0;
+  if (emptied) {
+    uint64_t h = (static_cast<uint64_t>(participant) << 32) ^ nonce;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+    phase += static_cast<sim::SimTime>((h ^ (h >> 31)) % 8) * kPhaseUnitUs;
+  }
+  return phase;
+}
+
+/// One key's write in a published batch, encoded once per publish: every
+/// attempt stamps its own epoch on it.
+struct KeyWrite {
+  std::string key_bytes;
+  HashId hash;
+  std::string tuple_bytes;  // empty: a delete's tombstone
+};
+
+/// Encodes one relation's updates: key bytes, placement hash (the one SHA-1
+/// of each tuple) and tuple bytes, in (hash, key) order with only the last
+/// write of each key. The last update of a key in the batch wins, so
+/// insert+delete of one key resolves to whichever came last, and each (key,
+/// epoch) record is written once: a torn log then loses a record whole,
+/// which the restart's digest exchange repairs, never half of a key's
+/// writes. The stable sort keeps batch order within a key.
+std::vector<KeyWrite> EncodeWrites(const RelationDef& def,
+                                   const std::vector<Update>& updates) {
+  std::vector<KeyWrite> writes;
+  writes.reserve(updates.size());
+  for (const Update& u : updates) {
+    std::string kb = EncodeTupleKey(def.schema, u.tuple);
+    HashId h = PlacementHash(def, kb);
+    // A delete writes a tombstone: an empty-value data record at the new
+    // epoch. No page ever lists it; it exists so data-node GC can tell
+    // "this key was deleted at epoch e" apart from "version still live"
+    // and reclaim the dead versions (then the tombstone itself).
+    std::string bytes;
+    if (u.kind != Update::Kind::kDelete) {
+      Writer tw;
+      EncodeTuple(u.tuple, &tw);
+      bytes = tw.Release();
+    }
+    writes.push_back(KeyWrite{std::move(kb), h, std::move(bytes)});
+  }
+  std::stable_sort(writes.begin(), writes.end(),
+                   [](const KeyWrite& a, const KeyWrite& b) {
+                     return a.hash != b.hash ? a.hash < b.hash
+                                             : a.key_bytes < b.key_bytes;
+                   });
+  std::vector<KeyWrite> last;
+  last.reserve(writes.size());
+  for (size_t j = 0; j < writes.size(); ++j) {
+    if (j + 1 < writes.size() && writes[j + 1].hash == writes[j].hash &&
+        writes[j + 1].key_bytes == writes[j].key_bytes) {
+      continue;
+    }
+    last.push_back(std::move(writes[j]));
+  }
+  return last;
+}
+
+/// 64-bit FNV-1a over `bytes`, length first, continuing from `h`.
+uint64_t Fnv1a(std::string_view bytes, uint64_t h) {
+  h = (h ^ bytes.size()) * 0x100000001b3ull;
+  for (unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ull;
+  return h;
+}
+
 }  // namespace
 
 /// One try at publishing the batch at one epoch: everything a re-base, a
@@ -23,14 +106,6 @@ Status PrevFailed(const Status& prev_status) {
 /// every async callback holds the attempt it was issued for and does nothing
 /// once that is no longer the publish's current one.
 struct Publisher::Attempt {
-  struct TupleWrite {
-    std::string relation;
-    TupleId id;
-    std::string tuple_bytes;  // empty: a delete's tombstone
-    HashId hash;
-    bool everywhere = false;
-  };
-
   /// One kPutPage: the new page version's descriptor and its encoded
   /// PageDelta.
   struct PageWrite {
@@ -46,10 +121,10 @@ struct Publisher::Attempt {
   const Epoch new_epoch;
   std::map<std::string, CoordinatorRecord> records;  // base-epoch records
 
-  // Prepared output: what the write/commit stages send, and (out_records)
-  // what a chained successor bases itself on. Valid once `prepared`.
+  // Prepared output: what the write/commit stages send (with the batch's
+  // encoded writes), and (out_records) what a chained successor bases
+  // itself on. Valid once `prepared`.
   bool prepared = false;
-  std::vector<TupleWrite> tuple_writes;
   std::vector<PageWrite> page_writes;
   std::map<std::string, CoordinatorRecord> out_records;  // new-epoch records
 
@@ -69,6 +144,9 @@ struct Publisher::Attempt {
   Claim claim = Claim::kNone;
   uint64_t claim_nonce = 0;  // instance id the latest round stored
   bool claim_split = false;  // a refused round was granted on some replica
+  // The first claim replica (in replica order) that refused the latest
+  // round: it holds the slot this attempt lost, and its probe waits there.
+  net::NodeId probe_at = net::kInvalidNode;
   Status claim_error;
   bool write_gate_open = false;
   bool writes_issued = false;  // IssueWrites put bytes on the wire: a failed
@@ -77,8 +155,8 @@ struct Publisher::Attempt {
                                // recommits the SAME epoch byte-identically —
                                // no other writer can take the epoch and leave
                                // our partial writes as shadowing orphans
-  int claim_stall_left = 6;    // AwaitWinner probes before failing the batch
-  bool paused = false;         // waited on a live winner (ReclaimAfterPause)
+  int claim_stall_left = 6;    // stalls (a probe's hold bound passed, a probe
+                               // lost) before fencing or failing the batch
   int fence_rounds_left = 2;   // fence attempts in this attempt
   ParticipantId fence_target = 0;  // stalled owner named by the last probe
 };
@@ -90,18 +168,22 @@ struct Publisher::Attempt {
 /// (`next`), so an abandoned pipeline can never form a shared_ptr cycle; the
 /// client::Session retains every in-flight handle.
 struct Publisher::PubState {
-  UpdateBatch batch;  // released at Finish
+  // The batch, encoded once when it is submitted: per relation, its writes
+  // (EncodeWrites). Every attempt reuses them; released at Finish.
+  std::map<std::string, std::vector<KeyWrite>> writes;
+  uint64_t digest = 0;  // of `writes`: tells this batch's pins from another's
   std::function<void(Status, Epoch)> cb;
   AttemptPtr at;  // current attempt; null before discovery and after Finish
-  int rebase_left = 4;  // contention re-bases allowed for this publish
-  int skip_left = 64;   // steps past an epoch this publish did not wait on
-                        // a live winner for: a burned one (SkipFenced) or
-                        // one already committed when first probed (a
-                        // catch-up Rebase). Separate from rebase_left
-                        // because a step always moves forward, and
-                        // abandonment churn can burn (and a stale base can
-                        // trail) runs of epochs far wider than any sane
-                        // contention re-base budget
+  int rebase_left = 4;  // contended re-bases allowed for this publish
+  int skip_left = 64;   // forward steps: past a burned epoch (SkipFenced),
+                        // onto a commit a held probe watched, or to the
+                        // frontier from an epoch already committed when
+                        // first probed (a catch-up). Separate from
+                        // rebase_left because a step always moves forward:
+                        // a loser in a herd steps once per commit ahead of
+                        // it, and abandonment churn can burn (and a stale
+                        // base can trail) runs of epochs far wider than any
+                        // sane contention re-base budget
 
   Handle prev;         // chain predecessor; cleared when the write gate opens
   Handle commit_prev;  // retained until the commit gate (prev fully resolved)
@@ -150,17 +232,28 @@ Publisher::Handle Publisher::PublishChained(UpdateBatch batch, Handle prev,
   ORC_CHECK(prev == nullptr || prev->next.expired(),
             "a publish can have only one chained successor");
   auto st = std::make_shared<PubState>();
-  st->batch = std::move(batch);
   st->cb = std::move(cb);
   pipeline_stats_.publishes += 1;
 
-  for (const auto& entry : st->batch) {
+  for (const auto& entry : batch) {
     if (service_->FindRelation(entry.first) == nullptr) {
       Finish(st, Status::InvalidArgument("publish to unknown relation " +
                                          entry.first));
       return st;
     }
   }
+  // Each tuple is encoded and hashed here, once per publish; re-based,
+  // chained and skipping attempts stamp their own epoch on the same bytes.
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (const auto& [rel, updates] : batch) {
+    std::vector<KeyWrite> writes = EncodeWrites(*service_->FindRelation(rel), updates);
+    digest = Fnv1a(rel, digest);
+    for (const KeyWrite& kw : writes) {
+      digest = Fnv1a(kw.tuple_bytes, Fnv1a(kw.key_bytes, digest));
+    }
+    st->writes.emplace(rel, std::move(writes));
+  }
+  st->digest = digest;
 
   // Chain only onto a predecessor that is still in flight: its in-memory
   // output is then by construction the newest epoch this participant can
@@ -258,7 +351,8 @@ void Publisher::DiscoverEpoch(Handle st, int rounds_left) {
       kEpochDiscoveryTimeoutUs);
 }
 
-void Publisher::ClaimAndFetchBase(Handle st, int stall_left) {
+void Publisher::ClaimAndFetchBase(Handle st, int stall_left,
+                                  sim::SimTime claim_delay) {
   // Stage 1: coordinator records of every relation at the base epoch
   // (needed both for the base version each page delta names and for
   // carrying unchanged relations forward to the new epoch). The epoch claim
@@ -270,7 +364,7 @@ void Publisher::ClaimAndFetchBase(Handle st, int stall_left) {
     return;
   }
   const AttemptPtr at = st->at;
-  StartClaim(st);
+  ReclaimAfter(st, claim_delay);
   auto arrive = StageFanIn(st, rels.size(), &Publisher::Apply);
   for (const auto& rel : rels) {
     FetchBaseCoordinator(st, at, arrive, rel, at->base_epoch,
@@ -323,47 +417,8 @@ void Publisher::FetchBaseCoordinator(Handle st, AttemptPtr at,
 
 void Publisher::Apply(Handle st) {
   const AttemptPtr at = st->at;
-  for (auto& [rel, updates] : st->batch) {
+  for (const auto& [rel, writes] : st->writes) {
     const RelationDef* def = service_->FindRelation(rel);
-    // Each tuple's placement hash is computed here, once, and carried into
-    // its tuple write and its page edit.
-    std::vector<Attempt::TupleWrite> writes;
-    writes.reserve(updates.size());
-    for (const Update& u : updates) {
-      std::string kb = EncodeTupleKey(def->schema, u.tuple);
-      HashId h = PlacementHash(*def, kb);
-      // A delete writes a tombstone: an empty-value data record at the new
-      // epoch. No page ever lists it; it exists so data-node GC can tell
-      // "this key was deleted at epoch e" apart from "version still live"
-      // and reclaim the dead versions (then the tombstone itself).
-      std::string bytes;
-      if (u.kind != Update::Kind::kDelete) {
-        Writer tw;
-        EncodeTuple(u.tuple, &tw);
-        bytes = tw.Release();
-      }
-      writes.push_back(Attempt::TupleWrite{rel, TupleId{std::move(kb), at->new_epoch},
-                                           std::move(bytes), h,
-                                           def->replicate_everywhere});
-    }
-    // The last update of a key in the batch wins, so insert+delete of one
-    // key resolves to whichever came last, and each (key, epoch) record is
-    // written once: a torn log then loses a record whole, which the
-    // restart's digest exchange repairs, never half of a key's writes. The
-    // stable sort keeps batch order within a key.
-    std::stable_sort(writes.begin(), writes.end(),
-                     [](const Attempt::TupleWrite& a, const Attempt::TupleWrite& b) {
-                       return a.hash != b.hash ? a.hash < b.hash
-                                               : a.id.key_bytes < b.id.key_bytes;
-                     });
-    const size_t first = at->tuple_writes.size();
-    for (size_t j = 0; j < writes.size(); ++j) {
-      if (j + 1 < writes.size() && writes[j + 1].hash == writes[j].hash &&
-          writes[j + 1].id.key_bytes == writes[j].id.key_bytes) {
-        continue;
-      }
-      at->tuple_writes.push_back(std::move(writes[j]));
-    }
     // Stage 2: one page delta per touched partition, built on the version
     // the base coordinator record names (the paper locates it via the
     // inverse node, §IV). The index replicas merge it into the stored base,
@@ -375,20 +430,17 @@ void Publisher::Apply(Handle st) {
     for (const PageDescriptor& d : at->records[rel].pages) {
       base_of[d.id.partition] = d.id;
     }
-    for (size_t i = first; i < at->tuple_writes.size();) {
-      const uint32_t part =
-          PartitionIndexFor(at->tuple_writes[i].hash, def->num_partitions);
+    for (size_t i = 0; i < writes.size();) {
+      const uint32_t part = PartitionIndexFor(writes[i].hash, def->num_partitions);
       PageDelta delta;
       delta.page = PageDescriptor{PageId{rel, at->new_epoch, part},
                                   def->num_partitions};
       if (auto b = base_of.find(part); b != base_of.end()) delta.base = b->second;
       const HashId end = delta.page.range_end();  // zero: the top of the ring
-      for (; i < at->tuple_writes.size() &&
-             (end == HashId::Zero() || at->tuple_writes[i].hash < end);
+      for (; i < writes.size() && (end == HashId::Zero() || writes[i].hash < end);
            ++i) {
-        const Attempt::TupleWrite& tw = at->tuple_writes[i];
-        delta.edits.push_back(
-            PageEdit{tw.id.key_bytes, tw.hash, tw.tuple_bytes.empty()});
+        const KeyWrite& kw = writes[i];
+        delta.edits.push_back(PageEdit{kw.key_bytes, kw.hash, kw.tuple_bytes.empty()});
       }
       Writer w;
       delta.EncodeTo(&w);
@@ -471,7 +523,7 @@ void Publisher::ReleaseGate(Handle st, Handle prev) {
     if (prev->done) {
       // The predecessor already RESOLVED and dropped its attempt; its
       // committed records are durable, so re-fetch them over the network.
-      Rebase(st, prev_epoch, /*catch_up=*/false);
+      Rebase(st, prev_epoch, RebaseWhy::kContended);
       return;
     }
     RestartAttempt(st, prev_epoch, prev_epoch + 1, prev->at->out_records);
@@ -509,12 +561,16 @@ void Publisher::StartClaim(Handle st) {
   at->claim_nonce = ++claim_seq_;
   service_->CallEach(
       replicas, kClaimEpoch, ClaimBody(at->new_epoch, at->claim_nonce),
-      [this, st, at](std::vector<net::Reply> replies) {
+      [this, st, at, replicas](std::vector<net::Reply> replies) {
         if (st->at != at) return;  // re-based or resolved meanwhile
         size_t granted = 0;
         bool taken = false;
         bool burned = false;  // a replica holds the BURNED marker
         Status error;         // first failure that is neither
+        // The first refusing replica in replica order holds the slot this
+        // attempt lost; its refusal names the holder.
+        size_t holder = replicas.size();
+        ClaimInstance holder_inst;
         for (const net::Reply& r : replies) {
           if (r.status.ok()) {
             granted += 1;
@@ -522,11 +578,21 @@ void Publisher::StartClaim(Handle st) {
             burned = true;
           } else if (r.status.IsEpochTaken()) {
             taken = true;
+            const auto i = static_cast<size_t>(
+                std::find(replicas.begin(), replicas.end(), r.from) - replicas.begin());
+            Reader rb(r.body);
+            ClaimInstance inst;
+            if (i < holder && ClaimInstance::DecodeFrom(&rb, &inst).ok()) {
+              holder = i;
+              holder_inst = inst;
+            }
           } else if (error.ok()) {
             error = r.status;
           }
         }
         at->claim_split = granted > 0;
+        at->probe_at = holder < replicas.size() ? replicas[holder] : replicas.front();
+        if (holder_inst.participant != 0) at->fence_target = holder_inst.participant;
         if (burned) {
           // Nobody — this participant included — may ever hold the epoch
           // again. MaybeIssue releases fragments stored on grant-side
@@ -559,9 +625,32 @@ void Publisher::MaybeIssue(Handle st) {
     case Attempt::Claim::kInFlight:
     case Attempt::Claim::kHandled:
       return;  // claim completion re-enters
-    case Attempt::Claim::kGranted:
-      IssueWrites(st);
+    case Attempt::Claim::kGranted: {
+      // The claim replicas grant per participant, so this batch may hold a
+      // claim where another batch of this participant left writes. Those
+      // must not sit under this batch's commit: with GC past the epoch they
+      // would shadow the versions the committed pages name.
+      auto pin = written_epochs_.find(at->new_epoch);
+      if (pin == written_epochs_.end() || pin->second.batch == st->digest) {
+        IssueWrites(st);
+        return;
+      }
+      at->claim = Attempt::Claim::kHandled;
+      Handle owner = pin->second.owner.lock();
+      if (owner != nullptr && !owner->done) {
+        AwaitWinner(st);  // that publish is still in flight: wait on it
+      } else if (at->fence_rounds_left-- > 0) {
+        // It resolved without committing: retire its writes (self-fence and
+        // purge), then skip past the epoch.
+        at->fence_target = participant_;
+        FenceEpoch(st);
+      } else {
+        Finish(st, Status::Unavailable(
+                       "epoch " + std::to_string(at->new_epoch) +
+                       " holds another batch's writes of this participant"));
+      }
       return;
+    }
     case Attempt::Claim::kFailed:
       // A claim replica was unreachable: fail the batch (retryable);
       // fragments we stored are released by Finish.
@@ -576,6 +665,14 @@ void Publisher::MaybeIssue(Handle st) {
       // later attempt.
       if (at->claim_split && written_epochs_.count(at->new_epoch) == 0) {
         ReleaseClaim(at->new_epoch, at->claim_nonce);
+      }
+      if (at->fence_target == participant_ && at->fence_rounds_left-- > 0) {
+        // A replica refuses this participant its own claim only under a
+        // burn promise — a fence round that did not reach every replica. It
+        // resolves only by a self-fence to unanimity (or a commit that heals
+        // it): nobody else will.
+        FenceEpoch(st);
+        return;
       }
       AwaitWinner(st);
       return;
@@ -609,69 +706,110 @@ void Publisher::AwaitWinner(Handle st) {
   if (st->done) return;
   const AttemptPtr at = st->at;
   const Epoch contested = at->new_epoch;
-  if (at->claim_stall_left-- <= 0) {
-    // The winner has neither committed nor released within the stall budget.
-    // With fencing enabled and a named owner, escalate: ask the claim
-    // replicas to retire the claim as abandoned (they refuse if the owner is
-    // merely slow — its heartbeat keeps the freshness clock warm). Without
-    // fencing (or out of fence budget), fail the batch; the session's
-    // same-batch retry discipline re-runs discovery + claim later, and the
-    // winner's own retry (or its release) eventually unwedges the epoch.
-    if (fence_after_us_ > 0 && at->fence_target != 0 &&
-        at->fence_rounds_left-- > 0) {
-      FenceEpoch(st);
-      return;
-    }
-    Finish(st, Status::Unavailable(
-                   "epoch " + std::to_string(contested) +
-                   " claimed by another participant that has not committed"));
-    return;
+  // Probe the claim's fate — NOT a coordinator record. A torn commit leaves
+  // partial records at the contested epoch, and basing on those would absorb
+  // the winner's uncommitted (and possibly cross-attempt inconsistent)
+  // state; the confirm flag is flipped only after EVERY record of the epoch
+  // was acked. The replica that refused holds the probe while the slot
+  // stays claimed, so this publish wakes when the winner commits, releases
+  // or is burned, and sends no claim meanwhile.
+  net::NodeId holder = at->probe_at;
+  if (holder == net::kInvalidNode) {
+    auto replicas = service_->snapshot().ReplicasOf(ClaimHash(contested),
+                                                    service_->replication());
+    holder = replicas.empty() ? service_->node() : replicas.front();
   }
-  // Probe the claim's `committed` flag — NOT a coordinator record. A torn
-  // commit leaves partial records at the contested epoch, and basing on
-  // those would absorb the winner's uncommitted (and possibly cross-attempt
-  // inconsistent) state; the confirm flag is flipped only after EVERY record
-  // of the epoch was acked.
   Writer w;
   w.PutVarint64(contested);
-  auto replicas = service_->snapshot().ReplicasOf(ClaimHash(contested),
-                                                  service_->replication());
   service_->Call(
-      replicas.empty() ? service_->node() : replicas.front(), kGetEpochClaim,
-      w.Release(),
+      holder, kGetEpochClaim, w.Release(),
       [this, st, at, contested](Status s, const std::string& reply) {
         if (st->at != at) return;
-        if (s.ok()) {
-          Reader r(reply);
-          EpochClaimRecord claim;
-          if (EpochClaimRecord::DecodeFrom(&r, &claim).ok()) {
-            if (claim.committed) {
-              Rebase(st, contested, /*catch_up=*/!at->paused);
-              return;
-            }
-            if (claim.fenced && claim.purged) {
-              // The fence reached unanimity: the epoch is burned for
-              // everyone — skip past it with the base intact.
-              SkipFenced(st);
-              return;
-            }
-            // Remember the stalled owner: a fence round must name the exact
-            // participant it retires (the replicas refuse a mismatched
-            // target, so a hand-off between owners can never be mis-fenced).
-            // A bare burn promise (fenced, not purged) lands here too — it
-            // is NOT skippable (the epoch may yet commit); waiting and, on
-            // stall, re-fencing it to unanimity is what resolves it.
-            if (claim.participant != 0) at->fence_target = claim.participant;
-          }
+        Reader r(reply);
+        ClaimProbeAnswer answer;
+        if (!s.ok() || !ClaimProbeAnswer::DecodeFrom(&r, &answer).ok()) {
+          // The holding replica died or restarted (its held probes went with
+          // it) or answered garbage: claim again.
+          Stall(st);
+          return;
         }
-        // Not committed yet: re-claim after a pause. If the winner's publish
-        // failed and released the claim, the re-claim is granted and this
-        // publish proceeds at its ORIGINAL epoch with its prepared outputs
-        // intact; otherwise the refusal routes back here with one less
-        // stall.
-        ReclaimAfterPause(st);
+        // Remember the stalled owner: a fence round must name the exact
+        // participant it retires (the replicas refuse a mismatched target,
+        // so a hand-off between owners can never be mis-fenced).
+        if (answer.claim.participant != 0) at->fence_target = answer.claim.participant;
+        using Outcome = ClaimProbeAnswer::Outcome;
+        switch (answer.outcome) {
+          case Outcome::kConfirmed:
+            // A commit the probe waited for is the frontier this publish
+            // watched move: base on it, re-claiming in wake order. One that
+            // was already there means the attempt's view was stale.
+            Rebase(st, contested,
+                   answer.waited ? RebaseWhy::kWatched : RebaseWhy::kCatchUp,
+                   ReclaimPhase(answer.rank, /*emptied=*/false, participant_, 0));
+            return;
+          case Outcome::kEmpty: {
+            // The holder released (or never finished claiming): re-claim
+            // the ORIGINAL epoch with the prepared outputs intact, after a
+            // phase that orders this waiter among the woken ones and then
+            // among participants. An empty slot the probe did not wait for
+            // costs a stall, so a claim that keeps slipping away is bounded.
+            const sim::SimTime phase = ReclaimPhase(
+                answer.rank, /*emptied=*/true, participant_, at->claim_nonce);
+            if (answer.waited) {
+              ReclaimAfter(st, phase);
+            } else {
+              Stall(st, phase);
+            }
+            return;
+          }
+          case Outcome::kBurned:
+            // The fence reached unanimity: the epoch is burned for everyone
+            // — skip past it with the base intact.
+            SkipFenced(st);
+            return;
+          case Outcome::kPromised:
+            // A bare burn promise is NOT skippable (the epoch may yet
+            // commit): wait for it to harden or heal, and on stall re-fence
+            // it to unanimity.
+            AwaitWinner(st);
+            return;
+          case Outcome::kHeld:
+            Stall(st);
+            return;
+        }
       },
       kEpochDiscoveryTimeoutUs);
+}
+
+void Publisher::Stall(Handle st, sim::SimTime delay) {
+  const AttemptPtr at = st->at;
+  if (at->claim_stall_left-- > 0) {
+    ReclaimAfter(st, delay);
+    return;
+  }
+  // The winner has neither committed nor released within the stall budget.
+  // With fencing enabled and a named owner, escalate: ask the claim replicas
+  // to retire the claim as abandoned (they refuse if the owner is merely
+  // slow — its heartbeat keeps the freshness clock warm). Without fencing
+  // (or out of fence budget), fail the batch; the session's same-batch retry
+  // discipline re-runs discovery + claim later, and the winner's own retry
+  // (or its release) eventually unwedges the epoch.
+  if (fence_after_us_ > 0 && at->fence_target != 0 && at->fence_rounds_left-- > 0) {
+    FenceEpoch(st);
+    return;
+  }
+  Finish(st, Status::Unavailable("epoch " + std::to_string(at->new_epoch) +
+                                 " claimed by another participant that has not committed"));
+}
+
+void Publisher::ReclaimAfter(Handle st, sim::SimTime delay) {
+  if (delay == 0) {
+    StartClaim(st);
+    return;
+  }
+  service_->RunAfter(delay, [this, st, at = st->at] {
+    if (st->at == at) StartClaim(st);
+  });
 }
 
 void Publisher::FenceEpoch(Handle st) {
@@ -738,7 +876,7 @@ void Publisher::FenceEpoch(Handle st) {
         // with a short stall budget — the next exhaustion may retry the
         // fence if budget remains.
         at->claim_stall_left = 2;
-        ReclaimAfterPause(st);
+        StartClaim(st);
       },
       kEpochDiscoveryTimeoutUs);
 }
@@ -760,18 +898,6 @@ void Publisher::SkipFenced(Handle st) {
   // ReleaseGate's chain path.)
   Attempt& at = *st->at;
   RestartAttempt(st, at.base_epoch, at.new_epoch + 1, std::move(at.records));
-}
-
-void Publisher::ReclaimAfterPause(Handle st) {
-  // The per-participant phase offset makes split-claim contenders re-claim
-  // at distinct times, so the earliest one wins the whole slot.
-  sim::SimTime pause = 2 * sim::kMicrosPerSec +
-                       static_cast<sim::SimTime>(participant_) *
-                           (sim::kMicrosPerSec / 4);
-  st->at->paused = true;
-  service_->RunAfter(pause, [this, st, at = st->at] {
-    if (st->at == at) StartClaim(st);
-  });
 }
 
 std::string Publisher::ClaimBody(Epoch epoch, uint64_t nonce) const {
@@ -822,16 +948,17 @@ void Publisher::ScheduleClaimRefresh(Handle st, AttemptPtr at) {
   });
 }
 
-void Publisher::Rebase(Handle st, Epoch base, bool catch_up) {
+void Publisher::Rebase(Handle st, Epoch base, RebaseWhy why,
+                       sim::SimTime claim_delay) {
   if (st->done) return;
-  if (catch_up ? --st->skip_left < 0 : --st->rebase_left < 0) {
-    Finish(st, Status::Aborted(catch_up
-                                   ? "epoch contention: skip budget exhausted"
-                                   : "epoch contention: rebase budget exhausted"));
+  const bool step = why != RebaseWhy::kContended;
+  if (step ? --st->skip_left < 0 : --st->rebase_left < 0) {
+    Finish(st, Status::Aborted(step ? "epoch contention: skip budget exhausted"
+                                    : "epoch contention: rebase budget exhausted"));
     return;
   }
   pipeline_stats_.rebases += 1;
-  if (catch_up) {
+  if (why == RebaseWhy::kCatchUp) {
     // The frontier may already be past `base`: one discovery round finds
     // it, where claiming base + 1, base + 2, ... would walk it one claim
     // round and one probe at a time.
@@ -841,7 +968,7 @@ void Publisher::Rebase(Handle st, Epoch base, bool catch_up) {
     return;
   }
   st->at = std::make_shared<Attempt>(base, base + 1);
-  ClaimAndFetchBase(st, /*stall_left=*/3);
+  ClaimAndFetchBase(st, /*stall_left=*/3, claim_delay);
 }
 
 void Publisher::BuildOutputs(Attempt& at) {
@@ -892,7 +1019,7 @@ void Publisher::IssueWrites(Handle st) {
   for (const auto& m : snap.members()) everyone.push_back(m.node);
 
   at->writes_issued = true;
-  written_epochs_.insert(at->new_epoch);
+  written_epochs_[at->new_epoch] = Pin{st->digest, st};
 
   // 3a: tuple versions, coalesced into ONE multi-relation kPutTuples frame
   // per destination node — however many relations and partitions the batch
@@ -902,18 +1029,21 @@ void Publisher::IssueWrites(Handle st) {
   std::map<net::NodeId, std::map<std::string_view, Writer>> per_node_rel;
   std::map<net::NodeId, std::map<std::string_view, uint64_t>> per_node_count;
   std::string hash_be;  // reused 20-byte scratch: no per-tuple allocation
-  for (const Attempt::TupleWrite& tw : at->tuple_writes) {
-    hash_be.clear();
-    tw.hash.AppendBigEndian(&hash_be);
-    std::vector<net::NodeId> targets =
-        tw.everywhere ? everyone : snap.ReplicasOf(tw.hash, service_->replication());
-    for (net::NodeId t : targets) {
-      Writer& w = per_node_rel[t][tw.relation];
-      w.PutRaw(hash_be.data(), hash_be.size());
-      w.PutString(tw.id.key_bytes);
-      w.PutVarint64(tw.id.epoch);
-      w.PutString(tw.tuple_bytes);
-      per_node_count[t][tw.relation] += 1;
+  for (const auto& [rel, writes] : st->writes) {
+    const bool everywhere = service_->FindRelation(rel)->replicate_everywhere;
+    for (const KeyWrite& kw : writes) {
+      hash_be.clear();
+      kw.hash.AppendBigEndian(&hash_be);
+      std::vector<net::NodeId> targets =
+          everywhere ? everyone : snap.ReplicasOf(kw.hash, service_->replication());
+      for (net::NodeId t : targets) {
+        Writer& w = per_node_rel[t][rel];
+        w.PutRaw(hash_be.data(), hash_be.size());
+        w.PutString(kw.key_bytes);
+        w.PutVarint64(at->new_epoch);
+        w.PutString(kw.tuple_bytes);
+        per_node_count[t][rel] += 1;
+      }
     }
   }
   auto arrive = StageFanIn(st, per_node_rel.size() + at->page_writes.size(),
@@ -988,7 +1118,7 @@ void Publisher::CommitAfterPrev(Handle st) {
           // re-publish the batch.
           pipeline_stats_.epoch_conflicts += 1;
           ReleaseClaim(at->new_epoch, at->claim_nonce);
-          Rebase(st, at->new_epoch, /*catch_up=*/false);
+          Rebase(st, at->new_epoch, RebaseWhy::kContended);
           return;
         }
         if (!result.ok()) {
@@ -1040,7 +1170,7 @@ void Publisher::Finish(Handle st, Status status) {
   // the chain tail); a callback still out for the attempt finds it replaced
   // and does nothing.
   AttemptPtr at = std::move(st->at);
-  st->batch.clear();
+  st->writes.clear();
   const Epoch epoch = at != nullptr ? at->new_epoch : 0;
   if (status.ok()) {
     st->committed_epoch = epoch;

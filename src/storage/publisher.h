@@ -22,15 +22,19 @@
 //   * CLAIM (pre-write): before issuing any write, a publish claims its
 //     epoch at the claim replicas (kClaimEpoch, first-come, idempotent per
 //     participant). A refused claim (kEpochTaken naming the winner) means
-//     the loser has written NOTHING at that epoch — it waits for the
-//     winner's commit and then RE-BASES: it re-runs its prepare stage on
-//     top of the winner's committed output (the same
+//     the loser has written NOTHING at that epoch — it probes the claim
+//     (kGetEpochClaim), which a claim replica holds until the winner
+//     commits, releases or is burned, and then RE-BASES: it re-runs its
+//     prepare stage on top of the winner's committed output (the same
 //     machinery a chained publish uses for an in-memory base) and claims the
-//     next epoch. A held claim is NEVER taken over — takeover rules break
-//     under membership churn — so a wedged epoch waits for its holder's
-//     same-batch retry (idempotent re-claim) or its instance-exact release;
-//     split races (nobody won a full claim) self-resolve through
-//     deterministic per-participant retry phases.
+//     next epoch. Losers that one commit wakes together re-claim in their
+//     arrival order at the holding replica, so one of them takes the next
+//     epoch alone and the rest wait on it. A held claim is NEVER taken over
+//     — takeover rules break under membership churn — so a wedged epoch
+//     waits for its holder's same-batch retry (idempotent re-claim) or its
+//     instance-exact release; split races (nobody won a full claim)
+//     self-resolve through deterministic per-participant re-claim phases of
+//     about one round trip.
 //   * COMMIT (authoritative): coordinator records are participant-tagged and
 //     storage nodes refuse a conflicting same-epoch record with kEpochTaken
 //     (first committed writer wins), so even a claim-set wiped out by
@@ -69,7 +73,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -180,9 +183,9 @@ class Publisher {
   /// of the newest record was heard. Starts the first attempt.
   void DiscoverEpoch(Handle st, int rounds_left);
   /// Stage 1 of a fresh publish and of a network re-base: launches the claim
-  /// for the attempt's epoch, then fetches every relation's coordinator
-  /// record at its base epoch.
-  void ClaimAndFetchBase(Handle st, int stall_left);
+  /// for the attempt's epoch (after `claim_delay`), then fetches every
+  /// relation's coordinator record at its base epoch.
+  void ClaimAndFetchBase(Handle st, int stall_left, sim::SimTime claim_delay = 0);
   /// Chained stage 1: derive the base (records + epoch) from the
   /// predecessor's prepared in-memory output; no network round trips.
   void StartChained(Handle st);
@@ -201,19 +204,29 @@ class Publisher {
                             std::function<void(Status)> arrive,
                             const std::string& rel, Epoch epoch, int walk_left,
                             int stall_left);
+  /// Why a publish re-bases (Rebase), which decides where it bases and which
+  /// budget the step draws on.
+  enum class RebaseWhy : uint8_t {
+    kWatched,    // a held probe saw the epoch commit: base on it
+    kCatchUp,    // the epoch was already committed at the first probe:
+                 // re-run discovery and base on the frontier it finds
+    kContended,  // a commit-time refusal or a chain predecessor that
+                 // committed elsewhere: base on the epoch named
+  };
   /// The fan-in of one stage's `n` operations on the current attempt: once
   /// all have arrived, the first error fails the publish and otherwise
   /// `next` runs — unless the attempt was replaced meanwhile.
   std::function<void(Status)> StageFanIn(Handle st, size_t n,
                                          void (Publisher::*next)(Handle));
-  /// The prepare stage: computes the tuple writes, one page delta per
-  /// touched partition and — via BuildOutputs — the new coordinator records,
-  /// then *prepares* the publish (resuming a successor that waits for it)
-  /// before gating its own writes on the predecessor's commit.
+  /// The prepare stage: builds one page delta per touched partition from the
+  /// batch's encoded writes and — via BuildOutputs — the new coordinator
+  /// records, then *prepares* the publish (resuming a successor that waits
+  /// for it) before gating its own writes on the predecessor's commit.
   void Apply(Handle st);
-  /// Publishes the prepared writes: tuple versions coalesced into one
-  /// multi-relation kPutTuples frame per destination node, page deltas to
-  /// their index nodes. Runs only once the predecessor (if any) committed.
+  /// Publishes the prepared writes: tuple versions at the attempt's epoch,
+  /// coalesced into one multi-relation kPutTuples frame per destination
+  /// node, and page deltas to their index nodes. Runs only once the
+  /// predecessor (if any) committed.
   void IssueWrites(Handle st);
   /// Computes the new-epoch coordinator record of every relation from the
   /// base records plus the touched partitions; kept on the attempt for both
@@ -234,20 +247,26 @@ class Publisher {
   void StartClaim(Handle st);
   /// Joins the three conditions writes wait for — outputs prepared, write
   /// gate open, claim round resolved — and acts on the claim outcome:
-  /// granted -> IssueWrites; taken -> release fragments, AwaitWinner;
-  /// burned -> SkipFenced (or a self-fence); error -> Finish.
+  /// granted -> IssueWrites (or, over another batch's writes, wait on it or
+  /// retire them with a self-fence); taken -> release fragments,
+  /// AwaitWinner; burned -> SkipFenced (or a self-fence); error -> Finish.
   void MaybeIssue(Handle st);
-  /// Stall loop of a claim loser: probes for the winner's commit at the
-  /// attempt's epoch. Committed -> Rebase; burned -> SkipFenced; otherwise
-  /// re-claim (the winner may have failed and released) until the stall
-  /// budget runs out, then fence (if enabled) or fail the publish (the
-  /// session retries the batch). A claim is NEVER taken over: takeover rules
-  /// break under membership churn (the claim replica set reshuffles on every
-  /// kill). Split-claim races resolve through ReclaimAfterPause's phase.
+  /// A claim loser's wait: one probe of the attempt's epoch at the claim
+  /// replica that refused it, held there until the slot changes.
+  /// Committed -> Rebase (onto it if the probe waited, else a catch-up);
+  /// emptied -> re-claim after a phase of about one round trip (the probe's
+  /// rank, then the participant, break split-claim ties); burned ->
+  /// SkipFenced; burn-promised -> probe again; hold bound passed or probe
+  /// lost -> Stall. The waiter sends no claim while it waits. A claim is
+  /// NEVER taken over: takeover rules break under membership churn (the
+  /// claim replica set reshuffles on every kill).
   void AwaitWinner(Handle st);
-  /// Contention pause of a claim loser or refused fencer: re-claims after
-  /// 2 s plus a deterministic per-participant phase of 250 ms per id.
-  void ReclaimAfterPause(Handle st);
+  /// Spends one stall of the attempt and re-claims after `delay`; out of
+  /// stalls, fences the stalled owner (if enabled) or fails the publish (the
+  /// session retries the batch).
+  void Stall(Handle st, sim::SimTime delay = 0);
+  /// Re-runs the attempt's claim round after `delay`.
+  void ReclaimAfter(Handle st, sim::SimTime delay);
   /// kClaimEpoch / kConfirmEpoch body for this participant's attempt.
   std::string ClaimBody(Epoch epoch, uint64_t nonce) const;
   /// Stalled-contender fence round: asks every claim replica to retire the
@@ -267,15 +286,14 @@ class Publisher {
   /// owner unfenceable. A kFenced reply means this publish lost a fence
   /// race; it skips or fails.
   void ScheduleClaimRefresh(Handle st, AttemptPtr at);
-  /// Re-bases a contention loser onto the winner's committed output: a new
-  /// attempt fetches the committed coordinator records at `base` and re-runs
-  /// Apply and the claim at base + 1. A `catch_up` — `base` was already
-  /// committed when this attempt first probed it, so no live winner was
-  /// waited on and the attempt's view of the frontier was stale — instead
-  /// re-runs epoch discovery (floored at `base`) and bases on the frontier
-  /// it finds. Bounded per publish: a catch-up draws on the skip budget that
-  /// steps past burned epochs, any other re-base on the contention budget.
-  void Rebase(Handle st, Epoch base, bool catch_up);
+  /// Re-bases a contention loser onto the committed output at `base`: a new
+  /// attempt fetches the committed coordinator records there and re-runs
+  /// Apply and the claim at base + 1, the claim after `claim_delay`. A
+  /// catch-up instead re-runs epoch discovery (floored at `base`) and bases
+  /// on the frontier it finds. Bounded per publish: a watched commit and a
+  /// catch-up are forward steps and draw on the step budget that also skips
+  /// burned epochs, a contended re-base on the contention budget.
+  void Rebase(Handle st, Epoch base, RebaseWhy why, sim::SimTime claim_delay = 0);
   /// One-way claim cleanup of a failed or lost epoch: deletes this
   /// participant's claim (fragments) at `epoch` — only the exact instance
   /// named by `nonce`, so a delayed release never unpins a newer attempt.
@@ -310,13 +328,23 @@ class Publisher {
   /// (participant, nonce) instance, making releases instance-exact under
   /// message delay/reordering.
   uint64_t claim_seq_ = 0;
+  /// A write pin: the batch (by digest) that issued writes at an epoch, and
+  /// the publish that issued them.
+  struct Pin {
+    uint64_t batch = 0;
+    std::weak_ptr<PubState> owner;
+  };
   /// Epochs THIS participant has issued writes at that are not yet committed:
   /// the claim on such an epoch must never be released — not even by a later
-  /// attempt of the same batch that failed before writing — because only this
-  /// participant's same-batch retry may rewrite the epoch byte-identically
-  /// over the partial writes. Entries at or below a committed epoch are
-  /// dropped (the frontier passed them; they can never be claimed again).
-  std::set<Epoch> written_epochs_;
+  /// attempt of the same batch that failed before writing — because only the
+  /// same batch's retry may rewrite the epoch byte-identically over the
+  /// partial writes. The claim replicas grant per participant, so another
+  /// batch of this participant can be granted a pinned epoch: it waits while
+  /// the pinning publish is in flight, and once that resolved it retires the
+  /// partial writes with a self-fence and skips past the epoch. Entries at
+  /// or below a committed epoch are dropped (the frontier passed them, which
+  /// it does only by committing or burning them).
+  std::map<Epoch, Pin> written_epochs_;
   PipelineStats pipeline_stats_;
 };
 

@@ -89,7 +89,8 @@ StorageService::StorageService(net::NodeHost* host,
       board_(std::move(board)),
       replication_(replication),
       rpc_(host, net::ServiceId::kStorage, kReply),
-      store_(store_options) {
+      store_(store_options),
+      claims_(&store_, &counters_, [this](Epoch e) { PurgeEpochLocal(e); }) {
   host_->Register(net::ServiceId::kStorage, this);
   // Every reply this node receives carries the responder's load hint; keep a
   // timestamped per-peer view for the session's admission control.
@@ -294,19 +295,15 @@ void StorageService::RespondStored(net::NodeId to, uint64_t req_id,
   }
 }
 
-Result<EpochClaimRecord> StorageService::LoadClaim(Epoch epoch) const {
-  ORC_ASSIGN_OR_RETURN(std::string_view bytes,
-                       store_.GetView(keys::EpochClaim(epoch)));
-  Reader r(bytes);
-  EpochClaimRecord rec;
-  ORC_RETURN_IF_ERROR(EpochClaimRecord::DecodeFrom(&r, &rec));
-  return rec;
+void StorageService::Answer(ClaimReplica::Replies replies) {
+  for (ClaimReplica::Reply& r : replies) {
+    Respond(r.to, r.req_id, std::move(r.status), std::move(r.body));
+  }
 }
 
-void StorageService::PutClaim(Epoch epoch, const EpochClaimRecord& rec) {
-  Writer w;
-  rec.EncodeTo(&w);
-  store_.Put(keys::EpochClaim(epoch), w.data()).ok();
+void StorageService::ArmProbeHold() {
+  // A node task: a node that dies drops it with the probes it held.
+  RunAfter(kClaimProbeHoldUs, [this] { Answer(claims_.ExpireHeld(Now())); });
 }
 
 void StorageService::OnConnectionDrop(net::NodeId peer) {
@@ -333,32 +330,13 @@ void StorageService::OnMessage(net::NodeId from, uint16_t code,
     }
     return;
   }
-  if (code == kPurgeEpoch) {
-    // One-way fence propagation from a successful fence round: record the
-    // burn and purge local orphans. Safe against races by construction —
-    // MergeFencedEpoch refuses to touch a committed epoch.
-    EpochInstance burn;
-    if (!EpochInstance::DecodeFrom(&r, &burn).ok()) return;
-    MergeFencedEpoch(burn.epoch, burn.participant, burn.nonce);
-    return;
-  }
-  if (code == kReleaseEpoch) {
-    // One-way claim cleanup from a failed publish: delete the claim only if
-    // it is still the EXACT instance the releaser stored — matched by
-    // (participant, nonce). A successor claimant's slot is not ours to
-    // clear, and neither is a NEWER attempt of the same participant (a
-    // delayed release from a dead attempt must not unpin the epoch its
-    // retry re-claimed and is writing at).
-    EpochInstance rel;
-    if (!EpochInstance::DecodeFrom(&r, &rel).ok()) return;
-    auto stored = LoadClaim(rel.epoch);
-    if (stored.ok() && stored->participant == rel.participant &&
-        stored->nonce == rel.nonce && !stored->committed && !stored->fenced) {
-      // A fenced marker is NOT the releaser's to clear either: the burn must
-      // survive so the epoch stays dead for everyone.
-      store_.Delete(keys::EpochClaim(rel.epoch)).ok();
-      claim_touch_.erase(rel.epoch);
-    }
+  if (code == kPurgeEpoch || code == kReleaseEpoch) {
+    // One-way claim traffic: fence propagation from a unanimous fence round
+    // (record the burn, purge local orphans; a committed epoch is left
+    // alone), or an instance-exact release from a failed publish.
+    EpochInstance inst;
+    if (!EpochInstance::DecodeFrom(&r, &inst).ok()) return;
+    Answer(code == kPurgeEpoch ? claims_.Burn(inst) : claims_.Release(inst));
     return;
   }
   uint64_t req_id;
@@ -471,65 +449,43 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
         }
       }
       store_.Put(keys::Coord(rec.relation, rec.epoch), rec_bytes).ok();
-      // Deliberately does NOT advance max_epoch_seen_: a torn publish leaves
-      // partial records, and discovery basing on them would absorb
+      // Deliberately does NOT advance the confirmed frontier: a torn publish
+      // leaves partial records, and discovery basing on them would absorb
       // uncommitted updates. Only kConfirmEpoch advances the frontier.
       Respond(from, req_id, Status::OK(), {});
       return;
     }
-    case kClaimEpoch:
-      HandleClaimEpoch(from, r, req_id);
-      return;
-    case kFenceEpoch:
-      HandleFenceEpoch(from, r, req_id);
-      return;
-    case kConfirmEpoch: {
-      // The epoch's coordinator records are all written: mark the claim
-      // committed so discovery (kGetMaxEpoch) can report the epoch. Stored
-      // even if the claim is missing here — after membership churn the new
-      // claim replicas must still learn the confirmed frontier.
+    case kClaimEpoch: {
       ClaimRequest req;
       if (!ClaimRequest::DecodeFrom(r, &req).ok()) break;
-      const Epoch epoch = req.epoch;
-      // A fence that completed first wins: the epoch is burned and its
-      // orphans purged, so flipping it committed now would report an epoch
-      // whose data is gone. The publisher's ticket fails with kFenced and
-      // the batch republishes at a fresh epoch.
-      if (IsEpochFenced(epoch)) {
-        RefuseFenced(from, req_id, 1, Tag("confirm at fenced epoch ", epoch));
-        return;
-      }
-      // A burn PROMISE (fence granted here, unanimity unknown) also refuses
-      // the confirm — that refusal is what makes unanimity meaningful — but
-      // as a RETRYABLE error, not kFenced: the publisher keeps its epoch
-      // pinned and resolves the partial burn on retry (self-fence to
-      // unanimity, or recommit once a committed record heals this replica).
-      auto stored = LoadClaim(epoch);
-      if (stored.ok() && stored->fenced) {
-        counters_.fenced_writes_refused += 1;
-        Respond(from, req_id,
-                Status::Unavailable("confirm at burn-promised epoch " +
-                                    std::to_string(epoch)),
-                {});
-        return;
-      }
-      PutClaim(epoch, EpochClaimRecord{req.claimant.participant,
-                                       req.claimant.node, /*committed=*/true,
-                                       req.claimant.nonce});
-      max_epoch_seen_ = std::max(max_epoch_seen_, epoch);
-      claim_touch_[epoch] = host_->network()->simulator()->now();
-      Respond(from, req_id, Status::OK(), {});
+      ChargeCpu(costs.tuple_scan_us);
+      Answer(claims_.Claim(from, req_id, req, Now()));
+      return;
+    }
+    case kConfirmEpoch: {
+      ClaimRequest req;
+      if (!ClaimRequest::DecodeFrom(r, &req).ok()) break;
+      Answer(claims_.Confirm(from, req_id, req, Now()));
+      return;
+    }
+    case kFenceEpoch: {
+      FenceRequest req;
+      if (!FenceRequest::DecodeFrom(r, &req).ok()) break;
+      ChargeCpu(costs.tuple_scan_us);
+      Answer(claims_.Fence(from, req_id, req, Now()));
       return;
     }
     case kGetEpochClaim: {
       uint64_t epoch;
       if (!r->GetVarint64(&epoch).ok()) break;
-      RespondStored(from, req_id, keys::EpochClaim(epoch));
+      ClaimReplica::Replies answered = claims_.Probe(from, req_id, epoch, Now());
+      if (answered.empty()) ArmProbeHold();
+      Answer(std::move(answered));
       return;
     }
     case kGetMaxEpoch: {
       Writer w;
-      w.PutVarint64(max_epoch_seen_);
+      w.PutVarint64(claims_.max_confirmed());
       Respond(from, req_id, Status::OK(), w.Release());
       return;
     }
@@ -673,7 +629,7 @@ void StorageService::HandleReplicaPush(net::NodeId from, Reader* r,
   for (uint64_t i = 0; i < fence_count; ++i) {
     EpochInstance burn;
     if (!EpochInstance::DecodeFrom(r, &burn).ok()) return corrupt();
-    MergeFencedEpoch(burn.epoch, burn.participant, burn.nonce);
+    Answer(claims_.Burn(burn));
   }
   uint64_t n;
   if (!r->GetVarint64(&n).ok()) return corrupt();
@@ -693,39 +649,10 @@ void StorageService::HandleReplicaPush(net::NodeId from, Reader* r,
     if (!keys::Parse(key, &pk)) continue;
     switch (pk.tag) {
       case keys::kClaimTag: {
-        // Epoch claims merge by strength: committed > purged burn > burn
-        // promise > uncommitted claim > absent. A CONFIRMED claim replaces
-        // anything unconfirmed (the commit is a fact — including a burn
-        // promise from a fence round the commit's confirm refused
-        // elsewhere). A PURGED burn carries purge authority and merges via
-        // the phase-two path; a bare burn promise only installs the
-        // marker — it must never purge, its fence round may have failed. A
-        // plain claim fills an empty slot with a conservatively-fresh
-        // clock (a pushed claim's owner gets a TTL of grace before a fence
-        // can use this replica's vote). A slot whose bytes do not decode is
-        // left alone by a plain claim: only an empty slot is filled.
-        const Epoch ce = pk.epoch;
-        Reader vr(value);
-        EpochClaimRecord pushed;
-        if (!EpochClaimRecord::DecodeFrom(&vr, &pushed).ok()) break;
-        auto mine = LoadClaim(ce);
-        if (pushed.committed) {
-          if (!mine.ok() || !mine->committed) put(key, value);
-          max_epoch_seen_ = std::max(max_epoch_seen_, ce);
-          claim_touch_.erase(ce);
-        } else if (pushed.fenced && pushed.purged) {
-          if (!mine.ok() || !mine->committed) {
-            MergeFencedEpoch(ce, pushed.participant, pushed.nonce);
-          }
-        } else if (pushed.fenced) {
-          if (!mine.ok() || (!mine->committed && !mine->fenced)) {
-            put(key, value);
-            claim_touch_.erase(ce);
-          }
-        } else if (mine.status().IsNotFound() && !IsEpochFenced(ce)) {
-          put(key, value);
-          claim_touch_[ce] = host_->network()->simulator()->now();
-        }
+        // Epoch claims merge by strength (ClaimReplica::MergePushed).
+        bool merged = false;
+        Answer(claims_.MergePushed(pk.epoch, value, Now(), &merged));
+        if (merged) ++stored;
         break;
       }
       case keys::kCatalogTag: {
@@ -810,243 +737,6 @@ void StorageService::HandleReplicaPush(net::NodeId from, Reader* r,
   reply.PutVarint64(differing);
   reply.PutRaw(differ.data().data(), differ.size());
   Respond(from, req_id, Status::OK(), reply.Release());
-}
-
-void StorageService::HandleClaimEpoch(net::NodeId from, Reader* r,
-                                      uint64_t req_id) {
-  // The pre-write serialization point of multi-writer publishing. Body:
-  // epoch, participant, claimant node, attempt nonce. Grant rules, in order:
-  //   * empty slot                        -> store, grant;
-  //   * stored participant == requester   -> grant (idempotent retry; node
-  //                                          and nonce refresh to the newest
-  //                                          attempt's);
-  //   * otherwise                         -> kEpochTaken, body names the
-  //                                          stored winner instance.
-  // There is deliberately NO takeover rule — not for "split" claims and not
-  // for claims whose holder node died. Any takeover breaks under membership
-  // churn (a kill reshuffles the claim replica set, so a takeover can seize
-  // an epoch whose holder held a full claim on the previous set and already
-  // wrote at it). A wedged epoch is unwedged only by its own participant's
-  // same-batch retry (idempotent re-grant) or its instance-exact release;
-  // split races resolve through the publishers' per-participant stall
-  // phases (see Publisher::AwaitWinner).
-  ClaimRequest req;
-  if (!ClaimRequest::DecodeFrom(r, &req).ok()) {
-    RespondCorrupt(from, req_id, kClaimEpoch);
-    return;
-  }
-  const Epoch epoch = req.epoch;
-  const ClaimInstance& claimant = req.claimant;
-  ChargeCpu(host_->network()->costs().tuple_scan_us);
-  // `committed` is flipped by kConfirmEpoch once the epoch's coordinator
-  // records are all written; an idempotent re-grant preserves it (a
-  // publisher retrying a publish that failed after its commit round must
-  // not un-commit the epoch).
-  auto grant = [&](bool committed, uint64_t stored_nonce) {
-    PutClaim(epoch, EpochClaimRecord{claimant.participant, claimant.node,
-                                     committed, stored_nonce});
-    // The freshness clock a fence races against: every grant (including the
-    // owner's periodic refresh re-grants) resets the staleness TTL.
-    claim_touch_[epoch] = host_->network()->simulator()->now();
-    Respond(from, req_id, Status::OK(), {});
-  };
-  auto refuse = [&](Status st, const ClaimInstance& holder) {
-    counters_.claims_refused += 1;
-    Writer wb;
-    holder.EncodeTo(&wb);
-    Respond(from, req_id, std::move(st), wb.Release());
-  };
-  // Unanimity-table backstop: a burned epoch stays refused even after its
-  // claim record was GC'd below the watermark (the in-memory burned set
-  // outlives the record; pushes and kPurgeEpoch keep re-seeding it).
-  if (auto burned = fenced_epochs_.find(epoch); burned != fenced_epochs_.end()) {
-    refuse(Status::Fenced("epoch " + std::to_string(epoch) +
-                          " burned by abandonment fencing"),
-           ClaimInstance{burned->second.participant, 0, burned->second.nonce});
-    return;
-  }
-  auto loaded = LoadClaim(epoch);
-  if (!loaded.ok()) {
-    grant(false, claimant.nonce);  // empty or malformed slot
-    return;
-  }
-  const EpochClaimRecord& stored = *loaded;
-  if (stored.fenced && stored.purged) {
-    // Authoritative burn (the fence reached unanimity): refused for
-    // EVERYONE, owner included (a zombie resurrecting its fenced epoch is
-    // exactly what the burn prevents). Contenders skip past it.
-    refuse(Status::Fenced("epoch " + std::to_string(epoch) +
-                          " burned by abandonment fencing"),
-           stored.instance());
-    return;
-  }
-  if (stored.fenced) {
-    // Bare burn promise (a fence round touched this replica; unanimity
-    // unknown — the epoch may yet commit through a heal, or harden to a
-    // purged burn). Refuse like an ordinary taken slot so the requester
-    // waits and resolves it through the probe/fence machinery instead of
-    // skipping an epoch that might still commit. Deliberately NO owner
-    // re-grant here: silently clearing the promise would reopen the
-    // confirm-vs-fence race the promise exists to close — the owner
-    // retires its own instance with a self-fence instead.
-    refuse(Status::EpochTaken("epoch " + std::to_string(epoch) +
-                              " burn-promised under participant " +
-                              std::to_string(stored.participant)),
-           stored.instance());
-    return;
-  }
-  if (stored.participant == claimant.participant) {
-    // Idempotent re-grant. The stored nonce only moves FORWARD (attempt
-    // nonces are monotonic per publisher): a DELAYED claim from an old
-    // attempt must not roll the instance back, or the old attempt's equally
-    // delayed release could match again and unpin the epoch the newest
-    // attempt is writing at.
-    grant(stored.committed, std::max(stored.nonce, claimant.nonce));
-    return;
-  }
-  refuse(Status::EpochTaken("epoch " + std::to_string(epoch) +
-                            " claimed by participant " +
-                            std::to_string(stored.participant)),
-         stored.instance());
-}
-
-void StorageService::HandleFenceEpoch(net::NodeId from, Reader* r,
-                                      uint64_t req_id) {
-  // Abandonment fencing (see kFenceEpoch in service.h). Decision order:
-  //   1. already fenced            -> idempotent grant (another fencer won a
-  //                                   race, or this is a retry);
-  //   2. behind confirmed frontier -> refuse (a vacuous grant after
-  //                                   membership churn could burn an epoch
-  //                                   that committed elsewhere);
-  //   3. stored claim committed    -> refuse (a commit is a fact; purging
-  //                                   under it would lose visible data);
-  //   4. slot changed hands        -> refuse (the fencer's staleness
-  //                                   evidence is about a different owner);
-  //   5. owner still fresh         -> refuse (a live-but-slow owner's claim
-  //                                   refreshes win the race against fences)
-  //                                   — waived when the owner fences ITSELF
-  //                                   (retiring its own doomed instance);
-  //   6. otherwise                 -> burn the epoch: store the fenced
-  //                                   marker (refusing all future claims and
-  //                                   confirms here).
-  // A missing/malformed slot past the frontier grants vacuously — the burn
-  // marker is what keeps a zombie's late re-claim out.
-  //
-  // The grant deliberately does NOT purge data: this round may still be
-  // refused at another replica (owner fresh there, or its confirm landed
-  // first), and a purge under an epoch that can still be observed committed
-  // would delete visible data. Purging happens only in phase two — the
-  // fencer's kPurgeEpoch broadcast after EVERY replica granted, which proves
-  // no confirm round can ever complete at this epoch.
-  FenceRequest req;
-  if (!FenceRequest::DecodeFrom(r, &req).ok()) {
-    RespondCorrupt(from, req_id, kFenceEpoch);
-    return;
-  }
-  const Epoch epoch = req.epoch;
-  const ParticipantId fenced_participant = req.fenced;
-  ChargeCpu(host_->network()->costs().tuple_scan_us);
-  auto loaded = LoadClaim(epoch);
-  const bool have = loaded.ok();
-  const EpochClaimRecord stored = loaded.ValueOr({});
-  auto grant = [&](const EpochClaimRecord& inst) {
-    counters_.fences_granted += 1;
-    Writer wb;
-    inst.instance().EncodeTo(&wb);
-    Respond(from, req_id, Status::OK(), wb.Release());
-  };
-  if (have && stored.fenced) {
-    grant(stored);
-    return;
-  }
-  auto refuse = [&](Status st) {
-    counters_.fences_refused += 1;
-    Respond(from, req_id, st, {});
-  };
-  if (epoch <= max_epoch_seen_) {
-    refuse(Status::EpochTaken("fence refused: epoch " + std::to_string(epoch) +
-                              " is at or behind the confirmed frontier"));
-    return;
-  }
-  if (have && stored.committed) {
-    refuse(Status::EpochTaken("fence refused: epoch " + std::to_string(epoch) +
-                              " committed by participant " +
-                              std::to_string(stored.participant)));
-    return;
-  }
-  if (have && stored.participant != fenced_participant) {
-    refuse(Status::EpochTaken(
-        "fence refused: epoch " + std::to_string(epoch) + " now held by " +
-        std::to_string(stored.participant) + ", not " +
-        std::to_string(fenced_participant)));
-    return;
-  }
-  // A self-fence (the owner retiring its own instance — it discovered a
-  // partial burn it can neither commit through nor safely abandon) waives
-  // the freshness check: the clock protects the owner, and the owner is the
-  // requester.
-  if (have && req.fencer != fenced_participant) {
-    auto touch = claim_touch_.find(epoch);
-    sim::SimTime now = host_->network()->simulator()->now();
-    if (touch == claim_touch_.end()) {
-      // Unknown freshness: this replica gained the claim without a grant
-      // (replica push, rebalance). Seed the clock and refuse once — the
-      // owner, if live, gets one TTL of grace to heartbeat it; a truly
-      // abandoned claim is fenceable one TTL later.
-      claim_touch_[epoch] = now;
-      refuse(Status::Unavailable("fence refused: claim owner of epoch " +
-                                 std::to_string(epoch) +
-                                 " has unknown freshness; seeded"));
-      return;
-    }
-    if (now - touch->second < static_cast<sim::SimTime>(req.ttl_us)) {
-      refuse(Status::Unavailable("fence refused: claim owner of epoch " +
-                                 std::to_string(epoch) + " is still fresh"));
-      return;
-    }
-  }
-  EpochClaimRecord burned;
-  if (have) {
-    burned = stored;
-  } else {
-    burned.participant = fenced_participant;
-  }
-  burned.committed = false;
-  burned.fenced = true;
-  PutClaim(epoch, burned);
-  claim_touch_.erase(epoch);
-  grant(burned);
-}
-
-void StorageService::MergeFencedEpoch(Epoch epoch, ParticipantId participant,
-                                      uint64_t nonce) {
-  auto loaded = LoadClaim(epoch);
-  const bool have = loaded.ok();
-  const EpochClaimRecord stored = loaded.ValueOr({});
-  // A commit is a fact a fence never overrides: if this replica learned the
-  // epoch committed (the fence round and a confirm round can interleave at
-  // DIFFERENT replicas; both then fail their callers), keep the commit.
-  if (have && stored.committed) return;
-  if (IsEpochFenced(epoch)) return;
-  fenced_epochs_[epoch] = FencedInstance{participant, nonce};
-  claim_touch_.erase(epoch);
-  // Persist the burn WITH purge authority (`purged`) so a restart re-learns
-  // both facts and replica pushes propagate them (the marker replicates like
-  // any claim record). Purge authority is what distinguishes this phase-two
-  // entry point from a fence grant's burn promise: callers reach here only
-  // downstream of a unanimously granted fence round.
-  EpochClaimRecord burned;
-  if (have) {
-    burned = stored;
-  } else {
-    burned.participant = participant;
-    burned.nonce = nonce;
-  }
-  burned.committed = false;
-  burned.fenced = true;
-  burned.purged = true;
-  PutClaim(epoch, burned);
-  PurgeEpochLocal(epoch);
 }
 
 void StorageService::PurgeEpochLocal(Epoch epoch) {
@@ -1245,8 +935,8 @@ void StorageService::PutPushTables(Writer* w) const {
   }
   // Burns propagate even after the fenced claim records themselves were
   // retired below the GC watermark.
-  w->PutVarint64(fenced_epochs_.size());
-  for (const auto& [fe, inst] : fenced_epochs_) {
+  w->PutVarint64(claims_.burned().size());
+  for (const auto& [fe, inst] : claims_.burned()) {
     EpochInstance{fe, inst.participant, inst.nonce}.EncodeTo(w);
   }
 }
@@ -1499,6 +1189,7 @@ bool StorageService::RunGcSlice(uint64_t budget) {
                                       {keys::kDataTag, &GcStats::retired_data}};
   const Epoch w = gc_sweep_.watermark;
   std::vector<std::string> doomed;
+  std::vector<Epoch> retired_claims;  // told to ClaimReplica once deleted
   uint64_t scanned = 0;
 
   // Reaps the tracked survivor if it is a trailing tombstone, then clears
@@ -1534,7 +1225,7 @@ bool StorageService::RunGcSlice(uint64_t budget) {
       if (!keys::Parse(key, &pk)) continue;  // malformed: leave it alone
       switch (pk.tag) {
         case keys::kClaimTag:
-          if (pk.epoch < w) claim_touch_.erase(pk.epoch);
+          if (pk.epoch < w) retired_claims.push_back(pk.epoch);
           [[fallthrough]];
         case keys::kCoordTag:
           if (pk.epoch < w) {
@@ -1579,44 +1270,18 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   }
 
   for (const std::string& key : doomed) store_.Delete(key).ok();
+  for (Epoch e : retired_claims) Answer(claims_.Retired(e));
   ChargeCpu(host_->network()->costs().tuple_scan_us *
             static_cast<double>(scanned + doomed.size()));
   return gc_sweep_.phase >= 4;
 }
 
 void StorageService::OnRestart() {
-  // The store is durable across a crash; the epoch high-mark is not. Rebuild
-  // it from the surviving CONFIRMED epoch claims (coordinator records alone
-  // may belong to torn publishes) so epoch discovery stays truthful. The
-  // watermark resets to 0 and is re-learned from the next advertisement —
-  // GC merely lags on a freshly restarted node.
-  max_epoch_seen_ = 0;
-  fenced_epochs_.clear();
-  claim_touch_.clear();
-  const sim::SimTime now = host_->network()->simulator()->now();
-  for (auto it = store_.SeekPrefix(keys::TagPrefix(keys::kClaimTag));
-       it.Valid(); it.Next()) {
-    keys::ParsedKey pk;
-    if (!keys::Parse(it.key(), &pk)) continue;
-    const Epoch e = pk.epoch;
-    Reader vr(it.value());
-    EpochClaimRecord rec;
-    if (!EpochClaimRecord::DecodeFrom(&vr, &rec).ok()) continue;
-    if (rec.committed) {
-      max_epoch_seen_ = std::max(max_epoch_seen_, e);
-    } else if (rec.fenced) {
-      // Burns are durable. Only PURGED burns re-enter the purge-authority
-      // table — a bare burn promise (partial fence round) keeps refusing
-      // claims/confirms through the record itself but must never purge.
-      if (rec.purged) {
-        fenced_epochs_[e] = FencedInstance{rec.participant, rec.nonce};
-      }
-    } else {
-      // Conservative freshness seed: a replica restart must not make a LIVE
-      // claim owner look stale — its next refresh re-arms the clock anyway.
-      claim_touch_[e] = now;
-    }
-  }
+  // The store is durable across a crash; the claim bookkeeping is rebuilt
+  // from it (ClaimReplica::Restart). The watermark resets to 0 and is
+  // re-learned from the next advertisement — GC merely lags on a freshly
+  // restarted node.
+  claims_.Restart(Now());
   gc_watermark_ = 0;
   // Per-participant marks are transient too; re-learned from advertisements
   // and the replica-push piggyback table.

@@ -14,7 +14,10 @@
 // (keys::Parse) and switches on the parsed tag, one function per decision:
 // PlaceRecord (where it replicates), RecordDigest (what its bucket digest
 // covers), HandleReplicaPush (how a pushed copy merges), PurgeEpochLocal
-// (what a fence purges) and RunGcSlice (when GC retires it).
+// (what a fence purges) and RunGcSlice (when GC retires it). The epoch-claim
+// rules live in one class with no network, ClaimReplica (storage/
+// claim_replica.h): this service decodes claim requests, calls it and sends
+// the replies it returns.
 #ifndef ORCHESTRA_STORAGE_SERVICE_H_
 #define ORCHESTRA_STORAGE_SERVICE_H_
 
@@ -30,6 +33,7 @@
 #include "net/node_host.h"
 #include "net/rpc.h"
 #include "overlay/ring.h"
+#include "storage/claim_replica.h"
 #include "storage/keys.h"
 #include "storage/page.h"
 #include "storage/schema.h"
@@ -84,7 +88,13 @@ enum StorageCode : uint16_t {
   // break under membership churn): a wedged epoch is unwedged by its own
   // participant's retry or instance-exact release only.
   kClaimEpoch = 15,
-  kGetEpochClaim = 16,   // read back (participant, node, committed) of a claim
+  // A claim loser's probe of the epoch it lost. The claim replica answers at
+  // once when the epoch is committed, empty or burned; otherwise it holds
+  // the probe until the claim confirms, is released or is burned, or for at
+  // most kClaimProbeHoldUs. The answer (ClaimProbeAnswer) says which
+  // happened, whether the probe waited and its rank among the probes the
+  // same change answered.
+  kGetEpochClaim = 16,
   kReleaseEpoch = 17,    // one-way: delete own claim (failed publish cleanup)
   // Commit confirmation: after ALL coordinator records of an epoch are
   // written, the publisher flips its claim's `committed` flag on the claim
@@ -117,6 +127,8 @@ enum StorageCode : uint16_t {
 /// Per-call deadline for epoch discovery: much tighter than the general RPC
 /// deadline so a publish past a dead member stalls seconds, not a minute.
 constexpr sim::SimTime kEpochDiscoveryTimeoutUs = 5 * sim::kMicrosPerSec;
+static_assert(kClaimProbeHoldUs < kEpochDiscoveryTimeoutUs,
+              "a held claim probe must be answered before its deadline");
 
 /// A participant's GC watermark advertisement stays live this long; after
 /// that the participant is considered departed and stops holding the
@@ -201,6 +213,8 @@ class StorageService : public net::Service {
 
   /// Outstanding entries in the pending-call table (leak regression hook).
   size_t pending_rpc_count() const { return rpc_.pending_count(); }
+  /// Claim probes this node holds unanswered (leak regression hook).
+  size_t held_probe_count() const { return claims_.held_count(); }
   const net::RpcClient::Counters& rpc_counters() const { return rpc_.counters(); }
 
   // --- Admission control ----------------------------------------------------
@@ -277,15 +291,15 @@ class StorageService : public net::Service {
   /// coordinator records alone deliberately do NOT advance it (a torn
   /// publish leaves partial records, and basing on them would absorb
   /// uncommitted updates).
-  Epoch max_epoch_seen() const { return max_epoch_seen_; }
+  Epoch max_epoch_seen() const { return claims_.max_confirmed(); }
 
   /// Crash-restart hook: rebuilds transient epoch bookkeeping from the
   /// (durable) store after a Recover().
   void OnRestart();
 
-  /// True if `e` is known burned on this node (fence granted here, learned
-  /// via kPurgeEpoch, or rebuilt from the durable fenced claim record).
-  bool IsEpochFenced(Epoch e) const { return fenced_epochs_.count(e) > 0; }
+  /// True if `e` is known burned on this node (learned via kPurgeEpoch or a
+  /// replica push, or rebuilt from the durable fenced claim record).
+  bool IsEpochFenced(Epoch e) const { return claims_.IsBurned(e); }
 
   struct GcStats {
     uint64_t runs = 0;                // completed sweeps (inline or background)
@@ -306,29 +320,27 @@ class StorageService : public net::Service {
   void OnMessage(net::NodeId from, uint16_t code, const std::string& payload) override;
   void OnConnectionDrop(net::NodeId peer) override;
   /// Fail-stop death of this node: drop outstanding calls without invoking
-  /// their callbacks — nothing may execute on a halted node.
-  void OnSelfFailed() override { rpc_.DropAll(); }
+  /// their callbacks, and the claim probes it holds unanswered — nothing may
+  /// execute on a halted node.
+  void OnSelfFailed() override {
+    rpc_.DropAll();
+    claims_.DropHeld();
+  }
 
-  struct Counters {
+  /// The claim counters (claims_refused, fences_granted, fences_refused,
+  /// fenced_writes_refused) come from ClaimCounters.
+  struct Counters : ClaimCounters {
     uint64_t tuples_stored = 0;
     uint64_t pages_stored = 0;
     uint64_t tuples_served = 0;  // kGetTuple replies that carried a tuple
     // Coalesced publish frames received: one per (publish, destination node)
     // pair — the RPC-count story of the pipelined publish path.
     uint64_t puttuples_frames = 0;
-    // Multi-writer contention observed at this node: claim requests refused
-    // with kEpochTaken, and same-epoch coordinator writes refused at the
-    // commit gate (the backstop; nonzero only under claim-replica-set
-    // wipeout by simultaneous membership churn).
-    uint64_t claims_refused = 0;
+    // Same-epoch coordinator writes refused at the commit gate (the
+    // backstop; nonzero only under claim-replica-set wipeout by simultaneous
+    // membership churn).
     uint64_t coordinator_conflicts = 0;
-    // Abandonment fencing at this claim replica: kFenceEpoch grants (the
-    // epoch burned here) and refusals (owner fresh/committed/frontier), late
-    // writes refused because their epoch is fenced, and orphan records
-    // purged by fence-triggered local purges.
-    uint64_t fences_granted = 0;
-    uint64_t fences_refused = 0;
-    uint64_t fenced_writes_refused = 0;
+    // Orphan records purged by fence-triggered local purges.
     uint64_t purged_orphans = 0;
   };
   const Counters& counters() const { return counters_; }
@@ -344,10 +356,12 @@ class StorageService : public net::Service {
                     std::string why);
   /// Replies with the stored bytes under `key`, or with NotFound.
   void RespondStored(net::NodeId to, uint64_t req_id, const std::string& key);
-  /// The epoch's stored claim record: NotFound when the slot is empty,
-  /// Corruption when its bytes do not decode.
-  Result<EpochClaimRecord> LoadClaim(Epoch epoch) const;
-  void PutClaim(Epoch epoch, const EpochClaimRecord& rec);
+  /// Sends the replies a ClaimReplica transition returned.
+  void Answer(ClaimReplica::Replies replies);
+  /// Holds a claim probe: answers it (and any other probe due) once the
+  /// hold bound passes, unless a claim change answered it first.
+  void ArmProbeHold();
+  sim::SimTime Now() const { return host_->network()->simulator()->now(); }
   /// Background GC: starts a sliced sweep at the current watermark, or
   /// re-arms the one in flight (it finishes, then restarts at the latest
   /// watermark, which also clears records a stale replica push resurrected
@@ -367,13 +381,6 @@ class StorageService : public net::Service {
   /// WITHOUT applying the effective watermark — bulk callers (replica push)
   /// merge everything first and sweep once.
   void MergeParticipantMark(ParticipantId p, Epoch mark);
-  void HandleClaimEpoch(net::NodeId from, Reader* r, uint64_t req_id);
-  void HandleFenceEpoch(net::NodeId from, Reader* r, uint64_t req_id);
-  /// Records `epoch` as burned (fenced instance = participant/nonce), stores
-  /// the durable fenced claim marker, and purges local orphan versions — a
-  /// no-op if the local claim committed (a commit is a fact a fence never
-  /// overrides) or the burn is already known.
-  void MergeFencedEpoch(Epoch epoch, ParticipantId participant, uint64_t nonce);
   /// Deletes every data/page/coordinator version stored at `epoch`, so
   /// discovery never sees torn state after a fence.
   void PurgeEpochLocal(Epoch epoch);
@@ -434,7 +441,7 @@ class StorageService : public net::Service {
   // std::less<> enables string_view lookups without temporary strings.
   std::map<std::string, RelationDef, std::less<>> catalog_;
   Counters counters_;
-  Epoch max_epoch_seen_ = 0;
+  ClaimReplica claims_;
   Epoch gc_watermark_ = 0;
   GcStats gc_;
   // Background sweep cursor. The watermark is pinned per sweep (retiring
@@ -467,20 +474,6 @@ class StorageService : public net::Service {
     sim::SimTime at = 0;
   };
   std::map<ParticipantId, ParticipantMark> participant_marks_;
-  // Abandonment fencing. `claim_touch_` is the freshness clock a fence races
-  // against: set at every claim grant/re-grant and confirm, seeded to "now"
-  // for surviving uncommitted claims on restart (conservative: a replica
-  // restart must not make a live owner look stale). Transient by design.
-  std::map<Epoch, sim::SimTime> claim_touch_;
-  // Burned epochs with the fenced instance (for instance-exact zombie write
-  // refusals). Durable via the fenced claim record; rebuilt on restart and
-  // re-taught by the replica-push piggyback. Never pruned — fences are rare
-  // and a retained entry keeps a stale push from resurrecting orphans.
-  struct FencedInstance {
-    ParticipantId participant = 0;
-    uint64_t nonce = 0;
-  };
-  std::map<Epoch, FencedInstance> fenced_epochs_;
   // LocalBucketDigests' last build (empty before the first), and the
   // store's put and delete counts it was built at. OnRestart drops it:
   // recovery rebuilds the store without counting.

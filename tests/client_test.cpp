@@ -397,11 +397,15 @@ TEST_F(SessionTest, ConcurrentPublishersResolveContentionDeterministically) {
 
   // Submit in the same sim instant: both discover the same base and race
   // for the same epoch.
+  const sim::SimTime t0 = dep->sim().now();
   Ticket ta = a.Submit(OneRow("R", "a", "va"));
   Ticket tb = b.Submit(OneRow("R", "b", "vb"));
   ASSERT_TRUE(Drive([&] { return ta.epoch.done() && tb.epoch.done(); }));
   ASSERT_TRUE(ta.epoch.ok()) << ta.epoch.status().ToString();
   ASSERT_TRUE(tb.epoch.ok()) << tb.epoch.status().ToString();
+  // The loser wakes when the winner commits: both tickets resolve within
+  // a few commit times, not after a multi-second contention pause.
+  EXPECT_LE(dep->sim().now() - t0, 20 * sim::kMicrosPerMilli);
 
   // One writer per epoch, and the epochs are adjacent: the loser re-based
   // onto the winner's commit instead of failing or tearing.
@@ -428,6 +432,43 @@ TEST_F(SessionTest, ConcurrentPublishersResolveContentionDeterministically) {
   EXPECT_EQ(AsMap(*at_lo),
             a_won ? (std::map<std::string, std::string>{{"a", "va"}})
                   : (std::map<std::string, std::string>{{"b", "vb"}}));
+  // The loser's held probe was answered; nothing is left pending.
+  dep->RunFor(sim::kMicrosPerSec);
+  EXPECT_EQ(dep->PendingRpcCount(), 0u);
+  for (size_t i = 0; i < dep->size(); ++i) {
+    EXPECT_EQ(dep->storage(i).held_probe_count(), 0u);
+  }
+}
+
+// A split: each writer sits on a claim replica of epoch 1, so its own claim
+// reaches that replica first and each holds a fragment — nobody holds the
+// whole claim. Both release and re-claim after distinct phases of about a
+// round trip; the race resolves in milliseconds at adjacent epochs.
+TEST_F(SessionTest, SplitClaimResolvesInMillisecondsAtAdjacentEpochs) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R")).ok());
+  auto reps = dep->storage(0).snapshot().ReplicasOf(storage::ClaimHash(1), 3);
+  ASSERT_EQ(reps.size(), 3u);
+  const sim::SimTime t0 = dep->sim().now();
+  Ticket ta = dep->session(reps[0]).Submit(OneRow("R", "a", "va"));
+  Ticket tb = dep->session(reps[1]).Submit(OneRow("R", "b", "vb"));
+  ASSERT_TRUE(Drive([&] { return ta.epoch.done() && tb.epoch.done(); }));
+  ASSERT_TRUE(ta.epoch.ok()) << ta.epoch.status().ToString();
+  ASSERT_TRUE(tb.epoch.ok()) << tb.epoch.status().ToString();
+  EXPECT_LE(dep->sim().now() - t0, 20 * sim::kMicrosPerMilli);
+  EXPECT_EQ(std::min(ta.epoch.value(), tb.epoch.value()), 1u);
+  EXPECT_EQ(std::max(ta.epoch.value(), tb.epoch.value()), 2u);
+  // The split refused both writers.
+  EXPECT_GE(dep->publisher(reps[0]).pipeline_stats().epoch_conflicts, 1u);
+  EXPECT_GE(dep->publisher(reps[1]).pipeline_stats().epoch_conflicts, 1u);
+  auto rows = dep->Retrieve(2, "R", 2);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(AsMap(*rows),
+            (std::map<std::string, std::string>{{"a", "va"}, {"b", "vb"}}));
+  dep->RunFor(sim::kMicrosPerSec);
+  EXPECT_EQ(dep->PendingRpcCount(), 0u);
+  for (size_t i = 0; i < dep->size(); ++i) {
+    EXPECT_EQ(dep->storage(i).held_probe_count(), 0u);
+  }
 }
 
 // Same race twice (fresh deployments) => identical winner and epochs.

@@ -662,6 +662,31 @@ TEST_F(StorageClusterTest, Sha1ComputedOncePerTuplePerPublish) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 150u);
   EXPECT_EQ(TupleKeyHashCount() - before, 0u);
+
+  // Two writers race for epoch 3: the loser re-bases and publishes its batch
+  // again at epoch 4 on the bytes it encoded at submit — still one hash per
+  // tuple.
+  UpdateBatch a, b;
+  for (int i = 0; i < 30; ++i) {
+    a["R"].push_back(Update::Insert(Row(Tag("a", i), "x")));
+    b["R"].push_back(Update::Insert(Row(Tag("b", i), "y")));
+  }
+  before = TupleKeyHashCount();
+  uint64_t rebases_before = 0;
+  for (size_t n = 0; n < dep->size(); ++n) {
+    rebases_before += dep->publisher(n).pipeline_stats().rebases;
+  }
+  client::Ticket ta = dep->session(0).Submit(std::move(a));
+  client::Ticket tb = dep->session(1).Submit(std::move(b));
+  ASSERT_TRUE(dep->RunUntil([&] { return ta.epoch.done() && tb.epoch.done(); }));
+  ASSERT_TRUE(ta.epoch.ok()) << ta.epoch.status().ToString();
+  ASSERT_TRUE(tb.epoch.ok()) << tb.epoch.status().ToString();
+  uint64_t rebases = 0;
+  for (size_t n = 0; n < dep->size(); ++n) {
+    rebases += dep->publisher(n).pipeline_stats().rebases;
+  }
+  EXPECT_GE(rebases - rebases_before, 1u) << "no writer lost and re-based";
+  EXPECT_EQ(TupleKeyHashCount() - before, 60u);
 }
 
 TEST(Keys, ParsersInvertBuilders) {
@@ -1197,6 +1222,31 @@ TEST(ClaimCodec, GoldenBytesMatchTheWireLayouts) {
   ExpectRoundTripAndTruncationRejected(release.data(), release_body);
   ExpectRoundTripAndTruncationRejected(reply.data(), inst);
   ExpectRoundTripAndTruncationRejected(fence.data(), fence_req);
+
+  // kGetEpochClaim reply: u8 outcome | bool waited | varint32 rank | the
+  // stored record (varint32 participant | varint32 node | bool committed |
+  // varint64 nonce | bool fenced | bool purged).
+  Writer probe;
+  probe.PutU8(4);  // held: the hold bound passed
+  probe.PutBool(true);
+  probe.PutVarint32(300);
+  probe.PutVarint32(300);
+  probe.PutVarint32(129);
+  probe.PutBool(false);
+  probe.PutVarint64(70000);
+  probe.PutBool(true);
+  probe.PutBool(false);
+  const ClaimProbeAnswer answer{ClaimProbeAnswer::Outcome::kHeld, /*waited=*/true,
+                                /*rank=*/300,
+                                EpochClaimRecord{300, 129, false, 70000, true, false}};
+  EXPECT_EQ(EncodeToBytes(answer), probe.data());
+  ExpectRoundTripAndTruncationRejected(probe.data(), answer);
+  // An outcome past the last one does not decode.
+  std::string bad = probe.data();
+  bad[0] = 5;
+  Reader br(bad);
+  ClaimProbeAnswer rejected;
+  EXPECT_TRUE(ClaimProbeAnswer::DecodeFrom(&br, &rejected).IsCorruption());
 }
 
 // kPutPage golden bytes, assembled by hand from docs/WIRE_FORMATS.md: a
@@ -1633,18 +1683,18 @@ TEST_F(StorageClusterTest, EpochClaimProtocol) {
     dep->storage(0).SendOneWay(1, kReleaseEpoch, w.Release());
   }
   dep->RunFor(sim::kMicrosPerSec / 10);
+  // A probe of a committed epoch is answered at once, with the record.
   Writer gw;
   gw.PutVarint64(100);
   auto [got, claim] = call(kGetEpochClaim, gw.Release());
   ASSERT_TRUE(got.ok());
   Reader cr(claim);
-  uint32_t cp = 0, cn = 0;
-  bool committed = false;
-  uint64_t cx = 0;
-  ASSERT_TRUE(cr.GetVarint32(&cp).ok() && cr.GetVarint32(&cn).ok() &&
-              cr.GetBool(&committed).ok() && cr.GetVarint64(&cx).ok());
-  EXPECT_EQ(cp, 9u);
-  EXPECT_TRUE(committed);
+  ClaimProbeAnswer answer;
+  ASSERT_TRUE(ClaimProbeAnswer::DecodeFrom(&cr, &answer).ok());
+  EXPECT_EQ(answer.outcome, ClaimProbeAnswer::Outcome::kConfirmed);
+  EXPECT_FALSE(answer.waited);
+  EXPECT_EQ(answer.claim.participant, 9u);
+  EXPECT_TRUE(answer.claim.committed);
 }
 
 // Coordinator records alone must NOT advance the discovery frontier: a torn
@@ -1867,7 +1917,8 @@ TEST_F(FencingTest, FenceGrantIsAPromiseUntilPurged) {
   EXPECT_TRUE(burned.first.IsFenced()) << burned.first.ToString();
   EXPECT_TRUE(
       Rpc(1, kConfirmEpoch, ConfirmBody(100, 7, 0, 1)).first.IsFenced());
-  // The stored record carries both facts durably: burned AND purged.
+  // The stored record carries both facts durably: burned AND purged. A
+  // probe of a burned epoch is answered at once.
   auto [got, bytes] = Rpc(1, kGetEpochClaim, [] {
     Writer gw;
     gw.PutVarint64(100);
@@ -1875,8 +1926,10 @@ TEST_F(FencingTest, FenceGrantIsAPromiseUntilPurged) {
   }());
   ASSERT_TRUE(got.ok());
   Reader cr(bytes);
-  EpochClaimRecord stored;
-  ASSERT_TRUE(EpochClaimRecord::DecodeFrom(&cr, &stored).ok());
+  ClaimProbeAnswer answer;
+  ASSERT_TRUE(ClaimProbeAnswer::DecodeFrom(&cr, &answer).ok());
+  EXPECT_EQ(answer.outcome, ClaimProbeAnswer::Outcome::kBurned);
+  const EpochClaimRecord& stored = answer.claim;
   EXPECT_TRUE(stored.fenced);
   EXPECT_TRUE(stored.purged);
   EXPECT_FALSE(stored.committed);
@@ -1971,6 +2024,273 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   EXPECT_TRUE(
       Rpc(1, kConfirmEpoch, ConfirmBody(3, 7, 3, 9)).first.IsFenced());
   EXPECT_GE(dep->storage(1).counters().fenced_writes_refused, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Write pins are per batch. The claim replicas grant per participant, so a
+// batch can be granted an epoch where another batch of the same participant
+// already wrote and failed. Committing over those writes would leave them as
+// orphans: once GC passes the epoch it keeps them as their keys' newest
+// versions and retires the versions the committed pages name.
+
+size_t HeldProbes(deploy::Deployment& dep) {
+  size_t n = 0;
+  for (size_t i = 0; i < dep.size(); ++i) n += dep.storage(i).held_probe_count();
+  return n;
+}
+
+TEST_F(StorageClusterTest, NextBatchRetiresAFailedDuplicatesWrites) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 4)).ok());
+  // The one node outside epoch 2's claim replicas: killed without a routing
+  // update, it fails a write the duplicate sends it but not its claim.
+  auto claim_reps = dep->storage(0).snapshot().ReplicasOf(ClaimHash(2), 3);
+  net::NodeId victim = 0;
+  while (std::find(claim_reps.begin(), claim_reps.end(), victim) != claim_reps.end()) {
+    ++victim;
+  }
+  const size_t writer = claim_reps.front();
+
+  std::multiset<std::string> model;
+  UpdateBatch x;
+  for (int i = 0; i < 8; ++i) {
+    x["R"].push_back(Update::Insert(Row(Tag("x", i), "1")));
+    model.insert(Tag("('x", i) + "', '1')");
+  }
+  auto ex = dep->Publish(writer, x);
+  ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+  ASSERT_EQ(*ex, 1u);
+
+  // A duplicate of the committed batch bases on epoch 1, writes at epoch 2
+  // and fails before its commit round: its write to the dead node fails.
+  dep->KillNode(victim, /*update_routing=*/false);
+  auto dup = dep->Publish(writer, x);
+  ASSERT_FALSE(dup.ok()) << "the duplicate committed at " << *dup;
+  dep->RestartNode(victim);
+
+  // The participant's next batch commits past the duplicate's epoch.
+  UpdateBatch y;
+  for (int i = 0; i < 4; ++i) {
+    y["R"].push_back(Update::Insert(Row(Tag("y", i), "2")));
+    model.insert(Tag("('y", i) + "', '2')");
+  }
+  auto ey = dep->Publish(writer, y);
+  ASSERT_TRUE(ey.ok()) << ey.status().ToString();
+  EXPECT_GT(*ey, 2u) << "the next batch committed over the duplicate's writes";
+
+  // GC passes epoch 2; the latest epoch still reads back as the model.
+  for (size_t i = 0; i < dep->size(); ++i) dep->storage(i).SetGcWatermark(*ey);
+  auto rows = dep->Retrieve(victim, "R", *ey);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(AsBag(*rows), model);
+  dep->RunFor(sim::kMicrosPerSec);
+  EXPECT_EQ(dep->PendingRpcCount(), 0u);
+  EXPECT_EQ(HeldProbes(*dep), 0u);
+}
+
+// A held probe whose replica dies, still routed, resolves with the kill's
+// drop notice one hop later: no deadline is waited out.
+TEST_F(StorageClusterTest, HeldProbeOfAKilledReplicaResolvesInOneRoundTrip) {
+  bool claimed = false;
+  dep->storage(0).Call(1, kClaimEpoch, ClaimBody(100, 7, 0, 1),
+                       [&](Status s, const std::string&) { claimed = s.ok(); });
+  dep->RunFor(sim::kMicrosPerMilli);
+  ASSERT_TRUE(claimed);
+
+  Writer w;
+  w.PutVarint64(100);
+  bool done = false;
+  Status out;
+  sim::SimTime answered = 0;
+  dep->storage(2).Call(
+      1, kGetEpochClaim, w.Release(),
+      [&](Status s, const std::string&) {
+        out = s;
+        done = true;
+        answered = dep->sim().now();
+      },
+      kEpochDiscoveryTimeoutUs);
+  dep->RunFor(sim::kMicrosPerMilli);
+  ASSERT_FALSE(done) << "a probe of a claimed epoch was not held";
+  EXPECT_EQ(dep->storage(1).held_probe_count(), 1u);
+
+  const sim::SimTime killed = dep->sim().now();
+  dep->KillNode(1, /*update_routing=*/false);
+  ASSERT_TRUE(dep->RunUntil([&] { return done; }));
+  EXPECT_TRUE(out.IsUnavailable()) << out.ToString();
+  EXPECT_LE(answered - killed, 2 * net::LinkParams{}.latency_us);
+  EXPECT_EQ(dep->storage(2).rpc_counters().timed_out, 0u);
+  EXPECT_EQ(dep->PendingRpcCount(), 0u);
+  EXPECT_EQ(HeldProbes(*dep), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ClaimReplica: the claim replica's rules alone, with no network. A probe of
+// a claimed epoch is held and answered exactly once — by the change that
+// settles it, or at its hold bound — and a restart drops it.
+
+class ClaimReplicaTest : public ::testing::Test {
+ protected:
+  ClaimReplicaTest()
+      : claims(&store, &counters, [this](Epoch e) { purged.push_back(e); }) {}
+
+  static ClaimRequest Req(Epoch e, ParticipantId p, uint64_t nonce) {
+    return ClaimRequest{e, ClaimInstance{p, /*node=*/p, nonce}};
+  }
+  /// The answers `replies` carries for probe `req_id`, decoded.
+  static std::vector<ClaimProbeAnswer> AnswersTo(const ClaimReplica::Replies& replies,
+                                                 uint64_t req_id) {
+    std::vector<ClaimProbeAnswer> out;
+    for (const ClaimReplica::Reply& r : replies) {
+      if (r.req_id != req_id) continue;
+      EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+      Reader rd(r.body);
+      ClaimProbeAnswer a;
+      EXPECT_TRUE(ClaimProbeAnswer::DecodeFrom(&rd, &a).ok());
+      out.push_back(a);
+    }
+    return out;
+  }
+
+  localstore::LocalStore store;
+  ClaimCounters counters;
+  std::vector<Epoch> purged;
+  ClaimReplica claims;
+};
+
+TEST_F(ClaimReplicaTest, ProbesOfSettledSlotsAreAnsweredAtOnce) {
+  auto empty = AnswersTo(claims.Probe(9, 1, 5, 0), 1);
+  ASSERT_EQ(empty.size(), 1u);
+  EXPECT_EQ(empty[0].outcome, ClaimProbeAnswer::Outcome::kEmpty);
+  EXPECT_FALSE(empty[0].waited);
+  ASSERT_EQ(claims.Claim(1, 2, Req(5, 1, 1), 0).size(), 1u);
+  ASSERT_EQ(claims.Confirm(1, 3, Req(5, 1, 1), 0).size(), 1u);
+  auto confirmed = AnswersTo(claims.Probe(9, 4, 5, 0), 4);
+  ASSERT_EQ(confirmed.size(), 1u);
+  EXPECT_EQ(confirmed[0].outcome, ClaimProbeAnswer::Outcome::kConfirmed);
+  EXPECT_FALSE(confirmed[0].waited);
+  EXPECT_EQ(claims.held_count(), 0u);
+}
+
+TEST_F(ClaimReplicaTest, ConfirmAnswersHeldProbesInArrivalOrder) {
+  ASSERT_EQ(claims.Claim(1, 1, Req(5, 1, 1), 0).size(), 1u);
+  EXPECT_TRUE(claims.Probe(3, 30, 5, 10).empty());
+  EXPECT_TRUE(claims.Probe(2, 20, 5, 20).empty());
+  EXPECT_TRUE(claims.Probe(4, 40, 5, 30).empty());
+  EXPECT_EQ(claims.held_count(), 3u);
+  // The owner's heartbeat re-claim changes nothing a probe waits for.
+  EXPECT_EQ(claims.Claim(1, 2, Req(5, 1, 2), 40).size(), 1u);
+  EXPECT_EQ(claims.held_count(), 3u);
+
+  ClaimReplica::Replies out = claims.Confirm(1, 5, Req(5, 1, 2), 50);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0].req_id, 5u);  // the confirm's own reply first
+  const std::vector<uint64_t> order{out[1].req_id, out[2].req_id, out[3].req_id};
+  EXPECT_EQ(order, (std::vector<uint64_t>{30, 20, 40}));
+  for (uint32_t rank = 0; rank < 3; ++rank) {
+    auto a = AnswersTo(out, order[rank]);
+    ASSERT_EQ(a.size(), 1u);
+    EXPECT_EQ(a[0].outcome, ClaimProbeAnswer::Outcome::kConfirmed);
+    EXPECT_TRUE(a[0].waited);
+    EXPECT_EQ(a[0].rank, rank);
+    EXPECT_EQ(a[0].claim.participant, 1u);
+  }
+  // Answered exactly once: neither the hold bound nor a later change
+  // answers them again.
+  EXPECT_EQ(claims.held_count(), 0u);
+  EXPECT_TRUE(claims.ExpireHeld(10 * kClaimProbeHoldUs).empty());
+  EXPECT_EQ(claims.Claim(1, 6, Req(5, 1, 3), 60).size(), 1u);
+}
+
+TEST_F(ClaimReplicaTest, ReleaseAnswersHeldProbesWithAnEmptySlot) {
+  ASSERT_EQ(claims.Claim(1, 1, Req(5, 1, 7), 0).size(), 1u);
+  EXPECT_TRUE(claims.Probe(2, 10, 5, 0).empty());
+  // A stale release (an older attempt's nonce) neither frees the slot nor
+  // answers the probe.
+  EXPECT_TRUE(claims.Release(EpochInstance{5, 1, 6}).empty());
+  EXPECT_EQ(claims.held_count(), 1u);
+  auto a = AnswersTo(claims.Release(EpochInstance{5, 1, 7}), 10);
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a[0].outcome, ClaimProbeAnswer::Outcome::kEmpty);
+  EXPECT_TRUE(a[0].waited);
+  EXPECT_EQ(claims.held_count(), 0u);
+}
+
+TEST_F(ClaimReplicaTest, FenceGrantAndPurgeEachAnswerHeldProbes) {
+  const sim::SimTime ttl = sim::kMicrosPerSec;
+  ASSERT_EQ(claims.Claim(1, 1, Req(5, 7, 3), 0).size(), 1u);
+  EXPECT_TRUE(claims.Probe(2, 10, 5, 0).empty());
+  // A refused fence (owner still fresh) changes nothing.
+  ClaimReplica::Replies refused = claims.Fence(2, 11, FenceRequest{5, 9, 7, ttl}, ttl / 2);
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_TRUE(refused[0].status.IsUnavailable());
+  EXPECT_EQ(claims.held_count(), 1u);
+  // The grant stores a burn promise and answers the probe with it.
+  ClaimReplica::Replies granted = claims.Fence(2, 12, FenceRequest{5, 9, 7, ttl}, 2 * ttl);
+  ASSERT_EQ(granted.size(), 2u);
+  EXPECT_TRUE(granted[0].status.ok());
+  auto promised = AnswersTo(granted, 10);
+  ASSERT_EQ(promised.size(), 1u);
+  EXPECT_EQ(promised[0].outcome, ClaimProbeAnswer::Outcome::kPromised);
+  EXPECT_TRUE(promised[0].claim.fenced);
+  EXPECT_FALSE(promised[0].claim.purged);
+  // A probe of the promise is held in turn; the purge answers it.
+  EXPECT_TRUE(claims.Probe(2, 13, 5, 2 * ttl).empty());
+  auto burned = AnswersTo(claims.Burn(EpochInstance{5, 7, 3}), 13);
+  ASSERT_EQ(burned.size(), 1u);
+  EXPECT_EQ(burned[0].outcome, ClaimProbeAnswer::Outcome::kBurned);
+  EXPECT_EQ(purged, (std::vector<Epoch>{5}));
+  EXPECT_TRUE(claims.IsBurned(5));
+  EXPECT_EQ(claims.held_count(), 0u);
+}
+
+TEST_F(ClaimReplicaTest, HoldBoundAnswersWithTheSlotStillHeld) {
+  ASSERT_EQ(claims.Claim(1, 1, Req(5, 7, 1), 0).size(), 1u);
+  EXPECT_TRUE(claims.Probe(2, 10, 5, 100).empty());
+  EXPECT_TRUE(claims.ExpireHeld(100 + kClaimProbeHoldUs - 1).empty());
+  auto held = AnswersTo(claims.ExpireHeld(100 + kClaimProbeHoldUs), 10);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].outcome, ClaimProbeAnswer::Outcome::kHeld);
+  EXPECT_TRUE(held[0].waited);
+  EXPECT_EQ(held[0].claim.participant, 7u);
+  // Answered once: the commit that follows answers nobody else.
+  EXPECT_EQ(claims.Confirm(1, 2, Req(5, 7, 1), 200 + kClaimProbeHoldUs).size(), 1u);
+}
+
+TEST_F(ClaimReplicaTest, PushAndRetirementAnswerHeldProbes) {
+  ASSERT_EQ(claims.Claim(1, 1, Req(5, 7, 1), 0).size(), 1u);
+  ASSERT_EQ(claims.Claim(1, 2, Req(6, 7, 2), 0).size(), 1u);
+  EXPECT_TRUE(claims.Probe(2, 10, 5, 0).empty());
+  EXPECT_TRUE(claims.Probe(2, 11, 6, 0).empty());
+  // A pushed committed record answers the probe of epoch 5.
+  Writer w;
+  EpochClaimRecord{7, 7, /*committed=*/true, 1}.EncodeTo(&w);
+  bool stored = false;
+  auto pushed = AnswersTo(claims.MergePushed(5, w.data(), 10, &stored), 10);
+  EXPECT_TRUE(stored);
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(pushed[0].outcome, ClaimProbeAnswer::Outcome::kConfirmed);
+  EXPECT_EQ(claims.max_confirmed(), 5u);
+  // GC deleting epoch 6's record answers its probe with an empty slot.
+  ASSERT_TRUE(store.Delete(keys::EpochClaim(6)).ok());
+  auto retired = AnswersTo(claims.Retired(6), 11);
+  ASSERT_EQ(retired.size(), 1u);
+  EXPECT_EQ(retired[0].outcome, ClaimProbeAnswer::Outcome::kEmpty);
+  EXPECT_EQ(claims.held_count(), 0u);
+}
+
+TEST_F(ClaimReplicaTest, RestartDropsHeldProbes) {
+  ASSERT_EQ(claims.Claim(1, 1, Req(5, 7, 1), 0).size(), 1u);
+  EXPECT_TRUE(claims.Probe(2, 10, 5, 0).empty());
+  claims.Restart(50);
+  EXPECT_EQ(claims.held_count(), 0u);
+  // The rebuilt replica still holds the claim; its commit answers nobody.
+  EXPECT_EQ(claims.Confirm(1, 2, Req(5, 7, 1), 60).size(), 1u);
+  EXPECT_EQ(claims.max_confirmed(), 5u);
+  EXPECT_TRUE(claims.Probe(2, 11, 6, 70).size() == 1u);  // empty: answered
+  ASSERT_EQ(claims.Claim(1, 3, Req(6, 7, 2), 80).size(), 1u);
+  EXPECT_TRUE(claims.Probe(2, 12, 6, 90).empty());
+  claims.DropHeld();  // fail-stop death drops them too
+  EXPECT_EQ(claims.held_count(), 0u);
 }
 
 }  // namespace
