@@ -25,7 +25,8 @@
 #   parentdiff [REF]  benchmark/run.py --runs 1 on `git archive REF` (default
 #              HEAD) and on the working tree; one line per workload saying
 #              whether the trace digest and each sim metric are the same or
-#              changed, then exits with the status of `run.py compare`.
+#              changed, one with its peak_rss_mb on both sides, then exits
+#              with the status of `run.py compare`.
 #              Several minutes (two benchmark builds and runs), so not in all.
 #   churndiff [REF]  builds churn_test from `git archive REF` (default HEAD)
 #              and from the working tree, runs Churn.SeedSweep,
@@ -379,7 +380,10 @@ parentdiff() {
 import json, os, sys
 
 # End-to-end metrics that the simulation fixes; setup_s, host_s and
-# peak_rss_mb are host measurements and differ between any two runs.
+# peak_rss_mb are host measurements. setup_s and host_s differ between any
+# two runs. peak_rss_mb repeats within about 0.1% between runs of one
+# commit, so a change of a few percent is the change's own: it is printed
+# for each workload, with no same/changed verdict.
 HOST = {"setup_s", "host_s", "peak_rss_mb"}
 spec = json.load(open("BENCHMARK.json"))
 sim = [m["name"] for m in spec["end_to_end"] if m["name"] not in HOST]
@@ -400,6 +404,9 @@ for w in (w["name"] for w in spec["workloads"]):
         pct = f" ({100 * (y - x) / x:+.2f}%)" if x else ""
         cells.append(f"{name} " + ("same" if x == y else f"changed {x:.6g} -> {y:.6g}{pct}"))
     print(f"{w:<20} " + ", ".join(cells))
+    x, y = a["metrics"]["peak_rss_mb"]["value"], b["metrics"]["peak_rss_mb"]["value"]
+    print(f"{w:<20} peak_rss_mb (host measurement) {x:.1f} -> {y:.1f} MB"
+          + (f" ({100 * (y - x) / x:+.1f}%)" if x else ""))
 PY
   local status=0
   python3 benchmark/run.py compare "$tmp/parent" "$tmp/change" || status=$?

@@ -510,8 +510,11 @@ void LocalStore::ApplyPut(std::string_view key, std::string_view value,
   HashMiss miss;
   size_t hidx = HashFind(h, key, &miss);
   Slot rec = AppendRecord(key, value, count_stats);
+  live_bytes_ += key.size() + value.size();
   if (hidx != kNoSlot) {
-    live_[htable_[hidx].idx1 - 1] = rec;  // overwrite: repoint the live slot
+    Slot& old = live_[htable_[hidx].idx1 - 1];
+    live_bytes_ -= old.key_len + old.value_len;
+    old = rec;  // overwrite: repoint the live slot
   } else {
     live_.push_back(rec);
     auto live_idx = static_cast<uint32_t>(live_.size() - 1);
@@ -525,7 +528,9 @@ void LocalStore::ApplyPut(std::string_view key, std::string_view value,
 }
 
 void LocalStore::EraseAt(size_t hidx) {
-  live_[htable_[hidx].idx1 - 1] = Slot{};  // the tree skips dead slots
+  Slot& slot = live_[htable_[hidx].idx1 - 1];
+  live_bytes_ -= slot.key_len + slot.value_len;
+  slot = Slot{};  // the tree skips dead slots
   HashEraseAt(hidx);
 }
 
@@ -630,6 +635,7 @@ LocalStore::Iterator LocalStore::SeekPrefix(std::string_view prefix) const {
 }
 
 void LocalStore::IndexLiveRecord(Slot rec) {
+  live_bytes_ += rec.key_len + rec.value_len;
   live_.push_back(rec);
   auto live_idx = static_cast<uint32_t>(live_.size() - 1);
   TreeInsert(rec.key(), live_idx);
@@ -647,6 +653,7 @@ Status LocalStore::Recover() {
   // tail records replay through the general overwrite/delete path.
   arena_ = Arena();
   log_records_ = 0;
+  live_bytes_ = 0;
   TreeClear();
   htable_.clear();
   hcount_ = 0;
@@ -737,6 +744,7 @@ void LocalStore::Compact() {
   htable_.clear();
   hcount_ = 0;
   live_.clear();
+  live_bytes_ = 0;
   for (const Slot& rec : live) IndexLiveRecord(rec);
   stats_.compactions += 1;
 }

@@ -29,6 +29,7 @@
 #ifndef ORCHESTRA_LOCALSTORE_LOCAL_STORE_H_
 #define ORCHESTRA_LOCALSTORE_LOCAL_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -96,9 +97,11 @@ class Splice {
 };
 
 struct StoreOptions {
-  /// Compact when dead records exceed this fraction of log_size().
+  /// Compact when garbage_ratio() exceeds this: when dead records exceed
+  /// this fraction of log_size(), or dead bytes this fraction of
+  /// arena_bytes().
   double compaction_garbage_ratio = 0.5;
-  /// Do not compact below this many records.
+  /// Do not compact below this many records (whichever fraction is over).
   uint64_t compaction_min_records = 4096;
   /// Durability: when set, every mutation is framed into a segmented WAL on
   /// this backend and Recover() rebuilds from the newest checkpoint plus the
@@ -209,14 +212,23 @@ class LocalStore {
   const StoreStats& stats() const { return stats_; }
   /// Bytes currently held by the record arena (live + garbage).
   size_t arena_bytes() const { return arena_.bytes(); }
-  /// Fraction of log_size() that is dead (superseded or deleted) — the
-  /// compaction trigger's input. Computed over log_size(), which excludes
-  /// records reclaimed by compaction and WAL segments retired by
-  /// checkpoints, so already-reclaimed space never re-counts as garbage.
+  /// The compaction trigger's input: the larger of the dead (superseded or
+  /// deleted) fraction of log_size() and the dead fraction of
+  /// arena_bytes(). Records pace a store of small values; bytes pace one
+  /// whose large values are overwritten, where a few dead records can hold
+  /// most of the arena. Both count the CURRENT footprint, which excludes
+  /// what compaction and a checkpointed recovery reclaimed, so
+  /// already-reclaimed space never re-counts as garbage.
   double garbage_ratio() const {
-    return log_records_ == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(hcount_) / static_cast<double>(log_records_);
+    const double records =
+        log_records_ == 0
+            ? 0.0
+            : 1.0 - static_cast<double>(hcount_) / static_cast<double>(log_records_);
+    const double bytes =
+        arena_.bytes() == 0
+            ? 0.0
+            : 1.0 - static_cast<double>(live_bytes_) / static_cast<double>(arena_.bytes());
+    return std::max(records, bytes);
   }
 
   /// Crash-recovery entry point: discards ALL in-memory state and rebuilds
@@ -337,6 +349,7 @@ class LocalStore {
   StoreOptions options_;
   Arena arena_;
   uint64_t log_records_ = 0;  // see log_size()
+  size_t live_bytes_ = 0;     // key and value bytes of the live records
 
   // Live-slot table: both indexes address records through it, so an
   // overwrite updates one cell and a delete nulls it — neither touches the

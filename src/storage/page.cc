@@ -158,6 +158,61 @@ bool Before(const HashId& ha, std::string_view ka, const HashId& hb,
             std::string_view kb) {
   return ha != hb ? ha < hb : ka < kb;
 }
+
+// An encoded hash: five little-endian u32 limbs, least significant first
+// (HashId::EncodeTo), so byte order is not hash order.
+constexpr size_t kHashBytes = 20;
+
+uint32_t EncodedLimb(const char* hash, int limb) {
+  const auto* b = reinterpret_cast<const unsigned char*>(hash + 4 * limb);
+  return uint32_t{b[0]} | uint32_t{b[1]} << 8 | uint32_t{b[2]} << 16 |
+         uint32_t{b[3]} << 24;
+}
+
+// The (hash, key) order of two entries with encoded hashes, as <0, 0, >0.
+// Hashes compare limb by limb from the most significant.
+int CompareEncoded(const char* ha, std::string_view ka, const char* hb,
+                   std::string_view kb) {
+  for (int limb = 4; limb >= 0; --limb) {
+    const uint32_t a = EncodedLimb(ha, limb), b = EncodedLimb(hb, limb);
+    if (a != b) return a < b ? -1 : 1;
+  }
+  return ka.compare(kb);
+}
+
+// Reads a varint64 as Reader::GetVarint64 does, from `p` up to `end`; null
+// when the bytes end first or run past ten.
+const char* ReadVarint64(const char* p, const char* end, uint64_t* v) {
+  uint64_t r = 0;
+  for (int shift = 0; shift <= 63 && p < end; shift += 7) {
+    const auto byte = static_cast<uint8_t>(*p++);
+    r |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      *v = r;
+      return p;
+    }
+  }
+  return nullptr;
+}
+
+// One page entry read in place (TupleId then hash, as Page::EncodeTo
+// writes it): views into the page's bytes.
+struct EntryView {
+  std::string_view key;
+  const char* hash = nullptr;  // kHashBytes encoded bytes
+};
+
+// Reads the entry at `p`; null when the bytes before `end` do not hold one.
+const char* ReadEntry(const char* p, const char* end, EntryView* out) {
+  uint64_t len = 0, epoch = 0;
+  p = ReadVarint64(p, end, &len);
+  if (p == nullptr || len > static_cast<uint64_t>(end - p)) return nullptr;
+  out->key = std::string_view(p, len);
+  p = ReadVarint64(p + len, end, &epoch);
+  if (p == nullptr || static_cast<size_t>(end - p) < kHashBytes) return nullptr;
+  out->hash = p;
+  return p + kHashBytes;
+}
 }  // namespace
 
 void PageDelta::EncodeTo(Writer* w) const {
@@ -228,56 +283,61 @@ Result<PageMerge> MergePage(std::string_view base, const PageDelta& delta) {
   }
   const Epoch epoch = delta.page.id.epoch;
   const std::vector<PageEdit>& edits = delta.edits;
+  Writer edit_hashes(kHashBytes * edits.size());
+  for (const PageEdit& e : edits) e.hash.EncodeTo(&edit_hashes);
+  auto edit_hash = [&](size_t j) { return edit_hashes.data().data() + kHashBytes * j; };
   localstore::Splice body;
   uint64_t entries = 0;
+  const char* const begin = base.data();
+  const char* const end = begin + base.size();
   size_t run = r.position();  // start of the base run not yet copied
-  auto copy_to = [&](size_t end) {
-    body.Copy(run, end - run);
-    run = end;
+  auto copy_to = [&](size_t to) {
+    body.Copy(run, to - run);
+    run = to;
   };
-  auto write = [&](const PageEdit& e) {
-    Writer w(e.key.size() + 32);
-    TupleId{std::string(e.key), epoch}.EncodeTo(&w);
-    e.hash.EncodeTo(&w);
+  auto write = [&](size_t j) {
+    Writer w(edits[j].key.size() + 32);
+    w.PutString(edits[j].key);
+    w.PutVarint64(epoch);
+    w.PutRaw(edit_hash(j), kHashBytes);
     body.Literal(w.data());
     ++entries;
   };
   size_t j = 0;  // next edit
-  HashId prev_hash;
-  std::string_view prev_key;
+  EntryView prev;
+  const char* p = begin + r.position();
   for (uint64_t i = 0; i < n; ++i) {
-    const size_t at = r.position();
-    std::string_view key;
-    uint64_t key_epoch;
-    HashId hash;
-    ORC_RETURN_IF_ERROR(r.GetStringView(&key));
-    ORC_RETURN_IF_ERROR(r.GetVarint64(&key_epoch));
-    ORC_RETURN_IF_ERROR(HashId::DecodeFrom(&r, &hash));
-    if (i > 0 && !Before(prev_hash, prev_key, hash, key)) {
+    const size_t at = static_cast<size_t>(p - begin);
+    EntryView entry;
+    p = ReadEntry(p, end, &entry);
+    if (p == nullptr) return Status::Corruption("page merge: truncated base entry");
+    if (i > 0 && CompareEncoded(prev.hash, prev.key, entry.hash, entry.key) >= 0) {
       return Status::Corruption("page merge: base entries out of order");
     }
-    prev_hash = hash;
-    prev_key = key;
+    prev = entry;
     // Edits that sort before this entry name keys the base does not hold.
-    for (; j < edits.size() && Before(edits[j].hash, edits[j].key, hash, key); ++j) {
+    int order = 1;  // of edit j against this entry
+    for (; j < edits.size() &&
+           (order = CompareEncoded(edit_hash(j), edits[j].key, entry.hash, entry.key)) < 0;
+         ++j) {
       if (edits[j].erase) continue;
       copy_to(at);
-      write(edits[j]);
+      write(j);
     }
-    if (j < edits.size() && edits[j].hash == hash && edits[j].key == key) {
+    if (j < edits.size() && order == 0) {
       copy_to(at);
-      run = r.position();  // the edit replaces or erases this entry
-      if (!edits[j].erase) write(edits[j]);
+      run = static_cast<size_t>(p - begin);  // the edit replaces or erases this entry
+      if (!edits[j].erase) write(j);
       ++j;
     } else {
       ++entries;  // carried unchanged
     }
   }
-  if (!r.AtEnd()) return Status::Corruption("page merge: bytes past the base's entries");
+  if (p != end) return Status::Corruption("page merge: bytes past the base's entries");
   for (; j < edits.size(); ++j) {
     if (edits[j].erase) continue;
     copy_to(base.size());
-    write(edits[j]);
+    write(j);
   }
   copy_to(base.size());
 

@@ -598,6 +598,7 @@ void StorageService::HandlePutPage(net::NodeId from, std::string_view body,
   ChargeCpu(host_->network()->costs().index_entry_us *
             static_cast<double>(merged->entries));
   Respond(from, req_id, Status::OK(), {});
+  RetirePageGroup(id);
 }
 
 void StorageService::HandleReplicaPush(net::NodeId from, Reader* r,
@@ -1139,9 +1140,6 @@ void StorageService::ResetGcSweep(bool active) {
   gc_sweep_.watermark = gc_watermark_;
   gc_sweep_.phase = 0;
   gc_sweep_.resume.clear();
-  gc_sweep_.group.clear();
-  gc_sweep_.best_key.clear();
-  gc_sweep_.best_is_tombstone = false;
 }
 
 void StorageService::GcSliceTask(uint64_t generation) {
@@ -1165,11 +1163,7 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   //
   // Page and data records share the layout <group-prefix><epoch:8B BE> and
   // sort by group then epoch, so the pass sees each group's versions
-  // oldest-first. Within a group, every version at-or-below the watermark is
-  // superseded by the next one at-or-below it; the newest such version is
-  // what the kept coordinators still reference and survives. A data group's
-  // survivor that is a delete tombstone (empty value) is retired too — it
-  // exists only to kill older versions, which are gone once the pass runs.
+  // oldest-first and hands each whole group to RetireSuperseded.
   //
   // Correctness precondition: every version at-or-below the watermark was
   // referenced by some committed coordinator when written. Torn publishes
@@ -1192,81 +1186,51 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   std::vector<Epoch> retired_claims;  // told to ClaimReplica once deleted
   uint64_t scanned = 0;
 
-  // Reaps the tracked survivor if it is a trailing tombstone, then clears
-  // the version-group carry.
-  auto flush_group = [&] {
-    if (gc_sweep_.best_is_tombstone && !gc_sweep_.best_key.empty()) {
-      doomed.push_back(gc_sweep_.best_key);
-      ++gc_.retired_tombstones;
-    }
-    gc_sweep_.best_key.clear();
-    gc_sweep_.best_is_tombstone = false;
-  };
-
   while (gc_sweep_.phase < 4 && scanned < budget) {
     const Phase& phase = kPhases[gc_sweep_.phase];
-    uint64_t& retired = gc_.*phase.retired;
+    const bool versioned = phase.tag == keys::kPageTag || phase.tag == keys::kDataTag;
     const std::string prefix = keys::TagPrefix(phase.tag);
+    // The current version group, oldest first, and its key minus the
+    // epoch. A coordinator or claim record is a group of its own.
+    std::vector<GcVersion> group;
+    std::string_view group_key;
     bool exhausted = true;
     for (auto it = store_.Seek(gc_sweep_.resume.empty() ? prefix : gc_sweep_.resume,
                                localstore::LocalStore::PrefixUpperBound(prefix));
          it.Valid(); it.Next()) {
-      if (scanned >= budget) {
-        // Stop BEFORE consuming this record; the next slice re-seeks to it.
-        // Records a push inserts behind the cursor are caught by the re-arm
-        // sweep, exactly like ones behind a completed sweep.
-        gc_sweep_.resume.assign(it.key());
-        exhausted = false;
-        break;
-      }
-      ++scanned;
       std::string_view key = it.key();
-      keys::ParsedKey pk;
-      if (!keys::Parse(key, &pk)) continue;  // malformed: leave it alone
-      switch (pk.tag) {
-        case keys::kClaimTag:
-          if (pk.epoch < w) retired_claims.push_back(pk.epoch);
-          [[fallthrough]];
-        case keys::kCoordTag:
-          if (pk.epoch < w) {
-            doomed.emplace_back(key);
-            ++retired;
-          }
-          break;
-        default: {  // kPageTag, kDataTag
-          std::string_view group = keys::VersionGroupPrefix(key);
-          if (group != gc_sweep_.group) {
-            flush_group();
-            gc_sweep_.group.assign(group);
-          }
-          if (pk.epoch > w) break;
-          // A version at a fenced epoch is NEVER a survivor: it is purged
-          // garbage a stale push resurrected, and letting it win the
-          // newest-at-or-below race would shadow the committed version the
-          // coordinators reference. Doom it without updating the carry.
-          if (IsEpochFenced(pk.epoch)) {
-            doomed.emplace_back(key);
-            ++retired;
-            break;
-          }
-          if (!gc_sweep_.best_key.empty()) {
-            doomed.push_back(gc_sweep_.best_key);
-            ++(gc_sweep_.best_is_tombstone ? gc_.retired_tombstones : retired);
-          }
-          gc_sweep_.best_key.assign(key);
-          // Only data-family tombstones (empty value) are reaped once
-          // trailing; pages have no tombstone notion.
-          gc_sweep_.best_is_tombstone =
-              pk.tag == keys::kDataTag && it.value().empty();
+      const std::string_view key_group = versioned ? keys::VersionGroupPrefix(key) : key;
+      if (key_group != group_key) {
+        if (scanned >= budget) {
+          // Stop BEFORE this group; the next slice re-seeks to it. Records
+          // a push inserts behind the cursor are caught by the re-arm sweep,
+          // exactly like ones behind a completed sweep.
+          gc_sweep_.resume.assign(key);
+          exhausted = false;
           break;
         }
+        RetireSuperseded(group, w, phase.retired, &doomed);
+        group.clear();
+        group_key = key_group;
+      }
+      ++scanned;
+      keys::ParsedKey pk;
+      if (!keys::Parse(key, &pk)) continue;  // malformed: leave it alone
+      if (versioned) {
+        // Only data-family tombstones (empty value) are reaped once
+        // trailing; pages have no tombstone notion.
+        group.push_back(
+            {key, pk.epoch, pk.tag == keys::kDataTag && it.value().empty()});
+      } else if (pk.epoch < w) {
+        doomed.emplace_back(key);
+        ++(gc_.*phase.retired);
+        if (pk.tag == keys::kClaimTag) retired_claims.push_back(pk.epoch);
       }
     }
+    RetireSuperseded(group, w, phase.retired, &doomed);
     if (!exhausted) break;
-    flush_group();
     gc_sweep_.phase += 1;
     gc_sweep_.resume.clear();
-    gc_sweep_.group.clear();
   }
 
   for (const std::string& key : doomed) store_.Delete(key).ok();
@@ -1274,6 +1238,53 @@ bool StorageService::RunGcSlice(uint64_t budget) {
   ChargeCpu(host_->network()->costs().tuple_scan_us *
             static_cast<double>(scanned + doomed.size()));
   return gc_sweep_.phase >= 4;
+}
+
+void StorageService::RetireSuperseded(const std::vector<GcVersion>& group,
+                                      Epoch w, uint64_t GcStats::*retired,
+                                      std::vector<std::string>* doomed) {
+  const GcVersion* survivor = nullptr;  // newest version <= w so far
+  for (const GcVersion& v : group) {
+    if (v.epoch > w) continue;
+    // A version at a burned epoch is purged garbage a stale push
+    // resurrected; letting it win the newest-at-or-below race would shadow
+    // the committed version the coordinators reference.
+    if (IsEpochFenced(v.epoch)) {
+      doomed->emplace_back(v.key);
+      ++(gc_.*retired);
+      continue;
+    }
+    if (survivor != nullptr) {
+      doomed->emplace_back(survivor->key);
+      ++(survivor->tombstone ? gc_.retired_tombstones : gc_.*retired);
+    }
+    survivor = &v;
+  }
+  // A surviving tombstone exists only to kill older versions, which are gone.
+  if (survivor != nullptr && survivor->tombstone) {
+    doomed->emplace_back(survivor->key);
+    ++gc_.retired_tombstones;
+  }
+}
+
+void StorageService::RetirePageGroup(const PageId& id) {
+  const Epoch w = gc_watermark_;
+  if (w == 0) return;
+  // Only the partition's versions at or below the watermark can retire.
+  std::vector<GcVersion> group;
+  for (auto it = store_.Seek(keys::PageRec(id.relation, 0, id.partition),
+                             keys::PageRec(id.relation, w + 1, id.partition));
+       it.Valid(); it.Next()) {
+    keys::ParsedKey pk;
+    if (keys::Parse(it.key(), &pk)) group.push_back({it.key(), pk.epoch, false});
+  }
+  // Collected before any delete: a Delete may compact the store, which
+  // invalidates the iterator and the group's key views.
+  std::vector<std::string> doomed;
+  RetireSuperseded(group, w, &GcStats::retired_pages, &doomed);
+  for (const std::string& key : doomed) store_.Delete(key).ok();
+  ChargeCpu(host_->network()->costs().tuple_scan_us *
+            static_cast<double>(group.size() + doomed.size()));
 }
 
 void StorageService::OnRestart() {

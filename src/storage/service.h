@@ -14,7 +14,8 @@
 // (keys::Parse) and switches on the parsed tag, one function per decision:
 // PlaceRecord (where it replicates), RecordDigest (what its bucket digest
 // covers), HandleReplicaPush (how a pushed copy merges), PurgeEpochLocal
-// (what a fence purges) and RunGcSlice (when GC retires it). The epoch-claim
+// (what a fence purges) and RunGcSlice (when GC retires it; for a data or
+// page version, RetireSuperseded, which a page write also calls). The epoch-claim
 // rules live in one class with no network, ClaimReplica (storage/
 // claim_replica.h): this service decodes claim requests, calls it and sends
 // the replies it returns.
@@ -26,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -374,9 +376,28 @@ class StorageService : public net::Service {
   /// One scheduled slice; `generation` guards against slices queued by a
   /// sweep that was since cancelled (restart, SetGcWatermark).
   void GcSliceTask(uint64_t generation);
-  /// Retires up to `budget` records' worth of sweep work; true when the
-  /// sweep has covered all four key families.
+  /// Retires up to `budget` records' worth of sweep work, ending only
+  /// between version groups; true when the sweep has covered all four key
+  /// families.
   bool RunGcSlice(uint64_t budget);
+  /// One version of a data key or of a page partition, as GC sees it.
+  struct GcVersion {
+    std::string_view key;
+    Epoch epoch = 0;
+    bool tombstone = false;  // a data delete marker (empty value)
+  };
+  /// The one retirement rule for a version group, given oldest first:
+  /// every version at or below `w` except the newest of them retires, a
+  /// version at a burned epoch retires and never survives, and a surviving
+  /// tombstone retires too. Appends the retired keys to `doomed`, counting
+  /// each in `retired` (a tombstone in GcStats::retired_tombstones). The
+  /// sweep calls it once per group, a page write on its own partition.
+  void RetireSuperseded(const std::vector<GcVersion>& group, Epoch w,
+                        uint64_t GcStats::*retired,
+                        std::vector<std::string>* doomed);
+  /// After a page write: retires the versions of its partition that the
+  /// node's watermark supersedes, so they never wait for a sweep.
+  void RetirePageGroup(const PageId& id);
   /// Records a participant's advertised mark (monotonic, TTL-pruned)
   /// WITHOUT applying the effective watermark — bulk callers (replica push)
   /// merge everything first and sweep once.
@@ -446,17 +467,16 @@ class StorageService : public net::Service {
   GcStats gc_;
   // Background sweep cursor. The watermark is pinned per sweep (retiring
   // below an older mark is always safe); phases cover the four swept key
-  // families in tag order: 0 coordinators, 1 claims, 2 pages, 3 data.
+  // families in tag order: 0 coordinators, 1 claims, 2 pages, 3 data. A
+  // slice ends between version groups, so nothing carries over but the
+  // resume key.
   struct GcSweep {
     bool active = false;
     bool rearm = false;
     uint64_t generation = 0;
     Epoch watermark = 0;
     int phase = 0;
-    std::string resume;       // next slice's Seek start; empty: the phase's
-    std::string group;        // version-group carry (phases 2 and 3)
-    std::string best_key;     // newest version <= watermark in `group`
-    bool best_is_tombstone = false;
+    std::string resume;  // next slice's Seek start; empty: the phase's
   };
   GcSweep gc_sweep_;
   // Admission control: latest load hint per peer (timestamped so stale

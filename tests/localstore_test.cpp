@@ -168,6 +168,42 @@ TEST(LocalStore, CompactionPreservesContentAndReclaimsLog) {
   EXPECT_EQ(store.entry_count(), 20u);
 }
 
+// Large values overwritten among many small live records: a few dead
+// records can hold most of the arena, so compaction is paced by dead bytes
+// as well, and past the floor the arena stays within about twice the live
+// bytes.
+TEST(LocalStore, CompactionBoundsArenaBytes) {
+  LocalStore store(WithWal());
+  std::map<std::string, std::string> model;
+  size_t live = 0;  // key and value bytes of the model
+  auto put = [&](const std::string& key, std::string value) {
+    ASSERT_TRUE(store.Put(key, value).ok());
+    auto [it, fresh] = model.try_emplace(key);
+    if (!fresh) live -= key.size() + it->second.size();
+    live += key.size() + value.size();
+    it->second = std::move(value);
+  };
+  for (uint64_t i = 0; i < StoreOptions{}.compaction_min_records; ++i) {
+    put(Tag("small", i), "v");
+  }
+  constexpr size_t kValue = 40 << 10;
+  constexpr size_t kChunk = 1 << 18;  // one arena chunk
+  auto page = [](int round) {
+    return std::string(kValue, static_cast<char>('a' + round % 26));
+  };
+  for (int round = 0; round < 600; ++round) {
+    put(Tag("page", round % 4), page(round));
+    ASSERT_LE(store.arena_bytes(), 2 * live + kChunk + kValue) << "round " << round;
+  }
+  EXPECT_GT(store.stats().compactions, 0u);
+  // Replay rebuilds every record; the next write compacts what it left dead.
+  ASSERT_TRUE(store.Recover().ok());
+  ASSERT_EQ(store.entry_count(), model.size());
+  for (const auto& [k, v] : model) ASSERT_EQ(*store.Get(k), v) << k;
+  put(Tag("page", 0), page(600));
+  EXPECT_LE(store.arena_bytes(), 2 * live + kChunk + kValue);
+}
+
 TEST(LocalStore, StatsTrackOperations) {
   LocalStore store;
   store.Put("a", "1").ok();

@@ -70,6 +70,23 @@ storage::Page ReferenceMerge(const storage::Page& old,
 HashId MergeHash(uint64_t k) { return HashId::FromU64(k % 5); }
 constexpr uint32_t kMergePartitions = 4;
 
+// Hashes that tie limb by limb, for the merge walk's limb-wise compare. Keys
+// 2d and 2d + 1 share a whole hash, and bit i of d % 32 picks the value of
+// limb i (limb 4 the most significant): hashes d and d ^ 1 share their top
+// 16 bytes and differ in the lowest limb, d and d ^ 2 in the next, and so
+// on. The two limb values sort one way as numbers and the other way as
+// their little-endian encoded bytes. Every hash falls in partition 0.
+HashId LimbTieHash(uint64_t k) {
+  constexpr uint32_t kLow = 0x000000FF, kHigh = 0x01000000;
+  const uint64_t d = (k / 2) % 32;
+  std::string big_endian;
+  for (int limb = 4; limb >= 0; --limb) {
+    const uint32_t v = ((d >> limb) & 1) != 0 ? kHigh : kLow;
+    for (int b = 3; b >= 0; --b) big_endian.push_back(static_cast<char>(v >> (8 * b)));
+  }
+  return HashId::FromBigEndianBytes(big_endian);
+}
+
 // One partition's edits, given in batch order, as a delta carries them:
 // strictly ascending by (hash, key), the last edit of a key winning.
 std::vector<storage::PageEdit> SortEdits(const std::vector<storage::PageEdit>& edits) {
@@ -149,11 +166,13 @@ class MergePageProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MergePageProperty, MatchesMapReference) {
   Rng rng(GetParam());
   for (int round = 0; round < 200; ++round) {
-    const uint64_t universe = 1 + rng.Uniform(40);
+    // Odd rounds tie hashes limb by limb over a wider universe.
+    HashId (*hash_of)(uint64_t) = round % 2 == 0 ? MergeHash : LimbTieHash;
+    const uint64_t universe = 1 + rng.Uniform(round % 2 == 0 ? 40 : 80);
     // Old page: a random subset of the universe at older epochs.
     std::vector<std::tuple<HashId, std::string, Epoch>> rows;
     for (uint64_t k = 0; k < universe; ++k) {
-      if (rng.OneIn(2)) rows.emplace_back(MergeHash(k), Tag("k", k), 1 + rng.Uniform(9));
+      if (rng.OneIn(2)) rows.emplace_back(hash_of(k), Tag("k", k), 1 + rng.Uniform(9));
     }
     std::sort(rows.begin(), rows.end());
     storage::Page old = OldPage({}, {});
@@ -170,7 +189,7 @@ TEST_P(MergePageProperty, MatchesMapReference) {
     for (size_t j = 0; j < n; ++j) {
       uint64_t k = rng.Uniform(universe);
       keys.push_back(Tag("k", k));
-      edits.push_back(storage::PageEdit{keys.back(), MergeHash(k), rng.OneIn(3)});
+      edits.push_back(storage::PageEdit{keys.back(), hash_of(k), rng.OneIn(3)});
     }
     ExpectMergeMatchesReference(old, edits, 10);
   }

@@ -2026,6 +2026,59 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   EXPECT_GE(dep->storage(1).counters().fenced_writes_refused, 4u);
 }
 
+// A page write retires the versions of its partition that the replica's
+// watermark supersedes, before any background slice runs: of the versions at
+// or below the watermark only the newest survives, and never one at a burned
+// epoch (a stale push may resurrect such a version).
+TEST_F(FencingTest, PageWriteRetiresWhatItSupersedes) {
+  ASSERT_TRUE(dep->CreateRelation(0, SimpleRelation("R", 4)).ok());
+  const uint32_t part = 2;
+  const net::NodeId replica = 1;
+  auto put_page = [&](Epoch epoch, std::optional<Epoch> base, uint64_t edit) {
+    PageDelta d;
+    d.page = PageDescriptor{PageId{"R", epoch, part}, 4};
+    if (base) d.base = PageId{"R", *base, part};
+    const std::string key = Tag("k", edit);
+    d.edits = {{key, PartitionBegin(part, 4).Add(HashId::FromU64(edit)), false}};
+    return Rpc(replica, kPutPage, EncodeToBytes(d)).first;
+  };
+  ASSERT_TRUE(put_page(1, std::nullopt, 1).ok());
+  ASSERT_TRUE(put_page(2, 1, 2).ok());
+  ASSERT_TRUE(put_page(4, 2, 4).ok());
+
+  // Burn epoch 3 on the replica, then resurrect a page version there.
+  const uint64_t ttl = sim::kMicrosPerSec;
+  ASSERT_TRUE(Rpc(replica, kClaimEpoch, ClaimBody(3, 7, 3, 9)).first.ok());
+  dep->RunFor(2 * ttl);
+  ASSERT_TRUE(Rpc(replica, kFenceEpoch, FenceBody(3, 9, 7, ttl)).first.ok());
+  dep->storage(0).SendOneWay(replica, kPurgeEpoch, PurgeBody(3, 7, 9));
+  dep->RunFor(sim::kMicrosPerSec / 5);
+  StorageService& svc = dep->storage(replica);
+  ASSERT_TRUE(svc.IsEpochFenced(3));
+  const std::string v2 = *svc.store().Get(keys::PageRec("R", 2, part));
+  ASSERT_TRUE(svc.store().Put(keys::PageRec("R", 3, part), v2).ok());
+
+  // The watermark rises to 3 (its sweep is 20 ms away); a write at epoch 5
+  // arrives first.
+  svc.SetParticipantWatermark(dep->publisher(0).participant(), 3);
+  ASSERT_EQ(svc.gc_watermark(), 3u);
+  const StorageService::GcStats before = svc.gc_stats();
+  ASSERT_TRUE(put_page(5, 4, 5).ok());
+  EXPECT_EQ(svc.gc_stats().slices, before.slices);
+  std::vector<Epoch> left;
+  for (auto it = svc.store().SeekPrefix(keys::VersionGroupPrefix(
+           keys::PageRec("R", 0, part)));
+       it.Valid(); it.Next()) {
+    keys::ParsedKey pk;
+    ASSERT_TRUE(keys::Parse(it.key(), &pk));
+    left.push_back(pk.epoch);
+  }
+  // Epoch 2 is the one version at or below the watermark; 1 is superseded
+  // and 3 is burned.
+  EXPECT_EQ(left, (std::vector<Epoch>{2, 4, 5}));
+  EXPECT_EQ(svc.gc_stats().retired_pages, before.retired_pages + 2);
+}
+
 // ---------------------------------------------------------------------------
 // Write pins are per batch. The claim replicas grant per participant, so a
 // batch can be granted an epoch where another batch of the same participant
