@@ -1,6 +1,7 @@
 #include "hash/hash_id.h"
 
 #include <cstdio>
+#include <cstring>
 
 #include "common/serial.h"
 
@@ -20,14 +21,6 @@ HashId HashId::FromDigest(const Sha1Digest& d) {
 }
 
 HashId HashId::OfBytes(std::string_view data) { return FromDigest(Sha1(data)); }
-
-HashId HashId::FromBigEndianBytes(std::string_view bytes20) {
-  Sha1Digest d{};
-  for (size_t i = 0; i < 20 && i < bytes20.size(); ++i) {
-    d[i] = static_cast<uint8_t>(bytes20[i]);
-  }
-  return FromDigest(d);
-}
 
 HashId HashId::Max() {
   HashId id;
@@ -131,20 +124,22 @@ std::string HashId::ToHex() const {
 
 std::string HashId::ToShortHex() const { return ToHex().substr(0, 8); }
 
-void HashId::AppendBigEndian(std::string* out) const {
-  for (int limb = 4; limb >= 0; --limb) {
-    for (int b = 3; b >= 0; --b) {
-      out->push_back(static_cast<char>(w_[limb] >> (8 * b)));
+void HashId::EncodeTo(Writer* w) const {
+  Sha1Digest d;
+  for (int limb = 0; limb < 5; ++limb) {
+    for (int b = 0; b < 4; ++b) {
+      d[(4 - limb) * 4 + b] = static_cast<uint8_t>(w_[limb] >> (8 * (3 - b)));
     }
   }
-}
-
-void HashId::EncodeTo(Writer* w) const {
-  for (uint32_t limb : w_) w->PutU32(limb);
+  w->PutRaw(d.data(), d.size());
 }
 
 Status HashId::DecodeFrom(Reader* r, HashId* out) {
-  for (auto& limb : out->w_) ORC_RETURN_IF_ERROR(r->GetU32(&limb));
+  std::string_view bytes;
+  ORC_RETURN_IF_ERROR(r->GetRawView(&bytes, 20));
+  Sha1Digest d;
+  std::memcpy(d.data(), bytes.data(), d.size());
+  *out = FromDigest(d);
   return Status::OK();
 }
 

@@ -27,8 +27,6 @@ class HashId {
 
   /// From a SHA-1 digest (big-endian byte order, per convention).
   static HashId FromDigest(const Sha1Digest& d);
-  /// From 20 big-endian bytes (inverse of AppendBigEndian).
-  static HashId FromBigEndianBytes(std::string_view bytes20);
   /// SHA-1 of arbitrary bytes.
   static HashId OfBytes(std::string_view data);
   /// Smallest value (0).
@@ -64,12 +62,12 @@ class HashId {
 
   /// Hex, most significant first, e.g. "00ab...". 40 chars.
   std::string ToHex() const;
-  /// Appends the 20 bytes big-endian (memcmp order == numeric order); used
-  /// for ordered localstore keys.
-  void AppendBigEndian(std::string* out) const;
   /// First 8 hex chars, for logs.
   std::string ToShortHex() const;
 
+  /// The one encoding of a hash, wherever it appears (localstore keys, page
+  /// entries, every wire format): 20 bytes, most significant first, so
+  /// memcmp order is numeric order.
   void EncodeTo(Writer* w) const;
   static Status DecodeFrom(Reader* r, HashId* out);
 

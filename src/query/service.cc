@@ -601,16 +601,16 @@ void QueryService::DriveScanChain(uint64_t query_id, int32_t scan_op) {
 
   auto page = storage_->ReadPageLocal(desc.id);
   if (page.ok()) {
-    ProcessPage(*ex, scan_op, page.value(), mode);
+    ProcessPage(*ex, scan_op, desc, page.value(), mode);
   } else {
     // Stale local replica: fetch the page from a peer (§IV — missing state is
     // fetched, never substituted with an older version).
     scan.async_outstanding += 1;
-    storage_->GetPage(desc, [this, query_id, scan_op, mode,
+    storage_->GetPage(desc, [this, query_id, scan_op, desc, mode,
                              taint = SingletonTaint(ex->cx.taint_bits, node())](
-                                Status st, storage::Page p) {
+                                Status st, std::string bytes) {
       FinishScanRead(query_id, scan_op, st, taint,
-                     [&](Exec& e) { ProcessPage(e, scan_op, p, mode); });
+                     [&](Exec& e) { ProcessPage(e, scan_op, desc, bytes, mode); });
     });
   }
 
@@ -622,14 +622,14 @@ void QueryService::DriveScanChain(uint64_t query_id, int32_t scan_op) {
                               });
 }
 
-void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& page,
-                               ScanMode mode) {
+void QueryService::ProcessPage(Exec& ex, int32_t scan_op,
+                               const storage::PageDescriptor& desc,
+                               std::string_view bytes, ScanMode mode) {
   const PhysOp& op = ex.plan.op(scan_op);
   const auto& costs = host_->network()->costs();
   // An id participates in a partial rescan only if its data node (under the
   // previous routing table) failed: its spillover injections were purged and
   // its fetch requests died with the node.
-  // Placement hashes ride in the page (page.hashes[i] belongs to ids[i]).
   auto prev_owner_failed = [&ex](const HashId& hash) {
     net::NodeId prev = ex.prev_table.OwnerOf(hash);
     return prev < ex.cx.failed.size() && ex.cx.failed.Test(prev);
@@ -639,15 +639,17 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
     ReportScanFailure(ex, def.status());
     return;
   }
+  storage::EntryReader entries = storage::EntryReader::OfPage(bytes, desc);
+  storage::EntryView e;
 
   if (op.kind == OpKind::kCoveringScan) {
     if (mode == ScanMode::kFailedOwnersOnly) return;  // index-only: no spillover
     // Key attributes come straight from the index page (Table I).
-    ex.cx.charge(costs.index_entry_us * static_cast<double>(page.ids.size()));
-    for (const storage::TupleId& id : page.ids) {
-      if (!op.key_filter.Matches(id.key_bytes)) continue;
+    ex.cx.charge(costs.index_entry_us * static_cast<double>(entries.left()));
+    while (entries.Next(&e)) {
+      if (!op.key_filter.Matches(e.key)) continue;
       Tuple key_vals;
-      Status st = storage::DecodeTupleKey(def->schema, id.key_bytes, &key_vals);
+      Status st = storage::DecodeTupleKey(def->schema, e.key, &key_vals);
       if (!st.ok()) {
         ReportScanFailure(ex, st);
         return;
@@ -655,6 +657,7 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
       InjectScanRow(ex, scan_op, std::move(key_vals),
                     SingletonTaint(ex.cx.taint_bits, node()));
     }
+    if (!entries.status().ok()) ReportScanFailure(ex, entries.status());
     return;
   }
 
@@ -664,50 +667,46 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
   // nothing is lost when a node fails, so no partial rescan is needed.
   if (mode == ScanMode::kFailedOwnersOnly && broadcast) return;
 
-  // Split the page's ids into locally-owned and remote (Algorithm 1 line 8 /
-  // Table I distributed scan): remote tuples are pushed into the plan at
-  // their data storage node. Ownership routes on the page-carried hashes.
-  storage::Page local_part;
-  local_part.desc = page.desc;
-  auto take_local = [&local_part, &page](size_t i) {
-    local_part.ids.push_back(page.ids[i]);
-    local_part.hashes.push_back(page.hashes[i]);
-  };
-  std::map<net::NodeId, std::vector<size_t>> remote;
-  for (size_t i = 0; i < page.ids.size(); ++i) {
-    const storage::TupleId& id = page.ids[i];
-    if (!op.key_filter.Matches(id.key_bytes)) continue;
-    if (mode == ScanMode::kFailedOwnersOnly && !prev_owner_failed(page.hashes[i])) {
-      continue;
-    }
+  // Split the page's entries into locally-owned and remote (Algorithm 1
+  // line 8 / Table I distributed scan): remote tuples are pushed into the
+  // plan at their data storage node. Ownership routes on the page-carried
+  // hashes; both kinds stay views into the page's bytes.
+  std::vector<storage::EntryView> local;
+  std::map<net::NodeId, std::vector<std::string_view>> remote;
+  while (entries.Next(&e)) {
+    if (!op.key_filter.Matches(e.key)) continue;
+    const HashId hash = e.placement();
+    if (mode == ScanMode::kFailedOwnersOnly && !prev_owner_failed(hash)) continue;
     if (broadcast) {
-      take_local(i);
+      local.push_back(e);
       continue;
     }
-    net::NodeId owner = ex.table.OwnerOf(page.hashes[i]);
+    net::NodeId owner = ex.table.OwnerOf(hash);
     if (replicated) {
       // Every node holds the data; the hash owner injects, others skip.
-      if (owner == node()) take_local(i);
+      if (owner == node()) local.push_back(e);
       continue;
     }
-    if (owner == node()) {
-      take_local(i);
-    } else if (owner < ex.cx.failed.size() && ex.cx.failed.Test(owner)) {
-      // Data owner already failed under this table: read from local replica
-      // or fetch from another replica.
-      take_local(i);
+    if (owner == node() || (owner < ex.cx.failed.size() && ex.cx.failed.Test(owner))) {
+      // Ours, or the data owner already failed under this table: read from
+      // the local replica or fetch from another replica.
+      local.push_back(e);
     } else {
-      remote[owner].push_back(i);
+      remote[owner].push_back(e.bytes);
     }
   }
+  if (!entries.status().ok()) {
+    ReportScanFailure(ex, entries.status());
+    return;
+  }
 
-  std::vector<storage::TupleId> missing;
-  if (!local_part.ids.empty()) {
+  if (!local.empty()) {
     // (Partial rescans often have nothing local in a page; skipping the
     // ordered pass keeps recovery's fixed cost proportional to lost data.)
+    std::vector<storage::EntryView> missing;
     Status st = storage_->ScanPageLocal(
-        op.relation, local_part, op.key_filter,
-        [this, &ex, scan_op](const storage::TupleId& /*id*/, Tuple t) {
+        op.relation, desc, local,
+        [this, &ex, scan_op](Tuple t) {
           InjectScanRow(ex, scan_op, std::move(t),
                         SingletonTaint(ex.cx.taint_bits, node()));
         },
@@ -716,27 +715,22 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& p
       ReportScanFailure(ex, st);
       return;
     }
-  }
-  for (const storage::TupleId& id : missing) {
-    FetchScanTuple(ex, scan_op, op.relation, id,
-                   SingletonTaint(ex.cx.taint_bits, node()));
+    for (const storage::EntryView& m : missing) {
+      FetchScanTuple(ex, scan_op, op.relation, m,
+                     SingletonTaint(ex.cx.taint_bits, node()));
+    }
   }
 
-  std::string hb;  // reused 20-byte scratch: no per-id allocation
-  for (auto& [owner, idxs] : remote) {
+  // Each data node gets the entries it owns, copied from the page as they
+  // are, in page order.
+  for (const auto& [owner, owned] : remote) {
     Writer w;
     w.PutU64(ex.query_id);
     w.PutVarint32(static_cast<uint32_t>(scan_op));
     w.PutVarint32(ex.cx.phase);
     w.PutString(op.relation);
-    w.PutVarint64(idxs.size());
-    for (size_t i : idxs) {
-      // hash(20B BE) + TupleId, so the data node reads without SHA-1.
-      hb.clear();
-      page.hashes[i].AppendBigEndian(&hb);
-      w.PutRaw(hb.data(), hb.size());
-      page.ids[i].EncodeTo(&w);
-    }
+    w.PutVarint64(owned.size());
+    for (std::string_view entry : owned) w.PutRaw(entry.data(), entry.size());
     SendTo(owner, kQueryFetch, w.Release());
   }
 }
@@ -751,9 +745,9 @@ void QueryService::InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple,
 }
 
 void QueryService::FetchScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
-                                  const storage::TupleId& id, DynamicBitset taint) {
+                                  const storage::EntryView& entry, DynamicBitset taint) {
   ex.ops[scan_op].async_outstanding += 1;
-  storage_->FetchTuple(rel, id, [this, qid = ex.query_id, scan_op,
+  storage_->FetchTuple(rel, entry, [this, qid = ex.query_id, scan_op,
                                  taint = std::move(taint)](Status st, Tuple t) {
     FinishScanRead(qid, scan_op, st, taint, [&](Exec& e) {
       InjectScanRow(e, scan_op, std::move(t), taint);
@@ -786,36 +780,35 @@ void QueryService::ReportScanFailure(Exec& ex, const Status& st) {
 void QueryService::HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op,
                                     Reader* r) {
   std::string rel;
-  uint64_t n = 0;
-  if (!r->GetString(&rel).ok() || !r->GetVarint64(&n).ok()) return;
+  if (!r->GetString(&rel).ok()) return;
   const auto& costs = host_->network()->costs();
   DynamicBitset taint(ex.cx.taint_bits);
   if (ex.cx.taint_bits > 0) {
     if (from < ex.cx.taint_bits) taint.Set(from);
     if (node() < ex.cx.taint_bits) taint.Set(node());
   }
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string_view hash_be20;
-    storage::TupleId id;
-    if (!r->GetRawView(&hash_be20, 20).ok() ||
-        !storage::TupleId::DecodeFrom(r, &id).ok()) {
+  storage::EntryReader entries = storage::EntryReader::List(r);
+  storage::EntryView e;
+  while (entries.Next(&e)) {
+    ex.cx.charge(costs.tuple_scan_us);
+    ReadScanTuple(ex, scan_op, rel, e, taint);
+  }
+  if (!entries.status().ok()) ReportScanFailure(ex, entries.status());
+}
+
+void QueryService::ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
+                                 const storage::EntryView& entry,
+                                 const DynamicBitset& taint) {
+  auto bytes = storage_->ReadTupleLocal(rel, entry);
+  Tuple t;
+  if (bytes.ok()) {
+    Reader tr(bytes.value());
+    if (storage::DecodeTuple(&tr, &t).ok()) {
+      InjectScanRow(ex, scan_op, std::move(t), taint);
       return;
     }
-    // The wire-carried hash keys the local read directly (no SHA-1).
-    auto bytes = storage_->ReadTupleBytesRaw(rel, hash_be20, id.key_bytes, id.epoch);
-    Tuple t;
-    bool ok = bytes.ok();
-    if (ok) {
-      Reader tr(bytes.value());
-      ok = storage::DecodeTuple(&tr, &t).ok();
-    }
-    ex.cx.charge(costs.tuple_scan_us);
-    if (ok) {
-      InjectScanRow(ex, scan_op, std::move(t), taint);
-    } else {
-      FetchScanTuple(ex, scan_op, rel, id, taint);
-    }
   }
+  FetchScanTuple(ex, scan_op, rel, entry, taint);
 }
 
 void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {

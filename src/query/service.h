@@ -252,11 +252,19 @@ class QueryService : public net::Service {
                        std::deque<storage::PageDescriptor>* out) const;
   void DriveScanChain(uint64_t query_id, int32_t scan_op);
   enum class ScanMode { kFull, kFailedOwnersOnly };
-  void ProcessPage(Exec& ex, int32_t scan_op, const storage::Page& page,
-                   ScanMode mode);
+  /// Scans one page version from its stored bytes, walking its entries in
+  /// place: reads the ones this node owns and sends each other data owner
+  /// its entries (kQueryFetch).
+  void ProcessPage(Exec& ex, int32_t scan_op, const storage::PageDescriptor& desc,
+                   std::string_view bytes, ScanMode mode);
   void InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple, DynamicBitset taint);
+  /// The one read of a scanned tuple version, by the key its page entry
+  /// names: from this node's store, or from a replica when the store lacks
+  /// it (FetchScanTuple).
+  void ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
+                     const storage::EntryView& entry, const DynamicBitset& taint);
   void FetchScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
-                      const storage::TupleId& id, DynamicBitset taint);
+                      const storage::EntryView& entry, DynamicBitset taint);
   /// The one completion of an asynchronous scan read: settles the scan's
   /// outstanding count, runs `use` on success and re-checks the barrier. A
   /// failed read fails the query unless recovery would purge its rows anyway

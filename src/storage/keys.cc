@@ -18,11 +18,9 @@ void AppendEpochBE(std::string* out, Epoch e) {
 
 std::string Data(std::string_view relation, const HashId& hash,
                  std::string_view key_bytes, Epoch epoch) {
-  std::string k = DataPrefix(relation);
-  hash.AppendBigEndian(&k);
-  AppendLenPrefixed(&k, key_bytes);
-  AppendEpochBE(&k, epoch);
-  return k;
+  Writer w;
+  hash.EncodeTo(&w);
+  return DataRaw(relation, w.data(), key_bytes, epoch);
 }
 
 std::string DataRaw(std::string_view relation, std::string_view hash_be20,
@@ -41,9 +39,9 @@ std::string DataPrefix(std::string_view relation) {
 }
 
 std::string DataHashFloor(std::string_view relation, const HashId& h) {
-  std::string k = DataPrefix(relation);
-  h.AppendBigEndian(&k);
-  return k;
+  Writer w;
+  h.EncodeTo(&w);
+  return DataPrefix(relation) + w.data();
 }
 
 std::string PageRec(std::string_view relation, Epoch epoch, uint32_t partition) {

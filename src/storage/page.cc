@@ -1,6 +1,7 @@
 #include "storage/page.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/log.h"
 #include "common/serial.h"
@@ -8,16 +9,6 @@
 #include "localstore/local_store.h"
 
 namespace orchestra::storage {
-
-void TupleId::EncodeTo(Writer* w) const {
-  w->PutString(key_bytes);
-  w->PutVarint64(epoch);
-}
-
-Status TupleId::DecodeFrom(Reader* r, TupleId* out) {
-  ORC_RETURN_IF_ERROR(r->GetString(&out->key_bytes));
-  return r->GetVarint64(&out->epoch);
-}
 
 namespace {
 // Single-threaded simulation: a plain counter is sufficient.
@@ -122,63 +113,12 @@ Status PageDescriptor::DecodeFrom(Reader* r, PageDescriptor* out) {
   return Status::OK();
 }
 
-void Page::EncodeTo(Writer* w) const {
-  ORC_CHECK(hashes.size() == ids.size(), "page: hashes not parallel to ids");
-  desc.EncodeTo(w);
-  w->PutVarint64(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    ids[i].EncodeTo(w);
-    hashes[i].EncodeTo(w);
-  }
-}
-
-Status Page::DecodeFrom(Reader* r, Page* out) {
-  ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(r, &out->desc));
-  // An entry is at least a 2-byte TupleId and a 20-byte hash.
-  uint64_t n;
-  ORC_RETURN_IF_ERROR(r->GetCount(&n, 22));
-  out->ids.clear();
-  out->ids.reserve(n);
-  out->hashes.clear();
-  out->hashes.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    TupleId id;
-    ORC_RETURN_IF_ERROR(TupleId::DecodeFrom(r, &id));
-    HashId h;
-    ORC_RETURN_IF_ERROR(HashId::DecodeFrom(r, &h));
-    out->ids.push_back(std::move(id));
-    out->hashes.push_back(h);
-  }
-  return Status::OK();
-}
-
 namespace {
-// The (hash, key) order of page entries and edits.
-bool Before(const HashId& ha, std::string_view ka, const HashId& hb,
-            std::string_view kb) {
-  return ha != hb ? ha < hb : ka < kb;
-}
-
-// An encoded hash: five little-endian u32 limbs, least significant first
-// (HashId::EncodeTo), so byte order is not hash order.
+// An encoded hash (HashId::EncodeTo): big-endian, so byte order is hash
+// order.
 constexpr size_t kHashBytes = 20;
-
-uint32_t EncodedLimb(const char* hash, int limb) {
-  const auto* b = reinterpret_cast<const unsigned char*>(hash + 4 * limb);
-  return uint32_t{b[0]} | uint32_t{b[1]} << 8 | uint32_t{b[2]} << 16 |
-         uint32_t{b[3]} << 24;
-}
-
-// The (hash, key) order of two entries with encoded hashes, as <0, 0, >0.
-// Hashes compare limb by limb from the most significant.
-int CompareEncoded(const char* ha, std::string_view ka, const char* hb,
-                   std::string_view kb) {
-  for (int limb = 4; limb >= 0; --limb) {
-    const uint32_t a = EncodedLimb(ha, limb), b = EncodedLimb(hb, limb);
-    if (a != b) return a < b ? -1 : 1;
-  }
-  return ka.compare(kb);
-}
+// The smallest entry: a one-byte key length, a one-byte epoch and a hash.
+constexpr size_t kMinEntryBytes = 2 + kHashBytes;
 
 // Reads a varint64 as Reader::GetVarint64 does, from `p` up to `end`; null
 // when the bytes end first or run past ten.
@@ -194,24 +134,110 @@ const char* ReadVarint64(const char* p, const char* end, uint64_t* v) {
   }
   return nullptr;
 }
+}  // namespace
 
-// One page entry read in place (TupleId then hash, as Page::EncodeTo
-// writes it): views into the page's bytes.
-struct EntryView {
-  std::string_view key;
-  const char* hash = nullptr;  // kHashBytes encoded bytes
-};
+HashId EntryView::placement() const {
+  Reader r(hash);
+  HashId h;
+  HashId::DecodeFrom(&r, &h).ok();  // an EntryReader read all 20 bytes
+  return h;
+}
 
-// Reads the entry at `p`; null when the bytes before `end` do not hold one.
-const char* ReadEntry(const char* p, const char* end, EntryView* out) {
-  uint64_t len = 0, epoch = 0;
-  p = ReadVarint64(p, end, &len);
-  if (p == nullptr || len > static_cast<uint64_t>(end - p)) return nullptr;
-  out->key = std::string_view(p, len);
-  p = ReadVarint64(p + len, end, &epoch);
-  if (p == nullptr || static_cast<size_t>(end - p) < kHashBytes) return nullptr;
-  out->hash = p;
-  return p + kHashBytes;
+void WriteEntry(Writer* w, std::string_view key, Epoch epoch, const HashId& hash) {
+  w->PutString(key);
+  w->PutVarint64(epoch);
+  hash.EncodeTo(w);
+}
+
+EntryReader::EntryReader(std::string_view bytes, uint64_t count)
+    : p_(bytes.data()), end_(bytes.data() + bytes.size()), left_(count) {
+  if (left_ == 0 && p_ != end_) {
+    status_ = Status::Corruption("page entries: bytes past the last entry");
+  }
+}
+
+EntryReader EntryReader::List(Reader* r) {
+  uint64_t n = 0;
+  Status st = r->GetCount(&n, kMinEntryBytes);
+  std::string_view entries;
+  if (st.ok()) st = r->GetRawView(&entries, r->remaining());
+  if (!st.ok()) return EntryReader(std::move(st));
+  return EntryReader(entries, n);
+}
+
+EntryReader EntryReader::OfPage(std::string_view bytes, const PageDescriptor& page) {
+  Reader r(bytes);
+  PageDescriptor held;
+  Status st = PageDescriptor::DecodeFrom(&r, &held);
+  if (st.ok() && !(held == page)) {
+    st = Status::Corruption("page: the header names " + held.id.ToString());
+  }
+  if (!st.ok()) return EntryReader(std::move(st));
+  return List(&r);
+}
+
+bool EntryReader::Next(EntryView* out) {
+  if (left_ == 0 || !status_.ok()) return false;
+  const char* const at = p_;
+  uint64_t len = 0;
+  const char* p = ReadVarint64(p_, end_, &len);
+  if (p != nullptr && len <= static_cast<uint64_t>(end_ - p)) {
+    out->key = std::string_view(p, len);
+    p = ReadVarint64(p + len, end_, &out->epoch);
+  } else {
+    p = nullptr;
+  }
+  if (p == nullptr || static_cast<size_t>(end_ - p) < kHashBytes) {
+    left_ = 0;
+    status_ = Status::Corruption("page entries: truncated entry");
+    return false;
+  }
+  out->hash = std::string_view(p, kHashBytes);
+  p_ = p + kHashBytes;
+  out->bytes = std::string_view(at, static_cast<size_t>(p_ - at));
+  if (--left_ == 0 && p_ != end_) {
+    status_ = Status::Corruption("page entries: bytes past the last entry");
+    return false;
+  }
+  return true;
+}
+
+void Page::EncodeTo(Writer* w) const {
+  ORC_CHECK(hashes.size() == ids.size(), "page: hashes not parallel to ids");
+  desc.EncodeTo(w);
+  w->PutVarint64(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    WriteEntry(w, ids[i].key_bytes, ids[i].epoch, hashes[i]);
+  }
+}
+
+Status Page::DecodeFrom(Reader* r, Page* out) {
+  ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(r, &out->desc));
+  EntryReader entries = EntryReader::List(r);
+  out->ids.clear();
+  out->ids.reserve(entries.left());
+  out->hashes.clear();
+  out->hashes.reserve(entries.left());
+  EntryView e;
+  while (entries.Next(&e)) {
+    out->ids.push_back(TupleId{std::string(e.key), e.epoch});
+    out->hashes.push_back(e.placement());
+  }
+  return entries.status();
+}
+
+namespace {
+// The (hash, key) order of page entries and edits.
+bool Before(const HashId& ha, std::string_view ka, const HashId& hb,
+            std::string_view kb) {
+  return ha != hb ? ha < hb : ka < kb;
+}
+
+// The (hash, key) order of two entries with encoded hashes, as <0, 0, >0.
+int CompareEncoded(std::string_view ha, std::string_view ka, std::string_view hb,
+                   std::string_view kb) {
+  const int order = std::memcmp(ha.data(), hb.data(), kHashBytes);
+  return order != 0 ? order : ka.compare(kb);
 }
 }  // namespace
 
@@ -269,49 +295,39 @@ Status PageDelta::DecodeFrom(Reader* r, PageDelta* out) {
 }
 
 Result<PageMerge> MergePage(std::string_view base, const PageDelta& delta) {
-  Reader r(base);
-  uint64_t n = 0;
-  if (delta.base) {
-    PageDescriptor held;
-    ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(&r, &held));
-    if (!(held == PageDescriptor{*delta.base, delta.page.num_partitions})) {
-      return Status::Corruption("page merge: base holds another page");
-    }
-    ORC_RETURN_IF_ERROR(r.GetCount(&n, 22));
-  } else if (!base.empty()) {
+  if (!delta.base && !base.empty()) {
     return Status::Corruption("page merge: bytes for a partition without a base");
   }
+  EntryReader entries =
+      delta.base
+          ? EntryReader::OfPage(base, PageDescriptor{*delta.base, delta.page.num_partitions})
+          : EntryReader(base, 0);
   const Epoch epoch = delta.page.id.epoch;
   const std::vector<PageEdit>& edits = delta.edits;
   Writer edit_hashes(kHashBytes * edits.size());
   for (const PageEdit& e : edits) e.hash.EncodeTo(&edit_hashes);
-  auto edit_hash = [&](size_t j) { return edit_hashes.data().data() + kHashBytes * j; };
+  auto edit_hash = [&](size_t j) {
+    return std::string_view(edit_hashes.data()).substr(kHashBytes * j, kHashBytes);
+  };
   localstore::Splice body;
-  uint64_t entries = 0;
-  const char* const begin = base.data();
-  const char* const end = begin + base.size();
-  size_t run = r.position();  // start of the base run not yet copied
+  uint64_t written = 0;  // entries in the new version
+  size_t run = base.size() - entries.rest().size();  // base run not yet copied
   auto copy_to = [&](size_t to) {
     body.Copy(run, to - run);
     run = to;
   };
   auto write = [&](size_t j) {
     Writer w(edits[j].key.size() + 32);
-    w.PutString(edits[j].key);
-    w.PutVarint64(epoch);
-    w.PutRaw(edit_hash(j), kHashBytes);
+    WriteEntry(&w, edits[j].key, epoch, edits[j].hash);
     body.Literal(w.data());
-    ++entries;
+    ++written;
   };
   size_t j = 0;  // next edit
-  EntryView prev;
-  const char* p = begin + r.position();
-  for (uint64_t i = 0; i < n; ++i) {
-    const size_t at = static_cast<size_t>(p - begin);
-    EntryView entry;
-    p = ReadEntry(p, end, &entry);
-    if (p == nullptr) return Status::Corruption("page merge: truncated base entry");
-    if (i > 0 && CompareEncoded(prev.hash, prev.key, entry.hash, entry.key) >= 0) {
+  EntryView prev, entry;
+  while (entries.Next(&entry)) {
+    const auto at = static_cast<size_t>(entry.bytes.data() - base.data());
+    if (!prev.bytes.empty() &&
+        CompareEncoded(prev.hash, prev.key, entry.hash, entry.key) >= 0) {
       return Status::Corruption("page merge: base entries out of order");
     }
     prev = entry;
@@ -326,14 +342,14 @@ Result<PageMerge> MergePage(std::string_view base, const PageDelta& delta) {
     }
     if (j < edits.size() && order == 0) {
       copy_to(at);
-      run = static_cast<size_t>(p - begin);  // the edit replaces or erases this entry
+      run = at + entry.bytes.size();  // the edit replaces or erases this entry
       if (!edits[j].erase) write(j);
       ++j;
     } else {
-      ++entries;  // carried unchanged
+      ++written;  // carried unchanged
     }
   }
-  if (p != end) return Status::Corruption("page merge: bytes past the base's entries");
+  ORC_RETURN_IF_ERROR(entries.status());
   for (; j < edits.size(); ++j) {
     if (edits[j].erase) continue;
     copy_to(base.size());
@@ -343,11 +359,11 @@ Result<PageMerge> MergePage(std::string_view base, const PageDelta& delta) {
 
   Writer header;
   delta.page.EncodeTo(&header);
-  header.PutVarint64(entries);
+  header.PutVarint64(written);
   localstore::Splice whole;
   whole.Literal(header.data());
   whole.Append(body);
-  return PageMerge{whole.Encode(base.size()), entries};
+  return PageMerge{whole.Encode(base.size()), written};
 }
 
 void ClaimInstance::EncodeTo(Writer* w) const {

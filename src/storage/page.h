@@ -37,8 +37,6 @@ struct TupleId {
   Epoch epoch = 0;
 
   bool operator==(const TupleId&) const = default;
-  void EncodeTo(Writer* w) const;
-  static Status DecodeFrom(Reader* r, TupleId* out);
 };
 
 /// Hash key of a tuple: SHA-1 over its key bytes (relation-independent, so
@@ -109,17 +107,72 @@ struct PageDescriptor {
   static Status DecodeFrom(Reader* r, PageDescriptor* out);
 };
 
-/// A page version: the TupleIds in this partition at this epoch, sorted by
-/// (hash, key_bytes) so data-node scans are a single ordered pass (§V-B,
-/// distributed scan). `hashes[i]` is the placement hash of `ids[i]`,
-/// computed once at publish time and carried in the wire/storage format so
-/// index nodes and scans never recompute SHA-1 per tuple.
+/// A page entry: a TupleId and its placement hash, computed once at publish
+/// time and carried wherever the entry goes, so index nodes and scans never
+/// recompute SHA-1 per tuple. Encoded as `string key_bytes | varint64 epoch
+/// | hash` (HashId::EncodeTo) in a stored page, a kQueryFetch frame and a
+/// kGetTuple request alike; WriteEntry and EntryReader are the only code
+/// that knows the layout. An EntryView is one entry read in place: views
+/// into the bytes it was read from.
+struct EntryView {
+  std::string_view key;    // TupleId::key_bytes
+  Epoch epoch = 0;         // TupleId::epoch
+  std::string_view hash;   // the placement hash, encoded
+  std::string_view bytes;  // the whole entry, encoded: copy it to pass it on
+
+  /// The placement hash, decoded.
+  HashId placement() const;
+};
+
+/// The one writer of a page entry.
+void WriteEntry(Writer* w, std::string_view key, Epoch epoch, const HashId& hash);
+
+/// The one reader of page entries: yields each entry of a run of them in
+/// place. A reader that fails to open, meets a truncated entry or finds
+/// bytes past the last entry stops with status() Corruption.
+class EntryReader {
+ public:
+  /// Reads `count` entries from `bytes`, which they must fill.
+  EntryReader(std::string_view bytes, uint64_t count);
+  /// Reads an entry count at `r`'s position, then that many entries from
+  /// the rest of `r`'s input, which they must fill. A count the input
+  /// cannot hold is Corruption.
+  static EntryReader List(Reader* r);
+  /// Reads a stored page: its header, which must name `page`, then its
+  /// entry list.
+  static EntryReader OfPage(std::string_view bytes, const PageDescriptor& page);
+
+  /// Reads the next entry into `out`; false once every entry is read or
+  /// the reader stopped.
+  bool Next(EntryView* out);
+  const Status& status() const { return status_; }
+  /// Entries not yet read.
+  uint64_t left() const { return left_; }
+  /// Bytes not yet read.
+  std::string_view rest() const {
+    return std::string_view(p_, static_cast<size_t>(end_ - p_));
+  }
+
+ private:
+  explicit EntryReader(Status failed) : status_(std::move(failed)) {}
+
+  const char* p_ = nullptr;
+  const char* end_ = nullptr;
+  uint64_t left_ = 0;
+  Status status_;
+};
+
+/// A page version decoded: the TupleIds in this partition at this epoch,
+/// sorted by (hash, key_bytes). `hashes[i]` is the placement hash of
+/// `ids[i]`. Storage and the scan walk a page's encoded entries in place
+/// (EntryReader); this form is what tests build and compare.
 struct Page {
   PageDescriptor desc;
   std::vector<TupleId> ids;
   std::vector<HashId> hashes;  // parallel to ids
 
   void EncodeTo(Writer* w) const;
+  /// The entries must end `r`'s input.
   static Status DecodeFrom(Reader* r, Page* out);
 };
 

@@ -1028,17 +1028,17 @@ void Publisher::IssueWrites(Handle st) {
   // rehashing (per relation: rel, n, then hash(20B BE), key, epoch, bytes).
   std::map<net::NodeId, std::map<std::string_view, Writer>> per_node_rel;
   std::map<net::NodeId, std::map<std::string_view, uint64_t>> per_node_count;
-  std::string hash_be;  // reused 20-byte scratch: no per-tuple allocation
+  Writer hash_be(20);  // reused 20-byte scratch: no per-tuple allocation
   for (const auto& [rel, writes] : st->writes) {
     const bool everywhere = service_->FindRelation(rel)->replicate_everywhere;
     for (const KeyWrite& kw : writes) {
-      hash_be.clear();
-      kw.hash.AppendBigEndian(&hash_be);
+      hash_be.Clear();
+      kw.hash.EncodeTo(&hash_be);
       std::vector<net::NodeId> targets =
           everywhere ? everyone : snap.ReplicasOf(kw.hash, service_->replication());
       for (net::NodeId t : targets) {
         Writer& w = per_node_rel[t][rel];
-        w.PutRaw(hash_be.data(), hash_be.size());
+        w.PutRaw(hash_be.data().data(), hash_be.size());
         w.PutString(kw.key_bytes);
         w.PutVarint64(at->new_epoch);
         w.PutString(kw.tuple_bytes);

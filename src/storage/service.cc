@@ -156,34 +156,24 @@ Result<CoordinatorRecord> StorageService::ReadCoordinatorLocal(const std::string
   return rec;
 }
 
-Result<Page> StorageService::ReadPageLocal(const PageId& id) const {
-  ORC_ASSIGN_OR_RETURN(std::string bytes,
-                       store_.Get(keys::PageRec(id.relation, id.epoch, id.partition)));
-  Reader r(bytes);
-  Page page;
-  ORC_RETURN_IF_ERROR(Page::DecodeFrom(&r, &page));
-  return page;
+Result<std::string> StorageService::ReadPageLocal(const PageId& id) const {
+  return store_.Get(keys::PageRec(id.relation, id.epoch, id.partition));
 }
 
-Result<std::string_view> StorageService::ReadTupleBytesLocal(
-    std::string_view rel, const TupleId& id) const {
-  const RelationDef* def = FindRelation(rel);
-  if (def == nullptr) return Status::NotFound("no relation " + std::string(rel));
-  HashId h = PlacementHash(*def, id.key_bytes);
-  return store_.GetView(keys::Data(rel, h, id.key_bytes, id.epoch));
+Result<std::string_view> StorageService::ReadTupleLocal(std::string_view rel,
+                                                        const EntryView& entry) const {
+  auto bytes = store_.GetView(keys::DataRaw(rel, entry.hash, entry.key, entry.epoch));
+  // Empty stored bytes are a delete tombstone, never a readable tuple.
+  if (bytes.ok() && bytes->empty()) return Status::NotFound("tuple deleted");
+  return bytes;
 }
 
-Result<std::string_view> StorageService::ReadTupleBytesRaw(
-    std::string_view rel, std::string_view hash_be20, std::string_view key_bytes,
-    Epoch epoch) const {
-  return store_.GetView(keys::DataRaw(rel, hash_be20, key_bytes, epoch));
-}
-
-Status StorageService::ScanPageLocal(
-    const std::string& rel, const Page& page, const KeyFilter& filter,
-    const std::function<void(const TupleId&, Tuple)>& yield,
-    std::vector<TupleId>* missing) {
-  // Build the membership set: localstore data key -> index into page.ids.
+Status StorageService::ScanPageLocal(const std::string& rel,
+                                     const PageDescriptor& page,
+                                     const std::vector<EntryView>& entries,
+                                     const std::function<void(Tuple)>& yield,
+                                     std::vector<EntryView>* missing) {
+  // Build the membership set: localstore data key -> index into entries.
   // Placement hashes ride in the page itself — no SHA-1 here. Transparent
   // hashing lets the scan below probe with key views, no per-record string.
   struct SvHash {
@@ -193,26 +183,25 @@ Status StorageService::ScanPageLocal(
     }
   };
   std::unordered_map<std::string, size_t, SvHash, std::equal_to<>> wanted;
-  wanted.reserve(page.ids.size());
-  for (size_t i = 0; i < page.ids.size(); ++i) {
-    const TupleId& id = page.ids[i];
-    if (!filter.Matches(id.key_bytes)) continue;
-    wanted.emplace(keys::Data(rel, page.hashes[i], id.key_bytes, id.epoch), i);
+  wanted.reserve(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const EntryView& e = entries[i];
+    wanted.emplace(keys::DataRaw(rel, e.hash, e.key, e.epoch), i);
   }
   ChargeCpu(host_->network()->costs().index_entry_us *
-            static_cast<double>(page.ids.size()));
+            static_cast<double>(entries.size()));
 
   // Single ordered pass through the page's hash range (§V-B). A range that
   // wraps past the top of the ring ends with the relation's data records.
-  const HashId end = page.desc.range_end();
+  const HashId end = page.range_end();
   std::string end_key =
       end == HashId::Zero()
           ? localstore::LocalStore::PrefixUpperBound(keys::DataPrefix(rel))
           : keys::DataHashFloor(rel, end);
 
-  std::vector<bool> found(page.ids.size(), false);
+  std::vector<bool> found(entries.size(), false);
   size_t scanned = 0;
-  for (auto it = store_.Seek(keys::DataHashFloor(rel, page.desc.range_begin()),
+  for (auto it = store_.Seek(keys::DataHashFloor(rel, page.range_begin()),
                              std::move(end_key));
        it.Valid(); it.Next()) {
     ++scanned;
@@ -222,16 +211,12 @@ Status StorageService::ScanPageLocal(
     Tuple t;
     ORC_RETURN_IF_ERROR(DecodeTuple(&r, &t));
     found[w->second] = true;
-    yield(page.ids[w->second], std::move(t));
+    yield(std::move(t));
   }
   ChargeCpu(host_->network()->costs().tuple_scan_us * static_cast<double>(scanned));
 
-  if (missing != nullptr) {
-    for (size_t i = 0; i < page.ids.size(); ++i) {
-      if (!found[i] && filter.Matches(page.ids[i].key_bytes)) {
-        missing->push_back(page.ids[i]);
-      }
-    }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (!found[i]) missing->push_back(entries[i]);
   }
   return Status::OK();
 }
@@ -507,14 +492,13 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       // The stored bytes are already the encoded tuple: respond with them
       // directly instead of decode + re-encode.
       std::string_view rel;
-      TupleId id;
-      if (!r->GetStringView(&rel).ok() || !TupleId::DecodeFrom(r, &id).ok()) break;
-      auto bytes = ReadTupleBytesLocal(rel, id);
+      if (!r->GetStringView(&rel).ok()) break;
+      EntryReader one(r->RemainingView(), 1);
+      EntryView entry;
+      if (!one.Next(&entry)) break;
+      auto bytes = ReadTupleLocal(rel, entry);
       ChargeCpu(costs.tuple_scan_us);
-      // Empty stored bytes are a delete tombstone, never a servable tuple.
-      if (bytes.ok() && bytes.value().empty()) {
-        Respond(from, req_id, Status::NotFound("tuple deleted"), {});
-      } else if (!bytes.ok()) {
+      if (!bytes.ok()) {
         Respond(from, req_id, bytes.status(), {});
       } else {
         counters_.tuples_served += 1;
@@ -557,14 +541,12 @@ void StorageService::HandlePutPage(net::NodeId from, std::string_view body,
       // record: fetch the base from a co-replica, store it, then merge.
       const PageDescriptor base_desc{*delta.base, delta.page.num_partitions};
       GetPage(base_desc, [this, from, req_id, base_key,
-                          body = std::string(body)](Status st, Page page) {
+                          body = std::string(body)](Status st, std::string page) {
         if (!st.ok()) {
           Respond(from, req_id, st, {});
           return;
         }
-        Writer w;
-        page.EncodeTo(&w);
-        store_.Put(base_key, w.data()).ok();
+        store_.Put(base_key, page).ok();
         HandlePutPage(from, body, req_id, /*may_fetch=*/false);
       });
       return;
@@ -798,40 +780,35 @@ void StorageService::GetCoordinator(
 }
 
 void StorageService::GetPage(const PageDescriptor& desc,
-                             std::function<void(Status, Page)> cb) {
+                             std::function<void(Status, std::string)> cb) {
   auto replicas = board_->current.ReplicasOf(desc.home(), replication_);
   Writer w;
   desc.id.EncodeTo(&w);
 
   rpc_.CallFirst(std::move(replicas), kGetPage, w.Release(),
-                 [cb = std::move(cb)](Status st, const std::string& reply) {
+                 [desc, cb = std::move(cb)](Status st, const std::string& reply) {
                    if (!st.ok()) {
                      cb(Status::Unavailable("no replica has page"), {});
                      return;
                    }
-                   Reader r(reply);
-                   Page page;
-                   Status ds = Page::DecodeFrom(&r, &page);
-                   if (ds.ok()) {
-                     cb(Status::OK(), std::move(page));
+                   EntryReader entries = EntryReader::OfPage(reply, desc);
+                   EntryView e;
+                   while (entries.Next(&e)) {
+                   }
+                   if (entries.status().ok()) {
+                     cb(Status::OK(), reply);
                    } else {
-                     cb(ds, {});
+                     cb(entries.status(), {});
                    }
                  });
 }
 
-void StorageService::FetchTuple(const std::string& rel, const TupleId& id,
+void StorageService::FetchTuple(const std::string& rel, const EntryView& entry,
                                 std::function<void(Status, Tuple)> cb) {
-  auto def = Relation(rel);
-  if (!def.ok()) {
-    cb(def.status(), {});
-    return;
-  }
-  auto replicas =
-      board_->current.ReplicasOf(PlacementHash(*def, id.key_bytes), replication_);
+  auto replicas = board_->current.ReplicasOf(entry.placement(), replication_);
   Writer w;
   w.PutString(rel);
-  id.EncodeTo(&w);
+  w.PutRaw(entry.bytes.data(), entry.bytes.size());
 
   rpc_.CallFirst(std::move(replicas), kGetTuple, w.Release(),
                  [cb = std::move(cb)](Status st, const std::string& reply) {
@@ -861,7 +838,8 @@ std::optional<StorageService::Placement> StorageService::PlaceRecord(
     case keys::kDataTag: {
       const RelationDef* def = FindRelation(pk.relation);
       if (def != nullptr && def->replicate_everywhere) return kEveryone;
-      hash = HashId::FromBigEndianBytes(pk.hash_be20);
+      Reader hr(pk.hash_be20);
+      HashId::DecodeFrom(&hr, &hash).ok();  // Parse read all 20 bytes
       break;
     }
     case keys::kPageTag: {

@@ -143,7 +143,7 @@ struct KeyFilter {
   bool all = true;
   std::string lo, hi;  // valid when !all
 
-  bool Matches(const std::string& key_bytes) const {
+  bool Matches(std::string_view key_bytes) const {
     return all || (key_bytes >= lo && key_bytes <= hi);
   }
   void EncodeTo(Writer* w) const;
@@ -170,24 +170,21 @@ class StorageService : public net::Service {
   const RelationDef* FindRelation(std::string_view name) const;
   std::vector<std::string> RelationNames() const;
   Result<CoordinatorRecord> ReadCoordinatorLocal(const std::string& rel, Epoch e) const;
-  Result<Page> ReadPageLocal(const PageId& id) const;
-  /// Zero-copy read of one tuple version's stored (encoded) bytes; computes
-  /// the placement hash. The view is valid until the next store mutation.
-  Result<std::string_view> ReadTupleBytesLocal(std::string_view rel,
-                                               const TupleId& id) const;
-  /// Same, with the placement hash supplied in its 20-byte big-endian wire
-  /// form (as carried by kPutTuples/kQueryFetch) — no SHA-1.
-  Result<std::string_view> ReadTupleBytesRaw(std::string_view rel,
-                                             std::string_view hash_be20,
-                                             std::string_view key_bytes,
-                                             Epoch epoch) const;
-  /// Single ordered pass over the page's hash range, yielding tuples present
-  /// in the page. Ids in the page but missing locally are appended to
-  /// `missing` (stale replica). CPU is charged per record scanned.
-  Status ScanPageLocal(const std::string& rel, const Page& page,
-                       const KeyFilter& filter,
-                       const std::function<void(const TupleId&, Tuple)>& yield,
-                       std::vector<TupleId>* missing);
+  /// A page version's stored bytes (read them with EntryReader::OfPage).
+  Result<std::string> ReadPageLocal(const PageId& id) const;
+  /// The one read of a tuple version: its stored (encoded) bytes, keyed by
+  /// the page entry that names it, whose hash keys the read (no SHA-1).
+  /// NotFound for a version this node lacks or a delete tombstone. The view
+  /// is valid until the next store mutation.
+  Result<std::string_view> ReadTupleLocal(std::string_view rel,
+                                          const EntryView& entry) const;
+  /// Single ordered pass over the page's hash range, yielding the tuples of
+  /// `entries` present locally; the others are appended to `missing` (stale
+  /// replica). CPU is charged per record scanned.
+  Status ScanPageLocal(const std::string& rel, const PageDescriptor& page,
+                       const std::vector<EntryView>& entries,
+                       const std::function<void(Tuple)>& yield,
+                       std::vector<EntryView>* missing);
 
   // --- Asynchronous RPC (lifecycle-managed, see net/rpc.h) ------------------
   /// Sends a request; `cb` resolves exactly once — with the reply, with
@@ -236,12 +233,13 @@ class StorageService : public net::Service {
   /// Fetches the coordinator record for (rel, epoch), retrying replicas.
   void GetCoordinator(const std::string& rel, Epoch epoch,
                       std::function<void(Status, CoordinatorRecord)> cb);
-  /// Fetches a page from its index node, retrying replicas.
+  /// Fetches a page's stored bytes from its index node, retrying replicas.
+  /// Corruption when they do not read as the page `desc` names.
   void GetPage(const PageDescriptor& desc,
-               std::function<void(Status, Page)> cb);
-  /// Fetches one tuple version, trying each replica of its data node in turn
-  /// (used when a local replica is stale, §IV).
-  void FetchTuple(const std::string& rel, const TupleId& id,
+               std::function<void(Status, std::string)> cb);
+  /// Fetches the tuple version a page entry names, trying each replica of
+  /// its data node in turn (used when a local replica is stale, §IV).
+  void FetchTuple(const std::string& rel, const EntryView& entry,
                   std::function<void(Status, Tuple)> cb);
 
   /// Re-replicates local state according to `snap` after a membership

@@ -135,15 +135,24 @@ TEST(HashId, EncodeDecodeRoundTrip) {
   EXPECT_EQ(h, back);
 }
 
-TEST(HashId, BigEndianBytesPreserveOrder) {
+// The one encoding is 20 big-endian bytes: byte order is hash order, and a
+// digest encodes to itself.
+TEST(HashId, EncodingIsBigEndianAndPreservesOrder) {
   HashId a = HashId::OfBytes("a"), b = HashId::OfBytes("b");
-  std::string ab, bb;
-  a.AppendBigEndian(&ab);
-  b.AppendBigEndian(&bb);
-  EXPECT_EQ(ab.size(), 20u);
-  EXPECT_EQ(a < b, ab < bb);
-  EXPECT_EQ(HashId::FromBigEndianBytes(ab), a);
-  EXPECT_EQ(HashId::FromBigEndianBytes(bb), b);
+  Writer aw, bw;
+  a.EncodeTo(&aw);
+  b.EncodeTo(&bw);
+  EXPECT_EQ(aw.size(), 20u);
+  EXPECT_EQ(a < b, aw.data() < bw.data());
+  const Sha1Digest d = Sha1("a");
+  EXPECT_EQ(aw.data(), std::string(reinterpret_cast<const char*>(d.data()), d.size()));
+  Writer one;
+  HashId::FromU64(0x0102).EncodeTo(&one);
+  EXPECT_EQ(one.data(), std::string(18, '\0') + "\x01\x02");
+  // Truncated input is refused.
+  Reader short_input(std::string_view(aw.data()).substr(0, 19));
+  HashId back;
+  EXPECT_TRUE(HashId::DecodeFrom(&short_input, &back).IsCorruption());
 }
 
 TEST(HashId, DigestMatchesOfBytes) {

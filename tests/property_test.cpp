@@ -70,12 +70,13 @@ storage::Page ReferenceMerge(const storage::Page& old,
 HashId MergeHash(uint64_t k) { return HashId::FromU64(k % 5); }
 constexpr uint32_t kMergePartitions = 4;
 
-// Hashes that tie limb by limb, for the merge walk's limb-wise compare. Keys
-// 2d and 2d + 1 share a whole hash, and bit i of d % 32 picks the value of
-// limb i (limb 4 the most significant): hashes d and d ^ 1 share their top
-// 16 bytes and differ in the lowest limb, d and d ^ 2 in the next, and so
-// on. The two limb values sort one way as numbers and the other way as
-// their little-endian encoded bytes. Every hash falls in partition 0.
+// Hashes that tie limb by limb, for the merge walk's byte-wise compare.
+// Keys 2d and 2d + 1 share a whole hash, and bit i of d % 32 picks the value
+// of 32-bit limb i (limb 4 the most significant): hashes d and d ^ 1 share
+// their top 16 bytes and differ in the lowest limb, d and d ^ 2 in the next,
+// and so on. The two limb values sort one way as numbers and the other way
+// as little-endian bytes, so a compare that reads the encoding in the wrong
+// byte order fails. Every hash falls in partition 0.
 HashId LimbTieHash(uint64_t k) {
   constexpr uint32_t kLow = 0x000000FF, kHigh = 0x01000000;
   const uint64_t d = (k / 2) % 32;
@@ -84,7 +85,10 @@ HashId LimbTieHash(uint64_t k) {
     const uint32_t v = ((d >> limb) & 1) != 0 ? kHigh : kLow;
     for (int b = 3; b >= 0; --b) big_endian.push_back(static_cast<char>(v >> (8 * b)));
   }
-  return HashId::FromBigEndianBytes(big_endian);
+  Reader r(big_endian);
+  HashId h;
+  EXPECT_TRUE(HashId::DecodeFrom(&r, &h).ok());
+  return h;
 }
 
 // One partition's edits, given in batch order, as a delta carries them:

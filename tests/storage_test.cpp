@@ -479,7 +479,7 @@ TEST_F(StorageClusterTest, GetPagePastADeadFirstReplicaFailsOverAtOnce) {
   dep->RunFor(10 * sim::kMicrosPerSec);
   std::optional<Status> got;
   const sim::SimTime start = dep->sim().now();
-  dep->storage(0).GetPage(*page, [&got](Status st, Page) { got = st; });
+  dep->storage(0).GetPage(*page, [&got](Status st, std::string) { got = st; });
   ASSERT_TRUE(dep->RunUntil([&got] { return got.has_value(); }));
   EXPECT_TRUE(got->ok()) << got->ToString();
   EXPECT_LE(dep->sim().now() - start, 10 * sim::kMicrosPerMilli);
@@ -590,9 +590,12 @@ std::vector<Page> AllPagesAt(deploy::Deployment& dep, const std::string& rel,
     if (!rec.ok()) continue;
     for (const PageDescriptor& d : rec->pages) {
       for (size_t n = 0; n < dep.size(); ++n) {
-        auto page = dep.storage(n).ReadPageLocal(d.id);
-        if (page.ok()) {
-          pages.push_back(std::move(page).value());
+        auto bytes = dep.storage(n).ReadPageLocal(d.id);
+        if (bytes.ok()) {
+          Reader r(*bytes);
+          Page page;
+          EXPECT_TRUE(Page::DecodeFrom(&r, &page).ok());
+          pages.push_back(std::move(page));
           break;
         }
       }
@@ -691,8 +694,9 @@ TEST_F(StorageClusterTest, Sha1ComputedOncePerTuplePerPublish) {
 
 TEST(Keys, ParsersInvertBuilders) {
   HashId h = HashId::OfBytes("some-tuple-key");
-  std::string hb;
-  h.AppendBigEndian(&hb);
+  Writer hw;
+  h.EncodeTo(&hw);
+  const std::string hb = hw.data();
   const std::string_view kb("k\0y", 3);  // embedded NUL survives round-trip
 
   // One row per family: a built key and the fields Parse reads back. The
@@ -1251,17 +1255,15 @@ TEST(ClaimCodec, GoldenBytesMatchTheWireLayouts) {
 
 // kPutPage golden bytes, assembled by hand from docs/WIRE_FORMATS.md: a
 // delta with a base and one without. Partition 3 of 8 begins at 3 * 2^157,
-// whose top limb is 0x60000000; hashes go out as five little-endian u32
-// limbs, least significant first.
+// whose top byte is 0x60; hashes go out as 20 big-endian bytes, most
+// significant first.
 TEST(PageDeltaCodec, GoldenBytesMatchTheWireLayouts) {
   const HashId h1 = PartitionBegin(3, 8).Add(HashId::FromU64(1));
   const HashId h2 = PartitionBegin(3, 8).Add(HashId::FromU64(2));
-  auto put_hash = [](Writer* w, uint32_t low) {
-    w->PutU32(low);
-    w->PutU32(0);
-    w->PutU32(0);
-    w->PutU32(0);
-    w->PutU32(0x60000000);
+  auto put_hash = [](Writer* w, uint8_t low) {
+    w->PutU8(0x60);
+    for (int i = 0; i < 18; ++i) w->PutU8(0);
+    w->PutU8(low);
   };
   PageDelta delta;
   delta.page = PageDescriptor{PageId{"R", 1000, 3}, 8};
@@ -2012,9 +2014,7 @@ TEST_F(FencingTest, PurgeHealsTornDiscoveryStateAtomically) {
   tw.PutVarint64(1);  // one relation
   tw.PutString("R");
   tw.PutVarint64(1);  // one tuple
-  std::string hash_be;
-  h.AppendBigEndian(&hash_be);
-  tw.PutRaw(hash_be.data(), hash_be.size());
+  h.EncodeTo(&tw);
   tw.PutString(key_bytes);
   tw.PutVarint64(3);
   Writer vw;
