@@ -6,7 +6,8 @@
 #              optimizer raises warnings, such as -Wrestrict, that tier-1's
 #              RelWithDebInfo build does not)
 #   sanitize   ASan/UBSan with leak detection on the suites that own async
-#              RPC state, storage churn, and the raw LocalStore paths
+#              RPC state, storage churn, the raw LocalStore paths and the
+#              byte codecs (page entries, hashes, routing tables)
 #              (a Ninja tree, so the suites compile concurrently; ctest runs
 #              them concurrently, churn_test as its buckets, each under its
 #              ctest TIMEOUT)
@@ -112,7 +113,8 @@ configure_ninja() {
 sanitize() {
   echo "== sanitizer: address,undefined with leak detection"
   local suites="storage_test query_test integration_test rpc_lifecycle_test \
-    client_test churn_test localstore_test net_test wal_test"
+    client_test churn_test localstore_test net_test wal_test property_test \
+    hash_test overlay_test"
   configure_ninja build-asan -DORC_SANITIZE=address,undefined \
         -DORC_BUILD_BENCH=OFF -DORC_BUILD_EXAMPLES=OFF
   # shellcheck disable=SC2086

@@ -125,13 +125,11 @@ std::string HashId::ToHex() const {
 std::string HashId::ToShortHex() const { return ToHex().substr(0, 8); }
 
 void HashId::EncodeTo(Writer* w) const {
-  Sha1Digest d;
-  for (int limb = 0; limb < 5; ++limb) {
-    for (int b = 0; b < 4; ++b) {
-      d[(4 - limb) * 4 + b] = static_cast<uint8_t>(w_[limb] >> (8 * (3 - b)));
+  for (int limb = 4; limb >= 0; --limb) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      w->PutU8(static_cast<uint8_t>(w_[limb] >> shift));
     }
   }
-  w->PutRaw(d.data(), d.size());
 }
 
 Status HashId::DecodeFrom(Reader* r, HashId* out) {

@@ -659,7 +659,14 @@ Status LocalStore::Recover() {
   hcount_ = 0;
   live_.clear();
 
+  // Each tail record is followed by the compaction rule a live write
+  // applies, so replaying a long tail keeps the arena as bounded as writing
+  // it did.
   uint64_t tail_records = 0;
+  auto replayed = [&] {
+    MaybeCompact();
+    return true;
+  };
   Status st = wal_->Recover([&](wal::RecordType type, std::string_view key,
                                 std::string_view value, bool from_checkpoint) {
     if (from_checkpoint) {
@@ -670,7 +677,7 @@ Status LocalStore::Recover() {
     switch (type) {
       case wal::RecordType::kPut:
         ApplyPut(key, value, /*count_stats=*/false);
-        return true;
+        return replayed();
       case wal::RecordType::kDerivedPut: {
         // The splice applies to the base's value at this point of the log;
         // a base that a torn segment lost leaves nothing to apply it to, and
@@ -682,13 +689,17 @@ Status LocalStore::Recover() {
           return false;
         }
         ApplyPut(key, derived, /*count_stats=*/false);
-        return true;
+        return replayed();
       }
       case wal::RecordType::kDelete: {
-        // An absent key is one the checkpoint already folded away.
+        // An absent key is one the checkpoint already folded away. A delete
+        // counts as one record in log_size(), as a live one does.
         size_t hidx = HashFind(HashKey(key), key);
-        if (hidx != kNoSlot) EraseAt(hidx);
-        return true;
+        if (hidx != kNoSlot) {
+          ++log_records_;
+          EraseAt(hidx);
+        }
+        return replayed();
       }
       case wal::RecordType::kManifestHeader:
         break;

@@ -701,24 +701,13 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op,
   }
 
   if (!local.empty()) {
-    // (Partial rescans often have nothing local in a page; skipping the
-    // ordered pass keeps recovery's fixed cost proportional to lost data.)
-    std::vector<storage::EntryView> missing;
-    Status st = storage_->ScanPageLocal(
-        op.relation, desc, local,
-        [this, &ex, scan_op](Tuple t) {
-          InjectScanRow(ex, scan_op, std::move(t),
-                        SingletonTaint(ex.cx.taint_bits, node()));
-        },
-        &missing);
-    if (!st.ok()) {
-      ReportScanFailure(ex, st);
-      return;
+    // Charged once per page: a charge is whole microseconds.
+    ex.cx.charge(costs.index_entry_us * static_cast<double>(local.size()));
+    for (const storage::EntryView& entry : local) {
+      ReadScanTuple(ex, scan_op, op.relation, entry,
+                    SingletonTaint(ex.cx.taint_bits, node()));
     }
-    for (const storage::EntryView& m : missing) {
-      FetchScanTuple(ex, scan_op, op.relation, m,
-                     SingletonTaint(ex.cx.taint_bits, node()));
-    }
+    ex.cx.charge(costs.tuple_scan_us * static_cast<double>(local.size()));
   }
 
   // Each data node gets the entries it owns, copied from the page as they
@@ -797,18 +786,17 @@ void QueryService::HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op,
 }
 
 void QueryService::ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
-                                 const storage::EntryView& entry,
-                                 const DynamicBitset& taint) {
+                                 const storage::EntryView& entry, DynamicBitset taint) {
   auto bytes = storage_->ReadTupleLocal(rel, entry);
   Tuple t;
   if (bytes.ok()) {
     Reader tr(bytes.value());
     if (storage::DecodeTuple(&tr, &t).ok()) {
-      InjectScanRow(ex, scan_op, std::move(t), taint);
+      InjectScanRow(ex, scan_op, std::move(t), std::move(taint));
       return;
     }
   }
-  FetchScanTuple(ex, scan_op, rel, entry, taint);
+  FetchScanTuple(ex, scan_op, rel, entry, std::move(taint));
 }
 
 void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {

@@ -113,7 +113,8 @@ class QueryService : public net::Service {
     return n;
   }
 
- private:
+  /// Query protocol message codes (service kQuery); docs/WIRE_FORMATS.md
+  /// gives each frame's body.
   enum QueryCode : uint16_t {
     kPlan = 1,
     kDataBlock = 2,
@@ -131,6 +132,7 @@ class QueryService : public net::Service {
     kScanFailed = 14,
   };
 
+ private:
   /// End-of-stream barrier over a routing table: each sender marks the
   /// highest phase it has finished, and the barrier holds for phase p once
   /// every member of the table has marked p. One type serves the scan
@@ -262,7 +264,7 @@ class QueryService : public net::Service {
   /// names: from this node's store, or from a replica when the store lacks
   /// it (FetchScanTuple).
   void ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
-                     const storage::EntryView& entry, const DynamicBitset& taint);
+                     const storage::EntryView& entry, DynamicBitset taint);
   void FetchScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
                       const storage::EntryView& entry, DynamicBitset taint);
   /// The one completion of an asynchronous scan read: settles the scan's

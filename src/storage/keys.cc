@@ -38,12 +38,6 @@ std::string DataPrefix(std::string_view relation) {
   return k;
 }
 
-std::string DataHashFloor(std::string_view relation, const HashId& h) {
-  Writer w;
-  h.EncodeTo(&w);
-  return DataPrefix(relation) + w.data();
-}
-
 std::string PageRec(std::string_view relation, Epoch epoch, uint32_t partition) {
   std::string k = "P";
   AppendLenPrefixed(&k, relation);

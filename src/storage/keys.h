@@ -5,9 +5,11 @@
 // no records: a publisher finds a partition's current page in the base
 // epoch's coordinator record. Layouts are prefix-free across namespaces and
 // relations, and ordered so that:
-//   * data records of a relation sort by (tuple-key hash, key, epoch) —
-//     a page's tuples are "retrieved in a single pass through the hash ID
-//     range for that page" (§V-B);
+//   * data records of a relation sort by (tuple-key hash, key, epoch), so a
+//     key's versions are adjacent (GC's version groups) and a hash range is
+//     a key range (re-replication buckets). A scan does not walk them: it
+//     reads each tuple version by the key its page entry names, where §V-B
+//     makes "a single pass through the hash ID range for that page";
 //   * page/coordinator records sort by epoch for debugging scans.
 // One parser, Parse(), reads a key of any family back into its fields.
 #ifndef ORCHESTRA_STORAGE_KEYS_H_
@@ -42,14 +44,12 @@ void AppendEpochBE(std::string* out, Epoch e);
 /// Data record: 'D' <rel> <hash:20B BE> <key_bytes:len-prefixed> <epoch:8B BE>
 std::string Data(std::string_view relation, const HashId& hash,
                  std::string_view key_bytes, Epoch epoch);
-/// Same layout, with the hash already in its 20-byte big-endian wire form
-/// (as carried by kPutTuples/kFetchTuples); splices without a HashId decode.
+/// Same layout, with the hash already encoded (HashId::EncodeTo), as
+/// kPutTuples and page entries carry it; splices without a HashId decode.
 std::string DataRaw(std::string_view relation, std::string_view hash_be20,
                     std::string_view key_bytes, Epoch epoch);
 /// Prefix of all data records of a relation.
 std::string DataPrefix(std::string_view relation);
-/// Prefix of all data records of a relation with hash >= h (for range scans).
-std::string DataHashFloor(std::string_view relation, const HashId& h);
 
 /// Index-node page record: 'P' <rel> <partition:4B BE> <epoch:8B BE>
 std::string PageRec(std::string_view relation, Epoch epoch, uint32_t partition);

@@ -323,7 +323,7 @@ Result<PageMerge> MergePage(std::string_view base, const PageDelta& delta) {
     ++written;
   };
   size_t j = 0;  // next edit
-  EntryView prev, entry;
+  EntryView prev, entry;  // prev.bytes is empty before the first entry
   while (entries.Next(&entry)) {
     const auto at = static_cast<size_t>(entry.bytes.data() - base.data());
     if (!prev.bytes.empty() &&

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "common/log.h"
 #include "common/strings.h"
@@ -166,59 +165,6 @@ Result<std::string_view> StorageService::ReadTupleLocal(std::string_view rel,
   // Empty stored bytes are a delete tombstone, never a readable tuple.
   if (bytes.ok() && bytes->empty()) return Status::NotFound("tuple deleted");
   return bytes;
-}
-
-Status StorageService::ScanPageLocal(const std::string& rel,
-                                     const PageDescriptor& page,
-                                     const std::vector<EntryView>& entries,
-                                     const std::function<void(Tuple)>& yield,
-                                     std::vector<EntryView>* missing) {
-  // Build the membership set: localstore data key -> index into entries.
-  // Placement hashes ride in the page itself — no SHA-1 here. Transparent
-  // hashing lets the scan below probe with key views, no per-record string.
-  struct SvHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  std::unordered_map<std::string, size_t, SvHash, std::equal_to<>> wanted;
-  wanted.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const EntryView& e = entries[i];
-    wanted.emplace(keys::DataRaw(rel, e.hash, e.key, e.epoch), i);
-  }
-  ChargeCpu(host_->network()->costs().index_entry_us *
-            static_cast<double>(entries.size()));
-
-  // Single ordered pass through the page's hash range (§V-B). A range that
-  // wraps past the top of the ring ends with the relation's data records.
-  const HashId end = page.range_end();
-  std::string end_key =
-      end == HashId::Zero()
-          ? localstore::LocalStore::PrefixUpperBound(keys::DataPrefix(rel))
-          : keys::DataHashFloor(rel, end);
-
-  std::vector<bool> found(entries.size(), false);
-  size_t scanned = 0;
-  for (auto it = store_.Seek(keys::DataHashFloor(rel, page.range_begin()),
-                             std::move(end_key));
-       it.Valid(); it.Next()) {
-    ++scanned;
-    auto w = wanted.find(it.key());
-    if (w == wanted.end()) continue;  // other version / other epoch
-    Reader r(it.value());
-    Tuple t;
-    ORC_RETURN_IF_ERROR(DecodeTuple(&r, &t));
-    found[w->second] = true;
-    yield(std::move(t));
-  }
-  ChargeCpu(host_->network()->costs().tuple_scan_us * static_cast<double>(scanned));
-
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (!found[i]) missing->push_back(entries[i]);
-  }
-  return Status::OK();
 }
 
 // --------------------------------------------------------------------------
@@ -791,10 +737,10 @@ void StorageService::GetPage(const PageDescriptor& desc,
                      cb(Status::Unavailable("no replica has page"), {});
                      return;
                    }
+                   // Refused unless every entry reads.
                    EntryReader entries = EntryReader::OfPage(reply, desc);
                    EntryView e;
-                   while (entries.Next(&e)) {
-                   }
+                   while (entries.Next(&e)) {}
                    if (entries.status().ok()) {
                      cb(Status::OK(), reply);
                    } else {

@@ -178,13 +178,6 @@ class StorageService : public net::Service {
   /// is valid until the next store mutation.
   Result<std::string_view> ReadTupleLocal(std::string_view rel,
                                           const EntryView& entry) const;
-  /// Single ordered pass over the page's hash range, yielding the tuples of
-  /// `entries` present locally; the others are appended to `missing` (stale
-  /// replica). CPU is charged per record scanned.
-  Status ScanPageLocal(const std::string& rel, const PageDescriptor& page,
-                       const std::vector<EntryView>& entries,
-                       const std::function<void(Tuple)>& yield,
-                       std::vector<EntryView>* missing);
 
   // --- Asynchronous RPC (lifecycle-managed, see net/rpc.h) ------------------
   /// Sends a request; `cb` resolves exactly once — with the reply, with

@@ -467,6 +467,9 @@ TEST(Churn, GcBoundsStorageAcrossThousandRounds) {
   opts.drop_prob = 0.005;
   opts.delay_prob = 0.05;
   opts.gc_keep_epochs = 6;
+  // A floor every store stays above (each holds 100+ records), so the dead
+  // fraction is checked on every store at every check.
+  opts.compaction_min_records = 64;
   ChurnReport rep = RunChurn(opts);
   ASSERT_TRUE(rep.ok) << rep.failure << "\nreplay: "
                       << ReplayCommand(rep, "Churn.GcBoundsStorageAcrossThousandRounds")
@@ -478,6 +481,7 @@ TEST(Churn, GcBoundsStorageAcrossThousandRounds) {
   EXPECT_GT(rep.gc_retired_total, 0u);
   EXPECT_GT(rep.live_record_bound, 0u);
   EXPECT_LE(rep.max_live_records, rep.live_record_bound);
+  EXPECT_GT(rep.max_dead_fraction, 0);
   EXPECT_LE(rep.max_dead_fraction, 0.55);
 }
 

@@ -137,7 +137,7 @@ TEST(HashId, EncodeDecodeRoundTrip) {
 
 // The one encoding is 20 big-endian bytes: byte order is hash order, and a
 // digest encodes to itself.
-TEST(HashId, EncodingIsBigEndianAndPreservesOrder) {
+TEST(HashId, BigEndianBytesPreserveOrder) {
   HashId a = HashId::OfBytes("a"), b = HashId::OfBytes("b");
   Writer aw, bw;
   a.EncodeTo(&aw);

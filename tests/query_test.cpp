@@ -379,6 +379,45 @@ TEST_F(QueryClusterTest, PaperRunningExample) {
   EXPECT_EQ(result->rows[0][1], S("j"));
 }
 
+// Records the kQueryFetch frames one node receives and the page entries
+// they carry, then hands every message on to the node's own NodeHost.
+class QueryFetchTap : public net::MessageHandler {
+ public:
+  QueryFetchTap(deploy::Deployment* dep, net::NodeId node) : dep_(dep), node_(node) {
+    dep_->network().SetHandler(node_, this);
+  }
+  ~QueryFetchTap() override { dep_->network().SetHandler(node_, &dep_->host(node_)); }
+
+  void OnMessage(net::NodeId from, uint32_t type, const std::string& payload) override {
+    if (type == ((static_cast<uint32_t>(net::ServiceId::kQuery) << 16) |
+                 QueryService::kQueryFetch)) {
+      ++frames;
+      // u64 qid | varint32 op | varint32 phase | string rel | entry list
+      Reader r(payload);
+      uint64_t qid = 0;
+      uint32_t op = 0, phase = 0;
+      std::string rel;
+      EXPECT_TRUE(r.GetU64(&qid).ok() && r.GetVarint32(&op).ok() &&
+                  r.GetVarint32(&phase).ok() && r.GetString(&rel).ok());
+      storage::EntryReader entries_in = storage::EntryReader::List(&r);
+      storage::EntryView e;
+      while (entries_in.Next(&e)) ++entries;
+      EXPECT_TRUE(entries_in.status().ok()) << entries_in.status().ToString();
+    }
+    dep_->host(node_).OnMessage(from, type, payload);
+  }
+  void OnConnectionDrop(net::NodeId peer) override {
+    dep_->host(node_).OnConnectionDrop(peer);
+  }
+
+  uint64_t frames = 0;
+  uint64_t entries = 0;
+
+ private:
+  deploy::Deployment* dep_;
+  net::NodeId node_;
+};
+
 TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
   Deploy(5);
   Rng rng(99);
@@ -407,12 +446,26 @@ TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
   int32_t join = b.Join(rehash_r, scan_s, {1}, {0});
   PhysicalPlan plan = b.Ship(join);
 
+  // Eight partitions over five nodes straddle node ranges: an index node
+  // sends the entries other nodes own to them (kQueryFetch), each read
+  // there by key.
+  std::vector<std::unique_ptr<QueryFetchTap>> taps;
+  for (size_t n = 0; n < dep->size(); ++n) {
+    taps.push_back(std::make_unique<QueryFetchTap>(dep.get(), static_cast<net::NodeId>(n)));
+  }
   auto result = dep->ExecuteQuery(3, plan, db_epoch);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto expect = ReferenceExecute(plan, ref_db);
   ASSERT_TRUE(expect.ok());
   EXPECT_TRUE(SameBag(result->rows, *expect))
       << "distributed=" << result->rows.size() << " reference=" << expect->size();
+  uint64_t frames = 0, entries = 0;
+  for (const auto& tap : taps) {
+    frames += tap->frames;
+    entries += tap->entries;
+  }
+  EXPECT_GT(frames, 0u);
+  EXPECT_GE(entries, frames);
 }
 
 TEST_F(QueryClusterTest, DoubleRehashJoinBothSides) {
