@@ -7,7 +7,7 @@
 #              RelWithDebInfo build does not)
 #   sanitize   ASan/UBSan with leak detection on the suites that own async
 #              RPC state, storage churn, the raw LocalStore paths and the
-#              byte codecs (page entries, hashes, routing tables)
+#              byte codecs (page entries, hashes, routing tables, bitsets)
 #              (a Ninja tree, so the suites compile concurrently; ctest runs
 #              them concurrently, churn_test as its buckets, each under its
 #              ctest TIMEOUT)
@@ -23,12 +23,15 @@
 #              oracles at 1/20 sizes
 #   docs       relative-link check over README/docs/ + compile every example
 #   all        every stage above, in that order
-#   parentdiff [REF]  benchmark/run.py --runs 1 on `git archive REF` (default
-#              HEAD) and on the working tree; one line per workload saying
-#              whether the trace digest and each sim metric are the same or
-#              changed, one with its peak_rss_mb on both sides, then exits
-#              with the status of `run.py compare`.
-#              Several minutes (two benchmark builds and runs), so not in all.
+#   parentdiff [REF]  benchmark/run.py --runs 1 three times on `git archive
+#              REF` (default HEAD) and three times on the working tree,
+#              alternating (REF, tree, tree, REF, REF, tree); checks that each
+#              side's passes repeat its digest and sim metrics, prints one
+#              line per workload saying whether the trace digest and each sim
+#              metric are the same or changed, one with its peak_rss_mb on
+#              both sides, then exits with the status of `run.py compare`
+#              over the three runs a side.
+#              Two benchmark builds and six passes, so not in all.
 #   churndiff [REF]  builds churn_test from `git archive REF` (default HEAD)
 #              and from the working tree, runs Churn.SeedSweep,
 #              Churn.MultiWriterSweep, Churn.FencingAbandonmentSweep and
@@ -114,7 +117,7 @@ sanitize() {
   echo "== sanitizer: address,undefined with leak detection"
   local suites="storage_test query_test integration_test rpc_lifecycle_test \
     client_test churn_test localstore_test net_test wal_test property_test \
-    hash_test overlay_test"
+    hash_test overlay_test common_test"
   configure_ninja build-asan -DORC_SANITIZE=address,undefined \
         -DORC_BUILD_BENCH=OFF -DORC_BUILD_EXAMPLES=OFF
   # shellcheck disable=SC2086
@@ -373,28 +376,60 @@ parentdiff() {
   local ref="${1:-HEAD}"
   local tmp
   tmp="$(mktemp -d)"
-  echo "== parentdiff: benchmark/run.py --runs 1 at $ref and in the working tree ($tmp)"
-  mkdir "$tmp/tree"
+  echo "== parentdiff: benchmark/run.py --runs 1, three passes each at $ref and in the working tree ($tmp)"
+  mkdir "$tmp/tree" "$tmp/parent" "$tmp/change"
   git archive "$ref" | tar -x -C "$tmp/tree"
-  (cd "$tmp/tree" && python3 benchmark/run.py --runs 1 --out-dir "$tmp/parent")
-  python3 benchmark/run.py --runs 1 --out-dir "$tmp/change"
-  python3 - "$tmp/parent" "$tmp/change" <<'PY'
-import json, os, sys
+  # One pass per side is not enough for host time: two runs of one commit
+  # can differ by more than a bound. Alternating the order spreads a slow
+  # stretch of the host over both sides.
+  local pass side
+  for pass in 1 2 3; do
+    for side in $( [[ "$pass" == 2 ]] && echo "change parent" || echo "parent change" ); do
+      echo "-- pass $pass: $side"
+      if [[ "$side" == parent ]]; then
+        (cd "$tmp/tree" && python3 benchmark/run.py --runs 1 --out-dir "$tmp/parent.$pass")
+      else
+        python3 benchmark/run.py --runs 1 --out-dir "$tmp/change.$pass"
+      fi
+    done
+  done
+  local status=0
+  python3 - "$tmp" <<'PY' || status=1
+import json, os, shutil, statistics, sys
 
 # End-to-end metrics that the simulation fixes; setup_s, host_s and
 # peak_rss_mb are host measurements. setup_s and host_s differ between any
-# two runs. peak_rss_mb repeats within about 0.1% between runs of one
-# commit, so a change of a few percent is the change's own: it is printed
-# for each workload, with no same/changed verdict.
+# two runs. peak_rss_mb spreads a few percent between runs of one commit
+# with the same digest (3.4% was seen on mixed_read_write), so its three
+# values a side are printed for each workload, with no same/changed verdict.
 HOST = {"setup_s", "host_s", "peak_rss_mb"}
 spec = json.load(open("BENCHMARK.json"))
 sim = [m["name"] for m in spec["end_to_end"] if m["name"] not in HOST]
+tmp = sys.argv[1]
 def load(d):
     return {r["workload"]: r for r in (json.load(open(os.path.join(d, f)))
                                        for f in sorted(os.listdir(d))
                                        if f.endswith(".json") and f != "machine.json")}
-parent, change = load(sys.argv[1]), load(sys.argv[2])
-for w in (w["name"] for w in spec["workloads"]):
+runs = {side: [load(os.path.join(tmp, f"{side}.{p}")) for p in (1, 2, 3)]
+        for side in ("parent", "change")}
+workloads = [w["name"] for w in spec["workloads"]]
+# The simulation is deterministic: a side whose passes disagree is a fault.
+status = 0
+for side, passes in runs.items():
+    for w in workloads:
+        if any(w not in p for p in passes):
+            continue
+        first = passes[0][w]
+        for i, p in enumerate(passes[1:], start=2):
+            diffs = [n for n in sim
+                     if p[w]["metrics"][n]["value"] != first["metrics"][n]["value"]]
+            if p[w]["trace_digest"] != first["trace_digest"]:
+                diffs.insert(0, "digest")
+            if diffs:
+                print(f"{w:<20} {side} pass {i} differs from pass 1: {', '.join(diffs)}")
+                status = 1
+parent, change = runs["parent"][0], runs["change"][0]
+for w in workloads:
     if w not in parent or w not in change:
         print(f"{w:<20} missing on the {'parent' if w not in parent else 'change'} side")
         continue
@@ -406,12 +441,25 @@ for w in (w["name"] for w in spec["workloads"]):
         pct = f" ({100 * (y - x) / x:+.2f}%)" if x else ""
         cells.append(f"{name} " + ("same" if x == y else f"changed {x:.6g} -> {y:.6g}{pct}"))
     print(f"{w:<20} " + ", ".join(cells))
-    x, y = a["metrics"]["peak_rss_mb"]["value"], b["metrics"]["peak_rss_mb"]["value"]
-    print(f"{w:<20} peak_rss_mb (host measurement) {x:.1f} -> {y:.1f} MB"
-          + (f" ({100 * (y - x) / x:+.1f}%)" if x else ""))
+    rss = {side: [p[w]["metrics"]["peak_rss_mb"]["value"] for p in runs[side] if w in p]
+           for side in runs}
+    x, y = statistics.median(rss["parent"]), statistics.median(rss["change"])
+    print(f"{w:<20} peak_rss_mb (host measurement) "
+          f"{'/'.join(f'{v:.1f}' for v in rss['parent'])} -> "
+          f"{'/'.join(f'{v:.1f}' for v in rss['change'])} MB"
+          + (f" (medians {100 * (y - x) / x:+.1f}%)" if x else ""))
+# One directory a side for `run.py compare`, which pairs runs by file name:
+# pass i of the parent with pass i of the change.
+for side in runs:
+    for i in (1, 2, 3):
+        d = os.path.join(tmp, f"{side}.{i}")
+        for f in os.listdir(d):
+            if f.endswith(".0.json"):
+                shutil.copy(os.path.join(d, f),
+                            os.path.join(tmp, side, f[:-len(".0.json")] + f".{i}.json"))
+sys.exit(status)
 PY
-  local status=0
-  python3 benchmark/run.py compare "$tmp/parent" "$tmp/change" || status=$?
+  python3 benchmark/run.py compare "$tmp/parent" "$tmp/change" || status=1
   rm -rf "$tmp"
   return "$status"
 }

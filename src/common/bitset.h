@@ -4,9 +4,10 @@
 #ifndef ORCHESTRA_COMMON_BITSET_H_
 #define ORCHESTRA_COMMON_BITSET_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
-#include <vector>
 
 namespace orchestra {
 
@@ -16,13 +17,22 @@ class Status;
 
 /// Fixed-capacity bitset whose size is chosen at construction.
 ///
+/// Up to 128 bits live inside the object (two words), so a taint of a
+/// deployment of up to 128 nodes costs no allocation; a larger set holds its
+/// words on the heap.
+///
 /// Equality/hash are value-based so a DynamicBitset can key a hash map (the
 /// aggregate operator partitions each group into sub-groups keyed by the set
 /// of nodes that contributed, §V-D).
 class DynamicBitset {
  public:
-  DynamicBitset() = default;
-  explicit DynamicBitset(size_t bits) : bits_(bits), words_((bits + 63) / 64, 0) {}
+  DynamicBitset() : inline_{0, 0} {}
+  explicit DynamicBitset(size_t bits);
+  DynamicBitset(const DynamicBitset& other);
+  DynamicBitset(DynamicBitset&& other) noexcept;
+  DynamicBitset& operator=(const DynamicBitset& other);
+  DynamicBitset& operator=(DynamicBitset&& other) noexcept;
+  ~DynamicBitset() { Free(); }
 
   size_t size() const { return bits_; }
   bool empty_set() const;  // true when no bit is set
@@ -39,17 +49,12 @@ class DynamicBitset {
   /// Index of lowest set bit, or size() when empty.
   size_t FirstSet() const;
 
-  bool operator==(const DynamicBitset& other) const {
-    return bits_ == other.bits_ && words_ == other.words_;
-  }
+  bool operator==(const DynamicBitset& other) const;
 
   /// Total order (size, then word-lexicographic): lets bitset-keyed maps be
   /// ordered, so iteration order is deterministic — required anywhere the
   /// traversal feeds emitted rows or wire frames (det-unordered-iter).
-  bool operator<(const DynamicBitset& other) const {
-    if (bits_ != other.bits_) return bits_ < other.bits_;
-    return words_ < other.words_;
-  }
+  bool operator<(const DynamicBitset& other) const;
 
   /// Stable hash for use as unordered_map key.
   size_t Hash() const;
@@ -60,9 +65,20 @@ class DynamicBitset {
   std::string ToString() const;  // e.g. "{0,3,7}"
 
  private:
-  size_t bits_ = 0;
-  std::vector<uint64_t> words_;
+  bool on_heap() const { return bits_ > 64 * std::size(inline_); }
+  size_t num_words() const { return (static_cast<size_t>(bits_) + 63) / 64; }
+  uint64_t* words() { return on_heap() ? heap_ : inline_; }
+  const uint64_t* words() const { return on_heap() ? heap_ : inline_; }
+  void Free();
+
+  uint32_t bits_ = 0;
+  union {
+    uint64_t inline_[2];
+    uint64_t* heap_;
+  };
 };
+
+static_assert(sizeof(DynamicBitset) <= 32, "a taint must not grow rows or cache entries");
 
 struct DynamicBitsetHash {
   size_t operator()(const DynamicBitset& b) const { return b.Hash(); }

@@ -84,6 +84,62 @@ class Reader {
   size_t pos_ = 0;
 };
 
+// The readers every decoder runs per byte or per value are defined here, so
+// that they inline into the codecs' loops. Each writes its output on every
+// path, zero (or an empty view) when it fails, so an inlined caller's local
+// is never read uninitialized.
+
+inline Status Reader::GetU8(uint8_t* v) {
+  *v = 0;
+  ORC_RETURN_IF_ERROR(Need(1));
+  *v = static_cast<uint8_t>(data_[pos_++]);
+  return Status::OK();
+}
+
+inline Status Reader::GetU64(uint64_t* v) {
+  *v = 0;
+  ORC_RETURN_IF_ERROR(Need(8));
+  uint64_t r = 0;
+  for (int i = 0; i < 8; ++i) {
+    r |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
+  }
+  *v = r;
+  return Status::OK();
+}
+
+inline Status Reader::GetDouble(double* v) {
+  *v = 0;
+  uint64_t bits = 0;
+  ORC_RETURN_IF_ERROR(GetU64(&bits));
+  std::memcpy(v, &bits, sizeof(bits));
+  return Status::OK();
+}
+
+inline Status Reader::GetVarint64(uint64_t* v) {
+  *v = 0;
+  uint64_t r = 0;
+  for (int shift = 0; shift <= 63; shift += 7) {
+    uint8_t byte;
+    ORC_RETURN_IF_ERROR(GetU8(&byte));
+    r |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if (!(byte & 0x80)) {
+      *v = r;
+      return Status::OK();
+    }
+  }
+  return Status::Corruption("varint64 too long");
+}
+
+inline Status Reader::GetStringView(std::string_view* s) {
+  *s = {};
+  uint64_t n = 0;
+  ORC_RETURN_IF_ERROR(GetVarint64(&n));
+  ORC_RETURN_IF_ERROR(Need(n));
+  *s = data_.substr(pos_, n);
+  pos_ += n;
+  return Status::OK();
+}
+
 }  // namespace orchestra
 
 #endif  // ORCHESTRA_COMMON_SERIAL_H_

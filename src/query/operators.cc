@@ -1,5 +1,7 @@
 #include "query/operators.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "hash/sha1.h"
 
@@ -20,20 +22,71 @@ void Operator::ResetForPhase() {
 }
 
 void ScanOp::Consume(size_t, BlockRow) {
-  ORC_CHECK(false, "scan is a leaf; rows are injected by the scan driver");
+  ORC_CHECK(false, "scan is a leaf; rows are pushed by the scan driver");
+}
+
+void ScanOp::FindShape() {
+  Operator* op = parent_;
+  while (op != nullptr && op->def().kind == OpKind::kSelect) {
+    selects_.push_back(static_cast<const SelectOp*>(op));
+    top_ = op;
+    op = op->parent_;
+  }
+  if (op == nullptr || op->def().kind != OpKind::kProject) return;
+  project_ = static_cast<const ProjectOp*>(op);
+  top_ = op;
+  keep_ = op->def().columns;
+  for (const SelectOp* s : selects_) s->def().predicate.CollectColumns(&keep_);
+  std::sort(keep_.begin(), keep_.end());
+  keep_.erase(std::unique(keep_.begin(), keep_.end()), keep_.end());
+}
+
+void ScanOp::Push(Tuple* row, const DynamicBitset& taint) {
+  if (cx_->taint_bits > 0 && taint.Intersects(cx_->failed)) return;
+  for (const SelectOp* s : selects_) {
+    if (!s->Test(*row)) return;
+  }
+  BlockRow out;
+  out.tuple = project_ != nullptr ? project_->Apply(row) : std::move(*row);
+  out.taint = taint;
+  top_->EmitUp(std::move(out));
+}
+
+bool SelectOp::Test(const Tuple& row) const {
+  cx_->charge(cx_->costs->predicate_eval_us);
+  return def_->predicate.EvalBool(row);
 }
 
 void SelectOp::Consume(size_t, BlockRow row) {
-  cx_->charge(cx_->costs->predicate_eval_us);
-  if (def_->predicate.EvalBool(row.tuple)) EmitUp(std::move(row));
+  if (Test(row.tuple)) EmitUp(std::move(row));
 }
 
-void ProjectOp::Consume(size_t, BlockRow row) {
+ProjectOp::ProjectOp(const PhysOp* def, ExecContext* cx)
+    : Operator(def, cx), moves_(def->columns.size(), true) {
+  const std::vector<int32_t>& cols = def->columns;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    moves_[i] = std::find(cols.begin() + static_cast<std::ptrdiff_t>(i) + 1, cols.end(),
+                          cols[i]) == cols.end();
+  }
+}
+
+Tuple ProjectOp::Apply(Tuple* row) const {
   cx_->charge(cx_->costs->project_us);
   Tuple out;
   out.reserve(def_->columns.size());
-  for (int32_t c : def_->columns) out.push_back(row.tuple[c]);
-  row.tuple = std::move(out);
+  for (size_t i = 0; i < def_->columns.size(); ++i) {
+    Value& v = (*row)[def_->columns[i]];
+    if (moves_[i]) {
+      out.push_back(std::move(v));
+    } else {
+      out.push_back(v);
+    }
+  }
+  return out;
+}
+
+void ProjectOp::Consume(size_t, BlockRow row) {
+  row.tuple = Apply(&row.tuple);
   EmitUp(std::move(row));
 }
 
@@ -179,13 +232,13 @@ std::unique_ptr<Operator> MakeOperator(const PhysOp* def, ExecContext* cx) {
   return nullptr;
 }
 
-HashId RowHash(const Tuple& t, const std::vector<int32_t>& cols) {
+HashId RowHash(const Tuple& t, const std::vector<int32_t>& cols, std::string* key) {
   // Matches storage::TupleKeyHash on the same values: a relation partitioned
   // on its key attributes is already co-partitioned with a rehash on those
   // values, so the optimizer can skip one side's rehash (Fig. 6).
-  std::string kb;
-  for (int32_t c : cols) t[c].EncodeOrdered(&kb);
-  return storage::TupleKeyHash(kb);
+  key->clear();
+  for (int32_t c : cols) t[c].EncodeOrdered(key);
+  return storage::TupleKeyHash(*key);
 }
 
 }  // namespace orchestra::query

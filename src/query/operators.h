@@ -76,6 +76,9 @@ class Operator {
     if (parent_ != nullptr) parent_->OnChildEos(child_idx_in_parent_);
   }
 
+  // A shaped scan emits rows from the top of its shape (ScanOp::Push).
+  friend class ScanOp;
+
   const PhysOp* def_;
   ExecContext* cx_;
   Operator* parent_ = nullptr;
@@ -84,27 +87,54 @@ class Operator {
   bool eos_propagated_ = false;
 };
 
-/// Leaf scan (both variants). Rows are injected by the QueryService's scan
-/// driver; EOS is signalled when the scan barrier for the current phase is
-/// satisfied.
-class ScanOp : public Operator {
- public:
-  using Operator::Operator;
-  void Consume(size_t, BlockRow) override;  // never called (leaf)
-  void Inject(BlockRow row) { EmitUp(std::move(row)); }
-  void SignalEos() { OnAllChildrenEos(); }
-};
-
 class SelectOp : public Operator {
  public:
   using Operator::Operator;
   void Consume(size_t child_idx, BlockRow row) override;
+  /// Charges one predicate evaluation and tests `row` against it.
+  bool Test(const Tuple& row) const;
 };
 
 class ProjectOp : public Operator {
  public:
-  using Operator::Operator;
+  ProjectOp(const PhysOp* def, ExecContext* cx);
   void Consume(size_t child_idx, BlockRow row) override;
+  /// Charges one projection and returns the projected row. The values it
+  /// keeps are moved out of `row`; a column listed again later is copied.
+  Tuple Apply(Tuple* row) const;
+
+ private:
+  std::vector<bool> moves_;  // per output column: no later one reads its input
+};
+
+/// Leaf scan (both variants). The QueryService's scan driver pushes each row
+/// it reads; EOS is signalled when the scan barrier for the current phase
+/// is satisfied, and travels up through the shape's ops as usual.
+///
+/// A scan's shape is the run of Select ops directly above it and the Project
+/// that follows them, if one does. The scan runs them on each row itself, on
+/// the row as read: a row a predicate drops allocates nothing, and with a
+/// Project the read decodes only the columns the shape reads (`keep`).
+class ScanOp : public Operator {
+ public:
+  using Operator::Operator;
+  void Consume(size_t, BlockRow) override;  // never called (leaf)
+  /// Records the shape; call once every op of the plan has its parent.
+  void FindShape();
+  /// Ascending columns a read must decode, or null for every column.
+  const std::vector<int32_t>* keep() const { return project_ ? &keep_ : nullptr; }
+  /// The one entry of a scanned row into the plan: drops it if its taint
+  /// meets the failed set, runs the shape's predicates on `row`, and only for
+  /// a row that passes builds the row that leaves the scan (the Project's
+  /// columns, moved out of `row`) and hands it to the shape's parent.
+  void Push(Tuple* row, const DynamicBitset& taint);
+  void SignalEos() { OnAllChildrenEos(); }
+
+ private:
+  std::vector<const SelectOp*> selects_;
+  const ProjectOp* project_ = nullptr;
+  Operator* top_ = this;  // the shape's last op: its parent takes the rows
+  std::vector<int32_t> keep_;
 };
 
 class ComputeOp : public Operator {
@@ -185,8 +215,9 @@ class ShipOp : public Operator {
 std::unique_ptr<Operator> MakeOperator(const PhysOp* def, ExecContext* cx);
 
 /// Hash of the values in `cols` of `t`, for rehash routing: equal values
-/// always land on the same node.
-HashId RowHash(const Tuple& t, const std::vector<int32_t>& cols);
+/// always land on the same node. `key` is the caller's buffer for the
+/// hashed bytes, reused across rows.
+HashId RowHash(const Tuple& t, const std::vector<int32_t>& cols, std::string* key);
 
 }  // namespace orchestra::query
 

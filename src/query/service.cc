@@ -14,12 +14,6 @@ constexpr size_t kMaxAbortedTracked = 1024;
 // Query ids are (initiator << kQueryInitiatorShift) | sequence, so the
 // initiator of any query is recoverable from the id alone.
 constexpr int kQueryInitiatorShift = 40;
-
-DynamicBitset SingletonTaint(size_t bits, net::NodeId node) {
-  DynamicBitset b(bits);
-  if (node < bits) b.Set(node);
-  return b;
-}
 }  // namespace
 
 QueryService::QueryService(net::NodeHost* host, storage::StorageService* storage,
@@ -505,6 +499,8 @@ void QueryService::HandlePlan(const std::string& payload) {
   for (const auto& m : ex->table.members()) bits = std::max<size_t>(bits, m.node + 1);
   ex->cx.self = node();
   ex->cx.taint_bits = ex->provenance ? bits : 0;
+  ex->own_taint = DynamicBitset(ex->cx.taint_bits);
+  if (node() < ex->cx.taint_bits) ex->own_taint.Set(node());
   ex->cx.phase = 0;
   ex->cx.failed = DynamicBitset(bits);
   ex->cx.costs = &host_->network()->costs();
@@ -530,6 +526,7 @@ void QueryService::HandlePlan(const std::string& payload) {
       ex->ops[def.children[c]].op->SetParent(ex->ops[def.id].op.get(), c);
     }
   }
+  for (int32_t scan_op : ex->plan.ScanOpIds()) ScanOf(*ex, scan_op).FindShape();
 
   execs_[qid] = std::move(ex);
   // By then the root has resolved, even if its kAbort never arrives here.
@@ -607,8 +604,7 @@ void QueryService::DriveScanChain(uint64_t query_id, int32_t scan_op) {
     // fetched, never substituted with an older version).
     scan.async_outstanding += 1;
     storage_->GetPage(desc, [this, query_id, scan_op, desc, mode,
-                             taint = SingletonTaint(ex->cx.taint_bits, node())](
-                                Status st, std::string bytes) {
+                             taint = ex->own_taint](Status st, std::string bytes) {
       FinishScanRead(query_id, scan_op, st, taint,
                      [&](Exec& e) { ProcessPage(e, scan_op, desc, bytes, mode); });
     });
@@ -646,16 +642,15 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op,
     if (mode == ScanMode::kFailedOwnersOnly) return;  // index-only: no spillover
     // Key attributes come straight from the index page (Table I).
     ex.cx.charge(costs.index_entry_us * static_cast<double>(entries.left()));
+    Tuple& key_vals = ex.ops[scan_op].read_row;
     while (entries.Next(&e)) {
       if (!op.key_filter.Matches(e.key)) continue;
-      Tuple key_vals;
       Status st = storage::DecodeTupleKey(def->schema, e.key, &key_vals);
       if (!st.ok()) {
         ReportScanFailure(ex, st);
         return;
       }
-      InjectScanRow(ex, scan_op, std::move(key_vals),
-                    SingletonTaint(ex.cx.taint_bits, node()));
+      ScanOf(ex, scan_op).Push(&key_vals, ex.own_taint);
     }
     if (!entries.status().ok()) ReportScanFailure(ex, entries.status());
     return;
@@ -704,8 +699,7 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op,
     // Charged once per page: a charge is whole microseconds.
     ex.cx.charge(costs.index_entry_us * static_cast<double>(local.size()));
     for (const storage::EntryView& entry : local) {
-      ReadScanTuple(ex, scan_op, op.relation, entry,
-                    SingletonTaint(ex.cx.taint_bits, node()));
+      ReadScanTuple(ex, scan_op, op.relation, entry, ex.own_taint);
     }
     ex.cx.charge(costs.tuple_scan_us * static_cast<double>(local.size()));
   }
@@ -724,23 +718,18 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op,
   }
 }
 
-void QueryService::InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple,
-                                 DynamicBitset taint) {
-  if (ex.cx.taint_bits > 0 && taint.Intersects(ex.cx.failed)) return;
-  BlockRow row;
-  row.tuple = std::move(tuple);
-  row.taint = std::move(taint);
-  static_cast<ScanOp*>(ex.ops[scan_op].op.get())->Inject(std::move(row));
+ScanOp& QueryService::ScanOf(Exec& ex, int32_t scan_op) {
+  return *static_cast<ScanOp*>(ex.ops[scan_op].op.get());
 }
 
 void QueryService::FetchScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
-                                  const storage::EntryView& entry, DynamicBitset taint) {
+                                  const storage::EntryView& entry,
+                                  const DynamicBitset& taint) {
   ex.ops[scan_op].async_outstanding += 1;
   storage_->FetchTuple(rel, entry, [this, qid = ex.query_id, scan_op,
-                                 taint = std::move(taint)](Status st, Tuple t) {
-    FinishScanRead(qid, scan_op, st, taint, [&](Exec& e) {
-      InjectScanRow(e, scan_op, std::move(t), taint);
-    });
+                                 taint](Status st, Tuple t) {
+    FinishScanRead(qid, scan_op, st, taint,
+                   [&](Exec& e) { ScanOf(e, scan_op).Push(&t, taint); });
   });
 }
 
@@ -786,17 +775,19 @@ void QueryService::HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op,
 }
 
 void QueryService::ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
-                                 const storage::EntryView& entry, DynamicBitset taint) {
-  auto bytes = storage_->ReadTupleLocal(rel, entry);
-  Tuple t;
+                                 const storage::EntryView& entry,
+                                 const DynamicBitset& taint) {
+  OpRec& rec = ex.ops[scan_op];
+  ScanOp& scan = ScanOf(ex, scan_op);
+  auto bytes = storage_->ReadTupleLocal(rel, entry, &rec.read_key);
   if (bytes.ok()) {
     Reader tr(bytes.value());
-    if (storage::DecodeTuple(&tr, &t).ok()) {
-      InjectScanRow(ex, scan_op, std::move(t), std::move(taint));
+    if (storage::DecodeTupleColumns(&tr, scan.keep(), &rec.read_row).ok()) {
+      scan.Push(&rec.read_row, taint);
       return;
     }
   }
-  FetchScanTuple(ex, scan_op, rel, entry, std::move(taint));
+  FetchScanTuple(ex, scan_op, rel, entry, taint);
 }
 
 void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {
@@ -826,7 +817,7 @@ void QueryService::CheckEos(Exec& ex, int32_t id) {
   }
   rec.phase.eos_delivered = true;
   if (scan) {
-    static_cast<ScanOp*>(rec.op.get())->SignalEos();
+    ScanOf(ex, id).SignalEos();
   } else {
     static_cast<RehashOp*>(rec.op.get())->DeliverEos();
   }
@@ -851,9 +842,9 @@ bool QueryService::Barrier::Reached(const overlay::RoutingSnapshot& table,
 
 void QueryService::RouteRow(Exec& ex, int32_t rehash_op, BlockRow row) {
   const PhysOp& op = ex.plan.op(rehash_op);
-  net::NodeId dest = ex.table.OwnerOf(RowHash(row.tuple, op.hash_cols));
-  counters_.rows_routed += 1;
   OpRec& rehash = ex.ops[rehash_op];
+  net::NodeId dest = ex.table.OwnerOf(RowHash(row.tuple, op.hash_cols, &rehash.hash_key));
+  counters_.rows_routed += 1;
   if (ex.provenance) {
     // Output caching + provenance bookkeeping are the recovery-support
     // overhead the paper measures in §VI-E.
@@ -1005,7 +996,7 @@ void QueryService::HandleRecover(Exec& ex, Reader* r) {
     for (auto& entry : rec.cache) {
       if (std::find(failed.begin(), failed.end(), entry.dest) == failed.end()) continue;
       const PhysOp& op = ex.plan.op(static_cast<int32_t>(id));
-      entry.dest = ex.table.OwnerOf(RowHash(entry.row.tuple, op.hash_cols));
+      entry.dest = ex.table.OwnerOf(RowHash(entry.row.tuple, op.hash_cols, &rec.hash_key));
       rec.buffers[entry.dest].push_back(entry.row);
       counters_.cache_rows_resent += 1;
       if (rec.buffers[entry.dest].size() >= ex.block_rows) {

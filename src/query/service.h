@@ -171,6 +171,9 @@ class QueryService : public net::Service {
     std::deque<storage::PageDescriptor> pending_partial;
     size_t async_outstanding = 0;
     bool chain_running = false;
+    /// The data key and the row each read decodes into, reused across rows.
+    std::string read_key;
+    Tuple read_row;
     // Rehash: per-destination buffers, block sequence numbers, unacked
     // blocks, and the output cache for recovery resend (§V-D).
     std::map<net::NodeId, std::vector<BlockRow>> buffers;
@@ -181,6 +184,8 @@ class QueryService : public net::Service {
       net::NodeId dest;
     };
     std::vector<CacheEntry> cache;
+    /// The bytes RowHash hashes, reused across rows.
+    std::string hash_key;
   };
 
   struct Exec {
@@ -192,6 +197,9 @@ class QueryService : public net::Service {
     overlay::RoutingSnapshot table;       // current (updated by recovery)
     overlay::RoutingSnapshot prev_table;  // table of the previous phase
     ExecContext cx;
+    /// The taint of a row this node reads itself: {this node}, sized like
+    /// every taint of the query (empty without provenance).
+    DynamicBitset own_taint;
     std::vector<OpRec> ops;  // indexed by op id
     std::vector<BlockRow> ship_buffer;
     uint32_t ship_seq = 0;
@@ -259,14 +267,16 @@ class QueryService : public net::Service {
   /// its entries (kQueryFetch).
   void ProcessPage(Exec& ex, int32_t scan_op, const storage::PageDescriptor& desc,
                    std::string_view bytes, ScanMode mode);
-  void InjectScanRow(Exec& ex, int32_t scan_op, Tuple tuple, DynamicBitset taint);
+  static ScanOp& ScanOf(Exec& ex, int32_t scan_op);
   /// The one read of a scanned tuple version, by the key its page entry
-  /// names: from this node's store, or from a replica when the store lacks
-  /// it (FetchScanTuple).
+  /// names: from this node's store, decoding only the columns the scan's
+  /// shape reads into the scan's reused row, or from a replica when the
+  /// store lacks it (FetchScanTuple). Either way the row enters the plan
+  /// through ScanOp::Push, as the covering scan's rows do.
   void ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
-                     const storage::EntryView& entry, DynamicBitset taint);
+                     const storage::EntryView& entry, const DynamicBitset& taint);
   void FetchScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
-                      const storage::EntryView& entry, DynamicBitset taint);
+                      const storage::EntryView& entry, const DynamicBitset& taint);
   /// The one completion of an asynchronous scan read: settles the scan's
   /// outstanding count, runs `use` on success and re-checks the barrier. A
   /// failed read fails the query unless recovery would purge its rows anyway

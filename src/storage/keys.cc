@@ -25,11 +25,18 @@ std::string Data(std::string_view relation, const HashId& hash,
 
 std::string DataRaw(std::string_view relation, std::string_view hash_be20,
                     std::string_view key_bytes, Epoch epoch) {
-  std::string k = DataPrefix(relation);
-  k.append(hash_be20);
-  AppendLenPrefixed(&k, key_bytes);
-  AppendEpochBE(&k, epoch);
+  std::string k;
+  AppendDataRaw(&k, relation, hash_be20, key_bytes, epoch);
   return k;
+}
+
+void AppendDataRaw(std::string* out, std::string_view relation,
+                   std::string_view hash_be20, std::string_view key_bytes, Epoch epoch) {
+  out->push_back(kDataTag);
+  AppendLenPrefixed(out, relation);
+  out->append(hash_be20);
+  AppendLenPrefixed(out, key_bytes);
+  AppendEpochBE(out, epoch);
 }
 
 std::string DataPrefix(std::string_view relation) {

@@ -48,6 +48,9 @@ std::string Data(std::string_view relation, const HashId& hash,
 /// kPutTuples and page entries carry it; splices without a HashId decode.
 std::string DataRaw(std::string_view relation, std::string_view hash_be20,
                     std::string_view key_bytes, Epoch epoch);
+/// DataRaw appended to `out`, for a reader that reuses one key buffer.
+void AppendDataRaw(std::string* out, std::string_view relation,
+                   std::string_view hash_be20, std::string_view key_bytes, Epoch epoch);
 /// Prefix of all data records of a relation.
 std::string DataPrefix(std::string_view relation);
 

@@ -160,8 +160,11 @@ Result<std::string> StorageService::ReadPageLocal(const PageId& id) const {
 }
 
 Result<std::string_view> StorageService::ReadTupleLocal(std::string_view rel,
-                                                        const EntryView& entry) const {
-  auto bytes = store_.GetView(keys::DataRaw(rel, entry.hash, entry.key, entry.epoch));
+                                                        const EntryView& entry,
+                                                        std::string* key) const {
+  key->clear();
+  keys::AppendDataRaw(key, rel, entry.hash, entry.key, entry.epoch);
+  auto bytes = store_.GetView(*key);
   // Empty stored bytes are a delete tombstone, never a readable tuple.
   if (bytes.ok() && bytes->empty()) return Status::NotFound("tuple deleted");
   return bytes;
@@ -442,7 +445,8 @@ void StorageService::HandleRequest(net::NodeId from, uint16_t code, Reader* r,
       EntryReader one(r->RemainingView(), 1);
       EntryView entry;
       if (!one.Next(&entry)) break;
-      auto bytes = ReadTupleLocal(rel, entry);
+      std::string key;
+      auto bytes = ReadTupleLocal(rel, entry, &key);
       ChargeCpu(costs.tuple_scan_us);
       if (!bytes.ok()) {
         Respond(from, req_id, bytes.status(), {});

@@ -175,9 +175,10 @@ class StorageService : public net::Service {
   /// The one read of a tuple version: its stored (encoded) bytes, keyed by
   /// the page entry that names it, whose hash keys the read (no SHA-1).
   /// NotFound for a version this node lacks or a delete tombstone. The view
-  /// is valid until the next store mutation.
-  Result<std::string_view> ReadTupleLocal(std::string_view rel,
-                                          const EntryView& entry) const;
+  /// is valid until the next store mutation. The data key is written into
+  /// `key`, the caller's buffer, so a scan reuses one for every row.
+  Result<std::string_view> ReadTupleLocal(std::string_view rel, const EntryView& entry,
+                                          std::string* key) const;
 
   // --- Asynchronous RPC (lifecycle-managed, see net/rpc.h) ------------------
   /// Sends a request; `cb` resolves exactly once — with the reply, with

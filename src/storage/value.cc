@@ -77,24 +77,29 @@ Status Value::DecodeFrom(Reader* r, Value* out) {
   ORC_RETURN_IF_ERROR(r->GetU8(&tag));
   switch (static_cast<ValueType>(tag)) {
     case ValueType::kNull:
-      *out = Value::Null();
+      if (out != nullptr) out->v_ = std::monostate{};
       return Status::OK();
     case ValueType::kInt64: {
       uint64_t z;
       ORC_RETURN_IF_ERROR(r->GetVarint64(&z));
-      *out = Value(static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1)));
+      if (out != nullptr) out->v_ = static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
       return Status::OK();
     }
     case ValueType::kDouble: {
       double d;
       ORC_RETURN_IF_ERROR(r->GetDouble(&d));
-      *out = Value(d);
+      if (out != nullptr) out->v_ = d;
       return Status::OK();
     }
     case ValueType::kString: {
-      std::string s;
-      ORC_RETURN_IF_ERROR(r->GetString(&s));
-      *out = Value(std::move(s));
+      std::string_view s;
+      ORC_RETURN_IF_ERROR(r->GetStringView(&s));
+      if (out == nullptr) return Status::OK();
+      if (auto* held = std::get_if<std::string>(&out->v_)) {
+        held->assign(s);
+      } else {
+        out->v_.emplace<std::string>(s);
+      }
       return Status::OK();
     }
   }
@@ -234,16 +239,25 @@ void EncodeTuple(const Tuple& t, Writer* w) {
   for (const auto& v : t) v.EncodeTo(w);
 }
 
-Status DecodeTuple(Reader* r, Tuple* out) {
-  uint32_t n;
-  ORC_RETURN_IF_ERROR(r->GetVarint32(&n));
+Status DecodeTuple(Reader* r, Tuple* out) { return DecodeTupleColumns(r, nullptr, out); }
+
+Status DecodeTupleColumns(Reader* r, const std::vector<int32_t>* keep, Tuple* out) {
+  // Every value takes at least its tag byte.
+  uint64_t n = 0;
+  ORC_RETURN_IF_ERROR(r->GetCount(&n, 1));
   if (n > (1u << 16)) return Status::Corruption("tuple: absurd arity");
-  out->clear();
-  out->reserve(n);
+  out->resize(n);
+  auto next = keep != nullptr ? keep->begin() : std::vector<int32_t>::const_iterator();
   for (uint32_t i = 0; i < n; ++i) {
-    Value v;
-    ORC_RETURN_IF_ERROR(Value::DecodeFrom(r, &v));
-    out->push_back(std::move(v));
+    Value* v = &(*out)[i];
+    if (keep != nullptr) {
+      while (next != keep->end() && *next < static_cast<int32_t>(i)) ++next;
+      if (next == keep->end() || *next != static_cast<int32_t>(i)) {
+        *v = Value();
+        v = nullptr;
+      }
+    }
+    ORC_RETURN_IF_ERROR(Value::DecodeFrom(r, v));
   }
   return Status::OK();
 }

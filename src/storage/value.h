@@ -46,6 +46,9 @@ class Value {
   bool operator<(const Value& o) const { return Compare(o) < 0; }
 
   void EncodeTo(Writer* w) const;
+  /// Decodes one value into `out`, reusing a string it holds. With `out`
+  /// null, walks past the value with the same checks and materializes
+  /// nothing.
   static Status DecodeFrom(Reader* r, Value* out);
 
   /// Order-preserving byte encoding (memcmp order == value order within a
@@ -69,7 +72,13 @@ class Value {
 using Tuple = std::vector<Value>;
 
 void EncodeTuple(const Tuple& t, Writer* w);
+/// Decodes a tuple into `out`, reusing the values it holds.
 Status DecodeTuple(Reader* r, Tuple* out);
+/// DecodeTuple that materializes only the columns `keep` lists (ascending
+/// column indexes; null: every column) and leaves every other column null. It
+/// walks every value, so it fails exactly when DecodeTuple fails (late
+/// materialization: a scan decodes only what its plan reads).
+Status DecodeTupleColumns(Reader* r, const std::vector<int32_t>* keep, Tuple* out);
 std::string TupleToString(const Tuple& t);
 
 struct TupleHash {

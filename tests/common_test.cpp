@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bitset.h"
 #include "common/compress.h"
 #include "common/log.h"
@@ -230,6 +233,177 @@ TEST(Bitset, FirstSet) {
   EXPECT_EQ(b.FirstSet(), 100u);
   b.Set(3);
   EXPECT_EQ(b.FirstSet(), 3u);
+}
+
+// Sizes around the inline/heap boundary (128 bits).
+constexpr size_t kBoundarySizes[] = {0, 1, 63, 64, 65, 127, 128, 129, 200};
+
+void ExpectMatches(const DynamicBitset& b, const std::vector<bool>& ref) {
+  ASSERT_EQ(b.size(), ref.size());
+  size_t count = 0, first = ref.size();
+  for (size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(b.Test(i), ref[i]) << "bit " << i << " of " << ref.size();
+    if (ref[i]) {
+      ++count;
+      first = std::min(first, i);
+    }
+  }
+  EXPECT_EQ(b.Count(), count);
+  EXPECT_EQ(b.FirstSet(), first);
+  EXPECT_EQ(b.empty_set(), count == 0);
+}
+
+TEST(Bitset, EveryOperationMatchesAVectorOfBoolAcrossTheInlineBoundary) {
+  Rng rng(11);
+  for (size_t n : kBoundarySizes) {
+    SCOPED_TRACE(n);
+    DynamicBitset a(n), b(n);
+    std::vector<bool> ra(n), rb(n);
+    ExpectMatches(a, ra);
+    for (size_t step = 0; step < 3 * n; ++step) {
+      size_t i = static_cast<size_t>(rng.Uniform(n));
+      if (rng.Uniform(3) == 0) {
+        a.Reset(i);
+        ra[i] = false;
+      } else {
+        a.Set(i);
+        ra[i] = true;
+      }
+      size_t j = static_cast<size_t>(rng.Uniform(n));
+      b.Set(j);
+      rb[j] = true;
+    }
+    ExpectMatches(a, ra);
+    ExpectMatches(b, rb);
+
+    bool common = false;
+    for (size_t i = 0; i < n; ++i) common = common || (ra[i] && rb[i]);
+    EXPECT_EQ(a.Intersects(b), common);
+    EXPECT_EQ(b.Intersects(a), common);
+    EXPECT_EQ(a == b, ra == rb);
+
+    DynamicBitset u = a;
+    u.UnionWith(b);
+    std::vector<bool> ru(n);
+    for (size_t i = 0; i < n; ++i) ru[i] = ra[i] || rb[i];
+    ExpectMatches(u, ru);
+    ExpectMatches(a, ra);  // the copy is independent
+
+    // Order: size first, then words lexicographically (word 0 first, each
+    // word compared as an integer).
+    auto word = [](const std::vector<bool>& r, size_t w) {
+      uint64_t v = 0;
+      for (size_t i = 64 * w; i < std::min(r.size(), 64 * (w + 1)); ++i) {
+        if (r[i]) v |= 1ull << (i % 64);
+      }
+      return v;
+    };
+    bool less = false;
+    for (size_t w = 0; w < (n + 63) / 64; ++w) {
+      if (word(ra, w) != word(rb, w)) {
+        less = word(ra, w) < word(rb, w);
+        break;
+      }
+    }
+    EXPECT_EQ(a < b, less);
+    EXPECT_FALSE(a < a);
+
+    // Hash: FNV-1a over the size, then each word.
+    uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](uint64_t v) {
+      h ^= v;
+      h *= 1099511628211ull;
+    };
+    mix(n);
+    for (size_t w = 0; w < (n + 63) / 64; ++w) mix(word(ra, w));
+    EXPECT_EQ(a.Hash(), static_cast<size_t>(h));
+  }
+}
+
+TEST(Bitset, CopiesAndMovesAcrossTheInlineBoundary) {
+  for (size_t n : kBoundarySizes) {
+    for (size_t m : kBoundarySizes) {
+      SCOPED_TRACE(testing::Message() << n << " -> " << m);
+      DynamicBitset src(n);
+      if (n > 0) src.Set(n - 1);
+      DynamicBitset dst(m);
+      if (m > 0) dst.Set(0);
+
+      DynamicBitset copy(src);
+      EXPECT_EQ(copy, src);
+      dst = src;
+      EXPECT_EQ(dst, src);
+      if (n > 0) {
+        dst.Reset(n - 1);  // the copy owns its words
+        EXPECT_TRUE(src.Test(n - 1));
+      }
+
+      DynamicBitset other(m);
+      DynamicBitset moved(std::move(copy));
+      EXPECT_EQ(moved, src);
+      other = std::move(moved);
+      EXPECT_EQ(other, src);
+      const DynamicBitset& alias = other;
+      other = alias;  // self-assignment keeps the value
+      EXPECT_EQ(other, src);
+      DynamicBitset again(m);
+      again = DynamicBitset(src);
+      EXPECT_EQ(again.Hash(), src.Hash());
+    }
+  }
+}
+
+// The encoding is a wire format: taints travel in every data block, and
+// aggregate sub-groups order by operator<, which feeds emitted frames.
+TEST(Bitset, EncodingIsPinned) {
+  auto encode = [](const DynamicBitset& b) {
+    Writer w;
+    b.EncodeTo(&w);
+    return w.Release();
+  };
+  EXPECT_EQ(encode(DynamicBitset()), std::string("\x00", 1));
+  DynamicBitset small(5);
+  small.Set(0);
+  small.Set(4);
+  EXPECT_EQ(encode(small), std::string("\x05\x11"));
+  DynamicBitset wide(130);
+  wide.Set(1);
+  wide.Set(129);
+  EXPECT_EQ(encode(wide), std::string("\x82\x01\x02\x00\x02", 5));
+  DynamicBitset full(64);
+  full.Set(63);
+  EXPECT_EQ(encode(full),
+            std::string("\x40\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01", 11));
+  for (size_t n : kBoundarySizes) {
+    DynamicBitset b(n);
+    for (size_t i = 0; i < n; i += 3) b.Set(i);
+    std::string bytes = encode(b);
+    Reader r(bytes);
+    DynamicBitset back;
+    ASSERT_TRUE(DynamicBitset::DecodeFrom(&r, &back).ok()) << n;
+    EXPECT_EQ(back, b);
+    EXPECT_TRUE(r.AtEnd());
+  }
+  static_assert(sizeof(DynamicBitset) <= 32);
+}
+
+TEST(Bitset, DecodeRefusesASizeTheBodyCannotHold) {
+  // 1,000,000 bits need 15,625 words; the body holds three bytes.
+  Writer w;
+  w.PutVarint64(1000000);
+  w.PutRaw("\x01\x02\x03", 3);
+  Reader r(w.data());
+  DynamicBitset b(3);
+  Status st = DynamicBitset::DecodeFrom(&r, &b);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(b.size(), 3u);  // left as it was
+  // Exactly enough bytes for the words still decodes.
+  Writer ok;
+  ok.PutVarint64(129);
+  ok.PutRaw("\x00\x00\x00", 3);
+  Reader r2(ok.data());
+  EXPECT_TRUE(DynamicBitset::DecodeFrom(&r2, &b).ok());
+  EXPECT_EQ(b.size(), 129u);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/serial.h"
 #include "hash/hash_id.h"
 #include "hash/sha1.h"
+#include "hash/sha1_internal.h"
 
 namespace orchestra {
 namespace {
@@ -25,6 +29,84 @@ TEST(Sha1, KnownVectors) {
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
   EXPECT_EQ(HexDigest(Sha1(std::string(1000000, 'a'))),
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+// FIPS 180-1 padding spelled out (the message, 0x80, zeros up to 56 mod 64,
+// the bit length big-endian), run through one compression function. It
+// shares no code with Sha1Hasher::Finish.
+using BlockFn = void (*)(uint32_t h[5], const uint8_t* block);
+
+Sha1Digest ReferenceSha1(BlockFn block, std::string_view msg) {
+  std::string m(msg);
+  m.push_back('\x80');
+  while (m.size() % 64 != 56) m.push_back('\0');
+  uint64_t bits = static_cast<uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) m.push_back(static_cast<char>(bits >> (8 * i)));
+  uint32_t h[5] = {0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0};
+  for (size_t off = 0; off < m.size(); off += 64) {
+    block(h, reinterpret_cast<const uint8_t*>(m.data() + off));
+  }
+  Sha1Digest d;
+  for (int i = 0; i < 20; ++i) d[i] = static_cast<uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  return d;
+}
+
+void ExpectKnownVectors(BlockFn block) {
+  EXPECT_EQ(HexDigest(ReferenceSha1(block, "abc")),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(HexDigest(ReferenceSha1(block, "")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(HexDigest(ReferenceSha1(
+                block, "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  EXPECT_EQ(HexDigest(ReferenceSha1(block, std::string(1000000, 'a'))),
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+// Every length from 0 to 130 bytes crosses the padding edges (55: the
+// length still fits, 56: it takes a second block, 63, 64) twice; the
+// hasher, fed at once and a byte at a time, must match the spelled-out
+// padding over `block`.
+void ExpectEveryLengthMatches(BlockFn block) {
+  std::string msg;
+  for (size_t len = 0; len <= 130; ++len) {
+    SCOPED_TRACE(len);
+    const std::string want = HexDigest(ReferenceSha1(block, msg));
+    EXPECT_EQ(HexDigest(Sha1(msg)), want);
+    Sha1Hasher bytewise;
+    for (char c : msg) bytewise.Update(&c, 1);
+    EXPECT_EQ(HexDigest(bytewise.Finish()), want);
+    msg.push_back(static_cast<char>('a' + len % 26));
+  }
+}
+
+TEST(Sha1, PortableBlockMatchesKnownVectorsAndEveryLength) {
+  ExpectKnownVectors(sha1_internal::BlockPortable);
+  ExpectEveryLengthMatches(sha1_internal::BlockPortable);
+}
+
+TEST(Sha1, ShaNiBlockMatchesKnownVectorsAndEveryLength) {
+#if defined(__x86_64__)
+  if (!sha1_internal::ShaNiAvailable()) GTEST_SKIP() << "this CPU lacks SHA-NI";
+  ExpectKnownVectors(sha1_internal::BlockShaNi);
+  ExpectEveryLengthMatches(sha1_internal::BlockShaNi);
+  // Random blocks and states: both compressions yield the same words.
+  uint32_t seed = 1;
+  auto next = [&seed] {
+    seed = seed * 1664525u + 1013904223u;
+    return seed;
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    uint8_t block[64];
+    for (uint8_t& b : block) b = static_cast<uint8_t>(next() >> 24);
+    uint32_t a[5], b[5];
+    for (int i = 0; i < 5; ++i) a[i] = b[i] = next();
+    sha1_internal::BlockPortable(a, block);
+    sha1_internal::BlockShaNi(b, block);
+    EXPECT_TRUE(std::equal(a, a + 5, b)) << "trial " << trial;
+  }
+#else
+  GTEST_SKIP() << "SHA-NI is x86-64 only";
+#endif
 }
 
 TEST(Sha1, IncrementalMatchesOneShot) {

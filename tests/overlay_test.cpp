@@ -131,9 +131,9 @@ TEST(RoutingSnapshot, DecodeRejectsACountTheBodyCannotHold) {
     Writer whole;
     snap.EncodeTo(&whole);
     Reader full(whole.data());
-    uint64_t version;
-    uint8_t scheme;
-    uint64_t n;
+    uint64_t version = 0;
+    uint8_t scheme = 0;
+    uint64_t n = 0;
     ASSERT_TRUE(full.GetU64(&version).ok() && full.GetU8(&scheme).ok() &&
                 full.GetVarint64(&n).ok());
     std::string_view member_bytes;

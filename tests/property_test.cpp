@@ -33,6 +33,102 @@ using storage::Value;
 using storage::ValueType;
 
 // ---------------------------------------------------------------------------
+// The column-pruned tuple decode (storage::DecodeTupleColumns, what a scan
+// runs on each stored row) against the full decode: over random tuples,
+// random keep lists, every truncation point and corrupted tags, it succeeds
+// exactly when DecodeTuple does, yields the kept columns equal and leaves
+// the others null.
+
+Value RandomValue(Rng* rng) {
+  switch (rng->Uniform(4)) {
+    case 0:
+      return Value::Null();
+    case 1:
+      return Value(static_cast<int64_t>(rng->NextU64()) >> rng->Uniform(64));
+    case 2:
+      return Value(static_cast<double>(rng->UniformRange(-1000000, 1000000)) / 7.0);
+    default: {
+      // Short (inline) and long strings, some with embedded NULs.
+      std::string s = rng->AlphaString(static_cast<size_t>(rng->Uniform(40)));
+      if (!s.empty() && rng->OneIn(3)) s[rng->Uniform(s.size())] = '\0';
+      return Value(std::move(s));
+    }
+  }
+}
+
+void ExpectPrunedMatchesFull(std::string_view bytes, const std::vector<int32_t>& keep,
+                             Tuple* scratch) {
+  Tuple full;
+  Reader fr(bytes);
+  Status full_st = storage::DecodeTuple(&fr, &full);
+  Reader pr(bytes);
+  Status pruned_st = storage::DecodeTupleColumns(&pr, &keep, scratch);
+  ASSERT_EQ(pruned_st.ok(), full_st.ok()) << full_st.ToString() << " / "
+                                          << pruned_st.ToString();
+  if (!full_st.ok()) return;
+  EXPECT_EQ(pr.position(), fr.position());
+  ASSERT_EQ(scratch->size(), full.size());
+  for (size_t i = 0; i < full.size(); ++i) {
+    bool kept = std::binary_search(keep.begin(), keep.end(), static_cast<int32_t>(i));
+    if (kept) {
+      EXPECT_EQ((*scratch)[i], full[i]) << "column " << i;
+    } else {
+      EXPECT_TRUE((*scratch)[i].is_null()) << "column " << i;
+    }
+  }
+}
+
+TEST(TupleCodecProperty, PrunedDecodeRefusesWhatTheFullDecodeRefuses) {
+  Rng rng(2010);
+  Tuple scratch;  // reused across rows, as a scan reuses its row
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    Tuple t(static_cast<size_t>(rng.Uniform(13)));
+    for (Value& v : t) v = RandomValue(&rng);
+    std::vector<int32_t> keep;
+    for (size_t i = 0; i < t.size() + 2; ++i) {
+      if (rng.OneIn(2)) keep.push_back(static_cast<int32_t>(i));
+    }
+    Writer w;
+    storage::EncodeTuple(t, &w);
+    const std::string bytes = w.data();
+
+    ExpectPrunedMatchesFull(bytes, keep, &scratch);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      ExpectPrunedMatchesFull(std::string_view(bytes).substr(0, cut), keep, &scratch);
+    }
+    // A bad type tag in one value, kept or skipped: both refuse.
+    if (!t.empty()) {
+      Writer prefix;
+      prefix.PutVarint32(static_cast<uint32_t>(t.size()));
+      size_t col = static_cast<size_t>(rng.Uniform(t.size()));
+      for (size_t i = 0; i < col; ++i) t[i].EncodeTo(&prefix);
+      std::string bad = prefix.data();
+      bad.push_back('\x07');
+      bad.append(bytes.substr(bad.size()));
+      ExpectPrunedMatchesFull(bad, keep, &scratch);
+      Reader r(bad);
+      Tuple out;
+      EXPECT_TRUE(storage::DecodeTuple(&r, &out).IsCorruption());
+    }
+  }
+}
+
+TEST(TupleCodecProperty, ArityTheBodyCannotHoldIsRefusedBeforeSizing) {
+  // A 3-byte body that claims 65,536 values.
+  Writer w;
+  w.PutVarint32(1u << 16);
+  Tuple out, pruned;
+  std::vector<int32_t> keep = {0};
+  Reader r(w.data());
+  EXPECT_TRUE(storage::DecodeTuple(&r, &out).IsCorruption());
+  Reader pr(w.data());
+  EXPECT_TRUE(storage::DecodeTupleColumns(&pr, &keep, &pruned).IsCorruption());
+  EXPECT_EQ(out.capacity(), 0u);
+  EXPECT_EQ(pruned.capacity(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // The copy-on-write page merge (storage::MergePage, the index replica's merge
 // on encoded bytes) against a reference that loads the old page into a
 // std::map, applies the edits in batch order and sorts the survivors by

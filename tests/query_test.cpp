@@ -233,6 +233,22 @@ class QueryClusterTest : public ::testing::Test {
     }
   }
 
+  /// R joined with S on y, with a Select and a Project above each scan, so
+  /// that both scans have a shape: R filters on x and keeps y twice (the
+  /// first copy is copied, the last moved); S filters on y and leaves its
+  /// string column z unread.
+  static PhysicalPlan ShapedJoinPlan() {
+    PlanBuilder b;
+    int32_t r = b.Project(
+        b.Select(b.Scan("R"), Expr::Compare('>', Expr::Column(0), Expr::Literal(S("rk5")))),
+        {1, 1});
+    int32_t s = b.Project(
+        b.Select(b.Scan("S"), Expr::Compare('!', Expr::Column(0), Expr::Literal(S("j3")))),
+        {0});
+    int32_t join = b.Join(b.Rehash(r, {0}), s, {0}, {0});
+    return b.Ship(join);
+  }
+
   std::unique_ptr<deploy::Deployment> dep;
   ReferenceDatabase ref_db;
   storage::Epoch db_epoch = 0;
@@ -444,28 +460,35 @@ TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
   int32_t rehash_r = b.Rehash(scan_r, {1});
   int32_t scan_s = b.Scan("S");
   int32_t join = b.Join(rehash_r, scan_s, {1}, {0});
-  PhysicalPlan plan = b.Ship(join);
+  PhysicalPlan plain = b.Ship(join);
 
-  // Eight partitions over five nodes straddle node ranges: an index node
-  // sends the entries other nodes own to them (kQueryFetch), each read
-  // there by key.
-  std::vector<std::unique_ptr<QueryFetchTap>> taps;
-  for (size_t n = 0; n < dep->size(); ++n) {
-    taps.push_back(std::make_unique<QueryFetchTap>(dep.get(), static_cast<net::NodeId>(n)));
+  // The second plan's scans have shapes: the rows their data nodes read
+  // for them (kQueryFetch) enter through the shape too.
+  for (const PhysicalPlan& plan : {plain, ShapedJoinPlan()}) {
+    SCOPED_TRACE(plan.ToString());
+    // Eight partitions over five nodes straddle node ranges: an index node
+    // sends the entries other nodes own to them (kQueryFetch), each read
+    // there by key.
+    std::vector<std::unique_ptr<QueryFetchTap>> taps;
+    for (size_t n = 0; n < dep->size(); ++n) {
+      taps.push_back(
+          std::make_unique<QueryFetchTap>(dep.get(), static_cast<net::NodeId>(n)));
+    }
+    auto result = dep->ExecuteQuery(3, plan, db_epoch);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto expect = ReferenceExecute(plan, ref_db);
+    ASSERT_TRUE(expect.ok());
+    EXPECT_GT(expect->size(), 0u);
+    EXPECT_TRUE(SameBag(result->rows, *expect))
+        << "distributed=" << result->rows.size() << " reference=" << expect->size();
+    uint64_t frames = 0, entries = 0;
+    for (const auto& tap : taps) {
+      frames += tap->frames;
+      entries += tap->entries;
+    }
+    EXPECT_GT(frames, 0u);
+    EXPECT_GE(entries, frames);
   }
-  auto result = dep->ExecuteQuery(3, plan, db_epoch);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  auto expect = ReferenceExecute(plan, ref_db);
-  ASSERT_TRUE(expect.ok());
-  EXPECT_TRUE(SameBag(result->rows, *expect))
-      << "distributed=" << result->rows.size() << " reference=" << expect->size();
-  uint64_t frames = 0, entries = 0;
-  for (const auto& tap : taps) {
-    frames += tap->frames;
-    entries += tap->entries;
-  }
-  EXPECT_GT(frames, 0u);
-  EXPECT_GE(entries, frames);
 }
 
 TEST_F(QueryClusterTest, DoubleRehashJoinBothSides) {
@@ -754,23 +777,25 @@ TEST_F(RecoveryTest, IncrementalRecoveryProducesExactAnswer) {
 // Mid-query, and before any event of the query ran (the scan bindings are
 // still in flight then): either way the restart returns the exact answer.
 TEST_F(RecoveryTest, RestartRecoveryProducesExactAnswer) {
-  for (double fraction : {0.5, 0.0}) {
-    SCOPED_TRACE(testing::Message() << "failure at " << fraction
-                                    << " of the runtime");
-    Deploy(6);
-    LoadBulk(2000, 100);
-    PhysicalPlan plan = JoinPlan();
-    auto expect = ReferenceExecute(plan, ref_db);
-    ASSERT_TRUE(expect.ok());
+  for (const PhysicalPlan& plan : {JoinPlan(), ShapedJoinPlan()}) {
+    for (double fraction : {0.5, 0.0}) {
+      SCOPED_TRACE(testing::Message() << "failure at " << fraction
+                                      << " of the runtime, plan " << plan.ToString());
+      Deploy(6);
+      LoadBulk(2000, 100);
+      auto expect = ReferenceExecute(plan, ref_db);
+      ASSERT_TRUE(expect.ok());
+      EXPECT_GT(expect->size(), 0u);
 
-    QueryOptions opts;
-    opts.recovery = QueryOptions::RecoveryMode::kRestart;
-    FailureRun run = RunWithFailureAt(plan, 4, fraction, opts);
-    ASSERT_TRUE(run.injected);
-    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
-    EXPECT_EQ(run.result.restarts, 1u);
-    EXPECT_TRUE(SameBag(run.result.rows, *expect))
-        << "got " << run.result.rows.size() << " rows, want " << expect->size();
+      QueryOptions opts;
+      opts.recovery = QueryOptions::RecoveryMode::kRestart;
+      FailureRun run = RunWithFailureAt(plan, 4, fraction, opts);
+      ASSERT_TRUE(run.injected);
+      ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+      EXPECT_EQ(run.result.restarts, 1u);
+      EXPECT_TRUE(SameBag(run.result.rows, *expect))
+          << "got " << run.result.rows.size() << " rows, want " << expect->size();
+    }
   }
 }
 
@@ -930,19 +955,22 @@ class FailureTimeSweep : public RecoveryTest,
                          public ::testing::WithParamInterface<int> {};
 
 TEST_P(FailureTimeSweep, ExactAnswerAtAnyFailureTime) {
-  Deploy(6);
-  LoadBulk(2500, 60, /*seed=*/GetParam());
-  PhysicalPlan plan = JoinPlan();
-  auto expect = ReferenceExecute(plan, ref_db);
-  ASSERT_TRUE(expect.ok());
+  for (const PhysicalPlan& plan : {JoinPlan(), ShapedJoinPlan()}) {
+    SCOPED_TRACE(plan.ToString());
+    Deploy(6);
+    LoadBulk(2500, 60, /*seed=*/GetParam());
+    auto expect = ReferenceExecute(plan, ref_db);
+    ASSERT_TRUE(expect.ok());
+    EXPECT_GT(expect->size(), 0u);
 
-  double fraction = 0.15 + 0.17 * GetParam();  // 15%..83% of the runtime
-  net::NodeId victim = 1 + GetParam() % 5;
-  FailureRun run = RunWithFailureAt(plan, victim, fraction);
-  ASSERT_TRUE(run.injected);
-  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
-  EXPECT_TRUE(SameBag(run.result.rows, *expect))
-      << "got " << run.result.rows.size() << " want " << expect->size();
+    double fraction = 0.15 + 0.17 * GetParam();  // 15%..83% of the runtime
+    net::NodeId victim = 1 + GetParam() % 5;
+    FailureRun run = RunWithFailureAt(plan, victim, fraction);
+    ASSERT_TRUE(run.injected);
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_TRUE(SameBag(run.result.rows, *expect))
+        << "got " << run.result.rows.size() << " want " << expect->size();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FailureTimeSweep, ::testing::Values(0, 1, 2, 3, 4));
