@@ -221,7 +221,6 @@ void BenchBlockCodec() {
   query::TupleBlock block;
   block.query_id = 1;
   block.dest_op = 2;
-  block.sender = 0;
   for (int i = 0; i < 1024; ++i) {
     query::BlockRow row;
     row.tuple = {storage::Value(static_cast<int64_t>(i)),

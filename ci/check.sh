@@ -21,7 +21,9 @@
 #   benchsmoke end-to-end benchmark (benchmark/run.py --smoke): builds it
 #              against the current src/ API and checks schema, trace and
 #              oracles at 1/20 sizes
-#   docs       relative-link check over README/docs/ + compile every example
+#   docs       relative-link check over README/docs/, every QueryCode and
+#              StorageCode id in docs/WIRE_FORMATS.md (retired ones as
+#              reserved), compile every example
 #   all        every stage above, in that order
 #   parentdiff [REF]  benchmark/run.py --runs 1 three times on `git archive
 #              REF` (default HEAD) and three times on the working tree,
@@ -362,6 +364,40 @@ for b in broken:
 if broken:
     sys.exit(1)
 print(f"docs links OK: {checked} relative links over {len(files)} files")
+PY
+  echo "== docs: every QueryCode and StorageCode id in docs/WIRE_FORMATS.md"
+  python3 - <<'PY'
+import re, sys
+
+# Each enumerator must appear as `kName = N` (or `kName=N`); one whose line
+# comment says "retired" must appear on a line that says "reserved", so a
+# retired frame id cannot drift out of the doc.
+doc = open("docs/WIRE_FORMATS.md").read().splitlines()
+problems = []
+checked = 0
+for path, enum in (("src/query/service.h", "QueryCode"),
+                   ("src/storage/service.h", "StorageCode")):
+    body = re.search(r"enum " + enum + r"\b[^{]*\{(.*?)\};", open(path).read(), re.S)
+    if body is None:
+        problems.append(f"{path}: enum {enum} not found")
+        continue
+    for line in body.group(1).splitlines():
+        m = re.match(r"\s*(k\w+)\s*=\s*(\d+),?\s*(//.*)?$", line)
+        if not m:
+            continue
+        name, num, comment = m.group(1), m.group(2), m.group(3) or ""
+        checked += 1
+        cited = re.compile(r"`" + name + r"\s*=\s*" + num + r"`")
+        lines = [l for l in doc if cited.search(l)]
+        if not lines:
+            problems.append(f"{enum}::{name} = {num} ({path}) is not in docs/WIRE_FORMATS.md")
+        elif "retired" in comment and not any("reserved" in l for l in lines):
+            problems.append(f"{enum}::{name} = {num} is retired but not documented as reserved")
+for p in problems:
+    print("  " + p)
+if problems or checked == 0:
+    sys.exit(1)
+print(f"wire ids OK: {checked} enumerators documented")
 PY
   echo "== docs: compile every example (tier-1 carries them; this stage fails fast)"
   cmake -B build -S . > /dev/null

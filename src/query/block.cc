@@ -10,9 +10,6 @@ std::string TupleBlock::Encode() const {
   Writer body;
   body.PutU64(query_id);
   body.PutVarint32(static_cast<uint32_t>(dest_op));
-  body.PutVarint32(phase);
-  body.PutVarint32(seq);
-  body.PutU32(sender);
   body.PutVarint64(rows.size());
   for (const BlockRow& r : rows) {
     storage::EncodeTuple(r.tuple, &body);
@@ -29,9 +26,6 @@ Status TupleBlock::Decode(std::string_view data, TupleBlock* out) {
   uint32_t dest;
   ORC_RETURN_IF_ERROR(r.GetVarint32(&dest));
   out->dest_op = static_cast<int32_t>(dest);
-  ORC_RETURN_IF_ERROR(r.GetVarint32(&out->phase));
-  ORC_RETURN_IF_ERROR(r.GetVarint32(&out->seq));
-  ORC_RETURN_IF_ERROR(r.GetU32(&out->sender));
   uint64_t n;
   ORC_RETURN_IF_ERROR(r.GetVarint64(&n));
   if (n > (1ull << 24)) return Status::Corruption("block: absurd row count");

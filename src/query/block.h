@@ -2,8 +2,7 @@
 // processor batches tuples into blocks by destination, compressing them
 // (using lightweight Zip-based compression) and marshalling them in a format
 // that exploits their commonalities" (§V-A). Each row carries its provenance
-// node-set (the taint used for duplicate-free recovery, §V-D) and blocks
-// carry the execution phase.
+// node-set (the taint used for duplicate-free recovery, §V-D).
 #ifndef ORCHESTRA_QUERY_BLOCK_H_
 #define ORCHESTRA_QUERY_BLOCK_H_
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "net/network.h"
 #include "storage/value.h"
 
 namespace orchestra::query {
@@ -26,9 +24,6 @@ struct BlockRow {
 struct TupleBlock {
   uint64_t query_id = 0;
   int32_t dest_op = -1;   // the Rehash (or Ship) op this block belongs to
-  uint32_t phase = 0;
-  uint32_t seq = 0;       // per (sender, dest_op, dest_node) sequence for acks
-  net::NodeId sender = net::kInvalidNode;
   std::vector<BlockRow> rows;
 
   /// Serializes and compresses. Taints are encoded compactly; rows are

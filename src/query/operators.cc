@@ -152,35 +152,38 @@ void AggregateOp::Consume(size_t, BlockRow row) {
     for (int32_t c : def_->group_cols) g.group_vals.push_back(row.tuple[c]);
   }
   auto [sit, sub_inserted] = g.subs.try_emplace(row.taint);
-  SubGroup& sub = sit->second;
+  std::vector<AggState>& states = sit->second;
   if (sub_inserted) {
-    for (const AggSpec& a : def_->aggs) sub.states.emplace_back(a.fn);
+    for (const AggSpec& a : def_->aggs) states.emplace_back(a.fn);
   }
   for (size_t i = 0; i < def_->aggs.size(); ++i) {
     const AggSpec& a = def_->aggs[i];
     if (def_->merge_partials) {
       Value v = a.has_arg ? a.arg.Eval(row.tuple) : Value(int64_t{1});
-      sub.states[i].Merge(v);
+      states[i].Merge(v);
     } else if (a.has_arg) {
-      sub.states[i].Update(a.arg.Eval(row.tuple));
+      states[i].Update(a.arg.Eval(row.tuple));
     } else {
-      sub.states[i].UpdateCountStar();
+      states[i].UpdateCountStar();
     }
   }
 }
 
 void AggregateOp::OnAllChildrenEos() {
+  // Each sub-group leaves as a partial and the state starts empty again:
+  // rows a later recovery phase brings (an inherited range's rescan, a
+  // resent cache) form partials of their own, which are merged downstream
+  // like the rest.
   for (auto& [key, g] : groups_) {
-    for (auto& [taint, sub] : g.subs) {
-      if (sub.emitted) continue;
+    for (auto& [taint, states] : g.subs) {
       BlockRow out;
       out.tuple = g.group_vals;
-      for (const AggState& s : sub.states) out.tuple.push_back(s.Finish());
+      for (const AggState& s : states) out.tuple.push_back(s.Finish());
       out.taint = taint;
-      sub.emitted = true;
       EmitUp(std::move(out));
     }
   }
+  groups_.clear();
   PropagateEos();
 }
 

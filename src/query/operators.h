@@ -35,7 +35,7 @@ struct ExecContext {
   std::function<void(int32_t op_id, BlockRow row)> route;
   /// Ship output: deliver a row toward the query initiator.
   std::function<void(BlockRow row)> ship;
-  /// A Rehash op's local input is exhausted (flush + ack-gate + EOS markers).
+  /// A Rehash op's local input is exhausted (flush + EOS markers).
   std::function<void(int32_t op_id)> rehash_child_eos;
   /// The Ship op's local input is exhausted.
   std::function<void()> ship_child_eos;
@@ -158,7 +158,8 @@ class HashJoinOp : public Operator {
 
 /// Blocking hash aggregation with re-aggregation support. Each group is
 /// partitioned into sub-groups keyed by the contributing node set so that
-/// recovery can drop exactly the tainted portion (§V-D).
+/// recovery can drop exactly the tainted portion (§V-D). At each EOS every
+/// sub-group leaves as a partial and the op's state empties.
 class AggregateOp : public Operator {
  public:
   using Operator::Operator;
@@ -169,23 +170,20 @@ class AggregateOp : public Operator {
   void OnAllChildrenEos() override;
 
  private:
-  struct SubGroup {
-    std::vector<AggState> states;
-    bool emitted = false;
-  };
   struct Group {
     Tuple group_vals;
-    // Ordered by taint so sub-group emission order (which feeds output
-    // blocks, hence wire frames) is deterministic, not a hash artifact.
-    std::map<DynamicBitset, SubGroup> subs;
+    // One state per aggregate for each taint. Ordered by taint so sub-group
+    // emission order (which feeds output blocks, hence wire frames) is
+    // deterministic, not a hash artifact.
+    std::map<DynamicBitset, std::vector<AggState>> subs;
   };
   std::map<std::string, Group> groups_;
 };
 
 /// Rehash: partitions its input by hash of `hash_cols` and sends rows to the
-/// owning nodes under the query's routing table. Output caching, ack
-/// tracking, and EOS markers live in the QueryService, which hands the op
-/// what arrives for it over the network.
+/// owning nodes under the query's routing table. Output caching, frame
+/// counts and EOS markers live in the QueryService, which hands the op what
+/// arrives for it over the network.
 class RehashOp : public Operator {
  public:
   using Operator::Operator;

@@ -90,7 +90,6 @@ void QueryService::DisseminatePlan(Root& root) {
   w.PutU32(node());
   w.PutVarint64(root.epoch);
   w.PutBool(root.options.provenance);
-  w.PutVarint32(root.options.block_rows);
   root.table.EncodeTo(&w);
   root.plan.EncodeTo(&w);
   w.PutVarint32(static_cast<uint32_t>(root.bindings.size()));
@@ -118,11 +117,12 @@ std::vector<net::NodeId> QueryService::LiveMembers(
   return live;
 }
 
-void QueryService::HandleShipBlock(const std::string& payload) {
+void QueryService::HandleShipBlock(net::NodeId from, const std::string& payload) {
   TupleBlock block;
   if (!TupleBlock::Decode(payload, &block).ok()) return;
   Root* root = FindRoot(block.query_id);
   if (root == nullptr) return;
+  root->run.ship_eos.Arrive(from);
   ChargeBlockCosts(block);
   for (BlockRow& row : block.rows) {
     if (row.taint.Intersects(root->failed_bits)) continue;
@@ -132,12 +132,16 @@ void QueryService::HandleShipBlock(const std::string& payload) {
 
 void QueryService::HandleShipEos(net::NodeId from, Reader* r) {
   uint64_t qid;
-  uint32_t phase;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&phase).ok()) return;
+  uint32_t phase, frames;
+  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&phase).ok() ||
+      !r->GetVarint32(&frames).ok()) {
+    return;
+  }
   Root* root = FindRoot(qid);
   if (root == nullptr) return;
-  root->run.ship_eos.Mark(from, phase);
-  if (root->run.ship_eos.Reached(root->table, root->run.phase)) {
+  if (!root->run.ship_eos.Mark(from, phase, frames)) {
+    FinishRoot(*root, Status::Unavailable("a shipped block was lost"));
+  } else if (root->run.ship_eos.Reached(root->table, root->run.phase)) {
     FinishRoot(*root, Status::OK());
   }
 }
@@ -276,7 +280,6 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
       HandlePlan(payload);
       return;
     case kDataBlock:
-    case kBlockAck:
     case kEosMarker:
     case kScanPartDone:
     case kQueryFetch:
@@ -284,7 +287,7 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
       OnWorkerFrame(from, code, payload, &r);
       return;
     case kShipBlock:
-      HandleShipBlock(payload);
+      HandleShipBlock(from, payload);
       return;
     case kShipEos:
       HandleShipEos(from, &r);
@@ -335,9 +338,9 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
 
 void QueryService::OnWorkerFrame(net::NodeId from, uint16_t code,
                                  const std::string& payload, Reader* r) {
-  // Every worker frame starts `u64 qid`; all but kRecover go on with
-  // `varint32 op | varint32 phase` (kBlockAck: seq), which kDataBlock
-  // carries inside its compressed block.
+  // Every worker frame but kDataBlock starts `u64 qid`, and all but kRecover
+  // go on with `varint32 op | varint32 phase`; kDataBlock carries its qid and
+  // op inside its compressed block.
   uint64_t qid = 0;
   uint32_t op = 0, phase = 0;
   TupleBlock block;
@@ -352,8 +355,7 @@ void QueryService::OnWorkerFrame(net::NodeId from, uint16_t code,
   }
   Exec* ex = FindExec(qid);
   if (ex == nullptr) {
-    // An ack answers a block this node sent, so its execution has ended.
-    if (code != kBlockAck) BufferPending(qid, from, code, payload);
+    BufferPending(qid, from, code, payload);
     return;
   }
   if (code == kRecover) {
@@ -368,22 +370,27 @@ void QueryService::OnWorkerFrame(net::NodeId from, uint16_t code,
   bool is_scan = kind == OpKind::kScan || kind == OpKind::kCoveringScan;
   if (scan_frame ? !is_scan : kind != OpKind::kRehash) return;
   auto id = static_cast<int32_t>(op);
+  Barrier& eos = ex->ops[id].eos;
   switch (code) {
     case kDataBlock:
-      HandleDataBlock(*ex, from, std::move(block));
-      return;
-    case kBlockAck:
-      ex->ops[id].unacked[from].erase(phase);
-      TryBroadcastRehashEos(*ex, id);
-      return;
-    case kEosMarker:
-    case kScanPartDone:
-      ex->ops[id].eos.Mark(from, phase);
-      CheckEos(*ex, id);
+      eos.Arrive(from);
+      HandleDataBlock(*ex, std::move(block));
       return;
     case kQueryFetch:
+      eos.Arrive(from);
       HandleQueryFetch(*ex, from, id, r);
       return;
+    case kEosMarker:
+    case kScanPartDone: {
+      uint32_t frames = 0;
+      if (!r->GetVarint32(&frames).ok()) return;
+      if (!eos.Mark(from, phase, frames)) {
+        ReportScanFailure(*ex, Status::Unavailable("a query frame was lost"));
+        return;
+      }
+      CheckEos(*ex, id);
+      return;
+    }
   }
 }
 
@@ -475,7 +482,6 @@ void QueryService::HandlePlan(const std::string& payload) {
   uint64_t epoch = 0;  // pinned by the bindings below
   if (!r.GetVarint64(&epoch).ok()) return;
   if (!r.GetBool(&ex->provenance).ok()) return;
-  if (!r.GetVarint32(&ex->block_rows).ok()) return;
   auto snap = overlay::RoutingSnapshot::Decode(&r);
   if (!snap.ok()) return;
   ex->table = std::move(snap).value();
@@ -511,9 +517,8 @@ void QueryService::HandlePlan(const std::string& payload) {
   };
   ex->cx.ship = [this, raw](BlockRow row) { ShipRow(*raw, std::move(row)); };
   ex->cx.rehash_child_eos = [this, raw](int32_t op) {
-    raw->ops[op].phase.input_done = true;
-    for (auto& [dest, buf] : raw->ops[op].buffers) FlushRehash(*raw, op, dest);
-    TryBroadcastRehashEos(*raw, op);
+    for (auto& [dest, buf] : raw->ops[op].buffers) FlushBlock(*raw, op, dest);
+    if (!raw->ops[op].phase.eos_sent) SendEos(*raw, op, kEosMarker);
   };
   ex->cx.ship_child_eos = [this, raw]() { OnShipChildEos(*raw); };
 
@@ -707,6 +712,7 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op,
   // Each data node gets the entries it owns, copied from the page as they
   // are, in page order.
   for (const auto& [owner, owned] : remote) {
+    ex.ops[scan_op].sent[owner] += 1;
     Writer w;
     w.PutU64(ex.query_id);
     w.PutVarint32(static_cast<uint32_t>(scan_op));
@@ -793,23 +799,29 @@ void QueryService::ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& r
 void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {
   PhaseFlags& flags = ex.ops[scan_op].phase;
   flags.input_done = true;
-  if (!flags.eos_sent) {
-    flags.eos_sent = true;
+  if (!flags.eos_sent) SendEos(ex, scan_op, kScanPartDone);
+  CheckEos(ex, scan_op);
+}
+
+void QueryService::SendEos(Exec& ex, int32_t id, uint16_t code) {
+  OpRec& rec = ex.ops[id];
+  rec.phase.eos_sent = true;
+  for (net::NodeId m : LiveMembers(ex.table)) {
     Writer w;
     w.PutU64(ex.query_id);
-    w.PutVarint32(static_cast<uint32_t>(scan_op));
+    w.PutVarint32(static_cast<uint32_t>(id));
     w.PutVarint32(ex.cx.phase);
-    for (net::NodeId m : LiveMembers(ex.table)) SendTo(m, kScanPartDone, w.data());
+    w.PutVarint32(rec.sent[m]);
+    SendTo(m, code, w.Release());
   }
-  CheckEos(ex, scan_op);
 }
 
 void QueryService::CheckEos(Exec& ex, int32_t id) {
   OpRec& rec = ex.ops[id];
   bool scan = ex.plan.op(id).kind != OpKind::kRehash;  // else a scan op
   // A scan's barrier means every live node has finished its part for this
-  // phase, so no more spillover fetches can arrive (FIFO delivery makes this
-  // safe); it counts once this node's own iteration and reads are done.
+  // phase and every spillover fetch it counted has arrived; it counts once
+  // this node's own iteration and reads are done.
   if (rec.phase.eos_delivered ||
       (scan && (!rec.phase.input_done || rec.async_outstanding > 0)) ||
       !rec.eos.Reached(ex.table, ex.cx.phase)) {
@@ -823,16 +835,22 @@ void QueryService::CheckEos(Exec& ex, int32_t id) {
   }
 }
 
-void QueryService::Barrier::Mark(net::NodeId from, uint32_t phase) {
-  uint32_t& cur = marks_[from];
-  cur = std::max(cur, phase);
+bool QueryService::Barrier::Mark(net::NodeId from, uint32_t phase, uint32_t frames) {
+  Sender& s = senders_[from];
+  s.marked = true;
+  s.phase = std::max(s.phase, phase);
+  s.frames = std::max(s.frames, frames);
+  return s.arrived >= frames;
 }
 
 bool QueryService::Barrier::Reached(const overlay::RoutingSnapshot& table,
                                     uint32_t phase) const {
   for (const auto& m : table.members()) {
-    auto it = marks_.find(m.node);
-    if (it == marks_.end() || it->second < phase) return false;
+    auto it = senders_.find(m.node);
+    if (it == senders_.end() || !it->second.marked || it->second.phase < phase ||
+        it->second.arrived < it->second.frames) {
+      return false;
+    }
   }
   return true;
 }
@@ -853,42 +871,25 @@ void QueryService::RouteRow(Exec& ex, int32_t rehash_op, BlockRow row) {
   }
   auto& buf = rehash.buffers[dest];
   buf.push_back(std::move(row));
-  if (buf.size() >= ex.block_rows) FlushRehash(ex, rehash_op, dest);
+  if (buf.size() >= kBlockRows) FlushBlock(ex, rehash_op, dest);
 }
 
-void QueryService::FlushRehash(Exec& ex, int32_t rehash_op, net::NodeId dest) {
-  OpRec& rehash = ex.ops[rehash_op];
-  auto it = rehash.buffers.find(dest);
-  if (it == rehash.buffers.end() || it->second.empty()) return;
+void QueryService::FlushBlock(Exec& ex, int32_t id, net::NodeId dest) {
+  OpRec& rec = ex.ops[id];
+  auto it = rec.buffers.find(dest);
+  if (it == rec.buffers.end() || it->second.empty()) return;
   TupleBlock block;
   block.query_id = ex.query_id;
-  block.dest_op = rehash_op;
-  block.phase = ex.cx.phase;
-  block.seq = rehash.next_seq[dest]++;
-  block.sender = node();
+  block.dest_op = id;
   block.rows = std::move(it->second);
   it->second.clear();
-  rehash.unacked[dest].insert(block.seq);
+  rec.sent[dest] += 1;
   ChargeBlockCosts(block);
   counters_.blocks_sent += 1;
-  SendTo(dest, kDataBlock, block.Encode());
+  SendTo(dest, id == ex.plan.root ? kShipBlock : kDataBlock, block.Encode());
 }
 
-void QueryService::TryBroadcastRehashEos(Exec& ex, int32_t rehash_op) {
-  OpRec& rehash = ex.ops[rehash_op];
-  if (!rehash.phase.input_done || rehash.phase.eos_sent) return;
-  for (const auto& [dest, unacked] : rehash.unacked) {
-    if (!unacked.empty()) return;  // EOS only after all data acked (§V-B)
-  }
-  rehash.phase.eos_sent = true;
-  Writer w;
-  w.PutU64(ex.query_id);
-  w.PutVarint32(static_cast<uint32_t>(rehash_op));
-  w.PutVarint32(ex.cx.phase);
-  for (net::NodeId m : LiveMembers(ex.table)) SendTo(m, kEosMarker, w.data());
-}
-
-void QueryService::HandleDataBlock(Exec& ex, net::NodeId from, TupleBlock block) {
+void QueryService::HandleDataBlock(Exec& ex, TupleBlock block) {
   ChargeBlockCosts(block);
   auto* rehash = static_cast<RehashOp*>(ex.ops[block.dest_op].op.get());
   for (BlockRow& row : block.rows) {
@@ -906,43 +907,24 @@ void QueryService::HandleDataBlock(Exec& ex, net::NodeId from, TupleBlock block)
     }
     rehash->Deliver(std::move(row));
   }
-
-  Writer w;
-  w.PutU64(ex.query_id);
-  w.PutVarint32(static_cast<uint32_t>(block.dest_op));
-  w.PutVarint32(block.seq);
-  SendTo(from, kBlockAck, w.Release());
 }
 
 void QueryService::ShipRow(Exec& ex, BlockRow row) {
   counters_.rows_shipped += 1;
-  ex.ship_buffer.push_back(std::move(row));
-  if (ex.ship_buffer.size() >= ex.block_rows) FlushShip(ex);
-}
-
-void QueryService::FlushShip(Exec& ex) {
-  if (ex.ship_buffer.empty()) return;
-  TupleBlock block;
-  block.query_id = ex.query_id;
-  block.dest_op = ex.plan.root;
-  block.phase = ex.cx.phase;
-  block.seq = ex.ship_seq++;
-  block.sender = node();
-  block.rows = std::move(ex.ship_buffer);
-  ex.ship_buffer.clear();
-  ChargeBlockCosts(block);
-  counters_.blocks_sent += 1;
-  SendTo(ex.initiator, kShipBlock, block.Encode());
+  auto& buf = ex.ops[ex.plan.root].buffers[ex.initiator];
+  buf.push_back(std::move(row));
+  if (buf.size() >= kBlockRows) FlushBlock(ex, ex.plan.root, ex.initiator);
 }
 
 void QueryService::OnShipChildEos(Exec& ex) {
-  PhaseFlags& flags = ex.ops[ex.plan.root].phase;
-  if (flags.eos_sent) return;
-  flags.eos_sent = true;
-  FlushShip(ex);
+  OpRec& ship = ex.ops[ex.plan.root];
+  if (ship.phase.eos_sent) return;
+  ship.phase.eos_sent = true;
+  FlushBlock(ex, ex.plan.root, ex.initiator);
   Writer w;
   w.PutU64(ex.query_id);
   w.PutVarint32(ex.cx.phase);
+  w.PutVarint32(ship.sent[ex.initiator]);
   SendTo(ex.initiator, kShipEos, w.Release());
 }
 
@@ -979,15 +961,10 @@ void QueryService::HandleRecover(Exec& ex, Reader* r) {
     rec.phase = {};
     std::erase_if(rec.cache, [&](const OpRec::CacheEntry& e) { return tainted(e.row); });
     for (auto& [dest, buf] : rec.buffers) std::erase_if(buf, tainted);
-    for (net::NodeId f : failed) {
-      rec.unacked.erase(f);
-      // Unflushed rows routed to a failed node are superseded by the cache
-      // resend below (stage 4); flushing them later would wait forever for
-      // an ack from a dead node.
-      rec.buffers.erase(f);
-    }
+    // Unflushed rows routed to a failed node are superseded by the cache
+    // resend below (stage 4).
+    for (net::NodeId f : failed) rec.buffers.erase(f);
   }
-  std::erase_if(ex.ship_buffer, tainted);
 
   // Stage 4: re-create data that was sent to the failed nodes' ranges, now
   // routed under the new table.
@@ -999,8 +976,8 @@ void QueryService::HandleRecover(Exec& ex, Reader* r) {
       entry.dest = ex.table.OwnerOf(RowHash(entry.row.tuple, op.hash_cols, &rec.hash_key));
       rec.buffers[entry.dest].push_back(entry.row);
       counters_.cache_rows_resent += 1;
-      if (rec.buffers[entry.dest].size() >= ex.block_rows) {
-        FlushRehash(ex, static_cast<int32_t>(id), entry.dest);
+      if (rec.buffers[entry.dest].size() >= kBlockRows) {
+        FlushBlock(ex, static_cast<int32_t>(id), entry.dest);
       }
     }
   }

@@ -5,14 +5,16 @@
 //  * drives leaf scans over the versioned pages it owns (distributed scan
 //    spillover pushes remote tuples into the plan at their data node),
 //  * routes Rehash output by hash under the query's routing table, batches
-//    and compresses blocks, acks received blocks,
-//  * runs the end-of-stream protocol: scans use a part-done barrier; a
-//    Rehash broadcasts EOS markers only after its input ended AND all its
-//    blocks were acked (§V-B),
+//    and compresses blocks,
+//  * runs the end-of-stream protocol (§V-B): every EOS frame (scan
+//    part-done, rehash EOS marker, ship EOS) tells its receiver how many
+//    frames of its edge the sender has sent it, and the receiver's barrier
+//    holds once they have all arrived,
 //  * on a recovery message: purges tainted state, re-arms EOS for the new
 //    phase, restarts leaf scans for inherited ranges, and re-sends cached
 //    output that had been destined to failed nodes (§V-D stages 2-4),
-//  * reports a scan read that fails to the initiator (kScanFailed).
+//  * reports a scan read that fails, or a counted frame that never arrived,
+//    to the initiator (kScanFailed).
 //
 // Initiator role:
 //  * resolves scan bindings (coordinator records) at the chosen epoch,
@@ -20,7 +22,8 @@
 //  * collects shipped rows (with taints) and runs the final stage,
 //  * detects failures via connection drops, participant reports, and
 //    optional pings; recovers incrementally or by full restart (§V-C/D),
-//  * fails the query with the status of a worker's failed scan read.
+//  * fails the query with the status of a worker's kScanFailed, or as
+//    Unavailable when a ship EOS counts a block that never arrived.
 #ifndef ORCHESTRA_QUERY_SERVICE_H_
 #define ORCHESTRA_QUERY_SERVICE_H_
 
@@ -49,11 +52,12 @@ constexpr uint64_t kPingMissThreshold = 3;
 /// execution.
 constexpr sim::SimTime kQueryDeadlineUs = 120 * sim::kMicrosPerSec;
 
+/// Rows per network block (batching, §V-A).
+constexpr size_t kBlockRows = 1024;
+
 struct QueryOptions {
   enum class RecoveryMode : uint8_t { kNone = 0, kRestart = 1, kIncremental = 2 };
   RecoveryMode recovery = RecoveryMode::kIncremental;
-  /// Rows per network block (batching, §V-A).
-  uint32_t block_rows = 1024;
   /// Background pings to detect "hung" machines (§V-C): one round per
   /// interval; 0 sends none.
   sim::SimTime ping_interval_us = 0;
@@ -118,7 +122,7 @@ class QueryService : public net::Service {
   enum QueryCode : uint16_t {
     kPlan = 1,
     kDataBlock = 2,
-    kBlockAck = 3,
+    kBlockAck = 3,  // retired (per-block ack); reserved, never reused
     kEosMarker = 4,
     kScanPartDone = 5,
     kQueryFetch = 6,
@@ -133,24 +137,33 @@ class QueryService : public net::Service {
   };
 
  private:
-  /// End-of-stream barrier over a routing table: each sender marks the
-  /// highest phase it has finished, and the barrier holds for phase p once
-  /// every member of the table has marked p. One type serves the scan
-  /// part-done wait, a rehash op's EOS markers and the initiator's ship EOS.
+  /// End-of-stream barrier over a routing table. It counts the frames of
+  /// its edge that arrive from each sender, and each sender marks the highest
+  /// phase it has finished with how many it sent here, across phases. The
+  /// barrier holds for phase p once every member of the table has marked p
+  /// and all its frames have arrived. One type serves the scan part-done
+  /// wait, a rehash op's EOS markers and the initiator's ship EOS.
   class Barrier {
    public:
-    void Mark(net::NodeId from, uint32_t phase);
+    void Arrive(net::NodeId from) { senders_[from].arrived += 1; }
+    /// False when fewer of the `frames` have arrived: delivery is in order
+    /// per connection, so one was lost.
+    bool Mark(net::NodeId from, uint32_t phase, uint32_t frames);
     bool Reached(const overlay::RoutingSnapshot& table, uint32_t phase) const;
 
    private:
-    std::map<net::NodeId, uint32_t> marks_;
+    struct Sender {
+      bool marked = false;
+      uint32_t phase = 0, frames = 0, arrived = 0;
+    };
+    std::map<net::NodeId, Sender> senders_;
   };
 
   // --- Worker-side state -----------------------------------------------------
   /// What one operator's network edge has done in the current recovery
   /// phase; a new phase starts from fresh flags and the EOS wave re-runs.
   struct PhaseFlags {
-    bool input_done = false;     // scan: iteration ended; rehash: input ended
+    bool input_done = false;     // scan: iteration ended
     bool eos_sent = false;       // part-done, EOS markers or ship EOS sent
     bool eos_delivered = false;  // the barrier released EOS into the plan
   };
@@ -174,11 +187,13 @@ class QueryService : public net::Service {
     /// The data key and the row each read decodes into, reused across rows.
     std::string read_key;
     Tuple read_row;
-    // Rehash: per-destination buffers, block sequence numbers, unacked
-    // blocks, and the output cache for recovery resend (§V-D).
+    /// Frames of this op's edge sent to each node, across phases (scan:
+    /// kQueryFetch, rehash: kDataBlock, ship: kShipBlock); each EOS frame
+    /// carries its count.
+    std::map<net::NodeId, uint32_t> sent;
+    // Rehash and ship: rows buffered per destination (ship: the initiator).
+    // Rehash: the output cache for recovery resend (§V-D).
     std::map<net::NodeId, std::vector<BlockRow>> buffers;
-    std::map<net::NodeId, uint32_t> next_seq;
-    std::map<net::NodeId, std::set<uint32_t>> unacked;
     struct CacheEntry {
       BlockRow row;
       net::NodeId dest;
@@ -192,7 +207,6 @@ class QueryService : public net::Service {
     uint64_t query_id = 0;
     net::NodeId initiator = net::kInvalidNode;
     bool provenance = true;
-    uint32_t block_rows = 1024;
     PhysicalPlan plan;
     overlay::RoutingSnapshot table;       // current (updated by recovery)
     overlay::RoutingSnapshot prev_table;  // table of the previous phase
@@ -201,8 +215,6 @@ class QueryService : public net::Service {
     /// every taint of the query (empty without provenance).
     DynamicBitset own_taint;
     std::vector<OpRec> ops;  // indexed by op id
-    std::vector<BlockRow> ship_buffer;
-    uint32_t ship_seq = 0;
     /// The kQueryDeadlineUs event; ReleaseExec and OnSelfFailed cancel it.
     sim::Simulator::EventId deadline = 0;
   };
@@ -245,7 +257,7 @@ class QueryService : public net::Service {
   /// plan and hands it to its handler.
   void OnWorkerFrame(net::NodeId from, uint16_t code, const std::string& payload,
                      Reader* r);
-  void HandleDataBlock(Exec& ex, net::NodeId from, TupleBlock block);
+  void HandleDataBlock(Exec& ex, TupleBlock block);
   void HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op, Reader* r);
   void HandleRecover(Exec& ex, Reader* r);
   void HandleAbort(Reader* r);
@@ -287,19 +299,23 @@ class QueryService : public net::Service {
   /// Fails the query at its initiator (kScanFailed).
   void ReportScanFailure(Exec& ex, const Status& st);
   void FinishScanIteration(Exec& ex, int32_t scan_op);
+  /// Sends op `id`'s EOS frame for the current phase (`code`: kScanPartDone
+  /// or kEosMarker) to every member, each with the count of the op's frames
+  /// it was sent.
+  void SendEos(Exec& ex, int32_t id, uint16_t code);
   /// Releases EOS into the plan, once per phase, when op `id`'s barrier
   /// holds (for a scan, also only after this node's iteration and reads).
   void CheckEos(Exec& ex, int32_t id);
   void RouteRow(Exec& ex, int32_t rehash_op, BlockRow row);
-  void FlushRehash(Exec& ex, int32_t rehash_op, net::NodeId dest);
-  void TryBroadcastRehashEos(Exec& ex, int32_t rehash_op);
+  /// Sends the rows op `id` buffered for `dest` as one block: kDataBlock
+  /// from a rehash op, kShipBlock from the ship op.
+  void FlushBlock(Exec& ex, int32_t id, net::NodeId dest);
   void ShipRow(Exec& ex, BlockRow row);
-  void FlushShip(Exec& ex);
   void OnShipChildEos(Exec& ex);
 
   // Initiator paths.
   void DisseminatePlan(Root& root);
-  void HandleShipBlock(const std::string& payload);
+  void HandleShipBlock(net::NodeId from, const std::string& payload);
   void HandleShipEos(net::NodeId from, Reader* r);
   void HandleSuspect(Root& root, net::NodeId node);
   void FinishRoot(Root& root, Status st);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "common/rng.h"
 #include "common/strings.h"
@@ -273,6 +275,39 @@ TEST_F(QueryClusterTest, CopyQueryReturnsAllRows) {
   ExpectNoExecsLeft();
 }
 
+// Under 5% message drops a read returns every row or fails. A lost block or
+// fetch is caught by the count in the EOS frame after it (Unavailable); a
+// lost EOS, plan or abort frame waits out the deadline (TimedOut). A scan
+// spills over (eight partitions straddle five nodes' ranges), so all three
+// counted edges carry frames.
+TEST_F(QueryClusterTest, ReadsUnderMessageDropsReturnEveryRowOrFail) {
+  Deploy(5);
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 3000; ++i) rows.push_back({S(Tag("k", i)), S(Tag("v", i % 7))});
+  LoadRows("R", rows);
+  int ok = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    dep->network().SeedFaults(seed);
+    net::FaultOptions faults;
+    faults.drop_prob = 0.05;
+    dep->network().SetFaultOptions(faults);
+    for (size_t via = 0; via < dep->size(); ++via) {
+      auto read = dep->Retrieve(via, "R", db_epoch);
+      if (!read.ok()) {
+        EXPECT_TRUE(read.status().code() == Status::Code::kUnavailable ||
+                    read.status().code() == Status::Code::kTimedOut)
+            << read.status().ToString();
+        continue;
+      }
+      ok += 1;
+      EXPECT_TRUE(SameBag(*read, rows))
+          << "seed " << seed << " via " << via << ": OK read of " << read->size() << " rows";
+    }
+  }
+  dep->network().SetFaultOptions({});
+  EXPECT_GT(ok, 0);
+}
+
 // The query epoch is explicit: epoch 0 is the relations' creation epoch (an
 // empty snapshot), never an implicit "latest", even on the node that just
 // published.
@@ -395,43 +430,94 @@ TEST_F(QueryClusterTest, PaperRunningExample) {
   EXPECT_EQ(result->rows[0][1], S("j"));
 }
 
-// Records the kQueryFetch frames one node receives and the page entries
-// they carry, then hands every message on to the node's own NodeHost.
-class QueryFetchTap : public net::MessageHandler {
+// Counts the query frames one node receives, by code and by edge, and the
+// page entries its kQueryFetch frames carry. Checks every EOS frame's count
+// against the frames of its edge that arrived before it: kDataBlock for
+// kEosMarker, kQueryFetch for kScanPartDone, kShipBlock for kShipEos (it
+// keys nothing by query, so it watches one query). With `forge` set, the
+// first EOS frame of that code from `forge_from` announces one frame more
+// than its sender sent. Hands every message on to the node's own NodeHost.
+class EdgeCountTap : public net::MessageHandler {
  public:
-  QueryFetchTap(deploy::Deployment* dep, net::NodeId node) : dep_(dep), node_(node) {
+  EdgeCountTap(deploy::Deployment* dep, net::NodeId node) : dep_(dep), node_(node) {
     dep_->network().SetHandler(node_, this);
   }
-  ~QueryFetchTap() override { dep_->network().SetHandler(node_, &dep_->host(node_)); }
+  ~EdgeCountTap() override { dep_->network().SetHandler(node_, &dep_->host(node_)); }
 
   void OnMessage(net::NodeId from, uint32_t type, const std::string& payload) override {
-    if (type == ((static_cast<uint32_t>(net::ServiceId::kQuery) << 16) |
-                 QueryService::kQueryFetch)) {
-      ++frames;
-      // u64 qid | varint32 op | varint32 phase | string rel | entry list
-      Reader r(payload);
-      uint64_t qid = 0;
-      uint32_t op = 0, phase = 0;
-      std::string rel;
-      EXPECT_TRUE(r.GetU64(&qid).ok() && r.GetVarint32(&op).ok() &&
-                  r.GetVarint32(&phase).ok() && r.GetString(&rel).ok());
-      storage::EntryReader entries_in = storage::EntryReader::List(&r);
-      storage::EntryView e;
-      while (entries_in.Next(&e)) ++entries;
-      EXPECT_TRUE(entries_in.status().ok()) << entries_in.status().ToString();
+    if ((type >> 16) != static_cast<uint32_t>(net::ServiceId::kQuery)) {
+      dep_->host(node_).OnMessage(from, type, payload);
+      return;
     }
-    dep_->host(node_).OnMessage(from, type, payload);
+    const auto code = static_cast<uint16_t>(type & 0xffff);
+    by_code[code] += 1;
+    std::string forged;  // the frame as handed on, when rewritten
+    Reader r(payload);
+    uint64_t qid = 0;
+    uint32_t op = 0, phase = 0, frames = 0;
+    TupleBlock block;
+    switch (code) {
+      case QueryService::kDataBlock:
+      case QueryService::kShipBlock:
+        EXPECT_TRUE(TupleBlock::Decode(payload, &block).ok());
+        arrived[{from, code, code == QueryService::kDataBlock ? block.dest_op : -1}] += 1;
+        break;
+      case QueryService::kQueryFetch: {
+        // u64 qid | varint32 op | varint32 phase | string rel | entry list
+        std::string rel;
+        EXPECT_TRUE(r.GetU64(&qid).ok() && r.GetVarint32(&op).ok() &&
+                    r.GetVarint32(&phase).ok() && r.GetString(&rel).ok());
+        storage::EntryReader entries = storage::EntryReader::List(&r);
+        storage::EntryView e;
+        while (entries.Next(&e)) ++fetched_entries;
+        EXPECT_TRUE(entries.status().ok()) << entries.status().ToString();
+        arrived[{from, code, static_cast<int32_t>(op)}] += 1;
+        break;
+      }
+      case QueryService::kEosMarker:
+      case QueryService::kScanPartDone:
+      case QueryService::kShipEos: {
+        bool ship = code == QueryService::kShipEos;
+        EXPECT_TRUE(r.GetU64(&qid).ok() && (ship || r.GetVarint32(&op).ok()) &&
+                    r.GetVarint32(&phase).ok() && r.GetVarint32(&frames).ok());
+        uint16_t edge = code == QueryService::kEosMarker  ? QueryService::kDataBlock
+                        : code == QueryService::kShipEos ? QueryService::kShipBlock
+                                                          : QueryService::kQueryFetch;
+        const auto key = std::make_tuple(from, edge, ship ? -1 : static_cast<int32_t>(op));
+        EXPECT_EQ(frames, arrived[key]) << "code " << code << " from " << from << " op " << op;
+        eos_checked[code] += 1;
+        if (frames > 0) eos_counting[code] += 1;
+        if (code == forge && from == forge_from) {
+          forge = 0;
+          Writer w;
+          w.PutU64(qid);
+          if (!ship) w.PutVarint32(op);
+          w.PutVarint32(phase);
+          w.PutVarint32(frames + 1);
+          forged = w.Release();
+        }
+        break;
+      }
+    }
+    dep_->host(node_).OnMessage(from, type, forged.empty() ? payload : forged);
   }
   void OnConnectionDrop(net::NodeId peer) override {
     dep_->host(node_).OnConnectionDrop(peer);
   }
 
-  uint64_t frames = 0;
-  uint64_t entries = 0;
+  uint16_t forge = 0;
+  net::NodeId forge_from = net::kInvalidNode;
+  std::map<uint16_t, uint64_t> by_code;
+  /// Page entries the kQueryFetch frames carried.
+  uint64_t fetched_entries = 0;
+  /// EOS frames checked, and those among them that counted a frame.
+  std::map<uint16_t, uint64_t> eos_checked, eos_counting;
 
  private:
   deploy::Deployment* dep_;
   net::NodeId node_;
+  /// Frames arrived per (sender, code, op); -1 stands for the ship edge.
+  std::map<std::tuple<net::NodeId, uint16_t, int32_t>, uint32_t> arrived;
 };
 
 TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
@@ -469,10 +555,9 @@ TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
     // Eight partitions over five nodes straddle node ranges: an index node
     // sends the entries other nodes own to them (kQueryFetch), each read
     // there by key.
-    std::vector<std::unique_ptr<QueryFetchTap>> taps;
+    std::vector<std::unique_ptr<EdgeCountTap>> taps;
     for (size_t n = 0; n < dep->size(); ++n) {
-      taps.push_back(
-          std::make_unique<QueryFetchTap>(dep.get(), static_cast<net::NodeId>(n)));
+      taps.push_back(std::make_unique<EdgeCountTap>(dep.get(), static_cast<net::NodeId>(n)));
     }
     auto result = dep->ExecuteQuery(3, plan, db_epoch);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -483,8 +568,8 @@ TEST_F(QueryClusterTest, JoinMatchesReferenceOnRandomData) {
         << "distributed=" << result->rows.size() << " reference=" << expect->size();
     uint64_t frames = 0, entries = 0;
     for (const auto& tap : taps) {
-      frames += tap->frames;
-      entries += tap->entries;
+      frames += tap->by_code[QueryService::kQueryFetch];
+      entries += tap->fetched_entries;
     }
     EXPECT_GT(frames, 0u);
     EXPECT_GE(entries, frames);
@@ -517,6 +602,57 @@ TEST_F(QueryClusterTest, DoubleRehashJoinBothSides) {
   ASSERT_TRUE(expect.ok());
   EXPECT_TRUE(SameBag(result->rows, *expect));
   EXPECT_GT(result->rows.size(), 0u);
+}
+
+// One join with a rehash on both sides: no frame is acked, and every EOS
+// frame (rehash EOS, scan part-done, ship EOS) carries exactly the number of
+// frames of its edge that reached its receiver before it.
+TEST_F(QueryClusterTest, EveryEosFrameCountsTheFramesOfItsEdge) {
+  Deploy(5);
+  Rng rng(123);
+  std::vector<Tuple> r_rows, s_rows;
+  for (int i = 0; i < 600; ++i) {
+    r_rows.push_back({S(Tag("rk", i)), S(Tag("v", rng.Uniform(100)))});
+    s_rows.push_back({S(Tag("sk", i)), S(Tag("v", rng.Uniform(100)))});
+  }
+  LoadRows("R", r_rows);
+  LoadRows("S", s_rows);
+  PlanBuilder b;
+  int32_t rehash_r = b.Rehash(b.Scan("R"), {1});
+  int32_t rehash_s = b.Rehash(b.Scan("S"), {1});
+  PhysicalPlan plan = b.Ship(b.Join(rehash_r, rehash_s, {1}, {1}));
+
+  std::vector<std::unique_ptr<EdgeCountTap>> taps;
+  for (size_t n = 0; n < dep->size(); ++n) {
+    taps.push_back(std::make_unique<EdgeCountTap>(dep.get(), static_cast<net::NodeId>(n)));
+  }
+  auto result = dep->ExecuteQuery(3, plan, db_epoch);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto expect = ReferenceExecute(plan, ref_db);
+  ASSERT_TRUE(expect.ok());
+  EXPECT_TRUE(SameBag(result->rows, *expect));
+
+  std::map<uint16_t, uint64_t> by_code, checked, counting;
+  for (const auto& tap : taps) {
+    for (auto [code, n] : tap->by_code) by_code[code] += n;
+    for (auto [code, n] : tap->eos_checked) checked[code] += n;
+    for (auto [code, n] : tap->eos_counting) counting[code] += n;
+  }
+  EXPECT_EQ(by_code[QueryService::kBlockAck], 0u);
+  // Five members: two rehash ops and two scans each send one EOS frame to
+  // every member, and every member ships one EOS to the initiator.
+  EXPECT_EQ(checked[QueryService::kEosMarker], 2u * 5 * 5);
+  EXPECT_EQ(checked[QueryService::kScanPartDone], 2u * 5 * 5);
+  EXPECT_EQ(checked[QueryService::kShipEos], 5u);
+  for (uint16_t code : {QueryService::kDataBlock, QueryService::kQueryFetch,
+                        QueryService::kShipBlock}) {
+    EXPECT_GT(by_code[code], 0u) << "code " << code;
+  }
+  for (uint16_t code : {QueryService::kEosMarker, QueryService::kScanPartDone,
+                        QueryService::kShipEos}) {
+    EXPECT_GT(counting[code], 0u) << "code " << code;
+  }
+  ExpectNoExecsLeft();
 }
 
 TEST_F(QueryClusterTest, DistributedAggregationWithReaggregation) {
@@ -799,8 +935,10 @@ TEST_F(RecoveryTest, RestartRecoveryProducesExactAnswer) {
   }
 }
 
+// A failure late in the query, after some aggregates have emitted their
+// partials: the rows recovery brings them later (an inherited range's
+// rescan) leave as partials of their own.
 TEST_F(RecoveryTest, AggregationSurvivesFailureWithoutDoubleCounting) {
-  Deploy(6);
   Rng rng(31);
   std::vector<Tuple> rows;
   std::map<std::string, int64_t> expect_counts;
@@ -809,7 +947,6 @@ TEST_F(RecoveryTest, AggregationSurvivesFailureWithoutDoubleCounting) {
     rows.push_back({S(Tag("k", i)), S(g)});
     expect_counts[g] += 1;
   }
-  LoadRows("R", rows);
 
   PlanBuilder b;
   int32_t rehash = b.Rehash(b.Scan("R"), {1});
@@ -825,13 +962,20 @@ TEST_F(RecoveryTest, AggregationSurvivesFailureWithoutDoubleCounting) {
   merge.arg = Expr::Column(1);
   plan.final_stage.aggs = {merge};
 
-  FailureRun run = RunWithFailureAt(plan, 5, 0.5, {}, /*hang=*/false, /*via=*/1);
-  ASSERT_TRUE(run.injected);
-  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
-  ASSERT_EQ(run.result.rows.size(), expect_counts.size());
-  for (const Tuple& t : run.result.rows) {
-    EXPECT_EQ(t[1].AsInt64(), expect_counts[t[0].AsString()])
-        << "group " << t[0].AsString() << " double-counted or lost";
+  for (double fraction : {0.5, 0.8, 0.85, 0.9}) {
+    for (net::NodeId victim : {4u, 5u}) {
+      SCOPED_TRACE(testing::Message() << "fraction " << fraction << " victim " << victim);
+      Deploy(6);
+      LoadRows("R", rows);
+      FailureRun run = RunWithFailureAt(plan, victim, fraction, {}, /*hang=*/false, /*via=*/1);
+      ASSERT_TRUE(run.injected);
+      ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+      ASSERT_EQ(run.result.rows.size(), expect_counts.size());
+      for (const Tuple& t : run.result.rows) {
+        EXPECT_EQ(t[1].AsInt64(), expect_counts[t[0].AsString()])
+            << "group " << t[0].AsString() << " double-counted or lost";
+      }
+    }
   }
 }
 
@@ -929,18 +1073,17 @@ TEST_F(RecoveryTest, FramesNamingAnOpThePlanLacksAreDropped) {
   // kDataBlock (2) naming no op, and naming Scan R with a row that joins.
   TupleBlock block;
   block.query_id = qid;
-  block.sender = 1;
   block.rows.push_back(BlockRow{{S("rk-extra"), S("j1")}, DynamicBitset(4)});
   for (int32_t op : {99, 0}) {
     block.dest_op = op;
     send(2, block.Encode());
   }
-  // kBlockAck, kEosMarker, kScanPartDone and kQueryFetch (3-6) naming no op.
+  // kEosMarker, kScanPartDone and kQueryFetch (4-6) naming no op.
   Writer header;
   header.PutU64(qid);
   header.PutVarint32(99);
   header.PutVarint32(0);
-  for (uint16_t code = 3; code <= 6; ++code) send(code, header.data());
+  for (uint16_t code = 4; code <= 6; ++code) send(code, header.data());
 
   ASSERT_TRUE(dep->RunUntil([&] { return done; }, 600 * sim::kMicrosPerSec));
   ASSERT_TRUE(status.ok()) << status.ToString();
@@ -948,6 +1091,36 @@ TEST_F(RecoveryTest, FramesNamingAnOpThePlanLacksAreDropped) {
       << "got " << result.rows.size() << " rows, want " << expect->size();
   ExpectNoExecsLeft();
 }
+
+// An EOS frame that counts one frame more than reached its receiver means a
+// frame was lost (delivery is in order per connection): the query ends
+// Unavailable at once instead of at kQueryDeadlineUs. The rehash EOS and the
+// scan part-done are checked at a worker, which reports kScanFailed; the
+// ship EOS at the initiator.
+class CountedGapTest : public RecoveryTest,
+                       public ::testing::WithParamInterface<uint16_t> {};
+
+TEST_P(CountedGapTest, EosFrameCountingALostFrameFailsTheQuery) {
+  Deploy(4);
+  LoadBulk(2000, 50);
+  const uint16_t code = GetParam();
+  const net::NodeId at = code == QueryService::kShipEos ? 0 : 2;
+  EdgeCountTap tap(dep.get(), at);
+  tap.forge = code;
+  tap.forge_from = 1;
+  const sim::SimTime start = dep->sim().now();
+  Pending<QueryResult> p = dep->session(0).Query(JoinPlan(), db_epoch);
+  ASSERT_TRUE(dep->RunUntil([&p] { return p.done(); }, 2 * kQueryDeadlineUs));
+  EXPECT_EQ(tap.forge, 0u) << "no EOS frame was forged";
+  EXPECT_EQ(p.status().code(), Status::Code::kUnavailable) << p.status().ToString();
+  EXPECT_LT(dep->sim().now() - start, 1 * sim::kMicrosPerSec);
+  ExpectNoExecsLeft();
+}
+
+INSTANTIATE_TEST_SUITE_P(EosCodes, CountedGapTest,
+                         ::testing::Values(QueryService::kEosMarker,
+                                           QueryService::kScanPartDone,
+                                           QueryService::kShipEos));
 
 // Property sweep: random failure times against the same join must always
 // produce the exact failure-free answer (no loss, no duplicates).

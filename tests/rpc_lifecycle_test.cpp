@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -269,8 +270,10 @@ TEST_F(RpcLifecycleTest, ReplicaFailoverExhaustionReleasesChain) {
 // Property: under randomized peer drops and restarts — with message drops
 // and delays injected on the wire — the pending tables drain and
 // callbacks_alive returns to zero for every seed once the system quiesces.
-// Individual operations may fail (Unavailable/TimedOut); leaks may not.
+// Individual operations may fail (Unavailable/TimedOut); leaks may not, and
+// a read that returns OK returns every row published so far.
 TEST_F(RpcLifecycleTest, RandomChurnDrainsTablesForEverySeed) {
+  int reads_ok = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
     auto dep = MakeCluster(5, 3);
@@ -283,6 +286,11 @@ TEST_F(RpcLifecycleTest, RandomChurnDrainsTablesForEverySeed) {
     faults.max_extra_delay_us = 30 * sim::kMicrosPerMilli;
     dep->network().SetFaultOptions(faults);
 
+    // What a read at the last OK publish's epoch returns: every key an OK
+    // publish wrote, with the value of the last publish that wrote it. A
+    // publish that failed may still have committed, so its rows may show.
+    std::set<std::string> required;
+    std::map<std::string, std::set<std::string>> allowed;
     std::vector<net::NodeId> dead;
     for (int round = 0; round < 12; ++round) {
       // Random kill (keep a majority) or restart of a previous victim.
@@ -304,9 +312,31 @@ TEST_F(RpcLifecycleTest, RandomChurnDrainsTablesForEverySeed) {
         batch["R"].push_back(Update::Insert(
             Row(Tag("k", rng.Uniform(64)), Tag("v", round))));
       }
+      std::vector<std::string> keys;
+      for (const Update& u : batch["R"]) keys.push_back(u.tuple[0].AsString());
       auto e = dep->Publish(via, std::move(batch));
-      if (e.ok()) {
-        dep->Retrieve(via, "R", *e).ok();
+      for (const std::string& k : keys) {
+        if (e.ok()) {
+          required.insert(k);
+          allowed[k].clear();
+        }
+        allowed[k].insert(Tag("v", round));
+      }
+      if (!e.ok()) continue;
+      auto rows = dep->Retrieve(via, "R", *e);
+      if (!rows.ok()) continue;
+      reads_ok += 1;
+      std::set<std::string> seen;
+      for (const Tuple& t : *rows) {
+        const std::string& k = t[0].AsString();
+        EXPECT_TRUE(seen.insert(k).second) << "seed " << seed << " key " << k << " twice";
+        EXPECT_TRUE(allowed.count(k) && allowed[k].count(t[1].AsString()))
+            << "seed " << seed << " round " << round << " key " << k;
+      }
+      for (const std::string& k : required) {
+        EXPECT_TRUE(seen.count(k)) << "seed " << seed << " round " << round
+                                   << ": OK read of " << rows->size()
+                                   << " rows lacks key " << k;
       }
     }
 
@@ -332,6 +362,7 @@ TEST_F(RpcLifecycleTest, RandomChurnDrainsTablesForEverySeed) {
     dep.reset();
     EXPECT_EQ(CallbacksAliveDelta(), 0) << "seed " << seed;
   }
+  EXPECT_GT(reads_ok, 0);
 }
 
 // Re-replication sends round 2 only once round 1 was answered. A target
