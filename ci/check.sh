@@ -119,7 +119,7 @@ sanitize() {
   echo "== sanitizer: address,undefined with leak detection"
   local suites="storage_test query_test integration_test rpc_lifecycle_test \
     client_test churn_test localstore_test net_test wal_test property_test \
-    hash_test overlay_test common_test"
+    hash_test overlay_test common_test sql_optimizer_test"
   configure_ninja build-asan -DORC_SANITIZE=address,undefined \
         -DORC_BUILD_BENCH=OFF -DORC_BUILD_EXAMPLES=OFF
   # shellcheck disable=SC2086

@@ -65,6 +65,24 @@ std::pair<HashId, HashId> RoutingSnapshot::RangeOf(const HashId& key) const {
   return {begin, end};
 }
 
+std::vector<net::NodeId> RoutingSnapshot::OwnersOf(const HashId& begin,
+                                                   const HashId& end) const {
+  ORC_CHECK(!entries_.empty(), "empty routing table");
+  const bool to_top = end == HashId::Zero();
+  ORC_CHECK(to_top || begin < end, "OwnersOf needs begin < end");
+  // The owner of `begin`, then every entry that starts inside the range.
+  std::vector<net::NodeId> owners = {OwnerOf(begin)};
+  auto it = std::upper_bound(
+      entries_.begin(), entries_.end(), begin,
+      [](const HashId& k, const RangeEntry& e) { return k < e.begin; });
+  for (; it != entries_.end() && (to_top || it->begin < end); ++it) {
+    owners.push_back(it->owner);
+  }
+  std::sort(owners.begin(), owners.end());
+  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  return owners;
+}
+
 std::vector<net::NodeId> RoutingSnapshot::ReplicasOf(const HashId& key,
                                                      int replication) const {
   const size_t n = entries_.size();

@@ -57,6 +57,10 @@ class RoutingSnapshot {
   net::NodeId OwnerOf(const HashId& key) const;
   /// The clockwise range [begin, end) owned around `key`.
   std::pair<HashId, HashId> RangeOf(const HashId& key) const;
+  /// Every node that owns some key of [begin, end), ascending and distinct;
+  /// an `end` of zero means up to the top of the space. Precondition:
+  /// begin < end, or end is zero.
+  std::vector<net::NodeId> OwnersOf(const HashId& begin, const HashId& end) const;
 
   /// Replica set for `key` with replication factor r: the owner plus ⌊r/2⌋
   /// range-owners clockwise and ⌊r/2⌋ counterclockwise (§III-C). Result is

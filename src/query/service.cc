@@ -141,7 +141,7 @@ void QueryService::HandleShipEos(net::NodeId from, Reader* r) {
   if (root == nullptr) return;
   if (!root->run.ship_eos.Mark(from, phase, frames)) {
     FinishRoot(*root, Status::Unavailable("a shipped block was lost"));
-  } else if (root->run.ship_eos.Reached(root->table, root->run.phase)) {
+  } else if (root->run.ship_eos.Reached(LiveMembers(root->table), root->run.phase)) {
     FinishRoot(*root, Status::OK());
   }
 }
@@ -567,8 +567,34 @@ void QueryService::AssignScanPages(Exec& ex, int32_t scan_op,
   }
 }
 
+void QueryService::DeriveSpillPairs(Exec& ex, int32_t scan_op) const {
+  OpRec& scan = ex.ops[scan_op];
+  scan.spill_to.clear();
+  scan.spill_from.clear();
+  const PhysOp& op = ex.plan.op(scan_op);
+  auto def = storage_->Relation(op.relation);
+  if (op.kind == OpKind::kCoveringScan || op.broadcast_local || !def.ok() ||
+      def->replicate_everywhere) {
+    return;
+  }
+  std::set<net::NodeId> to, from;
+  for (const storage::PageDescriptor& desc : scan.binding.pages) {
+    net::NodeId scanner = ex.table.OwnerOf(desc.home());
+    std::vector<net::NodeId> owners = ex.table.OwnersOf(desc.range_begin(), desc.range_end());
+    if (scanner == node()) {
+      to.insert(owners.begin(), owners.end());
+    } else if (std::binary_search(owners.begin(), owners.end(), node())) {
+      from.insert(scanner);
+    }
+  }
+  to.erase(node());
+  scan.spill_to.assign(to.begin(), to.end());
+  scan.spill_from.assign(from.begin(), from.end());
+}
+
 void QueryService::StartExec(Exec& ex) {
   for (int32_t scan_op : ex.plan.ScanOpIds()) {
+    DeriveSpillPairs(ex, scan_op);
     AssignScanPages(ex, scan_op, ex.table, &ex.ops[scan_op].pending_pages);
     RunScan(ex, scan_op);
   }
@@ -806,7 +832,7 @@ void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {
 void QueryService::SendEos(Exec& ex, int32_t id, uint16_t code) {
   OpRec& rec = ex.ops[id];
   rec.phase.eos_sent = true;
-  for (net::NodeId m : LiveMembers(ex.table)) {
+  for (net::NodeId m : code == kScanPartDone ? rec.spill_to : LiveMembers(ex.table)) {
     Writer w;
     w.PutU64(ex.query_id);
     w.PutVarint32(static_cast<uint32_t>(id));
@@ -819,12 +845,12 @@ void QueryService::SendEos(Exec& ex, int32_t id, uint16_t code) {
 void QueryService::CheckEos(Exec& ex, int32_t id) {
   OpRec& rec = ex.ops[id];
   bool scan = ex.plan.op(id).kind != OpKind::kRehash;  // else a scan op
-  // A scan's barrier means every live node has finished its part for this
-  // phase and every spillover fetch it counted has arrived; it counts once
-  // this node's own iteration and reads are done.
+  // A scan's barrier means every node whose pages can spill here has
+  // finished its part for this phase and every fetch it counted has
+  // arrived; it counts once this node's own iteration and reads are done.
   if (rec.phase.eos_delivered ||
       (scan && (!rec.phase.input_done || rec.async_outstanding > 0)) ||
-      !rec.eos.Reached(ex.table, ex.cx.phase)) {
+      !rec.eos.Reached(scan ? rec.spill_from : LiveMembers(ex.table), ex.cx.phase)) {
     return;
   }
   rec.phase.eos_delivered = true;
@@ -843,10 +869,10 @@ bool QueryService::Barrier::Mark(net::NodeId from, uint32_t phase, uint32_t fram
   return s.arrived >= frames;
 }
 
-bool QueryService::Barrier::Reached(const overlay::RoutingSnapshot& table,
+bool QueryService::Barrier::Reached(const std::vector<net::NodeId>& senders,
                                     uint32_t phase) const {
-  for (const auto& m : table.members()) {
-    auto it = senders_.find(m.node);
+  for (net::NodeId from : senders) {
+    auto it = senders_.find(from);
     if (it == senders_.end() || !it->second.marked || it->second.phase < phase ||
         it->second.arrived < it->second.frames) {
       return false;
@@ -983,8 +1009,11 @@ void QueryService::HandleRecover(Exec& ex, Reader* r) {
   }
 
   // Stage 3: restart leaf scans for the hash ranges inherited from the
-  // failed nodes.
+  // failed nodes. A live node's ranges only grow under ReassignFailed, so
+  // the spill pairs derived from the new table keep every live pair of an
+  // earlier phase.
   for (int32_t scan_op : ex.plan.ScanOpIds()) {
+    DeriveSpillPairs(ex, scan_op);
     OpRec& scan = ex.ops[scan_op];
     std::deque<storage::PageDescriptor> prev_pages, new_pages;
     AssignScanPages(ex, scan_op, prev_table, &prev_pages);

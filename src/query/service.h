@@ -9,7 +9,8 @@
 //  * runs the end-of-stream protocol (§V-B): every EOS frame (scan
 //    part-done, rehash EOS marker, ship EOS) tells its receiver how many
 //    frames of its edge the sender has sent it, and the receiver's barrier
-//    holds once they have all arrived,
+//    holds once they have all arrived; a scan's part-done goes only to the
+//    nodes its pages can spill to,
 //  * on a recovery message: purges tainted state, re-arms EOS for the new
 //    phase, restarts leaf scans for inherited ranges, and re-sends cached
 //    output that had been destined to failed nodes (§V-D stages 2-4),
@@ -137,19 +138,20 @@ class QueryService : public net::Service {
   };
 
  private:
-  /// End-of-stream barrier over a routing table. It counts the frames of
+  /// End-of-stream barrier over a set of senders. It counts the frames of
   /// its edge that arrive from each sender, and each sender marks the highest
   /// phase it has finished with how many it sent here, across phases. The
-  /// barrier holds for phase p once every member of the table has marked p
-  /// and all its frames have arrived. One type serves the scan part-done
-  /// wait, a rehash op's EOS markers and the initiator's ship EOS.
+  /// barrier holds for phase p once every sender has marked p and all its
+  /// frames have arrived. One type serves the scan part-done wait (the
+  /// scan's spill senders), a rehash op's EOS markers and the initiator's
+  /// ship EOS (the table's members).
   class Barrier {
    public:
     void Arrive(net::NodeId from) { senders_[from].arrived += 1; }
     /// False when fewer of the `frames` have arrived: delivery is in order
     /// per connection, so one was lost.
     bool Mark(net::NodeId from, uint32_t phase, uint32_t frames);
-    bool Reached(const overlay::RoutingSnapshot& table, uint32_t phase) const;
+    bool Reached(const std::vector<net::NodeId>& senders, uint32_t phase) const;
 
    private:
     struct Sender {
@@ -170,14 +172,18 @@ class QueryService : public net::Service {
 
   /// One plan operator on this node: its instance plus the state of its
   /// network edge. Scan ops use the scan fields, rehash ops the rehash
-  /// fields; both wait on `eos` (scan: every node's part-done; rehash: every
-  /// sender's EOS marker).
+  /// fields; both wait on `eos` (scan: the part-done of every node whose
+  /// pages can spill here; rehash: every member's EOS marker).
   struct OpRec {
     std::unique_ptr<Operator> op;
     PhaseFlags phase;
     Barrier eos;
     // Scan: the coordinator record it reads and its page queues.
     storage::CoordinatorRecord binding;
+    /// Scan, under the current table (DeriveSpillPairs): the nodes this
+    /// node's pages can send a kQueryFetch to, which get its part-done, and
+    /// the nodes whose pages can send one here, whose part-done it waits for.
+    std::vector<net::NodeId> spill_to, spill_from;
     std::deque<storage::PageDescriptor> pending_pages;
     /// Pages this node already scanned whose ids must be re-routed because
     /// their data-storage node failed (partial rescan, §V-D stage 3).
@@ -266,6 +272,11 @@ class QueryService : public net::Service {
   void ReleaseExec(uint64_t query_id);
 
   void StartExec(Exec& ex);
+  /// Derives a scan's spill pairs from its binding and the current table:
+  /// a node that owns a page's home scans it, and every other owner of a key
+  /// of the page's range can get its entries (kQueryFetch). Covering,
+  /// broadcast and replicated scans read where they scan, so have none.
+  void DeriveSpillPairs(Exec& ex, int32_t scan_op) const;
   /// Starts the scan chain over the queued pages unless it runs already;
   /// with no page queued, this node's part of the phase is done.
   void RunScan(Exec& ex, int32_t scan_op);
@@ -300,8 +311,8 @@ class QueryService : public net::Service {
   void ReportScanFailure(Exec& ex, const Status& st);
   void FinishScanIteration(Exec& ex, int32_t scan_op);
   /// Sends op `id`'s EOS frame for the current phase (`code`: kScanPartDone
-  /// or kEosMarker) to every member, each with the count of the op's frames
-  /// it was sent.
+  /// to the scan's spill targets, or kEosMarker to every member), each with
+  /// the count of the op's frames it was sent.
   void SendEos(Exec& ex, int32_t id, uint16_t code);
   /// Releases EOS into the plan, once per phase, when op `id`'s barrier
   /// holds (for a scan, also only after this node's iteration and reads).

@@ -452,25 +452,46 @@ Status ClaimProbeAnswer::DecodeFrom(Reader* r, ClaimProbeAnswer* out) {
 }
 
 void CoordinatorRecord::EncodeTo(Writer* w) const {
+  // The relation and its partition count once; each page as (partition,
+  // epoch), partitions ascending.
+  const uint32_t num_partitions = pages.empty() ? 0 : pages.front().num_partitions;
   w->PutString(relation);
   w->PutVarint64(epoch);
   w->PutVarint32(participant);
+  w->PutVarint32(num_partitions);
   w->PutVarint64(pages.size());
-  for (const auto& p : pages) p.EncodeTo(w);
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const PageDescriptor& p = pages[i];
+    ORC_CHECK(p.id.relation == relation && p.num_partitions == num_partitions &&
+                  p.id.partition < num_partitions &&
+                  (i == 0 || pages[i - 1].id.partition < p.id.partition),
+              "coordinator record: a page of another relation or out of order");
+    w->PutVarint32(p.id.partition);
+    w->PutVarint64(p.id.epoch);
+  }
 }
 
 Status CoordinatorRecord::DecodeFrom(Reader* r, CoordinatorRecord* out) {
   ORC_RETURN_IF_ERROR(r->GetString(&out->relation));
   ORC_RETURN_IF_ERROR(r->GetVarint64(&out->epoch));
   ORC_RETURN_IF_ERROR(r->GetVarint32(&out->participant));
-  // A page descriptor is at least four one-byte fields.
+  uint32_t num_partitions = 0;
+  ORC_RETURN_IF_ERROR(r->GetVarint32(&num_partitions));
+  // A page is at least a one-byte partition and a one-byte epoch.
   uint64_t n;
-  ORC_RETURN_IF_ERROR(r->GetCount(&n, 4));
+  ORC_RETURN_IF_ERROR(r->GetCount(&n, 2));
   out->pages.clear();
   out->pages.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     PageDescriptor d;
-    ORC_RETURN_IF_ERROR(PageDescriptor::DecodeFrom(r, &d));
+    d.id.relation = out->relation;
+    d.num_partitions = num_partitions;
+    ORC_RETURN_IF_ERROR(r->GetVarint32(&d.id.partition));
+    ORC_RETURN_IF_ERROR(r->GetVarint64(&d.id.epoch));
+    if (d.id.partition >= num_partitions ||
+        (i > 0 && out->pages.back().id.partition >= d.id.partition)) {
+      return Status::Corruption("coordinator record: bad page partition");
+    }
     out->pages.push_back(std::move(d));
   }
   return Status::OK();

@@ -337,12 +337,21 @@ struct ClaimProbeAnswer {
 /// epoch's writer: storage nodes refuse a conflicting same-epoch record from
 /// a different participant with kEpochTaken (first committed writer wins),
 /// which is the authoritative commit-time gate of multi-writer publishing.
+///
+/// One codec serves the stored record, kPutCoordinator, the kGetCoordinator
+/// reply, replica pushes and kPlan's scan bindings: `string relation |
+/// varint64 epoch | varint32 participant | varint32 num_partitions |
+/// varint64 n | n x (varint32 partition | varint64 page_epoch)`. Every page
+/// names the record's relation and partition count (0 when there is no
+/// page), in ascending partition order; the encoder checks that, and the
+/// decoder refuses a partition at or above the count or out of order.
 struct CoordinatorRecord {
   std::string relation;
   Epoch epoch = 0;
   ParticipantId participant = 0;
   std::vector<PageDescriptor> pages;
 
+  bool operator==(const CoordinatorRecord&) const = default;
   void EncodeTo(Writer* w) const;
   static Status DecodeFrom(Reader* r, CoordinatorRecord* out);
 };

@@ -7,6 +7,7 @@
 #include "common/serial.h"
 #include "common/strings.h"
 #include "overlay/ring.h"
+#include "storage/page.h"
 
 namespace orchestra::overlay {
 namespace {
@@ -229,6 +230,85 @@ TEST(RoutingSnapshot, ReassignSplitsAmongMultipleHeirs) {
   // r=3 gives one clockwise and one counterclockwise heir; the failed range
   // is divided evenly among them (§V-D stage 1).
   EXPECT_EQ(heirs.size(), 2u);
+}
+
+// Every node whose entry meets [begin, end) (an `end` of zero is the top of
+// the space), found by walking every range entry, the last one's wrap
+// included.
+std::vector<net::NodeId> OwnersByWalk(const RoutingSnapshot& snap, const HashId& begin,
+                                      const HashId& end) {
+  const HashId top = HashId::Zero();
+  // Whether [s, t) meets [begin, end); a `t` of zero is the top too.
+  auto meets = [&](const HashId& s, const HashId& t) {
+    return (t == top || s < t) && (end == top || s < end) && (t == top || begin < t);
+  };
+  const auto& entries = snap.entries();
+  std::set<net::NodeId> owners;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    HashId next = i + 1 < entries.size() ? entries[i + 1].begin : top;
+    if (meets(entries[i].begin, next)) owners.insert(entries[i].owner);
+  }
+  // The keys below the first entry, if any, wrap to the last one.
+  if (entries.front().begin != top && meets(top, entries.front().begin)) {
+    owners.insert(entries.back().owner);
+  }
+  return {owners.begin(), owners.end()};
+}
+
+// A query's spill pairs are derived from its current table alone, which is
+// sound because recovery only grows a live node's ownership: ReassignFailed
+// keeps every live owner's entries and divides the failed ranges among live
+// heirs. Random rings of 3-40 members under both schemes lose random nodes
+// one ReassignFailed per suspect (replication 3); at every step a key whose
+// owner is alive keeps it, every live owner of a partition range stays one,
+// and OwnersOf agrees with a walk of the range entries.
+TEST(RoutingSnapshot, OwnershipOnlyGrowsUnderRecovery) {
+  Rng rng(2024);
+  const uint32_t partition_counts[] = {8, 32, 200};
+  for (AllocationScheme scheme : {AllocationScheme::kBalanced, AllocationScheme::kPastry}) {
+    for (size_t n : {3u, 4u, 7u, 8u, 13u, 24u, 40u}) {
+      for (int sequence = 0; sequence < 3; ++sequence) {
+        std::vector<Member> members;
+        for (size_t i = 0; i < n; ++i) {
+          members.push_back(Member{static_cast<net::NodeId>(i),
+                                   HashId::OfBytes(Tag("m", rng.NextU64()))});
+        }
+        auto snap = RoutingSnapshot::Build(1, scheme, members);
+        for (size_t step = 0; snap.node_count() > 1; ++step) {
+          SCOPED_TRACE(testing::Message() << "scheme " << static_cast<int>(scheme) << " n " << n
+                                          << " sequence " << sequence << " step " << step);
+          for (uint32_t parts : partition_counts) {
+            for (uint32_t p = 0; p < parts; ++p) {
+              HashId b = storage::PartitionBegin(p, parts), e = storage::PartitionEnd(p, parts);
+              ASSERT_EQ(snap.OwnersOf(b, e), OwnersByWalk(snap, b, e)) << parts << "#" << p;
+            }
+          }
+          net::NodeId suspect = snap.members()[rng.Uniform(snap.node_count())].node;
+          auto next = snap.ReassignFailed({suspect}, 3, snap.version() + 1);
+          ASSERT_FALSE(next.Contains(suspect));
+          for (int k = 0; k < 200; ++k) {
+            HashId key = HashId::OfBytes(Tag("k", rng.NextU64()));
+            net::NodeId before = snap.OwnerOf(key);
+            if (before != suspect) {
+              ASSERT_EQ(next.OwnerOf(key), before);
+            }
+          }
+          for (uint32_t parts : partition_counts) {
+            for (uint32_t p = 0; p < parts; ++p) {
+              HashId b = storage::PartitionBegin(p, parts), e = storage::PartitionEnd(p, parts);
+              auto now = next.OwnersOf(b, e);
+              for (net::NodeId o : snap.OwnersOf(b, e)) {
+                if (o == suspect) continue;
+                ASSERT_TRUE(std::binary_search(now.begin(), now.end(), o))
+                    << "n" << o << " no longer owns a key of " << parts << "#" << p;
+              }
+            }
+          }
+          snap = std::move(next);
+        }
+      }
+    }
+  }
 }
 
 TEST(Ring, JoinLeaveRebuilds) {

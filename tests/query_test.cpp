@@ -195,6 +195,13 @@ struct PlanBuilder {
 // ---------------------------------------------------------------------------
 // Cluster fixture with two relations.
 
+/// The query frames of one tapped run, at every node.
+struct JoinFrames {
+  std::map<uint16_t, uint64_t> by_code, checked, counting;
+  /// (sender, receiver, op) of every kQueryFetch and every part-done.
+  std::set<std::tuple<net::NodeId, net::NodeId, int32_t>> fetches, part_dones;
+};
+
 class QueryClusterTest : public ::testing::Test {
  protected:
   void Deploy(size_t nodes, uint64_t seed = 7) {
@@ -250,6 +257,44 @@ class QueryClusterTest : public ::testing::Test {
     int32_t join = b.Join(b.Rehash(r, {0}), s, {0}, {0});
     return b.Ship(join);
   }
+
+  /// The spill pairs of a partitioned scan of `rel` at db_epoch under the
+  /// deployment's table: for each page, the owner of its home (which scans
+  /// it) and each other owner of a key of its range (which can get its
+  /// entries by kQueryFetch).
+  std::set<std::pair<net::NodeId, net::NodeId>> SpillPairs(const std::string& rel) {
+    storage::CoordinatorRecord rec;
+    bool done = false;
+    dep->storage(0).GetCoordinator(rel, db_epoch, [&](Status st, storage::CoordinatorRecord r) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      rec = std::move(r);
+      done = true;
+    });
+    EXPECT_TRUE(dep->RunUntil([&done] { return done; }));
+    const overlay::RoutingSnapshot& table = dep->snapshot();
+    std::set<std::pair<net::NodeId, net::NodeId>> pairs;
+    for (const storage::PageDescriptor& desc : rec.pages) {
+      net::NodeId scanner = table.OwnerOf(desc.home());
+      for (net::NodeId o : table.OwnersOf(desc.range_begin(), desc.range_end())) {
+        if (o != scanner) pairs.emplace(scanner, o);
+      }
+    }
+    return pairs;
+  }
+
+  /// The spill pairs of every scan of `plan`, as (sender, receiver, op).
+  std::set<std::tuple<net::NodeId, net::NodeId, int32_t>> SpillPairs(const PhysicalPlan& plan) {
+    std::set<std::tuple<net::NodeId, net::NodeId, int32_t>> out;
+    for (int32_t scan : plan.ScanOpIds()) {
+      for (auto [from, to] : SpillPairs(plan.op(scan).relation)) out.emplace(from, to, scan);
+    }
+    return out;
+  }
+
+  /// Runs Rehash(Scan R) ⋈ Rehash(Scan S) (into `plan`) on `nodes` nodes
+  /// with a tap at every node, checks its answer, and returns the frames
+  /// the taps saw. Defined below EdgeCountTap.
+  JoinFrames RunTappedJoin(size_t nodes, PhysicalPlan* plan);
 
   std::unique_ptr<deploy::Deployment> dep;
   ReferenceDatabase ref_db;
@@ -430,9 +475,10 @@ TEST_F(QueryClusterTest, PaperRunningExample) {
   EXPECT_EQ(result->rows[0][1], S("j"));
 }
 
-// Counts the query frames one node receives, by code and by edge, and the
-// page entries its kQueryFetch frames carry. Checks every EOS frame's count
-// against the frames of its edge that arrived before it: kDataBlock for
+// Counts the query frames one node receives, by code and by edge, the
+// (sender, op) pairs that sent each code, and the page entries its
+// kQueryFetch frames carry. Checks every EOS frame's count against the
+// frames of its edge that arrived before it: kDataBlock for
 // kEosMarker, kQueryFetch for kScanPartDone, kShipBlock for kShipEos (it
 // keys nothing by query, so it watches one query). With `forge` set, the
 // first EOS frame of that code from `forge_from` announces one frame more
@@ -472,6 +518,7 @@ class EdgeCountTap : public net::MessageHandler {
         while (entries.Next(&e)) ++fetched_entries;
         EXPECT_TRUE(entries.status().ok()) << entries.status().ToString();
         arrived[{from, code, static_cast<int32_t>(op)}] += 1;
+        senders[code].emplace(from, static_cast<int32_t>(op));
         break;
       }
       case QueryService::kEosMarker:
@@ -487,6 +534,7 @@ class EdgeCountTap : public net::MessageHandler {
         EXPECT_EQ(frames, arrived[key]) << "code " << code << " from " << from << " op " << op;
         eos_checked[code] += 1;
         if (frames > 0) eos_counting[code] += 1;
+        senders[code].emplace(from, ship ? -1 : static_cast<int32_t>(op));
         if (code == forge && from == forge_from) {
           forge = 0;
           Writer w;
@@ -512,6 +560,9 @@ class EdgeCountTap : public net::MessageHandler {
   uint64_t fetched_entries = 0;
   /// EOS frames checked, and those among them that counted a frame.
   std::map<uint16_t, uint64_t> eos_checked, eos_counting;
+  /// The (sender, op) pairs that sent kQueryFetch and each EOS code here;
+  /// op -1 stands for the ship edge.
+  std::map<uint16_t, std::set<std::pair<net::NodeId, int32_t>>> senders;
 
  private:
   deploy::Deployment* dep_;
@@ -604,11 +655,8 @@ TEST_F(QueryClusterTest, DoubleRehashJoinBothSides) {
   EXPECT_GT(result->rows.size(), 0u);
 }
 
-// One join with a rehash on both sides: no frame is acked, and every EOS
-// frame (rehash EOS, scan part-done, ship EOS) carries exactly the number of
-// frames of its edge that reached its receiver before it.
-TEST_F(QueryClusterTest, EveryEosFrameCountsTheFramesOfItsEdge) {
-  Deploy(5);
+JoinFrames QueryClusterTest::RunTappedJoin(size_t nodes, PhysicalPlan* plan) {
+  Deploy(nodes);
   Rng rng(123);
   std::vector<Tuple> r_rows, s_rows;
   for (int i = 0; i < 600; ++i) {
@@ -620,39 +668,88 @@ TEST_F(QueryClusterTest, EveryEosFrameCountsTheFramesOfItsEdge) {
   PlanBuilder b;
   int32_t rehash_r = b.Rehash(b.Scan("R"), {1});
   int32_t rehash_s = b.Rehash(b.Scan("S"), {1});
-  PhysicalPlan plan = b.Ship(b.Join(rehash_r, rehash_s, {1}, {1}));
+  *plan = b.Ship(b.Join(rehash_r, rehash_s, {1}, {1}));
 
   std::vector<std::unique_ptr<EdgeCountTap>> taps;
   for (size_t n = 0; n < dep->size(); ++n) {
     taps.push_back(std::make_unique<EdgeCountTap>(dep.get(), static_cast<net::NodeId>(n)));
   }
-  auto result = dep->ExecuteQuery(3, plan, db_epoch);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  auto expect = ReferenceExecute(plan, ref_db);
-  ASSERT_TRUE(expect.ok());
-  EXPECT_TRUE(SameBag(result->rows, *expect));
-
-  std::map<uint16_t, uint64_t> by_code, checked, counting;
-  for (const auto& tap : taps) {
-    for (auto [code, n] : tap->by_code) by_code[code] += n;
-    for (auto [code, n] : tap->eos_checked) checked[code] += n;
-    for (auto [code, n] : tap->eos_counting) counting[code] += n;
+  auto result = dep->ExecuteQuery(3, *plan, db_epoch);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  auto expect = ReferenceExecute(*plan, ref_db);
+  EXPECT_TRUE(expect.ok());
+  if (result.ok() && expect.ok()) {
+    EXPECT_TRUE(SameBag(result->rows, *expect));
   }
-  EXPECT_EQ(by_code[QueryService::kBlockAck], 0u);
-  // Five members: two rehash ops and two scans each send one EOS frame to
-  // every member, and every member ships one EOS to the initiator.
-  EXPECT_EQ(checked[QueryService::kEosMarker], 2u * 5 * 5);
-  EXPECT_EQ(checked[QueryService::kScanPartDone], 2u * 5 * 5);
-  EXPECT_EQ(checked[QueryService::kShipEos], 5u);
+
+  JoinFrames out;
+  for (size_t n = 0; n < taps.size(); ++n) {
+    const EdgeCountTap& tap = *taps[n];
+    for (auto [code, k] : tap.by_code) out.by_code[code] += k;
+    for (auto [code, k] : tap.eos_checked) out.checked[code] += k;
+    for (auto [code, k] : tap.eos_counting) out.counting[code] += k;
+    auto to = static_cast<net::NodeId>(n);
+    for (uint16_t code : {QueryService::kQueryFetch, QueryService::kScanPartDone}) {
+      auto& into = code == QueryService::kQueryFetch ? out.fetches : out.part_dones;
+      auto it = tap.senders.find(code);
+      if (it == tap.senders.end()) continue;
+      for (auto [from, op] : it->second) into.emplace(from, to, op);
+    }
+  }
+  return out;
+}
+
+// One join with a rehash on both sides: no frame is acked, and every EOS
+// frame (rehash EOS, scan part-done, ship EOS) carries exactly the number of
+// frames of its edge that reached its receiver before it. A scan's part-done
+// goes only along its spill pairs, and every pair that carried a kQueryFetch
+// carries one.
+TEST_F(QueryClusterTest, EveryEosFrameCountsTheFramesOfItsEdge) {
+  PhysicalPlan plan;
+  JoinFrames f = RunTappedJoin(5, &plan);
+  EXPECT_EQ(f.by_code[QueryService::kBlockAck], 0u);
+  // Five members: two rehash ops each send one EOS marker to every member,
+  // and every member ships one EOS to the initiator. The eight partitions
+  // straddle the five nodes' ranges, so the scans have spill pairs.
+  EXPECT_EQ(f.checked[QueryService::kEosMarker], 2u * 5 * 5);
+  const auto spill = SpillPairs(plan);
+  EXPECT_GT(spill.size(), 0u);
+  EXPECT_EQ(f.part_dones, spill);
+  EXPECT_EQ(f.checked[QueryService::kScanPartDone], spill.size());
+  EXPECT_TRUE(std::includes(f.part_dones.begin(), f.part_dones.end(), f.fetches.begin(),
+                            f.fetches.end()))
+      << "a kQueryFetch went along a pair that carries no part-done";
+  EXPECT_EQ(f.checked[QueryService::kShipEos], 5u);
   for (uint16_t code : {QueryService::kDataBlock, QueryService::kQueryFetch,
                         QueryService::kShipBlock}) {
-    EXPECT_GT(by_code[code], 0u) << "code " << code;
+    EXPECT_GT(f.by_code[code], 0u) << "code " << code;
   }
   for (uint16_t code : {QueryService::kEosMarker, QueryService::kScanPartDone,
                         QueryService::kShipEos}) {
-    EXPECT_GT(counting[code], 0u) << "code " << code;
+    EXPECT_GT(f.counting[code], 0u) << "code " << code;
   }
   ExpectNoExecsLeft();
+}
+
+// The same join on 10 and on 40 nodes, whose ranges do not align with the
+// eight partitions: the scans spill over, yet each scan sends at most one
+// part-done per node (every other owner of a page's range starts a range
+// inside it). The rehash EOS markers are still all-to-all: n² frames per
+// rehash op, n(n-1) of them on the wire.
+TEST_F(QueryClusterTest, PartDoneFramesGrowLinearlyWithTheNodeCount) {
+  for (size_t n : {10u, 40u}) {
+    SCOPED_TRACE(testing::Message() << n << " nodes");
+    PhysicalPlan plan;
+    JoinFrames f = RunTappedJoin(n, &plan);
+    EXPECT_GT(f.by_code[QueryService::kQueryFetch], 0u);
+    const uint64_t part_dones = f.checked[QueryService::kScanPartDone];
+    EXPECT_GT(part_dones, 0u);
+    EXPECT_LE(part_dones, 2u * n);
+    EXPECT_EQ(part_dones, SpillPairs(plan).size());
+    EXPECT_EQ(f.checked[QueryService::kEosMarker], 2u * n * n);
+    EXPECT_EQ(f.checked[QueryService::kShipEos], n);
+    ExpectNoExecsLeft();
+  }
 }
 
 TEST_F(QueryClusterTest, DistributedAggregationWithReaggregation) {
@@ -1101,13 +1198,20 @@ class CountedGapTest : public RecoveryTest,
                        public ::testing::WithParamInterface<uint16_t> {};
 
 TEST_P(CountedGapTest, EosFrameCountingALostFrameFailsTheQuery) {
-  Deploy(4);
+  Deploy(5);
   LoadBulk(2000, 50);
   const uint16_t code = GetParam();
-  const net::NodeId at = code == QueryService::kShipEos ? 0 : 2;
+  net::NodeId at = code == QueryService::kShipEos ? 0 : 2;
+  net::NodeId from = 1;
+  if (code == QueryService::kScanPartDone) {
+    // A part-done goes only along a spill pair: forge one of R's.
+    const auto pairs = SpillPairs("R");
+    ASSERT_FALSE(pairs.empty());
+    std::tie(from, at) = *pairs.begin();
+  }
   EdgeCountTap tap(dep.get(), at);
   tap.forge = code;
-  tap.forge_from = 1;
+  tap.forge_from = from;
   const sim::SimTime start = dep->sim().now();
   Pending<QueryResult> p = dep->session(0).Query(JoinPlan(), db_epoch);
   ASSERT_TRUE(dep->RunUntil([&p] { return p.done(); }, 2 * kQueryDeadlineUs));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "common/strings.h"
 #include "deploy/deployment.h"
@@ -262,6 +264,9 @@ TEST_F(OptimizerTest, BranchAndBoundPrunes) {
 
 // ---------------------------------------------------------------------------
 // End-to-end: SQL -> optimizer -> distributed engine == reference executor.
+// Five nodes: the 8 partitions straddle node ranges, so a partitioned scan
+// spills over (kQueryFetch) and waits for its spill senders' part-done;
+// covering, broadcast and replicated scans have no spill pairs.
 
 class SqlEndToEnd : public ::testing::Test {
  protected:
@@ -277,7 +282,10 @@ class SqlEndToEnd : public ::testing::Test {
                        {"val", ValueType::kDouble}});
     ASSERT_TRUE(dep->CreateRelation(0, r).ok());
     ASSERT_TRUE(dep->CreateRelation(0, s).ok());
+    auto tiny = Rel("Tiny", {{"k", ValueType::kString}, {"v", ValueType::kString}}, 1,
+                    /*everywhere=*/true);
     ASSERT_TRUE(dep->CreateRelation(0, t).ok());
+    ASSERT_TRUE(dep->CreateRelation(0, tiny).ok());
 
     Rng rng(42);
     storage::UpdateBatch batch;
@@ -300,6 +308,11 @@ class SqlEndToEnd : public ::testing::Test {
       ref_db["T"].push_back(row);
       batch["T"].push_back(storage::Update::Insert(row));
     }
+    for (int i = 0; i < 20; ++i) {
+      storage::Tuple row = {Value(Tag("y", i)), Value(Tag("v", i % 3))};
+      ref_db["Tiny"].push_back(row);
+      batch["Tiny"].push_back(storage::Update::Insert(row));
+    }
     auto epoch = dep->Publish(0, std::move(batch));
     ASSERT_TRUE(epoch.ok());
     db_epoch = *epoch;
@@ -310,6 +323,7 @@ class SqlEndToEnd : public ::testing::Test {
     stats["R"] = RelationStats{400, 20, {}};
     stats["S"] = RelationStats{30, 12, {}};
     stats["T"] = RelationStats{500, 24, {}};
+    stats["Tiny"] = RelationStats{20, 12, {}};
   }
 
   void CheckSql(const std::string& text) {
@@ -320,6 +334,7 @@ class SqlEndToEnd : public ::testing::Test {
     Optimizer opt(stats, params);
     auto planned = opt.Plan(*q);
     ASSERT_TRUE(planned.ok()) << text << ": " << planned.status().ToString();
+    plan = planned->plan;
 
     auto distributed = dep->ExecuteQuery(1, planned->plan, db_epoch);
     ASSERT_TRUE(distributed.ok()) << text << ": " << distributed.status().ToString();
@@ -331,11 +346,18 @@ class SqlEndToEnd : public ::testing::Test {
         << planned->plan.ToString();
   }
 
+  /// Whether the last plan CheckSql ran has an op that `pred` accepts.
+  template <typename Pred>
+  bool PlanHas(Pred pred) const {
+    return std::any_of(plan.ops.begin(), plan.ops.end(), pred);
+  }
+
   std::unique_ptr<deploy::Deployment> dep;
   query::ReferenceDatabase ref_db;
   storage::Epoch db_epoch = 0;
   CatalogView catalog;
   StatsCatalog stats;
+  query::PhysicalPlan plan;  // the last one CheckSql ran
 };
 
 TEST_F(SqlEndToEnd, Copy) { CheckSql("SELECT x, y FROM R"); }
@@ -381,6 +403,19 @@ TEST_F(SqlEndToEnd, OrderByLimit) {
 
 TEST_F(SqlEndToEnd, RunningExampleViaSql) {
   CheckSql("SELECT x, MIN(z) FROM R, S WHERE R.y = S.y GROUP BY x");
+}
+
+TEST_F(SqlEndToEnd, KeyOnlyQueryRunsACoveringScan) {
+  CheckSql("SELECT x FROM R");
+  EXPECT_TRUE(PlanHas([](const query::PhysOp& op) {
+    return op.kind == query::OpKind::kCoveringScan;
+  })) << plan.ToString();
+}
+
+TEST_F(SqlEndToEnd, JoinWithAReplicatedRelationRunsABroadcastScan) {
+  CheckSql("SELECT x, v FROM R, Tiny WHERE R.y = Tiny.k");
+  EXPECT_TRUE(PlanHas([](const query::PhysOp& op) { return op.broadcast_local; }))
+      << plan.ToString();
 }
 
 }  // namespace

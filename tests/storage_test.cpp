@@ -177,7 +177,8 @@ std::vector<std::string> HugeCountCoordinators() {
     w.PutString("R");
     w.PutVarint64(1);   // epoch
     w.PutVarint32(1);   // participant
-    w.PutVarint64(claimed);
+    w.PutVarint32(8);   // partitions
+    w.PutVarint64(claimed);  // pages, two bytes each at least
     out.push_back(w.Release());
   }
   return out;
@@ -1346,6 +1347,78 @@ TEST(PageDeltaCodec, GoldenBytesMatchTheWireLayouts) {
   want_fresh.PutBool(true);
   EXPECT_EQ(EncodeToBytes(fresh), want_fresh.data());
   ExpectRoundTripAndTruncationRejected(want_fresh.data(), fresh);
+}
+
+// The coordinator record's golden bytes, assembled by hand from
+// docs/WIRE_FORMATS.md: the relation and its partition count once, then each
+// page as (partition, epoch), two or three bytes a page.
+TEST(CoordinatorRecordTest, GoldenBytesMatchTheWireLayout) {
+  CoordinatorRecord rec;
+  rec.relation = "lineitem";
+  rec.epoch = 1000;
+  rec.participant = 300;
+  for (auto [partition, epoch] : {std::pair<uint32_t, Epoch>{0, 7}, {3, 1000}, {31, 200}}) {
+    rec.pages.push_back(PageDescriptor{PageId{"lineitem", epoch, partition}, 32});
+  }
+  // string relation | varint64 epoch | varint32 participant | varint32
+  // num_partitions | varint64 n | n x (varint32 partition | varint64 epoch).
+  Writer want;
+  want.PutString("lineitem");
+  want.PutVarint64(1000);
+  want.PutVarint32(300);
+  want.PutVarint32(32);
+  want.PutVarint64(3);
+  want.PutVarint32(0);
+  want.PutVarint64(7);
+  want.PutVarint32(3);
+  want.PutVarint64(1000);
+  want.PutVarint32(31);
+  want.PutVarint64(200);
+  EXPECT_EQ(EncodeToBytes(rec), want.data());
+  ASSERT_EQ(want.data(), std::string("\x08lineitem\xe8\x07\xac\x02\x20\x03"
+                                     "\x00\x07\x03\xe8\x07\x1f\xc8\x01",
+                                     23));
+  ExpectRoundTripAndTruncationRejected(want.data(), rec);
+}
+
+// A relation's creation record names no page (and so no partition count).
+TEST(CoordinatorRecordTest, ARecordWithNoPagesRoundTrips) {
+  CoordinatorRecord rec;
+  rec.relation = "S";
+  rec.participant = 1;
+  ASSERT_EQ(EncodeToBytes(rec), std::string("\x01S\x00\x01\x00\x00", 6));
+  ExpectRoundTripAndTruncationRejected(EncodeToBytes(rec), rec);
+}
+
+TEST(CoordinatorRecordTest, DecodeRefusesAPartitionOutOfRangeOrOrder) {
+  auto body = [](uint32_t partitions, std::vector<uint32_t> pages) {
+    Writer w;
+    w.PutString("R");
+    w.PutVarint64(2);
+    w.PutVarint32(1);
+    w.PutVarint32(partitions);
+    w.PutVarint64(pages.size());
+    for (uint32_t p : pages) {
+      w.PutVarint32(p);
+      w.PutVarint64(1);
+    }
+    return w.Release();
+  };
+  auto decode = [](std::string_view bytes) {
+    Reader r(bytes);
+    CoordinatorRecord rec;
+    return CoordinatorRecord::DecodeFrom(&r, &rec);
+  };
+  EXPECT_TRUE(decode(body(8, {0, 3, 7})).ok());
+  EXPECT_TRUE(decode(body(8, {8})).IsCorruption());     // at the count
+  EXPECT_TRUE(decode(body(8, {2, 9})).IsCorruption());  // above it
+  EXPECT_TRUE(decode(body(0, {0})).IsCorruption());     // no partitions
+  EXPECT_TRUE(decode(body(8, {3, 3})).IsCorruption());  // repeated
+  EXPECT_TRUE(decode(body(8, {5, 2})).IsCorruption());  // descending
+  const std::string whole = body(8, {0, 3, 7});
+  for (size_t n = 0; n < whole.size(); ++n) {
+    EXPECT_FALSE(decode(std::string_view(whole).substr(0, n)).ok()) << "prefix " << n;
+  }
 }
 
 // kReplicaPush golden bytes, assembled by hand from docs/WIRE_FORMATS.md:
