@@ -219,8 +219,6 @@ void BenchRouting() {
 void BenchBlockCodec() {
   Rng rng(7);
   query::TupleBlock block;
-  block.query_id = 1;
-  block.dest_op = 2;
   for (int i = 0; i < 1024; ++i) {
     query::BlockRow row;
     row.tuple = {storage::Value(static_cast<int64_t>(i)),

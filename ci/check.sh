@@ -5,9 +5,11 @@
 #   release    Release build of every target with warnings as errors (the
 #              optimizer raises warnings, such as -Wrestrict, that tier-1's
 #              RelWithDebInfo build does not)
-#   sanitize   ASan/UBSan with leak detection on the suites that own async
-#              RPC state, storage churn, the raw LocalStore paths and the
-#              byte codecs (page entries, hashes, routing tables, bitsets)
+#   sanitize   ASan/UBSan with leak detection on every suite but
+#              thread_smoke_test (tsan runs that one): async RPC state,
+#              storage churn, the raw LocalStore paths, the byte codecs
+#              (page entries, hashes, routing tables, bitsets), the CDSS
+#              imports, the workload generators and the simulator
 #              (a Ninja tree, so the suites compile concurrently; ctest runs
 #              them concurrently, churn_test as its buckets, each under its
 #              ctest TIMEOUT)
@@ -119,7 +121,8 @@ sanitize() {
   echo "== sanitizer: address,undefined with leak detection"
   local suites="storage_test query_test integration_test rpc_lifecycle_test \
     client_test churn_test localstore_test net_test wal_test property_test \
-    hash_test overlay_test common_test sql_optimizer_test"
+    hash_test overlay_test common_test sql_optimizer_test cdss_test \
+    workload_test sim_test"
   configure_ninja build-asan -DORC_SANITIZE=address,undefined \
         -DORC_BUILD_BENCH=OFF -DORC_BUILD_EXAMPLES=OFF
   # shellcheck disable=SC2086

@@ -7,23 +7,28 @@
 namespace orchestra {
 
 std::string CompressBlock(std::string_view input) {
-  uLongf bound = compressBound(static_cast<uLong>(input.size()));
   Writer header;
   header.PutVarint64(input.size());
   std::string out = header.Release();
   size_t header_size = out.size();
-  out.resize(header_size + bound);
+  z_stream zs{};
   // Z_BEST_SPEED: the paper emphasizes *lightweight* compression; the goal is
-  // exploiting commonality across batched tuples, not maximal ratio.
-  int rc = compress2(reinterpret_cast<Bytef*>(out.data() + header_size), &bound,
-                     reinterpret_cast<const Bytef*>(input.data()),
-                     static_cast<uLong>(input.size()), Z_BEST_SPEED);
-  if (rc != Z_OK) {
-    // compressBound guarantees success for valid inputs; treat as fatal.
-    out.resize(header_size);
+  // exploiting commonality across batched tuples, not maximal ratio. Window
+  // bits -15 make it raw deflate, without the zlib header and Adler-32
+  // trailer: a block travels in a frame that already says where it ends, and
+  // those 6 bytes are a large part of a small block.
+  if (deflateInit2(&zs, Z_BEST_SPEED, Z_DEFLATED, -15, 8, Z_DEFAULT_STRATEGY) != Z_OK) {
     return out;
   }
-  out.resize(header_size + bound);
+  out.resize(header_size + deflateBound(&zs, static_cast<uLong>(input.size())));
+  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(input.data()));
+  zs.avail_in = static_cast<uInt>(input.size());
+  zs.next_out = reinterpret_cast<Bytef*>(out.data() + header_size);
+  zs.avail_out = static_cast<uInt>(out.size() - header_size);
+  // deflateBound guarantees that one Z_FINISH call ends the stream.
+  deflate(&zs, Z_FINISH);
+  out.resize(header_size + zs.total_out);
+  deflateEnd(&zs);
   return out;
 }
 
@@ -34,14 +39,19 @@ Result<std::string> UncompressBlock(std::string_view input) {
   if (raw_size > (1ull << 32)) return Status::Corruption("compress: absurd size");
   std::string out;
   out.resize(raw_size);
-  uLongf dest_len = static_cast<uLongf>(raw_size);
   std::string_view body = input.substr(reader.position());
-  int rc = uncompress(reinterpret_cast<Bytef*>(out.data()), &dest_len,
-                      reinterpret_cast<const Bytef*>(body.data()),
-                      static_cast<uLong>(body.size()));
-  if (rc != Z_OK || dest_len != raw_size) {
+  z_stream zs{};
+  if (inflateInit2(&zs, -15) != Z_OK) {
     return Status::Corruption("compress: inflate failed");
   }
+  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(body.data()));
+  zs.avail_in = static_cast<uInt>(body.size());
+  zs.next_out = reinterpret_cast<Bytef*>(out.data());
+  zs.avail_out = static_cast<uInt>(raw_size);
+  int rc = inflate(&zs, Z_FINISH);
+  bool whole = rc == Z_STREAM_END && zs.total_out == raw_size && zs.avail_in == 0;
+  inflateEnd(&zs);
+  if (!whole) return Status::Corruption("compress: inflate failed");
   return out;
 }
 

@@ -11,11 +11,12 @@
 
 namespace orchestra {
 
-/// Compresses `input` with zlib (fast level). The output embeds the
+/// Compresses `input` with raw deflate (fast level). The output embeds the
 /// uncompressed size so Uncompress needs no side channel.
 std::string CompressBlock(std::string_view input);
 
-/// Inverse of CompressBlock. Fails with Corruption on malformed input.
+/// Inverse of CompressBlock. Fails with Corruption on malformed input, and
+/// on bytes past the end of the compressed stream.
 Result<std::string> UncompressBlock(std::string_view input);
 
 }  // namespace orchestra

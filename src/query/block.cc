@@ -8,9 +8,6 @@ namespace orchestra::query {
 
 std::string TupleBlock::Encode() const {
   Writer body;
-  body.PutU64(query_id);
-  body.PutVarint32(static_cast<uint32_t>(dest_op));
-  body.PutVarint64(rows.size());
   for (const BlockRow& r : rows) {
     storage::EncodeTuple(r.tuple, &body);
     r.taint.EncodeTo(&body);
@@ -22,16 +19,8 @@ Status TupleBlock::Decode(std::string_view data, TupleBlock* out) {
   auto raw = UncompressBlock(data);
   ORC_RETURN_IF_ERROR(raw.status());
   Reader r(*raw);
-  ORC_RETURN_IF_ERROR(r.GetU64(&out->query_id));
-  uint32_t dest;
-  ORC_RETURN_IF_ERROR(r.GetVarint32(&dest));
-  out->dest_op = static_cast<int32_t>(dest);
-  uint64_t n;
-  ORC_RETURN_IF_ERROR(r.GetVarint64(&n));
-  if (n > (1ull << 24)) return Status::Corruption("block: absurd row count");
   out->rows.clear();
-  out->rows.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
+  while (!r.AtEnd()) {
     BlockRow row;
     ORC_RETURN_IF_ERROR(storage::DecodeTuple(&r, &row.tuple));
     ORC_RETURN_IF_ERROR(DynamicBitset::DecodeFrom(&r, &row.taint));

@@ -21,13 +21,14 @@ struct BlockRow {
   DynamicBitset taint;
 };
 
+/// The rows of one dataflow frame (kDataBlock, kShipBlock); the frame's
+/// header, outside the block, names its query and op.
 struct TupleBlock {
-  uint64_t query_id = 0;
-  int32_t dest_op = -1;   // the Rehash (or Ship) op this block belongs to
   std::vector<BlockRow> rows;
 
   /// Serializes and compresses. Taints are encoded compactly; rows are
-  /// concatenated before compression so shared prefixes/values deflate well.
+  /// concatenated before compression so shared prefixes/values deflate well,
+  /// and the block's uncompressed size says where the last row ends.
   std::string Encode() const;
   static Status Decode(std::string_view data, TupleBlock* out);
 

@@ -35,10 +35,9 @@ struct ExecContext {
   std::function<void(int32_t op_id, BlockRow row)> route;
   /// Ship output: deliver a row toward the query initiator.
   std::function<void(BlockRow row)> ship;
-  /// A Rehash op's local input is exhausted (flush + EOS markers).
-  std::function<void(int32_t op_id)> rehash_child_eos;
-  /// The Ship op's local input is exhausted.
-  std::function<void()> ship_child_eos;
+  /// A Rehash or Ship op's local input is exhausted: each of its receivers
+  /// gets the op's closing frame.
+  std::function<void(int32_t op_id)> send_eos;
 };
 
 class Operator {
@@ -57,7 +56,7 @@ class Operator {
   /// Delivers one row from child `child_idx` (0 for unary ops).
   virtual void Consume(size_t child_idx, BlockRow row) = 0;
   /// Child `child_idx`'s stream ended (for network children this fires when
-  /// EOS markers from all live senders arrived).
+  /// every live sender's closing frame and the frames it counts arrived).
   virtual void OnChildEos(size_t child_idx);
   /// Drops operator state tainted by cx->failed (§V-D stage 2).
   virtual void PurgeTainted() {}
@@ -182,21 +181,21 @@ class AggregateOp : public Operator {
 
 /// Rehash: partitions its input by hash of `hash_cols` and sends rows to the
 /// owning nodes under the query's routing table. Output caching, frame
-/// counts and EOS markers live in the QueryService, which hands the op what
-/// arrives for it over the network.
+/// counts and closing frames live in the QueryService, which hands the op
+/// what arrives for it over the network.
 class RehashOp : public Operator {
  public:
   using Operator::Operator;
   void Consume(size_t child_idx, BlockRow row) override;
   /// A row received from another node enters the parent.
   void Deliver(BlockRow row) { EmitUp(std::move(row)); }
-  /// Every live sender's EOS marker arrived: this input of the parent ended.
+  /// Every live sender's edge closed: this input of the parent ended.
   void DeliverEos() {
     if (parent_ != nullptr) parent_->OnChildEos(child_idx_in_parent_);
   }
 
  protected:
-  void OnAllChildrenEos() override { cx_->rehash_child_eos(def_->id); }
+  void OnAllChildrenEos() override { cx_->send_eos(def_->id); }
 };
 
 /// Ship: sends rows to the query initiator.
@@ -206,7 +205,7 @@ class ShipOp : public Operator {
   void Consume(size_t child_idx, BlockRow row) override;
 
  protected:
-  void OnAllChildrenEos() override { cx_->ship_child_eos(); }
+  void OnAllChildrenEos() override { cx_->send_eos(def_->id); }
 };
 
 /// Instantiates the operator for a plan node.

@@ -14,6 +14,10 @@ constexpr size_t kMaxAbortedTracked = 1024;
 // Query ids are (initiator << kQueryInitiatorShift) | sequence, so the
 // initiator of any query is recoverable from the id alone.
 constexpr int kQueryInitiatorShift = 40;
+
+// A close that counts a frame which never arrived: delivery is in order per
+// connection, so the frame was lost.
+Status LostFrame() { return Status::Unavailable("a query frame was lost"); }
 }  // namespace
 
 QueryService::QueryService(net::NodeHost* host, storage::StorageService* storage,
@@ -117,33 +121,15 @@ std::vector<net::NodeId> QueryService::LiveMembers(
   return live;
 }
 
-void QueryService::HandleShipBlock(net::NodeId from, const std::string& payload) {
+Status QueryService::HandleShipBlock(Root& root, Reader* body) {
   TupleBlock block;
-  if (!TupleBlock::Decode(payload, &block).ok()) return;
-  Root* root = FindRoot(block.query_id);
-  if (root == nullptr) return;
-  root->run.ship_eos.Arrive(from);
+  ORC_RETURN_IF_ERROR(TupleBlock::Decode(body->RemainingView(), &block));
   ChargeBlockCosts(block);
   for (BlockRow& row : block.rows) {
-    if (row.taint.Intersects(root->failed_bits)) continue;
-    root->run.results.push_back(std::move(row));
+    if (row.taint.Intersects(root.failed_bits)) continue;
+    root.run.results.push_back(std::move(row));
   }
-}
-
-void QueryService::HandleShipEos(net::NodeId from, Reader* r) {
-  uint64_t qid;
-  uint32_t phase, frames;
-  if (!r->GetU64(&qid).ok() || !r->GetVarint32(&phase).ok() ||
-      !r->GetVarint32(&frames).ok()) {
-    return;
-  }
-  Root* root = FindRoot(qid);
-  if (root == nullptr) return;
-  if (!root->run.ship_eos.Mark(from, phase, frames)) {
-    FinishRoot(*root, Status::Unavailable("a shipped block was lost"));
-  } else if (root->run.ship_eos.Reached(LiveMembers(root->table), root->run.phase)) {
-    FinishRoot(*root, Status::OK());
-  }
+  return Status::OK();
 }
 
 void QueryService::FinishRoot(Root& root, Status st) {
@@ -280,18 +266,20 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
       HandlePlan(payload);
       return;
     case kDataBlock:
-    case kEosMarker:
-    case kScanPartDone:
     case kQueryFetch:
-    case kRecover:
-      OnWorkerFrame(from, code, payload, &r);
-      return;
     case kShipBlock:
-      HandleShipBlock(from, payload);
+      OnDataflowFrame(from, code, payload);
       return;
-    case kShipEos:
-      HandleShipEos(from, &r);
+    case kRecover: {
+      uint64_t qid;
+      if (!r.GetU64(&qid).ok()) return;
+      if (Exec* ex = FindExec(qid)) {
+        HandleRecover(*ex, &r);
+      } else {
+        BufferPending(qid, from, code, payload);
+      }
       return;
+    }
     case kNodeSuspect: {
       uint64_t qid;
       uint32_t suspect;
@@ -336,21 +324,29 @@ void QueryService::OnMessage(net::NodeId from, uint16_t code,
   }
 }
 
-void QueryService::OnWorkerFrame(net::NodeId from, uint16_t code,
-                                 const std::string& payload, Reader* r) {
-  // Every worker frame but kDataBlock starts `u64 qid`, and all but kRecover
-  // go on with `varint32 op | varint32 phase`; kDataBlock carries its qid and
-  // op inside its compressed block.
+void QueryService::OnDataflowFrame(net::NodeId from, uint16_t code,
+                                   const std::string& payload) {
+  Reader r(payload);
   uint64_t qid = 0;
-  uint32_t op = 0, phase = 0;
-  TupleBlock block;
-  if (code == kDataBlock) {
-    if (!TupleBlock::Decode(payload, &block).ok()) return;
-    qid = block.query_id;
-    op = static_cast<uint32_t>(block.dest_op);
-  } else if (!r->GetU64(&qid).ok() ||
-             (code != kRecover &&
-              (!r->GetVarint32(&op).ok() || !r->GetVarint32(&phase).ok()))) {
+  uint32_t op = 0, phase = 0, end = 0;
+  if (!r.GetU64(&qid).ok() || !r.GetVarint32(&op).ok() || !r.GetVarint32(&phase).ok() ||
+      !r.GetVarint32(&end).ok()) {
+    return;
+  }
+  // Only a closing frame may come without a body.
+  const bool body = end == 0 || !r.AtEnd();
+  if (code == kShipBlock) {
+    Root* root = FindRoot(qid);
+    if (root == nullptr || op != static_cast<uint32_t>(root->plan.root)) return;
+    Barrier& eos = root->run.ship_eos;
+    Status st = !eos.Arrive(from, phase, end) ? LostFrame()
+                : body                        ? HandleShipBlock(*root, &r)
+                                              : Status::OK();
+    if (!st.ok()) {
+      FinishRoot(*root, st);
+    } else if (end > 0 && eos.Reached(LiveMembers(root->table), root->run.phase)) {
+      FinishRoot(*root, Status::OK());
+    }
     return;
   }
   Exec* ex = FindExec(qid);
@@ -358,39 +354,21 @@ void QueryService::OnWorkerFrame(net::NodeId from, uint16_t code,
     BufferPending(qid, from, code, payload);
     return;
   }
-  if (code == kRecover) {
-    HandleRecover(*ex, r);
-    return;
-  }
   // A frame naming an operator the plan lacks, or one of the wrong kind, is
   // dropped.
   if (op >= ex->ops.size()) return;
-  OpKind kind = ex->plan.op(static_cast<int32_t>(op)).kind;
-  bool scan_frame = code == kScanPartDone || code == kQueryFetch;
-  bool is_scan = kind == OpKind::kScan || kind == OpKind::kCoveringScan;
-  if (scan_frame ? !is_scan : kind != OpKind::kRehash) return;
   auto id = static_cast<int32_t>(op);
-  Barrier& eos = ex->ops[id].eos;
-  switch (code) {
-    case kDataBlock:
-      eos.Arrive(from);
-      HandleDataBlock(*ex, std::move(block));
-      return;
-    case kQueryFetch:
-      eos.Arrive(from);
-      HandleQueryFetch(*ex, from, id, r);
-      return;
-    case kEosMarker:
-    case kScanPartDone: {
-      uint32_t frames = 0;
-      if (!r->GetVarint32(&frames).ok()) return;
-      if (!eos.Mark(from, phase, frames)) {
-        ReportScanFailure(*ex, Status::Unavailable("a query frame was lost"));
-        return;
-      }
-      CheckEos(*ex, id);
-      return;
-    }
+  OpKind kind = ex->plan.op(id).kind;
+  bool is_scan = kind == OpKind::kScan || kind == OpKind::kCoveringScan;
+  if (code == kQueryFetch ? !is_scan : kind != OpKind::kRehash) return;
+  Status st = !ex->ops[id].eos.Arrive(from, phase, end) ? LostFrame()
+              : !body                                   ? Status::OK()
+              : code == kDataBlock                      ? HandleDataBlock(*ex, id, &r)
+                                                        : HandleQueryFetch(*ex, from, id, &r);
+  if (!st.ok()) {
+    ReportScanFailure(*ex, st);
+  } else if (end > 0) {
+    CheckEos(*ex, id);
   }
 }
 
@@ -516,11 +494,7 @@ void QueryService::HandlePlan(const std::string& payload) {
     RouteRow(*raw, op, std::move(row));
   };
   ex->cx.ship = [this, raw](BlockRow row) { ShipRow(*raw, std::move(row)); };
-  ex->cx.rehash_child_eos = [this, raw](int32_t op) {
-    for (auto& [dest, buf] : raw->ops[op].buffers) FlushBlock(*raw, op, dest);
-    if (!raw->ops[op].phase.eos_sent) SendEos(*raw, op, kEosMarker);
-  };
-  ex->cx.ship_child_eos = [this, raw]() { OnShipChildEos(*raw); };
+  ex->cx.send_eos = [this, raw](int32_t op) { SendEos(*raw, op); };
 
   // Instantiate operators and wire parents.
   for (const PhysOp& def : ex->plan.ops) {
@@ -738,12 +712,7 @@ void QueryService::ProcessPage(Exec& ex, int32_t scan_op,
   // Each data node gets the entries it owns, copied from the page as they
   // are, in page order.
   for (const auto& [owner, owned] : remote) {
-    ex.ops[scan_op].sent[owner] += 1;
-    Writer w;
-    w.PutU64(ex.query_id);
-    w.PutVarint32(static_cast<uint32_t>(scan_op));
-    w.PutVarint32(ex.cx.phase);
-    w.PutString(op.relation);
+    Writer w = StartFrame(ex, scan_op, owner, /*close=*/false);
     w.PutVarint64(owned.size());
     for (std::string_view entry : owned) w.PutRaw(entry.data(), entry.size());
     SendTo(owner, kQueryFetch, w.Release());
@@ -787,23 +756,22 @@ void QueryService::ReportScanFailure(Exec& ex, const Status& st) {
   SendTo(ex.initiator, kScanFailed, w.Release());
 }
 
-void QueryService::HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op,
-                                    Reader* r) {
-  std::string rel;
-  if (!r->GetString(&rel).ok()) return;
+Status QueryService::HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op,
+                                      Reader* body) {
+  const std::string& rel = ex.plan.op(scan_op).relation;
   const auto& costs = host_->network()->costs();
   DynamicBitset taint(ex.cx.taint_bits);
   if (ex.cx.taint_bits > 0) {
     if (from < ex.cx.taint_bits) taint.Set(from);
     if (node() < ex.cx.taint_bits) taint.Set(node());
   }
-  storage::EntryReader entries = storage::EntryReader::List(r);
+  storage::EntryReader entries = storage::EntryReader::List(body);
   storage::EntryView e;
   while (entries.Next(&e)) {
     ex.cx.charge(costs.tuple_scan_us);
     ReadScanTuple(ex, scan_op, rel, e, taint);
   }
-  if (!entries.status().ok()) ReportScanFailure(ex, entries.status());
+  return entries.status();
 }
 
 void QueryService::ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& rel,
@@ -825,21 +793,19 @@ void QueryService::ReadScanTuple(Exec& ex, int32_t scan_op, const std::string& r
 void QueryService::FinishScanIteration(Exec& ex, int32_t scan_op) {
   PhaseFlags& flags = ex.ops[scan_op].phase;
   flags.input_done = true;
-  if (!flags.eos_sent) SendEos(ex, scan_op, kScanPartDone);
+  SendEos(ex, scan_op);
   CheckEos(ex, scan_op);
 }
 
-void QueryService::SendEos(Exec& ex, int32_t id, uint16_t code) {
+void QueryService::SendEos(Exec& ex, int32_t id) {
   OpRec& rec = ex.ops[id];
+  if (rec.phase.eos_sent) return;
   rec.phase.eos_sent = true;
-  for (net::NodeId m : code == kScanPartDone ? rec.spill_to : LiveMembers(ex.table)) {
-    Writer w;
-    w.PutU64(ex.query_id);
-    w.PutVarint32(static_cast<uint32_t>(id));
-    w.PutVarint32(ex.cx.phase);
-    w.PutVarint32(rec.sent[m]);
-    SendTo(m, code, w.Release());
-  }
+  OpKind kind = ex.plan.op(id).kind;
+  std::vector<net::NodeId> to = kind == OpKind::kRehash ? LiveMembers(ex.table)
+                                : kind == OpKind::kShip ? std::vector{ex.initiator}
+                                                        : rec.spill_to;
+  for (net::NodeId m : to) FlushBlock(ex, id, m, /*close=*/true);
 }
 
 void QueryService::CheckEos(Exec& ex, int32_t id) {
@@ -861,12 +827,14 @@ void QueryService::CheckEos(Exec& ex, int32_t id) {
   }
 }
 
-bool QueryService::Barrier::Mark(net::NodeId from, uint32_t phase, uint32_t frames) {
+bool QueryService::Barrier::Arrive(net::NodeId from, uint32_t phase, uint32_t end) {
   Sender& s = senders_[from];
+  s.arrived += 1;
+  if (end == 0) return true;
   s.marked = true;
   s.phase = std::max(s.phase, phase);
-  s.frames = std::max(s.frames, frames);
-  return s.arrived >= frames;
+  s.frames = std::max(s.frames, end - 1);
+  return s.arrived >= end - 1;
 }
 
 bool QueryService::Barrier::Reached(const std::vector<net::NodeId>& senders,
@@ -900,24 +868,43 @@ void QueryService::RouteRow(Exec& ex, int32_t rehash_op, BlockRow row) {
   if (buf.size() >= kBlockRows) FlushBlock(ex, rehash_op, dest);
 }
 
-void QueryService::FlushBlock(Exec& ex, int32_t id, net::NodeId dest) {
-  OpRec& rec = ex.ops[id];
-  auto it = rec.buffers.find(dest);
-  if (it == rec.buffers.end() || it->second.empty()) return;
-  TupleBlock block;
-  block.query_id = ex.query_id;
-  block.dest_op = id;
-  block.rows = std::move(it->second);
-  it->second.clear();
-  rec.sent[dest] += 1;
-  ChargeBlockCosts(block);
-  counters_.blocks_sent += 1;
-  SendTo(dest, id == ex.plan.root ? kShipBlock : kDataBlock, block.Encode());
+void QueryService::FlushBlock(Exec& ex, int32_t id, net::NodeId dest, bool close) {
+  auto it = ex.ops[id].buffers.find(dest);
+  bool rows = it != ex.ops[id].buffers.end() && !it->second.empty();
+  if (!rows && !close) return;
+  Writer w = StartFrame(ex, id, dest, close);
+  if (rows) {
+    TupleBlock block;
+    block.rows = std::move(it->second);
+    it->second.clear();
+    ChargeBlockCosts(block);
+    counters_.blocks_sent += 1;
+    std::string bytes = block.Encode();
+    w.PutRaw(bytes.data(), bytes.size());
+  }
+  OpKind kind = ex.plan.op(id).kind;
+  SendTo(dest,
+         kind == OpKind::kRehash ? kDataBlock
+         : kind == OpKind::kShip ? kShipBlock
+                                 : kQueryFetch,
+         w.Release());
 }
 
-void QueryService::HandleDataBlock(Exec& ex, TupleBlock block) {
+Writer QueryService::StartFrame(Exec& ex, int32_t id, net::NodeId to, bool close) {
+  uint32_t sent = ++ex.ops[id].sent[to];
+  Writer w;
+  w.PutU64(ex.query_id);
+  w.PutVarint32(static_cast<uint32_t>(id));
+  w.PutVarint32(ex.cx.phase);
+  w.PutVarint32(close ? sent + 1 : 0);
+  return w;
+}
+
+Status QueryService::HandleDataBlock(Exec& ex, int32_t rehash_op, Reader* body) {
+  TupleBlock block;
+  ORC_RETURN_IF_ERROR(TupleBlock::Decode(body->RemainingView(), &block));
   ChargeBlockCosts(block);
-  auto* rehash = static_cast<RehashOp*>(ex.ops[block.dest_op].op.get());
+  auto* rehash = static_cast<RehashOp*>(ex.ops[rehash_op].op.get());
   for (BlockRow& row : block.rows) {
     if (ex.cx.taint_bits > 0) {
       if (row.taint.size() != ex.cx.taint_bits) {
@@ -933,6 +920,7 @@ void QueryService::HandleDataBlock(Exec& ex, TupleBlock block) {
     }
     rehash->Deliver(std::move(row));
   }
+  return Status::OK();
 }
 
 void QueryService::ShipRow(Exec& ex, BlockRow row) {
@@ -940,18 +928,6 @@ void QueryService::ShipRow(Exec& ex, BlockRow row) {
   auto& buf = ex.ops[ex.plan.root].buffers[ex.initiator];
   buf.push_back(std::move(row));
   if (buf.size() >= kBlockRows) FlushBlock(ex, ex.plan.root, ex.initiator);
-}
-
-void QueryService::OnShipChildEos(Exec& ex) {
-  OpRec& ship = ex.ops[ex.plan.root];
-  if (ship.phase.eos_sent) return;
-  ship.phase.eos_sent = true;
-  FlushBlock(ex, ex.plan.root, ex.initiator);
-  Writer w;
-  w.PutU64(ex.query_id);
-  w.PutVarint32(ex.cx.phase);
-  w.PutVarint32(ship.sent[ex.initiator]);
-  SendTo(ex.initiator, kShipEos, w.Release());
 }
 
 // ===========================================================================
@@ -1030,9 +1006,9 @@ void QueryService::HandleRecover(Exec& ex, Reader* r) {
     RunScan(ex, scan_op);
   }
 
-  // EOS markers and part-done messages for the new phase may have overtaken
-  // this recovery broadcast (they travel on different connections); re-check
-  // every condition that would otherwise only fire on message arrival.
+  // Closing frames of the new phase may have overtaken this recovery
+  // broadcast (they travel on different connections); re-check every
+  // condition that would otherwise only fire on message arrival.
   for (const PhysOp& def : ex.plan.ops) {
     if (def.kind == OpKind::kRehash) CheckEos(ex, def.id);
   }

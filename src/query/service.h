@@ -6,16 +6,17 @@
 //    spillover pushes remote tuples into the plan at their data node),
 //  * routes Rehash output by hash under the query's routing table, batches
 //    and compresses blocks,
-//  * runs the end-of-stream protocol (§V-B): every EOS frame (scan
-//    part-done, rehash EOS marker, ship EOS) tells its receiver how many
-//    frames of its edge the sender has sent it, and the receiver's barrier
-//    holds once they have all arrived; a scan's part-done goes only to the
-//    nodes its pages can spill to,
+//  * runs the end-of-stream protocol (§V-B): every dataflow frame
+//    (kDataBlock, kQueryFetch, kShipBlock) carries one header, and the last
+//    frame of an edge in a phase closes it by telling its receiver how many
+//    frames of the edge the sender has sent it; the receiver's barrier holds
+//    once they have all arrived. A scan's edge closes only toward the nodes
+//    its pages can spill to, with a bodiless kQueryFetch,
 //  * on a recovery message: purges tainted state, re-arms EOS for the new
 //    phase, restarts leaf scans for inherited ranges, and re-sends cached
 //    output that had been destined to failed nodes (§V-D stages 2-4),
-//  * reports a scan read that fails, or a counted frame that never arrived,
-//    to the initiator (kScanFailed).
+//  * reports a scan read that fails, a frame body that does not decode, or
+//    a counted frame that never arrived, to the initiator (kScanFailed).
 //
 // Initiator role:
 //  * resolves scan bindings (coordinator records) at the chosen epoch,
@@ -23,8 +24,9 @@
 //  * collects shipped rows (with taints) and runs the final stage,
 //  * detects failures via connection drops, participant reports, and
 //    optional pings; recovers incrementally or by full restart (§V-C/D),
-//  * fails the query with the status of a worker's kScanFailed, or as
-//    Unavailable when a ship EOS counts a block that never arrived.
+//  * fails the query with the status of a worker's kScanFailed, as
+//    Corruption when a shipped block does not decode, or as Unavailable
+//    when a ship edge's close counts a block that never arrived.
 #ifndef ORCHESTRA_QUERY_SERVICE_H_
 #define ORCHESTRA_QUERY_SERVICE_H_
 
@@ -46,7 +48,7 @@ namespace orchestra::query {
 /// suspected hung.
 constexpr uint64_t kPingMissThreshold = 3;
 
-/// Every query resolves: query frames are one-way, so one lost ship or EOS
+/// Every query resolves: query frames are one-way, so one lost closing
 /// frame would leave its root waiting forever, and one lost kAbort its
 /// worker's execution. This long after Execute the root finishes with
 /// TimedOut, and this long after its plan arrived a worker releases the
@@ -119,16 +121,18 @@ class QueryService : public net::Service {
   }
 
   /// Query protocol message codes (service kQuery); docs/WIRE_FORMATS.md
-  /// gives each frame's body.
+  /// gives each frame's body. The dataflow frames kDataBlock, kQueryFetch
+  /// and kShipBlock start with one header, `u64 qid | varint32 op |
+  /// varint32 phase | varint32 end`.
   enum QueryCode : uint16_t {
     kPlan = 1,
     kDataBlock = 2,
-    kBlockAck = 3,  // retired (per-block ack); reserved, never reused
-    kEosMarker = 4,
-    kScanPartDone = 5,
+    kBlockAck = 3,      // retired (per-block ack); reserved, never reused
+    kEosMarker = 4,     // retired (a closing kDataBlock); reserved
+    kScanPartDone = 5,  // retired (a closing kQueryFetch); reserved
     kQueryFetch = 6,
     kShipBlock = 7,
-    kShipEos = 8,
+    kShipEos = 8,  // retired (a closing kShipBlock); reserved
     kNodeSuspect = 9,
     kRecover = 10,
     kAbort = 11,
@@ -139,18 +143,18 @@ class QueryService : public net::Service {
 
  private:
   /// End-of-stream barrier over a set of senders. It counts the frames of
-  /// its edge that arrive from each sender, and each sender marks the highest
-  /// phase it has finished with how many it sent here, across phases. The
-  /// barrier holds for phase p once every sender has marked p and all its
-  /// frames have arrived. One type serves the scan part-done wait (the
-  /// scan's spill senders), a rehash op's EOS markers and the initiator's
-  /// ship EOS (the table's members).
+  /// its edge that arrive from each sender, and each sender's closing frame
+  /// marks the highest phase it has finished with how many frames it sent
+  /// here, across phases, itself included. The barrier holds for phase p
+  /// once every sender has marked p and all its frames have arrived. One
+  /// type serves a scan (its spill senders), a rehash op and the
+  /// initiator's ship edge (the table's members).
   class Barrier {
    public:
-    void Arrive(net::NodeId from) { senders_[from].arrived += 1; }
-    /// False when fewer of the `frames` have arrived: delivery is in order
-    /// per connection, so one was lost.
-    bool Mark(net::NodeId from, uint32_t phase, uint32_t frames);
+    /// Counts one frame from `from`; a closing frame (`end` > 0) marks
+    /// `phase` with the end - 1 frames it closes. False when fewer of those
+    /// have arrived: delivery is in order per connection, so one was lost.
+    bool Arrive(net::NodeId from, uint32_t phase, uint32_t end);
     bool Reached(const std::vector<net::NodeId>& senders, uint32_t phase) const;
 
    private:
@@ -166,14 +170,14 @@ class QueryService : public net::Service {
   /// phase; a new phase starts from fresh flags and the EOS wave re-runs.
   struct PhaseFlags {
     bool input_done = false;     // scan: iteration ended
-    bool eos_sent = false;       // part-done, EOS markers or ship EOS sent
+    bool eos_sent = false;       // the op's closing frames sent
     bool eos_delivered = false;  // the barrier released EOS into the plan
   };
 
   /// One plan operator on this node: its instance plus the state of its
   /// network edge. Scan ops use the scan fields, rehash ops the rehash
-  /// fields; both wait on `eos` (scan: the part-done of every node whose
-  /// pages can spill here; rehash: every member's EOS marker).
+  /// fields; both wait on `eos` (scan: the close of every node whose pages
+  /// can spill here; rehash: every member's close).
   struct OpRec {
     std::unique_ptr<Operator> op;
     PhaseFlags phase;
@@ -181,8 +185,8 @@ class QueryService : public net::Service {
     // Scan: the coordinator record it reads and its page queues.
     storage::CoordinatorRecord binding;
     /// Scan, under the current table (DeriveSpillPairs): the nodes this
-    /// node's pages can send a kQueryFetch to, which get its part-done, and
-    /// the nodes whose pages can send one here, whose part-done it waits for.
+    /// node's pages can send a kQueryFetch to, which get its close, and the
+    /// nodes whose pages can send one here, whose close it waits for.
     std::vector<net::NodeId> spill_to, spill_from;
     std::deque<storage::PageDescriptor> pending_pages;
     /// Pages this node already scanned whose ids must be re-routed because
@@ -193,9 +197,9 @@ class QueryService : public net::Service {
     /// The data key and the row each read decodes into, reused across rows.
     std::string read_key;
     Tuple read_row;
-    /// Frames of this op's edge sent to each node, across phases (scan:
-    /// kQueryFetch, rehash: kDataBlock, ship: kShipBlock); each EOS frame
-    /// carries its count.
+    /// Frames of this op's edge sent to each node, across phases, closing
+    /// frames included (scan: kQueryFetch, rehash: kDataBlock, ship:
+    /// kShipBlock); each closing frame carries its count.
     std::map<net::NodeId, uint32_t> sent;
     // Rehash and ship: rows buffered per destination (ship: the initiator).
     // Rehash: the output cache for recovery resend (§V-D).
@@ -258,13 +262,18 @@ class QueryService : public net::Service {
 
   // Worker paths.
   void HandlePlan(const std::string& payload);
-  /// Decodes a worker frame's header once, finds its execution (or holds
-  /// the frame until the plan arrives), checks the op it names against the
-  /// plan and hands it to its handler.
-  void OnWorkerFrame(net::NodeId from, uint16_t code, const std::string& payload,
-                     Reader* r);
-  void HandleDataBlock(Exec& ex, TupleBlock block);
-  void HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op, Reader* r);
+  /// Decodes a dataflow frame's header once and finds its op: the ship op
+  /// of a root (kShipBlock), or an execution's op (or holds the frame until
+  /// the plan arrives). Drops a frame naming an op the plan lacks or one of
+  /// the wrong kind. Otherwise counts it on the op's barrier, hands its
+  /// body, if any, to its handler and, for a closing frame, checks the
+  /// barrier. A body that does not decode, or a close that counts a frame
+  /// that never arrived, fails the query.
+  void OnDataflowFrame(net::NodeId from, uint16_t code, const std::string& payload);
+  /// Body handlers (HandleShipBlock below too): each fails with the decode
+  /// error of its body.
+  Status HandleDataBlock(Exec& ex, int32_t rehash_op, Reader* body);
+  Status HandleQueryFetch(Exec& ex, net::NodeId from, int32_t scan_op, Reader* body);
   void HandleRecover(Exec& ex, Reader* r);
   void HandleAbort(Reader* r);
   /// Erases the query's execution, if any, with its deadline, and marks the
@@ -310,24 +319,28 @@ class QueryService : public net::Service {
   /// Fails the query at its initiator (kScanFailed).
   void ReportScanFailure(Exec& ex, const Status& st);
   void FinishScanIteration(Exec& ex, int32_t scan_op);
-  /// Sends op `id`'s EOS frame for the current phase (`code`: kScanPartDone
-  /// to the scan's spill targets, or kEosMarker to every member), each with
-  /// the count of the op's frames it was sent.
-  void SendEos(Exec& ex, int32_t id, uint16_t code);
+  /// Ends op `id`'s edge for the current phase, once: each receiver (a
+  /// scan's spill targets, a rehash op's members, the ship op's initiator)
+  /// gets one closing frame.
+  void SendEos(Exec& ex, int32_t id);
   /// Releases EOS into the plan, once per phase, when op `id`'s barrier
   /// holds (for a scan, also only after this node's iteration and reads).
   void CheckEos(Exec& ex, int32_t id);
   void RouteRow(Exec& ex, int32_t rehash_op, BlockRow row);
-  /// Sends the rows op `id` buffered for `dest` as one block: kDataBlock
-  /// from a rehash op, kShipBlock from the ship op.
-  void FlushBlock(Exec& ex, int32_t id, net::NodeId dest);
+  /// Sends the rows op `id` buffered for `dest` as one frame of its edge
+  /// (kDataBlock from a rehash op, kShipBlock from the ship op, kQueryFetch
+  /// from a scan, which buffers none). A closing frame is sent with or
+  /// without rows; any other only with some.
+  void FlushBlock(Exec& ex, int32_t id, net::NodeId dest, bool close = false);
+  /// Starts op `id`'s next frame to `to`: counts it in `sent` and writes the
+  /// dataflow header, whose `end` is 0, or for a closing frame 1 + the
+  /// frames of the edge sent to `to`, itself included.
+  static Writer StartFrame(Exec& ex, int32_t id, net::NodeId to, bool close);
   void ShipRow(Exec& ex, BlockRow row);
-  void OnShipChildEos(Exec& ex);
 
   // Initiator paths.
   void DisseminatePlan(Root& root);
-  void HandleShipBlock(net::NodeId from, const std::string& payload);
-  void HandleShipEos(net::NodeId from, Reader* r);
+  Status HandleShipBlock(Root& root, Reader* body);
   void HandleSuspect(Root& root, net::NodeId node);
   void FinishRoot(Root& root, Status st);
   void PingTick(uint64_t query_id);

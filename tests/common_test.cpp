@@ -155,6 +155,15 @@ TEST(Compress, GarbageFailsCleanly) {
   EXPECT_FALSE(out.ok());
 }
 
+// A block ends where its frame ends, so a stream cut short and one with a
+// byte after its end are both malformed.
+TEST(Compress, CutOrTrailingBytesFail) {
+  std::string packed = CompressBlock("abcabcabc|abcabcabc");
+  ASSERT_TRUE(UncompressBlock(packed).ok());
+  EXPECT_FALSE(UncompressBlock(packed.substr(0, packed.size() - 1)).ok());
+  EXPECT_FALSE(UncompressBlock(packed + "x").ok());
+}
+
 TEST(Rng, Deterministic) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());

@@ -197,9 +197,14 @@ struct PlanBuilder {
 
 /// The query frames of one tapped run, at every node.
 struct JoinFrames {
-  std::map<uint16_t, uint64_t> by_code, checked, counting;
-  /// (sender, receiver, op) of every kQueryFetch and every part-done.
-  std::set<std::tuple<net::NodeId, net::NodeId, int32_t>> fetches, part_dones;
+  /// Frames by code; closing frames by code, and those among them that
+  /// carry rows or count a frame before them.
+  std::map<uint16_t, uint64_t> by_code, closes, counting;
+  /// (sender, receiver, op) of every kQueryFetch with entries and of every
+  /// scan close (a bodiless kQueryFetch).
+  std::set<std::tuple<net::NodeId, net::NodeId, int32_t>> fetches, scan_closes;
+  /// Closing frames per (sender, receiver, op, phase).
+  std::map<std::tuple<net::NodeId, net::NodeId, int32_t, uint32_t>, uint32_t> edge_closes;
 };
 
 class QueryClusterTest : public ::testing::Test {
@@ -320,17 +325,19 @@ TEST_F(QueryClusterTest, CopyQueryReturnsAllRows) {
   ExpectNoExecsLeft();
 }
 
-// Under 5% message drops a read returns every row or fails. A lost block or
-// fetch is caught by the count in the EOS frame after it (Unavailable); a
-// lost EOS, plan or abort frame waits out the deadline (TimedOut). A scan
-// spills over (eight partitions straddle five nodes' ranges), so all three
-// counted edges carry frames.
+// Under 5% message drops a read returns every row or fails. A lost frame
+// before an edge's last is caught by the count in the closing frame
+// (Unavailable); a lost closing, plan or abort frame waits out the deadline
+// (TimedOut). A scan spills over (eight partitions straddle five nodes'
+// ranges), so all three counted edges carry frames. An edge's last frame
+// carries its end of stream, so at least 67 of the 200 reads return OK (67
+// when every end of stream was a frame of its own).
 TEST_F(QueryClusterTest, ReadsUnderMessageDropsReturnEveryRowOrFail) {
   Deploy(5);
   std::vector<Tuple> rows;
   for (int i = 0; i < 3000; ++i) rows.push_back({S(Tag("k", i)), S(Tag("v", i % 7))});
   LoadRows("R", rows);
-  int ok = 0;
+  int ok = 0, unavailable = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     dep->network().SeedFaults(seed);
     net::FaultOptions faults;
@@ -342,6 +349,7 @@ TEST_F(QueryClusterTest, ReadsUnderMessageDropsReturnEveryRowOrFail) {
         EXPECT_TRUE(read.status().code() == Status::Code::kUnavailable ||
                     read.status().code() == Status::Code::kTimedOut)
             << read.status().ToString();
+        if (read.status().code() == Status::Code::kUnavailable) unavailable += 1;
         continue;
       }
       ok += 1;
@@ -350,7 +358,8 @@ TEST_F(QueryClusterTest, ReadsUnderMessageDropsReturnEveryRowOrFail) {
     }
   }
   dep->network().SetFaultOptions({});
-  EXPECT_GT(ok, 0);
+  EXPECT_GE(ok, 67) << unavailable << " Unavailable, " << 200 - ok - unavailable
+                    << " TimedOut";
 }
 
 // The query epoch is explicit: epoch 0 is the relations' creation epoch (an
@@ -475,16 +484,24 @@ TEST_F(QueryClusterTest, PaperRunningExample) {
   EXPECT_EQ(result->rows[0][1], S("j"));
 }
 
-// Counts the query frames one node receives, by code and by edge, the
-// (sender, op) pairs that sent each code, and the page entries its
-// kQueryFetch frames carry. Checks every EOS frame's count against the
-// frames of its edge that arrived before it: kDataBlock for
-// kEosMarker, kQueryFetch for kScanPartDone, kShipBlock for kShipEos (it
-// keys nothing by query, so it watches one query). With `forge` set, the
-// first EOS frame of that code from `forge_from` announces one frame more
-// than its sender sent. Hands every message on to the node's own NodeHost.
+// Counts the query frames one node receives, by code, and the page entries
+// its kQueryFetch frames carry. Decodes every dataflow frame's header
+// (`u64 qid | varint32 op | varint32 phase | varint32 end`) and checks that
+// a closing frame's count, end - 1, equals the frames of its edge (sender,
+// code, op) that arrived up to and including it (it keys nothing by query,
+// so it watches one query). With `fault` set, it breaks the first frame of
+// `fault_code` from `fault_from` that fits the fault, then clears `fault`.
+// Hands every message on to the node's own NodeHost.
 class EdgeCountTap : public net::MessageHandler {
  public:
+  enum class Fault {
+    kNone,
+    kOverCount,  // a closing frame counts one frame more than was sent
+    kTruncate,   // a frame with a body keeps its header and one body byte
+    kDrop,       // a frame that does not close its edge is lost
+    kStrip,      // a frame that does not close its edge keeps only its header
+  };
+
   EdgeCountTap(deploy::Deployment* dep, net::NodeId node) : dep_(dep), node_(node) {
     dep_->network().SetHandler(node_, this);
   }
@@ -497,77 +514,86 @@ class EdgeCountTap : public net::MessageHandler {
     }
     const auto code = static_cast<uint16_t>(type & 0xffff);
     by_code[code] += 1;
-    std::string forged;  // the frame as handed on, when rewritten
+    if (code != QueryService::kDataBlock && code != QueryService::kQueryFetch &&
+        code != QueryService::kShipBlock) {
+      dep_->host(node_).OnMessage(from, type, payload);
+      return;
+    }
     Reader r(payload);
     uint64_t qid = 0;
-    uint32_t op = 0, phase = 0, frames = 0;
-    TupleBlock block;
-    switch (code) {
-      case QueryService::kDataBlock:
-      case QueryService::kShipBlock:
-        EXPECT_TRUE(TupleBlock::Decode(payload, &block).ok());
-        arrived[{from, code, code == QueryService::kDataBlock ? block.dest_op : -1}] += 1;
-        break;
-      case QueryService::kQueryFetch: {
-        // u64 qid | varint32 op | varint32 phase | string rel | entry list
-        std::string rel;
-        EXPECT_TRUE(r.GetU64(&qid).ok() && r.GetVarint32(&op).ok() &&
-                    r.GetVarint32(&phase).ok() && r.GetString(&rel).ok());
-        storage::EntryReader entries = storage::EntryReader::List(&r);
-        storage::EntryView e;
-        while (entries.Next(&e)) ++fetched_entries;
-        EXPECT_TRUE(entries.status().ok()) << entries.status().ToString();
-        arrived[{from, code, static_cast<int32_t>(op)}] += 1;
-        senders[code].emplace(from, static_cast<int32_t>(op));
-        break;
-      }
-      case QueryService::kEosMarker:
-      case QueryService::kScanPartDone:
-      case QueryService::kShipEos: {
-        bool ship = code == QueryService::kShipEos;
-        EXPECT_TRUE(r.GetU64(&qid).ok() && (ship || r.GetVarint32(&op).ok()) &&
-                    r.GetVarint32(&phase).ok() && r.GetVarint32(&frames).ok());
-        uint16_t edge = code == QueryService::kEosMarker  ? QueryService::kDataBlock
-                        : code == QueryService::kShipEos ? QueryService::kShipBlock
-                                                          : QueryService::kQueryFetch;
-        const auto key = std::make_tuple(from, edge, ship ? -1 : static_cast<int32_t>(op));
-        EXPECT_EQ(frames, arrived[key]) << "code " << code << " from " << from << " op " << op;
-        eos_checked[code] += 1;
-        if (frames > 0) eos_counting[code] += 1;
-        senders[code].emplace(from, ship ? -1 : static_cast<int32_t>(op));
-        if (code == forge && from == forge_from) {
-          forge = 0;
-          Writer w;
-          w.PutU64(qid);
-          if (!ship) w.PutVarint32(op);
-          w.PutVarint32(phase);
-          w.PutVarint32(frames + 1);
-          forged = w.Release();
-        }
-        break;
+    uint32_t op = 0, phase = 0, end = 0;
+    EXPECT_TRUE(r.GetU64(&qid).ok() && r.GetVarint32(&op).ok() &&
+                r.GetVarint32(&phase).ok() && r.GetVarint32(&end).ok());
+    const size_t header = r.position();
+    const bool body = !r.AtEnd();
+    const auto id = static_cast<int32_t>(op);
+    if (code == QueryService::kQueryFetch && body) {
+      storage::EntryReader entries = storage::EntryReader::List(&r);
+      storage::EntryView e;
+      while (entries.Next(&e)) ++fetched_entries;
+      EXPECT_TRUE(entries.status().ok()) << entries.status().ToString();
+      fetches.emplace(from, id);
+    }
+    const uint32_t n = ++arrived[{from, code, id}];
+    if (end > 0) {
+      EXPECT_EQ(end - 1, n) << "code " << code << " from " << from << " op " << op;
+      closes[code] += 1;
+      if (body || n > 1) counting[code] += 1;
+      if (!body) bodiless[code].push_back(payload);
+      edge_closes[{from, id, phase}] += 1;
+      if (code == QueryService::kQueryFetch) {
+        EXPECT_FALSE(body) << "a scan close carried entries";
+        scan_closes.emplace(from, id);
       }
     }
-    dep_->host(node_).OnMessage(from, type, forged.empty() ? payload : forged);
+    std::string broken;  // the frame as handed on, when broken
+    if (fault != Fault::kNone && code == fault_code && from == fault_from) {
+      if (fault == Fault::kOverCount && end > 0) {
+        Writer w;
+        w.PutU64(qid);
+        w.PutVarint32(op);
+        w.PutVarint32(phase);
+        w.PutVarint32(end + 1);
+        broken = w.Release() + payload.substr(header);
+        fault = Fault::kNone;
+      } else if (fault == Fault::kTruncate && body) {
+        broken = payload.substr(0, header + 1);
+        fault = Fault::kNone;
+      } else if (fault == Fault::kDrop && end == 0) {
+        fault = Fault::kNone;
+        return;
+      } else if (fault == Fault::kStrip && end == 0) {
+        broken = payload.substr(0, header);
+        fault = Fault::kNone;
+      }
+    }
+    dep_->host(node_).OnMessage(from, type, broken.empty() ? payload : broken);
   }
   void OnConnectionDrop(net::NodeId peer) override {
     dep_->host(node_).OnConnectionDrop(peer);
   }
 
-  uint16_t forge = 0;
-  net::NodeId forge_from = net::kInvalidNode;
+  Fault fault = Fault::kNone;
+  uint16_t fault_code = 0;
+  net::NodeId fault_from = net::kInvalidNode;
   std::map<uint16_t, uint64_t> by_code;
   /// Page entries the kQueryFetch frames carried.
   uint64_t fetched_entries = 0;
-  /// EOS frames checked, and those among them that counted a frame.
-  std::map<uint16_t, uint64_t> eos_checked, eos_counting;
-  /// The (sender, op) pairs that sent kQueryFetch and each EOS code here;
-  /// op -1 stands for the ship edge.
-  std::map<uint16_t, std::set<std::pair<net::NodeId, int32_t>>> senders;
+  /// Closing frames by code, and those among them that carry rows or count
+  /// a frame before them.
+  std::map<uint16_t, uint64_t> closes, counting;
+  /// The bodiless closing frames, by code.
+  std::map<uint16_t, std::vector<std::string>> bodiless;
+  /// Closing frames per (sender, op, phase).
+  std::map<std::tuple<net::NodeId, int32_t, uint32_t>, uint32_t> edge_closes;
+  /// The (sender, op) pairs that sent a kQueryFetch with entries here, and
+  /// those whose scan closed its edge here.
+  std::set<std::pair<net::NodeId, int32_t>> fetches, scan_closes;
 
  private:
   deploy::Deployment* dep_;
   net::NodeId node_;
-  /// Frames arrived per (sender, code, op); -1 stands for the ship edge.
+  /// Frames arrived per (sender, code, op).
   std::map<std::tuple<net::NodeId, uint16_t, int32_t>, uint32_t> arrived;
 };
 
@@ -686,70 +712,93 @@ JoinFrames QueryClusterTest::RunTappedJoin(size_t nodes, PhysicalPlan* plan) {
   for (size_t n = 0; n < taps.size(); ++n) {
     const EdgeCountTap& tap = *taps[n];
     for (auto [code, k] : tap.by_code) out.by_code[code] += k;
-    for (auto [code, k] : tap.eos_checked) out.checked[code] += k;
-    for (auto [code, k] : tap.eos_counting) out.counting[code] += k;
+    for (auto [code, k] : tap.closes) out.closes[code] += k;
+    for (auto [code, k] : tap.counting) out.counting[code] += k;
     auto to = static_cast<net::NodeId>(n);
-    for (uint16_t code : {QueryService::kQueryFetch, QueryService::kScanPartDone}) {
-      auto& into = code == QueryService::kQueryFetch ? out.fetches : out.part_dones;
-      auto it = tap.senders.find(code);
-      if (it == tap.senders.end()) continue;
-      for (auto [from, op] : it->second) into.emplace(from, to, op);
+    for (auto [from, op] : tap.fetches) out.fetches.emplace(from, to, op);
+    for (auto [from, op] : tap.scan_closes) out.scan_closes.emplace(from, to, op);
+    for (const auto& [edge, k] : tap.edge_closes) {
+      const auto& [from, op, phase] = edge;
+      out.edge_closes[{from, to, op, phase}] = k;
     }
   }
   return out;
 }
 
-// One join with a rehash on both sides: no frame is acked, and every EOS
-// frame (rehash EOS, scan part-done, ship EOS) carries exactly the number of
-// frames of its edge that reached its receiver before it. A scan's part-done
-// goes only along its spill pairs, and every pair that carried a kQueryFetch
-// carries one.
+// One join with a rehash on both sides: no frame is acked, and the last
+// frame of every edge (rehash, scan, ship) closes it, once per phase, with
+// exactly the number of frames of the edge that reached its receiver up to
+// and including it. A scan closes its edge only along its spill pairs, with a
+// bodiless kQueryFetch, and every pair that carried entries carries a close.
 TEST_F(QueryClusterTest, EveryEosFrameCountsTheFramesOfItsEdge) {
   PhysicalPlan plan;
   JoinFrames f = RunTappedJoin(5, &plan);
-  EXPECT_EQ(f.by_code[QueryService::kBlockAck], 0u);
-  // Five members: two rehash ops each send one EOS marker to every member,
-  // and every member ships one EOS to the initiator. The eight partitions
-  // straddle the five nodes' ranges, so the scans have spill pairs.
-  EXPECT_EQ(f.checked[QueryService::kEosMarker], 2u * 5 * 5);
+  for (uint16_t retired : {QueryService::kBlockAck, QueryService::kEosMarker,
+                           QueryService::kScanPartDone, QueryService::kShipEos}) {
+    EXPECT_EQ(f.by_code[retired], 0u) << "code " << retired;
+  }
+  for (const auto& [edge, k] : f.edge_closes) {
+    const auto& [from, to, op, phase] = edge;
+    EXPECT_EQ(k, 1u) << from << " -> " << to << " op " << op << " phase " << phase;
+  }
+  // Five members: two rehash ops each close their edge to every member, self
+  // included, and every member closes its ship edge to the initiator. The
+  // eight partitions straddle the five nodes' ranges, so the scans have
+  // spill pairs.
+  EXPECT_EQ(f.closes[QueryService::kDataBlock], 2u * 5 * 5);
   const auto spill = SpillPairs(plan);
   EXPECT_GT(spill.size(), 0u);
-  EXPECT_EQ(f.part_dones, spill);
-  EXPECT_EQ(f.checked[QueryService::kScanPartDone], spill.size());
-  EXPECT_TRUE(std::includes(f.part_dones.begin(), f.part_dones.end(), f.fetches.begin(),
+  EXPECT_EQ(f.scan_closes, spill);
+  EXPECT_EQ(f.closes[QueryService::kQueryFetch], spill.size());
+  EXPECT_TRUE(std::includes(f.scan_closes.begin(), f.scan_closes.end(), f.fetches.begin(),
                             f.fetches.end()))
-      << "a kQueryFetch went along a pair that carries no part-done";
-  EXPECT_EQ(f.checked[QueryService::kShipEos], 5u);
+      << "a kQueryFetch went along a pair that carries no scan close";
+  EXPECT_EQ(f.closes[QueryService::kShipBlock], 5u);
+  EXPECT_EQ(f.edge_closes.size(), 2u * 5 * 5 + spill.size() + 5);
   for (uint16_t code : {QueryService::kDataBlock, QueryService::kQueryFetch,
                         QueryService::kShipBlock}) {
-    EXPECT_GT(f.by_code[code], 0u) << "code " << code;
-  }
-  for (uint16_t code : {QueryService::kEosMarker, QueryService::kScanPartDone,
-                        QueryService::kShipEos}) {
     EXPECT_GT(f.counting[code], 0u) << "code " << code;
   }
   ExpectNoExecsLeft();
 }
 
 // The same join on 10 and on 40 nodes, whose ranges do not align with the
-// eight partitions: the scans spill over, yet each scan sends at most one
-// part-done per node (every other owner of a page's range starts a range
-// inside it). The rehash EOS markers are still all-to-all: n² frames per
-// rehash op, n(n-1) of them on the wire.
+// eight partitions: the scans spill over, yet each scan closes its edge
+// toward at most one node per node (every other owner of a page's range
+// starts a range inside it): 18 and 78 bodiless scan closes. The rehash
+// closes are still all-to-all: n² frames per rehash op, self included.
 TEST_F(QueryClusterTest, PartDoneFramesGrowLinearlyWithTheNodeCount) {
-  for (size_t n : {10u, 40u}) {
+  const std::pair<size_t, size_t> runs[] = {{10, 18}, {40, 78}};  // nodes, spill pairs
+  for (auto [n, pairs] : runs) {
     SCOPED_TRACE(testing::Message() << n << " nodes");
     PhysicalPlan plan;
     JoinFrames f = RunTappedJoin(n, &plan);
-    EXPECT_GT(f.by_code[QueryService::kQueryFetch], 0u);
-    const uint64_t part_dones = f.checked[QueryService::kScanPartDone];
-    EXPECT_GT(part_dones, 0u);
-    EXPECT_LE(part_dones, 2u * n);
-    EXPECT_EQ(part_dones, SpillPairs(plan).size());
-    EXPECT_EQ(f.checked[QueryService::kEosMarker], 2u * n * n);
-    EXPECT_EQ(f.checked[QueryService::kShipEos], n);
+    EXPECT_GT(f.fetches.size(), 0u);
+    const uint64_t scan_closes = f.closes[QueryService::kQueryFetch];
+    EXPECT_EQ(scan_closes, pairs);
+    EXPECT_LE(scan_closes, 2u * n);
+    EXPECT_EQ(scan_closes, SpillPairs(plan).size());
+    EXPECT_EQ(f.closes[QueryService::kDataBlock], 2u * n * n);
+    EXPECT_EQ(f.closes[QueryService::kShipBlock], n);
     ExpectNoExecsLeft();
   }
+}
+
+// A closing frame with nothing to add is the dataflow header alone: `u64
+// qid | varint32 op | varint32 phase | varint32 end`, 11 bytes while op,
+// phase and end are below 128. Over an empty snapshot every member's ship
+// edge closes so: node 0's first query (id 1), the Ship (op 1), phase 0, and
+// end 2, one frame sent.
+TEST_F(QueryClusterTest, ABodilessCloseIsTheHeaderAlone) {
+  Deploy(4);
+  EdgeCountTap tap(dep.get(), 0);
+  PlanBuilder b;
+  auto result = dep->ExecuteQuery(0, b.Ship(b.Scan("R")), 0);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->rows.empty());
+  const std::string golden("\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x02", 11);
+  const auto& closes = tap.bodiless[QueryService::kShipBlock];
+  EXPECT_EQ(closes, std::vector<std::string>(4, golden));
 }
 
 TEST_F(QueryClusterTest, DistributedAggregationWithReaggregation) {
@@ -1143,7 +1192,9 @@ TEST_F(RecoveryTest, FailureAfterCompletionIsIgnored) {
 }
 
 // A worker drops every frame that names an operator the plan lacks, or one of
-// the wrong kind, instead of indexing its operator tables with the id.
+// the wrong kind, instead of indexing its operator tables with the id; the
+// initiator drops a kShipBlock that names any op but the Ship. A frame with a
+// retired id (4, 5, 8) is ignored, even one that would close an edge.
 TEST_F(RecoveryTest, FramesNamingAnOpThePlanLacksAreDropped) {
   Deploy(4);
   LoadBulk(2000, 50);
@@ -1163,24 +1214,31 @@ TEST_F(RecoveryTest, FramesNamingAnOpThePlanLacksAreDropped) {
   ASSERT_FALSE(done);
 
   // Node 0's first query: initiator 0 in the id's high bits, sequence 1.
-  const uint64_t qid = 1;
-  auto send = [&](uint16_t code, std::string payload) {
-    dep->host(1).SendTo(2, net::ServiceId::kQuery, code, std::move(payload));
+  // Every frame below is sent by node 1, to worker 2 or to initiator 0.
+  auto send = [&](net::NodeId to, uint16_t code, uint32_t op, uint32_t end,
+                  const std::string& body) {
+    Writer w;
+    w.PutU64(1);
+    w.PutVarint32(op);
+    w.PutVarint32(0);
+    w.PutVarint32(end);
+    w.PutRaw(body.data(), body.size());
+    dep->host(1).SendTo(to, net::ServiceId::kQuery, code, w.Release());
   };
-  // kDataBlock (2) naming no op, and naming Scan R with a row that joins.
-  TupleBlock block;
-  block.query_id = qid;
+  TupleBlock block;  // a row that joins
   block.rows.push_back(BlockRow{{S("rk-extra"), S("j1")}, DynamicBitset(4)});
-  for (int32_t op : {99, 0}) {
-    block.dest_op = op;
-    send(2, block.Encode());
+  const std::string rows = block.Encode();
+  // kDataBlock naming no op, and naming Scan R; kQueryFetch naming no op,
+  // and naming the Rehash; kShipBlock naming the Join.
+  for (uint32_t op : {99u, 0u}) send(2, QueryService::kDataBlock, op, 0, rows);
+  for (uint32_t op : {99u, 1u}) send(2, QueryService::kQueryFetch, op, 0, "");
+  send(0, QueryService::kShipBlock, 3, 0, rows);
+  // The retired ids, each closing the Rehash or the Ship edge with a count
+  // no frame reached.
+  for (uint16_t code : {QueryService::kEosMarker, QueryService::kScanPartDone}) {
+    send(2, code, 1, 100, "");
   }
-  // kEosMarker, kScanPartDone and kQueryFetch (4-6) naming no op.
-  Writer header;
-  header.PutU64(qid);
-  header.PutVarint32(99);
-  header.PutVarint32(0);
-  for (uint16_t code = 4; code <= 6; ++code) send(code, header.data());
+  send(0, QueryService::kShipEos, 4, 100, "");
 
   ASSERT_TRUE(dep->RunUntil([&] { return done; }, 600 * sim::kMicrosPerSec));
   ASSERT_TRUE(status.ok()) << status.ToString();
@@ -1189,42 +1247,96 @@ TEST_F(RecoveryTest, FramesNamingAnOpThePlanLacksAreDropped) {
   ExpectNoExecsLeft();
 }
 
-// An EOS frame that counts one frame more than reached its receiver means a
-// frame was lost (delivery is in order per connection): the query ends
-// Unavailable at once instead of at kQueryDeadlineUs. The rehash EOS and the
-// scan part-done are checked at a worker, which reports kScanFailed; the
-// ship EOS at the initiator.
-class CountedGapTest : public RecoveryTest,
-                       public ::testing::WithParamInterface<uint16_t> {};
-
-TEST_P(CountedGapTest, EosFrameCountingALostFrameFailsTheQuery) {
-  Deploy(5);
-  LoadBulk(2000, 50);
-  const uint16_t code = GetParam();
-  net::NodeId at = code == QueryService::kShipEos ? 0 : 2;
-  net::NodeId from = 1;
-  if (code == QueryService::kScanPartDone) {
-    // A part-done goes only along a spill pair: forge one of R's.
-    const auto pairs = SpillPairs("R");
-    ASSERT_FALSE(pairs.empty());
-    std::tie(from, at) = *pairs.begin();
+// One broken frame of each edge (rehash, scan, ship) ends the query at once
+// instead of at kQueryDeadlineUs, and leaves no execution behind. The rehash
+// and scan edges are checked at a worker, which reports kScanFailed; the ship
+// edge at the initiator.
+class CountedGapTest : public RecoveryTest, public ::testing::WithParamInterface<uint16_t> {
+ protected:
+  /// Runs JoinPlan() on 5 nodes with `fault` applied to one frame of the
+  /// parameter's edge, into a worker or the initiator, and returns the
+  /// query's status; checks that the fault was applied and the query ended
+  /// within 1 s of sim time.
+  Status RunWithFault(EdgeCountTap::Fault fault) {
+    Deploy(5);
+    LoadBulk(2000, 50);
+    const uint16_t code = GetParam();
+    net::NodeId at = code == QueryService::kShipBlock ? 0 : 2;
+    net::NodeId from = 1;
+    if (code == QueryService::kQueryFetch) {
+      // A scan's frames go only along its spill pairs: take one of R's.
+      const auto pairs = SpillPairs("R");
+      EXPECT_FALSE(pairs.empty());
+      if (!pairs.empty()) std::tie(from, at) = *pairs.begin();
+    }
+    EdgeCountTap tap(dep.get(), at);
+    tap.fault = fault;
+    tap.fault_code = code;
+    tap.fault_from = from;
+    const sim::SimTime start = dep->sim().now();
+    Pending<QueryResult> p = dep->session(0).Query(JoinPlan(), db_epoch);
+    EXPECT_TRUE(dep->RunUntil([&p] { return p.done(); }, 2 * kQueryDeadlineUs));
+    EXPECT_EQ(tap.fault, EdgeCountTap::Fault::kNone) << "no frame was broken";
+    EXPECT_LT(dep->sim().now() - start, 1 * sim::kMicrosPerSec);
+    return p.done() ? p.status() : Status::TimedOut("the query never resolved");
   }
-  EdgeCountTap tap(dep.get(), at);
-  tap.forge = code;
-  tap.forge_from = from;
-  const sim::SimTime start = dep->sim().now();
-  Pending<QueryResult> p = dep->session(0).Query(JoinPlan(), db_epoch);
-  ASSERT_TRUE(dep->RunUntil([&p] { return p.done(); }, 2 * kQueryDeadlineUs));
-  EXPECT_EQ(tap.forge, 0u) << "no EOS frame was forged";
-  EXPECT_EQ(p.status().code(), Status::Code::kUnavailable) << p.status().ToString();
-  EXPECT_LT(dep->sim().now() - start, 1 * sim::kMicrosPerSec);
+};
+
+// A close that counts one frame more than reached its receiver means a frame
+// was lost (delivery is in order per connection): the query ends
+// Unavailable.
+TEST_P(CountedGapTest, CloseCountingALostFrameFailsTheQuery) {
+  Status st = RunWithFault(EdgeCountTap::Fault::kOverCount);
+  EXPECT_EQ(st.code(), Status::Code::kUnavailable) << st.ToString();
   ExpectNoExecsLeft();
 }
 
-INSTANTIATE_TEST_SUITE_P(EosCodes, CountedGapTest,
-                         ::testing::Values(QueryService::kEosMarker,
-                                           QueryService::kScanPartDone,
-                                           QueryService::kShipEos));
+// A frame whose header decodes is counted, so a body that then fails to
+// decode must fail the query (Corruption): dropping it would let the edge
+// close complete and the query return short.
+TEST_P(CountedGapTest, BodyCutAfterTheHeaderFailsTheQuery) {
+  Status st = RunWithFault(EdgeCountTap::Fault::kTruncate);
+  EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
+  ExpectNoExecsLeft();
+}
+
+INSTANTIATE_TEST_SUITE_P(Edges, CountedGapTest,
+                         ::testing::Values(QueryService::kDataBlock,
+                                           QueryService::kQueryFetch,
+                                           QueryService::kShipBlock));
+
+// A rehash edge that carries more than kBlockRows rows sends a full block
+// before its closing frame. With that first block lost, the close counts a
+// frame that never arrived and the query ends Unavailable at once; with its
+// body lost, the frame no longer looks like anything the protocol sends (only
+// a close may be bodiless) and the query ends Corruption.
+TEST_F(RecoveryTest, LostFrameBeforeTheCloseFailsTheQuery) {
+  const std::pair<EdgeCountTap::Fault, Status::Code> cases[] = {
+      {EdgeCountTap::Fault::kDrop, Status::Code::kUnavailable},
+      {EdgeCountTap::Fault::kStrip, Status::Code::kCorruption}};
+  for (auto [fault, code] : cases) {
+    SCOPED_TRACE(testing::Message() << "fault " << static_cast<int>(fault));
+    Deploy(3);
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 6000; ++i) rows.push_back({S(Tag("rk", i)), S("one")});
+    LoadRows("R", rows);
+    PlanBuilder b;
+    PhysicalPlan plan = b.Ship(b.Rehash(b.Scan("R"), {1}));  // every row to one node
+    std::string key;
+    const net::NodeId at = dep->snapshot().OwnerOf(RowHash(rows[0], {1}, &key));
+    EdgeCountTap tap(dep.get(), at);
+    tap.fault = fault;
+    tap.fault_code = QueryService::kDataBlock;
+    tap.fault_from = (at + 1) % 3;
+    const sim::SimTime start = dep->sim().now();
+    Pending<QueryResult> p = dep->session(0).Query(plan, db_epoch);
+    ASSERT_TRUE(dep->RunUntil([&p] { return p.done(); }, 2 * kQueryDeadlineUs));
+    EXPECT_EQ(tap.fault, EdgeCountTap::Fault::kNone) << "no block was broken";
+    EXPECT_EQ(p.status().code(), code) << p.status().ToString();
+    EXPECT_LT(dep->sim().now() - start, 1 * sim::kMicrosPerSec);
+    ExpectNoExecsLeft();
+  }
+}
 
 // Property sweep: random failure times against the same join must always
 // produce the exact failure-free answer (no loss, no duplicates).

@@ -265,7 +265,7 @@ TEST_F(OptimizerTest, BranchAndBoundPrunes) {
 // ---------------------------------------------------------------------------
 // End-to-end: SQL -> optimizer -> distributed engine == reference executor.
 // Five nodes: the 8 partitions straddle node ranges, so a partitioned scan
-// spills over (kQueryFetch) and waits for its spill senders' part-done;
+// spills over (kQueryFetch) and waits for its spill senders' closes;
 // covering, broadcast and replicated scans have no spill pairs.
 
 class SqlEndToEnd : public ::testing::Test {
