@@ -5,11 +5,13 @@
 //
 // Part two measures the other recovery axis this repo adds on top of the
 // paper: NODE restart cost. A LocalStore is loaded through a real on-disk
-// WAL (wal::FileBackend) at 1x/10x/100x store sizes, with checkpoints on vs
-// off, and a fresh store recovers from the files. With checkpoints the
-// replay tail is bounded by the checkpoint cadence — recovery work stays
-// flat while the store grows 100x — and benchdiff enforces that bound on
-// the deterministic replayed_records counter (docs/DURABILITY.md).
+// WAL (wal::FileBackend) at 1x/10x/100x store sizes, once with distinct
+// keys (insert: no record is dead, so no checkpoint is worth its copy) and
+// once overwriting every key twice (overwrite: the log is mostly dead, so
+// the store checkpoints), and a fresh store recovers from the files.
+// benchdiff checks the deterministic record counters: an insert load
+// replays its whole log from no manifest, and an overwrite load reads at
+// most max(4096, 2 x live + 1) records (docs/DURABILITY.md).
 //
 // ORCHESTRA_BENCH_SMOKE=1 shrinks both parts for the CI benchdiff stage;
 // the committed baseline in bench/results/ is generated in smoke mode.
@@ -113,36 +115,39 @@ void QueryRecoveryPart(JsonReport& report) {
 // --------------------------------------------------------------------------
 // Part two: LocalStore restart recovery through a real on-disk WAL.
 
-/// Loads `records` distinct keys through a FileBackend-backed store, makes
-/// the tail durable, then times a cold Recover() on a fresh store sharing
-/// the same files. Returns through `report` under `name`.
+/// Loads `records` distinct keys through a FileBackend-backed store,
+/// `writes` times each (1 = insert only), makes the tail durable, then times
+/// a cold Recover() on a fresh store sharing the same files. Returns through
+/// `report` under `name`.
 void MeasureStoreRecovery(JsonReport& report, const std::string& name,
-                          const std::string& dir, size_t records,
-                          uint64_t checkpoint_every) {
+                          const std::string& dir, size_t records, int writes) {
   auto backend = std::make_shared<wal::FileBackend>(dir);
   localstore::StoreOptions o;
   o.wal_backend = backend;
-  // The load phase is not what this bench measures: sync only on segment
-  // seal, then once explicitly at the end, so durability is real but the
-  // fill loop is not fsync-bound.
+  // The load phase is not what this bench measures: sync only on
+  // checkpoint, then once explicitly at the end, so durability is real but
+  // the fill loop is not fsync-bound.
   o.wal.sync_every_records = 0;
-  o.checkpoint_every_records = checkpoint_every;
-  std::string value(96, 'v');
 
   double load_wall;
+  uint64_t checkpoint_bytes;
   {
     localstore::LocalStore store(o);
     double w0 = WallSeconds();
     char key[32];
-    for (size_t i = 0; i < records; ++i) {
-      std::snprintf(key, sizeof(key), "rec-%010zu", i);
-      if (!store.Put(key, value).ok()) {
-        std::fprintf(stderr, "load put failed\n");
-        std::exit(1);
+    for (int w = 0; w < writes; ++w) {
+      const std::string value(96, static_cast<char>('a' + w));
+      for (size_t i = 0; i < records; ++i) {
+        std::snprintf(key, sizeof(key), "rec-%010zu", i);
+        if (!store.Put(key, value).ok()) {
+          std::fprintf(stderr, "load put failed\n");
+          std::exit(1);
+        }
       }
     }
     store.wal()->Sync();
     load_wall = WallSeconds() - w0;
+    checkpoint_bytes = store.wal()->stats().checkpoint_bytes;
   }  // close the loading store before recovering into a new one
 
   localstore::LocalStore fresh(o);
@@ -155,15 +160,18 @@ void MeasureStoreRecovery(JsonReport& report, const std::string& name,
     std::exit(1);
   }
   const wal::WalStats& ws = fresh.wal()->stats();
-  std::printf("%s,%zu,%llu,%.4f,%.4f,%llu,%llu\n", name.c_str(), records,
-              static_cast<unsigned long long>(checkpoint_every), load_wall,
-              recover_wall, static_cast<unsigned long long>(ws.replayed_records),
-              static_cast<unsigned long long>(ws.snapshot_records));
+  const size_t ops = records * static_cast<size_t>(writes);
+  std::printf("%s,%zu,%zu,%.4f,%.4f,%llu,%llu,%llu\n", name.c_str(), records,
+              ops, load_wall, recover_wall,
+              static_cast<unsigned long long>(ws.replayed_records),
+              static_cast<unsigned long long>(ws.snapshot_records),
+              static_cast<unsigned long long>(checkpoint_bytes));
   report.AddTimed(
-      name, static_cast<double>(records), recover_wall, 0, 0,
-      {{"replayed_records", static_cast<double>(ws.replayed_records)},
+      name, static_cast<double>(ops), recover_wall, 0, 0,
+      {{"records", static_cast<double>(records)},
+       {"replayed_records", static_cast<double>(ws.replayed_records)},
        {"snapshot_records", static_cast<double>(ws.snapshot_records)},
-       {"checkpoint_every", static_cast<double>(checkpoint_every)},
+       {"checkpoint_bytes", static_cast<double>(checkpoint_bytes)},
        {"load_wall_s", load_wall}});
 
   // Reset the directory for the next configuration.
@@ -171,24 +179,20 @@ void MeasureStoreRecovery(JsonReport& report, const std::string& name,
 }
 
 void StoreRecoveryPart(JsonReport& report) {
-  std::printf("# node restart: recovery cost vs store size, checkpoints on/off\n");
-  std::printf("config,records,checkpoint_every,load_wall_s,recover_wall_s,replayed_records,snapshot_records\n");
+  std::printf("# node restart: recovery cost vs store size, distinct keys vs every key overwritten twice\n");
+  std::printf("config,records,ops,load_wall_s,recover_wall_s,replayed_records,snapshot_records,checkpoint_bytes\n");
   char tmpl[] = "/tmp/orchestra-recovery-XXXXXX";
   if (mkdtemp(tmpl) == nullptr) {
     std::fprintf(stderr, "mkdtemp failed\n");
     std::exit(1);
   }
-  // 100x at the full-mode base is ~400k records; with a fixed checkpoint
-  // cadence the load phase re-snapshots O(records) per checkpoint, so the
-  // base is kept small enough that the sweep stays in the low gigabytes.
   const size_t base = Smoke() ? 1500 : 4000;
-  const uint64_t ckpt_every = Smoke() ? 1024 : 4096;
   for (size_t mult : {size_t{1}, size_t{10}, size_t{100}}) {
     std::string scale = std::to_string(mult) + "x";
-    MeasureStoreRecovery(report, "recover_" + scale + "_ckpt_on", tmpl,
-                         base * mult, ckpt_every);
-    MeasureStoreRecovery(report, "recover_" + scale + "_ckpt_off", tmpl,
-                         base * mult, /*checkpoint_every=*/0);
+    MeasureStoreRecovery(report, "recover_" + scale + "_insert", tmpl,
+                         base * mult, /*writes=*/1);
+    MeasureStoreRecovery(report, "recover_" + scale + "_overwrite", tmpl,
+                         base * mult, /*writes=*/3);
   }
   rmdir(tmpl);
 }

@@ -6,8 +6,8 @@
 // Part two measures the durability ablation this repo adds: the LocalStore
 // write path with no WAL, the deterministic in-memory WAL the simulator
 // uses, and the on-disk WAL the recovery bench uses — with and without
-// per-record sync and background checkpoints — so the cost of crash safety
-// is tracked per layer (docs/DURABILITY.md).
+// batched sync — so the cost of crash safety is tracked per layer, manifest
+// bytes included (docs/DURABILITY.md).
 //
 // ORCHESTRA_BENCH_SMOKE=1 shrinks both parts for the CI benchdiff stage;
 // the committed baseline in bench/results/ is generated in smoke mode.
@@ -81,10 +81,11 @@ void RunWritePath(JsonReport& report, const std::string& name,
   }
   if (store.wal() != nullptr) store.wal()->Sync();
   double wall = WallSeconds() - w0;
-  double checkpoints = 0, bytes = 0, syncs = 0;
+  double checkpoints = 0, checkpoint_bytes = 0, bytes = 0, syncs = 0;
   if (store.wal() != nullptr) {
     const wal::WalStats& ws = store.wal()->stats();
     checkpoints = static_cast<double>(ws.checkpoints);
+    checkpoint_bytes = static_cast<double>(ws.checkpoint_bytes);
     bytes = static_cast<double>(ws.bytes_appended);
     syncs = static_cast<double>(ws.syncs);
   }
@@ -93,7 +94,8 @@ void RunWritePath(JsonReport& report, const std::string& name,
   report.AddTimed(name, static_cast<double>(2 * records), wall, 0, 0,
                   {{"wal_bytes", bytes},
                    {"wal_syncs", syncs},
-                   {"checkpoints", checkpoints}});
+                   {"checkpoints", checkpoints},
+                   {"checkpoint_bytes", checkpoint_bytes}});
 }
 
 void WritePathPart(JsonReport& report) {
@@ -108,11 +110,6 @@ void WritePathPart(JsonReport& report) {
   mem.wal_backend = std::make_shared<wal::MemoryBackend>();
   RunWritePath(report, "writepath_wal_mem", mem, records);
 
-  localstore::StoreOptions mem_ckpt;
-  mem_ckpt.wal_backend = std::make_shared<wal::MemoryBackend>();
-  mem_ckpt.checkpoint_every_records = records / 2;
-  RunWritePath(report, "writepath_wal_mem_ckpt", mem_ckpt, records);
-
   char tmpl[] = "/tmp/orchestra-writepath-XXXXXX";
   if (mkdtemp(tmpl) == nullptr) {
     std::fprintf(stderr, "mkdtemp failed\n");
@@ -122,7 +119,7 @@ void WritePathPart(JsonReport& report) {
     localstore::StoreOptions file;
     auto backend = std::make_shared<wal::FileBackend>(tmpl);
     file.wal_backend = backend;
-    file.wal.sync_every_records = 0;  // sync on seal + once at the end
+    file.wal.sync_every_records = 0;  // sync once at the end
     RunWritePath(report, "writepath_wal_file", file, records);
     for (const std::string& f : backend->List()) backend->Remove(f).ok();
   }

@@ -43,12 +43,13 @@ struct DeploymentOptions {
   /// fencing: an abandoned claim then wedges the chain forever, the seed
   /// liveness contract.
   sim::SimTime fence_after_us = 0;
-  /// Per-node LocalStore tuning (compaction thresholds, WAL cadence);
-  /// harnesses lower the compaction floor so small stores still exercise the
-  /// GC->compact path. The deployment supplies each node's WAL backend: a
-  /// deterministic wal::MemoryBackend, so KillNode models a real crash —
-  /// unsynced WAL bytes are torn away — and RestartNode rebuilds the store
-  /// from the newest checkpoint plus the surviving tail (docs/DURABILITY.md).
+  /// Per-node LocalStore tuning (the compaction and checkpoint thresholds,
+  /// WAL sync cadence); harnesses lower the floor so small stores still
+  /// exercise the GC->compact and checkpoint paths. The deployment supplies
+  /// each node's WAL backend: a deterministic wal::MemoryBackend, so
+  /// KillNode models a real crash — unsynced WAL bytes are torn away — and
+  /// RestartNode rebuilds the store from the newest checkpoint plus the
+  /// surviving log (docs/DURABILITY.md).
   localstore::StoreOptions store;
   /// Per-node client::Session tuning: the publish window (pipelining).
   /// Defaults pipeline up to 4 publishes per session.

@@ -540,7 +540,7 @@ Status LocalStore::Put(std::string_view key, std::string_view value) {
     // Write-ahead: the record is durable (per the sync cadence) before any
     // in-memory index observes it.
     ORC_RETURN_IF_ERROR(wal_->AppendPut(key, value));
-    ++appends_since_checkpoint_;
+    ++durable_records_;
   }
   CommitPut(key, value);
   return Status::OK();
@@ -554,7 +554,7 @@ Status LocalStore::PutDerived(std::string_view key, std::string_view base_key,
   if (wal_ != nullptr) {
     ORC_RETURN_IF_ERROR(
         wal_->AppendDerivedPut(key, EncodeDerivation(base_key, splice)));
-    ++appends_since_checkpoint_;
+    ++durable_records_;
   }
   CommitPut(key, value);
   return Status::OK();
@@ -599,7 +599,7 @@ Status LocalStore::Delete(std::string_view key) {
   if (hidx != kNoSlot) {
     if (wal_ != nullptr) {
       ORC_RETURN_IF_ERROR(wal_->AppendDelete(key));
-      ++appends_since_checkpoint_;
+      ++durable_records_;
     }
     // A delete stores nothing in the arena, but still counts as one record
     // in log_size(), which paces compaction, and in the write stats.
@@ -648,7 +648,7 @@ Status LocalStore::Recover() {
   }
 
   // Crash-restart: every in-memory structure is gone; the WAL's checkpoint
-  // manifest plus the segments past it are the sole source of truth.
+  // manifest plus the log past it are the sole source of truth.
   // Checkpoint entries arrive sorted and unique (fast sorted-index path);
   // tail records replay through the general overwrite/delete path.
   arena_ = Arena();
@@ -662,26 +662,26 @@ Status LocalStore::Recover() {
   // Each tail record is followed by the compaction rule a live write
   // applies, so replaying a long tail keeps the arena as bounded as writing
   // it did.
-  uint64_t tail_records = 0;
+  durable_records_ = 0;
   auto replayed = [&] {
     MaybeCompact();
     return true;
   };
   Status st = wal_->Recover([&](wal::RecordType type, std::string_view key,
                                 std::string_view value, bool from_checkpoint) {
+    ++durable_records_;
     if (from_checkpoint) {
       IndexLiveRecord(AppendRecord(key, value, /*count_stats=*/false));
       return true;
     }
-    ++tail_records;
     switch (type) {
       case wal::RecordType::kPut:
         ApplyPut(key, value, /*count_stats=*/false);
         return replayed();
       case wal::RecordType::kDerivedPut: {
-        // The splice applies to the base's value at this point of the log;
-        // a base that a torn segment lost leaves nothing to apply it to, and
-        // the record is dropped.
+        // The splice applies to the base's value at this point of the log.
+        // Only the newest log can tear, so the base always precedes the
+        // record; a missing one fails recovery.
         std::string_view base_key, splice;
         std::string derived;
         if (!DecodeDerivation(value, &base_key, &splice) ||
@@ -707,7 +707,6 @@ Status LocalStore::Recover() {
     return false;
   });
   stats_.live_records = hcount_;
-  appends_since_checkpoint_ = tail_records;
   return st;
 }
 
@@ -727,16 +726,20 @@ Status LocalStore::Checkpoint() {
         it.Next();
         return true;
       });
-  // Reset the cadence either way: a failed publish (injected crash window)
-  // must not retry on the very next Put — recovery handles it.
-  appends_since_checkpoint_ = 0;
+  // Pace the next one from here either way: a failed publish (injected
+  // crash window) must not retry on the very next Put — recovery handles
+  // it.
+  durable_records_ = hcount_;
   return st;
 }
 
 void LocalStore::MaybeCheckpoint() {
-  if (wal_ == nullptr || options_.checkpoint_every_records == 0) return;
-  if (appends_since_checkpoint_ < options_.checkpoint_every_records) return;
-  Checkpoint().ok();  // an injected publish failure is surfaced via stats
+  if (wal_ == nullptr || durable_records_ < options_.compaction_min_records) return;
+  const double dead =
+      1.0 - static_cast<double>(hcount_) / static_cast<double>(durable_records_);
+  if (dead > options_.compaction_garbage_ratio) {
+    Checkpoint().ok();  // an injected publish failure is surfaced via stats
+  }
 }
 
 void LocalStore::Compact() {

@@ -55,12 +55,12 @@ struct StoreStats {
   /// Records/bytes appended by MUTATIONS (Put/Delete) only. Recovery replay
   /// re-materializes records into a fresh arena without re-counting them here,
   /// so the cumulative write volume stays truthful across restarts and
-  /// checkpoint-retired WAL segments are never double-counted.
+  /// checkpoint-retired WAL logs are never double-counted.
   uint64_t log_records = 0;
   uint64_t log_bytes = 0;
   uint64_t live_records = 0;      // records reachable from the index
   uint64_t compactions = 0;
-  // Durability counters (checkpoints, retired segments, replayed records)
+  // Durability counters (checkpoints, retired logs, replayed records)
   // live in the WAL's own stats: wal()->stats().
 };
 
@@ -99,20 +99,19 @@ class Splice {
 struct StoreOptions {
   /// Compact when garbage_ratio() exceeds this: when dead records exceed
   /// this fraction of log_size(), or dead bytes this fraction of
-  /// arena_bytes().
+  /// arena_bytes(). Checkpoint when dead records exceed this fraction of
+  /// the durable image (the last manifest's entries plus the WAL records
+  /// appended since).
   double compaction_garbage_ratio = 0.5;
-  /// Do not compact below this many records (whichever fraction is over).
+  /// Do not compact, or checkpoint, below this many records.
   uint64_t compaction_min_records = 4096;
-  /// Durability: when set, every mutation is framed into a segmented WAL on
-  /// this backend and Recover() rebuilds from the newest checkpoint plus the
-  /// tail segments past it. Null keeps the store memory-only (cdss local
-  /// databases, unit tests); such a store cannot Recover().
+  /// Durability: when set, every mutation is framed into a WAL on this
+  /// backend and Recover() rebuilds from the newest checkpoint plus the log
+  /// past it. Null keeps the store memory-only (cdss local databases, unit
+  /// tests); such a store cannot Recover().
   std::shared_ptr<wal::Backend> wal_backend;
-  /// WAL tuning (segment size, sync cadence); used only with wal_backend.
+  /// WAL tuning (sync cadence); used only with wal_backend.
   wal::WalOptions wal;
-  /// Publish a checkpoint after this many WAL appends since the last one
-  /// (0 = only explicit Checkpoint() calls). Bounds the replay tail.
-  uint64_t checkpoint_every_records = 8192;
 };
 
 class LocalStore {
@@ -206,7 +205,7 @@ class LocalStore {
   size_t entry_count() const { return hcount_; }
   /// Records appended since the last rebuild (compaction or recovery), live
   /// + dead; a Delete counts as one. Shrinks on compaction and on a
-  /// checkpointed recovery (retired WAL segments drop out entirely), so it is
+  /// checkpointed recovery (retired WAL logs drop out entirely), so it is
   /// the CURRENT footprint, never the cumulative write volume.
   size_t log_size() const { return log_records_; }
   const StoreStats& stats() const { return stats_; }
@@ -233,13 +232,15 @@ class LocalStore {
 
   /// Crash-recovery entry point: discards ALL in-memory state and rebuilds
   /// from the WAL's newest checkpoint manifest plus a replay of only the
-  /// segments past it (tail-only replay; cost is bounded by
-  /// checkpoint_every_records, not store size). FailedPrecondition, with the
-  /// store untouched, when no WAL backend is attached.
+  /// log past it. The checkpoint rule keeps the records read at most
+  /// max(compaction_min_records, live / (1 - compaction_garbage_ratio)).
+  /// FailedPrecondition, with the store untouched, when no WAL backend is
+  /// attached; Corruption when the WAL is damaged or holds a derived put
+  /// without its base.
   Status Recover();
 
   /// Publishes a WAL checkpoint now (no-op without a WAL backend): dense
-  /// snapshot manifest + retirement of all sealed segments below it.
+  /// snapshot manifest + retirement of every sealed log below it.
   Status Checkpoint();
 
   /// The attached WAL, or null. Exposed for stats and the churn harness's
@@ -334,6 +335,9 @@ class LocalStore {
   void IndexLiveRecord(Slot rec);
 
   void MaybeCompact();
+  /// Checkpoints when the durable image holds at least
+  /// compaction_min_records records and more than compaction_garbage_ratio
+  /// of them are dead: the record half of MaybeCompact's rule.
   void MaybeCheckpoint();
   /// The index halves of Put and Delete (EraseAt takes a HashFind hit),
   /// shared with recovery replay: no WAL echo, no compaction/checkpoint
@@ -368,7 +372,9 @@ class LocalStore {
 
   // Durability: present iff StoreOptions::wal_backend was set.
   std::unique_ptr<wal::Wal> wal_;
-  uint64_t appends_since_checkpoint_ = 0;
+  // Records in the durable image: the last checkpoint's entries plus the
+  // WAL records appended since. Recovery reads this many.
+  uint64_t durable_records_ = 0;
 
   // Mutable so read methods can count reads without a const_cast.
   mutable StoreStats stats_;

@@ -1,6 +1,7 @@
 #include "wal/backend.h"
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -137,12 +138,16 @@ Status FileBackend::Append(const std::string& name, std::string_view bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   std::FILE*& f = handles_[name];
   if (f == nullptr) {
-    f = std::fopen(PathOf(name).c_str(), "ab");
+    const std::string path = PathOf(name);
+    struct stat st{};
+    const bool created = ::stat(path.c_str(), &st) != 0;
+    f = std::fopen(path.c_str(), "ab");
     if (f == nullptr) {
       handles_.erase(name);
-      return Status::IOError("wal: open failed: " + PathOf(name) + ": " +
+      return Status::IOError("wal: open failed: " + path + ": " +
                              std::strerror(errno));
     }
+    if (created) new_entries_.insert(name);
   }
   if (!bytes.empty() &&
       std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
@@ -154,13 +159,29 @@ Status FileBackend::Append(const std::string& name, std::string_view bytes) {
 Status FileBackend::Sync(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = handles_.find(name);
-  if (it == handles_.end()) {
-    // Nothing buffered through us; the file is as durable as it gets.
-    return Status::OK();
+  bool synced;
+  if (it != handles_.end()) {
+    synced = std::fflush(it->second) == 0 && ::fsync(::fileno(it->second)) == 0;
+  } else {
+    // Bytes an earlier handle or process wrote may sit in the page cache.
+    const int fd = ::open(PathOf(name).c_str(), O_RDONLY);
+    synced = fd >= 0 && ::fsync(fd) == 0;
+    if (fd >= 0) ::close(fd);
   }
-  if (std::fflush(it->second) != 0 || ::fsync(::fileno(it->second)) != 0) {
-    return Status::IOError("wal: fsync failed: " + PathOf(name));
+  if (!synced) return Status::IOError("wal: fsync failed: " + PathOf(name));
+  if (new_entries_.erase(name) > 0) return SyncDirLocked();
+  return Status::OK();
+}
+
+Status FileBackend::SyncDirLocked() {
+  const int fd = ::open(root_.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::IOError("wal: open failed: " + root_ + ": " +
+                           std::strerror(errno));
   }
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  if (!synced) return Status::IOError("wal: directory fsync failed: " + root_);
   return Status::OK();
 }
 
@@ -175,6 +196,9 @@ Result<std::string> FileBackend::Read(const std::string& name) const {
   std::FILE* f = std::fopen(PathOf(name).c_str(), "rb");
   if (f == nullptr) return Status::NotFound("wal: no such file " + name);
   std::string out;
+  // A log holds everything since the last checkpoint: size the buffer once.
+  struct stat st{};
+  if (::fstat(::fileno(f), &st) == 0) out.reserve(static_cast<size_t>(st.st_size));
   char buf[1 << 16];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
@@ -209,13 +233,17 @@ Status FileBackend::Rename(const std::string& from, const std::string& to) {
   if (std::rename(PathOf(from).c_str(), PathOf(to).c_str()) != 0) {
     return Status::IOError("wal: rename failed: " + PathOf(from));
   }
-  return Status::OK();
+  // The rename is a publish point only once the directory holds it.
+  new_entries_.erase(from);
+  new_entries_.erase(to);
+  return SyncDirLocked();
 }
 
 Status FileBackend::Remove(const std::string& name) {
   if (!ValidName(name)) return Status::InvalidArgument("wal: bad file name " + name);
   std::lock_guard<std::mutex> lock(mu_);
   CloseHandleLocked(name);
+  new_entries_.erase(name);
   std::remove(PathOf(name).c_str());  // already-absent is fine (idempotent)
   return Status::OK();
 }

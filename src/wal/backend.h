@@ -1,4 +1,4 @@
-// Injectable byte-level I/O backend for the segmented WAL (wal/wal.h). The
+// Injectable byte-level I/O backend for the write-ahead log (wal/wal.h). The
 // WAL layer never touches files directly; everything goes through this
 // interface so the deterministic simulator and the churn harness can run the
 // full durability protocol — including crashes that tear an unsynced tail —
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -90,7 +91,9 @@ class MemoryBackend : public Backend {
 
 /// Real-file backend for the recovery benchmarks: one flat directory of
 /// files under `root`. Append handles are cached per file; Sync does
-/// fflush + fsync. Not used by any simulated deployment (the sim stays
+/// fflush + fsync. A file's directory entry needs its own fsync (fsync(2)),
+/// so Rename and the first Sync of a file this backend created fsync the
+/// directory too. Not used by any simulated deployment (the sim stays
 /// deterministic on MemoryBackend).
 class FileBackend : public Backend {
  public:
@@ -117,10 +120,13 @@ class FileBackend : public Backend {
   std::string PathOf(const std::string& name) const;
   /// Closes and drops the cached append handle, if any (callers hold mu_).
   void CloseHandleLocked(const std::string& name);
+  /// fsyncs the directory, making its entries durable (callers hold mu_).
+  Status SyncDirLocked();
 
   std::string root_;
   mutable std::mutex mu_;
   std::map<std::string, std::FILE*> handles_;
+  std::set<std::string> new_entries_;  // created here; entry not yet synced
 };
 
 }  // namespace orchestra::wal

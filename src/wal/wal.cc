@@ -2,8 +2,8 @@
 
 #include <zlib.h>
 
-#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "common/serial.h"
 
@@ -59,7 +59,7 @@ bool DecodeKv(std::string_view payload, std::string_view* key,
   return true;
 }
 
-/// The record types a segment holds.
+/// The record types a log holds.
 bool IsTailRecord(RecordType type) {
   return type == RecordType::kPut || type == RecordType::kDelete ||
          type == RecordType::kDerivedPut;
@@ -67,11 +67,13 @@ bool IsTailRecord(RecordType type) {
 
 /// Walks the CRC-framed records of one buffer. Any framing defect —
 /// truncated header, impossible length, CRC mismatch — is a torn tail: the
-/// walk stops at the last whole record and reports where.
+/// walk stops at the last whole record and reports where. A whole record
+/// the handler refuses stops the walk too, as `rejected`.
 struct FrameWalk {
   uint64_t records = 0;
   uint64_t valid_bytes = 0;  // offset of the first defective byte, if torn
   bool torn = false;
+  bool rejected = false;
 };
 
 FrameWalk WalkFrames(
@@ -88,9 +90,8 @@ FrameWalk WalkFrames(
     std::string_view payload = body.substr(1);
     if (FrameCrc(type, payload) != crc) break;
     if (!handle(type, payload)) {
-      // Handler rejected a CRC-valid record: not a torn tail, a writer bug.
       walk.valid_bytes = off;
-      walk.torn = true;
+      walk.rejected = true;
       return walk;
     }
     walk.records += 1;
@@ -139,10 +140,7 @@ Status Wal::AppendRecord(RecordType type, std::string_view key,
   stats_.bytes_appended += frame.size();
   if (options_.sync_every_records > 0 &&
       unsynced_records_ >= options_.sync_every_records) {
-    ORC_RETURN_IF_ERROR(Sync());
-  }
-  if (active_bytes_ >= options_.segment_target_bytes) {
-    return SealActiveSegment();
+    return Sync();
   }
   return Status::OK();
 }
@@ -171,26 +169,18 @@ Status Wal::Sync() {
 }
 
 Status Wal::SealActiveSegment() {
-  std::string name = SegmentName(active_id_);
-  if (skip_next_seal_sync_) {
-    // Injected fault: the sealed bytes stay in the unsynced window, so a
-    // crash now tears a NON-final segment — recovery must truncate it and
-    // still replay everything after it.
-    skip_next_seal_sync_ = false;
-  } else if (unsynced_records_ > 0 && backend_->Exists(name)) {
-    ORC_RETURN_IF_ERROR(backend_->Sync(name));
-    stats_.syncs += 1;
-  }
+  // A sealed log is never appended to again, so it is synced whole: only
+  // the newest log can tear.
+  ORC_RETURN_IF_ERROR(Sync());
   stats_.segments_sealed += 1;
   active_id_ += 1;
   active_bytes_ = 0;
-  unsynced_records_ = 0;
   return Status::OK();
 }
 
 Status Wal::WriteCheckpoint(const SnapshotIter& next) {
   // The snapshot is about to cover everything appended so far; seal the
-  // active segment so the first-live watermark lands on a segment boundary.
+  // active log so the first-live watermark lands on a log boundary.
   if (active_bytes_ > 0) ORC_RETURN_IF_ERROR(SealActiveSegment());
   uint64_t first_live = active_id_;
 
@@ -206,10 +196,12 @@ Status Wal::WriteCheckpoint(const SnapshotIter& next) {
     AppendFrame(&buf, RecordType::kPut, EncodeKv(key, value));
     if (buf.size() >= kManifestFlushBytes) {
       ORC_RETURN_IF_ERROR(backend_->Append(kManifestTmpName, buf));
+      stats_.checkpoint_bytes += buf.size();
       buf.clear();
     }
   }
   ORC_RETURN_IF_ERROR(backend_->Append(kManifestTmpName, buf));
+  stats_.checkpoint_bytes += buf.size();
   ORC_RETURN_IF_ERROR(backend_->Sync(kManifestTmpName));
   stats_.syncs += 1;
 
@@ -225,7 +217,7 @@ Status Wal::WriteCheckpoint(const SnapshotIter& next) {
   first_live_ = first_live;
   stats_.checkpoints += 1;
 
-  // The manifest is durable; every sealed segment below it is dead weight.
+  // The manifest is durable; every sealed log below it is dead weight.
   for (const std::string& name : backend_->List()) {
     uint64_t id = 0;
     if (ParseSegmentName(name, &id) && id < first_live_) {
@@ -244,7 +236,6 @@ namespace {
 Status ReplayManifest(std::string_view data, uint64_t* first_live,
                       const Wal::ApplyFn& apply, uint64_t* entries) {
   bool saw_header = false;
-  bool bad = false;
   FrameWalk walk = WalkFrames(data, [&](RecordType type, std::string_view payload) {
     if (!saw_header) {
       if (type != RecordType::kManifestHeader) return false;
@@ -260,8 +251,9 @@ Status ReplayManifest(std::string_view data, uint64_t* first_live,
     if (entries != nullptr) *entries += 1;
     return true;
   });
-  bad = walk.torn || !saw_header;
-  if (bad) return Status::Corruption("wal: manifest corrupt");
+  if (walk.torn || walk.rejected || !saw_header) {
+    return Status::Corruption("wal: manifest corrupt");
+  }
   return Status::OK();
 }
 
@@ -279,7 +271,7 @@ Status Wal::Recover(const ApplyFn& apply) {
         ReplayManifest(*data, &first_live_, apply, &stats_.snapshot_records));
   }
 
-  uint64_t max_id = 0;
+  std::vector<uint64_t> logs;  // at or past the watermark, in id order
   for (const std::string& name : backend_->List()) {
     uint64_t id = 0;
     if (!ParseSegmentName(name, &id)) continue;
@@ -289,42 +281,49 @@ Status Wal::Recover(const ApplyFn& apply) {
       stats_.segments_retired += 1;
       continue;
     }
+    logs.push_back(id);
+  }
+
+  active_id_ = first_live_;
+  active_bytes_ = 0;
+  unsynced_records_ = 0;
+  for (uint64_t id : logs) {
+    const std::string name = SegmentName(id);
     Result<std::string> data = backend_->Read(name);
     if (!data.ok()) return data.status();
-    bool decode_ok = true;
     FrameWalk walk =
         WalkFrames(*data, [&](RecordType type, std::string_view payload) {
           std::string_view key, value;
-          if (!DecodeKv(payload, &key, &value)) return false;
-          if (!IsTailRecord(type)) {
-            decode_ok = false;
-            return false;
-          }
-          if (!apply(type, key, value, /*from_checkpoint=*/false)) {
-            stats_.dropped_records += 1;
-          }
-          return true;
+          return IsTailRecord(type) && DecodeKv(payload, &key, &value) &&
+                 apply(type, key, value, /*from_checkpoint=*/false);
         });
-    if (!decode_ok) return Status::Corruption("wal: bad record type in " + name);
     stats_.replayed_records += walk.records;
+    if (walk.rejected) {
+      return Status::Corruption("wal: " + name + " holds a record that does not apply");
+    }
     if (walk.torn) {
+      // Every seal syncs, so a torn frame anywhere but the newest log is
+      // damage, not a crash's residue.
+      if (id != logs.back()) return Status::Corruption("wal: torn log " + name);
       stats_.torn_tails += 1;
       stats_.torn_bytes += data->size() - walk.valid_bytes;
       ORC_RETURN_IF_ERROR(backend_->Truncate(name, walk.valid_bytes));
     }
-    max_id = std::max(max_id, id);
+    active_id_ = id;
+    active_bytes_ = walk.valid_bytes;
   }
-
-  // Fresh active segment past everything replayed: a truncated tail segment
-  // is never appended to again.
-  active_id_ = std::max(max_id + 1, first_live_);
-  active_bytes_ = 0;
-  unsynced_records_ = 0;
+  // Appends continue the newest log, so a recovery adds no log. It is
+  // synced first: what was replayed stays durable, and the seal that ends
+  // the log leaves no unsynced byte in it.
+  if (active_bytes_ > 0) {
+    ORC_RETURN_IF_ERROR(backend_->Sync(SegmentName(active_id_)));
+    stats_.syncs += 1;
+  }
   return Status::OK();
 }
 
 Status Wal::Replay(const Backend& backend, const ApplyFn& apply) {
-  // Read-only and tolerant by design: segments may be retired between List
+  // Read-only and tolerant by design: logs may be retired between List
   // and Read when a writer is live, and the active tail may end mid-window.
   // Point-in-time consistency is NOT guaranteed against a concurrent
   // checkpoint; this is the reader-side smoke/debug facility, not recovery.

@@ -1,26 +1,27 @@
-// Segmented write-ahead log with checkpointed recovery. The paper's
-// prototype delegated durability to BerkeleyDB (§VI); this is our
-// from-scratch equivalent of its write-ahead logging layer, shaped so that
-// restart cost scales with the post-checkpoint tail rather than store size.
+// Write-ahead log with checkpointed recovery. The paper's prototype
+// delegated durability to BerkeleyDB (§VI); this is our from-scratch
+// equivalent of its write-ahead logging layer, shaped so that restart cost
+// scales with the records a checkpoint has not yet folded away rather than
+// with every write the store ever took.
 //
 //   * Records are framed [len u32le][crc32 u32le][type u8][payload] and
-//     appended to the active segment. Segments seal at a size target and are
-//     immutable afterwards; segment ids are monotonic and encode the replay
-//     order in the file name (wal-<id>.seg).
-//   * A checkpoint seals the active segment, streams a dense snapshot of the
+//     appended to the active log. Only a checkpoint seals a log, and every
+//     seal syncs it, so the logs a manifest has not retired are one per
+//     checkpoint attempt; log ids are monotonic and encode the replay order
+//     in the file name (wal-<id>.seg).
+//   * A checkpoint seals the active log, streams a dense snapshot of the
 //     live state into MANIFEST.tmp (same record framing: one header naming
-//     the first live segment, then one kPut frame per live entry, sorted),
-//     syncs it, and atomically renames it to MANIFEST. Sealed segments below
-//     the first-live watermark are then retired (deleted) — the reclaimed
-//     space never reappears in any accounting.
-//   * Recover() loads the newest MANIFEST (if any) and replays only the
-//     segments at-or-past its first-live watermark, in id order. A torn tail
-//     (incomplete frame or CRC mismatch, the residue of a crash with
-//     unsynced bytes) stops replay of that segment at the last whole record
-//     and truncates the file there — deterministically, so two recoveries of
-//     the same bytes agree. Replay goes on into later segments, where a
-//     derived put can name a base the torn segment lost: the store then
-//     drops that record, and Recover counts it.
+//     the first live log, then one kPut frame per live entry, sorted), syncs
+//     it, and atomically renames it to MANIFEST. Sealed logs below the
+//     first-live watermark are then retired (deleted) — the reclaimed space
+//     never reappears in any accounting.
+//   * Recover() loads the newest MANIFEST (if any) and replays only the logs
+//     at-or-past its first-live watermark, in id order. Only the newest log
+//     can tear (the residue of a crash with unsynced bytes): replay stops at
+//     its last whole record and truncates the file there —
+//     deterministically, so two recoveries of the same bytes agree — and
+//     appends continue that log. A torn older log, or a record the store
+//     cannot apply (a derived put without its base), is Corruption.
 //
 // Determinism contract: the WAL reads no clocks and draws no randomness; all
 // state is a pure function of the append/checkpoint call sequence and the
@@ -55,10 +56,8 @@ enum class RecordType : uint8_t {
 };
 
 struct WalOptions {
-  /// Seal the active segment once it reaches this many bytes.
-  uint64_t segment_target_bytes = 256 * 1024;
-  /// Sync the active segment after every Nth append (1 = every record, the
-  /// lose-nothing default; 0 = only on seal/checkpoint/explicit Sync, which
+  /// Sync the active log after every Nth append (1 = every record, the
+  /// lose-nothing default; 0 = only on checkpoint/explicit Sync, which
   /// leaves a crashable tail — what the churn harness uses to exercise torn
   /// tails).
   uint64_t sync_every_records = 1;
@@ -72,16 +71,16 @@ struct WalStats {
   uint64_t segments_retired = 0;
   uint64_t checkpoints = 0;
   uint64_t checkpoint_failures = 0;  // injected publish failures (tests)
+  uint64_t checkpoint_bytes = 0;  // written to MANIFEST.tmp, failed
+                                  // publishes included
   uint64_t recoveries = 0;
   uint64_t snapshot_records = 0;  // manifest entries loaded across recoveries
   uint64_t replayed_records = 0;  // tail records replayed across recoveries
-  uint64_t dropped_records = 0;   // replayed records the store could not
-                                  // apply: derived puts whose base is gone
-  uint64_t torn_tails = 0;        // segments truncated during recovery
+  uint64_t torn_tails = 0;        // newest logs truncated during recovery
   uint64_t torn_bytes = 0;        // bytes discarded by those truncations
 };
 
-/// Single-writer segmented WAL over an injected Backend. Thread contract:
+/// Single-writer WAL over an injected Backend. Thread contract:
 /// all mutating calls (Append*/Sync/WriteCheckpoint/Recover) come from one
 /// thread; the static Replay() is safe to run concurrently from readers
 /// because it never mutates backend state.
@@ -89,8 +88,8 @@ class Wal {
  public:
   /// Applied to every recovered record. `from_checkpoint` records come from
   /// the manifest snapshot: always kPut, unique keys, sorted ascending.
-  /// Returns false for a record the store could not apply (a derived put
-  /// whose base a torn segment lost); Recover skips and counts it.
+  /// Returns false for a record the store cannot apply (a derived put
+  /// whose base is absent); Recover then fails with Corruption.
   using ApplyFn = std::function<bool(RecordType type, std::string_view key,
                                      std::string_view value,
                                      bool from_checkpoint)>;
@@ -108,22 +107,23 @@ class Wal {
   /// Makes every record appended so far durable.
   Status Sync();
 
-  /// Publishes a checkpoint: seals the active segment, writes the snapshot
-  /// + first-live watermark to MANIFEST.tmp, syncs, renames to MANIFEST,
-  /// then retires sealed segments below the watermark. Returns Aborted if a
-  /// FailNextCheckpointPublish() hook was armed (the tmp file is left
-  /// behind, exactly like a crash between sync and rename).
+  /// Publishes a checkpoint: seals (syncs) the active log, writes the
+  /// snapshot + first-live watermark to MANIFEST.tmp, syncs, renames to
+  /// MANIFEST, then retires sealed logs below the watermark. Returns
+  /// Aborted if a FailNextCheckpointPublish() hook was armed (the tmp file
+  /// is left behind, exactly like a crash between sync and rename).
   Status WriteCheckpoint(const SnapshotIter& next);
 
-  /// Rebuilds state from the backend: loads the newest manifest, replays
-  /// the tail segments in id order (truncating torn tails), retires any
-  /// segments a crash left below the manifest watermark, and opens a fresh
-  /// active segment past everything replayed.
+  /// Rebuilds state from the backend: loads the newest manifest, retires
+  /// any logs a crash left below its watermark, replays the rest in id
+  /// order (truncating the newest log's torn tail), then syncs the newest
+  /// and continues appending to it. Corruption when an older log is torn or
+  /// `apply` refuses a record.
   Status Recover(const ApplyFn& apply);
 
   /// Read-only replay of a backend's current state (manifest + tail) for
   /// concurrent readers: never truncates, renames, or deletes. Torn tails
-  /// stop that segment's replay silently.
+  /// stop that log's replay silently.
   static Status Replay(const Backend& backend, const ApplyFn& apply);
 
   // --- Fault-injection hooks (churn harness / tests) -----------------------
@@ -131,9 +131,6 @@ class Wal {
   /// rename: it returns Aborted and publishes nothing. Recovery must use the
   /// previous manifest and ignore the stray tmp.
   void FailNextCheckpointPublish() { fail_next_checkpoint_ = true; }
-  /// The next segment seal skips its sync, leaving the sealed bytes exposed
-  /// to a crash (a torn tail in a non-final segment).
-  void SkipNextSealSync() { skip_next_seal_sync_ = true; }
 
   const WalStats& stats() const { return stats_; }
   const WalOptions& options() const { return options_; }
@@ -141,9 +138,9 @@ class Wal {
   uint64_t first_live_segment() const { return first_live_; }
   Backend* backend() { return backend_.get(); }
 
-  /// Segment file name for id (wal-<10-digit id>.seg).
+  /// Log file name for id (wal-<10-digit id>.seg).
   static std::string SegmentName(uint64_t id);
-  /// Parses a segment file name; returns false for non-segment files.
+  /// Parses a log file name; returns false for other files.
   static bool ParseSegmentName(std::string_view name, uint64_t* id);
 
  private:
@@ -159,7 +156,6 @@ class Wal {
   uint64_t active_bytes_ = 0;
   uint64_t unsynced_records_ = 0;
   bool fail_next_checkpoint_ = false;
-  bool skip_next_seal_sync_ = false;
 };
 
 }  // namespace orchestra::wal

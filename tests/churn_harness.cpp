@@ -56,7 +56,6 @@ struct Driver {
     dopts.gc_keep_epochs = o.gc_keep_epochs;
     dopts.store.compaction_min_records = o.compaction_min_records;
     dopts.store.wal.sync_every_records = o.wal_sync_every;
-    dopts.store.checkpoint_every_records = o.wal_checkpoint_every;
     dopts.fence_after_us = o.fence_after_us;
     dep = std::make_unique<deploy::Deployment>(dopts);
     dep->network().SeedFaults(rng.Fork(3).NextU64());
@@ -425,23 +424,16 @@ struct Driver {
     if (dead.size() + hung.size() >= opts.max_dead) return;
     net::NodeId victim = RandomLive(fault_rng);
     // Crash-point arming happens NOW (not inside the kill lambda): the
-    // victim's very next checkpoint publish / segment seal during the round
-    // trips the hook, so the scheduled crash lands on a store whose WAL is in
-    // the half-finished state the hook models. The `prob > 0 &&` short-
-    // circuits keep default-0 runs from drawing fault_rng at all, preserving
-    // the byte-identical traces of seeds recorded before these knobs existed.
+    // victim's very next checkpoint publish during the round trips the hook,
+    // so the scheduled crash lands on a store whose WAL is in the
+    // half-finished state the hook models. The `prob > 0 &&` short-circuit
+    // keeps default-0 runs from drawing fault_rng at all, preserving the
+    // byte-identical traces of seeds recorded before this knob existed.
     if (opts.crash_mid_checkpoint_prob > 0 &&
         fault_rng.NextDouble() < opts.crash_mid_checkpoint_prob) {
       if (wal::Wal* w = dep->storage(victim).store().wal()) {
         w->FailNextCheckpointPublish();
         Trace("arm-ckpt-fail node=%u", victim);
-      }
-    }
-    if (opts.crash_mid_seal_prob > 0 &&
-        fault_rng.NextDouble() < opts.crash_mid_seal_prob) {
-      if (wal::Wal* w = dep->storage(victim).store().wal()) {
-        w->SkipNextSealSync();
-        Trace("arm-seal-skip node=%u", victim);
       }
     }
     sim::SimTime delay = static_cast<sim::SimTime>(

@@ -134,20 +134,18 @@ struct ChurnOptions {
   bool verify_history = true;
 
   // Durability (each node's WAL lives on the deployment's deterministic
-  // in-memory backend). `wal_sync_every` / `checkpoint_every`
-  // feed straight into the per-node StoreOptions: sync_every 1 makes every
-  // record durable before it is acked (a crash tears nothing), 0 leaves the
-  // whole tail unsynced so KillNode genuinely loses suffixes.
+  // in-memory backend). `wal_sync_every` feeds straight into the per-node
+  // WalOptions: 1 makes every record durable before it is acked (a crash
+  // tears nothing), 0 leaves the whole tail unsynced so KillNode genuinely
+  // loses suffixes. A store checkpoints by its own rule (past
+  // compaction_min_records, once most of its durable image is dead).
   uint64_t wal_sync_every = 1;
-  uint64_t wal_checkpoint_every = 2048;
   // Crash-point fault injection: when a kill is scheduled, also arm (with
-  // these probabilities) the victim's WAL fault hooks so the crash lands
-  // mid-checkpoint-publish (MANIFEST.tmp written, rename skipped) or
-  // mid-segment-seal (sealed segment left unsynced, so the crash tears it).
-  // 0 draws nothing from the fault RNG, preserving seed traces of runs that
-  // predate these knobs.
+  // this probability) the victim's WAL fault hook so the crash lands
+  // mid-checkpoint-publish (MANIFEST.tmp written, rename skipped). 0 draws
+  // nothing from the fault RNG, preserving seed traces of runs that predate
+  // this knob.
   double crash_mid_checkpoint_prob = 0.0;
-  double crash_mid_seal_prob = 0.0;
 };
 
 struct ChurnReport {

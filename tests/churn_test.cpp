@@ -136,8 +136,8 @@ TEST(Churn, SeedSweep) {
 }
 
 // Torn-tail sweep: SeedSweep's fault mix over an unsynced WAL, so every
-// crash tears its victim's tail (half of them mid-seal) and every restart
-// has to win back what the victim lost through re-replication.
+// crash tears its victim's newest log and every restart has to win back
+// what the victim lost through re-replication.
 TEST(Churn, TornTailSweep) {
   constexpr uint64_t kSeeds = 20;
   const uint64_t only_seed = OnlySeed();
@@ -152,7 +152,6 @@ TEST(Churn, TornTailSweep) {
     opts.publish_window = 2;
     opts.hang_prob = 0.04;
     opts.wal_sync_every = 0;  // crashes genuinely tear the WAL tail
-    opts.crash_mid_seal_prob = 0.5;
     ChurnReport rep = RunChurn(opts);
     EXPECT_TRUE(rep.ok) << rep.failure << "\nreplay: "
                         << ReplayCommand(rep, "Churn.TornTailSweep")
@@ -303,9 +302,7 @@ TEST(Churn, FencingAbandonmentSweep) {
     opts.max_abandoned = 2;
     opts.fence_after_us = 8 * sim::kMicrosPerSec;  // ...and the cure
     opts.wal_sync_every = 0;           // kills genuinely tear the WAL tail
-    opts.wal_checkpoint_every = 96;
     opts.crash_mid_checkpoint_prob = 0.3;  // mid-publish crashes through WAL
-    opts.crash_mid_seal_prob = 0.3;
     opts.publish_attempts = 16;
     ChurnReport rep = RunChurn(opts);
     EXPECT_TRUE(rep.ok) << rep.failure << "\nreplay: "
@@ -396,13 +393,13 @@ TEST(Churn, SameSeedReplaysIdenticalTrace) {
   EXPECT_EQ(a.trace, b.trace);
 }
 
-// Durability determinism: crashes that land mid-checkpoint-publish and
-// mid-segment-seal, on nodes whose WAL tail is entirely unsynced
-// (wal_sync_every = 0), must still replay byte-identically — torn-tail
-// truncation is deterministic, and recovery trace lines (replayed/snapshot/
-// torn counters) are part of the digest-checked trace. Model equivalence at
-// every convergence point doubles as the proof that a node recovering from a
-// checkpoint plus a truncated tail is healed by re-replication.
+// Durability determinism: crashes that land mid-checkpoint-publish, on
+// nodes whose WAL tail is entirely unsynced (wal_sync_every = 0), must
+// still replay byte-identically — torn-tail truncation is deterministic,
+// and recovery trace lines (replayed/snapshot/torn counters) are part of
+// the digest-checked trace. Model equivalence at every convergence point
+// doubles as the proof that a node recovering from a checkpoint plus a
+// truncated tail is healed by re-replication.
 TEST(Churn, DurabilityCrashPointsReplayIdenticalTrace) {
   if (!RunsHere(3)) GTEST_SKIP() << "runs in another churn bucket";
   ChurnOptions opts;
@@ -411,9 +408,7 @@ TEST(Churn, DurabilityCrashPointsReplayIdenticalTrace) {
   opts.check_every = 10;
   opts.kill_prob = 0.25;
   opts.wal_sync_every = 0;        // crashes genuinely tear the WAL tail
-  opts.wal_checkpoint_every = 96; // several checkpoints per run at this scale
   opts.crash_mid_checkpoint_prob = 0.5;
-  opts.crash_mid_seal_prob = 0.5;
   ChurnReport a = RunChurn(opts);
   ChurnReport b = RunChurn(opts);
   ASSERT_TRUE(a.ok) << a.failure << "\ntrace tail:\n"

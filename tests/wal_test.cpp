@@ -1,9 +1,12 @@
-// Segmented WAL + checkpointed recovery: framing, torn-tail truncation,
-// crash-mid-checkpoint and crash-mid-seal fault injection, backend crash
-// semantics, the FileBackend, LocalStore integration, and a threaded
-// writer-vs-readers smoke (the sanitize/TSan gate for the durability layer).
+// WAL + checkpointed recovery: framing, torn-tail truncation, the logs only
+// a checkpoint seals, crash-mid-checkpoint fault injection, what recovery
+// refuses as Corruption, backend crash semantics, the FileBackend,
+// LocalStore integration (the checkpoint rule and its recovery bound), and
+// a threaded writer-vs-readers smoke (the sanitize/TSan gate for the
+// durability layer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -52,6 +55,23 @@ std::map<std::string, std::string> Contents(const localstore::LocalStore& store)
   return out;
 }
 
+std::map<std::string, std::string> SnapshotMap(int n) {
+  std::map<std::string, std::string> m;
+  for (int i = 0; i < n; ++i) m[Tag("snap-", i)] = Tag("v", i);
+  return m;
+}
+
+Wal::SnapshotIter MapIter(const std::map<std::string, std::string>& m) {
+  auto it = std::make_shared<std::map<std::string, std::string>::const_iterator>(m.begin());
+  return [&m, it](std::string_view* key, std::string_view* value) {
+    if (*it == m.end()) return false;
+    *key = (*it)->first;
+    *value = (*it)->second;
+    ++*it;
+    return true;
+  };
+}
+
 TEST(WalNames, SegmentNameRoundTrip) {
   EXPECT_EQ(Wal::SegmentName(1), "wal-0000000001.seg");
   uint64_t id = 0;
@@ -89,26 +109,35 @@ TEST(Wal, AppendRecoverRoundTrip) {
   EXPECT_EQ(fresh.stats().torn_tails, 0u);
 }
 
-TEST(Wal, SegmentsSealAtTargetAndStayOrdered) {
+TEST(Wal, OnlyACheckpointSeals) {
   auto backend = std::make_shared<MemoryBackend>();
-  WalOptions opts;
-  opts.segment_target_bytes = 256;
-  Wal wal(backend, opts);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(wal.AppendPut(Tag("key-", i), std::string(32, 'v')).ok());
+  Wal wal(backend);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(wal.AppendPut(Tag("key-", i), std::string(1024, 'v')).ok());
   }
-  EXPECT_GT(wal.stats().segments_sealed, 3u);
-  EXPECT_EQ(wal.active_segment(), wal.stats().segments_sealed + 1);
+  // 400 KB of appends stay in one log.
+  EXPECT_EQ(wal.stats().segments_sealed, 0u);
+  EXPECT_EQ(wal.active_segment(), 1u);
+  EXPECT_EQ(backend->List(), std::vector<std::string>{Wal::SegmentName(1)});
 
-  Wal fresh(backend, opts);
+  // Recovery replays the log in order and appends continue it.
+  Wal fresh(backend);
   std::vector<Applied> applied;
   ASSERT_TRUE(fresh.Recover(Collect(&applied)).ok());
-  ASSERT_EQ(applied.size(), 40u);
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(applied[i].key, Tag("key-", i));  // id-order replay
-  }
-  // Recovery opens a fresh active segment past everything on disk.
-  EXPECT_GT(fresh.active_segment(), wal.stats().segments_sealed);
+  ASSERT_EQ(applied.size(), 400u);
+  for (int i = 0; i < 400; ++i) EXPECT_EQ(applied[i].key, Tag("key-", i));
+  EXPECT_EQ(fresh.active_segment(), 1u);
+  ASSERT_TRUE(fresh.AppendPut("after", "v").ok());
+  EXPECT_EQ(backend->List(), std::vector<std::string>{Wal::SegmentName(1)});
+
+  // A checkpoint seals it; the next append starts the next log.
+  const std::map<std::string, std::string> none;
+  ASSERT_TRUE(fresh.WriteCheckpoint(MapIter(none)).ok());
+  EXPECT_EQ(fresh.stats().segments_sealed, 1u);
+  ASSERT_TRUE(fresh.AppendPut("next", "v").ok());
+  EXPECT_EQ(fresh.active_segment(), 2u);
+  EXPECT_TRUE(backend->Exists(Wal::SegmentName(2)));
+  EXPECT_FALSE(backend->Exists(Wal::SegmentName(1)));  // retired
 }
 
 TEST(MemoryBackend, CrashKeepsSyncedPrefixAndHalfTheTail) {
@@ -220,27 +249,9 @@ TEST(Wal, CorruptedCrcStopsReplayAtLastGoodRecord) {
   EXPECT_EQ(fresh.stats().torn_tails, 1u);
 }
 
-std::map<std::string, std::string> SnapshotMap(int n) {
-  std::map<std::string, std::string> m;
-  for (int i = 0; i < n; ++i) m[Tag("snap-", i)] = Tag("v", i);
-  return m;
-}
-
-Wal::SnapshotIter MapIter(const std::map<std::string, std::string>& m) {
-  auto it = std::make_shared<std::map<std::string, std::string>::const_iterator>(m.begin());
-  return [&m, it](std::string_view* key, std::string_view* value) {
-    if (*it == m.end()) return false;
-    *key = (*it)->first;
-    *value = (*it)->second;
-    ++*it;
-    return true;
-  };
-}
-
 TEST(Wal, CheckpointRetiresSegmentsAndBoundsReplay) {
   auto backend = std::make_shared<MemoryBackend>();
   WalOptions opts;
-  opts.segment_target_bytes = 128;
   Wal wal(backend, opts);
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(wal.AppendPut(Tag("old-", i), std::string(16, 'x')).ok());
@@ -280,6 +291,8 @@ TEST(Wal, CrashMidCheckpointFallsBackToOldManifest) {
   ASSERT_TRUE(wal.AppendPut("a", "1").ok());
   const auto snap1 = SnapshotMap(3);
   ASSERT_TRUE(wal.WriteCheckpoint(MapIter(snap1)).ok());
+  const uint64_t published_bytes = backend->Read("MANIFEST")->size();
+  EXPECT_EQ(wal.stats().checkpoint_bytes, published_bytes);
   ASSERT_TRUE(wal.AppendPut("b", "2").ok());
 
   // Second checkpoint "crashes" after syncing MANIFEST.tmp, before rename.
@@ -289,6 +302,9 @@ TEST(Wal, CrashMidCheckpointFallsBackToOldManifest) {
   EXPECT_TRUE(st.IsAborted());
   EXPECT_EQ(wal.stats().checkpoint_failures, 1u);
   ASSERT_TRUE(backend->Exists("MANIFEST.tmp"));
+  // The failed publish's bytes count too.
+  EXPECT_EQ(wal.stats().checkpoint_bytes,
+            published_bytes + backend->Read("MANIFEST.tmp")->size());
   backend->Crash();
 
   Wal fresh(backend);
@@ -306,59 +322,68 @@ TEST(Wal, CrashMidCheckpointFallsBackToOldManifest) {
   EXPECT_TRUE(saw_b) << "post-checkpoint tail record lost";
 }
 
-TEST(Wal, CrashMidSealTearsNonFinalSegment) {
+// A recovery continues the newest log and syncs it first, so a crash right
+// after takes back no record the store has already applied.
+TEST(Wal, RecoverySyncsTheLogItContinues) {
   auto backend = std::make_shared<MemoryBackend>();
   WalOptions opts;
   opts.sync_every_records = 0;
-  opts.segment_target_bytes = 64;
-  Wal wal(backend, opts);
-  wal.SkipNextSealSync();
-  // Fill past the target: seals segment 1 WITHOUT syncing it.
-  ASSERT_TRUE(wal.AppendPut("first", std::string(80, 'a')).ok());
-  ASSERT_TRUE(wal.AppendPut("second", std::string(80, 'b')).ok());
-  ASSERT_TRUE(wal.Sync().ok());  // segment 2 is durable; segment 1 is not
-  ASSERT_GE(wal.active_segment(), 2u);
-  backend->Crash();
-
+  {
+    Wal wal(backend, opts);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(wal.AppendPut(Tag("k", i), "v").ok());
+  }
   Wal fresh(backend, opts);
   std::vector<Applied> applied;
   ASSERT_TRUE(fresh.Recover(Collect(&applied)).ok());
-  // Segment 1's record was torn; segment 2's survived. Replay is still in
-  // id order and deterministic.
-  EXPECT_EQ(fresh.stats().torn_tails, 1u);
-  ASSERT_EQ(applied.size(), 1u);
-  EXPECT_EQ(applied[0].key, "second");
-  EXPECT_EQ(fresh.stats().dropped_records, 0u);
+  ASSERT_EQ(applied.size(), 3u);
+  backend->Crash();
+  EXPECT_EQ(backend->crash_torn_bytes(), 0u);
+}
 
-  // The same tear through a store: the torn segment held the base of a
-  // derived put that a later, durable segment holds. Recover drops that
-  // record and counts it; the rest of the store equals the model.
-  auto store_backend = std::make_shared<MemoryBackend>();
-  localstore::StoreOptions store_opts;
-  store_opts.wal_backend = store_backend;
-  store_opts.checkpoint_every_records = 0;
-  store_opts.wal = opts;
-  localstore::LocalStore store(store_opts);
-  ASSERT_TRUE(store.Put("kept", "k").ok());
-  ASSERT_TRUE(store.wal()->Sync().ok());
-  store.wal()->SkipNextSealSync();
+// Every seal syncs, so only the newest log can tear: a torn frame in an
+// older one is damage recovery refuses, not a tail it truncates.
+TEST(Wal, TornOlderLogIsCorruption) {
+  auto backend = std::make_shared<MemoryBackend>();
+  WalOptions opts;
+  opts.sync_every_records = 0;
+  Wal wal(backend, opts);
+  ASSERT_TRUE(wal.AppendPut("first", "a").ok());
+  ASSERT_TRUE(wal.AppendPut("second", "b").ok());
+  // A failed publish seals log 1 and leaves it live past the watermark.
+  wal.FailNextCheckpointPublish();
+  ASSERT_TRUE(wal.WriteCheckpoint(MapIter(SnapshotMap(2))).IsAborted());
+  ASSERT_TRUE(wal.AppendPut("third", "c").ok());
+  ASSERT_EQ(wal.active_segment(), 2u);
+
+  // The same bytes with a torn final frame: log 1 is not the newest.
+  std::string bytes = *backend->Read(Wal::SegmentName(1));
+  bytes.back() ^= 0x40;
+  ASSERT_TRUE(backend->Truncate(Wal::SegmentName(1), 0).ok());
+  ASSERT_TRUE(backend->Append(Wal::SegmentName(1), bytes).ok());
+  Wal fresh(backend, opts);
+  std::vector<Applied> applied;
+  EXPECT_TRUE(fresh.Recover(Collect(&applied)).IsCorruption());
+  EXPECT_EQ(fresh.stats().torn_tails, 0u);
+}
+
+// A derived put is valid only after its base. Here the manifest that held
+// the base is gone, so the log past it names a base no record made:
+// recovery fails instead of dropping the record.
+TEST(LocalStoreWal, DerivedPutWithoutItsBaseIsCorruption) {
+  auto backend = std::make_shared<MemoryBackend>();
+  localstore::StoreOptions opts;
+  opts.wal_backend = backend;
+  localstore::LocalStore store(opts);
   const std::string base(80, 'a');
-  // Fills segment 1 past the target: it seals WITHOUT a sync.
   ASSERT_TRUE(store.Put("base", base).ok());
-  ASSERT_GE(store.wal()->active_segment(), 2u);
+  ASSERT_TRUE(store.Checkpoint().ok());  // retires the log that put it
   ASSERT_TRUE(store.PutDerived("derived", "base", ReplaceFirstByte(base, 'b')).ok());
-  std::string derived = base;
-  derived[0] = 'b';
-  EXPECT_EQ(*store.Get("derived"), derived);
   ASSERT_TRUE(store.Put("later", "l").ok());
-  ASSERT_TRUE(store.wal()->Sync().ok());  // segment 2 is durable
-  store_backend->Crash();
-
   ASSERT_TRUE(store.Recover().ok());
-  EXPECT_EQ(store.wal()->stats().torn_tails, 1u);
-  EXPECT_EQ(store.wal()->stats().dropped_records, 1u);
-  const std::map<std::string, std::string> model = {{"kept", "k"}, {"later", "l"}};
-  EXPECT_EQ(Contents(store), model);
+  EXPECT_EQ(store.wal()->stats().replayed_records, 2u);
+
+  ASSERT_TRUE(backend->Remove("MANIFEST").ok());
+  EXPECT_TRUE(store.Recover().IsCorruption());
 }
 
 TEST(Wal, StaticReplayIsReadOnly) {
@@ -419,7 +444,6 @@ TEST(FileBackend, NamespaceRoundTrip) {
 TEST(FileBackend, WalRecoveryOnRealFiles) {
   TempDir dir;
   WalOptions opts;
-  opts.segment_target_bytes = 512;
   {
     Wal wal(std::make_shared<FileBackend>(dir.path()), opts);
     for (int i = 0; i < 20; ++i) {
@@ -440,21 +464,29 @@ TEST(FileBackend, WalRecoveryOnRealFiles) {
 // ---------------------------------------------------------------------------
 // LocalStore + WAL: crash/recover equivalence against a model map.
 
+// `min_records` is the compaction and checkpoint floor.
 localstore::StoreOptions DurableOptions(std::shared_ptr<MemoryBackend> backend,
-                                        uint64_t checkpoint_every,
+                                        uint64_t min_records,
                                         uint64_t sync_every) {
   localstore::StoreOptions opts;
   opts.wal_backend = std::move(backend);
-  opts.checkpoint_every_records = checkpoint_every;
+  opts.compaction_min_records = min_records;
   opts.wal.sync_every_records = sync_every;
-  opts.wal.segment_target_bytes = 4096;
   return opts;
 }
 
+// What the checkpoint rule (ratio 0.5) lets one recovery read: the durable
+// image holds at most twice the live records once past the floor.
+uint64_t RecoveryBound(const localstore::LocalStore& store, uint64_t min_records) {
+  return std::max<uint64_t>(min_records, 2 * store.entry_count() + 1);
+}
+
+
 TEST(LocalStoreWal, CrashRecoverMatchesModel) {
   auto backend = std::make_shared<MemoryBackend>();
+  constexpr uint64_t kMinRecords = 64;
   localstore::LocalStore store(
-      DurableOptions(backend, /*checkpoint_every=*/64, /*sync_every=*/1));
+      DurableOptions(backend, kMinRecords, /*sync_every=*/1));
   std::map<std::string, std::string> model;
   Rng rng(11);
   for (int op = 0; op < 1200; ++op) {
@@ -488,9 +520,11 @@ TEST(LocalStoreWal, CrashRecoverMatchesModel) {
     ASSERT_TRUE(got.ok()) << k;
     EXPECT_EQ(*got, v);
   }
-  // Tail-only replay: far fewer records than the 1200 mutations.
-  EXPECT_LT(store.wal()->stats().replayed_records, 200u);
-  EXPECT_EQ(store.wal()->stats().dropped_records, 0u);
+  // The checkpoint rule bounds what recovery reads by the live records,
+  // not by the 1200 mutations.
+  const WalStats& ws = store.wal()->stats();
+  EXPECT_LE(ws.snapshot_records + ws.replayed_records,
+            RecoveryBound(store, kMinRecords));
   // Ordered iteration equivalence too (the tree rebuilt correctly).
   auto it = store.Seek("");
   for (const auto& [k, v] : model) {
@@ -501,13 +535,81 @@ TEST(LocalStoreWal, CrashRecoverMatchesModel) {
   EXPECT_FALSE(it.Valid());
 }
 
+// Random puts, derived puts and deletes on a small key space, with a crash
+// and a recovery at random points: every recovery rebuilds the model, and
+// the checkpoint rule keeps what it reads within the bound.
+TEST(LocalStoreWal, RandomCrashesKeepTheModelAndTheCheckpointBound) {
+  constexpr uint64_t kMinRecords = 64;
+  uint64_t checkpoints = 0, recoveries = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    auto backend = std::make_shared<MemoryBackend>();
+    localstore::LocalStore store(
+        DurableOptions(backend, kMinRecords, /*sync_every=*/1));
+    std::map<std::string, std::string> model;
+    uint64_t read_before = 0;  // records earlier recoveries read
+    Rng rng(seed);
+    for (int op = 0; op < 3000; ++op) {
+      std::string k = Tag("k", rng.Uniform(48));
+      const uint64_t dice = rng.Uniform(10);
+      if (dice < 2) {
+        ASSERT_TRUE(store.Delete(k).ok());
+        model.erase(k);
+      } else if (dice < 5 && !model.empty()) {
+        auto base = model.lower_bound(Tag("k", rng.Uniform(48)));
+        if (base == model.end()) base = model.begin();
+        std::string derived = base->second;
+        ASSERT_TRUE(
+            store.PutDerived(k, base->first, ReplaceFirstByte(derived, 'z')).ok());
+        derived[0] = 'z';
+        model[k] = derived;
+      } else {
+        std::string v = rng.AlphaString(1 + rng.Uniform(24));
+        ASSERT_TRUE(store.Put(k, v).ok());
+        model[k] = v;
+      }
+      if (rng.OneIn(200)) {
+        backend->Crash();
+        ASSERT_TRUE(store.Recover().ok()) << "seed " << seed << " op " << op;
+        ASSERT_EQ(Contents(store), model) << "seed " << seed << " op " << op;
+        const WalStats& ws = store.wal()->stats();
+        const uint64_t read = ws.snapshot_records + ws.replayed_records;
+        EXPECT_LE(read - read_before, RecoveryBound(store, kMinRecords))
+            << "seed " << seed << " op " << op;
+        read_before = read;
+      }
+    }
+    checkpoints += store.wal()->stats().checkpoints;
+    recoveries += store.wal()->stats().recoveries;
+  }
+  EXPECT_GT(checkpoints, 0u);
+  EXPECT_GT(recoveries, 0u);
+}
+
+// No record of a store that only inserts is dead, so it never checkpoints:
+// recovery replays the whole log.
+TEST(LocalStoreWal, DistinctKeyPutsPublishNoManifest) {
+  auto backend = std::make_shared<MemoryBackend>();
+  localstore::LocalStore store(
+      DurableOptions(backend, /*min_records=*/64, /*sync_every=*/1));
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(store.Put(Tag("k", i), "v").ok());
+  }
+  EXPECT_EQ(store.wal()->stats().checkpoints, 0u);
+  EXPECT_FALSE(backend->Exists("MANIFEST"));
+  backend->Crash();
+  ASSERT_TRUE(store.Recover().ok());
+  EXPECT_EQ(store.wal()->stats().snapshot_records, 0u);
+  EXPECT_EQ(store.wal()->stats().replayed_records, 1000u);
+  EXPECT_EQ(store.entry_count(), 1000u);
+}
+
 TEST(LocalStoreWal, RepeatedCrashesStayDeterministic) {
   // Same seed, same crash points => byte-identical WAL state and identical
   // recovered stores across two independent runs.
   auto run = [](std::string* digest) {
     auto backend = std::make_shared<MemoryBackend>();
     localstore::LocalStore store(
-        DurableOptions(backend, /*checkpoint_every=*/48, /*sync_every=*/4));
+        DurableOptions(backend, /*min_records=*/48, /*sync_every=*/4));
     Rng rng(29);
     for (int round = 0; round < 5; ++round) {
       for (int op = 0; op < 200; ++op) {
@@ -545,7 +647,7 @@ TEST(LocalStoreWal, UnsyncedLossIsAnOperationPrefix) {
   // recovered store must equal the model as of some prefix of the op stream.
   auto backend = std::make_shared<MemoryBackend>();
   localstore::LocalStore store(
-      DurableOptions(backend, /*checkpoint_every=*/0, /*sync_every=*/0));
+      DurableOptions(backend, /*min_records=*/4096, /*sync_every=*/0));
   std::vector<std::map<std::string, std::string>> snapshots;
   std::map<std::string, std::string> model;
   snapshots.push_back(model);
@@ -586,7 +688,7 @@ TEST(LocalStoreWal, UnsyncedLossIsAnOperationPrefix) {
 TEST(LocalStoreWal, DerivedPutReplaysAgainstACheckpointedBase) {
   auto backend = std::make_shared<MemoryBackend>();
   localstore::LocalStore store(
-      DurableOptions(backend, /*checkpoint_every=*/0, /*sync_every=*/1));
+      DurableOptions(backend, /*min_records=*/4096, /*sync_every=*/1));
   ASSERT_TRUE(store.Put("base", "abcdef").ok());
   ASSERT_TRUE(store.Checkpoint().ok());
   ASSERT_TRUE(store.PutDerived("derived", "base", ReplaceFirstByte("abcdef", 'X')).ok());
@@ -601,14 +703,13 @@ TEST(LocalStoreWal, DerivedPutReplaysAgainstACheckpointedBase) {
   backend->Crash();
   ASSERT_TRUE(store.Recover().ok());
   EXPECT_EQ(store.wal()->stats().replayed_records, 2u);
-  EXPECT_EQ(store.wal()->stats().dropped_records, 0u);
   EXPECT_EQ(Contents(store), model);
 }
 
 TEST(LocalStoreWal, ExplicitCheckpointResetsTail) {
   auto backend = std::make_shared<MemoryBackend>();
   localstore::LocalStore store(
-      DurableOptions(backend, /*checkpoint_every=*/0, /*sync_every=*/1));
+      DurableOptions(backend, /*min_records=*/4096, /*sync_every=*/1));
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(store.Put(Tag("k", i), "v").ok());
   }
@@ -627,9 +728,7 @@ TEST(LocalStoreWal, ExplicitCheckpointResetsTail) {
 
 TEST(WalThreads, ConcurrentReplayDuringWrites) {
   auto backend = std::make_shared<MemoryBackend>();
-  WalOptions opts;
-  opts.segment_target_bytes = 2048;
-  Wal wal(backend, opts);
+  Wal wal(backend);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
